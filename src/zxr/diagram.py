@@ -8,8 +8,7 @@ stable across unrelated edits.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterator, Optional
+from typing import Optional
 
 from .phase import Phase, PhaseLike, ZERO
 
@@ -38,12 +37,20 @@ def _edge_key(u: str, v: str) -> tuple[str, str]:
 
 
 class Diagram:
-    """A finite undirected open multigraph over spiders, H-boxes and boundaries."""
+    """A finite undirected open multigraph over spiders, H-boxes and boundaries.
+
+    The only edge store is the symmetric incidence map ``_adj``: node ->
+    {neighbour: multiplicity > 0}. A self-loop on v is stored once, as
+    ``_adj[v][v]``, and counts twice towards ``degree(v)``. Adjacency queries
+    cost O(deg), ``remove_node`` and ``edge_count`` (a running total) O(1),
+    and ``check`` O(V+E).
+    """
 
     def __init__(self) -> None:
         self._kind: dict[str, str] = {}
         self._phase: dict[str, Phase] = {}
-        self._edges: Counter[tuple[str, str]] = Counter()
+        self._adj: dict[str, dict[str, int]] = {}
+        self._n_edges = 0
         self.inputs: tuple[str, ...] = ()
         self.outputs: tuple[str, ...] = ()
         self._fresh = 0
@@ -55,7 +62,8 @@ class Diagram:
         d = Diagram()
         d._kind = dict(self._kind)
         d._phase = dict(self._phase)
-        d._edges = Counter(self._edges)
+        d._adj = {v: dict(nb) for v, nb in self._adj.items()}
+        d._n_edges = self._n_edges
         d.inputs = self.inputs
         d.outputs = self.outputs
         d._fresh = self._fresh
@@ -81,6 +89,7 @@ class Diagram:
         elif phase is not None:
             raise DiagramError(f"{kind} node cannot carry a phase")
         self._kind[name] = kind
+        self._adj[name] = {}
         return name
 
     def add_edge(self, u: str, v: str, times: int = 1) -> None:
@@ -88,21 +97,25 @@ class Diagram:
             return
         if u not in self._kind or v not in self._kind:
             raise DiagramError(f"edge endpoint missing: {u!r}-{v!r}")
-        self._edges[_edge_key(u, v)] += times
+        self._adj[u][v] = self._adj[v][u] = self._adj[u].get(v, 0) + times
+        self._n_edges += times
 
     def remove_edge(self, u: str, v: str, times: int = 1) -> None:
         if times <= 0:
             return
-        key = _edge_key(u, v)
-        if self._edges.get(key, 0) < times:
-            raise DiagramError(f"no such edge {key}")
-        self._edges[key] -= times
-        if self._edges[key] == 0:
-            del self._edges[key]
+        m = self._adj.get(u, {}).get(v, 0) - times
+        if m < 0:
+            raise DiagramError(f"no such edge {_edge_key(u, v)}")
+        self._n_edges -= times
+        self._adj[u][v] = self._adj[v][u] = m
+        if not m:
+            del self._adj[u][v]
+            self._adj[v].pop(u, None)   # already gone if u == v
 
     def remove_node(self, name: str) -> None:
-        if any(name in key for key in self._edges):
+        if self._adj[name]:
             raise DiagramError(f"cannot remove wired node {name!r}")
+        del self._adj[name]
         del self._kind[name]
         self._phase.pop(name, None)
 
@@ -110,6 +123,12 @@ class Diagram:
         if self._kind.get(name) not in SPIDERS:
             raise DiagramError(f"{name!r} is not a spider")
         self._phase[name] = Phase.coerce(phase)
+
+    def set_kind(self, name: str, colour: str) -> None:
+        """Recolour a spider; its phase and wires stay."""
+        if self._kind.get(name) not in SPIDERS or colour not in SPIDERS:
+            raise DiagramError(f"cannot make {name!r} a {colour!r} spider")
+        self._kind[name] = colour
 
     # -- views -------------------------------------------------------------
 
@@ -128,10 +147,10 @@ class Diagram:
     def spiders(self) -> list[str]:
         return [v for v in self.nodes() if self._kind[v] in SPIDERS]
 
-    def edges(self) -> Iterator[tuple[str, str, int]]:
-        """Distinct edges with multiplicities, in sorted order."""
-        for (u, v) in sorted(self._edges):
-            yield u, v, self._edges[(u, v)]
+    def edges(self) -> list[tuple[str, str, int]]:
+        """Distinct edges (u <= v) with multiplicities, in sorted order."""
+        return sorted((u, v, m) for u, nb in self._adj.items()
+                      for v, m in nb.items() if u <= v)
 
     def edge_instances(self) -> list[tuple[str, str, int]]:
         """One entry (u, v, k) per parallel copy, k = 0..multiplicity-1."""
@@ -141,51 +160,33 @@ class Diagram:
         return out
 
     def multiplicity(self, u: str, v: str) -> int:
-        return self._edges.get(_edge_key(u, v), 0)
+        return self._adj.get(u, {}).get(v, 0)
 
     def degree(self, name: str) -> int:
-        deg = 0
-        for (u, v), m in self._edges.items():
-            if u == name:
-                deg += m
-            if v == name:
-                deg += m
-        return deg
+        nb = self._adj.get(name, {})
+        return sum(nb.values()) + nb.get(name, 0)
 
     def neighbours(self, name: str) -> list[str]:
         """Distinct neighbouring nodes (self excluded), sorted."""
-        out = set()
-        for (u, v), m in self._edges.items():
-            if m <= 0:
-                continue
-            if u == name and v != name:
-                out.add(v)
-            elif v == name and u != name:
-                out.add(u)
-        return sorted(out)
+        return sorted(w for w in self._adj.get(name, ()) if w != name)
 
     def self_loops(self, name: str) -> int:
-        return self._edges.get((name, name), 0)
+        return self._adj.get(name, {}).get(name, 0)
 
     def boundary(self) -> tuple[str, ...]:
         return self.inputs + self.outputs
 
     def boundary_partner(self, b: str) -> str:
         """The unique node a boundary is wired to (may be another boundary)."""
-        for (u, v), m in self._edges.items():
-            if m <= 0:
-                continue
-            if u == b:
-                return v
-            if v == b:
-                return u
+        for w in self._adj.get(b, ()):
+            return w
         raise DiagramError(f"boundary {b!r} has no wire")
 
     def node_count(self) -> int:
         return len(self._kind)
 
     def edge_count(self) -> int:
-        return sum(self._edges.values())
+        return self._n_edges
 
     # -- invariants ----------------------------------------------------------
 
@@ -194,8 +195,14 @@ class Diagram:
         bset = set(self.inputs) | set(self.outputs)
         if len(self.inputs) + len(self.outputs) != len(bset):
             raise DiagramError("inputs/outputs overlap or repeat")
+        adj = self._adj
+        if adj.keys() != self._kind.keys():
+            raise DiagramError("edge store and node table list different nodes")
         for name, kind in self._kind.items():
-            if kind == BOUNDARY:
+            if kind in SPIDERS:
+                if name not in self._phase:
+                    raise DiagramError(f"spider {name!r} lacks a phase")
+            elif kind == BOUNDARY:
                 if name not in bset:
                     raise DiagramError(f"boundary {name!r} not listed in inputs/outputs")
                 if self.degree(name) != 1:
@@ -205,19 +212,15 @@ class Diagram:
                     raise DiagramError(f"H-box {name!r} must have degree 2")
                 if self.self_loops(name):
                     raise DiagramError(f"H-box {name!r} has a self-loop")
-            elif kind in SPIDERS:
-                if name not in self._phase:
-                    raise DiagramError(f"spider {name!r} lacks a phase")
             else:
                 raise DiagramError(f"unknown node kind {kind!r}")
         for b in bset:
             if self._kind.get(b) != BOUNDARY:
                 raise DiagramError(f"listed boundary {b!r} is not a boundary node")
-        for (u, v), m in self._edges.items():
-            if m < 0:
-                raise DiagramError("negative edge multiplicity")
-            if u not in self._kind or v not in self._kind:
-                raise DiagramError(f"dangling edge {(u, v)}")
+        for u, nb in adj.items():
+            for v, m in nb.items():
+                if m <= 0 or v not in adj or adj[v].get(u) != m:
+                    raise DiagramError(f"edge {_edge_key(u, v)} is empty, dangling or one-sided")
         return self
 
     # -- equality ------------------------------------------------------------
@@ -405,10 +408,8 @@ def _isomorphic(a: Diagram, b: Diagram) -> bool:
 
     def backtrack(i: int) -> bool:
         if i == len(rest):
-            remapped = Counter()
-            for (u, v), m in a._edges.items():
-                remapped[_edge_key(mapping[u], mapping[v])] += m
-            return remapped == b._edges
+            return b.edges() == sorted((*_edge_key(mapping[u], mapping[v]), m)
+                                       for u, v, m in a.edges())
         u = rest[i]
         for v in candidates_b:
             if v in used or not consistent(u, v):

@@ -575,7 +575,7 @@ def _apply_h_colour(d: Diagram, anchor: Anchor) -> Diagram:
                 d.add_edge(s, h)
                 d.add_edge(h, w)
     # self-loops are invariant: the two inserted boxes would cancel
-    d._kind[s] = other_colour(d.kind(s))
+    d.set_kind(s, other_colour(d.kind(s)))
     return d.check()
 
 
@@ -584,7 +584,6 @@ def _apply_h_phase(d: Diagram, anchor: Anchor) -> Diagram:
         raise RuleError(f"h-phase does not match at {anchor}")
     h, s = anchor
     d = d.copy()
-    flipped = other_colour(d.kind(s))
     far_h = [w for w in d.neighbours(h) if w != s][0]
     if d.degree(s) == 1:
         # state form: absorb the box
@@ -601,7 +600,7 @@ def _apply_h_phase(d: Diagram, anchor: Anchor) -> Diagram:
         d.remove_edge(h, far_h)
         d.add_edge(h, far_s)
         d.add_edge(s, far_h)
-    d._kind[s] = flipped
+    d.set_kind(s, other_colour(d.kind(s)))
     return d.check()
 
 

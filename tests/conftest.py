@@ -94,9 +94,12 @@ def random_diagram(rng: random.Random, max_spiders: int = 7,
     d = Diagram()
     ns = rng.randint(1, max_spiders)
     sp = [d.add_node(rng.choice([Z, X]), rng.choice(GRID)) for _ in range(ns)]
+    drawn = []
     for _ in range(rng.randint(0, ns + 3)):
-        d.add_edge(rng.choice(sp), rng.choice(sp))
-    for (u, v), m in list(d._edges.items()):
+        u, v = rng.choice(sp), rng.choice(sp)
+        d.add_edge(u, v)
+        drawn.append((u, v) if u <= v else (v, u))
+    for u, v in dict.fromkeys(drawn):   # distinct pairs, first-drawn order
         if u != v and rng.random() < 0.25:
             h = d.add_node(HBOX)
             d.remove_edge(u, v)

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from conftest import random_diagram
-from zxr.diagram import (BOUNDARY, Diagram, DiagramError, Z, compose, dagger,
-                         empty, generator, iso_equal, tensor, wire)
+from zxr import rules
+from zxr.diagram import (BOUNDARY, HBOX, Diagram, DiagramError, X, Z, compose,
+                         dagger, empty, generator, iso_equal, tensor, wire)
 from zxr.phase import Phase
 
 
@@ -131,3 +134,102 @@ def test_node_ids_never_reused():
     d.remove_node(a)
     b = d.add_node(Z, 0)
     assert a != b
+
+
+def assert_adjacency_matches_edge_list(d):
+    """Every adjacency query agrees with a reference rebuilt from the
+    diagram's edge instances."""
+    instances = d.edge_instances()
+    mult, deg, nbrs = Counter(), Counter(), {v: set() for v in d.nodes()}
+    for u, v, _ in instances:
+        mult[u, v] += 1
+        deg[u] += 1
+        deg[v] += 1
+        if u != v:
+            mult[v, u] += 1
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    assert d.edge_count() == len(instances)
+    for u in d.nodes():
+        assert d.degree(u) == deg[u], u
+        assert d.neighbours(u) == sorted(nbrs[u]), u
+        assert d.self_loops(u) == mult[u, u], u
+        for v in d.nodes():
+            assert d.multiplicity(u, v) == mult[u, v], (u, v)
+    for b in d.boundary():
+        assert [d.boundary_partner(b)] == d.neighbours(b), b
+
+
+def test_adjacency_queries_match_edge_list(rng):
+    for _ in range(40):
+        d = random_diagram(rng)
+        assert_adjacency_matches_edge_list(d)
+        for rule in rules.RULE_IDS:
+            if rule in rules.EULER_RULES:
+                continue
+            for anchor in rules.match_sites(rule, d):
+                assert_adjacency_matches_edge_list(rules.apply(rule, d, anchor))
+
+
+def test_self_loop_counts_twice():
+    d = Diagram()
+    v = d.add_node(Z, 0)
+    d.add_edge(v, v)
+    assert (d.degree(v), d.self_loops(v), d.neighbours(v), d.edge_count()) == (2, 1, [], 1)
+    d.add_edge(v, v)
+    assert (d.degree(v), d.self_loops(v), d.edge_count()) == (4, 2, 2)
+    d.remove_edge(v, v)
+    assert (d.degree(v), d.self_loops(v), d.edge_count()) == (2, 1, 1)
+    with pytest.raises(DiagramError):
+        d.remove_node(v)   # its only edge is a self-loop
+    d.remove_edge(v, v)
+    assert (d.degree(v), d.edge_count()) == (0, 0)
+    with pytest.raises(DiagramError):
+        d.remove_edge(v, v)
+    d.remove_node(v)
+    assert d.node_count() == 0
+
+
+def test_remove_missing_edge_raises():
+    d = Diagram()
+    a, b = d.add_node(Z, 0), d.add_node(X, 0)
+    d.add_edge(a, b)
+    with pytest.raises(DiagramError):
+        d.remove_edge(a, b, 2)
+    with pytest.raises(DiagramError):
+        d.remove_edge(a, a)
+    with pytest.raises(DiagramError):
+        d.remove_edge(a, "missing")
+    d.remove_edge(b, a)
+    assert (d.multiplicity(a, b), d.degree(a), d.degree(b)) == (0, 0, 0)
+
+
+def test_boundary_partner_on_wire():
+    d = wire()
+    assert d.boundary_partner("in0") == "out0"
+    assert d.boundary_partner("out0") == "in0"
+
+
+def test_set_kind_keeps_phase():
+    d = generator("phase_z", Phase(1, 2))
+    d.set_kind("g", X)
+    assert (d.kind("g"), d.phase("g")) == (X, Phase(1, 2))
+    assert iso_equal(d.check(), generator("phase_x", Phase(1, 2)))
+    for name, colour in (("in0", X), ("g", HBOX)):
+        with pytest.raises(DiagramError):
+            d.set_kind(name, colour)
+    with pytest.raises(DiagramError):
+        generator("h").set_kind("g", Z)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda d: d._adj["g"].update(in0=2),      # one-sided
+    lambda d: d._adj["g"].update(g=0),        # zero multiplicity
+    lambda d: d._adj["g"].update(ghost=1),    # dangling
+    lambda d: d._adj.update(ghost={}),        # not a live node
+])
+def test_check_rejects_corrupt_edge_store(corrupt):
+    d = generator("phase_z", Phase(1, 2))
+    corrupt(d)
+    with pytest.raises(DiagramError):
+        d.check()
