@@ -1,12 +1,16 @@
+import random
+
 import numpy as np
 import pytest
 
 from conftest import H_MAT, SQRT2, graph_state_vector, proportional, random_diagram, rz_mat
-from zxr.diagram import compose, dagger, generator, iso_equal, tensor
-from zxr.graphstate import SimpleGraph, graph_state, triangle
+from zxr import semantics
+from zxr.diagram import Z, compose, dagger, generator, iso_equal, spider, tensor, wire
+from zxr.graphstate import (SimpleGraph, fixpoint_lhs, graph_state, path_graph,
+                            triangle, vdn_lhs)
 from zxr.phase import Phase
-from zxr.semantics import (ResourceLimit, equal_up_to_scalar, evaluate,
-                           scalar_fit)
+from zxr.semantics import (H_MATRIX, ResourceLimit, equal_up_to_scalar, evaluate,
+                           node_tensor, scalar_fit)
 
 # frozen interpretation table (hand-typed, independent of the evaluator)
 TABLE = {
@@ -130,3 +134,119 @@ def test_tensor_of_two_states():
     assert len(t.inputs) == 0 and len(t.outputs) == 2
     want = np.kron(np.array([[1], [1]]) / SQRT2, np.array([[1], [0]]))
     assert np.abs(evaluate(t) - want).max() < 1e-12
+
+
+def test_evaluate_result_shares_no_memory_with_cached_tensors():
+    h = evaluate(generator("h"))
+    h[0, 0] = 99
+    assert np.abs(evaluate(generator("h")) - H_MAT).max() < 1e-12
+    d = spider(Z, 1, 1, "1/2")
+    m = evaluate(d)
+    m *= 0
+    assert np.abs(evaluate(d) - rz_mat(np.pi / 2)).max() < 1e-12
+    assert not H_MATRIX.flags.writeable
+    assert not node_tensor(d, d.spiders()[0], 1).flags.writeable
+    for fresh in (evaluate(generator("h")), evaluate(graph_state(triangle()))):
+        assert fresh.flags.writeable
+
+
+def test_resource_limit_fires_before_any_contraction(monkeypatch):
+    calls = []
+    original = semantics._contract_pair
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(semantics, "_contract_pair", counting)
+    d = graph_state(path_graph("abcdef"))   # node tensors fit in 2^4 entries
+    with pytest.raises(ResourceLimit):
+        evaluate(d, max_entries=2 ** 4)
+    assert calls == []
+    evaluate(d)
+    assert calls
+
+
+# -- differential check of the planner ---------------------------------------------
+# The pairwise contraction loop as it stood before the planner indexed tensors
+# by shared variable (greedy scan over all pairs, np.tensordot). evaluate must
+# reproduce its matrices bit for bit.
+
+
+def _reference_contract_pair(a, b):
+    ta, la = a
+    tb, lb = b
+    shared = [v for v in la if v in lb]
+    axes_a = [la.index(v) for v in shared]
+    axes_b = [lb.index(v) for v in shared]
+    tc = np.tensordot(ta, tb, axes=(axes_a, axes_b))
+    lc = [v for v in la if v not in shared] + [v for v in lb if v not in shared]
+    return tc, lc
+
+
+def _reference_contract_all(tensors, free, max_entries):
+    if not tensors:
+        return np.array(1.0 + 0j), []
+    work = list(tensors)
+    while len(work) > 1:
+        best = None
+        for i in range(len(work)):
+            li = set(work[i][1])
+            for j in range(i + 1, len(work)):
+                shared = li & set(work[j][1])
+                if not shared:
+                    continue
+                out_legs = len(li) + len(work[j][1]) - 2 * len(shared)
+                if best is None or out_legs < best[0]:
+                    best = (out_legs, i, j)
+        if best is None:
+            # disconnected components: outer product of the two smallest
+            work.sort(key=lambda t: t[0].size)
+            best = (len(work[0][1]) + len(work[1][1]), 0, 1)
+        out_legs, i, j = best
+        if 2 ** out_legs > max_entries:
+            raise ResourceLimit(
+                f"intermediate tensor with 2^{out_legs} entries exceeds the cap")
+        merged = _reference_contract_pair(work[i], work[j])
+        work = [w for k, w in enumerate(work) if k not in (i, j)] + [merged]
+    return work[0]
+
+
+def _assert_matches_reference(d, model_n=1):
+    got = evaluate(d, model_n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "_contract_all",
+                   lambda tensors, max_entries:
+                   _reference_contract_all(tensors, set(), max_entries))
+        want = evaluate(d, model_n)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_planner_matches_reference_on_random_diagrams(rng):
+    for _ in range(60):
+        d = random_diagram(rng)
+        for model_n in (1, 2):
+            _assert_matches_reference(d, model_n)
+
+
+def test_planner_matches_reference_on_graph_sweeps():
+    rng = random.Random(5)
+    for nv in (5, 6):
+        labels = [f"q{i}" for i in range(nv)]
+        for _ in range(4):
+            g = SimpleGraph.build(labels, [(a, b) for i, a in enumerate(labels)
+                                           for b in labels[i + 1:]
+                                           if rng.random() < 0.5])
+            u = rng.choice(labels)
+            _assert_matches_reference(fixpoint_lhs(g, u))
+            _assert_matches_reference(vdn_lhs(g, u))
+
+
+def test_planner_matches_reference_on_disconnected_and_wires():
+    disconnected = tensor(tensor(generator("eps_z_dag"), generator("h")),
+                          tensor(spider(Z, 2, 1, "1/3"), generator("eps_x")))
+    through_wire = tensor(wire(), compose(generator("h"), generator("phase_x", "1/2")))
+    for d in (disconnected, through_wire, tensor(through_wire, disconnected)):
+        _assert_matches_reference(d)
+        _assert_matches_reference(d, 2)
