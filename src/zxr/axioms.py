@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
-from .diagram import (BOUNDARY, Diagram, X, Z, compose, other_colour,
-                      spider, tensor, wire)
-from .lemmas import euler_chain, h_wire
+from .diagram import (BOUNDARY, Diagram, X, Z, compose, euler_chain, h_wire,
+                      other_colour, spider, tensor, wire)
 from .phase import PI, Phase
 from .semantics import equal_up_to_scalar, evaluate, scalar_fit
 

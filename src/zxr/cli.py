@@ -102,7 +102,10 @@ def cmd_rewrite(args) -> int:
             text = Path(args.script).read_text()
         except OSError as exc:
             raise CliError(USAGE, f"cannot read {args.script}: {exc}")
-        script = proofs.ProofScript.from_json_lines(Path(args.script).stem, text)
+        try:
+            script = proofs.ProofScript.from_json_lines(Path(args.script).stem, text)
+        except ValueError as exc:
+            raise CliError(USAGE, f"{args.script}: {exc}")
     try:
         if args.check:
             result = proofs.replay(script, d, euler_on=args.enable_euler,
@@ -110,8 +113,8 @@ def cmd_rewrite(args) -> int:
         else:
             result = d
             for rule, anchor in script.steps:
-                result = proofs.apply_step(rule, result, anchor,
-                                           euler_on=args.enable_euler)
+                result = rules.apply(rule, result, anchor,
+                                     euler_on=args.enable_euler)
     except proofs.ReplayError as exc:
         print(f"replay failed: {exc}")
         return DIFFER

@@ -8,9 +8,9 @@ stable across unrelated edits.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
-from .phase import Phase, PhaseLike, ZERO
+from .phase import MINUS_HALF_PI, Phase, PhaseLike, ZERO
 
 Z = "z"
 X = "x"
@@ -303,6 +303,35 @@ def _single_node(kind: str, phase: Optional[PhaseLike], n_in: int, n_out: int) -
 def spider(colour: str, n_in: int, n_out: int, phase: PhaseLike = 0) -> Diagram:
     """A single spider of the given colour and arity."""
     return _single_node(colour, phase, n_in, n_out)
+
+
+def rotation_chain(parts: Sequence) -> Diagram:
+    """A 1-in/1-out chain; each part is (colour, phase) or "h"."""
+    d = Diagram()
+    prev = d.add_node(BOUNDARY, name="in0")
+    d.inputs = ("in0",)
+    for i, part in enumerate(parts):
+        if part == "h":
+            v = d.add_node(HBOX, name=f"c{i}")
+        else:
+            colour, phase = part
+            v = d.add_node(colour, phase, name=f"c{i}")
+        d.add_edge(prev, v)
+        prev = v
+    out = d.add_node(BOUNDARY, name="out0")
+    d.add_edge(prev, out)
+    d.outputs = ("out0",)
+    return d.check()
+
+
+def h_wire() -> Diagram:
+    return rotation_chain(["h"])
+
+
+def euler_chain(first: str = Z) -> Diagram:
+    second = other_colour(first)
+    return rotation_chain([(first, MINUS_HALF_PI), (second, MINUS_HALF_PI),
+                           (first, MINUS_HALF_PI)])
 
 
 # -- composition --------------------------------------------------------------

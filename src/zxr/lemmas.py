@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .diagram import (BOUNDARY, HBOX, SPIDERS, Diagram, DiagramError, X, Z,
-                      iso_equal, other_colour)
+                      euler_chain, h_wire, iso_equal, other_colour,
+                      rotation_chain)
 from .graphstate import (fixpoint_lhs, graph_state, path_graph, star_graph,
                          triangle)
 from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO
@@ -23,35 +24,6 @@ from .semantics import equal_up_to_scalar, evaluate
 
 
 # -- small diagram builders ------------------------------------------------------
-
-
-def rotation_chain(parts: Sequence) -> Diagram:
-    """A 1-in/1-out chain; each part is (colour, phase) or "h"."""
-    d = Diagram()
-    prev = d.add_node(BOUNDARY, name="in0")
-    d.inputs = ("in0",)
-    for i, part in enumerate(parts):
-        if part == "h":
-            v = d.add_node(HBOX, name=f"c{i}")
-        else:
-            colour, phase = part
-            v = d.add_node(colour, phase, name=f"c{i}")
-        d.add_edge(prev, v)
-        prev = v
-    out = d.add_node(BOUNDARY, name="out0")
-    d.add_edge(prev, out)
-    d.outputs = ("out0",)
-    return d.check()
-
-
-def h_wire() -> Diagram:
-    return rotation_chain(["h"])
-
-
-def euler_chain(first: str = Z) -> Diagram:
-    second = other_colour(first)
-    return rotation_chain([(first, MINUS_HALF_PI), (second, MINUS_HALF_PI),
-                           (first, MINUS_HALF_PI)])
 
 
 def complete_bipartite_diagram(m: int, n: int) -> Diagram:

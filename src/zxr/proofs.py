@@ -3,23 +3,8 @@
 A ProofScript is an ordered list of (rule, anchor) steps. Replay applies the
 steps to a start diagram and asserts, after every step, that the semantics is
 preserved up to a nonzero scalar (model 1 always; scaled models too when the
-script avoids Euler-strength steps).
-
-Besides the global rule set, scripts may use a small registry of
-script-local steps:
-
-    assume-lc-triangle   the local-complementation equation on a triangle,
-                         taken as a hypothesis (it FAILS in the scaled model
-                         n=2, which is the point of the countermodel)
-    cut-h-core           substitute an H-box by the core derived from the
-                         hypothesis earlier in the same check
-    cut-h-core-dual      its colour swap, likewise derived before use
-    use-pi2-colour       absorb a -pi/2 / +pi/2 opposite-colour pendant
-                         state into a spider (the pi/2 colour-change lemma)
-    bialgebra-expand     the bialgebra equation right-to-left (a pair
-                         becomes a complete bipartite square)
-
-None of these participates in match_sites/apply/normalize.
+script avoids Euler-strength steps). A step is any rule of ``rules.RULES``,
+the script-only steps included.
 """
 
 from __future__ import annotations
@@ -27,20 +12,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import rules
-from .diagram import HBOX, SPIDERS, Diagram, DiagramError, X, Z, other_colour
-from .phase import HALF_PI, MINUS_HALF_PI, ZERO
+from .diagram import Diagram, DiagramError
 from .rules import Anchor, RuleError
 from .semantics import equal_up_to_scalar, evaluate
 
 Step = tuple[str, Anchor]
-
-# script steps that only hold in the standard model (or are hypotheses)
-MODEL_SENSITIVE = frozenset(
-    ("euler", "euler-inv", "assume-lc-triangle", "cut-h-core",
-     "cut-h-core-dual", "use-pi2-colour"))
 
 
 class ReplayError(RuntimeError):
@@ -61,7 +40,9 @@ class ProofScript:
     note: str = ""
 
     def euler_free(self) -> bool:
-        return all(rule not in MODEL_SENSITIVE for rule, _ in self.steps)
+        """No step has Euler strength; an unknown rule counts as none."""
+        return not any(rule in rules.RULES and rules.RULES[rule].euler
+                       for rule, _ in self.steps)
 
     def to_json_lines(self) -> str:
         return "".join(
@@ -70,192 +51,23 @@ class ProofScript:
 
     @staticmethod
     def from_json_lines(name: str, text: str) -> "ProofScript":
+        """Parse one {"rule": ..., "anchor": [...]} object per non-blank line;
+        raises ValueError naming the first malformed line."""
         steps: list[Step] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                obj = None
+            if not (isinstance(obj, dict) and isinstance(obj.get("rule"), str)
+                    and isinstance(obj.get("anchor"), list)
+                    and all(isinstance(v, str) for v in obj["anchor"])):
+                raise ValueError(f'line {lineno}: expected {{"rule": <string>, '
+                                 f'"anchor": [<string>, ...]}}')
             steps.append((obj["rule"], tuple(obj["anchor"])))
         return ProofScript(name, steps)
-
-
-# -- script-local rules ----------------------------------------------------------
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise RuleError(msg)
-
-
-def _unique_hbox_between(d: Diagram, u: str, v: str) -> str:
-    boxes = [w for w in d.neighbours(u)
-             if d.kind(w) == HBOX and d.multiplicity(w, v) == 1
-             and d.multiplicity(w, u) == 1]
-    _require(len(boxes) == 1, f"expected one H-box between {u!r} and {v!r}")
-    return boxes[0]
-
-
-def _apply_assume_lc_triangle(d: Diagram, anchor: Anchor) -> Diagram:
-    """Complement the triangle {u, a, b} locally at u.
-
-    Matches three phase-0 green dots pairwise joined through H-boxes, with u
-    of degree exactly 3. Rewrites to the complemented graph state: the a-b
-    box is deleted, a and b each acquire -pi/2, and an X(pi/2) node lands on
-    u's remaining leg.
-    """
-    _require(len(anchor) == 3 and len(set(anchor)) == 3, "need (u, a, b)")
-    u, a, b = anchor
-    for v in anchor:
-        _require(d.has_node(v) and d.kind(v) == Z and d.phase(v) == ZERO,
-                 f"{v!r} must be a phase-0 green dot")
-    h_ua = _unique_hbox_between(d, u, a)
-    h_ub = _unique_hbox_between(d, u, b)
-    h_ab = _unique_hbox_between(d, a, b)
-    _require(d.degree(u) == 3 and not d.self_loops(u),
-             "u must have exactly one leg besides its two H edges")
-    third = [w for w in d.neighbours(u) if w not in (h_ua, h_ub)]
-    _require(len(third) == 1 and d.multiplicity(u, third[0]) == 1,
-             "u's third leg must be a single edge")
-    w = third[0]
-    d = d.copy()
-    d.remove_edge(h_ab, a)
-    d.remove_edge(h_ab, b)
-    d.remove_node(h_ab)
-    d.set_phase(a, d.phase(a) + MINUS_HALF_PI)
-    d.set_phase(b, d.phase(b) + MINUS_HALF_PI)
-    q = d.add_node(X, HALF_PI)
-    d.remove_edge(u, w)
-    d.add_edge(u, q)
-    d.add_edge(q, w)
-    return d.check()
-
-
-def _hbox_ends(d: Diagram, h: str) -> tuple[str, str]:
-    ends: list[str] = []
-    for w in d.neighbours(h):
-        ends.extend([w] * d.multiplicity(h, w))
-    return ends[0], ends[1]
-
-
-def _apply_cut_h_core(d: Diagram, anchor: Anchor) -> Diagram:
-    """Substitute an H-box by the hypothesis-derived core
-    Z(-pi/2) -- X(0)[pendant H -- X(pi/2) state] -- Z(-pi/2)."""
-    _require(len(anchor) == 1 and d.has_node(anchor[0])
-             and d.kind(anchor[0]) == HBOX, "need an H-box")
-    (h,) = anchor
-    p, q = _hbox_ends(d, h)
-    d = d.copy()
-    d.remove_edge(h, p)
-    d.remove_edge(h, q)
-    d.remove_node(h)
-    zl = d.add_node(Z, MINUS_HALF_PI)
-    x0 = d.add_node(X, 0)
-    zr = d.add_node(Z, MINUS_HALF_PI)
-    hx = d.add_node(HBOX)
-    qs = d.add_node(X, HALF_PI)
-    for e in ((p, zl), (zl, x0), (x0, zr), (zr, q), (x0, hx), (hx, qs)):
-        d.add_edge(*e)
-    return d.check()
-
-
-def _apply_cut_h_core_dual(d: Diagram, anchor: Anchor) -> Diagram:
-    """Substitute an H-box by the colour-swapped derived core
-    X(-pi/2) -- Z(0)[pendant X(pi/2) state] -- X(-pi/2)."""
-    _require(len(anchor) == 1 and d.has_node(anchor[0])
-             and d.kind(anchor[0]) == HBOX, "need an H-box")
-    (h,) = anchor
-    p, q = _hbox_ends(d, h)
-    d = d.copy()
-    d.remove_edge(h, p)
-    d.remove_edge(h, q)
-    d.remove_node(h)
-    xl = d.add_node(X, MINUS_HALF_PI)
-    z0 = d.add_node(Z, 0)
-    xr = d.add_node(X, MINUS_HALF_PI)
-    qs = d.add_node(X, HALF_PI)
-    for e in ((p, xl), (xl, z0), (z0, xr), (xr, q), (z0, qs)):
-        d.add_edge(*e)
-    return d.check()
-
-
-def _apply_use_pi2_colour(d: Diagram, anchor: Anchor) -> Diagram:
-    """Absorb an opposite-colour degree-1 state of phase -pi/2 (or +pi/2)
-    into a spider, adding +pi/2 (resp. -pi/2) to its phase."""
-    _require(len(anchor) == 2, "need (spider, pendant)")
-    s, pend = anchor
-    _require(d.has_node(s) and d.kind(s) in SPIDERS
-             and d.has_node(pend) and d.kind(pend) in SPIDERS
-             and d.kind(pend) == other_colour(d.kind(s))
-             and d.degree(pend) == 1 and d.multiplicity(s, pend) == 1
-             and d.phase(pend) in (HALF_PI, MINUS_HALF_PI),
-             f"use-pi2-colour does not match at {anchor}")
-    delta = HALF_PI if d.phase(pend) == MINUS_HALF_PI else MINUS_HALF_PI
-    d = d.copy()
-    d.remove_edge(s, pend)
-    d.remove_node(pend)
-    d.set_phase(s, d.phase(s) + delta)
-    return d.check()
-
-
-def _apply_bialgebra_expand(d: Diagram, anchor: Anchor) -> Diagram:
-    """The bialgebra equation right-to-left: an adjacent opposite-colour pair
-    of phase-0 degree-3 spiders becomes a complete bipartite square."""
-    _require(len(anchor) == 2, "need (node, node)")
-    p, q = anchor
-    _require(d.has_node(p) and d.has_node(q)
-             and d.kind(p) in SPIDERS and d.kind(q) in SPIDERS
-             and d.kind(q) == other_colour(d.kind(p))
-             and d.phase(p) == ZERO and d.phase(q) == ZERO
-             and d.degree(p) == 3 and d.degree(q) == 3
-             and d.multiplicity(p, q) == 1
-             and not d.self_loops(p) and not d.self_loops(q),
-             f"bialgebra-expand does not match at {anchor}")
-    d = d.copy()
-
-    def two_ends(v: str, skip: str) -> list[str]:
-        ends = []
-        for w in d.neighbours(v):
-            m = d.multiplicity(v, w) - (1 if w == skip else 0)
-            ends.extend([w] * m)
-        return ends
-
-    ep = two_ends(p, q)
-    eq = two_ends(q, p)
-    ca, cb = other_colour(d.kind(p)), d.kind(p)
-    a_nodes = [d.add_node(ca, 0), d.add_node(ca, 0)]
-    b_nodes = [d.add_node(cb, 0), d.add_node(cb, 0)]
-    for v, e in zip(a_nodes, ep):
-        d.remove_edge(p, e)
-        d.add_edge(v, e)
-    for v, e in zip(b_nodes, eq):
-        d.remove_edge(q, e)
-        d.add_edge(v, e)
-    d.remove_edge(p, q)
-    d.remove_node(p)
-    d.remove_node(q)
-    for a in a_nodes:
-        for b in b_nodes:
-            d.add_edge(a, b)
-    return d.check()
-
-
-SCRIPT_RULES: dict[str, Callable[[Diagram, Anchor], Diagram]] = {
-    "assume-lc-triangle": _apply_assume_lc_triangle,
-    "cut-h-core": _apply_cut_h_core,
-    "cut-h-core-dual": _apply_cut_h_core_dual,
-    "use-pi2-colour": _apply_use_pi2_colour,
-    "bialgebra-expand": _apply_bialgebra_expand,
-}
-
-
-def apply_step(rule: str, d: Diagram, anchor: Sequence[str],
-               euler_on: bool = False) -> Diagram:
-    if rule in SCRIPT_RULES:
-        if rule in MODEL_SENSITIVE and not euler_on:
-            raise RuleError(f"{rule} is gated off (pass euler_on=True)")
-        return SCRIPT_RULES[rule](d, tuple(anchor))
-    return rules.apply(rule, d, anchor, euler_on=euler_on)
 
 
 # -- replay ------------------------------------------------------------------------
@@ -274,7 +86,7 @@ def replay(script: ProofScript, start: Diagram, *, euler_on: bool = False,
     vals = {n: evaluate(current, n) for n in models}
     for index, (rule, anchor) in enumerate(script.steps):
         try:
-            nxt = apply_step(rule, current, anchor, euler_on=euler_on)
+            nxt = rules.apply(rule, current, anchor, euler_on=euler_on)
         except (RuleError, DiagramError) as exc:
             raise ReplayError(index, rule, f"does not match: {exc}")
         for n in models:
@@ -298,7 +110,7 @@ class ScriptBuilder:
 
     def apply(self, rule: str, anchor: Sequence[str]) -> list[str]:
         """Apply and record one step; returns newly created node ids."""
-        nxt = apply_step(rule, self.diagram, anchor, euler_on=True)
+        nxt = rules.apply(rule, self.diagram, anchor, euler_on=True)
         new = [v for v in nxt.nodes() if not self.diagram.has_node(v)]
 
         def order(v: str):

@@ -25,7 +25,34 @@ Rule ids (also the CLI spellings):
     euler         replace an H-box by the -pi/2, -pi/2, -pi/2 rotation chain
     euler-inv     replace such a chain by an H-box
 
-``euler`` and ``euler-inv`` are gated: they require ``euler_on=True``.
+Script-only steps, used by proof scripts. ``apply`` accepts them, but they
+are not in ``RULE_IDS`` and take no part in ``match_sites``, ``normalize``
+or the CLI's ``--rule``:
+
+    assume-lc-triangle   the local-complementation equation on a triangle,
+                         taken as a hypothesis (it FAILS in the scaled model
+                         n=2, which is the point of the countermodel)
+    cut-h-core           substitute an H-box by the core derived from the
+                         hypothesis earlier in the same check
+    cut-h-core-dual      its colour swap, likewise derived before use
+    use-pi2-colour       absorb a -pi/2 / +pi/2 opposite-colour pendant
+                         state into a spider (the pi/2 colour-change lemma)
+    bialgebra-expand     the bialgebra equation right-to-left (a pair
+                         becomes a complete bipartite square)
+
+A step has *Euler strength* when it holds in the standard model but can fail
+in a scaled model n > 1, where every other rule holds: the Euler
+decomposition of H (euler, euler-inv), which the other rules cannot derive,
+and the script steps that assume or use an equation equivalent to it
+(assume-lc-triangle, cut-h-core, cut-h-core-dual, use-pi2-colour). Their
+``Rule.euler`` flag is set. ``apply`` refuses them unless ``euler_on=True``,
+and ``proofs.replay`` checks only the standard model when a script uses one.
+
+Every rule is one ``Rule`` in ``RULES``. Its ``check(d, anchor)`` is the
+whole left-hand-side condition (arity, distinct nodes, node existence,
+kinds, phases, degrees and multiplicities); ``match_sites`` keeps the
+candidate anchors that pass it and ``apply`` refuses an anchor that fails
+it, so the condition is written once.
 
 Every anchor is a tuple of node ids. ``match_sites`` enumerates occurrences
 deterministically (sorted); for the expansion rules (spider-split, id-insert,
@@ -35,31 +62,44 @@ structurally valid anchor.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .diagram import (HBOX, SPIDERS, Diagram, DiagramError, X, Z,
-                      other_colour)
-from .phase import PI, Phase, ZERO
+from .diagram import HBOX, SPIDERS, Diagram, DiagramError, X, Z, other_colour
+from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO, Phase
 
 Anchor = tuple[str, ...]
-
-RULE_IDS = (
-    "spider-fuse", "spider-split", "id-remove", "id-insert", "self-loop",
-    "copy", "bialgebra", "pi-commute", "pi-state", "hopf", "h-cancel",
-    "h-colour", "h-phase", "h-state", "euler", "euler-inv",
-)
-
-EULER_RULES = ("euler", "euler-inv")
-
-MINUS_HALF = Phase(-1, 2)
 
 
 class RuleError(ValueError):
     """Anchor does not match the rule, or a gated rule is disabled."""
 
 
+class Rule(NamedTuple):
+    """One rewrite rule: where to look, what must hold, what to do.
+
+    ``candidates`` lists anchors worth checking (None for a script-only
+    step), ``check`` is the left-hand-side condition and ``rewrite`` turns a
+    fresh copy of a matching diagram into the right-hand side. ``euler``
+    marks Euler strength.
+    """
+
+    name: str
+    candidates: Optional[Callable[[Diagram], Iterable[Anchor]]]
+    check: Callable[[Diagram, Anchor], bool]
+    rewrite: Callable[[Diagram, Anchor], Diagram]
+    euler: bool = False
+
+
+# -- node tests and candidate generators ------------------------------------------
+
+
 def _is_spider(d: Diagram, v: str) -> bool:
     return d.has_node(v) and d.kind(v) in SPIDERS
+
+
+def _is_hbox(d: Diagram, v: str) -> bool:
+    return d.has_node(v) and d.kind(v) == HBOX
 
 
 def _basis_state(d: Diagram, v: str) -> bool:
@@ -68,56 +108,43 @@ def _basis_state(d: Diagram, v: str) -> bool:
             and d.phase(v) in (ZERO, PI))
 
 
-# -- matching -------------------------------------------------------------------
+def _plain3(d: Diagram, v: str) -> bool:
+    """Phase-0 degree-3 spider without self-loops (a bialgebra corner)."""
+    return (_is_spider(d, v) and d.phase(v) == ZERO and d.degree(v) == 3
+            and not d.self_loops(v))
 
 
-def _sites_spider_fuse(d: Diagram) -> list[Anchor]:
-    out = []
-    for u, v, m in d.edges():
-        if u != v and _is_spider(d, u) and _is_spider(d, v) and d.kind(u) == d.kind(v):
-            out.append((u, v))
-    return out
+def _distinct(anchor: Anchor, n: int) -> bool:
+    return len(anchor) == n and len(set(anchor)) == n
 
 
-def _sites_spider_split(d: Diagram) -> list[Anchor]:
+def _spiders(d: Diagram) -> list[Anchor]:
     return [(s,) for s in d.spiders()]
 
 
-def _sites_id_remove(d: Diagram) -> list[Anchor]:
-    out = []
-    for s in d.spiders():
-        if _check_id_remove(d, (s,)):
-            out.append((s,))
-    return out
+def _nodes(d: Diagram) -> list[Anchor]:
+    return [(v,) for v in d.nodes()]
 
 
-def _sites_id_insert(d: Diagram) -> list[Anchor]:
-    out = []
-    for u, v, m in d.edges():
-        if u == v:
-            continue
-        out.append((u, v))
-        out.append((v, u))
-    return sorted(out)
+def _edges(d: Diagram) -> list[Anchor]:
+    """Each non-loop edge once, as (u, v) with u < v."""
+    return [(u, v) for u, v, _ in d.edges() if u != v]
 
 
-def _sites_self_loop(d: Diagram) -> list[Anchor]:
-    return [(s,) for s in d.spiders() if d.self_loops(s) > 0]
+def _adjacent(d: Diagram) -> list[Anchor]:
+    """Each non-loop edge in both orders."""
+    return [p for u, v in _edges(d) for p in ((u, v), (v, u))]
 
 
-def _sites_copy(d: Diagram) -> list[Anchor]:
-    out = []
-    for s in d.spiders():
-        if not _basis_state(d, s):
-            continue
-        w = d.neighbours(s)[0]
-        if _is_spider(d, w) and d.kind(w) != d.kind(s):
-            out.append((s, w))
-    return out
+def _led_by(lead: Callable[[Diagram, str], bool]) -> Callable[[Diagram], list[Anchor]]:
+    """Candidates (u, v), v a neighbour of u, for each node u that passes
+    lead: the test that the rule's check applies to its first node."""
+    def candidates(d: Diagram) -> list[Anchor]:
+        return [(u, v) for u in d.nodes() if lead(d, u) for v in d.neighbours(u)]
+    return candidates
 
 
-def _sites_bialgebra(d: Diagram) -> list[Anchor]:
-    out = set()
+def _bialgebra_candidates(d: Diagram) -> Iterable[Anchor]:
     spiders = d.spiders()
     for a1 in spiders:
         for a2 in spiders:
@@ -126,289 +153,34 @@ def _sites_bialgebra(d: Diagram) -> list[Anchor]:
             shared = [g for g in d.neighbours(a1)
                       if g in d.neighbours(a2) and _is_spider(d, g)
                       and d.kind(g) == other_colour(d.kind(a1))]
-            for i, b1 in enumerate(shared):
-                for b2 in shared[i + 1:]:
-                    anchor = (a1, a2, b1, b2)
-                    if _check_bialgebra(d, anchor):
-                        out.add(anchor)
-    return sorted(out)
+            for b1, b2 in combinations(shared, 2):
+                yield (a1, a2, b1, b2)
 
 
-def _sites_pi_commute(d: Diagram) -> list[Anchor]:
-    out = []
-    for r in d.spiders():
-        if d.degree(r) != 2 or d.phase(r) != PI or d.self_loops(r):
-            continue
-        for s in d.neighbours(r):
-            if (_is_spider(d, s) and d.kind(s) == other_colour(d.kind(r))
-                    and d.phase(s) == ZERO and not d.self_loops(s)
-                    and d.multiplicity(r, s) == 1):
-                out.append((r, s))
-    return sorted(out)
-
-
-def _sites_pi_state(d: Diagram) -> list[Anchor]:
-    out = []
-    for s in d.spiders():
-        if not _basis_state(d, s):
-            continue
-        w = d.neighbours(s)[0]
-        if (_is_spider(d, w) and d.kind(w) == other_colour(d.kind(s))
-                and d.degree(w) == 2 and not d.self_loops(w)):
-            out.append((s, w))
-    return out
-
-
-def _sites_hopf(d: Diagram) -> list[Anchor]:
-    out = []
-    for u, v, m in d.edges():
-        if (u != v and m >= 2 and _is_spider(d, u) and _is_spider(d, v)
-                and d.kind(u) != d.kind(v)):
-            out.append((u, v))
-    return out
-
-
-def _sites_h_cancel(d: Diagram) -> list[Anchor]:
-    out = []
-    for u, v, m in d.edges():
-        if u != v and d.kind(u) == HBOX and d.kind(v) == HBOX:
-            if _h_cancel_ok(d, u, v):
-                out.append((u, v))
-    return out
-
-
-def _h_cancel_ok(d: Diagram, h1: str, h2: str) -> bool:
-    if d.multiplicity(h1, h2) == 2:
-        return True
-    a = [w for w in d.neighbours(h1) if w != h2][0]
-    b = [w for w in d.neighbours(h2) if w != h1][0]
-    # joining the outer wires must not close a loop on a third H-box
-    return not (a == b and d.kind(a) == HBOX)
-
-
-def _sites_h_colour(d: Diagram) -> list[Anchor]:
-    return [(s,) for s in d.spiders()]
-
-
-def _sites_h_phase(d: Diagram) -> list[Anchor]:
-    out = []
-    for h in d.nodes():
-        if d.kind(h) != HBOX:
-            continue
-        for s in d.neighbours(h):
-            if _check_h_phase(d, (h, s)):
-                out.append((h, s))
-    return sorted(out)
-
-
-def _sites_h_state(d: Diagram) -> list[Anchor]:
-    out = []
-    for h in d.nodes():
-        if d.kind(h) != HBOX:
-            continue
-        for s in d.neighbours(h):
-            if (_is_spider(d, s) and d.degree(s) == 1 and d.phase(s) == ZERO):
-                out.append((h, s))
-    return sorted(out)
-
-
-def _sites_euler(d: Diagram) -> list[Anchor]:
-    return [(h,) for h in d.nodes() if d.kind(h) == HBOX]
-
-
-def _sites_euler_inv(d: Diagram) -> list[Anchor]:
-    out = set()
+def _euler_inv_candidates(d: Diagram) -> Iterable[Anchor]:
     for s2 in d.spiders():
-        if d.degree(s2) != 2 or d.phase(s2) != MINUS_HALF or d.self_loops(s2):
-            continue
         nbs = d.neighbours(s2)
-        if len(nbs) != 2:
-            continue
-        s1, s3 = nbs
-        for a, b in ((s1, s3), (s3, s1)):
-            if _check_euler_inv(d, (a, s2, b)):
-                out.add((min(a, b), s2, max(a, b)))
-    return sorted(out)
+        if len(nbs) == 2:
+            yield (nbs[0], s2, nbs[1])
 
 
-_MATCHERS: dict[str, Callable[[Diagram], list[Anchor]]] = {
-    "spider-fuse": _sites_spider_fuse,
-    "spider-split": _sites_spider_split,
-    "id-remove": _sites_id_remove,
-    "id-insert": _sites_id_insert,
-    "self-loop": _sites_self_loop,
-    "copy": _sites_copy,
-    "bialgebra": _sites_bialgebra,
-    "pi-commute": _sites_pi_commute,
-    "pi-state": _sites_pi_state,
-    "hopf": _sites_hopf,
-    "h-cancel": _sites_h_cancel,
-    "h-colour": _sites_h_colour,
-    "h-phase": _sites_h_phase,
-    "h-state": _sites_h_state,
-    "euler": _sites_euler,
-    "euler-inv": _sites_euler_inv,
-}
+# -- rewriting helpers -------------------------------------------------------------
 
 
-def match_sites(rule: str, d: Diagram) -> list[Anchor]:
-    """All anchors where the rule's left-hand side occurs, sorted."""
-    if rule not in _MATCHERS:
-        raise RuleError(f"unknown rule {rule!r}")
-    return sorted(set(_MATCHERS[rule](d)))
+def _far_end(d: Diagram, v: str, skip: str) -> str:
+    """The first neighbour of v other than skip."""
+    return next(w for w in d.neighbours(v) if w != skip)
 
 
-# -- anchor validation ------------------------------------------------------------
-
-
-def _check_id_remove(d: Diagram, anchor: Anchor) -> bool:
-    if len(anchor) != 1:
-        return False
-    (s,) = anchor
-    if not (_is_spider(d, s) and d.phase(s) == ZERO
-            and d.degree(s) == 2 and not d.self_loops(s)):
-        return False
-    nbs = d.neighbours(s)
-    # removing s must not create an H self-loop
-    if len(nbs) == 1 and d.kind(nbs[0]) == HBOX:
-        return False
-    return True
-
-
-def _check_bialgebra(d: Diagram, anchor: Anchor) -> bool:
-    if len(anchor) != 4 or len(set(anchor)) != 4:
-        return False
-    a1, a2, b1, b2 = anchor
-    if not all(_is_spider(d, v) and d.phase(v) == ZERO and d.degree(v) == 3
-               and not d.self_loops(v) for v in anchor):
-        return False
-    ca = d.kind(a1)
-    if d.kind(a2) != ca:
-        return False
-    cb = other_colour(ca)
-    if d.kind(b1) != cb or d.kind(b2) != cb:
-        return False
-    for a in (a1, a2):
-        for b in (b1, b2):
-            if d.multiplicity(a, b) != 1:
-                return False
-    if d.multiplicity(a1, a2) or d.multiplicity(b1, b2):
-        return False
-    return True
-
-
-def _check_h_phase(d: Diagram, anchor: Anchor) -> bool:
-    if len(anchor) != 2:
-        return False
-    h, s = anchor
-    if not (d.has_node(h) and d.kind(h) == HBOX and _is_spider(d, s)):
-        return False
-    if d.multiplicity(h, s) != 1 or d.self_loops(s):
-        return False
-    return d.degree(s) in (1, 2)
-
-
-def _check_euler_inv(d: Diagram, anchor: Anchor) -> bool:
-    if len(anchor) != 3 or len(set(anchor)) != 3:
-        return False
-    s1, s2, s3 = anchor
-    if not all(_is_spider(d, v) and d.phase(v) == MINUS_HALF
-               and d.degree(v) == 2 and not d.self_loops(v) for v in anchor):
-        return False
-    c = d.kind(s1)
-    if d.kind(s3) != c or d.kind(s2) != other_colour(c):
-        return False
-    if d.multiplicity(s1, s2) != 1 or d.multiplicity(s2, s3) != 1:
-        return False
-    # outer wires must leave the chain
-    a = [w for w in d.neighbours(s1) if w != s2]
-    b = [w for w in d.neighbours(s3) if w != s2]
-    if not a or not b or a[0] in anchor or b[0] in anchor:
-        return False
-    return True
-
-
-# -- application -------------------------------------------------------------------
-
-
-def _replace_edge_end(d: Diagram, u: str, v: str, new_end: str, times: int = 1) -> None:
-    """Move `times` copies of edge (u, v) to (new_end, v)."""
-    d.remove_edge(u, v, times)
-    d.add_edge(new_end, v, times)
-
-
-def _apply_spider_fuse(d: Diagram, anchor: Anchor) -> Diagram:
-    u, v = anchor
-    if not (u != v and _is_spider(d, u) and _is_spider(d, v)
-            and d.kind(u) == d.kind(v) and d.multiplicity(u, v) >= 1):
-        raise RuleError(f"spider-fuse does not match at {anchor}")
-    d = d.copy()
-    k = d.multiplicity(u, v)
-    vloops = d.self_loops(v)
-    d.remove_edge(u, v, k)
-    d.add_edge(u, u, k - 1)              # surplus parallel edges become loops
-    d.add_edge(u, u, vloops)
-    d.remove_edge(v, v, vloops)
+def _unplug(d: Diagram, v: str) -> tuple[str, str]:
+    """Delete the loop-free degree-2 node v; return its two wire ends."""
+    ends = []
     for w in d.neighbours(v):
         m = d.multiplicity(v, w)
+        ends.extend([w] * m)
         d.remove_edge(v, w, m)
-        d.add_edge(u, w, m)
-    d.set_phase(u, d.phase(u) + d.phase(v))
     d.remove_node(v)
-    return d.check()
-
-
-def _apply_spider_split(d: Diagram, anchor: Anchor) -> Diagram:
-    if not anchor or not _is_spider(d, anchor[0]):
-        raise RuleError(f"spider-split does not match at {anchor}")
-    s, moved = anchor[0], anchor[1:]
-    nbs = set(d.neighbours(s))
-    if len(set(moved)) != len(moved) or not all(v in nbs for v in moved):
-        raise RuleError(f"spider-split anchor lists non-neighbours at {anchor}")
-    d = d.copy()
-    fresh = d.add_node(d.kind(s), 0)
-    for v in moved:
-        _replace_edge_end(d, s, v, fresh, d.multiplicity(s, v))
-    d.add_edge(s, fresh)
-    return d.check()
-
-
-def _apply_id_remove(d: Diagram, anchor: Anchor) -> Diagram:
-    if not _check_id_remove(d, anchor):
-        raise RuleError(f"id-remove does not match at {anchor}")
-    (s,) = anchor
-    d = d.copy()
-    ends = []
-    for w in d.neighbours(s):
-        ends.extend([w] * d.multiplicity(s, w))
-        d.remove_edge(s, w, d.multiplicity(s, w))
-    d.remove_node(s)
-    d.add_edge(ends[0], ends[1])
-    return d.check()
-
-
-def _apply_id_insert(d: Diagram, anchor: Anchor) -> Diagram:
-    if len(anchor) != 2:
-        raise RuleError(f"id-insert needs two endpoints, got {anchor}")
-    u, v = anchor
-    if u == v or not d.has_node(u) or d.multiplicity(u, v) < 1:
-        raise RuleError(f"id-insert does not match at {anchor}")
-    colour = other_colour(d.kind(u)) if _is_spider(d, u) else Z
-    d = d.copy()
-    s = d.add_node(colour, 0)
-    d.remove_edge(u, v)
-    d.add_edge(u, s)
-    d.add_edge(s, v)
-    return d.check()
-
-
-def _apply_self_loop(d: Diagram, anchor: Anchor) -> Diagram:
-    (s,) = anchor
-    if not (_is_spider(d, s) and d.self_loops(s) >= 1):
-        raise RuleError(f"self-loop does not match at {anchor}")
-    d = d.copy()
-    d.remove_edge(s, s)
-    return d.check()
+    return ends[0], ends[1]
 
 
 def _stamp_states(d: Diagram, s: str, colour: str, phase: Phase) -> None:
@@ -429,145 +201,230 @@ def _stamp_states(d: Diagram, s: str, colour: str, phase: Phase) -> None:
     d.remove_node(s)
 
 
-def _apply_copy(d: Diagram, anchor: Anchor) -> Diagram:
+# -- the rules ----------------------------------------------------------------------
+
+
+def _check_spider_fuse(d: Diagram, anchor: Anchor) -> bool:
     if len(anchor) != 2:
-        raise RuleError(f"copy needs (state, spider), got {anchor}")
+        return False
+    u, v = anchor
+    return (u != v and _is_spider(d, u) and d.has_node(v)
+            and d.kind(v) == d.kind(u) and d.multiplicity(u, v) >= 1)
+
+
+def _rewrite_spider_fuse(d: Diagram, anchor: Anchor) -> Diagram:
+    u, v = anchor
+    k = d.multiplicity(u, v)
+    vloops = d.self_loops(v)
+    d.remove_edge(u, v, k)
+    d.add_edge(u, u, k - 1)              # surplus parallel edges become loops
+    d.add_edge(u, u, vloops)
+    d.remove_edge(v, v, vloops)
+    for w in d.neighbours(v):
+        m = d.multiplicity(v, w)
+        d.remove_edge(v, w, m)
+        d.add_edge(u, w, m)
+    d.set_phase(u, d.phase(u) + d.phase(v))
+    d.remove_node(v)
+    return d
+
+
+def _check_spider_split(d: Diagram, anchor: Anchor) -> bool:
+    if not anchor or not _is_spider(d, anchor[0]):
+        return False
+    s, moved = anchor[0], anchor[1:]
+    return (len(set(moved)) == len(moved)
+            and all(v != s and d.multiplicity(s, v) for v in moved))
+
+
+def _rewrite_spider_split(d: Diagram, anchor: Anchor) -> Diagram:
+    s, moved = anchor[0], anchor[1:]
+    fresh = d.add_node(d.kind(s), 0)
+    for v in moved:
+        m = d.multiplicity(s, v)
+        d.remove_edge(s, v, m)
+        d.add_edge(fresh, v, m)
+    d.add_edge(s, fresh)
+    return d
+
+
+def _check_id_remove(d: Diagram, anchor: Anchor) -> bool:
+    if not (len(anchor) == 1 and _is_spider(d, anchor[0])):
+        return False
+    (s,) = anchor
+    if not (d.phase(s) == ZERO and d.degree(s) == 2 and not d.self_loops(s)):
+        return False
+    nbs = d.neighbours(s)
+    # removing s must not create an H self-loop
+    return not (len(nbs) == 1 and d.kind(nbs[0]) == HBOX)
+
+
+def _rewrite_id_remove(d: Diagram, anchor: Anchor) -> Diagram:
+    d.add_edge(*_unplug(d, anchor[0]))
+    return d
+
+
+def _check_id_insert(d: Diagram, anchor: Anchor) -> bool:
+    return _distinct(anchor, 2) and d.multiplicity(*anchor) >= 1
+
+
+def _rewrite_id_insert(d: Diagram, anchor: Anchor) -> Diagram:
+    u, v = anchor
+    colour = other_colour(d.kind(u)) if _is_spider(d, u) else Z
+    s = d.add_node(colour, 0)
+    d.remove_edge(u, v)
+    d.add_edge(u, s)
+    d.add_edge(s, v)
+    return d
+
+
+def _check_self_loop(d: Diagram, anchor: Anchor) -> bool:
+    return (len(anchor) == 1 and d.self_loops(anchor[0]) >= 1
+            and _is_spider(d, anchor[0]))
+
+
+def _rewrite_self_loop(d: Diagram, anchor: Anchor) -> Diagram:
+    d.remove_edge(anchor[0], anchor[0])
+    return d
+
+
+def _check_copy(d: Diagram, anchor: Anchor) -> bool:
+    if len(anchor) != 2:
+        return False
     state, s = anchor
-    if not (_basis_state(d, state) and _is_spider(d, s) and state != s
-            and d.multiplicity(state, s) == 1
-            and d.kind(s) == other_colour(d.kind(state))):
-        raise RuleError(f"copy does not match at {anchor}")
+    return (_basis_state(d, state) and _is_spider(d, s)
+            and d.kind(s) != d.kind(state) and d.multiplicity(state, s) == 1)
+
+
+def _rewrite_copy(d: Diagram, anchor: Anchor) -> Diagram:
+    state, s = anchor
     colour, phase = d.kind(state), d.phase(state)
-    d = d.copy()
     d.remove_edge(state, s)
     d.remove_node(state)
     _stamp_states(d, s, colour, phase)
-    return d.check()
+    return d
 
 
-def _apply_bialgebra(d: Diagram, anchor: Anchor) -> Diagram:
-    if not _check_bialgebra(d, anchor):
-        raise RuleError(f"bialgebra does not match at {anchor}")
+def _check_bialgebra(d: Diagram, anchor: Anchor) -> bool:
+    if not (_distinct(anchor, 4) and all(_plain3(d, v) for v in anchor)):
+        return False
+    a1, a2, b1, b2 = anchor
+    cb = other_colour(d.kind(a1))
+    if d.kind(a2) != d.kind(a1) or d.kind(b1) != cb or d.kind(b2) != cb:
+        return False
+    return (all(d.multiplicity(a, b) == 1 for a in (a1, a2) for b in (b1, b2))
+            and not d.multiplicity(a1, a2) and not d.multiplicity(b1, b2))
+
+
+def _rewrite_bialgebra(d: Diagram, anchor: Anchor) -> Diagram:
     a1, a2, b1, b2 = anchor
     ca, cb = d.kind(a1), d.kind(b1)
-    d = d.copy()
-
-    def ext_end(v: str, others: Iterable[str]) -> str:
-        for w in d.neighbours(v):
-            if w not in others:
-                return w
-        raise RuleError(f"bialgebra anchor node {v!r} has no external leg")
-
-    ea1, ea2 = ext_end(a1, anchor), ext_end(a2, anchor)
-    eb1, eb2 = ext_end(b1, anchor), ext_end(b2, anchor)
+    # each corner has one leg leaving the square
+    ext = {v: next(w for w in d.neighbours(v) if w not in anchor) for v in anchor}
     nb = d.add_node(cb, 0)       # takes the a-side external legs
     na = d.add_node(ca, 0)       # takes the b-side external legs
-    for v, e, tgt in ((a1, ea1, nb), (a2, ea2, nb), (b1, eb1, na), (b2, eb2, na)):
-        d.remove_edge(v, e)
-        d.add_edge(tgt, e)
+    for v, tgt in ((a1, nb), (a2, nb), (b1, na), (b2, na)):
+        d.remove_edge(v, ext[v])
+        d.add_edge(tgt, ext[v])
     for a in (a1, a2):
         for b in (b1, b2):
             d.remove_edge(a, b)
     for v in anchor:
         d.remove_node(v)
     d.add_edge(na, nb)
-    return d.check()
+    return d
 
 
-def _apply_pi_commute(d: Diagram, anchor: Anchor) -> Diagram:
+def _pi_wire(d: Diagram, r: str) -> bool:
+    """Degree-2 pi spider without self-loops."""
+    return (_is_spider(d, r) and d.phase(r) == PI and d.degree(r) == 2
+            and not d.self_loops(r))
+
+
+def _check_pi_commute(d: Diagram, anchor: Anchor) -> bool:
     if len(anchor) != 2:
-        raise RuleError(f"pi-commute needs (pi-node, spider), got {anchor}")
+        return False
     r, s = anchor
-    if not (_is_spider(d, r) and d.degree(r) == 2 and d.phase(r) == PI
-            and not d.self_loops(r) and _is_spider(d, s) and s != r
-            and d.multiplicity(r, s) == 1
-            and d.kind(s) == other_colour(d.kind(r))
-            and d.phase(s) == ZERO and not d.self_loops(s)):
-        raise RuleError(f"pi-commute does not match at {anchor}")
+    return (_pi_wire(d, r) and _is_spider(d, s) and d.kind(s) != d.kind(r)
+            and d.phase(s) == ZERO and not d.self_loops(s)
+            and d.multiplicity(r, s) == 1)
+
+
+def _rewrite_pi_commute(d: Diagram, anchor: Anchor) -> Diagram:
+    r, s = anchor
     colour = d.kind(r)
-    d = d.copy()
     # pi nodes go onto every leg of s except the one the pi came through
     legs = [(w, d.multiplicity(s, w)) for w in d.neighbours(s) if w != r]
-    a = [w for w in d.neighbours(r) if w != s][0]
-    d.remove_edge(r, s)
-    d.remove_edge(r, a)
-    d.remove_node(r)
+    d.add_edge(*_unplug(d, r))
     for w, m in legs:
         for _ in range(m):
             p = d.add_node(colour, PI)
             d.remove_edge(s, w)
             d.add_edge(s, p)
             d.add_edge(p, w)
-    d.add_edge(a, s)
-    return d.check()
+    return d
 
 
-def _apply_pi_state(d: Diagram, anchor: Anchor) -> Diagram:
+def _check_pi_state(d: Diagram, anchor: Anchor) -> bool:
+    return (_check_copy(d, anchor) and d.degree(anchor[1]) == 2
+            and not d.self_loops(anchor[1]))
+
+
+def _rewrite_pi_state(d: Diagram, anchor: Anchor) -> Diagram:
+    d.add_edge(*_unplug(d, anchor[1]))
+    return d
+
+
+def _check_hopf(d: Diagram, anchor: Anchor) -> bool:
     if len(anchor) != 2:
-        raise RuleError(f"pi-state needs (state, spider), got {anchor}")
-    state, s = anchor
-    if not (_basis_state(d, state) and _is_spider(d, s) and s != state
-            and d.multiplicity(state, s) == 1 and d.degree(s) == 2
-            and not d.self_loops(s)
-            and d.kind(s) == other_colour(d.kind(state))):
-        raise RuleError(f"pi-state does not match at {anchor}")
-    d = d.copy()
-    other = [w for w in d.neighbours(s) if w != state][0]
-    d.remove_edge(s, state)
-    d.remove_edge(s, other)
-    d.remove_node(s)
-    d.add_edge(state, other)
-    return d.check()
-
-
-def _apply_hopf(d: Diagram, anchor: Anchor) -> Diagram:
+        return False
     u, v = anchor
-    if not (u != v and _is_spider(d, u) and _is_spider(d, v)
-            and d.kind(u) != d.kind(v) and d.multiplicity(u, v) >= 2):
-        raise RuleError(f"hopf does not match at {anchor}")
-    d = d.copy()
-    d.remove_edge(u, v, 2)
-    return d.check()
+    return (d.multiplicity(u, v) >= 2 and _is_spider(d, u)
+            and _is_spider(d, v) and d.kind(u) != d.kind(v))
 
 
-def _apply_h_cancel(d: Diagram, anchor: Anchor) -> Diagram:
+def _rewrite_hopf(d: Diagram, anchor: Anchor) -> Diagram:
+    d.remove_edge(*anchor, 2)
+    return d
+
+
+def _check_h_cancel(d: Diagram, anchor: Anchor) -> bool:
+    if not _distinct(anchor, 2):
+        return False
     h1, h2 = anchor
-    if not (h1 != h2 and d.has_node(h1) and d.has_node(h2)
-            and d.kind(h1) == HBOX and d.kind(h2) == HBOX
-            and d.multiplicity(h1, h2) >= 1 and _h_cancel_ok(d, h1, h2)):
-        raise RuleError(f"h-cancel does not match at {anchor}")
-    d = d.copy()
+    if not (_is_hbox(d, h1) and _is_hbox(d, h2) and d.multiplicity(h1, h2) >= 1):
+        return False
+    if d.multiplicity(h1, h2) == 2:
+        return True
+    a, b = _far_end(d, h1, h2), _far_end(d, h2, h1)
+    # joining the outer wires must not close a loop on a third H-box
+    return not (a == b and d.kind(a) == HBOX)
+
+
+def _rewrite_h_cancel(d: Diagram, anchor: Anchor) -> Diagram:
+    h1, h2 = anchor
     if d.multiplicity(h1, h2) == 2:
         # a closed HH pair is a scalar; drop it
         d.remove_edge(h1, h2, 2)
         d.remove_node(h1)
         d.remove_node(h2)
-        return d.check()
-    a = [w for w in d.neighbours(h1) if w != h2][0]
-    b = [w for w in d.neighbours(h2) if w != h1][0]
-    d.remove_edge(h1, h2)
-    d.remove_edge(h1, a)
-    d.remove_edge(h2, b)
-    d.remove_node(h1)
-    d.remove_node(h2)
-    d.add_edge(a, b)
-    return d.check()
+        return d
+    for h in anchor:           # splice each box out of the wire in turn
+        d.add_edge(*_unplug(d, h))
+    return d
 
 
-def _apply_h_colour(d: Diagram, anchor: Anchor) -> Diagram:
-    if len(anchor) != 1 or not _is_spider(d, anchor[0]):
-        raise RuleError(f"h-colour does not match at {anchor}")
+def _check_h_colour(d: Diagram, anchor: Anchor) -> bool:
+    return len(anchor) == 1 and _is_spider(d, anchor[0])
+
+
+def _rewrite_h_colour(d: Diagram, anchor: Anchor) -> Diagram:
     (s,) = anchor
-    d = d.copy()
     for w in list(d.neighbours(s)):
         if d.kind(w) == HBOX:
             if d.multiplicity(s, w) == 2:
                 continue  # box has both ends on s: toggles cancel pairwise
-            far = [x for x in d.neighbours(w) if x != s][0]
-            d.remove_edge(s, w)
-            d.remove_edge(w, far)
-            d.remove_node(w)
-            d.add_edge(s, far)
+            d.add_edge(*_unplug(d, w))
         else:
             for _ in range(d.multiplicity(s, w)):
                 h = d.add_node(HBOX)
@@ -576,70 +433,70 @@ def _apply_h_colour(d: Diagram, anchor: Anchor) -> Diagram:
                 d.add_edge(h, w)
     # self-loops are invariant: the two inserted boxes would cancel
     d.set_kind(s, other_colour(d.kind(s)))
-    return d.check()
+    return d
 
 
-def _apply_h_phase(d: Diagram, anchor: Anchor) -> Diagram:
-    if not _check_h_phase(d, anchor):
-        raise RuleError(f"h-phase does not match at {anchor}")
+def _check_h_phase(d: Diagram, anchor: Anchor) -> bool:
+    if len(anchor) != 2:
+        return False
     h, s = anchor
-    d = d.copy()
-    far_h = [w for w in d.neighbours(h) if w != s][0]
+    return (_is_hbox(d, h) and _is_spider(d, s) and d.multiplicity(h, s) == 1
+            and not d.self_loops(s) and d.degree(s) in (1, 2))
+
+
+def _rewrite_h_phase(d: Diagram, anchor: Anchor) -> Diagram:
+    h, s = anchor
     if d.degree(s) == 1:
         # state form: absorb the box
-        d.remove_edge(h, s)
-        d.remove_edge(h, far_h)
-        d.remove_node(h)
-        d.add_edge(s, far_h)
+        d.add_edge(*_unplug(d, h))
     else:
-        far_s = [w for w in d.neighbours(s) if w != h]
-        if not far_s:
-            raise RuleError(f"h-phase does not match at {anchor}")
-        far_s = far_s[0]
+        far_h, far_s = _far_end(d, h, s), _far_end(d, s, h)
         d.remove_edge(s, far_s)
         d.remove_edge(h, far_h)
         d.add_edge(h, far_s)
         d.add_edge(s, far_h)
     d.set_kind(s, other_colour(d.kind(s)))
-    return d.check()
+    return d
 
 
-def _apply_h_state(d: Diagram, anchor: Anchor) -> Diagram:
-    h, s = anchor
-    if not (d.has_node(h) and d.kind(h) == HBOX and _is_spider(d, s)
-            and d.degree(s) == 1 and d.phase(s) == ZERO
-            and d.multiplicity(h, s) == 1):
-        raise RuleError(f"h-state does not match at {anchor}")
-    return _apply_h_phase(d, (h, s))
+def _check_h_state(d: Diagram, anchor: Anchor) -> bool:
+    return (_check_h_phase(d, anchor) and d.degree(anchor[1]) == 1
+            and d.phase(anchor[1]) == ZERO)
 
 
-def _apply_euler(d: Diagram, anchor: Anchor) -> Diagram:
-    (h,) = anchor
-    if not (d.has_node(h) and d.kind(h) == HBOX):
-        raise RuleError(f"euler does not match at {anchor}")
-    d = d.copy()
-    ends = []
-    for w in list(d.neighbours(h)):
-        ends.extend([w] * d.multiplicity(h, w))
-        d.remove_edge(h, w, d.multiplicity(h, w))
-    d.remove_node(h)
-    s1 = d.add_node(Z, MINUS_HALF)
-    s2 = d.add_node(X, MINUS_HALF)
-    s3 = d.add_node(Z, MINUS_HALF)
-    d.add_edge(ends[0], s1)
-    d.add_edge(s1, s2)
-    d.add_edge(s2, s3)
-    d.add_edge(s3, ends[1])
-    return d.check()
+def _check_one_hbox(d: Diagram, anchor: Anchor) -> bool:
+    return len(anchor) == 1 and _is_hbox(d, anchor[0])
 
 
-def _apply_euler_inv(d: Diagram, anchor: Anchor) -> Diagram:
-    if not _check_euler_inv(d, anchor):
-        raise RuleError(f"euler-inv does not match at {anchor}")
+def _rewrite_euler(d: Diagram, anchor: Anchor) -> Diagram:
+    p, q = _unplug(d, anchor[0])
+    s1 = d.add_node(Z, MINUS_HALF_PI)
+    s2 = d.add_node(X, MINUS_HALF_PI)
+    s3 = d.add_node(Z, MINUS_HALF_PI)
+    for e in ((p, s1), (s1, s2), (s2, s3), (s3, q)):
+        d.add_edge(*e)
+    return d
+
+
+def _check_euler_inv(d: Diagram, anchor: Anchor) -> bool:
+    if not _distinct(anchor, 3):
+        return False
     s1, s2, s3 = anchor
-    d = d.copy()
-    a = [w for w in d.neighbours(s1) if w != s2][0]
-    b = [w for w in d.neighbours(s3) if w != s2][0]
+    if not all(_is_spider(d, v) and d.phase(v) == MINUS_HALF_PI
+               and d.degree(v) == 2 and not d.self_loops(v) for v in anchor):
+        return False
+    c = d.kind(s1)
+    if d.kind(s3) != c or d.kind(s2) != other_colour(c):
+        return False
+    if d.multiplicity(s1, s2) != 1 or d.multiplicity(s2, s3) != 1:
+        return False
+    # outer wires must leave the chain
+    return _far_end(d, s1, s2) not in anchor and _far_end(d, s3, s2) not in anchor
+
+
+def _rewrite_euler_inv(d: Diagram, anchor: Anchor) -> Diagram:
+    s1, s2, s3 = anchor
+    a, b = _far_end(d, s1, s2), _far_end(d, s3, s2)
     h = d.add_node(HBOX)
     d.remove_edge(s1, a)
     d.remove_edge(s3, b)
@@ -649,37 +506,191 @@ def _apply_euler_inv(d: Diagram, anchor: Anchor) -> Diagram:
         d.remove_node(v)
     d.add_edge(a, h)
     d.add_edge(h, b)
-    return d.check()
+    return d
 
 
-_APPLIERS: dict[str, Callable[[Diagram, Anchor], Diagram]] = {
-    "spider-fuse": _apply_spider_fuse,
-    "spider-split": _apply_spider_split,
-    "id-remove": _apply_id_remove,
-    "id-insert": _apply_id_insert,
-    "self-loop": _apply_self_loop,
-    "copy": _apply_copy,
-    "bialgebra": _apply_bialgebra,
-    "pi-commute": _apply_pi_commute,
-    "pi-state": _apply_pi_state,
-    "hopf": _apply_hopf,
-    "h-cancel": _apply_h_cancel,
-    "h-colour": _apply_h_colour,
-    "h-phase": _apply_h_phase,
-    "h-state": _apply_h_state,
-    "euler": _apply_euler,
-    "euler-inv": _apply_euler_inv,
-}
+# -- script-only steps ----------------------------------------------------------------
+
+
+def _hboxes_between(d: Diagram, u: str, v: str) -> list[str]:
+    return [w for w in d.neighbours(u)
+            if d.kind(w) == HBOX and d.multiplicity(w, v) == 1
+            and d.multiplicity(w, u) == 1]
+
+
+def _check_assume_lc_triangle(d: Diagram, anchor: Anchor) -> bool:
+    """Three phase-0 green dots pairwise joined through one H-box each, the
+    first of degree exactly 3 and free of self-loops."""
+    return (_distinct(anchor, 3)
+            and all(d.has_node(v) and d.kind(v) == Z and d.phase(v) == ZERO
+                    for v in anchor)
+            and all(len(_hboxes_between(d, p, q)) == 1
+                    for p, q in combinations(anchor, 2))
+            and d.degree(anchor[0]) == 3 and not d.self_loops(anchor[0]))
+
+
+def _rewrite_assume_lc_triangle(d: Diagram, anchor: Anchor) -> Diagram:
+    """Complement the triangle {u, a, b} locally at u: the a-b box is
+    deleted, a and b each acquire -pi/2, and an X(pi/2) node lands on u's
+    remaining leg."""
+    u, a, b = anchor
+    boxes = _hboxes_between(d, u, a) + _hboxes_between(d, u, b)
+    (w,) = [x for x in d.neighbours(u) if x not in boxes]
+    (h_ab,) = _hboxes_between(d, a, b)
+    d.remove_edge(h_ab, a)
+    d.remove_edge(h_ab, b)
+    d.remove_node(h_ab)
+    d.set_phase(a, d.phase(a) + MINUS_HALF_PI)
+    d.set_phase(b, d.phase(b) + MINUS_HALF_PI)
+    q = d.add_node(X, HALF_PI)
+    d.remove_edge(u, w)
+    d.add_edge(u, q)
+    d.add_edge(q, w)
+    return d
+
+
+def _rewrite_cut_h_core(d: Diagram, anchor: Anchor) -> Diagram:
+    """Substitute an H-box by the hypothesis-derived core
+    Z(-pi/2) -- X(0)[pendant H -- X(pi/2) state] -- Z(-pi/2)."""
+    p, q = _unplug(d, anchor[0])
+    zl = d.add_node(Z, MINUS_HALF_PI)
+    x0 = d.add_node(X, 0)
+    zr = d.add_node(Z, MINUS_HALF_PI)
+    hx = d.add_node(HBOX)
+    qs = d.add_node(X, HALF_PI)
+    for e in ((p, zl), (zl, x0), (x0, zr), (zr, q), (x0, hx), (hx, qs)):
+        d.add_edge(*e)
+    return d
+
+
+def _rewrite_cut_h_core_dual(d: Diagram, anchor: Anchor) -> Diagram:
+    """Substitute an H-box by the colour-swapped derived core
+    X(-pi/2) -- Z(0)[pendant X(pi/2) state] -- X(-pi/2)."""
+    p, q = _unplug(d, anchor[0])
+    xl = d.add_node(X, MINUS_HALF_PI)
+    z0 = d.add_node(Z, 0)
+    xr = d.add_node(X, MINUS_HALF_PI)
+    qs = d.add_node(X, HALF_PI)
+    for e in ((p, xl), (xl, z0), (z0, xr), (xr, q), (z0, qs)):
+        d.add_edge(*e)
+    return d
+
+
+def _check_use_pi2_colour(d: Diagram, anchor: Anchor) -> bool:
+    """An opposite-colour degree-1 pendant of phase -pi/2 or +pi/2."""
+    if len(anchor) != 2:
+        return False
+    s, pend = anchor
+    return (_is_spider(d, s) and _is_spider(d, pend)
+            and d.kind(pend) != d.kind(s) and d.degree(pend) == 1
+            and d.multiplicity(s, pend) == 1
+            and d.phase(pend) in (HALF_PI, MINUS_HALF_PI))
+
+
+def _rewrite_use_pi2_colour(d: Diagram, anchor: Anchor) -> Diagram:
+    """Absorb the pendant, adding +pi/2 (for -pi/2) or -pi/2 (for +pi/2)."""
+    s, pend = anchor
+    delta = HALF_PI if d.phase(pend) == MINUS_HALF_PI else MINUS_HALF_PI
+    d.remove_edge(s, pend)
+    d.remove_node(pend)
+    d.set_phase(s, d.phase(s) + delta)
+    return d
+
+
+def _check_bialgebra_expand(d: Diagram, anchor: Anchor) -> bool:
+    """An adjacent opposite-colour pair of bialgebra corners."""
+    return (len(anchor) == 2 and all(_plain3(d, v) for v in anchor)
+            and d.kind(anchor[0]) != d.kind(anchor[1])
+            and d.multiplicity(*anchor) == 1)
+
+
+def _rewrite_bialgebra_expand(d: Diagram, anchor: Anchor) -> Diagram:
+    """The pair becomes a complete bipartite square."""
+    p, q = anchor
+
+    def two_ends(v: str, skip: str) -> list[str]:
+        ends = []
+        for w in d.neighbours(v):
+            m = d.multiplicity(v, w) - (1 if w == skip else 0)
+            ends.extend([w] * m)
+        return ends
+
+    ep = two_ends(p, q)
+    eq = two_ends(q, p)
+    ca, cb = other_colour(d.kind(p)), d.kind(p)
+    a_nodes = [d.add_node(ca, 0), d.add_node(ca, 0)]
+    b_nodes = [d.add_node(cb, 0), d.add_node(cb, 0)]
+    for v, e in zip(a_nodes, ep):
+        d.remove_edge(p, e)
+        d.add_edge(v, e)
+    for v, e in zip(b_nodes, eq):
+        d.remove_edge(q, e)
+        d.add_edge(v, e)
+    d.remove_edge(p, q)
+    d.remove_node(p)
+    d.remove_node(q)
+    for a in a_nodes:
+        for b in b_nodes:
+            d.add_edge(a, b)
+    return d
+
+
+# -- the table ------------------------------------------------------------------------
+
+RULES: dict[str, Rule] = {r.name: r for r in (
+    Rule("spider-fuse", _edges, _check_spider_fuse, _rewrite_spider_fuse),
+    Rule("spider-split", _spiders, _check_spider_split, _rewrite_spider_split),
+    Rule("id-remove", _spiders, _check_id_remove, _rewrite_id_remove),
+    Rule("id-insert", _adjacent, _check_id_insert, _rewrite_id_insert),
+    Rule("self-loop", _spiders, _check_self_loop, _rewrite_self_loop),
+    Rule("copy", _led_by(_basis_state), _check_copy, _rewrite_copy),
+    Rule("bialgebra", _bialgebra_candidates, _check_bialgebra, _rewrite_bialgebra),
+    Rule("pi-commute", _led_by(_pi_wire), _check_pi_commute,
+         _rewrite_pi_commute),
+    Rule("pi-state", _led_by(_basis_state), _check_pi_state, _rewrite_pi_state),
+    Rule("hopf", _edges, _check_hopf, _rewrite_hopf),
+    Rule("h-cancel", _edges, _check_h_cancel, _rewrite_h_cancel),
+    Rule("h-colour", _spiders, _check_h_colour, _rewrite_h_colour),
+    Rule("h-phase", _led_by(_is_hbox), _check_h_phase, _rewrite_h_phase),
+    Rule("h-state", _led_by(_is_hbox), _check_h_state, _rewrite_h_phase),
+    Rule("euler", _nodes, _check_one_hbox, _rewrite_euler, euler=True),
+    Rule("euler-inv", _euler_inv_candidates, _check_euler_inv,
+         _rewrite_euler_inv, euler=True),
+    Rule("assume-lc-triangle", None, _check_assume_lc_triangle,
+         _rewrite_assume_lc_triangle, euler=True),
+    Rule("cut-h-core", None, _check_one_hbox, _rewrite_cut_h_core, euler=True),
+    Rule("cut-h-core-dual", None, _check_one_hbox, _rewrite_cut_h_core_dual,
+         euler=True),
+    Rule("use-pi2-colour", None, _check_use_pi2_colour, _rewrite_use_pi2_colour,
+         euler=True),
+    Rule("bialgebra-expand", None, _check_bialgebra_expand,
+         _rewrite_bialgebra_expand),
+)}
+
+RULE_IDS = tuple(name for name, r in RULES.items() if r.candidates is not None)
+
+
+def match_sites(rule: str, d: Diagram) -> list[Anchor]:
+    """All anchors where the rule's left-hand side occurs, sorted."""
+    r = RULES.get(rule)
+    if r is None or r.candidates is None:
+        raise RuleError(f"unknown rule {rule!r}")
+    return sorted({a for a in r.candidates(d) if r.check(d, a)})
 
 
 def apply(rule: str, d: Diagram, anchor: Sequence[str],
           euler_on: bool = False) -> Diagram:
-    """Apply the rule at the anchor, returning the rewritten diagram."""
-    if rule not in _APPLIERS:
+    """Apply the rule or script step at the anchor, returning the rewritten
+    diagram. Euler-strength steps need ``euler_on=True``."""
+    r = RULES.get(rule)
+    if r is None:
         raise RuleError(f"unknown rule {rule!r}")
-    if rule in EULER_RULES and not euler_on:
+    if r.euler and not euler_on:
         raise RuleError(f"{rule} is gated off (pass euler_on=True to enable)")
-    return _APPLIERS[rule](d, tuple(anchor))
+    anchor = tuple(anchor)
+    if not r.check(d, anchor):
+        raise RuleError(f"{rule} does not match at {anchor}")
+    return r.rewrite(d.copy(), anchor).check()
 
 
 # -- normalization ------------------------------------------------------------------
@@ -715,7 +726,4 @@ def is_bipartite_form(d: Diagram) -> bool:
     for v in d.nodes():
         if d.kind(v) == HBOX:
             raise DiagramError("diagram contains H-boxes")
-    for u, v, m in d.edges():
-        if u != v and _is_spider(d, u) and _is_spider(d, v) and d.kind(u) == d.kind(v):
-            return False
-    return True
+    return not match_sites("spider-fuse", d)

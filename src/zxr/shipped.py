@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import lemmas
-from .diagram import Diagram
+from .diagram import Diagram, h_wire
 from .proofs import ProofScript
 from .textio import parse, serialize
 
@@ -50,7 +50,7 @@ def _triangle_lc() -> tuple[Diagram, ProofScript]:
 
 
 def _lc_implies_euler() -> tuple[Diagram, ProofScript]:
-    return lemmas.h_wire(), lemmas.derive_euler_from_lc_script()
+    return h_wire(), lemmas.derive_euler_from_lc_script()
 
 
 BUILDERS: dict[str, Callable[[], tuple[Diagram, ProofScript]]] = {

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import zxr
 from zxr import axioms
 
 
@@ -51,3 +57,13 @@ def test_report_rows_and_verdict():
 def test_unknown_axiom():
     with pytest.raises(ValueError):
         axioms.verify_axiom("nonsense")
+
+
+def test_axioms_imports_no_proof_code():
+    src = str(Path(zxr.__file__).resolve().parent.parent)
+    code = ("import sys, zxr.axioms; "
+            "print(sorted(m for m in ('zxr.lemmas', 'zxr.proofs') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

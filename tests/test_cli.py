@@ -11,6 +11,7 @@ WIRE = "in i\nout o\nedge i o\n"
 EULER = ("node s1 z 3/2\nnode s2 x 3/2\nnode s3 z 3/2\nin i\nout o\n"
          "edge i s1\nedge s1 s2\nedge s2 s3\nedge s3 o\n")
 HBOX = "node h h\nin i\nout o\nedge i h\nedge h o\n"
+PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
 
 
 @pytest.fixture
@@ -157,3 +158,33 @@ def test_verify_reports_are_deterministic(files, tmp_path):
               "--seed", "9", "verify", "vdn"])
         out.append(path.read_text())
     assert out[0] == out[1]
+
+
+def test_rewrite_bad_anchor_arity_fails_cleanly(tmp_path, capsys):
+    script = tmp_path / "bad.json"
+    script.write_text('{"rule": "hopf", "anchor": ["a"]}\n')
+    start = str(PROOF_DIR / "cycle-4.start.zxd")
+    assert main(["rewrite", start, "--script", str(script), "--check"]) == 1
+    assert "replay failed" in capsys.readouterr().out
+    assert main(["rewrite", start, "--script", str(script)]) == 1
+    assert "rewrite failed" in capsys.readouterr().out
+    assert main(["rewrite", start, "--rule", "hopf", "--at", "a"]) == 1
+    assert "rewrite failed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", [
+    "not json",
+    '{"anchor": ["a"]}',
+    '{"rule": "hopf"}',
+    '{"rule": "hopf", "anchor": "ab"}',
+    '{"rule": "hopf", "anchor": ["a", 1]}',
+    '{"rule": ["hopf"], "anchor": ["a"]}',
+    '["hopf", ["a"]]',
+])
+def test_rewrite_malformed_script_is_usage_error(tmp_path, capsys, line):
+    script = tmp_path / "bad.json"
+    script.write_text('{"rule": "h-colour", "anchor": ["g1"]}\n\n' + line + "\n")
+    start = str(PROOF_DIR / "cycle-4.start.zxd")
+    for check in ([], ["--check"]):
+        assert main(["rewrite", start, "--script", str(script), *check]) == 2
+        assert "line 3" in capsys.readouterr().err

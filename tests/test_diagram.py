@@ -165,7 +165,7 @@ def test_adjacency_queries_match_edge_list(rng):
         d = random_diagram(rng)
         assert_adjacency_matches_edge_list(d)
         for rule in rules.RULE_IDS:
-            if rule in rules.EULER_RULES:
+            if rules.RULES[rule].euler:
                 continue
             for anchor in rules.match_sites(rule, d):
                 assert_adjacency_matches_edge_list(rules.apply(rule, d, anchor))

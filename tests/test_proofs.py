@@ -25,6 +25,20 @@ def test_replay_reports_failing_step():
     assert err.value.index == 0 and err.value.rule == "spider-fuse"
 
 
+def test_euler_free_reads_the_rule_flag():
+    for rule in ("euler", "euler-inv", "assume-lc-triangle", "cut-h-core",
+                 "cut-h-core-dual", "use-pi2-colour"):
+        assert not ProofScript("s", [("hopf", ()), (rule, ())]).euler_free()
+    for rule in ("hopf", "bialgebra-expand", "no-such-rule"):
+        assert ProofScript("s", [(rule, ())]).euler_free()
+    with pytest.raises(ReplayError, match="unknown rule"):
+        replay(ProofScript("s", [("no-such-rule", ("in0",))]), wire())
+    gated = ProofScript("s", [("cut-h-core", ("g",))])
+    with pytest.raises(ReplayError, match="gated off"):
+        replay(gated, generator("h"))
+    assert replay(gated, generator("h"), euler_on=True).node_count() == 7
+
+
 def test_script_json_round_trip():
     script = lemmas.fixpoint_script(3)
     text = script.to_json_lines()

@@ -1,15 +1,19 @@
+import hashlib
+import itertools
+import random
+
 import pytest
 
 from conftest import random_diagram
-from zxr import rules
+from zxr import lemmas, rules, shipped
 from zxr.diagram import (BOUNDARY, HBOX, Diagram, X, Z, compose, generator,
-                         iso_equal, wire)
+                         iso_equal, rotation_chain, spider, wire)
 from zxr.phase import Phase
 from zxr.semantics import equal_up_to_scalar, evaluate
+from zxr.textio import serialize
 
 
 def chain(*parts):
-    from zxr.lemmas import rotation_chain
     return rotation_chain(list(parts))
 
 
@@ -87,7 +91,7 @@ def test_soundness_every_rule_every_anchor(rng):
                 out = rules.apply(rule, d, anchor, euler_on=True)
                 checked.add(rule)
                 for n in (1, 2):
-                    if rule in rules.EULER_RULES and n != 1:
+                    if rules.RULES[rule].euler and n != 1:
                         continue
                     assert equal_up_to_scalar(vals[n], evaluate(out, n)), \
                         (rule, anchor, n)
@@ -174,3 +178,129 @@ def test_graph_state_already_normal():
     from zxr.graphstate import graph_state, triangle
     d = graph_state(triangle())
     assert iso_equal(rules.normalize(d), d)
+
+
+# -- golden behaviour ----------------------------------------------------------
+
+# SHA-256 of every site list, and of the outcome of apply at every site and
+# near-miss anchor, over the corpus below (see _golden_lines). A change to a
+# rule's match condition or rewrite moves it.
+GOLDEN_DIGEST = "48d570061bfce8edc74239e9106b83bd5551f19a8973e4a100a0fdfbe00684d0"
+
+_ONE_NODE = ("id-remove", "self-loop", "h-colour", "euler")
+
+
+def _golden_corpus():
+    rng = random.Random(20240817)
+    out = []
+    for _ in range(120):
+        d = random_diagram(rng)
+        out.append(d)
+        for anchor in rules.match_sites("euler", d)[:1]:
+            out.append(rules.apply("euler", d, anchor, euler_on=True))
+    closed_hh = Diagram()
+    h_triangle = Diagram()
+    h_ring = Diagram()
+    for h in ("h1", "h2", "h3"):
+        h_triangle.add_node(HBOX, name=h)
+    for d in (closed_hh, h_ring):
+        d.add_node(HBOX, name="h1")
+        d.add_node(HBOX, name="h2")
+    closed_hh.add_edge("h1", "h2", 2)
+    h_triangle.add_edge("h1", "h2")
+    h_triangle.add_edge("h2", "h3")
+    h_triangle.add_edge("h3", "h1")
+    h_ring.add_node(Z, Phase(1, 3), name="s")
+    h_ring.add_edge("s", "h1")
+    h_ring.add_edge("h1", "h2")
+    h_ring.add_edge("h2", "s")
+    m = Phase(-1, 2)
+    return out + [
+        closed_hh.check(), h_triangle.check(), h_ring.check(), hopf_lhs(),
+        compose(generator("h"), generator("h")), chain("h", "h", "h"),
+        chain((Z, m), (X, m), (Z, m)), chain((X, m), (Z, m), (X, m), "h"),
+        compose(spider(Z, 1, 2), generator("phase_x", 1)),
+        compose(spider(X, 1, 3), generator("phase_z", 1)),
+        compose(generator("phase_x", "1/2"), spider(Z, 0, 1, 1)),
+        compose(generator("h"), spider(Z, 0, 1, 0)),
+        lemmas.complete_bipartite_diagram(2, 2),
+        lemmas.complete_bipartite_diagram(2, 3)]
+
+
+def _near_misses(rule, d, sites):
+    """Anchors of the rule's arity that may or may not match."""
+    nodes = d.nodes()
+    if rule in _ONE_NODE:
+        return [(v,) for v in nodes]
+    if rule == "bialgebra":
+        return [p for s in sites for p in itertools.permutations(s)]
+    if rule == "euler-inv":
+        return [s[::-1] for s in sites] + [
+            (a, v, b) for v in nodes
+            for a in d.neighbours(v) for b in d.neighbours(v)]
+    if rule == "spider-split":
+        out = []
+        for s in nodes:
+            nbs = d.neighbours(s)
+            for k in range(len(nbs) + 1):
+                out += [(s, *c) for c in itertools.combinations(nbs, k)]
+            out += [(s, w) for w in nodes if w not in nbs]
+            out += [(s, v, v) for v in nbs]
+        return out
+    return list(itertools.product(nodes, repeat=2))
+
+
+def _golden_lines():
+    for d in _golden_corpus():
+        for rule in rules.RULE_IDS:
+            sites = rules.match_sites(rule, d)
+            yield f"{rule} {sites}"
+            for anchor in sites + _near_misses(rule, d, sites):
+                try:
+                    out = serialize(rules.apply(rule, d, anchor, euler_on=True))
+                except rules.RuleError:
+                    out = "RuleError"
+                yield f"{anchor} {out}"
+
+
+def test_golden_sites_and_rewrites():
+    digest = hashlib.sha256()
+    for line in _golden_lines():
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def _mangled(rule, anchor):
+    """Anchors of a wrong arity, and a matching anchor with an unknown id."""
+    if rule == "spider-split":      # takes any arity from 1 up
+        yield ()
+    else:
+        yield anchor[:-1]
+        yield anchor + anchor[:1]
+    for i in range(len(anchor)):
+        yield anchor[:i] + ("no-such-node",) + anchor[i + 1:]
+
+
+def _matching_steps():
+    """(rule, diagram, anchor) for a matching anchor of every table rule,
+    script-only steps included (taken from the proof scripts)."""
+    for d in _golden_corpus():
+        for rule in rules.RULE_IDS:
+            for anchor in rules.match_sites(rule, d)[:1]:
+                yield rule, d, anchor
+    scripts = [build() for build in shipped.BUILDERS.values()]
+    scripts.append((lemmas.lc_hypothesis_start(), lemmas.lc_apply_script()))
+    for d, script in scripts:
+        for rule, anchor in script.steps:
+            yield rule, d, anchor
+            d = rules.apply(rule, d, anchor, euler_on=True)
+
+
+def test_bad_anchor_arity_or_node_raises_rule_error():
+    seen = set()
+    for rule, d, anchor in _matching_steps():
+        seen.add(rule)
+        for bad in _mangled(rule, anchor):
+            with pytest.raises(rules.RuleError, match="does not match"):
+                rules.apply(rule, d, bad, euler_on=True)
+    assert seen == set(rules.RULES)
