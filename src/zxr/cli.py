@@ -149,15 +149,11 @@ def cmd_render(args) -> int:
 
 def _verify_axioms(args) -> tuple[bool, dict]:
     models = (args.model_n,) if args.model_n else (1, 2, 3)
-    rows = []
-    ok = True
-    for n in models:
-        for axiom in axioms.BASE_AXIOMS:
-            holds, residual = axioms.verify_axiom_residual(axiom, n, args.tol)
-            rows.append({"model_n": n, "axiom": axiom, "holds": holds,
-                         "max_residual": residual})
-            ok = ok and holds
-            print(f"model {n}  {axiom:12s} {'pass' if holds else 'FAIL'}")
+    rows = axioms.axiom_rows(models, axioms.BASE_AXIOMS, args.tol)
+    for r in rows:
+        print(f"model {r['model_n']}  {r['axiom']:12s} "
+              f"{'pass' if r['holds'] else 'FAIL'}")
+    ok = all(r["holds"] for r in rows)
     return ok, {"suite": "axioms", "rows": rows, "ok": ok}
 
 

@@ -138,26 +138,27 @@ def _rotate_wire(d: Diagram, vertex: str, colour: str, phase: PhaseLike) -> None
     d.add_edge(r, wire_b)
 
 
-def fixpoint_lhs(g: SimpleGraph, u: str) -> Diagram:
-    """|g> with an X(pi) rotation on u and Z(pi) on each neighbour of u."""
+def _rotated(g: SimpleGraph, u: str, at_u: PhaseLike,
+             at_neighbours: PhaseLike) -> Diagram:
+    """|g> with an X(at_u) rotation on u and Z(at_neighbours) on each
+    neighbour of u."""
     if u not in g.vertices:
         raise GraphError(f"unknown vertex {u!r}")
     d = graph_state(g)
-    _rotate_wire(d, u, X, PI)
+    _rotate_wire(d, u, X, at_u)
     for v in g.neighbours(u):
-        _rotate_wire(d, v, Z, PI)
+        _rotate_wire(d, v, Z, at_neighbours)
     return d.check()
+
+
+def fixpoint_lhs(g: SimpleGraph, u: str) -> Diagram:
+    """|g> with an X(pi) rotation on u and Z(pi) on each neighbour of u."""
+    return _rotated(g, u, PI, PI)
 
 
 def vdn_lhs(g: SimpleGraph, u: str) -> Diagram:
     """|g> with the local-complementation witness rotations at u."""
-    if u not in g.vertices:
-        raise GraphError(f"unknown vertex {u!r}")
-    d = graph_state(g)
-    _rotate_wire(d, u, X, LC_VERTEX_PHASE)
-    for v in g.neighbours(u):
-        _rotate_wire(d, v, Z, LC_NEIGHBOUR_PHASE)
-    return d.check()
+    return _rotated(g, u, LC_VERTEX_PHASE, LC_NEIGHBOUR_PHASE)
 
 
 # -- graph operations --------------------------------------------------------------

@@ -1,16 +1,23 @@
-"""Constructions of the derived results as replayable scripts.
+"""The derived results of the paper, one Derivation record each.
 
-Each builder returns the start diagram and one or more scripts; the companion
-check functions replay them and compare endpoints. Where a result equates two
-diagrams that are both irreducible under the directed rule set, it is
-established by two scripts from a common start whose endpoints are the two
-sides of the equation.
+A Derivation is a start diagram, a rewrite script and the diagram the script
+must reach, plus whether the result needs the Euler decomposition of H.
+``Derivation.check`` replays the script, checking every step against the
+matrix semantics, with Euler-strength steps refused unless ``euler`` is set,
+and requires the end reached to be isomorphic to the recorded end. The
+fixpoint property, K(m,n) = P2 and the even-cycle reductions hold without the
+decomposition; the triangle local complementation, the pi/2 colour change,
+the non-uniqueness of the decomposition and its derivation from local
+complementation need it. Where a result equates two diagrams that are both
+irreducible under the directed rule set, it is two derivations from a common
+start whose ends are the two sides of the equation. ``shipped`` writes the
+scripts and start diagrams of these records to proofs/.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .diagram import (BOUNDARY, HBOX, SPIDERS, Diagram, DiagramError, X, Z,
                       euler_chain, h_wire, iso_equal, other_colour,
@@ -19,8 +26,40 @@ from .graphstate import (fixpoint_lhs, graph_state, path_graph, star_graph,
                          triangle)
 from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO
 from .proofs import ProofScript, ScriptBuilder, replay
-from .rules import RuleError
+from .rules import RuleError, match_sites, normalize
 from .semantics import equal_up_to_scalar, evaluate
+
+
+@dataclass
+class Derivation:
+    """A start diagram, a script and the diagram the script must reach.
+
+    ``euler`` says whether the result needs the Euler decomposition; unless
+    it is set, replay refuses Euler-strength steps. ``models`` are the models
+    every step is checked in (None: the replay default).
+    """
+
+    start: Diagram
+    script: ProofScript
+    end: Diagram
+    euler: bool = False
+    models: Optional[tuple[int, ...]] = None
+
+    def reach(self, tol: float = 1e-9) -> Diagram:
+        """Replay the script from start; returns the diagram reached."""
+        return replay(self.script, self.start, euler_on=self.euler, tol=tol,
+                      models=self.models)
+
+    def check(self, tol: float = 1e-9) -> bool:
+        return iso_equal(self.reach(tol), self.end)
+
+
+def _check_with_matrix(deriv: Derivation, reference: Diagram,
+                       tol: float) -> bool:
+    """``deriv.check``, plus the end reached evaluates like ``reference``."""
+    end = deriv.reach(tol)
+    return (iso_equal(end, deriv.end)
+            and equal_up_to_scalar(evaluate(reference), evaluate(end), tol))
 
 
 # -- small diagram builders ------------------------------------------------------
@@ -112,9 +151,14 @@ def fixpoint_script(n: int) -> ProofScript:
     return b.script
 
 
+def fixpoint(n: int) -> Derivation:
+    """The fixpoint left side of the n-vertex star reaches the bare star."""
+    return Derivation(fixpoint_start(n), fixpoint_script(n),
+                      graph_state(star_graph(n)))
+
+
 def check_fixpoint_script(n: int, tol: float = 1e-9) -> bool:
-    end = replay(fixpoint_script(n), fixpoint_start(n), tol=tol)
-    return iso_equal(end, graph_state(star_graph(n)))
+    return fixpoint(n).check(tol)
 
 
 # -- complete bipartite reduction (K_{n,m} = P_2) -------------------------------------
@@ -215,14 +259,17 @@ def _reduce_knm(b: ScriptBuilder, reds: list[str],
     return g3, r3
 
 
-def check_complete_bipartite(m: int, n: int, tol: float = 1e-9) -> bool:
+def complete_bipartite(m: int, n: int) -> Derivation:
+    """K_{m,n} reaches the two-spider path, every step checked in models 1-3."""
     d = complete_bipartite_diagram(m, n)
-    reds = [f"r{i+1}" for i in range(m)]
-    greens = [f"g{j+1}" for j in range(n)]
-    result, script = reduce_complete_bipartite(d, reds, greens)
-    end = replay(script, d, tol=tol, models=(1, 2, 3))
-    return (iso_equal(end, result) and iso_equal(result, p2_diagram(m, n))
-            and equal_up_to_scalar(evaluate(d), evaluate(result), tol))
+    _, script = reduce_complete_bipartite(
+        d, [f"r{i+1}" for i in range(m)], [f"g{j+1}" for j in range(n)])
+    return Derivation(d, script, p2_diagram(m, n), models=(1, 2, 3))
+
+
+def check_complete_bipartite(m: int, n: int, tol: float = 1e-9) -> bool:
+    deriv = complete_bipartite(m, n)
+    return _check_with_matrix(deriv, deriv.start, tol)
 
 
 # -- even cycle reduction ---------------------------------------------------------------
@@ -288,41 +335,34 @@ def _validate_cycle(d: Diagram, cyc: list[str]) -> None:
                 raise RuleError("cycle has a chord")
 
 
-def check_even_cycle(n: int, tol: float = 1e-9) -> bool:
+def even_cycle(n: int) -> Derivation:
+    """The reduction of the 2n-cycle, every step checked in models 1-3. C_4
+    must reach the two-spider path and C_6 itself; larger cycles must reach
+    what the reduction built."""
     d = cycle_diagram(n)
-    cyc = [x for i in range(n) for x in (f"r{i+1}", f"g{i+1}")]
-    result, script = reduce_even_cycle(d, cyc)
-    end = replay(script, d, tol=tol, models=(1, 2, 3))
-    if not iso_equal(end, result):
-        return False
-    if n == 2 and not iso_equal(result, p2_diagram(2, 2)):
-        return False
-    if n == 3 and script.steps:
-        return False
-    return equal_up_to_scalar(evaluate(d), evaluate(result), tol)
+    result, script = reduce_even_cycle(
+        d, [x for i in range(n) for x in (f"r{i+1}", f"g{i+1}")])
+    end = p2_diagram(2, 2) if n == 2 else d if n == 3 else result
+    return Derivation(d, script, end, models=(1, 2, 3))
+
+
+def check_even_cycle(n: int, tol: float = 1e-9) -> bool:
+    """The cycle derivation checks, with matching start and end matrices.
+    C_6 is left alone, so it must also be a normal form with no bialgebra
+    site."""
+    deriv = even_cycle(n)
+    if n == 3:
+        trace: list = []
+        normalize(deriv.start, trace=trace)
+        if trace or match_sites("bialgebra", deriv.start):
+            return False
+    return _check_with_matrix(deriv, deriv.start, tol)
 
 
 # -- the pi/2 lemmas -------------------------------------------------------------------
 
 
-@dataclass
-class TwoSidedDerivation:
-    """Two scripts from one start; their endpoints are the equated diagrams."""
-
-    name: str
-    start: Diagram
-    left: ProofScript
-    right: ProofScript
-    left_end: Diagram
-    right_end: Diagram
-
-    def check(self, tol: float = 1e-9) -> bool:
-        el = replay(self.left, self.start, euler_on=True, tol=tol)
-        er = replay(self.right, self.start, euler_on=True, tol=tol)
-        return iso_equal(el, self.left_end) and iso_equal(er, self.right_end)
-
-
-def euler_nonuniqueness() -> TwoSidedDerivation:
+def euler_nonuniqueness() -> tuple[Derivation, Derivation]:
     """The colour-swapped decomposition: from X(-pi/2) X(pi/2) H, one script
     cancels the rotations leaving H, the other slides and expands to the
     swapped rotation chain."""
@@ -337,12 +377,11 @@ def euler_nonuniqueness() -> TwoSidedDerivation:
     z_chain = [v for v in made if b.diagram.kind(v) == Z]
     b.apply("spider-fuse", (z_chain[1], "c1"))
     b.apply("id-remove", (z_chain[1],))
-    return TwoSidedDerivation(
-        "euler-nonunique", start, a.script, b.script,
-        h_wire(), euler_chain(first=X))
+    return (Derivation(start, a.script, h_wire(), euler=True),
+            Derivation(start, b.script, euler_chain(first=X), euler=True))
 
 
-def pi2_colour_change() -> TwoSidedDerivation:
+def pi2_colour_change() -> tuple[Derivation, Derivation]:
     """A +pi/2 rotation equals a dot carrying an opposite-colour -pi/2 state:
     both sides are reached from the expanded rotation-chain pendant."""
     d = Diagram()
@@ -374,20 +413,8 @@ def pi2_colour_change() -> TwoSidedDerivation:
     b.apply("spider-fuse", ("st", "xc"))
     b.apply("spider-fuse", ("dot", "st"))
     right_end = rotation_chain([(X, HALF_PI)])
-    return TwoSidedDerivation("pi2-colour", start, a.script, b.script,
-                              left_end, right_end)
-
-
-def euler_nonuniqueness_check(euler_on: bool = True, tol: float = 1e-9) -> bool:
-    if not euler_on:
-        raise RuleError("the Euler rules are gated off")
-    return euler_nonuniqueness().check(tol)
-
-
-def pi2_colour_change_check(euler_on: bool = True, tol: float = 1e-9) -> bool:
-    if not euler_on:
-        raise RuleError("the Euler rules are gated off")
-    return pi2_colour_change().check(tol)
+    return (Derivation(start, a.script, left_end, euler=True),
+            Derivation(start, b.script, right_end, euler=True))
 
 
 # -- triangle local complementation -------------------------------------------------
@@ -405,7 +432,7 @@ def triangle_lc_target() -> Diagram:
     return d.check()
 
 
-def triangle_lc_script() -> ProofScript:
+def triangle_lc() -> Derivation:
     """Rewrite the triangle graph state into its local complementation at b,
     using the Euler rule and the pi/2 colour-change lemma."""
     b = ScriptBuilder("triangle-lc", graph_state(triangle()),
@@ -429,15 +456,7 @@ def triangle_lc_script() -> ProofScript:
     b.apply("h-phase", (box, xm))
     b.apply("use-pi2-colour", (g_n, xm))
     b.apply("h-colour", (r_n,))
-    return b.script
-
-
-def check_triangle_lc(euler_on: bool = True, tol: float = 1e-9) -> bool:
-    if not euler_on:
-        raise RuleError("the Euler rules are gated off")
-    end = replay(triangle_lc_script(), graph_state(triangle()),
-                 euler_on=True, tol=tol)
-    return iso_equal(end, triangle_lc_target())
+    return Derivation(b.start, b.script, triangle_lc_target(), euler=True)
 
 
 # -- local complementation implies the decomposition ----------------------------------
@@ -459,7 +478,7 @@ def lc_hypothesis_start() -> Diagram:
     return d.check()
 
 
-def lc_collapse_script() -> ProofScript:
+def lc_collapse() -> Derivation:
     """Without the hypothesis: the plugged triangle is just an H wire."""
     b = ScriptBuilder("lc-collapse", lc_hypothesis_start())
     b.apply("copy", ("st", "v:b"))
@@ -468,21 +487,17 @@ def lc_collapse_script() -> ProofScript:
         b.apply("h-state", (box, state))
         b.apply("spider-fuse", (v, state))
         b.apply("id-remove", (v,))
-    return b.script
+    return Derivation(b.start, b.script, h_wire(), euler=True)
 
 
-def lc_apply_script() -> ProofScript:
-    """With the hypothesis: the plugged triangle becomes the derived core."""
+def lc_apply() -> Derivation:
+    """With the hypothesis: the plugged triangle becomes the derived core,
+    the diagram that cut-h-core substitutes for an H box."""
     b = ScriptBuilder("lc-apply", lc_hypothesis_start())
     made = b.apply("assume-lc-triangle", ("v:b", "v:a", "v:c"))
     q = made[0]
     b.apply("spider-fuse", (q, "st"))
     b.apply("h-colour", ("v:b",))
-    return b.script
-
-
-def lc_core_end() -> Diagram:
-    """What lc_apply_script reaches: the core substituted by cut-h-core."""
     d = Diagram()
     d.add_node(Z, MINUS_HALF_PI, name="v:a")
     d.add_node(X, 0, name="v:b")
@@ -492,11 +507,10 @@ def lc_core_end() -> Diagram:
     for u, v in (("v:a", "v:b"), ("v:b", "v:c"), ("v:b", "hx"), ("hx", "q")):
         d.add_edge(u, v)
     _attach_wires(d, ["v:a"], ["v:c"])
-    return d.check()
+    return Derivation(b.start, b.script, d.check(), euler=True)
 
 
-def swap_core_scripts() -> tuple[Diagram, ProofScript, ProofScript,
-                                 Diagram, Diagram]:
+def swap_core() -> tuple[Derivation, Derivation]:
     """From H-H-H: one script cancels to H, the other substitutes the core in
     the middle and pushes the outer boxes through, reaching the colour swap."""
     start = rotation_chain(["h", "h", "h"])
@@ -516,13 +530,15 @@ def swap_core_scripts() -> tuple[Diagram, ProofScript, ProofScript,
     for u, v in (("xl", "z0"), ("z0", "xr"), ("z0", "qs")):
         swapped.add_edge(u, v)
     _attach_wires(swapped, ["xl"], ["xr"])
-    return start, a.script, b.script, h_wire(), swapped.check()
+    return (Derivation(start, a.script, h_wire(), euler=True),
+            Derivation(start, b.script, swapped.check(), euler=True))
 
 
-def derive_euler_from_lc_script() -> ProofScript:
+def derive_euler_from_lc() -> Derivation:
     """The decomposition of H, derived from the local-complementation
     hypothesis via the two substitution steps established by the companion
-    scripts."""
+    derivations; it ends on the decomposition chain plus a left-over scalar
+    spider."""
     b = ScriptBuilder("lc-implies-euler", h_wire(),
                       note="local complementation forces the H decomposition")
     made = b.apply("cut-h-core", ("c0",))
@@ -542,33 +558,29 @@ def derive_euler_from_lc_script() -> ProofScript:
     b.apply("spider-fuse", (chain_state, near_x0))
     b.apply("spider-fuse", (x0, chain_state))
     b.apply("spider-fuse", (junk_state, q2))
-    return b.script
+    end = euler_chain(first=Z).copy()
+    end.add_node(X, HALF_PI, name="junk")
+    return Derivation(b.start, b.script, end.check(), euler=True)
 
 
-def lc_euler_end() -> Diagram:
-    """The decomposition chain plus the left-over scalar spider."""
-    d = euler_chain(first=Z).copy()
-    d.add_node(X, HALF_PI, name="junk")
-    return d.check()
+def lc_implies_euler() -> dict[str, Derivation]:
+    """The stages of the derivation, by verdict name: the plugged triangle
+    collapses to H without the hypothesis and to the core with it; H-H-H
+    reaches both H and the colour swap; and H reaches its decomposition."""
+    swap_left, swap_right = swap_core()
+    return {"collapse-to-h": lc_collapse(), "hypothesis-to-core": lc_apply(),
+            "swap-left": swap_left, "swap-right": swap_right,
+            "main": derive_euler_from_lc()}
 
 
-def check_lc_implies_euler(euler_on: bool = True, tol: float = 1e-9) -> dict:
+def check_lc_implies_euler(tol: float = 1e-9) -> dict:
     """Replay the whole derivation; returns the per-stage verdicts."""
-    if not euler_on:
-        raise RuleError("the Euler rules are gated off")
-    results = {}
-    start = lc_hypothesis_start()
-    end1 = replay(lc_collapse_script(), start, euler_on=True, tol=tol)
-    results["collapse-to-h"] = iso_equal(end1, h_wire())
-    end2 = replay(lc_apply_script(), start, euler_on=True, tol=tol)
-    results["hypothesis-to-core"] = iso_equal(end2, lc_core_end())
-    sstart, sa, sb, left, right = swap_core_scripts()
-    results["swap-left"] = iso_equal(replay(sa, sstart, euler_on=True, tol=tol), left)
-    results["swap-right"] = iso_equal(replay(sb, sstart, euler_on=True, tol=tol), right)
-    end = replay(derive_euler_from_lc_script(), h_wire(), euler_on=True, tol=tol)
-    results["main"] = (iso_equal(end, lc_euler_end())
-                       and equal_up_to_scalar(evaluate(end), evaluate(euler_chain()), tol))
+    stages = lc_implies_euler()
+    main = stages.pop("main")
+    results = {name: deriv.check(tol) for name, deriv in stages.items()}
+    results["main"] = _check_with_matrix(main, euler_chain(), tol)
     # the hypothesis step alone is *not* valid in the scaled model n=2
+    start = stages["hypothesis-to-core"].start
     hyp = ScriptBuilder("hyp-only", start)
     hyp.apply("assume-lc-triangle", ("v:b", "v:a", "v:c"))
     results["hypothesis-breaks-at-n2"] = not equal_up_to_scalar(

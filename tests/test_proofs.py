@@ -1,12 +1,14 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from zxr import lemmas, shipped
-from zxr.diagram import generator, iso_equal, wire
+from zxr.diagram import Z, generator, iso_equal, wire
 from zxr.graphstate import graph_state, star_graph
 from zxr.phase import Phase
 from zxr.proofs import ProofScript, ReplayError, replay
+from zxr.rules import RuleError
 from zxr.semantics import equal_up_to_scalar, evaluate
 from zxr.textio import serialize
 
@@ -65,7 +67,7 @@ def test_complete_bipartite_all_small():
 
 def test_complete_bipartite_bad_anchor():
     d = lemmas.complete_bipartite_diagram(2, 2)
-    with pytest.raises(Exception):
+    with pytest.raises(RuleError):
         lemmas.reduce_complete_bipartite(d, ["r1", "r2"], ["g1"])
 
 
@@ -94,20 +96,44 @@ def test_cycle_six_is_fixed():
     assert script.steps == [] and result is d
 
 
+def test_cycle_six_check_needs_a_normal_form(monkeypatch):
+    """An identity spider on one wire of C6 leaves the reduction with nothing
+    to do, so only the normal-form condition can reject it."""
+    plain = lemmas.cycle_diagram
+
+    def padded(n):
+        d = plain(n)
+        r = d.boundary_partner("in0")
+        v = d.add_node(Z, 0)
+        d.remove_edge("in0", r)
+        d.add_edge("in0", v)
+        d.add_edge(v, r)
+        return d.check()
+
+    assert lemmas.check_even_cycle(3)
+    monkeypatch.setattr(lemmas, "cycle_diagram", padded)
+    assert not lemmas.check_even_cycle(3)
+
+
 def test_euler_nonuniqueness():
-    assert lemmas.euler_nonuniqueness_check()
-    with pytest.raises(Exception):
-        lemmas.euler_nonuniqueness_check(euler_on=False)
+    assert all(deriv.check() for deriv in lemmas.euler_nonuniqueness())
 
 
 def test_pi2_colour_change():
-    assert lemmas.pi2_colour_change_check()
-    with pytest.raises(Exception):
-        lemmas.pi2_colour_change_check(euler_on=False)
+    assert all(deriv.check() for deriv in lemmas.pi2_colour_change())
+
+
+def test_derivation_euler_fact_gates_the_script():
+    """A derivation recorded as not needing the decomposition may not use an
+    Euler-strength step."""
+    _, swapped = lemmas.euler_nonuniqueness()
+    assert not swapped.script.euler_free() and swapped.check()
+    with pytest.raises(ReplayError, match="gated off"):
+        replace(swapped, euler=False).check()
 
 
 def test_triangle_lc():
-    assert lemmas.check_triangle_lc()
+    assert lemmas.triangle_lc().check()
 
 
 def test_lc_implies_euler():
@@ -136,6 +162,10 @@ def test_shipped_scripts_replay_from_disk():
 
 def test_shipped_files_are_current():
     for name in sorted(shipped.BUILDERS):
-        start, script = shipped.BUILDERS[name]()
-        assert (PROOF_DIR / f"{name}.start.zxd").read_bytes() == serialize(start).encode(), name
-        assert (PROOF_DIR / f"{name}.json").read_bytes() == script.to_json_lines().encode(), name
+        deriv = shipped.BUILDERS[name]()
+        assert (PROOF_DIR / f"{name}.start.zxd").read_bytes() == serialize(deriv.start).encode(), name
+        assert (PROOF_DIR / f"{name}.json").read_bytes() == deriv.script.to_json_lines().encode(), name
+    # perfbench replays every proofs/*.json, so a stray file changes the benchmark
+    expected = {f"{name}{ext}" for name in shipped.BUILDERS
+                for ext in (".json", ".start.zxd")}
+    assert {f.name for f in PROOF_DIR.iterdir()} == expected

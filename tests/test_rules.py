@@ -288,10 +288,11 @@ def _matching_steps():
         for rule in rules.RULE_IDS:
             for anchor in rules.match_sites(rule, d)[:1]:
                 yield rule, d, anchor
-    scripts = [build() for build in shipped.BUILDERS.values()]
-    scripts.append((lemmas.lc_hypothesis_start(), lemmas.lc_apply_script()))
-    for d, script in scripts:
-        for rule, anchor in script.steps:
+    derivs = [build() for build in shipped.BUILDERS.values()]
+    derivs.append(lemmas.lc_implies_euler()["hypothesis-to-core"])
+    for deriv in derivs:
+        d = deriv.start
+        for rule, anchor in deriv.script.steps:
             yield rule, d, anchor
             d = rules.apply(rule, d, anchor, euler_on=True)
 
