@@ -144,14 +144,13 @@ def _instances(axiom: str) -> Iterator[Instance]:
     return AXIOM_SCHEMAS[axiom]()
 
 
-def verify_axiom(axiom: str, model_n: int = 1, tol: float = 1e-9) -> bool:
+def verify_axiom(axiom: str, model_n: int = 1) -> bool:
     """True iff every instance of the schema holds up to scalar in model n."""
-    holds, _ = verify_axiom_residual(axiom, model_n, tol)
+    holds, _ = verify_axiom_residual(axiom, model_n)
     return holds
 
 
-def verify_axiom_residual(axiom: str, model_n: int = 1,
-                          tol: float = 1e-9) -> tuple[bool, float]:
+def verify_axiom_residual(axiom: str, model_n: int = 1) -> tuple[bool, float]:
     """(holds, worst residual after the optimal scalar fit over instances)."""
     worst = 0.0
     holds = True
@@ -159,30 +158,28 @@ def verify_axiom_residual(axiom: str, model_n: int = 1,
         a, b = evaluate(lhs, model_n), evaluate(rhs, model_n)
         _, residual = scalar_fit(a, b)
         worst = max(worst, residual)
-        if not equal_up_to_scalar(a, b, tol):
+        if not equal_up_to_scalar(a, b):
             holds = False
     return holds, worst
 
 
-def axiom_rows(models: Iterable[int], names: Iterable[str],
-               tol: float = 1e-9) -> list[dict]:
+def axiom_rows(models: Iterable[int], names: Iterable[str]) -> list[dict]:
     """One row per (model, axiom), models outermost: {"model_n", "axiom",
     "holds", "max_residual"}."""
     rows = []
     for n in models:
         for axiom in names:
-            holds, residual = verify_axiom_residual(axiom, n, tol)
+            holds, residual = verify_axiom_residual(axiom, n)
             rows.append({"model_n": n, "axiom": axiom, "holds": holds,
                          "max_residual": residual})
     return rows
 
 
-def independence_report(models: Iterable[int] = (1, 2, 3),
-                        tol: float = 1e-9) -> list[dict]:
+def independence_report(models: Iterable[int] = (1, 2, 3)) -> list[dict]:
     """The rows of every axiom, decomposition included. All base axioms hold
     in every model; the decomposition axiom fails in model 2, which is the
     independence result."""
-    return axiom_rows(models, ALL_AXIOMS, tol)
+    return axiom_rows(models, ALL_AXIOMS)
 
 
 def independence_verdict(rows: list[dict]) -> bool:

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from . import axioms, graphstate, proofs, rules, textio
 from .diagram import Diagram
+from .report import validate_report
 from .semantics import ResourceLimit, equal_up_to_scalar, evaluate, scalar_fit
 
 OK, DIFFER, USAGE, RESOURCE = 0, 1, 2, 3
@@ -54,7 +55,9 @@ def _write(path: Optional[str], text: str) -> None:
 
 
 def _emit_report(args, report: dict) -> None:
+    """Write the report to --json, if given, once it passes the schema."""
     if getattr(args, "json", None):
+        validate_report(report)
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
 
 
@@ -73,7 +76,7 @@ def cmd_check_equal(args) -> int:
         print(f"shapes differ: {ma.shape} vs {mb.shape}")
         return DIFFER
     lam, residual = scalar_fit(ma, mb)
-    equal = equal_up_to_scalar(ma, mb, args.tol)
+    equal = equal_up_to_scalar(ma, mb)
     print(f"equal={equal} lambda={lam:.12g} max_residual={residual:.3e}")
     _emit_report(args, {"suite": "check-equal", "model_n": args.model_n or 1,
                         "equal": equal, "lambda": [lam.real, lam.imag],
@@ -108,8 +111,7 @@ def cmd_rewrite(args) -> int:
             raise CliError(USAGE, f"{args.script}: {exc}")
     try:
         if args.check:
-            result = proofs.replay(script, d, euler_on=args.enable_euler,
-                                   tol=args.tol)
+            result = proofs.replay(script, d, euler_on=args.enable_euler)
         else:
             result = d
             for rule, anchor in script.steps:
@@ -149,7 +151,7 @@ def cmd_render(args) -> int:
 
 def _verify_axioms(args) -> tuple[bool, dict]:
     models = (args.model_n,) if args.model_n else (1, 2, 3)
-    rows = axioms.axiom_rows(models, axioms.BASE_AXIOMS, args.tol)
+    rows = axioms.axiom_rows(models, axioms.BASE_AXIOMS)
     for r in rows:
         print(f"model {r['model_n']}  {r['axiom']:12s} "
               f"{'pass' if r['holds'] else 'FAIL'}")
@@ -158,7 +160,7 @@ def _verify_axioms(args) -> tuple[bool, dict]:
 
 
 def _verify_independence(args) -> tuple[bool, dict]:
-    rows = axioms.independence_report(tol=args.tol)
+    rows = axioms.independence_report()
     for r in rows:
         print(f"model {r['model_n']}  {r['axiom']:12s} "
               f"{'pass' if r['holds'] else 'FAIL'}  "
@@ -189,7 +191,7 @@ def _verify_graph_property(args, checker, name) -> tuple[bool, dict]:
     count = 0
     for g in _sweep_graphs(args):
         for u in g.vertices:
-            holds = checker(g, u, args.tol)
+            holds = checker(g, u)
             count += 1
             if not holds:
                 ok = False
@@ -228,8 +230,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--model-n", type=int, default=None, dest="model_n",
                    help="interpret spider phases scaled by n (default 1; "
                         "the axioms suite sweeps 1-3 when unset)")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="tolerance for scalar-equivalence checks")
     p.add_argument("--enable-euler", action="store_true",
                    help="allow the gated decomposition rules")
     p.add_argument("--max-vertices", type=int, default=5,

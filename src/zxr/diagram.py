@@ -70,9 +70,9 @@ class Diagram:
         d._used = set(self._used)
         return d
 
-    def fresh_id(self, prefix: str = "n") -> str:
+    def fresh_id(self) -> str:
         while True:
-            name = f"{prefix}{self._fresh}"
+            name = f"n{self._fresh}"
             self._fresh += 1
             if name not in self._used:
                 return name
@@ -227,7 +227,7 @@ class Diagram:
 
     def iso_equal(self, other: "Diagram") -> bool:
         """Label- and multiplicity-preserving isomorphism, boundaries index-wise."""
-        return _isomorphic(self, other)
+        return iso_equal(self, other)
 
     def __repr__(self) -> str:
         return (f"Diagram({len(self.inputs)}->{len(self.outputs)}, "
@@ -406,7 +406,7 @@ def _node_label(d: Diagram, v: str) -> tuple:
     return (kind, phase, d.degree(v), d.self_loops(v))
 
 
-def _isomorphic(a: Diagram, b: Diagram) -> bool:
+def iso_equal(a: Diagram, b: Diagram) -> bool:
     if (len(a.inputs) != len(b.inputs) or len(a.outputs) != len(b.outputs)
             or a.node_count() != b.node_count() or a.edge_count() != b.edge_count()):
         return False
@@ -456,7 +456,3 @@ def _isomorphic(a: Diagram, b: Diagram) -> bool:
         if _node_label(a, ba) != _node_label(b, bb):
             return False
     return backtrack(0)
-
-
-def iso_equal(a: Diagram, b: Diagram) -> bool:
-    return _isomorphic(a, b)

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .diagram import BOUNDARY, HBOX, Diagram, X, Z
 from .phase import HALF_PI, MINUS_HALF_PI, PI, PhaseLike
-from .semantics import equal_up_to_scalar, evaluate
+from .semantics import diagrams_equal
 
 # Local-complementation witness rotations, fixed empirically against the
 # dense-matrix oracle: +pi/2 X-rotation on the complemented vertex and
@@ -173,24 +173,22 @@ def local_complement(g: SimpleGraph, u: str) -> SimpleGraph:
     return SimpleGraph(g.vertices, frozenset(toggled))
 
 
-def check_fixpoint(g: SimpleGraph, u: str, tol: float = 1e-9) -> bool:
-    return equal_up_to_scalar(evaluate(fixpoint_lhs(g, u)),
-                              evaluate(graph_state(g)), tol)
+def check_fixpoint(g: SimpleGraph, u: str) -> bool:
+    return diagrams_equal(fixpoint_lhs(g, u), graph_state(g))
 
 
-def check_vdn(g: SimpleGraph, u: str, tol: float = 1e-9) -> bool:
-    return equal_up_to_scalar(evaluate(vdn_lhs(g, u)),
-                              evaluate(graph_state(local_complement(g, u))), tol)
+def check_vdn(g: SimpleGraph, u: str) -> bool:
+    return diagrams_equal(vdn_lhs(g, u), graph_state(local_complement(g, u)))
 
 
-def lc_orbit(g: SimpleGraph, cap: int = ORBIT_CAP) -> set[SimpleGraph]:
+def lc_orbit(g: SimpleGraph) -> set[SimpleGraph]:
     """Closure of {g} under local complementation at every vertex.
 
     Works on labelled graphs: no isomorphism quotient, so every member shares
     g's vertex order and wire order.
     """
-    if len(g.vertices) > cap:
-        raise GraphError(f"orbit capped at {cap} vertices")
+    if len(g.vertices) > ORBIT_CAP:
+        raise GraphError(f"orbit capped at {ORBIT_CAP} vertices")
     seen = {g}
     frontier = [g]
     while frontier:

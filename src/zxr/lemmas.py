@@ -27,7 +27,7 @@ from .graphstate import (fixpoint_lhs, graph_state, path_graph, star_graph,
 from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO
 from .proofs import ProofScript, ScriptBuilder, replay
 from .rules import RuleError, match_sites, normalize
-from .semantics import equal_up_to_scalar, evaluate
+from .semantics import diagrams_equal
 
 
 @dataclass
@@ -45,21 +45,19 @@ class Derivation:
     euler: bool = False
     models: Optional[tuple[int, ...]] = None
 
-    def reach(self, tol: float = 1e-9) -> Diagram:
+    def reach(self) -> Diagram:
         """Replay the script from start; returns the diagram reached."""
-        return replay(self.script, self.start, euler_on=self.euler, tol=tol,
+        return replay(self.script, self.start, euler_on=self.euler,
                       models=self.models)
 
-    def check(self, tol: float = 1e-9) -> bool:
-        return iso_equal(self.reach(tol), self.end)
+    def check(self) -> bool:
+        return iso_equal(self.reach(), self.end)
 
 
-def _check_with_matrix(deriv: Derivation, reference: Diagram,
-                       tol: float) -> bool:
+def _check_with_matrix(deriv: Derivation, reference: Diagram) -> bool:
     """``deriv.check``, plus the end reached evaluates like ``reference``."""
-    end = deriv.reach(tol)
-    return (iso_equal(end, deriv.end)
-            and equal_up_to_scalar(evaluate(reference), evaluate(end), tol))
+    end = deriv.reach()
+    return iso_equal(end, deriv.end) and diagrams_equal(reference, end)
 
 
 # -- small diagram builders ------------------------------------------------------
@@ -157,8 +155,8 @@ def fixpoint(n: int) -> Derivation:
                       graph_state(star_graph(n)))
 
 
-def check_fixpoint_script(n: int, tol: float = 1e-9) -> bool:
-    return fixpoint(n).check(tol)
+def check_fixpoint_script(n: int) -> bool:
+    return fixpoint(n).check()
 
 
 # -- complete bipartite reduction (K_{n,m} = P_2) -------------------------------------
@@ -267,9 +265,9 @@ def complete_bipartite(m: int, n: int) -> Derivation:
     return Derivation(d, script, p2_diagram(m, n), models=(1, 2, 3))
 
 
-def check_complete_bipartite(m: int, n: int, tol: float = 1e-9) -> bool:
+def check_complete_bipartite(m: int, n: int) -> bool:
     deriv = complete_bipartite(m, n)
-    return _check_with_matrix(deriv, deriv.start, tol)
+    return _check_with_matrix(deriv, deriv.start)
 
 
 # -- even cycle reduction ---------------------------------------------------------------
@@ -346,7 +344,7 @@ def even_cycle(n: int) -> Derivation:
     return Derivation(d, script, end, models=(1, 2, 3))
 
 
-def check_even_cycle(n: int, tol: float = 1e-9) -> bool:
+def check_even_cycle(n: int) -> bool:
     """The cycle derivation checks, with matching start and end matrices.
     C_6 is left alone, so it must also be a normal form with no bialgebra
     site."""
@@ -356,7 +354,7 @@ def check_even_cycle(n: int, tol: float = 1e-9) -> bool:
         normalize(deriv.start, trace=trace)
         if trace or match_sites("bialgebra", deriv.start):
             return False
-    return _check_with_matrix(deriv, deriv.start, tol)
+    return _check_with_matrix(deriv, deriv.start)
 
 
 # -- the pi/2 lemmas -------------------------------------------------------------------
@@ -573,17 +571,16 @@ def lc_implies_euler() -> dict[str, Derivation]:
             "main": derive_euler_from_lc()}
 
 
-def check_lc_implies_euler(tol: float = 1e-9) -> dict:
+def check_lc_implies_euler() -> dict:
     """Replay the whole derivation; returns the per-stage verdicts."""
     stages = lc_implies_euler()
     main = stages.pop("main")
-    results = {name: deriv.check(tol) for name, deriv in stages.items()}
-    results["main"] = _check_with_matrix(main, euler_chain(), tol)
+    results = {name: deriv.check() for name, deriv in stages.items()}
+    results["main"] = _check_with_matrix(main, euler_chain())
     # the hypothesis step alone is *not* valid in the scaled model n=2
     start = stages["hypothesis-to-core"].start
     hyp = ScriptBuilder("hyp-only", start)
     hyp.apply("assume-lc-triangle", ("v:b", "v:a", "v:c"))
-    results["hypothesis-breaks-at-n2"] = not equal_up_to_scalar(
-        evaluate(start, 2), evaluate(hyp.diagram, 2), tol)
+    results["hypothesis-breaks-at-n2"] = not diagrams_equal(start, hyp.diagram, 2)
     results["ok"] = all(results.values())
     return results

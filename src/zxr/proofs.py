@@ -74,7 +74,7 @@ class ProofScript:
 
 
 def replay(script: ProofScript, start: Diagram, *, euler_on: bool = False,
-           tol: float = 1e-9, models: Optional[Sequence[int]] = None) -> Diagram:
+           models: Optional[Sequence[int]] = None) -> Diagram:
     """Apply the script, semantically checking every step.
 
     Checks model 1 always and model 2 as well when the script is free of
@@ -91,7 +91,7 @@ def replay(script: ProofScript, start: Diagram, *, euler_on: bool = False,
             raise ReplayError(index, rule, f"does not match: {exc}")
         for n in models:
             after = evaluate(nxt, n)
-            if not equal_up_to_scalar(vals[n], after, tol):
+            if not equal_up_to_scalar(vals[n], after):
                 raise ReplayError(index, rule, f"semantic drift in model n={n}")
             vals[n] = after
         current = nxt

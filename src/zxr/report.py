@@ -1,16 +1,17 @@
-"""Structure of the JSON reports the CLI emits, and a validator for them.
+"""The JSON reports the CLI emits, and a validator for them.
 
-The shipped schema (schema/report.schema.json) documents the format; the
-validator here enforces the same constraints without external dependencies.
+The validator reads the shipped schema (schema/report.schema.json) and checks
+a report against the keywords the schema uses, without external dependencies.
 """
 
 from __future__ import annotations
 
+import json
 from importlib import resources
-from typing import Any
+from typing import Any, Optional
 
-AXIOM_ROW_KEYS = {"model_n": int, "axiom": str, "holds": bool,
-                  "max_residual": float}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "integer": int, "number": (int, float)}
 
 
 class ReportError(ValueError):
@@ -21,36 +22,42 @@ def schema_text() -> str:
     return (resources.files("zxr") / "schema" / "report.schema.json").read_text()
 
 
+def _violation(value: Any, schema: dict, where: str) -> Optional[str]:
+    """The first constraint of ``schema`` that ``value`` breaks, or None."""
+    typ = schema.get("type")
+    if typ and (not isinstance(value, _TYPES[typ])
+                or (typ in ("integer", "number") and isinstance(value, bool))):
+        return f"{where} must be of type {typ}"
+    if "enum" in schema and value not in schema["enum"]:
+        return f"{where} must be one of {schema['enum']}"
+    if "const" in schema and value != schema["const"]:
+        return f"{where} must be {schema['const']!r}"
+    if "minimum" in schema and value < schema["minimum"]:
+        return f"{where} must be >= {schema['minimum']}"
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{where} is missing {key!r}"
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                if err := _violation(value[key], sub, f"{where}.{key}"):
+                    return err
+    if isinstance(value, list):
+        if not (schema.get("minItems", 0) <= len(value)
+                <= schema.get("maxItems", len(value))):
+            return f"{where} has the wrong number of items"
+        for i, item in enumerate(value if "items" in schema else ()):
+            if err := _violation(item, schema["items"], f"{where}[{i}]"):
+                return err
+    for part in schema.get("allOf", ()):
+        if _violation(value, part["if"], where) is None:
+            if err := _violation(value, part["then"], where):
+                return err
+    return None
+
+
 def validate_report(obj: Any) -> None:
     """Raise ReportError unless obj is a well-formed report."""
-    if not isinstance(obj, dict):
-        raise ReportError("report must be an object")
-    suite = obj.get("suite")
-    if not isinstance(suite, str):
-        raise ReportError("missing suite name")
-    if not isinstance(obj.get("ok"), bool):
-        raise ReportError("missing boolean verdict 'ok'")
-    if suite in ("axioms", "independence"):
-        rows = obj.get("rows")
-        if not isinstance(rows, list) or not rows:
-            raise ReportError("axiom report needs a non-empty 'rows' list")
-        for row in rows:
-            for key, typ in AXIOM_ROW_KEYS.items():
-                if key not in row:
-                    raise ReportError(f"row missing {key!r}")
-                value = row[key]
-                if typ is float:
-                    if not isinstance(value, (int, float)):
-                        raise ReportError(f"{key!r} must be numeric")
-                elif not isinstance(value, typ):
-                    raise ReportError(f"{key!r} must be {typ.__name__}")
-    elif suite in ("fixpoint", "vdn"):
-        if not isinstance(obj.get("checks"), int):
-            raise ReportError("graph sweep report needs an integer 'checks'")
-        if not isinstance(obj.get("failures"), list):
-            raise ReportError("graph sweep report needs a 'failures' list")
-    elif suite == "check-equal":
-        if not isinstance(obj.get("equal"), bool):
-            raise ReportError("check-equal report needs a boolean 'equal'")
-    else:
-        raise ReportError(f"unknown suite {suite!r}")
+    err = _violation(obj, json.loads(schema_text()), "report")
+    if err:
+        raise ReportError(err)

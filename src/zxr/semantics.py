@@ -22,6 +22,8 @@ from .phase import Phase
 
 MAX_INTERMEDIATE = 2 ** 26
 
+TOL = 1e-9  # entrywise, absolute; read by equal_up_to_scalar alone
+
 HALF_SQRT2 = 1.0 / math.sqrt(2.0)
 
 H_MATRIX = np.array([[HALF_SQRT2, HALF_SQRT2], [HALF_SQRT2, -HALF_SQRT2]],
@@ -250,8 +252,8 @@ def scalar_fit(a: np.ndarray, b: np.ndarray) -> tuple[complex, float]:
     return lam, residual
 
 
-def equal_up_to_scalar(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff a = lambda*b for some nonzero lambda, entrywise within tol.
+def equal_up_to_scalar(a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff a = lambda*b for some nonzero lambda, entrywise within TOL.
 
     lambda is pivoted on the largest-magnitude entry of b. Two zero matrices
     are equal; a zero and a nonzero matrix are not.
@@ -260,17 +262,17 @@ def equal_up_to_scalar(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     amax = float(np.abs(a).max()) if a.size else 0.0
     bmax = float(np.abs(b).max()) if b.size else 0.0
-    if amax <= tol and bmax <= tol:
+    if amax <= TOL and bmax <= TOL:
         return True
-    if amax <= tol or bmax <= tol:
+    if amax <= TOL or bmax <= TOL:
         return False
     pivot = np.unravel_index(np.argmax(np.abs(b)), b.shape)
     lam = a[pivot] / b[pivot]
-    if abs(lam) <= tol:
+    if abs(lam) <= TOL:
         return False
-    return bool(np.abs(a - lam * b).max() <= tol)
+    return bool(np.abs(a - lam * b).max() <= TOL)
 
 
-def diagrams_equal(f: Diagram, g: Diagram, model_n: int = 1,
-                   tol: float = 1e-9) -> bool:
-    return equal_up_to_scalar(evaluate(f, model_n), evaluate(g, model_n), tol)
+def diagrams_equal(f: Diagram, g: Diagram, model_n: int = 1) -> bool:
+    """Evaluate f, then g, in model n; equal up to a nonzero scalar?"""
+    return equal_up_to_scalar(evaluate(f, model_n), evaluate(g, model_n))

@@ -23,7 +23,6 @@ from zxr.semantics import equal_up_to_scalar, evaluate, scalar_fit
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
 
 GEN_TOL = 1e-12
-TOL = 1e-9
 
 
 def _report(num: int, label: str, started: float) -> None:
@@ -60,7 +59,7 @@ def test_criterion_02_axiom_soundness_sweep():
     started = time.perf_counter()
     for n in (1, 2, 3):
         for name in axioms.BASE_AXIOMS:
-            assert axioms.verify_axiom(name, n, TOL), (name, n)
+            assert axioms.verify_axiom(name, n), (name, n)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     _report(2, "all base axioms hold for n in {1,2,3}", started)
@@ -68,7 +67,7 @@ def test_criterion_02_axiom_soundness_sweep():
 
 def test_criterion_03_independence():
     started = time.perf_counter()
-    rows = axioms.independence_report(tol=TOL)
+    rows = axioms.independence_report()
     by = {(r["model_n"], r["axiom"]): r for r in rows}
     assert by[(1, "euler")]["holds"]
     assert not by[(2, "euler")]["holds"]
@@ -87,7 +86,7 @@ def test_criterion_04_fixpoint_exhaustive():
     count = 0
     for g in all_graphs(labels):
         for u in labels:
-            assert check_fixpoint(g, u, TOL), (g.edge_list(), u)
+            assert check_fixpoint(g, u), (g.edge_list(), u)
             count += 1
     assert count == 1024 * 5
     elapsed = time.perf_counter() - started
@@ -101,7 +100,7 @@ def test_criterion_05_vdn_exhaustive_plus_random():
     count = 0
     for g in all_graphs(labels):
         for u in labels:
-            assert check_vdn(g, u, TOL), (g.edge_list(), u)
+            assert check_vdn(g, u), (g.edge_list(), u)
             count += 1
     rng = random.Random(424242)
     big = tuple("abcdefg")
@@ -112,7 +111,7 @@ def test_criterion_05_vdn_exhaustive_plus_random():
                  if rng.random() < 0.5]
         g = SimpleGraph.build(verts, edges)
         for u in verts:
-            assert check_vdn(g, u, TOL), (g.edge_list(), u)
+            assert check_vdn(g, u), (g.edge_list(), u)
             count += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 180.0
@@ -127,10 +126,10 @@ def test_criterion_06_complete_bipartite():
             reds = [f"r{i+1}" for i in range(m)]
             greens = [f"g{j+1}" for j in range(n)]
             result, script = lemmas.reduce_complete_bipartite(d, reds, greens)
-            end = replay(script, d, tol=TOL, models=(1, 2, 3))
+            end = replay(script, d, models=(1, 2, 3))
             assert iso_equal(end, result)
             assert iso_equal(result, lemmas.p2_diagram(m, n))
-            assert equal_up_to_scalar(evaluate(d), evaluate(result), TOL)
+            assert equal_up_to_scalar(evaluate(d), evaluate(result))
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     _report(6, "K(m,n) collapses to the two-spider path, 1 <= m,n <= 4", started)
@@ -139,7 +138,7 @@ def test_criterion_06_complete_bipartite():
 def test_criterion_07_even_cycles():
     started = time.perf_counter()
     for n in (2, 3, 4):
-        assert lemmas.check_even_cycle(n, TOL), n
+        assert lemmas.check_even_cycle(n), n
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     _report(7, "C4 and C8 reduce with per-step soundness; C6 is a normal "
@@ -150,7 +149,7 @@ def test_criterion_08_fixpoint_scripts():
     started = time.perf_counter()
     for n in range(1, 7):
         start, script = shipped.load(PROOF_DIR, f"fixpoint-s{n}")
-        end = replay(script, start, tol=TOL)
+        end = replay(script, start)
         assert iso_equal(end, graph_state(star_graph(n)))
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -161,8 +160,8 @@ def test_criterion_09_pi2_lemma_replays():
     started = time.perf_counter()
     for deriv in (lemmas.triangle_lc(), *lemmas.euler_nonuniqueness(),
                   *lemmas.pi2_colour_change()):
-        assert deriv.euler and deriv.check(TOL), deriv.script.name
-    results = lemmas.check_lc_implies_euler(tol=TOL)
+        assert deriv.euler and deriv.check(), deriv.script.name
+    results = lemmas.check_lc_implies_euler()
     assert results["ok"], results
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -192,7 +191,7 @@ def test_criterion_10_rewrite_soundness_sweep():
                 out = rules.apply(rule, d, anchor)
                 applications += 1
                 for n in (1, 2):
-                    assert equal_up_to_scalar(vals[n], evaluate(out, n), TOL), \
+                    assert equal_up_to_scalar(vals[n], evaluate(out, n)), \
                         (rule, anchor, n)
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
@@ -208,6 +207,6 @@ def test_criterion_11_normalization_sweep():
         assert not rules.match_sites("self-loop", out)
         assert not rules.match_sites("hopf", out)
         assert not rules.match_sites("id-remove", out)
-        assert equal_up_to_scalar(evaluate(d), evaluate(out), TOL)
+        assert equal_up_to_scalar(evaluate(d), evaluate(out))
     _report(11, "normalization terminates on irreducible, equal diagrams",
             started)

@@ -112,6 +112,9 @@ def test_reports_validate_against_schema(files, tmp_path):
     assert _json.loads(schema_text())["title"]
     for argv, name in [
         (["--json", None, "--max-vertices", "2", "verify", "fixpoint"], "f"),
+        (["--json", None, "--max-vertices", "2", "verify", "vdn"], "v"),
+        (["--json", None, "verify", "axioms"], "a"),
+        (["--json", None, "verify", "independence"], "i"),
         (["--json", None, "check-equal", files["hh.zxd"], files["wire.zxd"]], "c"),
     ]:
         path = tmp_path / f"{name}.json"
@@ -120,6 +123,28 @@ def test_reports_validate_against_schema(files, tmp_path):
         validate_report(_json.loads(path.read_text()))
     with pytest.raises(ReportError):
         validate_report({"suite": "axioms", "ok": True})
+
+
+ROW = {"model_n": 1, "axiom": "copy", "holds": True, "max_residual": 0.0}
+
+
+@pytest.mark.parametrize("bad", [
+    {"suite": "check-equal", "ok": True, "equal": True},
+    {"suite": "check-equal", "ok": True, "equal": True, "model_n": 1},
+    {"suite": "axioms", "ok": True, "rows": [dict(ROW, model_n=0)]},
+    {"suite": "axioms", "ok": True, "rows": [dict(ROW, max_residual=-1.0)]},
+    {"suite": "independence", "ok": True, "rows": [dict(ROW, holds=1)]},
+    {"suite": "fixpoint", "ok": True, "checks": -3, "failures": []},
+    {"suite": "vdn", "ok": True, "checks": True, "failures": []},
+    {"suite": "check-equal", "ok": True, "equal": False, "model_n": 2,
+     "max_residual": 0.5, "lambda": [1.0]},
+])
+def test_validator_enforces_schema_minimums_and_requirements(bad):
+    from zxr.report import ReportError, validate_report
+
+    validate_report({"suite": "axioms", "ok": True, "rows": [ROW]})
+    with pytest.raises(ReportError):
+        validate_report(bad)
 
 
 def test_resource_limit_exit_code(tmp_path):

@@ -110,6 +110,13 @@ def test_equal_up_to_scalar_properties():
         equal_up_to_scalar(a, np.eye(4, dtype=complex))
 
 
+def test_equal_up_to_scalar_tolerance_boundary():
+    # the one tolerance: an entrywise error of half of it passes, twice fails
+    eye, ones = np.eye(2, dtype=complex), np.ones((2, 2), dtype=complex)
+    assert equal_up_to_scalar(eye, eye + 0.5 * semantics.TOL * ones)
+    assert not equal_up_to_scalar(eye, eye + 2 * semantics.TOL * ones)
+
+
 def test_scalar_fit_reports_residual():
     a = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     b = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
