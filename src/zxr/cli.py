@@ -12,7 +12,7 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from . import axioms, graphstate, proofs, rules, textio
 from .diagram import Diagram
@@ -21,6 +21,8 @@ from .semantics import ResourceLimit, equal_up_to_scalar, evaluate, scalar_fit
 
 OK, DIFFER, USAGE, RESOURCE = 0, 1, 2, 3
 
+T = TypeVar("T")
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str) -> None:
@@ -28,23 +30,25 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_diagram(path: str) -> Diagram:
+def _read(path: str, parse: Callable[[str], T]) -> T:
+    """Parse the file at path; an unreadable or malformed file is a usage
+    error naming the path."""
     try:
-        return textio.parse(Path(path).read_text())
+        text = Path(path).read_text()
     except OSError as exc:
         raise CliError(USAGE, f"cannot read {path}: {exc}")
-    except textio.ParseError as exc:
+    try:
+        return parse(text)
+    except ValueError as exc:
         raise CliError(USAGE, f"{path}: {exc}")
+
+
+def _load_diagram(path: str) -> Diagram:
+    return _read(path, textio.parse)
 
 
 def _load_graph(path: str) -> graphstate.SimpleGraph:
-    try:
-        verts, edges = textio.parse_edges(Path(path).read_text())
-    except OSError as exc:
-        raise CliError(USAGE, f"cannot read {path}: {exc}")
-    except textio.ParseError as exc:
-        raise CliError(USAGE, f"{path}: {exc}")
-    return graphstate.SimpleGraph(verts, edges)
+    return graphstate.SimpleGraph(*_read(path, textio.parse_edges))
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -101,14 +105,9 @@ def cmd_rewrite(args) -> int:
             anchor = sites[0]
         script = proofs.ProofScript(args.rule, [(args.rule, anchor)])
     else:
-        try:
-            text = Path(args.script).read_text()
-        except OSError as exc:
-            raise CliError(USAGE, f"cannot read {args.script}: {exc}")
-        try:
-            script = proofs.ProofScript.from_json_lines(Path(args.script).stem, text)
-        except ValueError as exc:
-            raise CliError(USAGE, f"{args.script}: {exc}")
+        name = Path(args.script).stem
+        script = _read(args.script,
+                       lambda text: proofs.ProofScript.from_json_lines(name, text))
     try:
         if args.check:
             result = proofs.replay(script, d, euler_on=args.enable_euler)
@@ -211,11 +210,9 @@ def cmd_verify(args) -> int:
         elif args.suite == "fixpoint":
             ok, report = _verify_graph_property(
                 args, graphstate.check_fixpoint, "fixpoint")
-        elif args.suite == "vdn":
+        else:   # vdn: argparse admits only the four suites
             ok, report = _verify_graph_property(
                 args, graphstate.check_vdn, "vdn")
-        else:
-            raise CliError(USAGE, f"unknown suite {args.suite!r}")
     except ResourceLimit as exc:
         raise CliError(RESOURCE, str(exc))
     _emit_report(args, report)
@@ -282,6 +279,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    if args.model_n is not None and args.model_n < 1:
+        parser.error(f"argument --model-n: must be >= 1, not {args.model_n}")
     try:
         return args.func(args)
     except CliError as exc:

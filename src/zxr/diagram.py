@@ -119,6 +119,15 @@ class Diagram:
         del self._kind[name]
         self._phase.pop(name, None)
 
+    def splice(self, u: str, v: str, kind: str,
+               phase: Optional[PhaseLike] = None) -> str:
+        """Put a new node on one u-v wire; returns its id."""
+        self.remove_edge(u, v)
+        w = self.add_node(kind, phase)
+        self.add_edge(u, w)
+        self.add_edge(w, v)
+        return w
+
     def set_phase(self, name: str, phase: PhaseLike) -> None:
         if self._kind.get(name) not in SPIDERS:
             raise DiagramError(f"{name!r} is not a spider")
@@ -234,6 +243,37 @@ class Diagram:
                 f"{self.node_count()} nodes, {self.edge_count()} edges)")
 
 
+# -- wire edits ---------------------------------------------------------------
+
+
+def chain(d: Diagram, p: str, q: Optional[str], parts: Sequence,
+          names: Optional[Sequence[str]] = None) -> list[str]:
+    """Add a path of new nodes from p to q, or ending on its last node when q
+    is None; each part is (colour, phase) or "h". Returns the new ids in path
+    order, which is also their creation order."""
+    made, prev = [], p
+    for i, part in enumerate(parts):
+        name = names[i] if names else None
+        v = d.add_node(HBOX, name=name) if part == "h" else d.add_node(*part, name=name)
+        d.add_edge(prev, v)
+        made.append(v)
+        prev = v
+    if q is not None:
+        d.add_edge(prev, q)
+    return made
+
+
+def attach_wires(d: Diagram, ins_to: Sequence[str], outs_to: Sequence[str]) -> Diagram:
+    """Wire a new boundary in<i> to each ins_to[i] and out<j> to each
+    outs_to[j], make them d's inputs and outputs, and return d checked."""
+    def wired(name: str, v: str) -> str:
+        d.add_edge(d.add_node(BOUNDARY, name=name), v)
+        return name
+    d.inputs = tuple(wired(f"in{i}", v) for i, v in enumerate(ins_to))
+    d.outputs = tuple(wired(f"out{j}", v) for j, v in enumerate(outs_to))
+    return d.check()
+
+
 # -- generators --------------------------------------------------------------
 
 
@@ -242,12 +282,7 @@ def empty() -> Diagram:
 
 
 def wire() -> Diagram:
-    d = Diagram()
-    a = d.add_node(BOUNDARY, name="in0")
-    b = d.add_node(BOUNDARY, name="out0")
-    d.add_edge(a, b)
-    d.inputs, d.outputs = (a,), (b,)
-    return d.check()
+    return rotation_chain([])
 
 
 def generator(kind: str, phase: Optional[PhaseLike] = None) -> Diagram:
@@ -286,18 +321,7 @@ def generator(kind: str, phase: Optional[PhaseLike] = None) -> Diagram:
 def _single_node(kind: str, phase: Optional[PhaseLike], n_in: int, n_out: int) -> Diagram:
     d = Diagram()
     v = d.add_node(kind, phase, name="g")
-    ins = []
-    for i in range(n_in):
-        b = d.add_node(BOUNDARY, name=f"in{i}")
-        d.add_edge(b, v)
-        ins.append(b)
-    outs = []
-    for i in range(n_out):
-        b = d.add_node(BOUNDARY, name=f"out{i}")
-        d.add_edge(v, b)
-        outs.append(b)
-    d.inputs, d.outputs = tuple(ins), tuple(outs)
-    return d.check()
+    return attach_wires(d, [v] * n_in, [v] * n_out)
 
 
 def spider(colour: str, n_in: int, n_out: int, phase: PhaseLike = 0) -> Diagram:
@@ -306,21 +330,13 @@ def spider(colour: str, n_in: int, n_out: int, phase: PhaseLike = 0) -> Diagram:
 
 
 def rotation_chain(parts: Sequence) -> Diagram:
-    """A 1-in/1-out chain; each part is (colour, phase) or "h"."""
+    """A 1-in/1-out chain of nodes c0, c1, ...; each part is (colour, phase)
+    or "h"."""
     d = Diagram()
-    prev = d.add_node(BOUNDARY, name="in0")
-    d.inputs = ("in0",)
-    for i, part in enumerate(parts):
-        if part == "h":
-            v = d.add_node(HBOX, name=f"c{i}")
-        else:
-            colour, phase = part
-            v = d.add_node(colour, phase, name=f"c{i}")
-        d.add_edge(prev, v)
-        prev = v
-    out = d.add_node(BOUNDARY, name="out0")
-    d.add_edge(prev, out)
-    d.outputs = ("out0",)
+    a = d.add_node(BOUNDARY, name="in0")
+    b = d.add_node(BOUNDARY, name="out0")
+    chain(d, a, b, parts, [f"c{i}" for i in range(len(parts))])
+    d.inputs, d.outputs = (a,), (b,)
     return d.check()
 
 

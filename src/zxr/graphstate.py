@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .diagram import BOUNDARY, HBOX, Diagram, X, Z
+from .diagram import BOUNDARY, Diagram, X, Z, attach_wires, chain
 from .phase import HALF_PI, MINUS_HALF_PI, PI, PhaseLike
 from .semantics import diagrams_equal
 
@@ -99,17 +99,8 @@ def cz_diagram() -> Diagram:
     d = Diagram()
     a = d.add_node(Z, 0, name="a")
     b = d.add_node(Z, 0, name="b")
-    h = d.add_node(HBOX, name="h")
-    d.add_edge(a, h)
-    d.add_edge(h, b)
-    for i, v in enumerate((a, b)):
-        bi = d.add_node(BOUNDARY, name=f"in{i}")
-        bo = d.add_node(BOUNDARY, name=f"out{i}")
-        d.add_edge(bi, v)
-        d.add_edge(v, bo)
-    d.inputs = ("in0", "in1")
-    d.outputs = ("out0", "out1")
-    return d.check()
+    chain(d, a, b, ["h"], ["h"])
+    return attach_wires(d, [a, b], [a, b])
 
 
 def graph_state(g: SimpleGraph) -> Diagram:
@@ -120,22 +111,10 @@ def graph_state(g: SimpleGraph) -> Diagram:
         d.add_node(Z, 0, name=f"v:{v}")
         d.add_node(BOUNDARY, name=f"w:{v}")
         d.add_edge(f"v:{v}", f"w:{v}")
-    for i, (u, v) in enumerate(g.edge_list()):
-        h = d.add_node(HBOX, name=f"h:{u}:{v}")
-        d.add_edge(f"v:{u}", h)
-        d.add_edge(h, f"v:{v}")
+    for u, v in g.edge_list():
+        chain(d, f"v:{u}", f"v:{v}", ["h"], [f"h:{u}:{v}"])
     d.outputs = tuple(f"w:{v}" for v in g.vertices)
     return d.check()
-
-
-def _rotate_wire(d: Diagram, vertex: str, colour: str, phase: PhaseLike) -> None:
-    """Insert a rotation node on the output wire of `vertex` (in place)."""
-    wire_b = f"w:{vertex}"
-    partner = d.boundary_partner(wire_b)
-    r = d.add_node(colour, phase)
-    d.remove_edge(partner, wire_b)
-    d.add_edge(partner, r)
-    d.add_edge(r, wire_b)
 
 
 def _rotated(g: SimpleGraph, u: str, at_u: PhaseLike,
@@ -145,9 +124,9 @@ def _rotated(g: SimpleGraph, u: str, at_u: PhaseLike,
     if u not in g.vertices:
         raise GraphError(f"unknown vertex {u!r}")
     d = graph_state(g)
-    _rotate_wire(d, u, X, at_u)
+    d.splice(f"v:{u}", f"w:{u}", X, at_u)
     for v in g.neighbours(u):
-        _rotate_wire(d, v, Z, at_neighbours)
+        d.splice(f"v:{v}", f"w:{v}", Z, at_neighbours)
     return d.check()
 
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .diagram import (BOUNDARY, HBOX, SPIDERS, Diagram, DiagramError, X, Z,
-                      euler_chain, h_wire, iso_equal, other_colour,
+from .diagram import (HBOX, SPIDERS, Diagram, DiagramError, X, Z, attach_wires,
+                      chain, euler_chain, h_wire, iso_equal, other_colour,
                       rotation_chain)
 from .graphstate import (fixpoint_lhs, graph_state, path_graph, star_graph,
                          triangle)
@@ -71,8 +71,7 @@ def complete_bipartite_diagram(m: int, n: int) -> Diagram:
     for r in reds:
         for g in greens:
             d.add_edge(r, g)
-    _attach_wires(d, reds, greens)
-    return d.check()
+    return attach_wires(d, reds, greens)
 
 
 def cycle_diagram(n: int) -> Diagram:
@@ -85,21 +84,7 @@ def cycle_diagram(n: int) -> Diagram:
     for i in range(n):
         d.add_edge(reds[i], greens[i])
         d.add_edge(greens[i], reds[(i + 1) % n])
-    _attach_wires(d, reds, greens)
-    return d.check()
-
-
-def _attach_wires(d: Diagram, ins_to: list[str], outs_to: list[str]) -> None:
-    ins, outs = [], []
-    for i, v in enumerate(ins_to):
-        b = d.add_node(BOUNDARY, name=f"in{i}")
-        d.add_edge(b, v)
-        ins.append(b)
-    for j, v in enumerate(outs_to):
-        b = d.add_node(BOUNDARY, name=f"out{j}")
-        d.add_edge(v, b)
-        outs.append(b)
-    d.inputs, d.outputs = tuple(ins), tuple(outs)
+    return attach_wires(d, reds, greens)
 
 
 def p2_diagram(m: int, n: int) -> Diagram:
@@ -109,8 +94,7 @@ def p2_diagram(m: int, n: int) -> Diagram:
     g = d.add_node(Z, 0, name="gstar")
     r = d.add_node(X, 0, name="rstar")
     d.add_edge(g, r)
-    _attach_wires(d, [g] * m, [r] * n)
-    return d.check()
+    return attach_wires(d, [g] * m, [r] * n)
 
 
 def _free_end(d: Diagram, v: str, consumed: set[str]) -> str:
@@ -131,8 +115,7 @@ def fixpoint_script(n: int) -> ProofScript:
     """Reduce the fixpoint left side of the n-vertex star to the bare star."""
     if n < 1:
         raise ValueError("n >= 1")
-    b = ScriptBuilder(f"fixpoint-s{n}", fixpoint_start(n),
-                      note=f"fixpoint property of the {n}-vertex star state")
+    b = ScriptBuilder(f"fixpoint-s{n}", fixpoint_start(n))
     if n == 1:
         b.apply("pi-state", ("v:c", "n0"))
         return b.script
@@ -173,8 +156,7 @@ def reduce_complete_bipartite(d: Diagram, reds: Sequence[str],
     removals plus an identity insertion.
     """
     _validate_complete_bipartite(d, reds, greens)
-    b = ScriptBuilder(f"knm-{len(reds)}x{len(greens)}", d,
-                      note="complete bipartite collapses to a two-spider path")
+    b = ScriptBuilder(f"knm-{len(reds)}x{len(greens)}", d)
     _reduce_knm(b, list(reds), list(greens))
     return b.diagram, b.script
 
@@ -285,7 +267,7 @@ def reduce_even_cycle(d: Diagram, cycle: Sequence[str]) -> tuple[Diagram, ProofS
     cyc = list(cycle)
     _validate_cycle(d, cyc)
     n2 = len(cyc)
-    b = ScriptBuilder(f"cycle-{n2}", d, note="even alternating cycle reduction")
+    b = ScriptBuilder(f"cycle-{n2}", d)
     if n2 == 4:
         if d.kind(cyc[0]) != X:
             cyc = cyc[1:] + cyc[:1]
@@ -368,8 +350,7 @@ def euler_nonuniqueness() -> tuple[Derivation, Derivation]:
     a = ScriptBuilder("euler-nonunique-left", start)
     a.apply("spider-fuse", ("c0", "c1"))
     a.apply("id-remove", ("c0",))
-    b = ScriptBuilder("euler-nonunique", start,
-                      note="the decomposition with colours swapped")
+    b = ScriptBuilder("euler-nonunique", start)
     b.apply("h-phase", ("c2", "c1"))
     made = b.apply("euler", ("c2",))
     z_chain = [v for v in made if b.diagram.kind(v) == Z]
@@ -379,33 +360,27 @@ def euler_nonuniqueness() -> tuple[Derivation, Derivation]:
             Derivation(start, b.script, euler_chain(first=X), euler=True))
 
 
+def _dot_with_pendant(parts: list, names: list[str]) -> Diagram:
+    """A 1-in/1-out X(0) spider "dot" carrying the pendant path ``parts``."""
+    d = Diagram()
+    chain(d, d.add_node(X, 0, name="dot"), None, parts, names)
+    return attach_wires(d, ["dot"], ["dot"])
+
+
 def pi2_colour_change() -> tuple[Derivation, Derivation]:
     """A +pi/2 rotation equals a dot carrying an opposite-colour -pi/2 state:
     both sides are reached from the expanded rotation-chain pendant."""
-    d = Diagram()
-    x0 = d.add_node(X, 0, name="dot")
-    st = d.add_node(X, MINUS_HALF_PI, name="st")
-    xb = d.add_node(X, MINUS_HALF_PI, name="xb")
-    zm = d.add_node(Z, MINUS_HALF_PI, name="zm")
-    xc = d.add_node(X, MINUS_HALF_PI, name="xc")
-    for u, v in (("st", "xb"), ("xb", "zm"), ("zm", "xc"), ("xc", "dot")):
-        d.add_edge(u, v)
-    _attach_wires(d, ["dot"], ["dot"])
-    start = d.check()
+    start = _dot_with_pendant([(X, MINUS_HALF_PI), (Z, MINUS_HALF_PI),
+                               (X, MINUS_HALF_PI), (X, MINUS_HALF_PI)],
+                              ["xc", "zm", "xb", "st"])
 
     a = ScriptBuilder("pi2-colour-left", start)
     a.apply("euler-inv", ("xb", "zm", "xc"))
     box = [v for v in a.diagram.neighbours("st")][0]
     a.apply("h-phase", (box, "st"))
-    left_end = Diagram()
-    x0 = left_end.add_node(X, 0, name="dot")
-    left_end.add_node(Z, MINUS_HALF_PI, name="st")
-    left_end.add_edge("dot", "st")
-    _attach_wires(left_end, ["dot"], ["dot"])
-    left_end.check()
+    left_end = _dot_with_pendant([(Z, MINUS_HALF_PI)], ["st"])
 
-    b = ScriptBuilder("pi2-colour", start,
-                      note="a +pi/2 rotation written in the other colour")
+    b = ScriptBuilder("pi2-colour", start)
     b.apply("spider-fuse", ("st", "xb"))   # -pi/2 + -pi/2 = pi
     b.apply("pi-state", ("st", "zm"))
     b.apply("spider-fuse", ("st", "xc"))
@@ -423,18 +398,14 @@ def triangle_lc_target() -> Diagram:
     d = graph_state(path_graph("abc"))
     d.set_phase("v:a", MINUS_HALF_PI)
     d.set_phase("v:c", MINUS_HALF_PI)
-    rot = d.add_node(X, HALF_PI)
-    d.remove_edge("v:b", "w:b")
-    d.add_edge("v:b", rot)
-    d.add_edge(rot, "w:b")
+    d.splice("v:b", "w:b", X, HALF_PI)
     return d.check()
 
 
 def triangle_lc() -> Derivation:
     """Rewrite the triangle graph state into its local complementation at b,
     using the Euler rule and the pi/2 colour-change lemma."""
-    b = ScriptBuilder("triangle-lc", graph_state(triangle()),
-                      note="local complementation of the triangle state at b")
+    b = ScriptBuilder("triangle-lc", graph_state(triangle()))
     b.apply("h-colour", ("v:b",))
     made = b.apply("euler", ("h:a:c",))
     z_parts = [v for v in made if b.diagram.kind(v) == Z]
@@ -466,14 +437,10 @@ def lc_hypothesis_start() -> Diagram:
     d = Diagram()
     for v in ("a", "b", "c"):
         d.add_node(Z, 0, name=f"v:{v}")
-    for pair in ("ab", "ac", "bc"):
-        h = d.add_node(HBOX, name=f"h:{pair[0]}:{pair[1]}")
-        d.add_edge(f"v:{pair[0]}", h)
-        d.add_edge(h, f"v:{pair[1]}")
-    st = d.add_node(X, 0, name="st")
-    d.add_edge("v:b", st)
-    _attach_wires(d, ["v:a"], ["v:c"])
-    return d.check()
+    for u, v in ("ab", "ac", "bc"):
+        chain(d, f"v:{u}", f"v:{v}", ["h"], [f"h:{u}:{v}"])
+    chain(d, "v:b", None, [(X, 0)], ["st"])
+    return attach_wires(d, ["v:a"], ["v:c"])
 
 
 def lc_collapse() -> Derivation:
@@ -496,16 +463,9 @@ def lc_apply() -> Derivation:
     q = made[0]
     b.apply("spider-fuse", (q, "st"))
     b.apply("h-colour", ("v:b",))
-    d = Diagram()
-    d.add_node(Z, MINUS_HALF_PI, name="v:a")
-    d.add_node(X, 0, name="v:b")
-    d.add_node(Z, MINUS_HALF_PI, name="v:c")
-    d.add_node(HBOX, name="hx")
-    d.add_node(X, HALF_PI, name="q")
-    for u, v in (("v:a", "v:b"), ("v:b", "v:c"), ("v:b", "hx"), ("hx", "q")):
-        d.add_edge(u, v)
-    _attach_wires(d, ["v:a"], ["v:c"])
-    return Derivation(b.start, b.script, d.check(), euler=True)
+    core = rotation_chain([(Z, MINUS_HALF_PI), (X, 0), (Z, MINUS_HALF_PI)])
+    chain(core, "c1", None, ["h", (X, HALF_PI)])
+    return Derivation(b.start, b.script, core.check(), euler=True)
 
 
 def swap_core() -> tuple[Derivation, Derivation]:
@@ -520,14 +480,8 @@ def swap_core() -> tuple[Derivation, Derivation]:
     b.apply("h-phase", ("c0", zl))
     b.apply("h-phase", ("c2", zr))
     b.apply("h-colour", (x0,))
-    swapped = Diagram()
-    swapped.add_node(X, MINUS_HALF_PI, name="xl")
-    swapped.add_node(Z, 0, name="z0")
-    swapped.add_node(X, MINUS_HALF_PI, name="xr")
-    swapped.add_node(X, HALF_PI, name="qs")
-    for u, v in (("xl", "z0"), ("z0", "xr"), ("z0", "qs")):
-        swapped.add_edge(u, v)
-    _attach_wires(swapped, ["xl"], ["xr"])
+    swapped = rotation_chain([(X, MINUS_HALF_PI), (Z, 0), (X, MINUS_HALF_PI)])
+    chain(swapped, "c1", None, [(X, HALF_PI)])
     return (Derivation(start, a.script, h_wire(), euler=True),
             Derivation(start, b.script, swapped.check(), euler=True))
 
@@ -537,8 +491,7 @@ def derive_euler_from_lc() -> Derivation:
     hypothesis via the two substitution steps established by the companion
     derivations; it ends on the decomposition chain plus a left-over scalar
     spider."""
-    b = ScriptBuilder("lc-implies-euler", h_wire(),
-                      note="local complementation forces the H decomposition")
+    b = ScriptBuilder("lc-implies-euler", h_wire())
     made = b.apply("cut-h-core", ("c0",))
     zl, x0, zr, hx, q = made
     made = b.apply("cut-h-core-dual", (hx,))

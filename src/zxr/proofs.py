@@ -37,7 +37,6 @@ class ProofScript:
 
     name: str
     steps: list[Step] = field(default_factory=list)
-    note: str = ""
 
     def euler_free(self) -> bool:
         """No step has Euler strength; an unknown rule counts as none."""
@@ -103,10 +102,10 @@ class ScriptBuilder:
 
     _fresh_pat = re.compile(r"^n(\d+)$")
 
-    def __init__(self, name: str, start: Diagram, note: str = "") -> None:
+    def __init__(self, name: str, start: Diagram) -> None:
         self.start = start
         self.diagram = start
-        self.script = ProofScript(name, [], note)
+        self.script = ProofScript(name, [])
 
     def apply(self, rule: str, anchor: Sequence[str]) -> list[str]:
         """Apply and record one step; returns newly created node ids."""

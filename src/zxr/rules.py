@@ -65,7 +65,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .diagram import HBOX, SPIDERS, Diagram, DiagramError, X, Z, other_colour
+from .diagram import (HBOX, SPIDERS, Diagram, DiagramError, X, Z, chain,
+                      other_colour)
 from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO, Phase
 
 Anchor = tuple[str, ...]
@@ -270,11 +271,7 @@ def _check_id_insert(d: Diagram, anchor: Anchor) -> bool:
 
 def _rewrite_id_insert(d: Diagram, anchor: Anchor) -> Diagram:
     u, v = anchor
-    colour = other_colour(d.kind(u)) if _is_spider(d, u) else Z
-    s = d.add_node(colour, 0)
-    d.remove_edge(u, v)
-    d.add_edge(u, s)
-    d.add_edge(s, v)
+    d.splice(u, v, other_colour(d.kind(u)) if _is_spider(d, u) else Z)
     return d
 
 
@@ -358,10 +355,7 @@ def _rewrite_pi_commute(d: Diagram, anchor: Anchor) -> Diagram:
     d.add_edge(*_unplug(d, r))
     for w, m in legs:
         for _ in range(m):
-            p = d.add_node(colour, PI)
-            d.remove_edge(s, w)
-            d.add_edge(s, p)
-            d.add_edge(p, w)
+            d.splice(s, w, colour, PI)
     return d
 
 
@@ -427,10 +421,7 @@ def _rewrite_h_colour(d: Diagram, anchor: Anchor) -> Diagram:
             d.add_edge(*_unplug(d, w))
         else:
             for _ in range(d.multiplicity(s, w)):
-                h = d.add_node(HBOX)
-                d.remove_edge(s, w)
-                d.add_edge(s, h)
-                d.add_edge(h, w)
+                d.splice(s, w, HBOX)
     # self-loops are invariant: the two inserted boxes would cancel
     d.set_kind(s, other_colour(d.kind(s)))
     return d
@@ -469,12 +460,8 @@ def _check_one_hbox(d: Diagram, anchor: Anchor) -> bool:
 
 
 def _rewrite_euler(d: Diagram, anchor: Anchor) -> Diagram:
-    p, q = _unplug(d, anchor[0])
-    s1 = d.add_node(Z, MINUS_HALF_PI)
-    s2 = d.add_node(X, MINUS_HALF_PI)
-    s3 = d.add_node(Z, MINUS_HALF_PI)
-    for e in ((p, s1), (s1, s2), (s2, s3), (s3, q)):
-        d.add_edge(*e)
+    chain(d, *_unplug(d, anchor[0]),
+          [(Z, MINUS_HALF_PI), (X, MINUS_HALF_PI), (Z, MINUS_HALF_PI)])
     return d
 
 
@@ -496,16 +483,10 @@ def _check_euler_inv(d: Diagram, anchor: Anchor) -> bool:
 
 def _rewrite_euler_inv(d: Diagram, anchor: Anchor) -> Diagram:
     s1, s2, s3 = anchor
-    a, b = _far_end(d, s1, s2), _far_end(d, s3, s2)
-    h = d.add_node(HBOX)
-    d.remove_edge(s1, a)
-    d.remove_edge(s3, b)
-    d.remove_edge(s1, s2)
-    d.remove_edge(s2, s3)
-    for v in anchor:
-        d.remove_node(v)
-    d.add_edge(a, h)
-    d.add_edge(h, b)
+    # cut s3 and s2 out of the wire, then put the box where s1 was
+    d.add_edge(*_unplug(d, s3))
+    d.add_edge(*_unplug(d, s2))
+    chain(d, *_unplug(d, s1), ["h"])
     return d
 
 
@@ -542,37 +523,25 @@ def _rewrite_assume_lc_triangle(d: Diagram, anchor: Anchor) -> Diagram:
     d.remove_node(h_ab)
     d.set_phase(a, d.phase(a) + MINUS_HALF_PI)
     d.set_phase(b, d.phase(b) + MINUS_HALF_PI)
-    q = d.add_node(X, HALF_PI)
-    d.remove_edge(u, w)
-    d.add_edge(u, q)
-    d.add_edge(q, w)
+    d.splice(u, w, X, HALF_PI)
     return d
 
 
 def _rewrite_cut_h_core(d: Diagram, anchor: Anchor) -> Diagram:
     """Substitute an H-box by the hypothesis-derived core
     Z(-pi/2) -- X(0)[pendant H -- X(pi/2) state] -- Z(-pi/2)."""
-    p, q = _unplug(d, anchor[0])
-    zl = d.add_node(Z, MINUS_HALF_PI)
-    x0 = d.add_node(X, 0)
-    zr = d.add_node(Z, MINUS_HALF_PI)
-    hx = d.add_node(HBOX)
-    qs = d.add_node(X, HALF_PI)
-    for e in ((p, zl), (zl, x0), (x0, zr), (zr, q), (x0, hx), (hx, qs)):
-        d.add_edge(*e)
+    _, x0, _ = chain(d, *_unplug(d, anchor[0]),
+                     [(Z, MINUS_HALF_PI), (X, 0), (Z, MINUS_HALF_PI)])
+    chain(d, x0, None, ["h", (X, HALF_PI)])
     return d
 
 
 def _rewrite_cut_h_core_dual(d: Diagram, anchor: Anchor) -> Diagram:
     """Substitute an H-box by the colour-swapped derived core
     X(-pi/2) -- Z(0)[pendant X(pi/2) state] -- X(-pi/2)."""
-    p, q = _unplug(d, anchor[0])
-    xl = d.add_node(X, MINUS_HALF_PI)
-    z0 = d.add_node(Z, 0)
-    xr = d.add_node(X, MINUS_HALF_PI)
-    qs = d.add_node(X, HALF_PI)
-    for e in ((p, xl), (xl, z0), (z0, xr), (xr, q), (z0, qs)):
-        d.add_edge(*e)
+    _, z0, _ = chain(d, *_unplug(d, anchor[0]),
+                     [(X, MINUS_HALF_PI), (Z, 0), (X, MINUS_HALF_PI)])
+    chain(d, z0, None, [(X, HALF_PI)])
     return d
 
 

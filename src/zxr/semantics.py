@@ -71,8 +71,7 @@ def node_tensor(d: Diagram, v: str, model_n: int) -> np.ndarray:
     return _spider_tensor(kind, d.degree(v), d.phase(v), model_n)
 
 
-def evaluate(d: Diagram, model_n: int = 1,
-             max_entries: int = MAX_INTERMEDIATE) -> np.ndarray:
+def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
     """Contract the diagram's tensor network into its matrix.
 
     The contraction order is greedy: each step contracts the pair of tensors
@@ -83,7 +82,7 @@ def evaluate(d: Diagram, model_n: int = 1,
     variable, the work list is stably sorted by size and the first two are
     joined by an outer product. The whole order is planned from the leg lists
     first, and ResourceLimit is raised before any contraction if a node or any
-    planned intermediate would exceed ``max_entries`` complex entries. The
+    planned intermediate would exceed ``MAX_INTERMEDIATE`` complex entries. The
     result is a fresh array that shares no memory with the cached node
     tensors.
     """
@@ -106,7 +105,7 @@ def evaluate(d: Diagram, model_n: int = 1,
     for v, legs in node_legs.items():
         if d.kind(v) == BOUNDARY:
             continue
-        if 2 ** len(legs) > max_entries:
+        if 2 ** len(legs) > MAX_INTERMEDIATE:
             raise ResourceLimit(f"node {v!r} alone needs 2^{len(legs)} entries")
         t = node_tensor(d, v, model_n)
         # trace out self-loop variables inside the node tensor
@@ -136,7 +135,7 @@ def evaluate(d: Diagram, model_n: int = 1,
             free[i] = next_var
             next_var += 1
 
-    t, legs = _contract_all(tensors, max_entries)
+    t, legs = _contract_all(tensors)
 
     # assemble output axes in boundary order
     t = np.transpose(t, [legs.index(var) for var in free]) if legs else t.reshape(())
@@ -213,14 +212,13 @@ def _plan(legs: list[list[int]]) -> list[Step]:
     return steps
 
 
-def _contract_all(tensors: list[tuple[np.ndarray, list[int]]],
-                  max_entries: int) -> tuple[np.ndarray, list[int]]:
+def _contract_all(tensors: list[tuple[np.ndarray, list[int]]]) -> tuple[np.ndarray, list[int]]:
     if not tensors:
         return np.array(1.0 + 0j), []
     legs = [ls for _, ls in tensors]
     steps = _plan(legs)
     for step in steps:
-        if 2 ** step[-1] > max_entries:
+        if 2 ** step[-1] > MAX_INTERMEDIATE:
             raise ResourceLimit(
                 f"intermediate tensor with 2^{step[-1]} entries exceeds the cap")
     work: list[np.ndarray | None] = [t for t, _ in tensors]

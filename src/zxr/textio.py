@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .diagram import BOUNDARY, HBOX, SPIDERS, Diagram, DiagramError, X, Z
+from .diagram import BOUNDARY, HBOX, SPIDERS, Diagram, DiagramError, Z
 from .phase import Phase
 
 
@@ -123,14 +123,11 @@ def to_dot(d: Diagram) -> str:
     lines = ["graph zx {", "  node [style=filled];"]
     for v in d.nodes():
         kind = d.kind(v)
-        if kind == Z:
+        if kind in SPIDERS:
             phase = d.phase(v)
             label = "" if phase.is_zero() else f"{phase.token()}π"
-            lines.append(f'  "{v}" [shape=circle, fillcolor=green, label="{label}"];')
-        elif kind == X:
-            phase = d.phase(v)
-            label = "" if phase.is_zero() else f"{phase.token()}π"
-            lines.append(f'  "{v}" [shape=circle, fillcolor=red, label="{label}"];')
+            fill = "green" if kind == Z else "red"
+            lines.append(f'  "{v}" [shape=circle, fillcolor={fill}, label="{label}"];')
         elif kind == HBOX:
             lines.append(f'  "{v}" [shape=box, fillcolor=yellow, label="H"];')
         else:

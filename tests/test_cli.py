@@ -213,3 +213,14 @@ def test_rewrite_malformed_script_is_usage_error(tmp_path, capsys, line):
     for check in ([], ["--check"]):
         assert main(["rewrite", start, "--script", str(script), *check]) == 2
         assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["-1", "0"])
+@pytest.mark.parametrize("command", [["check-equal", "hh.zxd", "wire.zxd"],
+                                     ["verify", "axioms"]])
+def test_model_n_below_one_is_usage_error(files, capsys, n, command):
+    argv = [files.get(a, a) for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main(["--model-n", n, *argv])
+    assert exc.value.code == 2
+    assert "--model-n: must be >= 1" in capsys.readouterr().err

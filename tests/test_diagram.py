@@ -4,8 +4,9 @@ import pytest
 
 from conftest import random_diagram
 from zxr import rules
-from zxr.diagram import (BOUNDARY, HBOX, Diagram, DiagramError, X, Z, compose,
-                         dagger, empty, generator, iso_equal, tensor, wire)
+from zxr.diagram import (BOUNDARY, HBOX, Diagram, DiagramError, X, Z,
+                         attach_wires, chain, compose, dagger, empty, generator,
+                         iso_equal, tensor, wire)
 from zxr.phase import Phase
 
 
@@ -233,3 +234,45 @@ def test_check_rejects_corrupt_edge_store(corrupt):
     corrupt(d)
     with pytest.raises(DiagramError):
         d.check()
+
+
+# -- wire edits ------------------------------------------------------------------
+
+
+def test_splice_moves_one_copy_of_a_doubled_edge():
+    d = Diagram()
+    a, b = d.add_node(Z, 0), d.add_node(X, 0)
+    d.add_edge(a, b, 2)
+    v = d.splice(a, b, HBOX)
+    assert d.multiplicity(a, b) == 1
+    assert d.degree(v) == 2 and d.neighbours(v) == [a, b]
+    assert d.edge_count() == 3
+
+
+def test_chain_without_end_leaves_a_pendant_path():
+    d = Diagram()
+    p = d.add_node(Z, 0)
+    made = chain(d, p, None, [(X, "1/2"), "h", (Z, 1)])
+    assert made == ["n1", "n2", "n3"]
+    assert [d.kind(v) for v in made] == [X, HBOX, Z]
+    assert d.phase(made[0]) == Phase(1, 2) and d.phase(made[2]) == Phase(1)
+    assert [d.degree(v) for v in [p] + made] == [1, 2, 2, 1]
+    assert d.multiplicity(p, made[0]) == d.multiplicity(made[1], made[2]) == 1
+
+
+def test_chain_without_parts_joins_the_ends():
+    d = Diagram()
+    p, q = d.add_node(Z, 0), d.add_node(X, 0)
+    assert chain(d, p, q, []) == []
+    assert d.multiplicity(p, q) == 1 and d.node_count() == 2
+
+
+def test_attach_wires_names_boundaries_in_order():
+    d = Diagram()
+    a, b = d.add_node(Z, 0, name="a"), d.add_node(X, 0, name="b")
+    d.add_edge(a, b)
+    assert attach_wires(d, [b, a], [a, a, b]) is d
+    assert d.inputs == ("in0", "in1")
+    assert d.outputs == ("out0", "out1", "out2")
+    assert [d.boundary_partner(w) for w in d.boundary()] == [b, a, a, a, b]
+    assert all(d.kind(w) == BOUNDARY for w in d.boundary())

@@ -124,10 +124,11 @@ def test_scalar_fit_reports_residual():
     assert residual > 0.5
 
 
-def test_resource_limit():
+def test_resource_limit(monkeypatch):
+    monkeypatch.setattr(semantics, "MAX_INTERMEDIATE", 2)
     d = graph_state(SimpleGraph.build("abcde"))
     with pytest.raises(ResourceLimit):
-        evaluate(d, max_entries=2)
+        evaluate(d)
 
 
 def test_empty_diagram_is_the_unit_scalar():
@@ -167,8 +168,10 @@ def test_resource_limit_fires_before_any_contraction(monkeypatch):
 
     monkeypatch.setattr(semantics, "_contract_pair", counting)
     d = graph_state(path_graph("abcdef"))   # node tensors fit in 2^4 entries
-    with pytest.raises(ResourceLimit):
-        evaluate(d, max_entries=2 ** 4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "MAX_INTERMEDIATE", 2 ** 4)
+        with pytest.raises(ResourceLimit):
+            evaluate(d)
     assert calls == []
     evaluate(d)
     assert calls
@@ -191,7 +194,7 @@ def _reference_contract_pair(a, b):
     return tc, lc
 
 
-def _reference_contract_all(tensors, free, max_entries):
+def _reference_contract_all(tensors, free):
     if not tensors:
         return np.array(1.0 + 0j), []
     work = list(tensors)
@@ -211,7 +214,7 @@ def _reference_contract_all(tensors, free, max_entries):
             work.sort(key=lambda t: t[0].size)
             best = (len(work[0][1]) + len(work[1][1]), 0, 1)
         out_legs, i, j = best
-        if 2 ** out_legs > max_entries:
+        if 2 ** out_legs > semantics.MAX_INTERMEDIATE:
             raise ResourceLimit(
                 f"intermediate tensor with 2^{out_legs} entries exceeds the cap")
         merged = _reference_contract_pair(work[i], work[j])
@@ -223,8 +226,7 @@ def _assert_matches_reference(d, model_n=1):
     got = evaluate(d, model_n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semantics, "_contract_all",
-                   lambda tensors, max_entries:
-                   _reference_contract_all(tensors, set(), max_entries))
+                   lambda tensors: _reference_contract_all(tensors, set()))
         want = evaluate(d, model_n)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
