@@ -35,7 +35,7 @@ def _read(path: str, parse: Callable[[str], T]) -> T:
     error naming the path."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(USAGE, f"cannot read {path}: {exc}")
     try:
         return parse(text)
@@ -279,8 +279,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.model_n is not None and args.model_n < 1:
-        parser.error(f"argument --model-n: must be >= 1, not {args.model_n}")
+    for flag, value, low in (("--model-n", args.model_n, 1),
+                             ("--max-vertices", args.max_vertices, 0),
+                             ("--random", args.random, 0)):
+        if value is not None and value < low:
+            parser.error(f"argument {flag}: must be >= {low}, not {value}")
     try:
         return args.func(args)
     except CliError as exc:

@@ -8,6 +8,7 @@ stable across unrelated edits.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional, Sequence
 
 from .phase import MINUS_HALF_PI, Phase, PhaseLike, ZERO
@@ -416,59 +417,48 @@ def dagger(f: Diagram) -> Diagram:
 # -- isomorphism ---------------------------------------------------------------
 
 
-def _node_label(d: Diagram, v: str) -> tuple:
-    kind = d.kind(v)
-    phase = d.phase(v) if kind in SPIDERS else None
-    return (kind, phase, d.degree(v), d.self_loops(v))
-
-
 def iso_equal(a: Diagram, b: Diagram) -> bool:
-    if (len(a.inputs) != len(b.inputs) or len(a.outputs) != len(b.outputs)
-            or a.node_count() != b.node_count() or a.edge_count() != b.edge_count()):
-        return False
-    labels_a = sorted(_node_label(a, v) for v in a.nodes())
-    labels_b = sorted(_node_label(b, v) for v in b.nodes())
-    if labels_a != labels_b:
-        return False
+    """Label- and multiplicity-preserving isomorphism, boundaries index-wise.
 
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
+    Colour refinement of both diagrams at once, individualising a node of the
+    smallest non-singleton cell against each candidate (McKay & Piperno,
+    Practical graph isomorphism, II). A node starts as (kind, phase,
+    self-loops, boundary index); each round adds the sorted (neighbour
+    colour, multiplicity) list. Colour ids are shared by both diagrams, so a
+    colour count that differs rejects at once.
+    """
+    if (len(a.inputs), len(a.outputs), a.node_count(), a.edge_count()) != (
+            len(b.inputs), len(b.outputs), b.node_count(), b.edge_count()):
+        return False
+    n = a.node_count()
+    names, start, nbrs = [], [], []
+    for d in (a, b):
+        at = {v: len(names) + i for i, v in enumerate(d.nodes())}
+        place = {v: i for i, v in enumerate(d.boundary())}
+        for v in d.nodes():
+            names.append(v)
+            start.append((d._kind[v], d._phase.get(v), d.self_loops(v), place.get(v, -1)))
+            nbrs.append([(at[w], m) for w, m in d._adj[v].items() if w != v])
 
-    def consistent(u: str, v: str) -> bool:
-        if _node_label(a, u) != _node_label(b, v):
-            return False
-        for w in a.neighbours(u):
-            if w in mapping and a.multiplicity(u, w) != b.multiplicity(v, mapping[w]):
+    def search(colour: list) -> bool:
+        cells = len(set(colour))
+        while True:   # refine until no cell splits
+            ids: dict = {}
+            colour = [ids.setdefault((c, tuple(sorted((colour[w], m) for w, m in nb))), len(ids))
+                      for c, nb in zip(colour, nbrs)]
+            if Counter(colour[:n]) != Counter(colour[n:]):
                 return False
-        return True
+            if len(ids) == cells:
+                break
+            cells = len(ids)
+        sizes = Counter(colour[:n])
+        if len(sizes) == n:   # all cells singletons: the mapping is fixed
+            image = dict(zip(colour[n:], names[n:]))
+            to_b = {v: image[c] for v, c in zip(names[:n], colour)}
+            return all(b.multiplicity(to_b[u], to_b[v]) == m for u, v, m in a.edges())
+        _, cell = min((k, c) for c, k in sizes.items() if k > 1)
+        u = colour.index(cell)
+        return any(search([cells if w in (u, v) else c for w, c in enumerate(colour)])
+                   for v in range(n, 2 * n) if colour[v] == cell)
 
-    for ba, bb in zip(a.inputs + a.outputs, b.inputs + b.outputs):
-        mapping[ba] = bb
-        used.add(bb)
-
-    rest = [v for v in a.nodes() if v not in mapping]
-    # most-constrained-first: high degree, rare labels
-    rest.sort(key=lambda v: (-a.degree(v), _node_label(a, v)))
-    candidates_b = [v for v in b.nodes() if b.kind(v) != BOUNDARY]
-
-    def backtrack(i: int) -> bool:
-        if i == len(rest):
-            return b.edges() == sorted((*_edge_key(mapping[u], mapping[v]), m)
-                                       for u, v, m in a.edges())
-        u = rest[i]
-        for v in candidates_b:
-            if v in used or not consistent(u, v):
-                continue
-            mapping[u] = v
-            used.add(v)
-            if backtrack(i + 1):
-                return True
-            del mapping[u]
-            used.discard(v)
-        return False
-
-    # boundary wiring must already agree
-    for ba, bb in zip(a.inputs + a.outputs, b.inputs + b.outputs):
-        if _node_label(a, ba) != _node_label(b, bb):
-            return False
-    return backtrack(0)
+    return search(start)

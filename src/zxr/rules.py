@@ -48,11 +48,11 @@ and the script steps that assume or use an equation equivalent to it
 ``Rule.euler`` flag is set. ``apply`` refuses them unless ``euler_on=True``,
 and ``proofs.replay`` checks only the standard model when a script uses one.
 
-Every rule is one ``Rule`` in ``RULES``. Its ``check(d, anchor)`` is the
-whole left-hand-side condition (arity, distinct nodes, node existence,
-kinds, phases, degrees and multiplicities); ``match_sites`` keeps the
-candidate anchors that pass it and ``apply`` refuses an anchor that fails
-it, so the condition is written once.
+Every rule is one ``Rule`` in ``RULES``. ``apply`` first refuses an anchor
+that is not ``arity`` distinct node ids; ``check(d, anchor)`` is then the
+rest of the left-hand-side condition (kinds, phases, degrees and
+multiplicities). ``match_sites`` keeps the candidate anchors that pass
+``check``, so the condition is written once.
 
 Every anchor is a tuple of node ids. ``match_sites`` enumerates occurrences
 deterministically (sorted); for the expansion rules (spider-split, id-insert,
@@ -79,13 +79,15 @@ class RuleError(ValueError):
 class Rule(NamedTuple):
     """One rewrite rule: where to look, what must hold, what to do.
 
-    ``candidates`` lists anchors worth checking (None for a script-only
-    step), ``check`` is the left-hand-side condition and ``rewrite`` turns a
-    fresh copy of a matching diagram into the right-hand side. ``euler``
-    marks Euler strength.
+    ``arity`` is the anchor length (None: any from 1 up), ``candidates``
+    lists anchors worth checking (None for a script-only step), ``check`` is
+    the left-hand-side condition on an anchor of distinct existing nodes and
+    ``rewrite`` turns a fresh copy of a matching diagram into the right-hand
+    side. ``euler`` marks Euler strength.
     """
 
     name: str
+    arity: Optional[int]
     candidates: Optional[Callable[[Diagram], Iterable[Anchor]]]
     check: Callable[[Diagram, Anchor], bool]
     rewrite: Callable[[Diagram, Anchor], Diagram]
@@ -96,11 +98,11 @@ class Rule(NamedTuple):
 
 
 def _is_spider(d: Diagram, v: str) -> bool:
-    return d.has_node(v) and d.kind(v) in SPIDERS
+    return d.kind(v) in SPIDERS
 
 
 def _is_hbox(d: Diagram, v: str) -> bool:
-    return d.has_node(v) and d.kind(v) == HBOX
+    return d.kind(v) == HBOX
 
 
 def _basis_state(d: Diagram, v: str) -> bool:
@@ -113,10 +115,6 @@ def _plain3(d: Diagram, v: str) -> bool:
     """Phase-0 degree-3 spider without self-loops (a bialgebra corner)."""
     return (_is_spider(d, v) and d.phase(v) == ZERO and d.degree(v) == 3
             and not d.self_loops(v))
-
-
-def _distinct(anchor: Anchor, n: int) -> bool:
-    return len(anchor) == n and len(set(anchor)) == n
 
 
 def _spiders(d: Diagram) -> list[Anchor]:
@@ -206,11 +204,8 @@ def _stamp_states(d: Diagram, s: str, colour: str, phase: Phase) -> None:
 
 
 def _check_spider_fuse(d: Diagram, anchor: Anchor) -> bool:
-    if len(anchor) != 2:
-        return False
     u, v = anchor
-    return (u != v and _is_spider(d, u) and d.has_node(v)
-            and d.kind(v) == d.kind(u) and d.multiplicity(u, v) >= 1)
+    return _is_spider(d, u) and d.kind(v) == d.kind(u) and d.multiplicity(u, v) >= 1
 
 
 def _rewrite_spider_fuse(d: Diagram, anchor: Anchor) -> Diagram:
@@ -231,11 +226,8 @@ def _rewrite_spider_fuse(d: Diagram, anchor: Anchor) -> Diagram:
 
 
 def _check_spider_split(d: Diagram, anchor: Anchor) -> bool:
-    if not anchor or not _is_spider(d, anchor[0]):
-        return False
     s, moved = anchor[0], anchor[1:]
-    return (len(set(moved)) == len(moved)
-            and all(v != s and d.multiplicity(s, v) for v in moved))
+    return _is_spider(d, s) and all(d.multiplicity(s, v) for v in moved)
 
 
 def _rewrite_spider_split(d: Diagram, anchor: Anchor) -> Diagram:
@@ -250,10 +242,9 @@ def _rewrite_spider_split(d: Diagram, anchor: Anchor) -> Diagram:
 
 
 def _check_id_remove(d: Diagram, anchor: Anchor) -> bool:
-    if not (len(anchor) == 1 and _is_spider(d, anchor[0])):
-        return False
     (s,) = anchor
-    if not (d.phase(s) == ZERO and d.degree(s) == 2 and not d.self_loops(s)):
+    if not (_is_spider(d, s) and d.phase(s) == ZERO and d.degree(s) == 2
+            and not d.self_loops(s)):
         return False
     nbs = d.neighbours(s)
     # removing s must not create an H self-loop
@@ -266,7 +257,7 @@ def _rewrite_id_remove(d: Diagram, anchor: Anchor) -> Diagram:
 
 
 def _check_id_insert(d: Diagram, anchor: Anchor) -> bool:
-    return _distinct(anchor, 2) and d.multiplicity(*anchor) >= 1
+    return d.multiplicity(*anchor) >= 1
 
 
 def _rewrite_id_insert(d: Diagram, anchor: Anchor) -> Diagram:
@@ -276,8 +267,7 @@ def _rewrite_id_insert(d: Diagram, anchor: Anchor) -> Diagram:
 
 
 def _check_self_loop(d: Diagram, anchor: Anchor) -> bool:
-    return (len(anchor) == 1 and d.self_loops(anchor[0]) >= 1
-            and _is_spider(d, anchor[0]))
+    return d.self_loops(anchor[0]) >= 1 and _is_spider(d, anchor[0])
 
 
 def _rewrite_self_loop(d: Diagram, anchor: Anchor) -> Diagram:
@@ -286,8 +276,6 @@ def _rewrite_self_loop(d: Diagram, anchor: Anchor) -> Diagram:
 
 
 def _check_copy(d: Diagram, anchor: Anchor) -> bool:
-    if len(anchor) != 2:
-        return False
     state, s = anchor
     return (_basis_state(d, state) and _is_spider(d, s)
             and d.kind(s) != d.kind(state) and d.multiplicity(state, s) == 1)
@@ -303,7 +291,7 @@ def _rewrite_copy(d: Diagram, anchor: Anchor) -> Diagram:
 
 
 def _check_bialgebra(d: Diagram, anchor: Anchor) -> bool:
-    if not (_distinct(anchor, 4) and all(_plain3(d, v) for v in anchor)):
+    if not all(_plain3(d, v) for v in anchor):
         return False
     a1, a2, b1, b2 = anchor
     cb = other_colour(d.kind(a1))
@@ -339,8 +327,6 @@ def _pi_wire(d: Diagram, r: str) -> bool:
 
 
 def _check_pi_commute(d: Diagram, anchor: Anchor) -> bool:
-    if len(anchor) != 2:
-        return False
     r, s = anchor
     return (_pi_wire(d, r) and _is_spider(d, s) and d.kind(s) != d.kind(r)
             and d.phase(s) == ZERO and not d.self_loops(s)
@@ -370,8 +356,6 @@ def _rewrite_pi_state(d: Diagram, anchor: Anchor) -> Diagram:
 
 
 def _check_hopf(d: Diagram, anchor: Anchor) -> bool:
-    if len(anchor) != 2:
-        return False
     u, v = anchor
     return (d.multiplicity(u, v) >= 2 and _is_spider(d, u)
             and _is_spider(d, v) and d.kind(u) != d.kind(v))
@@ -383,8 +367,6 @@ def _rewrite_hopf(d: Diagram, anchor: Anchor) -> Diagram:
 
 
 def _check_h_cancel(d: Diagram, anchor: Anchor) -> bool:
-    if not _distinct(anchor, 2):
-        return False
     h1, h2 = anchor
     if not (_is_hbox(d, h1) and _is_hbox(d, h2) and d.multiplicity(h1, h2) >= 1):
         return False
@@ -409,7 +391,7 @@ def _rewrite_h_cancel(d: Diagram, anchor: Anchor) -> Diagram:
 
 
 def _check_h_colour(d: Diagram, anchor: Anchor) -> bool:
-    return len(anchor) == 1 and _is_spider(d, anchor[0])
+    return _is_spider(d, anchor[0])
 
 
 def _rewrite_h_colour(d: Diagram, anchor: Anchor) -> Diagram:
@@ -428,8 +410,6 @@ def _rewrite_h_colour(d: Diagram, anchor: Anchor) -> Diagram:
 
 
 def _check_h_phase(d: Diagram, anchor: Anchor) -> bool:
-    if len(anchor) != 2:
-        return False
     h, s = anchor
     return (_is_hbox(d, h) and _is_spider(d, s) and d.multiplicity(h, s) == 1
             and not d.self_loops(s) and d.degree(s) in (1, 2))
@@ -456,7 +436,7 @@ def _check_h_state(d: Diagram, anchor: Anchor) -> bool:
 
 
 def _check_one_hbox(d: Diagram, anchor: Anchor) -> bool:
-    return len(anchor) == 1 and _is_hbox(d, anchor[0])
+    return _is_hbox(d, anchor[0])
 
 
 def _rewrite_euler(d: Diagram, anchor: Anchor) -> Diagram:
@@ -466,8 +446,6 @@ def _rewrite_euler(d: Diagram, anchor: Anchor) -> Diagram:
 
 
 def _check_euler_inv(d: Diagram, anchor: Anchor) -> bool:
-    if not _distinct(anchor, 3):
-        return False
     s1, s2, s3 = anchor
     if not all(_is_spider(d, v) and d.phase(v) == MINUS_HALF_PI
                and d.degree(v) == 2 and not d.self_loops(v) for v in anchor):
@@ -502,9 +480,7 @@ def _hboxes_between(d: Diagram, u: str, v: str) -> list[str]:
 def _check_assume_lc_triangle(d: Diagram, anchor: Anchor) -> bool:
     """Three phase-0 green dots pairwise joined through one H-box each, the
     first of degree exactly 3 and free of self-loops."""
-    return (_distinct(anchor, 3)
-            and all(d.has_node(v) and d.kind(v) == Z and d.phase(v) == ZERO
-                    for v in anchor)
+    return (all(d.kind(v) == Z and d.phase(v) == ZERO for v in anchor)
             and all(len(_hboxes_between(d, p, q)) == 1
                     for p, q in combinations(anchor, 2))
             and d.degree(anchor[0]) == 3 and not d.self_loops(anchor[0]))
@@ -547,8 +523,6 @@ def _rewrite_cut_h_core_dual(d: Diagram, anchor: Anchor) -> Diagram:
 
 def _check_use_pi2_colour(d: Diagram, anchor: Anchor) -> bool:
     """An opposite-colour degree-1 pendant of phase -pi/2 or +pi/2."""
-    if len(anchor) != 2:
-        return False
     s, pend = anchor
     return (_is_spider(d, s) and _is_spider(d, pend)
             and d.kind(pend) != d.kind(s) and d.degree(pend) == 1
@@ -568,7 +542,7 @@ def _rewrite_use_pi2_colour(d: Diagram, anchor: Anchor) -> Diagram:
 
 def _check_bialgebra_expand(d: Diagram, anchor: Anchor) -> bool:
     """An adjacent opposite-colour pair of bialgebra corners."""
-    return (len(anchor) == 2 and all(_plain3(d, v) for v in anchor)
+    return (all(_plain3(d, v) for v in anchor)
             and d.kind(anchor[0]) != d.kind(anchor[1])
             and d.multiplicity(*anchor) == 1)
 
@@ -607,32 +581,32 @@ def _rewrite_bialgebra_expand(d: Diagram, anchor: Anchor) -> Diagram:
 # -- the table ------------------------------------------------------------------------
 
 RULES: dict[str, Rule] = {r.name: r for r in (
-    Rule("spider-fuse", _edges, _check_spider_fuse, _rewrite_spider_fuse),
-    Rule("spider-split", _spiders, _check_spider_split, _rewrite_spider_split),
-    Rule("id-remove", _spiders, _check_id_remove, _rewrite_id_remove),
-    Rule("id-insert", _adjacent, _check_id_insert, _rewrite_id_insert),
-    Rule("self-loop", _spiders, _check_self_loop, _rewrite_self_loop),
-    Rule("copy", _led_by(_basis_state), _check_copy, _rewrite_copy),
-    Rule("bialgebra", _bialgebra_candidates, _check_bialgebra, _rewrite_bialgebra),
-    Rule("pi-commute", _led_by(_pi_wire), _check_pi_commute,
+    Rule("spider-fuse", 2, _edges, _check_spider_fuse, _rewrite_spider_fuse),
+    Rule("spider-split", None, _spiders, _check_spider_split, _rewrite_spider_split),
+    Rule("id-remove", 1, _spiders, _check_id_remove, _rewrite_id_remove),
+    Rule("id-insert", 2, _adjacent, _check_id_insert, _rewrite_id_insert),
+    Rule("self-loop", 1, _spiders, _check_self_loop, _rewrite_self_loop),
+    Rule("copy", 2, _led_by(_basis_state), _check_copy, _rewrite_copy),
+    Rule("bialgebra", 4, _bialgebra_candidates, _check_bialgebra, _rewrite_bialgebra),
+    Rule("pi-commute", 2, _led_by(_pi_wire), _check_pi_commute,
          _rewrite_pi_commute),
-    Rule("pi-state", _led_by(_basis_state), _check_pi_state, _rewrite_pi_state),
-    Rule("hopf", _edges, _check_hopf, _rewrite_hopf),
-    Rule("h-cancel", _edges, _check_h_cancel, _rewrite_h_cancel),
-    Rule("h-colour", _spiders, _check_h_colour, _rewrite_h_colour),
-    Rule("h-phase", _led_by(_is_hbox), _check_h_phase, _rewrite_h_phase),
-    Rule("h-state", _led_by(_is_hbox), _check_h_state, _rewrite_h_phase),
-    Rule("euler", _nodes, _check_one_hbox, _rewrite_euler, euler=True),
-    Rule("euler-inv", _euler_inv_candidates, _check_euler_inv,
+    Rule("pi-state", 2, _led_by(_basis_state), _check_pi_state, _rewrite_pi_state),
+    Rule("hopf", 2, _edges, _check_hopf, _rewrite_hopf),
+    Rule("h-cancel", 2, _edges, _check_h_cancel, _rewrite_h_cancel),
+    Rule("h-colour", 1, _spiders, _check_h_colour, _rewrite_h_colour),
+    Rule("h-phase", 2, _led_by(_is_hbox), _check_h_phase, _rewrite_h_phase),
+    Rule("h-state", 2, _led_by(_is_hbox), _check_h_state, _rewrite_h_phase),
+    Rule("euler", 1, _nodes, _check_one_hbox, _rewrite_euler, euler=True),
+    Rule("euler-inv", 3, _euler_inv_candidates, _check_euler_inv,
          _rewrite_euler_inv, euler=True),
-    Rule("assume-lc-triangle", None, _check_assume_lc_triangle,
+    Rule("assume-lc-triangle", 3, None, _check_assume_lc_triangle,
          _rewrite_assume_lc_triangle, euler=True),
-    Rule("cut-h-core", None, _check_one_hbox, _rewrite_cut_h_core, euler=True),
-    Rule("cut-h-core-dual", None, _check_one_hbox, _rewrite_cut_h_core_dual,
+    Rule("cut-h-core", 1, None, _check_one_hbox, _rewrite_cut_h_core, euler=True),
+    Rule("cut-h-core-dual", 1, None, _check_one_hbox, _rewrite_cut_h_core_dual,
          euler=True),
-    Rule("use-pi2-colour", None, _check_use_pi2_colour, _rewrite_use_pi2_colour,
+    Rule("use-pi2-colour", 2, None, _check_use_pi2_colour, _rewrite_use_pi2_colour,
          euler=True),
-    Rule("bialgebra-expand", None, _check_bialgebra_expand,
+    Rule("bialgebra-expand", 2, None, _check_bialgebra_expand,
          _rewrite_bialgebra_expand),
 )}
 
@@ -657,7 +631,9 @@ def apply(rule: str, d: Diagram, anchor: Sequence[str],
     if r.euler and not euler_on:
         raise RuleError(f"{rule} is gated off (pass euler_on=True to enable)")
     anchor = tuple(anchor)
-    if not r.check(d, anchor):
+    shaped = len(anchor) == r.arity if r.arity else len(anchor) >= 1
+    if not (shaped and len(set(anchor)) == len(anchor)
+            and all(d.has_node(v) for v in anchor) and r.check(d, anchor)):
         raise RuleError(f"{rule} does not match at {anchor}")
     return r.rewrite(d.copy(), anchor).check()
 

@@ -224,3 +224,28 @@ def test_model_n_below_one_is_usage_error(files, capsys, n, command):
         main(["--model-n", n, *argv])
     assert exc.value.code == 2
     assert "--model-n: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["check-equal", "bad", "wire.zxd"],
+                                     ["graph-state", "bad"]])
+def test_non_utf8_file_is_usage_error(files, capsys, command):
+    bad = files["dir"] / "bad"
+    bad.write_bytes(b"\xff\xfe\x00z g 0\n")
+    files["bad"] = str(bad)
+    assert main([files.get(a, a) for a in command]) == 2
+    assert f"cannot read {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--max-vertices", "-1", "verify", "fixpoint"],
+                                  ["--max-vertices", "0", "--random", "-5", "verify", "vdn"]])
+def test_negative_sweep_bound_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{argv[-4]}: must be >= 0, not {argv[-3]}" in capsys.readouterr().err
+
+
+def test_random_sample_alone_runs(capsys):
+    assert main(["--max-vertices", "0", "--random", "1", "verify", "vdn"]) == 0
+    checks = int(capsys.readouterr().out.split()[1])
+    assert checks >= 6

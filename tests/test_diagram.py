@@ -1,3 +1,5 @@
+import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -105,6 +107,75 @@ def test_iso_permuted_internal_names():
         outs.append(w)
     b.outputs = tuple(outs)
     assert iso_equal(a, b.check())
+
+
+def _brute_iso(a, b):
+    """Reference isomorphism test: try every bijection that keeps the node
+    labels (kind, phase, self-loops, input/output position) and compare edge
+    multiplicities."""
+    def labels(d):
+        place = {v: ("in", i) for i, v in enumerate(d.inputs)}
+        place.update((v, ("out", j)) for j, v in enumerate(d.outputs))
+        return {v: (d.kind(v), d.phase(v) if d.kind(v) in (Z, X) else None,
+                    d.self_loops(v), place.get(v)) for v in d.nodes()}
+
+    la, lb = labels(a), labels(b)
+    if Counter(la.values()) != Counter(lb.values()) or a.edge_count() != b.edge_count():
+        return False
+    groups = [([v for v in la if la[v] == lab], [v for v in lb if lb[v] == lab])
+              for lab in set(la.values())]
+    for images in itertools.product(*(itertools.permutations(ys) for _, ys in groups)):
+        to_b = {u: v for (xs, _), ys in zip(groups, images) for u, v in zip(xs, ys)}
+        if all(b.multiplicity(to_b[u], to_b[v]) == m for u, v, m in a.edges()):
+            return True
+    return False
+
+
+def _relabelled(d, rng):
+    """A copy of d built in a random order, its node names permuted."""
+    ren = dict(zip(d.nodes(), rng.sample(d.nodes(), d.node_count())))
+    out = Diagram()
+    for v in rng.sample(d.nodes(), d.node_count()):
+        out.add_node(d.kind(v), d.phase(v) if d.kind(v) in (Z, X) else None, name=ren[v])
+    for u, v, m in d.edges():
+        out.add_edge(ren[u], ren[v], m)
+    out.inputs = tuple(ren[b] for b in d.inputs)
+    out.outputs = tuple(ren[b] for b in d.outputs)
+    return out.check()
+
+
+def _cycles(*lengths):
+    """Disjoint closed alternating Z/X cycles of phase-0 spiders."""
+    d = Diagram()
+    for n in lengths:
+        ring = [d.add_node((Z, X)[i % 2], 0) for i in range(n)]
+        for i in range(n):
+            d.add_edge(ring[i], ring[(i + 1) % n])
+    return d.check()
+
+
+def test_iso_equal_agrees_with_brute_force():
+    rng = random.Random(909)
+    verdicts = Counter()
+    for i in range(320):
+        a = random_diagram(rng)
+        b = _relabelled(a, rng)
+        moves = [(u, v) for u, v, _ in b.edges()
+                 if u != v and b.kind(u) in (Z, X) and b.kind(v) in (Z, X)]
+        if i % 2 and moves:     # move one spider-spider edge
+            b.remove_edge(*rng.choice(moves))
+            spiders = b.spiders()
+            b.add_edge(rng.choice(spiders), rng.choice(spiders))
+        expected = _brute_iso(a, b)
+        assert iso_equal(a, b) == expected, i
+        verdicts[expected] += 1
+    assert verdicts[True] >= 150 and verdicts[False] >= 50, verdicts
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_iso_symmetric_cycles(n):
+    assert not iso_equal(_cycles(2 * n), _cycles(n, n))
+    assert iso_equal(_cycles(2 * n), _relabelled(_cycles(2 * n), random.Random(n)))
 
 
 def test_invariants_rejected():
