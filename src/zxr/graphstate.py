@@ -3,18 +3,23 @@
 A graph state is one green spider per vertex, one output wire per spider, and
 an H-box on every edge. Local rotations act on the output wires. Output wire
 order follows the graph's vertex-declaration order, so matrix comparisons are
-well defined.
+well defined. The fixpoint and local-complementation checks compare against
+|g>'s matrix, which is computed once per graph (a small LRU cache keyed on the
+labelled graph) and reused by every vertex of a sweep.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
+
+import numpy as np
 
 from .diagram import BOUNDARY, Diagram, X, Z, attach_wires, chain
 from .phase import HALF_PI, MINUS_HALF_PI, PI, PhaseLike
-from .semantics import diagrams_equal
+from .semantics import equal_up_to_scalar, evaluate
 
 # Local-complementation witness rotations, fixed empirically against the
 # dense-matrix oracle: +pi/2 X-rotation on the complemented vertex and
@@ -97,8 +102,8 @@ def triangle() -> SimpleGraph:
 def cz_diagram() -> Diagram:
     """The controlled-Z map: two green spiders joined through an H-box."""
     d = Diagram()
-    a = d.add_node(Z, 0, name="a")
-    b = d.add_node(Z, 0, name="b")
+    a = d.add_node(Z, name="a")
+    b = d.add_node(Z, name="b")
     chain(d, a, b, ["h"], ["h"])
     return attach_wires(d, [a, b], [a, b])
 
@@ -108,7 +113,7 @@ def graph_state(g: SimpleGraph) -> Diagram:
     an H-box per edge."""
     d = Diagram()
     for v in g.vertices:
-        d.add_node(Z, 0, name=f"v:{v}")
+        d.add_node(Z, name=f"v:{v}")
         d.add_node(BOUNDARY, name=f"w:{v}")
         d.add_edge(f"v:{v}", f"w:{v}")
     for u, v in g.edge_list():
@@ -152,12 +157,21 @@ def local_complement(g: SimpleGraph, u: str) -> SimpleGraph:
     return SimpleGraph(g.vertices, frozenset(toggled))
 
 
+@lru_cache(maxsize=16)
+def _state_matrix(g: SimpleGraph) -> np.ndarray:
+    """The read-only matrix of |g>, shared by every check against it."""
+    m = evaluate(graph_state(g))
+    m.flags.writeable = False
+    return m
+
+
 def check_fixpoint(g: SimpleGraph, u: str) -> bool:
-    return diagrams_equal(fixpoint_lhs(g, u), graph_state(g))
+    return equal_up_to_scalar(evaluate(fixpoint_lhs(g, u)), _state_matrix(g))
 
 
 def check_vdn(g: SimpleGraph, u: str) -> bool:
-    return diagrams_equal(vdn_lhs(g, u), graph_state(local_complement(g, u)))
+    return equal_up_to_scalar(evaluate(vdn_lhs(g, u)),
+                              _state_matrix(local_complement(g, u)))
 
 
 def lc_orbit(g: SimpleGraph) -> set[SimpleGraph]:

@@ -82,7 +82,10 @@ def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
     variable, the work list is stably sorted by size and the first two are
     joined by an outer product. The whole order is planned from the leg lists
     first, and ResourceLimit is raised before any contraction if a node or any
-    planned intermediate would exceed ``MAX_INTERMEDIATE`` complex entries. The
+    planned intermediate would exceed ``MAX_INTERMEDIATE`` complex entries. A
+    plan depends on the leg lists alone, so it is reused by the next
+    evaluations of the same leg structure (a small LRU cache), such as one
+    diagram in two models; the cap is tested on every call all the same. The
     result is a fresh array that shares no memory with the cached node
     tensors.
     """
@@ -145,20 +148,25 @@ def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
     return out if out.flags.writeable else out.copy()
 
 
-Step = tuple[int, int, list[int], list[int], tuple[int, int], tuple[int, int], int]
+Step = tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[int, int],
+             tuple[int, int], int]
 
 
-def _plan(legs: list[list[int]]) -> list[Step]:
+@lru_cache(maxsize=16)
+def _plan(shape: tuple[tuple[int, ...], ...]
+          ) -> tuple[tuple[Step, ...], tuple[int, ...]]:
     """The greedy pairwise contraction order over tensors with leg lists
-    ``legs``; see ``evaluate``.
+    ``shape``, and the leg list of the final tensor; see ``evaluate``.
 
     Each step (a, b, perm_a, perm_b, shape_a, shape_b, out_legs) contracts
-    tensor a with tensor b into a new tensor numbered len(legs), whose leg
-    list is appended to ``legs``. Every variable is held by at most two
-    tensors, and a tensor's number orders it in the work list, so the
-    smallest heap key (out_legs, a, b) over pairs that share a variable is
-    the greedy choice.
+    tensor a with tensor b into a new tensor numbered after every tensor
+    before it. Every variable is held by at most two tensors, and a tensor's
+    number orders it in the work list, so the smallest heap key
+    (out_legs, a, b) over pairs that share a variable is the greedy choice.
+    The result is immutable, because the cache hands it to every caller with
+    the same ``shape``.
     """
+    legs = [list(ls) for ls in shape]
     holders: dict[int, list[int]] = defaultdict(list)
     for t, ls in enumerate(legs):
         for var in ls:
@@ -179,7 +187,7 @@ def _plan(legs: list[list[int]]) -> list[Step]:
         keep_b = [i for i, v in enumerate(lb) if v not in common]
         lc = [la[i] for i in keep_a] + [lb[i] for i in keep_b]
         k = 1 << len(common)
-        steps.append((a, b, keep_a + axes_a, axes_b + keep_b,
+        steps.append((a, b, tuple(keep_a + axes_a), tuple(axes_b + keep_b),
                       (1 << len(keep_a), k), (k, 1 << len(keep_b)), len(lc)))
         legs.append(lc)
         alive[a] = alive[b] = False
@@ -209,14 +217,14 @@ def _plan(legs: list[list[int]]) -> list[Step]:
         work.sort(key=lambda t: len(legs[t]))
         merge(work[0], work[1])
         work = work[2:] + [len(legs) - 1]
-    return steps
+    return tuple(steps), tuple(legs[-1])
 
 
-def _contract_all(tensors: list[tuple[np.ndarray, list[int]]]) -> tuple[np.ndarray, list[int]]:
+def _contract_all(tensors: list[tuple[np.ndarray, list[int]]]
+                  ) -> tuple[np.ndarray, tuple[int, ...]]:
     if not tensors:
-        return np.array(1.0 + 0j), []
-    legs = [ls for _, ls in tensors]
-    steps = _plan(legs)
+        return np.array(1.0 + 0j), ()
+    steps, legs = _plan(tuple(tuple(ls) for _, ls in tensors))
     for step in steps:
         if 2 ** step[-1] > MAX_INTERMEDIATE:
             raise ResourceLimit(
@@ -226,11 +234,11 @@ def _contract_all(tensors: list[tuple[np.ndarray, list[int]]]) -> tuple[np.ndarr
         work.append(_contract_pair(work[a], work[b], perm_a, perm_b,
                                    shape_a, shape_b, out_legs))
         work[a] = work[b] = None
-    return work[-1], legs[-1]
+    return work[-1], legs
 
 
-def _contract_pair(ta: np.ndarray, tb: np.ndarray, perm_a: list[int],
-                   perm_b: list[int], shape_a: tuple[int, int],
+def _contract_pair(ta: np.ndarray, tb: np.ndarray, perm_a: tuple[int, ...],
+                   perm_b: tuple[int, ...], shape_a: tuple[int, int],
                    shape_b: tuple[int, int], out_legs: int) -> np.ndarray:
     """np.tensordot's own transpose, reshape, dot, reshape sequence, with the
     axes worked out in advance: the same floating-point operations."""

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import (apply_single, graph_state_vector, proportional, rx_mat,
                       rz_mat)
+from zxr import graphstate
 from zxr.graphstate import (GraphError, SimpleGraph, all_graphs, check_fixpoint,
                             check_vdn, complete_graph, cz_diagram, fixpoint_lhs,
                             graph_state, lc_orbit, local_complement, path_graph,
                             star_graph, triangle, vdn_lhs)
-from zxr.semantics import equal_up_to_scalar, evaluate
+from zxr.semantics import diagrams_equal, equal_up_to_scalar, evaluate
 from zxr.textio import parse_edges, serialize_edges
 
 
@@ -126,6 +127,41 @@ def test_fixpoint_and_vdn_exhaustive_to_four():
         for u in g.vertices:
             assert check_fixpoint(g, u), (g, u)
             assert check_vdn(g, u), (g, u)
+
+
+def test_checks_agree_with_uncached_form_cold_and_warm():
+    graphstate._state_matrix.cache_clear()
+    for _ in ("cold", "warm"):
+        for g in small_graphs(4):
+            assert np.array_equal(graphstate._state_matrix(g),
+                                  evaluate(graph_state(g)))
+            for u in g.vertices:
+                assert check_fixpoint(g, u) == diagrams_equal(
+                    fixpoint_lhs(g, u), graph_state(g)), (g, u)
+                assert check_vdn(g, u) == diagrams_equal(
+                    vdn_lhs(g, u), graph_state(local_complement(g, u))), (g, u)
+    assert graphstate._state_matrix.cache_info().hits > 0
+
+
+def test_cached_state_matrix_is_read_only():
+    m = graphstate._state_matrix(triangle())
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 99
+    assert np.array_equal(graphstate._state_matrix(triangle()),
+                          evaluate(graph_state(triangle())))
+
+
+def test_state_matrix_cache_keys_on_vertex_order():
+    # same edge, different vertex (and so wire) order: separate entries
+    g = SimpleGraph.build("abc", [("a", "b")])
+    h = SimpleGraph.build("acb", [("a", "b")])
+    graphstate._state_matrix.cache_clear()
+    mg, mh = graphstate._state_matrix(g), graphstate._state_matrix(h)
+    assert graphstate._state_matrix.cache_info().currsize == 2
+    assert not np.array_equal(mg, mh)
+    assert np.array_equal(mg, evaluate(graph_state(g)))
+    assert np.array_equal(mh, evaluate(graph_state(h)))
 
 
 def test_orbit_examples():

@@ -177,6 +177,54 @@ def test_resource_limit_fires_before_any_contraction(monkeypatch):
     assert calls
 
 
+# -- the plan cache ------------------------------------------------------------------
+
+
+def test_plan_cache_gives_bit_identical_matrices(rng):
+    corpus = [random_diagram(rng) for _ in range(60)]
+    for d in corpus:
+        for model_n in (1, 2, 3):
+            warm = evaluate(d, model_n)
+            assert np.array_equal(evaluate(d, model_n), warm)
+            semantics._plan.cache_clear()
+            assert np.array_equal(evaluate(d, model_n), warm)
+    assert semantics._plan.cache_info().maxsize <= 16
+
+
+def test_resource_limit_checked_on_a_cached_plan(monkeypatch):
+    d = graph_state(path_graph("abcdef"))   # node tensors fit in 2^4 entries
+    evaluate(d)
+    hits = semantics._plan.cache_info().hits
+    calls = []
+    original = semantics._contract_pair
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(semantics, "_contract_pair", counting)
+    monkeypatch.setattr(semantics, "MAX_INTERMEDIATE", 2 ** 4)
+    with pytest.raises(ResourceLimit, match="intermediate tensor"):
+        evaluate(d)
+    assert semantics._plan.cache_info().hits == hits + 1
+    assert calls == []
+
+
+def test_cached_plan_holds_no_mutable_lists():
+    def immutable(x):
+        if isinstance(x, tuple):
+            return all(immutable(y) for y in x)
+        return isinstance(x, int)
+
+    shape = ((0, 1), (1, 2), (2, 3, 0), (4,), (5,))   # a ring and two loners
+    plan = semantics._plan(shape)
+    assert immutable(plan)
+    assert semantics._plan(shape) is plan
+    steps, final = plan
+    assert len(steps) == len(shape) - 1
+    assert sorted(final) == [3, 4, 5]
+
+
 # -- differential check of the planner ---------------------------------------------
 # The pairwise contraction loop as it stood before the planner indexed tensors
 # by shared variable (greedy scan over all pairs, np.tensordot). evaluate must
