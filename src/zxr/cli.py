@@ -21,6 +21,8 @@ from .semantics import ResourceLimit, equal_up_to_scalar, evaluate, scalar_fit
 
 OK, DIFFER, USAGE, RESOURCE = 0, 1, 2, 3
 
+SWEEP_LABELS = tuple("abcdefgh")   # vertex names, so at most 8 per graph
+
 T = TypeVar("T")
 
 
@@ -71,11 +73,8 @@ def _emit_report(args, report: dict) -> None:
 def cmd_check_equal(args) -> int:
     a = _load_diagram(args.a)
     b = _load_diagram(args.b)
-    try:
-        ma = evaluate(a, args.model_n or 1)
-        mb = evaluate(b, args.model_n or 1)
-    except ResourceLimit as exc:
-        raise CliError(RESOURCE, str(exc))
+    ma = evaluate(a, args.model_n or 1)
+    mb = evaluate(b, args.model_n or 1)
     if ma.shape != mb.shape:
         print(f"shapes differ: {ma.shape} vs {mb.shape}")
         return DIFFER
@@ -109,18 +108,10 @@ def cmd_rewrite(args) -> int:
         script = _read(args.script,
                        lambda text: proofs.ProofScript.from_json_lines(name, text))
     try:
-        if args.check:
-            result = proofs.replay(script, d, euler_on=args.enable_euler)
-        else:
-            result = d
-            for rule, anchor in script.steps:
-                result = rules.apply(rule, result, anchor,
-                                     euler_on=args.enable_euler)
+        result = proofs.replay(script, d, euler_on=args.enable_euler,
+                               models=None if args.check else ())
     except proofs.ReplayError as exc:
-        print(f"replay failed: {exc}")
-        return DIFFER
-    except rules.RuleError as exc:
-        print(f"rewrite failed: {exc}")
+        print(f"{'replay' if args.check else 'rewrite'} failed: {exc}")
         return DIFFER
     _write(args.output, textio.serialize(result))
     return OK
@@ -170,15 +161,14 @@ def _verify_independence(args) -> tuple[bool, dict]:
 
 
 def _sweep_graphs(args):
-    labels = tuple("abcdefgh")
     for size in range(1, args.max_vertices + 1):
-        for g in graphstate.all_graphs(labels[:size]):
+        for g in graphstate.all_graphs(SWEEP_LABELS[:size]):
             yield g
     if args.random:
         rng = random.Random(args.seed)
         for _ in range(args.random):
             size = rng.choice((6, 7))
-            verts = labels[:size]
+            verts = SWEEP_LABELS[:size]
             edges = [e for e in itertools.combinations(verts, 2)
                      if rng.random() < 0.5]
             yield graphstate.SimpleGraph.build(verts, edges)
@@ -202,19 +192,16 @@ def _verify_graph_property(args, checker, name) -> tuple[bool, dict]:
 
 
 def cmd_verify(args) -> int:
-    try:
-        if args.suite == "axioms":
-            ok, report = _verify_axioms(args)
-        elif args.suite == "independence":
-            ok, report = _verify_independence(args)
-        elif args.suite == "fixpoint":
-            ok, report = _verify_graph_property(
-                args, graphstate.check_fixpoint, "fixpoint")
-        else:   # vdn: argparse admits only the four suites
-            ok, report = _verify_graph_property(
-                args, graphstate.check_vdn, "vdn")
-    except ResourceLimit as exc:
-        raise CliError(RESOURCE, str(exc))
+    if args.suite == "axioms":
+        ok, report = _verify_axioms(args)
+    elif args.suite == "independence":
+        ok, report = _verify_independence(args)
+    elif args.suite == "fixpoint":
+        ok, report = _verify_graph_property(
+            args, graphstate.check_fixpoint, "fixpoint")
+    else:   # vdn: argparse admits only the four suites
+        ok, report = _verify_graph_property(
+            args, graphstate.check_vdn, "vdn")
     _emit_report(args, report)
     return OK if ok else DIFFER
 
@@ -230,7 +217,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--enable-euler", action="store_true",
                    help="allow the gated decomposition rules")
     p.add_argument("--max-vertices", type=int, default=5,
-                   help="exhaustive sweep bound for graph suites")
+                   help="exhaustive sweep bound for graph suites (at most 8)")
     p.add_argument("--random", type=int, default=0, metavar="N",
                    help="additionally sample N random 6-7 vertex graphs")
     p.add_argument("--seed", type=int, default=0,
@@ -279,11 +266,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    for flag, value, low in (("--model-n", args.model_n, 1),
-                             ("--max-vertices", args.max_vertices, 0),
-                             ("--random", args.random, 0)):
+    for flag, value, low, high in (("--model-n", args.model_n, 1, None),
+                                   ("--max-vertices", args.max_vertices, 0, len(SWEEP_LABELS)),
+                                   ("--random", args.random, 0, None)):
         if value is not None and value < low:
             parser.error(f"argument {flag}: must be >= {low}, not {value}")
+        if high is not None and value > high:
+            parser.error(f"argument {flag}: must be <= {high}, not {value}")
     try:
         return args.func(args)
     except CliError as exc:

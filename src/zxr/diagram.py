@@ -162,12 +162,9 @@ class Diagram:
         return sorted((u, v, m) for u, nb in self._adj.items()
                       for v, m in nb.items() if u <= v)
 
-    def edge_instances(self) -> list[tuple[str, str, int]]:
-        """One entry (u, v, k) per parallel copy, k = 0..multiplicity-1."""
-        out = []
-        for u, v, m in self.edges():
-            out.extend((u, v, k) for k in range(m))
-        return out
+    def created_since(self, earlier: "Diagram") -> list[str]:
+        """Nodes that ``earlier`` lacks, in creation order (``copy`` keeps it)."""
+        return [v for v in self._kind if v not in earlier._kind]
 
     def multiplicity(self, u: str, v: str) -> int:
         return self._adj.get(u, {}).get(v, 0)

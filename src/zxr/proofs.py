@@ -10,7 +10,6 @@ the script-only steps included.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -77,7 +76,8 @@ def replay(script: ProofScript, start: Diagram, *, euler_on: bool = False,
     """Apply the script, semantically checking every step.
 
     Checks model 1 always and model 2 as well when the script is free of
-    Euler-strength steps; pass ``models`` to override.
+    Euler-strength steps; pass ``models`` to override, ``()`` to apply the
+    steps without evaluating anything.
     """
     if models is None:
         models = (1, 2) if script.euler_free() else (1,)
@@ -100,23 +100,14 @@ def replay(script: ProofScript, start: Diagram, *, euler_on: bool = False,
 class ScriptBuilder:
     """Applies steps while recording them; replay re-checks the result."""
 
-    _fresh_pat = re.compile(r"^n(\d+)$")
-
     def __init__(self, name: str, start: Diagram) -> None:
         self.start = start
         self.diagram = start
         self.script = ProofScript(name, [])
 
     def apply(self, rule: str, anchor: Sequence[str]) -> list[str]:
-        """Apply and record one step; returns newly created node ids."""
+        """Apply and record one step; returns the nodes it made, in creation order."""
         nxt = rules.apply(rule, self.diagram, anchor, euler_on=True)
-        new = [v for v in nxt.nodes() if not self.diagram.has_node(v)]
-
-        def order(v: str):
-            m = self._fresh_pat.match(v)
-            return (0, int(m.group(1))) if m else (1, v)
-
-        new.sort(key=order)
         self.script.steps.append((rule, tuple(anchor)))
-        self.diagram = nxt
-        return new
+        self.diagram, before = nxt, self.diagram
+        return nxt.created_since(before)

@@ -62,19 +62,14 @@ def _spider_tensor(colour: str, degree: int, phase: Phase,
     return t
 
 
-def node_tensor(d: Diagram, v: str, model_n: int) -> np.ndarray:
-    """The read-only tensor of node ``v``, shared by every call with the same
-    colour, degree, phase and model."""
-    kind = d.kind(v)
-    if kind == HBOX:
-        return H_MATRIX
-    return _spider_tensor(kind, d.degree(v), d.phase(v), model_n)
-
-
 def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
     """Contract the diagram's tensor network into its matrix.
 
-    The contraction order is greedy: each step contracts the pair of tensors
+    One pass over ``d.edges()`` numbers a variable per parallel copy of each
+    edge and gives every node its legs. A node tensor depends on its colour,
+    degree (its leg count), phase and the model alone, and is shared by every
+    node and call with the same four (H-boxes share ``H_MATRIX``). The
+    contraction order is greedy: each step contracts the pair of tensors
     that share a variable and whose result has the fewest legs, ties going to
     the pair that comes first in the work list (node tensors in node order,
     each merged tensor appended at the end). Tensors are indexed by shared
@@ -93,12 +88,12 @@ def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
     if model_n < 1:
         raise ValueError("model_n must be >= 1")
 
-    # one variable per edge instance; legs per node in variable order, a
-    # self-loop contributing two legs
+    # one variable per parallel copy of each edge; legs per node in variable
+    # order, a self-loop contributing two legs
     node_legs: dict[str, list[int]] = {v: [] for v in d.nodes()}
     loops: dict[str, list[int]] = {}
-    instances = d.edge_instances()
-    for var, (u, v, _) in enumerate(instances):
+    instances = [(u, v) for u, v, m in d.edges() for _ in range(m)]
+    for var, (u, v) in enumerate(instances):
         node_legs[u].append(var)
         node_legs[v].append(var)
         if u == v:
@@ -106,11 +101,13 @@ def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
 
     tensors: list[tuple[np.ndarray, list[int]]] = []
     for v, legs in node_legs.items():
-        if d.kind(v) == BOUNDARY:
+        kind = d.kind(v)
+        if kind == BOUNDARY:
             continue
         if 2 ** len(legs) > MAX_INTERMEDIATE:
             raise ResourceLimit(f"node {v!r} alone needs 2^{len(legs)} entries")
-        t = node_tensor(d, v, model_n)
+        t = (H_MATRIX if kind == HBOX
+             else _spider_tensor(kind, len(legs), d.phase(v), model_n))
         # trace out self-loop variables inside the node tensor
         for var in loops.get(v, ()):
             i = legs.index(var)
@@ -119,24 +116,17 @@ def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
             del legs[j], legs[i]
         tensors.append((t, legs))
 
-    # free legs in boundary order: outputs then inputs
+    # free legs in boundary order: outputs then inputs. A boundary-boundary
+    # edge exposes one variable twice; at its second occurrence splice in an
+    # identity tensor, so every variable has at most two occurrences
     free: list[int] = []
-    free_count: dict[int, int] = {}
+    next_var = len(instances)
     for b in d.outputs + d.inputs:
         var = node_legs[b][0]
+        if var in free:
+            tensors.append((np.eye(2, dtype=complex), [var, next_var]))
+            var, next_var = next_var, next_var + 1
         free.append(var)
-        free_count[var] = free_count.get(var, 0) + 1
-
-    # a boundary-boundary edge exposes one variable twice: splice in an
-    # identity tensor so every variable has at most two occurrences
-    next_var = len(instances)
-    for i, var in enumerate(free):
-        if free_count.get(var, 0) == 2:
-            ident = np.eye(2, dtype=complex)
-            tensors.append((ident, [var, next_var]))
-            free_count[var] -= 1
-            free[i] = next_var
-            next_var += 1
 
     t, legs = _contract_all(tensors)
 

@@ -54,6 +54,31 @@ def test_report_rows_and_verdict():
     assert not axioms.independence_verdict(bad)
 
 
+def _expected_pattern() -> list[dict]:
+    """Rows with the independence pattern, written out by hand."""
+    rows = []
+    for n in (1, 2, 3):
+        for a in axioms.ALL_AXIOMS:
+            holds = a != axioms.EULER_AXIOM or n == 1
+            rows.append({"model_n": n, "axiom": a, "holds": holds,
+                         "max_residual": 0.0 if holds else 0.5})
+    return rows
+
+
+@pytest.mark.parametrize("model_n, axiom, change", [
+    (3, axioms.BASE_AXIOMS[-1], {"holds": False, "max_residual": 0.5}),
+    (1, axioms.EULER_AXIOM, {"holds": False, "max_residual": 0.5}),
+    (2, axioms.EULER_AXIOM, {"max_residual": 0.1}),
+])
+def test_verdict_rejects_each_broken_pattern(model_n, axiom, change):
+    rows = _expected_pattern()
+    assert axioms.independence_verdict(rows)
+    for r in rows:
+        if (r["model_n"], r["axiom"]) == (model_n, axiom):
+            r.update(change)
+    assert not axioms.independence_verdict(rows)
+
+
 def test_unknown_axiom():
     with pytest.raises(ValueError):
         axioms.verify_axiom("nonsense")

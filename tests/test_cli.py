@@ -249,3 +249,47 @@ def test_random_sample_alone_runs(capsys):
     assert main(["--max-vertices", "0", "--random", "1", "verify", "vdn"]) == 0
     checks = int(capsys.readouterr().out.split()[1])
     assert checks >= 6
+
+
+def test_max_vertices_above_eight_is_usage_error(monkeypatch, capsys):
+    # the sweep names vertices a-h; one tiny graph per size keeps a run short
+    from zxr import graphstate
+    one = graphstate.SimpleGraph.build(("a",))
+    monkeypatch.setattr(graphstate, "all_graphs", lambda labels: iter([one]))
+    assert main(["--max-vertices", "8", "verify", "fixpoint"]) == 0
+    assert capsys.readouterr().out.startswith("fixpoint: 8 checks")
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-vertices", "9", "verify", "fixpoint"])
+    assert exc.value.code == 2
+    assert "--max-vertices: must be <= 8, not 9" in capsys.readouterr().err
+
+
+def test_verify_reports_each_failing_vertex(monkeypatch, tmp_path, capsys):
+    from zxr import graphstate
+    from zxr.report import validate_report
+
+    monkeypatch.setattr(graphstate, "check_fixpoint",
+                        lambda g, u: not (g.edges and u == "b"))
+    report = tmp_path / "fix.json"
+    assert main(["--max-vertices", "2", "--json", str(report),
+                 "verify", "fixpoint"]) == 1
+    assert capsys.readouterr().out == "fixpoint: 5 checks, FAILURES\n"
+    obj = json.loads(report.read_text())
+    validate_report(obj)
+    assert obj["ok"] is False and obj["checks"] == 5
+    assert obj["failures"] == [{"vertices": ["a", "b"], "edges": [["a", "b"]],
+                                "vertex": "b", "holds": False}]
+
+
+@pytest.mark.parametrize("command", [
+    ["check-equal", "hh.zxd", "wire.zxd"],
+    ["--max-vertices", "2", "verify", "fixpoint"],
+    ["verify", "axioms"],
+    ["rewrite", "hh.zxd", "--rule", "h-cancel", "--check"],
+])
+def test_every_resource_limit_exits_three(files, monkeypatch, capsys, command):
+    from zxr import semantics
+
+    monkeypatch.setattr(semantics, "MAX_INTERMEDIATE", 2)
+    assert main([files.get(a, a) for a in command]) == 3
+    assert capsys.readouterr().err.startswith("resource limit: ")

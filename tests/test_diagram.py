@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import random_diagram
@@ -10,6 +11,8 @@ from zxr.diagram import (BOUNDARY, HBOX, Diagram, DiagramError, X, Z,
                          attach_wires, chain, compose, dagger, empty, generator,
                          iso_equal, tensor, wire)
 from zxr.phase import Phase
+from zxr.semantics import evaluate
+from zxr.textio import parse
 
 
 def test_generator_arities():
@@ -200,6 +203,27 @@ def test_compose_tensor_preserve_invariants(rng):
             compose(f, g).check()
 
 
+def test_compose_closes_glued_wires_into_a_loop():
+    cap = parse("in a b\nedge a b\n")
+    cup = parse("out a b\nedge a b\n")
+    d = compose(cap, cup)
+    assert (d.inputs, d.outputs, d.node_count(), d.edge_count()) == ((), (), 1, 1)
+    (v,) = d.nodes()
+    assert d.self_loops(v) == 1
+    assert np.array_equal(evaluate(d), [[2]])
+
+
+def test_created_since_lists_new_nodes_in_creation_order():
+    d = Diagram()
+    a = d.add_node(Z, 0)
+    e = d.copy()
+    made = [e.add_node(X, 0) for _ in range(11)] + [e.add_node(HBOX, name="b")]
+    e.remove_node(made[3])
+    del made[3]
+    assert e.created_since(d) == made and "n10" in made
+    assert d.created_since(e) == [] and a not in made
+
+
 def test_node_ids_never_reused():
     d = Diagram()
     a = d.add_node(Z, 0)
@@ -210,10 +234,10 @@ def test_node_ids_never_reused():
 
 def assert_adjacency_matches_edge_list(d):
     """Every adjacency query agrees with a reference rebuilt from the
-    diagram's edge instances."""
-    instances = d.edge_instances()
+    diagram's edge list, one entry per parallel copy."""
+    instances = [(u, v) for u, v, m in d.edges() for _ in range(m)]
     mult, deg, nbrs = Counter(), Counter(), {v: set() for v in d.nodes()}
-    for u, v, _ in instances:
+    for u, v in instances:
         mult[u, v] += 1
         deg[u] += 1
         deg[v] += 1

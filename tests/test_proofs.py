@@ -152,6 +152,14 @@ def test_gated_step_refused_without_euler():
         replay(script, generator("h"), euler_on=False)
 
 
+def test_replay_reports_semantic_drift():
+    # the Euler decomposition matches the H-box and holds in model 1 only
+    script = ProofScript("euler-h", [("euler", ("g",))])
+    with pytest.raises(ReplayError, match=r"step 0 \(euler\): semantic drift in model n=2"):
+        replay(script, generator("h"), euler_on=True, models=(1, 2))
+    assert replay(script, generator("h"), euler_on=True, models=(1,)).node_count() == 5
+
+
 def test_shipped_scripts_replay_from_disk():
     assert PROOF_DIR.is_dir()
     for name in sorted(shipped.BUILDERS):

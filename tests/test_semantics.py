@@ -10,7 +10,7 @@ from zxr.graphstate import (SimpleGraph, fixpoint_lhs, graph_state, path_graph,
                             triangle, vdn_lhs)
 from zxr.phase import Phase
 from zxr.semantics import (H_MATRIX, ResourceLimit, equal_up_to_scalar, evaluate,
-                           node_tensor, scalar_fit)
+                           scalar_fit)
 
 # frozen interpretation table (hand-typed, independent of the evaluator)
 TABLE = {
@@ -153,7 +153,7 @@ def test_evaluate_result_shares_no_memory_with_cached_tensors():
     m *= 0
     assert np.abs(evaluate(d) - rz_mat(np.pi / 2)).max() < 1e-12
     assert not H_MATRIX.flags.writeable
-    assert not node_tensor(d, d.spiders()[0], 1).flags.writeable
+    assert not semantics._spider_tensor(Z, 2, Phase(1, 2), 1).flags.writeable
     for fresh in (evaluate(generator("h")), evaluate(graph_state(triangle()))):
         assert fresh.flags.writeable
 
