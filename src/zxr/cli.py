@@ -107,9 +107,9 @@ def cmd_rewrite(args) -> int:
         name = Path(args.script).stem
         script = _read(args.script,
                        lambda text: proofs.ProofScript.from_json_lines(name, text))
+    models = ((args.model_n,) if args.model_n else None) if args.check else ()
     try:
-        result = proofs.replay(script, d, euler_on=args.enable_euler,
-                               models=None if args.check else ())
+        result = proofs.replay(script, d, euler_on=args.enable_euler, models=models)
     except proofs.ReplayError as exc:
         print(f"{'replay' if args.check else 'rewrite'} failed: {exc}")
         return DIFFER

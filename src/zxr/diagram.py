@@ -9,7 +9,7 @@ stable across unrelated edits.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .phase import MINUS_HALF_PI, Phase, PhaseLike, ZERO
 
@@ -165,6 +165,68 @@ class Diagram:
     def created_since(self, earlier: "Diagram") -> list[str]:
         """Nodes that ``earlier`` lacks, in creation order (``copy`` keeps it)."""
         return [v for v in self._kind if v not in earlier._kind]
+
+    def changed_since(self, earlier: "Diagram") -> list[str]:
+        """The patch of an edit from ``earlier`` to self, sorted.
+
+        It holds every node created or removed, or whose kind, phase or
+        degree changed, plus a greedy cover of the edges whose multiplicity
+        changed: the node covering the most uncovered ones first, ties to
+        the lower degree, then the name. Every node and edge outside the
+        patch is the same on both sides, so each side is one context
+        composed with its own ``cut`` of the patch.
+        """
+        patch, rewired = set(), []
+        for v in self._kind.keys() | earlier._kind.keys():
+            if (self._kind.get(v), self._phase.get(v)) != (earlier._kind.get(v),
+                                                           earlier._phase.get(v)):
+                patch.add(v)
+            elif self._adj[v] != earlier._adj[v]:
+                if self.degree(v) != earlier.degree(v):
+                    patch.add(v)
+                else:
+                    rewired.append(v)
+        uncovered = set()
+        for u in rewired:
+            now, was = self._adj[u], earlier._adj[u]
+            uncovered.update(_edge_key(u, w) for w in now.keys() | was.keys()
+                             if w not in patch and now.get(w) != was.get(w))
+        while uncovered:
+            hits = Counter(v for e in uncovered for v in set(e))
+            best = min(hits, key=lambda v: (-hits[v], self.degree(v), v))
+            patch.add(best)
+            uncovered = {e for e in uncovered if best not in e}
+        return sorted(patch)
+
+    def cut(self, nodes: Iterable[str]) -> "Diagram":
+        """The sub-diagram on the given nodes (those self lacks are ignored).
+
+        Each edge leaving the set becomes an output wire, one per parallel
+        copy, ordered by (outside endpoint, inside endpoint); the set's own
+        inputs and outputs stay boundaries, its outputs after the cut wires.
+        Every generator is symmetric in its legs, so the order among wires
+        that meet one outside node does not matter. The cut wires take the
+        sub-diagram's own fresh ids, which no kept id can clash with.
+        """
+        inside = sorted(v for v in set(nodes) if v in self._kind)
+        keep = set(inside)
+        p = Diagram()
+        for v in inside:
+            p.add_node(self._kind[v], self._phase.get(v), name=v)
+        cut = []
+        for v in inside:
+            for w, m in self._adj[v].items():
+                if w not in keep:
+                    cut += [(w, v)] * m
+                elif v <= w:
+                    p.add_edge(v, w, m)
+        wires = []
+        for _, v in sorted(cut):
+            wires.append(p.add_node(BOUNDARY))
+            p.add_edge(wires[-1], v)
+        p.inputs = tuple(b for b in self.inputs if b in keep)
+        p.outputs = tuple(wires) + tuple(b for b in self.outputs if b in keep)
+        return p
 
     def multiplicity(self, u: str, v: str) -> int:
         return self._adj.get(u, {}).get(v, 0)

@@ -275,13 +275,19 @@ def reduce_even_cycle(d: Diagram, cycle: Sequence[str]) -> tuple[Diagram, ProofS
         return b.diagram, b.script
     clean = set(cyc)
     while len(cyc) > 6:
-        # find a cycle edge (g, r) with both endpoints still untouched
-        k = next(i for i in range(len(cyc))
-                 if b.diagram.kind(cyc[i]) == Z and cyc[i] in clean
-                 and cyc[(i + 1) % len(cyc)] in clean)
+        # a cycle edge (g, r) with both endpoints still untouched; failing
+        # that, the first green vertex and its successor, each with its
+        # non-cycle legs split off so that both are plain corners
+        greens = [i for i, v in enumerate(cyc) if b.diagram.kind(v) == Z]
+        k = next((i for i in greens
+                  if cyc[i] in clean and cyc[(i + 1) % len(cyc)] in clean), greens[0])
         g, r = cyc[k], cyc[(k + 1) % len(cyc)]
         g_prev = cyc[(k - 1) % len(cyc)]
         r_next = cyc[(k + 2) % len(cyc)]
+        for v, ring in ((g, (g_prev, r)), (r, (g, r_next))):
+            if b.diagram.degree(v) > 3:
+                b.apply("spider-split", (v, *[w for w in b.diagram.neighbours(v)
+                                              if w not in ring]))
         made = b.apply("bialgebra-expand", (g, r))
         a_side = [v for v in made if b.diagram.kind(v) == X]
         b_side = [v for v in made if b.diagram.kind(v) == Z]

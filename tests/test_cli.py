@@ -51,6 +51,16 @@ def test_rewrite_single_rule(files, tmp_path):
     assert "edge" in out.read_text()
 
 
+def test_rewrite_check_reads_model_n(files, tmp_path, capsys):
+    """The Euler decomposition holds in model 1 and fails in model 2."""
+    argv = ["--enable-euler", "rewrite", files["h.zxd"], "--rule", "euler",
+            "--check", "-o", str(tmp_path / "out.zxd")]
+    assert main(argv) == 0
+    assert main(["--model-n", "2", *argv]) == 1
+    assert capsys.readouterr().out == (
+        "replay failed: step 0 (euler): semantic drift in model n=2\n")
+
+
 def test_rewrite_euler_gate(files, tmp_path):
     out = tmp_path / "out.zxd"
     assert main(["rewrite", files["h.zxd"], "--rule", "euler",

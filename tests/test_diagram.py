@@ -9,7 +9,7 @@ from conftest import random_diagram
 from zxr import rules
 from zxr.diagram import (BOUNDARY, HBOX, Diagram, DiagramError, X, Z,
                          attach_wires, chain, compose, dagger, empty, generator,
-                         iso_equal, tensor, wire)
+                         iso_equal, spider, tensor, wire)
 from zxr.phase import Phase
 from zxr.semantics import evaluate
 from zxr.textio import parse
@@ -371,3 +371,71 @@ def test_attach_wires_names_boundaries_in_order():
     assert d.outputs == ("out0", "out1", "out2")
     assert [d.boundary_partner(w) for w in d.boundary()] == [b, a, a, a, b]
     assert all(d.kind(w) == BOUNDARY for w in d.boundary())
+
+
+# -- cuts ----------------------------------------------------------------------
+
+
+def test_cut_turns_parallel_edges_into_one_wire_each():
+    d = Diagram()
+    a, o = d.add_node(Z, "1/2", name="a"), d.add_node(X, 0, name="o")
+    d.add_edge(a, o, 2)
+    attach_wires(d, [a], [o])
+    p = d.cut([a, "in0"])
+    assert p.inputs == ("in0",) and len(p.outputs) == 2
+    assert [p.boundary_partner(w) for w in p.outputs] == [a, a]
+    assert np.allclose(evaluate(p), evaluate(spider(Z, 1, 2, Phase(1, 2))))
+
+
+def test_cut_orders_wires_by_outside_then_inside_end():
+    d = Diagram()
+    a, b, o, q = (d.add_node(Z, 0, name=v) for v in "aboq")
+    for u, v in ((a, q), (b, o), (a, o)):
+        d.add_edge(u, v)
+    p = d.cut([b, a])
+    assert p.inputs == ()
+    assert [p.boundary_partner(w) for w in p.outputs] == [a, b, a]
+
+
+def test_cut_keeps_boundaries_after_the_cut_wires_with_fresh_ids():
+    d = Diagram()
+    n0 = d.add_node(Z, "1/2", name="n0")
+    attach_wires(d, [n0], [n0])
+    p = d.cut([n0, "out0"]).check()
+    assert p.inputs == () and p.outputs == ("n1", "out0")
+    assert p.boundary_partner("n1") == n0
+    assert np.allclose(evaluate(p).reshape(2, 2), evaluate(d))
+
+
+def test_cut_keeps_a_self_loop_inside():
+    d = Diagram()
+    s, t = d.add_node(Z, 1, name="s"), d.add_node(X, 0, name="t")
+    d.add_edge(s, s)
+    d.add_edge(s, t)
+    p = d.cut([s]).check()
+    assert (p.self_loops(s), p.degree(s), len(p.outputs)) == (1, 3, 1)
+
+
+def test_cut_of_nothing_is_the_empty_diagram():
+    d = generator("phase_z", Phase(1, 2))
+    for nodes in ([], ["ghost"]):
+        p = d.cut(nodes).check()
+        assert p.node_count() == 0 and p.boundary() == ()
+        assert np.allclose(evaluate(p), [[1]])
+
+
+def test_changed_since_covers_rewired_edges_greedily():
+    d = Diagram()
+    for v in "abcd":
+        d.add_node(Z, 0, name=v)
+    d.add_edge("a", "b")
+    d.add_edge("c", "d")
+    e = d.copy()
+    e.remove_edge("a", "b")
+    e.remove_edge("c", "d")
+    e.add_edge("a", "c")
+    e.add_edge("b", "d")
+    # every degree is kept; a and then d cover the four changed edges
+    assert e.changed_since(d) == d.changed_since(e) == ["a", "d"]
+    e.set_phase("b", 1)
+    assert e.changed_since(d) == ["b", "c"]

@@ -76,10 +76,13 @@ def test_even_cycles():
         assert lemmas.check_even_cycle(n), n
 
 
-@pytest.mark.xfail(raises=StopIteration, strict=True,
-                   reason="known defect: reduce_even_cycle finds no untouched cycle edge")
 def test_even_cycle_seven():
-    assert lemmas.check_even_cycle(7)
+    """From C14 on no cycle edge has both ends untouched; the reduction then
+    splits the extra legs off the first green vertex and its successor."""
+    for n in (7, 8):
+        deriv = lemmas.even_cycle(n)
+        assert "spider-split" in [rule for rule, _ in deriv.script.steps]
+        assert lemmas.check_even_cycle(n), n
 
 
 def test_cycle_four_is_bialgebra_base():
