@@ -7,6 +7,7 @@ error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -209,7 +210,11 @@ def cmd_verify(args) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args returns a
+    fresh namespace every call and nothing mutates the parser. It holds no
+    command functions; ``main`` looks up ``cmd_<command>`` at each call."""
     p = argparse.ArgumentParser(prog="zxr", description=__doc__)
     p.add_argument("--model-n", type=int, default=None, dest="model_n",
                    help="interpret spider phases scaled by n (default 1; "
@@ -229,7 +234,6 @@ def _parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check-equal", help="compare two diagrams up to scalar")
     c.add_argument("a")
     c.add_argument("b")
-    c.set_defaults(func=cmd_check_equal)
 
     c = sub.add_parser("rewrite", help="apply a rule or replay a script")
     c.add_argument("input")
@@ -239,27 +243,22 @@ def _parser() -> argparse.ArgumentParser:
     c.add_argument("--check", action="store_true",
                    help="assert per-step semantic preservation")
     c.add_argument("--output", "-o", default="-")
-    c.set_defaults(func=cmd_rewrite)
 
     c = sub.add_parser("graph-state", help="emit the graph-state diagram")
     c.add_argument("graph")
     c.add_argument("--output", "-o", default="-")
-    c.set_defaults(func=cmd_graph_state)
 
     c = sub.add_parser("local-comp", help="complement a graph locally")
     c.add_argument("graph")
     c.add_argument("vertex")
     c.add_argument("--output", "-o", default="-")
-    c.set_defaults(func=cmd_local_comp)
 
     c = sub.add_parser("verify", help="run a verification sweep")
     c.add_argument("suite", choices=("axioms", "fixpoint", "vdn", "independence"))
-    c.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("render", help="emit Graphviz DOT")
     c.add_argument("input")
     c.add_argument("--output", "-o", default="-")
-    c.set_defaults(func=cmd_render)
     return p
 
 
@@ -274,7 +273,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if high is not None and value > high:
             parser.error(f"argument {flag}: must be <= {high}, not {value}")
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -45,6 +45,17 @@ class Diagram:
     ``_adj[v][v]``, and counts twice towards ``degree(v)``. Adjacency queries
     cost O(deg), ``remove_node`` and ``edge_count`` (a running total) O(1),
     and ``check`` O(V+E).
+
+    After a successful ``check`` every mutator logs the nodes it touched, in
+    first-touch order: ``add_node``, ``remove_node``, ``set_phase`` and
+    ``set_kind`` the node, ``add_edge`` and ``remove_edge`` both ends
+    (``splice`` goes through them). ``checked`` re-validates only the logged
+    nodes, so it costs O(touched) instead of O(V+E). Every invariant of
+    ``check`` is local to one node or one edge, and the mutators keep the
+    edge store symmetric, so a diagram that passed a full walk and has since
+    changed only through these methods is valid exactly when its touched
+    nodes are. A write to a private field is not logged: ``check`` sees it,
+    ``checked`` does not.
     """
 
     def __init__(self) -> None:
@@ -56,6 +67,10 @@ class Diagram:
         self.outputs: tuple[str, ...] = ()
         self._fresh = 0
         self._used: set[str] = set()   # ids are never reused, even after removal
+        # touched names (a dict, for first-touch order) since the last
+        # successful check; None until the first one
+        self._dirty: Optional[dict[str, None]] = None
+        self._bounds: tuple = ((), ())   # (inputs, outputs) at the last full check
 
     # -- construction ------------------------------------------------------
 
@@ -69,6 +84,8 @@ class Diagram:
         d.outputs = self.outputs
         d._fresh = self._fresh
         d._used = set(self._used)
+        d._dirty = None if self._dirty is None else dict(self._dirty)
+        d._bounds = self._bounds
         return d
 
     def fresh_id(self) -> str:
@@ -91,6 +108,8 @@ class Diagram:
             raise DiagramError(f"{kind} node cannot carry a phase")
         self._kind[name] = kind
         self._adj[name] = {}
+        if self._dirty is not None:
+            self._dirty[name] = None
         return name
 
     def add_edge(self, u: str, v: str, times: int = 1) -> None:
@@ -100,6 +119,8 @@ class Diagram:
             raise DiagramError(f"edge endpoint missing: {u!r}-{v!r}")
         self._adj[u][v] = self._adj[v][u] = self._adj[u].get(v, 0) + times
         self._n_edges += times
+        if self._dirty is not None:
+            self._dirty[u] = self._dirty[v] = None
 
     def remove_edge(self, u: str, v: str, times: int = 1) -> None:
         if times <= 0:
@@ -112,6 +133,8 @@ class Diagram:
         if not m:
             del self._adj[u][v]
             self._adj[v].pop(u, None)   # already gone if u == v
+        if self._dirty is not None:
+            self._dirty[u] = self._dirty[v] = None
 
     def remove_node(self, name: str) -> None:
         if self._adj[name]:
@@ -119,6 +142,8 @@ class Diagram:
         del self._adj[name]
         del self._kind[name]
         self._phase.pop(name, None)
+        if self._dirty is not None:
+            self._dirty[name] = None
 
     def splice(self, u: str, v: str, kind: str,
                phase: Optional[PhaseLike] = None) -> str:
@@ -133,12 +158,16 @@ class Diagram:
         if self._kind.get(name) not in SPIDERS:
             raise DiagramError(f"{name!r} is not a spider")
         self._phase[name] = Phase.coerce(phase)
+        if self._dirty is not None:
+            self._dirty[name] = None
 
     def set_kind(self, name: str, colour: str) -> None:
         """Recolour a spider; its phase and wires stay."""
         if self._kind.get(name) not in SPIDERS or colour not in SPIDERS:
             raise DiagramError(f"cannot make {name!r} a {colour!r} spider")
         self._kind[name] = colour
+        if self._dirty is not None:
+            self._dirty[name] = None
 
     # -- views -------------------------------------------------------------
 
@@ -260,37 +289,70 @@ class Diagram:
     # -- invariants ----------------------------------------------------------
 
     def check(self) -> "Diagram":
-        """Validate every structural invariant; returns self for chaining."""
+        """Validate every structural invariant; returns self for chaining.
+
+        Always a full O(V+E) walk, so it also sees writes to private fields.
+        On success it empties the touch log that ``checked`` reads.
+        """
         bset = set(self.inputs) | set(self.outputs)
         if len(self.inputs) + len(self.outputs) != len(bset):
             raise DiagramError("inputs/outputs overlap or repeat")
-        adj = self._adj
-        if adj.keys() != self._kind.keys():
+        if self._adj.keys() != self._kind.keys():
             raise DiagramError("edge store and node table list different nodes")
-        for name, kind in self._kind.items():
+        self._check_at(self._kind, bset, self.inputs + self.outputs)
+        self._dirty, self._bounds = {}, (self.inputs, self.outputs)
+        return self
+
+    def checked(self) -> "Diagram":
+        """Validate only the nodes touched since the last ``check``; returns
+        self. Walks everything, through ``check``, when the diagram never
+        passed one or its inputs/outputs were reassigned since. A fault is
+        reported at the first-touched node. The class docstring says why
+        this equals a full walk, and its one limit."""
+        if self._dirty is None or self._bounds != (self.inputs, self.outputs):
+            return self.check()
+        if self._dirty:
+            kind_of, adj = self._kind, self._adj
+            for v in self._dirty:
+                if (v in kind_of) != (v in adj):
+                    raise DiagramError("edge store and node table list different nodes")
+            bset = set(self.inputs) | set(self.outputs)
+            self._check_at([v for v in self._dirty if v in kind_of], bset,
+                           [b for b in self._dirty if b in bset])
+            self._dirty = {}
+        return self
+
+    def _check_at(self, nodes: Iterable[str], bset: set[str],
+                  listed: Iterable[str]) -> None:
+        """The per-node tests, then that each of ``listed`` is a boundary
+        node, then the edge tests, over live ``nodes`` (iterated twice)."""
+        kind_of, adj = self._kind, self._adj
+        for name in nodes:
+            kind = kind_of[name]
             if kind in SPIDERS:
                 if name not in self._phase:
                     raise DiagramError(f"spider {name!r} lacks a phase")
             elif kind == BOUNDARY:
                 if name not in bset:
                     raise DiagramError(f"boundary {name!r} not listed in inputs/outputs")
-                if self.degree(name) != 1:
+                nb = adj[name]
+                if sum(nb.values()) + nb.get(name, 0) != 1:
                     raise DiagramError(f"boundary {name!r} must have degree 1")
             elif kind == HBOX:
-                if self.degree(name) != 2:
+                nb = adj[name]
+                if sum(nb.values()) + nb.get(name, 0) != 2:
                     raise DiagramError(f"H-box {name!r} must have degree 2")
-                if self.self_loops(name):
+                if nb.get(name):
                     raise DiagramError(f"H-box {name!r} has a self-loop")
             else:
                 raise DiagramError(f"unknown node kind {kind!r}")
-        for b in bset:
-            if self._kind.get(b) != BOUNDARY:
+        for b in listed:
+            if kind_of.get(b) != BOUNDARY:
                 raise DiagramError(f"listed boundary {b!r} is not a boundary node")
-        for u, nb in adj.items():
-            for v, m in nb.items():
+        for u in nodes:
+            for v, m in adj[u].items():
                 if m <= 0 or v not in adj or adj[v].get(u) != m:
                     raise DiagramError(f"edge {_edge_key(u, v)} is empty, dangling or one-sided")
-        return self
 
     # -- equality ------------------------------------------------------------
 

@@ -132,7 +132,7 @@ def _rotated(g: SimpleGraph, u: str, at_u: PhaseLike,
     d.splice(f"v:{u}", f"w:{u}", X, at_u)
     for v in g.neighbours(u):
         d.splice(f"v:{v}", f"w:{v}", Z, at_neighbours)
-    return d.check()
+    return d.checked()
 
 
 def fixpoint_lhs(g: SimpleGraph, u: str) -> Diagram:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import pi
 from typing import Union
 
 PhaseLike = Union["Phase", Fraction, int, str]
+
+_TOKEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 @dataclass(frozen=True, order=True)
@@ -37,9 +40,18 @@ class Phase:
 
     @staticmethod
     def parse(token: str) -> "Phase":
-        """Parse 'p' or 'p/q' (possibly negative), meaning (p/q)*pi."""
+        """Parse 'p', 'p/q' or '-p/q' in ASCII digits, meaning (p/q)*pi.
+
+        Anything else (a decimal, an exponent, '+', '_' or spaces) raises
+        ValueError, as does a phase whose normalized token is too long for
+        the interpreter's int-to-str limit; q = 0 raises ZeroDivisionError.
+        """
+        if not _TOKEN.fullmatch(token):
+            raise ValueError(f"not a phase token: {token!r}")
         f = Fraction(token)
-        return Phase(f.numerator, f.denominator)
+        p = Phase(f.numerator, f.denominator)
+        p.token()   # a phase that parses must also write back
+        return p
 
     @property
     def frac(self) -> Fraction:

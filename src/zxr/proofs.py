@@ -98,7 +98,7 @@ def replay(script: ProofScript, start: Diagram, *, euler_on: bool = False,
     if models is None:
         models = (1, 2) if script.euler_free() else (1,)
     if models:
-        start.check()   # a checked replay rejects a malformed start outright
+        start.checked()   # a checked replay rejects a malformed start outright
     current = start
     for index, (rule, anchor) in enumerate(script.steps):
         try:

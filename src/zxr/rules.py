@@ -635,7 +635,7 @@ def apply(rule: str, d: Diagram, anchor: Sequence[str],
     if not (shaped and len(set(anchor)) == len(anchor)
             and all(d.has_node(v) for v in anchor) and r.check(d, anchor)):
         raise RuleError(f"{rule} does not match at {anchor}")
-    return r.rewrite(d.copy(), anchor).check()
+    return r.rewrite(d.copy(), anchor).checked()
 
 
 # -- normalization ------------------------------------------------------------------

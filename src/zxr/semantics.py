@@ -84,7 +84,7 @@ def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
     result is a fresh array that shares no memory with the cached node
     tensors.
     """
-    d.check()
+    d.checked()
     if model_n < 1:
         raise ValueError("model_n must be >= 1")
 

@@ -43,6 +43,29 @@ def test_check_equal_parse_error(files, tmp_path):
     assert main(["check-equal", str(bad), files["wire.zxd"]]) == 2
 
 
+@pytest.mark.parametrize("token", ["1e-1000000", "1e100000", "0.5"])
+def test_non_fraction_phase_token_is_usage_error(tmp_path, capsys, token):
+    bad = tmp_path / "bad.zxd"
+    bad.write_text(f"node a z {token}\nout o\nedge a o\n")
+    assert main(["render", str(bad)]) == 2
+    assert "bad phase token" in capsys.readouterr().err
+
+
+def test_main_keeps_no_state_between_calls(files, tmp_path):
+    argv = ["rewrite", files["h.zxd"], "--rule", "euler",
+            "-o", str(tmp_path / "out.zxd")]
+    assert main(["--enable-euler", *argv]) == 0
+    assert main(argv) == 1
+
+
+def test_main_calls_the_command_function_current_at_each_call(files, monkeypatch):
+    from zxr import cli
+
+    assert main(["render", files["h.zxd"], "-o", str(files["dir"] / "h.dot")]) == 0
+    monkeypatch.setattr(cli, "cmd_render", lambda args: 7)
+    assert main(["render", files["h.zxd"]]) == 7
+
+
 def test_rewrite_single_rule(files, tmp_path):
     out = tmp_path / "out.zxd"
     code = main(["rewrite", files["hh.zxd"], "--rule", "h-cancel",

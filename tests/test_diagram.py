@@ -331,6 +331,121 @@ def test_check_rejects_corrupt_edge_store(corrupt):
         d.check()
 
 
+# -- the touch log and checked() ------------------------------------------------
+
+
+def _public_edit(d: Diagram, rng: random.Random) -> None:
+    """One random edit through Diagram's methods, valid or not; an edit the
+    method refuses leaves d as it was."""
+    nodes = d.nodes()
+    if not nodes:
+        d.add_node(rng.choice([Z, BOUNDARY]))
+        return
+    v, w = rng.choice(nodes), rng.choice(nodes)
+    op = rng.randrange(8)
+    try:
+        if op == 0:
+            d.add_node(rng.choice([Z, X, HBOX, BOUNDARY]))
+        elif op == 1:
+            d.add_edge(v, w)
+        elif op == 2:
+            d.remove_edge(v, w)
+        elif op == 3:
+            for u in d.neighbours(v) + [v]:
+                d.remove_edge(v, u, d.multiplicity(v, u))
+            d.remove_node(v)
+        elif op == 4:
+            d.set_phase(v, Phase(1, 2))
+        elif op == 5:
+            d.set_kind(v, rng.choice([Z, X]))
+        elif op == 6:
+            d.splice(v, w, rng.choice([Z, HBOX]))
+        elif d.outputs and rng.random() < 0.5:
+            d.outputs = d.outputs[:-1]
+        else:
+            d.inputs = d.inputs + (v,)
+    except DiagramError:
+        pass
+
+
+def _rejects(validate) -> bool:
+    try:
+        validate()
+    except DiagramError:
+        return True
+    return False
+
+
+def test_checked_agrees_with_a_full_check_after_public_edits(rng):
+    verdicts = Counter()
+    for _ in range(2000):
+        d = random_diagram(rng)
+        for _ in range(rng.randint(1, 3)):
+            _public_edit(d, rng)
+        whole = _rejects(d.copy().check)
+        assert _rejects(d.checked) == whole, d.edges()
+        verdicts[whole] += 1
+    assert verdicts[True] > 200 and verdicts[False] > 200
+
+
+def test_checked_walks_everything_after_the_boundary_is_reassigned():
+    d = generator("phase_z", Phase(1, 2))
+    d.outputs = ()
+    with pytest.raises(DiagramError, match="'out0' not listed"):
+        d.checked()
+
+
+def test_checked_names_the_first_touched_fault():
+    for first_wire in (True, False):
+        d = spider(Z, 1, 1)
+        if first_wire:
+            d.add_edge("in0", "g")           # in0 now has degree 2
+        h = d.add_node(HBOX)                 # an H-box with no wires
+        if not first_wire:
+            d.add_edge("in0", "g")
+        bad = "boundary 'in0'" if first_wire else f"H-box {h!r}"
+        with pytest.raises(DiagramError, match=bad):
+            d.checked()
+
+
+def test_copy_carries_its_own_touch_log():
+    d = spider(Z, 1, 1)
+    h = d.add_node(HBOX)
+    e = d.copy()
+    assert list(e._dirty) == [h] and e._dirty is not d._dirty
+    e.remove_node(h)
+    assert e.checked() is e
+    with pytest.raises(DiagramError, match="H-box"):
+        d.checked()
+    clean = spider(Z, 1, 1)
+    clean.copy().add_node(HBOX)
+    assert clean._dirty == {} and clean.checked() is clean
+
+
+def test_checked_does_not_see_a_private_write():
+    d = generator("phase_z", Phase(1, 2))
+    d._adj["g"].update(ghost=1)
+    assert d.checked() is d
+    with pytest.raises(DiagramError, match="dangling"):
+        d.check()
+
+
+def test_apply_rejects_a_malformed_rewrite(monkeypatch):
+    rule = rules.RULES["h-cancel"]
+
+    def rewrite_and_wire_a_boundary_twice(d, anchor):
+        out = rule.rewrite(d, anchor)
+        b = out.inputs[0]
+        out.add_edge(b, out.boundary_partner(b))
+        return out
+
+    monkeypatch.setitem(rules.RULES, "h-cancel",
+                        rule._replace(rewrite=rewrite_and_wire_a_boundary_twice))
+    hh = compose(generator("h"), generator("h"))
+    with pytest.raises(DiagramError, match="degree 1"):
+        rules.apply("h-cancel", hh, rules.match_sites("h-cancel", hh)[0])
+
+
 # -- wire edits ------------------------------------------------------------------
 
 

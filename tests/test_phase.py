@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -30,6 +31,16 @@ def test_parse_tokens():
     assert Phase.parse("-1/2") == Phase(3, 2)
     assert Phase.parse("3") == Phase(1)
     assert Phase.parse("0").is_zero()
+
+
+@pytest.mark.parametrize("token", [
+    "0.5", "1e0", "1e100000", "1e-1000000", "1_000", "+1", " 1", "1/2 ", "1/-2",
+    "--1", "1/2/3", "", "\u0661",
+    pytest.param("-1/" + "9" * 4300, id="too-long-to-write-back"),
+])
+def test_parse_rejects_all_but_p_and_p_over_q(token):
+    with pytest.raises(ValueError):
+        Phase.parse(token)
 
 
 def test_token_round_trip():
