@@ -4,7 +4,9 @@ A Derivation is a start diagram, a rewrite script and the diagram the script
 must reach, plus whether the result needs the Euler decomposition of H.
 ``Derivation.check`` replays the script, checking every step against the
 matrix semantics, with Euler-strength steps refused unless ``euler`` is set,
-and requires the end reached to be isomorphic to the recorded end. The
+and requires the end reached to be isomorphic to the recorded end. Replay is
+the only semantic check (chained, its steps equate start and end), so a
+derivation costs what its patches cost, not what its whole diagrams cost. The
 fixpoint property, K(m,n) = P2 and the even-cycle reductions hold without the
 decomposition; the triangle local complementation, the pi/2 colour change,
 the non-uniqueness of the decomposition and its derivation from local
@@ -25,9 +27,8 @@ from .diagram import (HBOX, SPIDERS, Diagram, DiagramError, X, Z, attach_wires,
 from .graphstate import (fixpoint_lhs, graph_state, path_graph, star_graph,
                          triangle)
 from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO
-from .proofs import ProofScript, ScriptBuilder, replay
+from .proofs import ProofScript, ReplayError, ScriptBuilder, replay
 from .rules import RuleError, match_sites, normalize
-from .semantics import diagrams_equal
 
 
 @dataclass
@@ -52,12 +53,6 @@ class Derivation:
 
     def check(self) -> bool:
         return iso_equal(self.reach(), self.end)
-
-
-def _check_with_matrix(deriv: Derivation, reference: Diagram) -> bool:
-    """``deriv.check``, plus the end reached evaluates like ``reference``."""
-    end = deriv.reach()
-    return iso_equal(end, deriv.end) and diagrams_equal(reference, end)
 
 
 # -- small diagram builders ------------------------------------------------------
@@ -248,8 +243,7 @@ def complete_bipartite(m: int, n: int) -> Derivation:
 
 
 def check_complete_bipartite(m: int, n: int) -> bool:
-    deriv = complete_bipartite(m, n)
-    return _check_with_matrix(deriv, deriv.start)
+    return complete_bipartite(m, n).check()
 
 
 # -- even cycle reduction ---------------------------------------------------------------
@@ -321,28 +315,41 @@ def _validate_cycle(d: Diagram, cyc: list[str]) -> None:
                 raise RuleError("cycle has a chord")
 
 
+def hexagon_and_quadrilateral() -> Diagram:
+    """C_8 after one induction round, built without the reduction: the
+    hexagon r1-g2-r3-g3-r4-g4 and the split-off quadrilateral r1-g2-x-z,
+    the two faces sharing the edge r1-g2."""
+    d = Diagram()
+    d.add_node(X, 0, name="r1")
+    chain(d, "r1", "r1", [(Z, 0), (X, 0), (Z, 0), (X, 0), (Z, 0)],
+          ["g2", "r3", "g3", "r4", "g4"])
+    chain(d, "g2", "r1", [(X, 0), (Z, 0)], ["x", "z"])
+    return attach_wires(d, ["r1", "z", "r3", "r4"], ["x", "g2", "g3", "g4"])
+
+
 def even_cycle(n: int) -> Derivation:
     """The reduction of the 2n-cycle, every step checked in models 1-3. C_4
-    must reach the two-spider path and C_6 itself; larger cycles must reach
-    what the reduction built."""
+    must reach the two-spider path, C_6 itself and C_8 the hexagon and
+    quadrilateral of ``hexagon_and_quadrilateral``; C_10 and longer cycles
+    have no independent target and must reach what the reduction built."""
     d = cycle_diagram(n)
     result, script = reduce_even_cycle(
         d, [x for i in range(n) for x in (f"r{i+1}", f"g{i+1}")])
-    end = p2_diagram(2, 2) if n == 2 else d if n == 3 else result
+    end = (p2_diagram(2, 2) if n == 2 else d if n == 3
+           else hexagon_and_quadrilateral() if n == 4 else result)
     return Derivation(d, script, end, models=(1, 2, 3))
 
 
 def check_even_cycle(n: int) -> bool:
-    """The cycle derivation checks, with matching start and end matrices.
-    C_6 is left alone, so it must also be a normal form with no bialgebra
-    site."""
+    """The cycle derivation checks. C_6 is left alone, so it must also be a
+    normal form with no bialgebra site."""
     deriv = even_cycle(n)
     if n == 3:
         trace: list = []
         normalize(deriv.start, trace=trace)
         if trace or match_sites("bialgebra", deriv.start):
             return False
-    return _check_with_matrix(deriv, deriv.start)
+    return deriv.check()
 
 
 # -- the pi/2 lemmas -------------------------------------------------------------------
@@ -531,15 +538,18 @@ def lc_implies_euler() -> dict[str, Derivation]:
 
 
 def check_lc_implies_euler() -> dict:
-    """Replay the whole derivation; returns the per-stage verdicts."""
+    """Replay the whole derivation; returns the per-stage verdicts. Replay
+    shows main's end, the decomposition plus an X(pi/2) scalar spider,
+    proportional to H, so that scalar is nonzero. The hypothesis step alone
+    must drift in the scaled model n=2; a step that does not match is no
+    break."""
     stages = lc_implies_euler()
-    main = stages.pop("main")
     results = {name: deriv.check() for name, deriv in stages.items()}
-    results["main"] = _check_with_matrix(main, euler_chain())
-    # the hypothesis step alone is *not* valid in the scaled model n=2
-    start = stages["hypothesis-to-core"].start
-    hyp = ScriptBuilder("hyp-only", start)
-    hyp.apply("assume-lc-triangle", ("v:b", "v:a", "v:c"))
-    results["hypothesis-breaks-at-n2"] = not diagrams_equal(start, hyp.diagram, 2)
+    hyp = ProofScript("hyp-only", [("assume-lc-triangle", ("v:b", "v:a", "v:c"))])
+    try:
+        replay(hyp, stages["hypothesis-to-core"].start, euler_on=True, models=(2,))
+        results["hypothesis-breaks-at-n2"] = False
+    except ReplayError as exc:
+        results["hypothesis-breaks-at-n2"] = "semantic drift" in str(exc)
     results["ok"] = all(results.values())
     return results

@@ -141,10 +141,9 @@ def test_criterion_07_even_cycles():
         assert lemmas.check_even_cycle(n), n
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
-    _report(7, "C4 reaches the two-spider path; C8 replays with every step "
-               "sound in models 1-3 and matching start and end matrices, with "
-               "no independent target; C6 is a normal form with no bialgebra "
-               "site", started)
+    _report(7, "C4 reaches the two-spider path; C8 reaches a hexagon and a "
+               "quadrilateral sharing an edge; every step sound in models 1-3; "
+               "C6 is a normal form with no bialgebra site", started)
 
 
 def test_criterion_08_fixpoint_scripts():

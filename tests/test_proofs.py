@@ -3,13 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from zxr import lemmas, shipped
+from zxr import lemmas, rules, shipped
 from zxr.diagram import Z, generator, iso_equal, wire
 from zxr.graphstate import graph_state, star_graph
 from zxr.phase import Phase
 from zxr.proofs import ProofScript, ReplayError, replay
 from zxr.rules import RuleError
-from zxr.semantics import equal_up_to_scalar, evaluate
+from zxr.semantics import ResourceLimit, equal_up_to_scalar, evaluate
 from zxr.textio import serialize
 
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
@@ -85,6 +85,24 @@ def test_even_cycle_seven():
         assert lemmas.check_even_cycle(n), n
 
 
+def test_derivations_whose_whole_diagrams_exceed_the_cap():
+    """C28 (2^28 entries) and K(7,7) (2^30) are over the entry cap as whole
+    diagrams, but every patch fits, so replay alone decides them."""
+    with pytest.raises(ResourceLimit):
+        evaluate(lemmas.cycle_diagram(14))
+    assert lemmas.check_even_cycle(14)
+    assert lemmas.check_complete_bipartite(7, 7)
+
+
+def test_eight_cycle_target_is_built_without_the_reduction(monkeypatch):
+    """C8 must reach the hand-built hexagon and quadrilateral; an end the
+    reduction does not reach, here C8 itself, is rejected."""
+    assert lemmas.check_even_cycle(4)
+    monkeypatch.setattr(lemmas, "hexagon_and_quadrilateral",
+                        lambda: lemmas.cycle_diagram(4))
+    assert not lemmas.check_even_cycle(4)
+
+
 def test_cycle_four_is_bialgebra_base():
     d = lemmas.cycle_diagram(2)
     result, script = lemmas.reduce_even_cycle(d, ["r1", "g1", "r2", "g2"])
@@ -147,6 +165,21 @@ def test_lc_implies_euler():
 def test_lc_hypothesis_breaks_in_model_two():
     results = lemmas.check_lc_implies_euler()
     assert results["hypothesis-breaks-at-n2"]
+
+
+@pytest.mark.parametrize("change", [
+    {"rewrite": lambda d, anchor: d},          # holds in model 2
+    {"check": lambda d, anchor: False},        # does not match
+])
+def test_hypothesis_that_does_not_drift_is_no_break(monkeypatch, change):
+    start = lemmas.lc_hypothesis_start()
+    # one stage that needs no hypothesis step, so only the verdict sees it
+    monkeypatch.setattr(lemmas, "lc_implies_euler", lambda: {
+        "hypothesis-to-core": lemmas.Derivation(start, ProofScript("none"), start)})
+    rule = rules.RULES["assume-lc-triangle"]
+    monkeypatch.setitem(rules.RULES, rule.name, rule._replace(**change))
+    assert lemmas.check_lc_implies_euler() == {
+        "hypothesis-to-core": True, "hypothesis-breaks-at-n2": False, "ok": False}
 
 
 def test_gated_step_refused_without_euler():
