@@ -191,6 +191,43 @@ class Diagram:
         return sorted((u, v, m) for u, nb in self._adj.items()
                       for v, m in nb.items() if u <= v)
 
+    def legs(self) -> tuple[list[tuple[str, str, Optional[Phase], list[int],
+                                       Sequence[int]]], int]:
+        """The diagram as a tensor network, read in one pass over the edge store.
+
+        One variable per parallel copy of each edge, numbered in ``edges()``
+        order. Returns every node in name order as (name, kind, phase or
+        None, legs, loops), and the number of variables. ``legs`` is a fresh
+        list of the node's variables in increasing order, each self-loop's
+        variable twice side by side; ``loops`` lists the self-loop variables.
+        """
+        kind_of, phase_of, adj = self._kind, self._phase, self._adj
+        names = sorted(kind_of)
+        legs: dict[str, list[int]] = {v: [] for v in names}
+        rows = []
+        var = 0
+        for u in names:
+            lu, nb, loops = legs[u], adj[u], ()
+            for w in (nb if len(nb) == 1 else sorted(nb)):
+                if w < u:
+                    continue
+                m = nb[w]
+                if w == u:
+                    loops = range(var, var + m)
+                    for x in loops:
+                        lu += (x, x)
+                elif m == 1:
+                    lu.append(var)
+                    legs[w].append(var)
+                else:
+                    lw = legs[w]
+                    for x in range(var, var + m):
+                        lu.append(x)
+                        lw.append(x)
+                var += m
+            rows.append((u, kind_of[u], phase_of.get(u), lu, loops))
+        return rows, var
+
     def created_since(self, earlier: "Diagram") -> list[str]:
         """Nodes that ``earlier`` lacks, in creation order (``copy`` keeps it)."""
         return [v for v in self._kind if v not in earlier._kind]

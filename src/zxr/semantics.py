@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from collections import Counter, defaultdict
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +34,6 @@ class ResourceLimit(RuntimeError):
     """A contraction intermediate exceeded the configured entry cap."""
 
 
-@lru_cache(maxsize=None)
 def _spider_tensor(colour: str, degree: int, phase: Phase,
                    model_n: int) -> np.ndarray:
     """Read-only tensor of one spider node, symmetric in its legs.
@@ -62,67 +60,70 @@ def _spider_tensor(colour: str, degree: int, phase: Phase,
     return t
 
 
+# spider tensors by (colour, degree, phase num, phase den, model): plain
+# ints and strings, so a lookup hashes no Phase
+_SPIDER_TENSORS: dict[tuple[str, int, int, int, int], np.ndarray] = {}
+
+
 def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
     """Contract the diagram's tensor network into its matrix.
 
-    One pass over ``d.edges()`` numbers a variable per parallel copy of each
-    edge and gives every node its legs. A node tensor depends on its colour,
-    degree (its leg count), phase and the model alone, and is shared by every
-    node and call with the same four (H-boxes share ``H_MATRIX``). The
+    ``Diagram.legs`` reads the diagram in one pass: a variable per parallel
+    copy of each edge, and every node's kind, phase and legs. A spider's
+    tensor depends on its colour, degree (its leg count), phase and the
+    model alone, and is shared by every node and call with the same four,
+    looked up by them as plain ints and strings (H-boxes share
+    ``H_MATRIX``); self-loops are traced out of it per call. The
     contraction order is greedy: each step contracts the pair of tensors
-    that share a variable and whose result has the fewest legs, ties going to
-    the pair that comes first in the work list (node tensors in node order,
-    each merged tensor appended at the end). Tensors are indexed by shared
+    that share a variable and whose result has the fewest legs, ties going
+    to the pair that comes first in the work list (node tensors in node
+    order, each merged tensor appended at the end). Tensors are indexed by shared
     variable, so a step costs no scan over all pairs. When no pair shares a
     variable, the work list is stably sorted by size and the first two are
-    joined by an outer product. The whole order is planned from the leg lists
-    first, and ResourceLimit is raised before any contraction if a node or any
-    planned intermediate would exceed ``MAX_INTERMEDIATE`` complex entries. A
-    plan depends on the leg lists alone, so it is reused by the next
-    evaluations of the same leg structure (a small LRU cache), such as one
-    diagram in two models; the cap is tested on every call all the same. The
-    result is a fresh array that shares no memory with the cached node
-    tensors.
+    joined by an outer product. The whole order is planned from the leg
+    lists first (``_plan``), and ResourceLimit is raised before any
+    contraction if a node or any planned intermediate would exceed
+    ``MAX_INTERMEDIATE`` complex entries. A plan depends on the leg lists
+    alone, so it is reused by the next evaluations of the same leg
+    structure (a small LRU cache), such as one diagram in two models; the
+    cap is tested on every call all the same. The result is a fresh array
+    that shares no memory with the cached node tensors.
     """
     d.checked()
     if model_n < 1:
         raise ValueError("model_n must be >= 1")
 
-    # one variable per parallel copy of each edge; legs per node in variable
-    # order, a self-loop contributing two legs
-    node_legs: dict[str, list[int]] = {v: [] for v in d.nodes()}
-    loops: dict[str, list[int]] = {}
-    instances = [(u, v) for u, v, m in d.edges() for _ in range(m)]
-    for var, (u, v) in enumerate(instances):
-        node_legs[u].append(var)
-        node_legs[v].append(var)
-        if u == v:
-            loops.setdefault(u, []).append(var)
-
+    nodes, next_var = d.legs()
     tensors: list[tuple[np.ndarray, list[int]]] = []
-    for v, legs in node_legs.items():
-        kind = d.kind(v)
+    boundary_var: dict[str, int] = {}
+    for v, kind, phase, legs, loops in nodes:
         if kind == BOUNDARY:
+            boundary_var[v] = legs[0]
             continue
         if 2 ** len(legs) > MAX_INTERMEDIATE:
             raise ResourceLimit(f"node {v!r} alone needs 2^{len(legs)} entries")
-        t = (H_MATRIX if kind == HBOX
-             else _spider_tensor(kind, len(legs), d.phase(v), model_n))
-        # trace out self-loop variables inside the node tensor
-        for var in loops.get(v, ()):
+        if kind == HBOX:
+            tensors.append((H_MATRIX, legs))
+            continue
+        key = (kind, len(legs), phase.num, phase.den, model_n)
+        t = _SPIDER_TENSORS.get(key)
+        if t is None:
+            t = _SPIDER_TENSORS[key] = _spider_tensor(kind, len(legs), phase,
+                                                      model_n)
+        # trace out self-loop variables inside the node tensor; each one's
+        # two legs sit side by side
+        for var in loops:
             i = legs.index(var)
-            j = legs.index(var, i + 1)
-            t = np.trace(t, axis1=i, axis2=j)
-            del legs[j], legs[i]
+            t = np.trace(t, axis1=i, axis2=i + 1)
+            del legs[i:i + 2]
         tensors.append((t, legs))
 
     # free legs in boundary order: outputs then inputs. A boundary-boundary
     # edge exposes one variable twice; at its second occurrence splice in an
     # identity tensor, so every variable has at most two occurrences
     free: list[int] = []
-    next_var = len(instances)
     for b in d.outputs + d.inputs:
-        var = node_legs[b][0]
+        var = boundary_var[b]
         if var in free:
             tensors.append((np.eye(2, dtype=complex), [var, next_var]))
             var, next_var = next_var, next_var + 1
@@ -150,33 +151,49 @@ def _plan(shape: tuple[tuple[int, ...], ...]
 
     Each step (a, b, perm_a, perm_b, shape_a, shape_b, out_legs) contracts
     tensor a with tensor b into a new tensor numbered after every tensor
-    before it. Every variable is held by at most two tensors, and a tensor's
-    number orders it in the work list, so the smallest heap key
-    (out_legs, a, b) over pairs that share a variable is the greedy choice.
-    The result is immutable, because the cache hands it to every caller with
-    the same ``shape``.
+    before it. Every variable is held by at most two tensors, recorded in a
+    two-slot list per variable (-1 for an empty slot), and a tensor's number
+    orders it in the work list, so the smallest heap key (out_legs, a, b)
+    over pairs that share a variable is the greedy choice. A merge walks a's
+    legs once, finding each shared one's position in b as it goes, then
+    b's legs once for the ones it keeps; the merged tensor's still-shared
+    variables name the neighbours it gets heap entries for. The result is
+    immutable, because the cache hands it to every caller with the same
+    ``shape``.
     """
     legs = [list(ls) for ls in shape]
-    holders: dict[int, list[int]] = defaultdict(list)
+    holders: dict[int, list[int]] = {}
     for t, ls in enumerate(legs):
         for var in ls:
-            holders[var].append(t)
-    shared = Counter(tuple(ts) for ts in holders.values() if len(ts) == 2)
+            h = holders.get(var)
+            if h is None:
+                holders[var] = [t, -1]
+            else:
+                h[1] = t
+    shared: dict[tuple[int, int], int] = {}
+    for a, b in holders.values():
+        if b >= 0:
+            shared[a, b] = shared.get((a, b), 0) + 1
     heap = [(len(legs[a]) + len(legs[b]) - 2 * k, a, b)
             for (a, b), k in shared.items()]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     alive = [True] * len(legs)
     steps: list[Step] = []
 
     def merge(a: int, b: int) -> list[int]:
         la, lb = legs[a], legs[b]
-        common = [v for v in la if v in lb]
-        axes_a = [la.index(v) for v in common]
-        axes_b = [lb.index(v) for v in common]
-        keep_a = [i for i, v in enumerate(la) if v not in common]
-        keep_b = [i for i, v in enumerate(lb) if v not in common]
-        lc = [la[i] for i in keep_a] + [lb[i] for i in keep_b]
-        k = 1 << len(common)
+        keep_a, axes_a, axes_b, lc = [], [], [], []
+        for i, var in enumerate(la):
+            if var in lb:
+                axes_a.append(i)
+                axes_b.append(lb.index(var))
+            else:
+                keep_a.append(i)
+                lc.append(var)
+        keep_b = [j for j, var in enumerate(lb) if var not in la]
+        lc += [lb[j] for j in keep_b]
+        k = 1 << len(axes_a)
         steps.append((a, b, tuple(keep_a + axes_a), tuple(axes_b + keep_b),
                       (1 << len(keep_a), k), (k, 1 << len(keep_b)), len(lc)))
         legs.append(lc)
@@ -185,20 +202,22 @@ def _plan(shape: tuple[tuple[int, ...], ...]
         return lc
 
     while heap:
-        _, a, b = heapq.heappop(heap)
+        _, a, b = pop(heap)
         if not (alive[a] and alive[b]):
             continue
         lc = merge(a, b)
-        c = len(legs) - 1
+        c, n = len(legs) - 1, len(lc)
         counts: dict[int, int] = {}
         for var in lc:
-            ts = holders[var]
-            if len(ts) == 2:
-                other = ts[1] if ts[0] == a or ts[0] == b else ts[0]
-                holders[var] = [other, c]
+            h = holders[var]
+            if h[1] >= 0:
+                if h[0] == a or h[0] == b:
+                    h[0], other = c, h[1]
+                else:
+                    h[1], other = c, h[0]
                 counts[other] = counts.get(other, 0) + 1
         for other, k in counts.items():
-            heapq.heappush(heap, (len(legs[other]) + len(lc) - 2 * k, other, c))
+            push(heap, (len(legs[other]) + n - 2 * k, other, c))
 
     # disconnected components: no pair shares a variable, and no merge can
     # create one, so the rest is outer products of the two smallest
@@ -214,7 +233,7 @@ def _contract_all(tensors: list[tuple[np.ndarray, list[int]]]
                   ) -> tuple[np.ndarray, tuple[int, ...]]:
     if not tensors:
         return np.array(1.0 + 0j), ()
-    steps, legs = _plan(tuple(tuple(ls) for _, ls in tensors))
+    steps, legs = _plan(tuple([tuple(ls) for _, ls in tensors]))
     for step in steps:
         if 2 ** step[-1] > MAX_INTERMEDIATE:
             raise ResourceLimit(
@@ -240,33 +259,50 @@ def _contract_pair(ta: np.ndarray, tb: np.ndarray, perm_a: tuple[int, ...],
 # -- scalar-equivalence --------------------------------------------------------
 
 
+def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+
+
 def scalar_fit(a: np.ndarray, b: np.ndarray) -> tuple[complex, float]:
     """Least-squares lambda minimizing |a - lambda*b|, and the max residual."""
+    _same_shape(a, b)
     denom = np.vdot(b, b)
     lam = complex(np.vdot(b, a) / denom) if abs(denom) > 0 else 0j
     residual = float(np.abs(a - lam * b).max()) if a.size else 0.0
     return lam, residual
 
 
+def _peak(x: np.ndarray) -> tuple[int, float]:
+    """The flat index and the value of the largest |x| entry, the first in
+    row-major order among equals; argmax finds a NaN first, as max does, so
+    the value is ``np.abs(x).max()``, at less cost on small arrays."""
+    m = np.abs(x)
+    i = int(m.argmax())
+    return i, float(m.flat[i])
+
+
 def equal_up_to_scalar(a: np.ndarray, b: np.ndarray) -> bool:
     """True iff a = lambda*b for some nonzero lambda, entrywise within TOL.
 
-    lambda is pivoted on the largest-magnitude entry of b. Two zero matrices
-    are equal; a zero and a nonzero matrix are not.
+    lambda is pivoted on the largest-magnitude entry of b (the first among
+    equals; |b| is taken once, for the pivot and the maximum alike). Two
+    zero matrices, empty ones included, are equal; a zero and a nonzero
+    matrix are not.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    amax = float(np.abs(a).max()) if a.size else 0.0
-    bmax = float(np.abs(b).max()) if b.size else 0.0
+    _same_shape(a, b)
+    if not b.size:
+        return True
+    amax = _peak(a)[1]
+    pivot, bmax = _peak(b)
     if amax <= TOL and bmax <= TOL:
         return True
     if amax <= TOL or bmax <= TOL:
         return False
-    pivot = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    lam = a[pivot] / b[pivot]
+    lam = a.flat[pivot] / b.flat[pivot]
     if abs(lam) <= TOL:
         return False
-    return bool(np.abs(a - lam * b).max() <= TOL)
+    return _peak(a - lam * b)[1] <= TOL
 
 
 def diagrams_equal(f: Diagram, g: Diagram, model_n: int = 1) -> bool:
