@@ -270,6 +270,24 @@ def test_golden_sites_and_rewrites():
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
+# SHA-256 of each step and the diagram it reaches, fresh ids included, over
+# every shipped derivation and every stage of lemmas.lc_implies_euler(). The
+# script-only steps are not in RULE_IDS, so the digest above misses them.
+SCRIPT_DIGEST = "ab7348db2b553c110360770d02b3ad1baa010982b0146ab3f51d55a7d1c31dc1"
+
+
+def test_golden_script_steps():
+    derivs = [build() for _, build in sorted(shipped.BUILDERS.items())]
+    derivs += [deriv for _, deriv in sorted(lemmas.lc_implies_euler().items())]
+    digest = hashlib.sha256()
+    for deriv in derivs:
+        d = deriv.start
+        for rule, anchor in deriv.script.steps:
+            d = rules.apply(rule, d, anchor, euler_on=True)
+            digest.update(f"{deriv.script.name} {rule} {anchor}\n{serialize(d)}".encode())
+    assert digest.hexdigest() == SCRIPT_DIGEST
+
+
 def _mangled(rule, anchor):
     """Anchors of a wrong arity, and a matching anchor with an unknown id."""
     if rule == "spider-split":      # takes any arity from 1 up
