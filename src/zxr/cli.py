@@ -193,6 +193,8 @@ def _verify_graph_property(args, checker, name) -> tuple[bool, dict]:
 
 
 def cmd_verify(args) -> int:
+    if args.model_n and args.suite != "axioms":   # fixed models: 1, or 1-3
+        raise CliError(USAGE, f"--model-n does not apply to verify {args.suite}")
     if args.suite == "axioms":
         ok, report = _verify_axioms(args)
     elif args.suite == "independence":
@@ -217,8 +219,8 @@ def _parser() -> argparse.ArgumentParser:
     command functions; ``main`` looks up ``cmd_<command>`` at each call."""
     p = argparse.ArgumentParser(prog="zxr", description=__doc__)
     p.add_argument("--model-n", type=int, default=None, dest="model_n",
-                   help="interpret spider phases scaled by n (default 1; "
-                        "the axioms suite sweeps 1-3 when unset)")
+                   help="interpret spider phases scaled by n (default 1; verify "
+                        "axioms sweeps 1-3 when unset, its other suites refuse it)")
     p.add_argument("--enable-euler", action="store_true",
                    help="allow the gated decomposition rules")
     p.add_argument("--max-vertices", type=int, default=5,

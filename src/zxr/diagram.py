@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Optional, Sequence
 
-from .phase import MINUS_HALF_PI, Phase, PhaseLike, ZERO
+from .phase import HALF_PI, MINUS_HALF_PI, Phase, PhaseLike, ZERO
 
 Z = "z"
 X = "x"
@@ -294,6 +294,42 @@ class Diagram:
         p.outputs = tuple(wires) + tuple(b for b in self.outputs if b in keep)
         return p
 
+    def substitute(self, nodes: Iterable[str], rhs: "Diagram",
+                   ports: Sequence[str]) -> "Diagram":
+        """Swap the nodes for a copy of the open diagram rhs, the inverse of
+        ``cut``; returns self. A node's outside wires are its edges leaving
+        the set, in neighbour order, one per parallel copy. rhs's i-th
+        boundary (inputs, then outputs) takes the next outside wire of
+        ports[i]; a bare wire of rhs joins its two outside ends. rhs's other
+        nodes get fresh ids in rhs's creation order. Raises DiagramError
+        unless ports takes every outside wire exactly once."""
+        inside = set(nodes)
+        ends = {v: [w for w, m in sorted(self._adj[v].items()) if w not in inside
+                    for _ in range(m)] for v in inside if v in self._kind}
+        bound = rhs.boundary()
+        if (len(ends) != len(inside) or len(ports) != len(bound)
+                or sorted(ports) != [v for v in sorted(ends) for _ in ends[v]]):
+            raise DiagramError(f"ports {tuple(ports)} miss or repeat an outside wire")
+        wires = {v: iter(e) for v, e in ends.items()}
+        outer = {b: next(wires[v]) for b, v in zip(bound, ports)}
+        for v in sorted(inside):
+            for w, m in list(self._adj[v].items()):
+                self.remove_edge(v, w, m)
+            self.remove_node(v)
+        made = {v: self.add_node(k, rhs._phase.get(v))
+                for v, k in rhs._kind.items() if k != BOUNDARY}
+        for u in made:
+            for v, m in rhs._adj[u].items():
+                if v in made and u <= v:
+                    self.add_edge(made[u], made[v], m)
+        for b in bound:
+            w = rhs.boundary_partner(b)
+            if w in made:
+                self.add_edge(made[w], outer[b])
+            elif b < w:   # a bare wire, joined once
+                self.add_edge(outer[b], outer[w])
+        return self
+
     def multiplicity(self, u: str, v: str) -> int:
         return self._adj.get(u, {}).get(v, 0)
 
@@ -507,6 +543,22 @@ def euler_chain(first: str = Z) -> Diagram:
     second = other_colour(first)
     return rotation_chain([(first, MINUS_HALF_PI), (second, MINUS_HALF_PI),
                            (first, MINUS_HALF_PI)])
+
+
+def h_core() -> Diagram:
+    """The core that ``lemmas.lc_apply`` derives for H: Z(-pi/2) -- X(0) --
+    Z(-pi/2), the X spider carrying a pendant H -- X(pi/2)."""
+    d = rotation_chain([(Z, MINUS_HALF_PI), (X, 0), (Z, MINUS_HALF_PI)])
+    chain(d, "c1", None, ["h", (X, HALF_PI)])
+    return d.check()
+
+
+def h_core_dual() -> Diagram:
+    """Its colour swap, which ``lemmas.swap_core`` derives: X(-pi/2) -- Z(0)
+    -- X(-pi/2), the Z spider carrying a pendant X(pi/2) state."""
+    d = rotation_chain([(X, MINUS_HALF_PI), (Z, 0), (X, MINUS_HALF_PI)])
+    chain(d, "c1", None, [(X, HALF_PI)])
+    return d.check()
 
 
 # -- composition --------------------------------------------------------------

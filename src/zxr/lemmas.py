@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .diagram import (HBOX, SPIDERS, Diagram, DiagramError, X, Z, attach_wires,
-                      chain, euler_chain, h_wire, iso_equal, other_colour,
-                      rotation_chain)
+                      chain, euler_chain, h_core, h_core_dual, h_wire,
+                      iso_equal, other_colour, rotation_chain)
 from .graphstate import (fixpoint_lhs, graph_state, path_graph, star_graph,
                          triangle)
 from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO
@@ -476,9 +476,7 @@ def lc_apply() -> Derivation:
     q = made[0]
     b.apply("spider-fuse", (q, "st"))
     b.apply("h-colour", ("v:b",))
-    core = rotation_chain([(Z, MINUS_HALF_PI), (X, 0), (Z, MINUS_HALF_PI)])
-    chain(core, "c1", None, ["h", (X, HALF_PI)])
-    return Derivation(b.start, b.script, core.check(), euler=True)
+    return Derivation(b.start, b.script, h_core(), euler=True)
 
 
 def swap_core() -> tuple[Derivation, Derivation]:
@@ -493,10 +491,8 @@ def swap_core() -> tuple[Derivation, Derivation]:
     b.apply("h-phase", ("c0", zl))
     b.apply("h-phase", ("c2", zr))
     b.apply("h-colour", (x0,))
-    swapped = rotation_chain([(X, MINUS_HALF_PI), (Z, 0), (X, MINUS_HALF_PI)])
-    chain(swapped, "c1", None, [(X, HALF_PI)])
     return (Derivation(start, a.script, h_wire(), euler=True),
-            Derivation(start, b.script, swapped.check(), euler=True))
+            Derivation(start, b.script, h_core_dual(), euler=True))
 
 
 def derive_euler_from_lc() -> Derivation:

@@ -48,6 +48,13 @@ and the script steps that assume or use an equation equivalent to it
 ``Rule.euler`` flag is set. ``apply`` refuses them unless ``euler_on=True``,
 and ``proofs.replay`` checks only the standard model when a script uses one.
 
+A rule whose right-hand side is a fixed open diagram rewrites by one
+``Diagram.substitute`` of it, built once at import: a bare wire for
+id-remove, pi-state and h-cancel (the empty diagram for a closed H-H pair),
+``euler_chain`` for euler, ``h_wire`` for euler-inv, ``h_core`` and
+``h_core_dual`` for the two core steps, and a two-spider path or square per
+corner colour for bialgebra and bialgebra-expand.
+
 Every rule is one ``Rule`` in ``RULES``. ``apply`` first refuses an anchor
 that is not ``arity`` distinct node ids; ``check(d, anchor)`` is then the
 rest of the left-hand-side condition (kinds, phases, degrees and
@@ -65,8 +72,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .diagram import (HBOX, SPIDERS, Diagram, DiagramError, X, Z, chain,
-                      other_colour)
+from .diagram import (HBOX, SPIDERS, Diagram, DiagramError, X, Z, attach_wires,
+                      empty, euler_chain, h_core, h_core_dual, h_wire,
+                      other_colour, wire)
 from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO, Phase
 
 Anchor = tuple[str, ...]
@@ -171,17 +179,6 @@ def _far_end(d: Diagram, v: str, skip: str) -> str:
     return next(w for w in d.neighbours(v) if w != skip)
 
 
-def _unplug(d: Diagram, v: str) -> tuple[str, str]:
-    """Delete the loop-free degree-2 node v; return its two wire ends."""
-    ends = []
-    for w in d.neighbours(v):
-        m = d.multiplicity(v, w)
-        ends.extend([w] * m)
-        d.remove_edge(v, w, m)
-    d.remove_node(v)
-    return ends[0], ends[1]
-
-
 def _stamp_states(d: Diagram, s: str, colour: str, phase: Phase) -> None:
     """Delete spider s, placing a fresh (colour, phase) state on each of its
     remaining edge ends."""
@@ -198,6 +195,28 @@ def _stamp_states(d: Diagram, s: str, colour: str, phase: Phase) -> None:
         f2 = d.add_node(colour, phase)
         d.add_edge(f1, f2)
     d.remove_node(s)
+
+
+# -- fixed right-hand sides, built once --------------------------------------------
+
+
+def _bipartite(colour: str, k: int) -> Diagram:
+    """k phase-0 spiders of the colour, each joined to k of the other; the
+    first k hold two input wires, the others two outputs."""
+    d = Diagram()
+    a = [d.add_node(colour, 0) for _ in range(k)]
+    b = [d.add_node(other_colour(colour), 0) for _ in range(k)]
+    for u in a:
+        for v in b:
+            d.add_edge(u, v)
+    return attach_wires(d, a * (2 // k), b * (2 // k))
+
+
+# keyed by the colour of the anchor's first node
+_BIALGEBRA = {c: _bipartite(other_colour(c), 1) for c in SPIDERS}
+_EXPAND = {c: _bipartite(other_colour(c), 2) for c in SPIDERS}
+_WIRE, _EMPTY, _H, _EULER = wire(), empty(), h_wire(), euler_chain()
+_CORE, _CORE_DUAL = h_core(), h_core_dual()
 
 
 # -- the rules ----------------------------------------------------------------------
@@ -251,11 +270,6 @@ def _check_id_remove(d: Diagram, anchor: Anchor) -> bool:
     return not (len(nbs) == 1 and d.kind(nbs[0]) == HBOX)
 
 
-def _rewrite_id_remove(d: Diagram, anchor: Anchor) -> Diagram:
-    d.add_edge(*_unplug(d, anchor[0]))
-    return d
-
-
 def _check_id_insert(d: Diagram, anchor: Anchor) -> bool:
     return d.multiplicity(*anchor) >= 1
 
@@ -301,25 +315,6 @@ def _check_bialgebra(d: Diagram, anchor: Anchor) -> bool:
             and not d.multiplicity(a1, a2) and not d.multiplicity(b1, b2))
 
 
-def _rewrite_bialgebra(d: Diagram, anchor: Anchor) -> Diagram:
-    a1, a2, b1, b2 = anchor
-    ca, cb = d.kind(a1), d.kind(b1)
-    # each corner has one leg leaving the square
-    ext = {v: next(w for w in d.neighbours(v) if w not in anchor) for v in anchor}
-    nb = d.add_node(cb, 0)       # takes the a-side external legs
-    na = d.add_node(ca, 0)       # takes the b-side external legs
-    for v, tgt in ((a1, nb), (a2, nb), (b1, na), (b2, na)):
-        d.remove_edge(v, ext[v])
-        d.add_edge(tgt, ext[v])
-    for a in (a1, a2):
-        for b in (b1, b2):
-            d.remove_edge(a, b)
-    for v in anchor:
-        d.remove_node(v)
-    d.add_edge(na, nb)
-    return d
-
-
 def _pi_wire(d: Diagram, r: str) -> bool:
     """Degree-2 pi spider without self-loops."""
     return (_is_spider(d, r) and d.phase(r) == PI and d.degree(r) == 2
@@ -338,7 +333,7 @@ def _rewrite_pi_commute(d: Diagram, anchor: Anchor) -> Diagram:
     colour = d.kind(r)
     # pi nodes go onto every leg of s except the one the pi came through
     legs = [(w, d.multiplicity(s, w)) for w in d.neighbours(s) if w != r]
-    d.add_edge(*_unplug(d, r))
+    d.substitute((r,), _WIRE, (r, r))
     for w, m in legs:
         for _ in range(m):
             d.splice(s, w, colour, PI)
@@ -348,11 +343,6 @@ def _rewrite_pi_commute(d: Diagram, anchor: Anchor) -> Diagram:
 def _check_pi_state(d: Diagram, anchor: Anchor) -> bool:
     return (_check_copy(d, anchor) and d.degree(anchor[1]) == 2
             and not d.self_loops(anchor[1]))
-
-
-def _rewrite_pi_state(d: Diagram, anchor: Anchor) -> Diagram:
-    d.add_edge(*_unplug(d, anchor[1]))
-    return d
 
 
 def _check_hopf(d: Diagram, anchor: Anchor) -> bool:
@@ -377,19 +367,6 @@ def _check_h_cancel(d: Diagram, anchor: Anchor) -> bool:
     return not (a == b and d.kind(a) == HBOX)
 
 
-def _rewrite_h_cancel(d: Diagram, anchor: Anchor) -> Diagram:
-    h1, h2 = anchor
-    if d.multiplicity(h1, h2) == 2:
-        # a closed HH pair is a scalar; drop it
-        d.remove_edge(h1, h2, 2)
-        d.remove_node(h1)
-        d.remove_node(h2)
-        return d
-    for h in anchor:           # splice each box out of the wire in turn
-        d.add_edge(*_unplug(d, h))
-    return d
-
-
 def _check_h_colour(d: Diagram, anchor: Anchor) -> bool:
     return _is_spider(d, anchor[0])
 
@@ -400,7 +377,7 @@ def _rewrite_h_colour(d: Diagram, anchor: Anchor) -> Diagram:
         if d.kind(w) == HBOX:
             if d.multiplicity(s, w) == 2:
                 continue  # box has both ends on s: toggles cancel pairwise
-            d.add_edge(*_unplug(d, w))
+            d.substitute((w,), _WIRE, (w, w))
         else:
             for _ in range(d.multiplicity(s, w)):
                 d.splice(s, w, HBOX)
@@ -419,7 +396,7 @@ def _rewrite_h_phase(d: Diagram, anchor: Anchor) -> Diagram:
     h, s = anchor
     if d.degree(s) == 1:
         # state form: absorb the box
-        d.add_edge(*_unplug(d, h))
+        d.substitute((h,), _WIRE, (h, h))
     else:
         far_h, far_s = _far_end(d, h, s), _far_end(d, s, h)
         d.remove_edge(s, far_s)
@@ -439,12 +416,6 @@ def _check_one_hbox(d: Diagram, anchor: Anchor) -> bool:
     return _is_hbox(d, anchor[0])
 
 
-def _rewrite_euler(d: Diagram, anchor: Anchor) -> Diagram:
-    chain(d, *_unplug(d, anchor[0]),
-          [(Z, MINUS_HALF_PI), (X, MINUS_HALF_PI), (Z, MINUS_HALF_PI)])
-    return d
-
-
 def _check_euler_inv(d: Diagram, anchor: Anchor) -> bool:
     s1, s2, s3 = anchor
     if not all(_is_spider(d, v) and d.phase(v) == MINUS_HALF_PI
@@ -457,15 +428,6 @@ def _check_euler_inv(d: Diagram, anchor: Anchor) -> bool:
         return False
     # outer wires must leave the chain
     return _far_end(d, s1, s2) not in anchor and _far_end(d, s3, s2) not in anchor
-
-
-def _rewrite_euler_inv(d: Diagram, anchor: Anchor) -> Diagram:
-    s1, s2, s3 = anchor
-    # cut s3 and s2 out of the wire, then put the box where s1 was
-    d.add_edge(*_unplug(d, s3))
-    d.add_edge(*_unplug(d, s2))
-    chain(d, *_unplug(d, s1), ["h"])
-    return d
 
 
 # -- script-only steps ----------------------------------------------------------------
@@ -503,24 +465,6 @@ def _rewrite_assume_lc_triangle(d: Diagram, anchor: Anchor) -> Diagram:
     return d
 
 
-def _rewrite_cut_h_core(d: Diagram, anchor: Anchor) -> Diagram:
-    """Substitute an H-box by the hypothesis-derived core
-    Z(-pi/2) -- X(0)[pendant H -- X(pi/2) state] -- Z(-pi/2)."""
-    _, x0, _ = chain(d, *_unplug(d, anchor[0]),
-                     [(Z, MINUS_HALF_PI), (X, 0), (Z, MINUS_HALF_PI)])
-    chain(d, x0, None, ["h", (X, HALF_PI)])
-    return d
-
-
-def _rewrite_cut_h_core_dual(d: Diagram, anchor: Anchor) -> Diagram:
-    """Substitute an H-box by the colour-swapped derived core
-    X(-pi/2) -- Z(0)[pendant X(pi/2) state] -- X(-pi/2)."""
-    _, z0, _ = chain(d, *_unplug(d, anchor[0]),
-                     [(X, MINUS_HALF_PI), (Z, 0), (X, MINUS_HALF_PI)])
-    chain(d, z0, None, [(X, HALF_PI)])
-    return d
-
-
 def _check_use_pi2_colour(d: Diagram, anchor: Anchor) -> bool:
     """An opposite-colour degree-1 pendant of phase -pi/2 or +pi/2."""
     s, pend = anchor
@@ -547,67 +491,43 @@ def _check_bialgebra_expand(d: Diagram, anchor: Anchor) -> bool:
             and d.multiplicity(*anchor) == 1)
 
 
-def _rewrite_bialgebra_expand(d: Diagram, anchor: Anchor) -> Diagram:
-    """The pair becomes a complete bipartite square."""
-    p, q = anchor
-
-    def two_ends(v: str, skip: str) -> list[str]:
-        ends = []
-        for w in d.neighbours(v):
-            m = d.multiplicity(v, w) - (1 if w == skip else 0)
-            ends.extend([w] * m)
-        return ends
-
-    ep = two_ends(p, q)
-    eq = two_ends(q, p)
-    ca, cb = other_colour(d.kind(p)), d.kind(p)
-    a_nodes = [d.add_node(ca, 0), d.add_node(ca, 0)]
-    b_nodes = [d.add_node(cb, 0), d.add_node(cb, 0)]
-    for v, e in zip(a_nodes, ep):
-        d.remove_edge(p, e)
-        d.add_edge(v, e)
-    for v, e in zip(b_nodes, eq):
-        d.remove_edge(q, e)
-        d.add_edge(v, e)
-    d.remove_edge(p, q)
-    d.remove_node(p)
-    d.remove_node(q)
-    for a in a_nodes:
-        for b in b_nodes:
-            d.add_edge(a, b)
-    return d
-
-
 # -- the table ------------------------------------------------------------------------
 
 RULES: dict[str, Rule] = {r.name: r for r in (
     Rule("spider-fuse", 2, _edges, _check_spider_fuse, _rewrite_spider_fuse),
     Rule("spider-split", None, _spiders, _check_spider_split, _rewrite_spider_split),
-    Rule("id-remove", 1, _spiders, _check_id_remove, _rewrite_id_remove),
+    Rule("id-remove", 1, _spiders, _check_id_remove,
+         lambda d, a: d.substitute(a, _WIRE, a * 2)),
     Rule("id-insert", 2, _adjacent, _check_id_insert, _rewrite_id_insert),
     Rule("self-loop", 1, _spiders, _check_self_loop, _rewrite_self_loop),
     Rule("copy", 2, _led_by(_basis_state), _check_copy, _rewrite_copy),
-    Rule("bialgebra", 4, _bialgebra_candidates, _check_bialgebra, _rewrite_bialgebra),
+    Rule("bialgebra", 4, _bialgebra_candidates, _check_bialgebra,
+         lambda d, a: d.substitute(a, _BIALGEBRA[d.kind(a[0])], a)),
     Rule("pi-commute", 2, _led_by(_pi_wire), _check_pi_commute,
          _rewrite_pi_commute),
-    Rule("pi-state", 2, _led_by(_basis_state), _check_pi_state, _rewrite_pi_state),
+    Rule("pi-state", 2, _led_by(_basis_state), _check_pi_state,
+         lambda d, a: d.substitute(a[1:], _WIRE, a[1:] * 2)),
     Rule("hopf", 2, _edges, _check_hopf, _rewrite_hopf),
-    Rule("h-cancel", 2, _edges, _check_h_cancel, _rewrite_h_cancel),
+    Rule("h-cancel", 2, _edges, _check_h_cancel,   # a closed pair is a scalar
+         lambda d, a: (d.substitute(a, _EMPTY, ()) if d.multiplicity(*a) == 2
+                       else d.substitute(a, _WIRE, a))),
     Rule("h-colour", 1, _spiders, _check_h_colour, _rewrite_h_colour),
     Rule("h-phase", 2, _led_by(_is_hbox), _check_h_phase, _rewrite_h_phase),
     Rule("h-state", 2, _led_by(_is_hbox), _check_h_state, _rewrite_h_phase),
-    Rule("euler", 1, _nodes, _check_one_hbox, _rewrite_euler, euler=True),
+    Rule("euler", 1, _nodes, _check_one_hbox,
+         lambda d, a: d.substitute(a, _EULER, a * 2), euler=True),
     Rule("euler-inv", 3, _euler_inv_candidates, _check_euler_inv,
-         _rewrite_euler_inv, euler=True),
+         lambda d, a: d.substitute(a, _H, (a[0], a[2])), euler=True),
     Rule("assume-lc-triangle", 3, None, _check_assume_lc_triangle,
          _rewrite_assume_lc_triangle, euler=True),
-    Rule("cut-h-core", 1, None, _check_one_hbox, _rewrite_cut_h_core, euler=True),
-    Rule("cut-h-core-dual", 1, None, _check_one_hbox, _rewrite_cut_h_core_dual,
-         euler=True),
+    Rule("cut-h-core", 1, None, _check_one_hbox,
+         lambda d, a: d.substitute(a, _CORE, a * 2), euler=True),
+    Rule("cut-h-core-dual", 1, None, _check_one_hbox,
+         lambda d, a: d.substitute(a, _CORE_DUAL, a * 2), euler=True),
     Rule("use-pi2-colour", 2, None, _check_use_pi2_colour, _rewrite_use_pi2_colour,
          euler=True),
     Rule("bialgebra-expand", 2, None, _check_bialgebra_expand,
-         _rewrite_bialgebra_expand),
+         lambda d, a: d.substitute(a, _EXPAND[d.kind(a[0])], (a[0], a[0], a[1], a[1]))),
 )}
 
 RULE_IDS = tuple(name for name, r in RULES.items() if r.candidates is not None)

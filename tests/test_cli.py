@@ -259,6 +259,16 @@ def test_model_n_below_one_is_usage_error(files, capsys, n, command):
     assert "--model-n: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["fixpoint", "vdn", "independence"])
+def test_model_n_is_a_usage_error_where_the_suite_fixes_its_models(capsys, suite):
+    """These suites do not read --model-n, so a verdict would not be about
+    the model asked for (Van den Nest's witness fails in model 2)."""
+    assert main(["--model-n", "2", "--max-vertices", "3", "verify", suite]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--model-n does not apply to verify {suite}" in captured.err
+
+
 @pytest.mark.parametrize("command", [["check-equal", "bad", "wire.zxd"],
                                      ["graph-state", "bad"]])
 def test_non_utf8_file_is_usage_error(files, capsys, command):

@@ -8,8 +8,8 @@ import pytest
 from conftest import random_diagram
 from zxr import rules
 from zxr.diagram import (BOUNDARY, HBOX, Diagram, DiagramError, X, Z,
-                         attach_wires, chain, compose, dagger, empty, generator,
-                         iso_equal, spider, tensor, wire)
+                         attach_wires, chain, compose, dagger, empty, euler_chain,
+                         generator, iso_equal, spider, tensor, wire)
 from zxr.phase import Phase
 from zxr.semantics import evaluate
 from zxr.textio import parse
@@ -537,6 +537,62 @@ def test_cut_of_nothing_is_the_empty_diagram():
         p = d.cut(nodes).check()
         assert p.node_count() == 0 and p.boundary() == ()
         assert np.allclose(evaluate(p), [[1]])
+
+
+# -- substitution -----------------------------------------------------------------
+
+
+def _cut_ports(p):
+    """The inside end of each wire of a cut, in cut order."""
+    return [p.boundary_partner(b) for b in p.boundary()]
+
+
+def test_substitute_is_the_inverse_of_cut():
+    rng = random.Random(20240817)
+    for _ in range(320):
+        d = random_diagram(rng)
+        inner = [v for v in d.nodes() if d.kind(v) != BOUNDARY]
+        nodes = rng.sample(inner, rng.randint(0, len(inner)))
+        p = d.cut(nodes)
+        e = d.copy()
+        assert e.substitute(nodes, p, _cut_ports(p)) is e
+        assert iso_equal(e.checked(), d) and iso_equal(e.check(), d)
+        assert e.node_count() == d.node_count() and set(nodes).isdisjoint(e.nodes())
+
+
+def test_substitute_refuses_ports_that_miss_or_repeat_a_wire():
+    d = generator("phase_z", Phase(1, 2))
+    p = d.cut(["g"])
+    for ports in ([], ["g"], ["g", "g", "g"], ["g", "in0"], ["in0", "out0"]):
+        with pytest.raises(DiagramError, match="outside"):
+            d.copy().substitute(["g"], p, ports)
+    with pytest.raises(DiagramError, match="outside"):
+        d.copy().substitute(["ghost"], empty(), [])
+
+
+def test_substitute_bare_wire_on_one_node_leaves_a_self_loop():
+    d = Diagram()
+    s, w = d.add_node(Z, 0, name="s"), d.add_node(X, "1/2", name="w")
+    d.add_edge(s, w, 2)
+    attach_wires(d, [w], [])
+    d.substitute([s], wire(), [s, s]).checked()
+    assert d.nodes() == ["in0", "w"] and d.self_loops(w) == 1
+
+
+def test_substitute_edits_are_seen_by_checked():
+    d = Diagram()
+    s, h = d.add_node(Z, 0, name="s"), d.add_node(HBOX, name="h")
+    d.add_edge(s, h, 2)
+    d.check().substitute([s], wire(), [s, s])
+    with pytest.raises(DiagramError, match="self-loop"):
+        d.checked()
+
+
+def test_substitute_makes_rhs_nodes_in_its_creation_order():
+    d = generator("h")
+    made = d.copy().substitute(["g"], euler_chain(), ["g", "g"]).created_since(d)
+    assert made == ["n0", "n1", "n2"]
+    assert iso_equal(d.substitute(["g"], euler_chain(), ["g", "g"]), euler_chain())
 
 
 def test_changed_since_covers_rewired_edges_greedily():

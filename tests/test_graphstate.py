@@ -143,6 +143,12 @@ def test_checks_agree_with_uncached_form_cold_and_warm():
     assert graphstate._state_matrix.cache_info().hits > 0
 
 
+def test_vdn_witness_holds_in_model_one_only():
+    p3 = path_graph("abc")
+    lhs, rhs = vdn_lhs(p3, "b"), graph_state(local_complement(p3, "b"))
+    assert diagrams_equal(lhs, rhs, 1) and not diagrams_equal(lhs, rhs, 2)
+
+
 def test_cached_state_matrix_is_read_only():
     m = graphstate._state_matrix(triangle())
     assert not m.flags.writeable

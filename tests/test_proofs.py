@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from zxr import lemmas, rules, shipped
-from zxr.diagram import Z, generator, iso_equal, wire
+from zxr.diagram import Z, generator, h_wire, iso_equal, wire
 from zxr.graphstate import graph_state, star_graph
 from zxr.phase import Phase
 from zxr.proofs import ProofScript, ReplayError, replay
@@ -160,6 +160,26 @@ def test_triangle_lc():
 def test_lc_implies_euler():
     results = lemmas.check_lc_implies_euler()
     assert results["ok"], results
+
+
+@pytest.mark.parametrize("rule, anchor, one_side, other_side", [
+    ("cut-h-core", ("c0",), h_wire, lambda: lemmas.lc_apply().end),
+    ("cut-h-core-dual", ("c0",), h_wire, lambda: lemmas.swap_core()[1].end),
+    ("use-pi2-colour", ("dot", "st"), lambda: lemmas.pi2_colour_change()[0].end,
+     lambda: lemmas.pi2_colour_change()[1].end),
+])
+def test_lemma_step_reaches_the_other_side_of_its_lemma(rule, anchor, one_side,
+                                                         other_side):
+    assert iso_equal(rules.apply(rule, one_side(), anchor, euler_on=True), other_side())
+
+
+def test_bialgebra_undoes_bialgebra_expand():
+    p2 = lemmas.p2_diagram(2, 2)
+    square = rules.apply("bialgebra-expand", p2, ("gstar", "rstar"))
+    sites = rules.match_sites("bialgebra", square)
+    assert len(sites) == 2 and not iso_equal(square, p2)
+    for anchor in sites:
+        assert iso_equal(rules.apply("bialgebra", square, anchor), p2)
 
 
 def test_lc_hypothesis_breaks_in_model_two():
