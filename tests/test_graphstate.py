@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -12,8 +13,10 @@ from zxr.graphstate import (GraphError, SimpleGraph, all_graphs, check_fixpoint,
                             check_vdn, complete_graph, cz_diagram, fixpoint_lhs,
                             graph_state, lc_orbit, local_complement, path_graph,
                             star_graph, triangle, vdn_lhs)
+from zxr.diagram import Z
+from zxr.phase import HALF_PI, PI
 from zxr.semantics import diagrams_equal, equal_up_to_scalar, evaluate
-from zxr.textio import parse_edges, serialize_edges
+from zxr.textio import parse_edges, serialize, serialize_edges
 
 
 def small_graphs(max_vertices=4):
@@ -211,3 +214,34 @@ def test_edges_io_round_trip():
     text = serialize_edges(g.vertices, g.edges)
     verts, edges = parse_edges(text)
     assert SimpleGraph(verts, edges) == g
+
+
+# sha256 over serialize() and the next fresh id of graph_state(g), then
+# fixpoint_lhs(g, u) and vdn_lhs(g, u) for each u, for every labelled graph
+# on abcde in all_graphs order
+GRAPH_STATE_DIGEST = "79126a01c4d07ba81838aa5d7f93b2cfae508dad50cdc4df50c72a6ceebe866f"
+
+
+def test_graph_state_builds_are_pinned():
+    h = hashlib.sha256()
+    for g in all_graphs(tuple("abcde")):
+        built = [graph_state(g)] + [f(g, u) for u in g.vertices
+                                    for f in (fixpoint_lhs, vdn_lhs)]
+        for d in built:
+            h.update(serialize(d).encode())
+            h.update(d.fresh_id().encode())
+    assert h.hexdigest() == GRAPH_STATE_DIGEST
+
+
+def test_mutating_a_returned_graph_state_leaves_later_calls_alone():
+    g = path_graph("abc")
+    first = graph_state(g)
+    text, m = serialize(first), evaluate(first)
+    first.add_node(Z, PI)
+    first.set_phase("v:b", HALF_PI)
+    again = graph_state(g)
+    assert serialize(again) == text
+    assert np.array_equal(evaluate(again), m)
+    assert not np.array_equal(evaluate(first), m)
+    assert again.fresh_id() == graph_state(g).fresh_id()
+    assert all(check_fixpoint(g, u) and check_vdn(g, u) for u in g.vertices)
