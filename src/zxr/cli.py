@@ -162,11 +162,12 @@ def _verify_independence(args) -> tuple[bool, dict]:
 
 
 def _sweep_graphs(args):
-    for size in range(1, args.max_vertices + 1):
+    max_vertices = 5 if args.max_vertices is None else args.max_vertices
+    for size in range(1, max_vertices + 1):
         for g in graphstate.all_graphs(SWEEP_LABELS[:size]):
             yield g
     if args.random:
-        rng = random.Random(args.seed)
+        rng = random.Random(args.seed or 0)
         for _ in range(args.random):
             size = rng.choice((6, 7))
             verts = SWEEP_LABELS[:size]
@@ -193,8 +194,6 @@ def _verify_graph_property(args, checker, name) -> tuple[bool, dict]:
 
 
 def cmd_verify(args) -> int:
-    if args.model_n and args.suite != "axioms":   # fixed models: 1, or 1-3
-        raise CliError(USAGE, f"--model-n does not apply to verify {args.suite}")
     if args.suite == "axioms":
         ok, report = _verify_axioms(args)
     elif args.suite == "independence":
@@ -212,23 +211,46 @@ def cmd_verify(args) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+# The commands that read each global option (by dest); given to any other
+# command, an option is a usage error.
+OPTION_READERS = {
+    "model_n": ("check-equal", "rewrite --check", "verify axioms"),
+    "enable_euler": ("rewrite --check", "rewrite without --check"),
+    "max_vertices": ("verify fixpoint", "verify vdn"),
+    "random": ("verify fixpoint", "verify vdn"),
+    "seed": ("verify fixpoint", "verify vdn"),
+    "json": ("check-equal", "verify axioms", "verify fixpoint", "verify vdn",
+             "verify independence"),
+}
+
+
+def _command_name(args) -> str:
+    if args.command == "verify":
+        return f"verify {args.suite}"
+    if args.command == "rewrite":
+        return "rewrite --check" if args.check else "rewrite without --check"
+    return args.command
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args returns a
     fresh namespace every call and nothing mutates the parser. It holds no
     command functions; ``main`` looks up ``cmd_<command>`` at each call."""
     p = argparse.ArgumentParser(prog="zxr", description=__doc__)
+    # A global option is None (--enable-euler: False) unless given, so main
+    # can refuse one that the command does not read (OPTION_READERS).
     p.add_argument("--model-n", type=int, default=None, dest="model_n",
                    help="interpret spider phases scaled by n (default 1; verify "
                         "axioms sweeps 1-3 when unset, its other suites refuse it)")
     p.add_argument("--enable-euler", action="store_true",
                    help="allow the gated decomposition rules")
-    p.add_argument("--max-vertices", type=int, default=5,
-                   help="exhaustive sweep bound for graph suites (at most 8)")
-    p.add_argument("--random", type=int, default=0, metavar="N",
+    p.add_argument("--max-vertices", type=int, default=None,
+                   help="exhaustive sweep bound for graph suites (default 5, at most 8)")
+    p.add_argument("--random", type=int, default=None, metavar="N",
                    help="additionally sample N random 6-7 vertex graphs")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the random graph sample")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for the random graph sample (default 0)")
     p.add_argument("--json", metavar="PATH",
                    help="also write a JSON report to PATH")
     sub = p.add_subparsers(dest="command", required=True)
@@ -270,11 +292,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for flag, value, low, high in (("--model-n", args.model_n, 1, None),
                                    ("--max-vertices", args.max_vertices, 0, len(SWEEP_LABELS)),
                                    ("--random", args.random, 0, None)):
-        if value is not None and value < low:
+        if value is None:
+            continue
+        if value < low:
             parser.error(f"argument {flag}: must be >= {low}, not {value}")
         if high is not None and value > high:
             parser.error(f"argument {flag}: must be <= {high}, not {value}")
     try:
+        command = _command_name(args)
+        for dest, readers in OPTION_READERS.items():
+            if getattr(args, dest) not in (None, False) and command not in readers:
+                raise CliError(USAGE, f"--{dest.replace('_', '-')} does not "
+                                      f"apply to {command}")
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

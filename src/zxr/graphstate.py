@@ -3,9 +3,16 @@
 A graph state is one green spider per vertex, one output wire per spider, and
 an H-box on every edge. Local rotations act on the output wires. Output wire
 order follows the graph's vertex-declaration order, so matrix comparisons are
-well defined. The fixpoint and local-complementation checks compare against
-|g>'s matrix, which is computed once per graph (a small LRU cache keyed on the
-labelled graph) and reused by every vertex of a sweep.
+well defined.
+
+Two LRU memos, both keyed on the labelled graph, keep a sweep from building
+or evaluating the same graph state again:
+- ``graph_state`` copies a build that passed a full ``check``; 16 entries
+  hold a graph and its local complements while its vertices are swept, so
+  each is built once there;
+- the fixpoint and local-complementation checks compare against |g>'s
+  read-only matrix; 1,024 entries, one per labelled 5-vertex graph, so a
+  sweep evaluates each state once, |LC(g, u)> included.
 """
 
 from __future__ import annotations
@@ -110,7 +117,15 @@ def cz_diagram() -> Diagram:
 
 def graph_state(g: SimpleGraph) -> Diagram:
     """The 0-input diagram preparing |g>: one green dot and output per vertex,
-    an H-box per edge."""
+    an H-box per edge. A fresh copy of the memoised build, owned by the
+    caller; it carries the build's empty touch log, so ``checked`` after an
+    edit walks only the edited nodes."""
+    return _built_state(g).copy()
+
+
+@lru_cache(maxsize=16)
+def _built_state(g: SimpleGraph) -> Diagram:
+    """|g> built and fully checked once; shared, so only ever read or copied."""
     d = Diagram()
     for v in g.vertices:
         d.add_node(Z, name=f"v:{v}")
@@ -157,10 +172,10 @@ def local_complement(g: SimpleGraph, u: str) -> SimpleGraph:
     return SimpleGraph(g.vertices, frozenset(toggled))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1024)
 def _state_matrix(g: SimpleGraph) -> np.ndarray:
     """The read-only matrix of |g>, shared by every check against it."""
-    m = evaluate(graph_state(g))
+    m = evaluate(_built_state(g))
     m.flags.writeable = False
     return m
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -336,3 +339,38 @@ def test_every_resource_limit_exits_three(files, monkeypatch, capsys, command):
     monkeypatch.setattr(semantics, "MAX_INTERMEDIATE", 2)
     assert main([files.get(a, a) for a in command]) == 3
     assert capsys.readouterr().err.startswith("resource limit: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--model-n", "2", "--enable-euler", "rewrite", "h.zxd", "--rule", "euler",
+      "-o", "out.zxd"], "--model-n does not apply to rewrite without --check"),
+    (["--model-n", "3", "--random", "4", "--seed", "9", "render", "h.zxd",
+      "-o", "out.dot"], "--model-n does not apply to render"),
+    (["--random", "4", "--max-vertices", "1", "verify", "axioms"],
+     "--max-vertices does not apply to verify axioms"),
+    (["--enable-euler", "check-equal", "h.zxd", "h.zxd"],
+     "--enable-euler does not apply to check-equal"),
+])
+def test_global_option_the_command_does_not_read_is_usage_error(
+        files, capsys, argv, message):
+    outs = {name: files["dir"] / name for name in ("out.zxd", "out.dot")}
+    paths = {**files, **{name: str(p) for name, p in outs.items()}}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not any(p.exists() for p in outs.values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-equal", "hh.zxd", "wire.zxd"],
+    ["check-equal", "h.zxd", "wire.zxd"],
+    ["--enable-euler", "check-equal", "h.zxd", "h.zxd"],
+])
+def test_python_m_zxr_runs_main(files, capsys, argv):
+    argv = [files.get(a, a) for a in argv]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-m", "zxr", *argv], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == main(argv), run.stderr
+    assert (run.stdout, run.stderr) == capsys.readouterr()

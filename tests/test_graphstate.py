@@ -245,3 +245,22 @@ def test_mutating_a_returned_graph_state_leaves_later_calls_alone():
     assert not np.array_equal(evaluate(first), m)
     assert again.fresh_id() == graph_state(g).fresh_id()
     assert all(check_fixpoint(g, u) and check_vdn(g, u) for u in g.vertices)
+
+
+def test_vdn_sweep_evaluates_each_graph_state_once():
+    graphstate._state_matrix.cache_clear()
+    for g in all_graphs(tuple("abcde")):
+        for u in g.vertices:
+            assert check_vdn(g, u), (g, u)
+    assert graphstate._state_matrix.cache_info().misses == 1024
+
+
+def test_sweeping_one_graph_builds_each_graph_state_once():
+    g = SimpleGraph.build("abcde", [("a", "b"), ("b", "c"), ("c", "d"),
+                                    ("d", "e"), ("b", "d"), ("a", "e")])
+    graphstate._state_matrix.cache_clear()
+    graphstate._built_state.cache_clear()
+    for u in g.vertices:
+        assert check_fixpoint(g, u) and check_vdn(g, u)
+    distinct = {g} | {local_complement(g, u) for u in g.vertices}
+    assert graphstate._built_state.cache_info().misses == len(distinct)
