@@ -74,15 +74,19 @@ def _emit_report(args, report: dict) -> None:
 def cmd_check_equal(args) -> int:
     a = _load_diagram(args.a)
     b = _load_diagram(args.b)
-    ma = evaluate(a, args.model_n or 1)
-    mb = evaluate(b, args.model_n or 1)
+    model_n = args.model_n or 1
+    ma = evaluate(a, model_n)
+    mb = evaluate(b, model_n)
     if ma.shape != mb.shape:
         print(f"shapes differ: {ma.shape} vs {mb.shape}")
+        _emit_report(args, {"suite": "check-equal", "model_n": model_n,
+                            "equal": False, "shapes": [list(ma.shape), list(mb.shape)],
+                            "ok": False})
         return DIFFER
     lam, residual = scalar_fit(ma, mb)
     equal = equal_up_to_scalar(ma, mb)
     print(f"equal={equal} lambda={lam:.12g} max_residual={residual:.3e}")
-    _emit_report(args, {"suite": "check-equal", "model_n": args.model_n or 1,
+    _emit_report(args, {"suite": "check-equal", "model_n": model_n,
                         "equal": equal, "lambda": [lam.real, lam.imag],
                         "max_residual": residual, "ok": equal})
     return OK if equal else DIFFER

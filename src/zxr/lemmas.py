@@ -1,31 +1,32 @@
 """The derived results of the paper, one Derivation record each.
 
 A Derivation is a start diagram, a rewrite script and the diagram the script
-must reach, plus whether the result needs the Euler decomposition of H.
+must reach; what a result needs is read from its steps, never declared.
 ``Derivation.check`` replays the script, checking every step against the
-matrix semantics, with Euler-strength steps refused unless ``euler`` is set,
+matrix semantics (models 1-3 when no step has Euler strength, else model 1),
 and requires the end reached to be isomorphic to the recorded end. Replay is
 the only semantic check (chained, its steps equate start and end), so a
-derivation costs what its patches cost, not what its whole diagrams cost. The
-fixpoint property, K(m,n) = P2 and the even-cycle reductions hold without the
-decomposition; the triangle local complementation, the pi/2 colour change,
-the non-uniqueness of the decomposition and its derivation from local
-complementation need it. Where a result equates two diagrams that are both
-irreducible under the directed rule set, it is two derivations from a common
-start whose ends are the two sides of the equation. ``shipped`` writes the
-scripts and start diagrams of these records to proofs/.
+derivation costs what its patches cost, not what its whole diagrams cost.
+The fixpoint property of every graph (``fixpoint(g, u)``), K(m,n) = P2 and
+the even-cycle reductions use no Euler-strength step; the triangle local
+complementation, the pi/2 colour change and the non-uniqueness of the
+decomposition use the decomposition, and its derivation from local
+complementation uses the hypothesis instead. Where a result equates two diagrams that are both irreducible
+under the directed rule set, it is two derivations from a common start whose
+ends are the two sides of the equation. ``shipped`` writes the scripts and
+start diagrams of these records to proofs/.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .diagram import (HBOX, SPIDERS, Diagram, DiagramError, X, Z, attach_wires,
                       chain, euler_chain, h_core, h_core_dual, h_wire,
                       iso_equal, other_colour, rotation_chain)
-from .graphstate import (fixpoint_lhs, graph_state, path_graph, star_graph,
-                         triangle)
+from .graphstate import (SimpleGraph, fixpoint_lhs, graph_state, path_graph,
+                         star_graph, triangle)
 from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO
 from .proofs import ProofScript, ReplayError, ScriptBuilder, replay
 from .rules import RuleError, match_sites, normalize
@@ -33,26 +34,20 @@ from .rules import RuleError, match_sites, normalize
 
 @dataclass
 class Derivation:
-    """A start diagram, a script and the diagram the script must reach.
-
-    ``euler`` says whether the result needs the Euler decomposition; unless
-    it is set, replay refuses Euler-strength steps. ``models`` are the models
-    every step is checked in (None: the replay default).
-    """
+    """A start diagram, a script and the diagram the script must reach."""
 
     start: Diagram
     script: ProofScript
     end: Diagram
-    euler: bool = False
-    models: Optional[tuple[int, ...]] = None
-
-    def reach(self) -> Diagram:
-        """Replay the script from start; returns the diagram reached."""
-        return replay(self.script, self.start, euler_on=self.euler,
-                      models=self.models)
 
     def check(self) -> bool:
-        return iso_equal(self.reach(), self.end)
+        """Replay the script from start, Euler-strength steps allowed: every
+        step in models 1-3 when the script has none, else in model 1 alone,
+        where the decomposition holds. Then the end reached must be
+        isomorphic to the recorded end."""
+        models = (1, 2, 3) if self.script.euler_free() else (1,)
+        return iso_equal(replay(self.script, self.start, euler_on=True,
+                                models=models), self.end)
 
 
 # -- small diagram builders ------------------------------------------------------
@@ -99,42 +94,38 @@ def _free_end(d: Diagram, v: str, consumed: set[str]) -> str:
     raise RuleError(f"{v!r} has no external leg")
 
 
-# -- fixpoint scripts (the star induction, flattened) --------------------------------
+# -- the fixpoint property, for any graph and vertex -----------------------------------
 
 
-def fixpoint_start(n: int) -> Diagram:
-    return fixpoint_lhs(star_graph(n), "c")
-
-
-def fixpoint_script(n: int) -> ProofScript:
-    """Reduce the fixpoint left side of the n-vertex star to the bare star."""
-    if n < 1:
-        raise ValueError("n >= 1")
-    b = ScriptBuilder(f"fixpoint-s{n}", fixpoint_start(n))
-    if n == 1:
-        b.apply("pi-state", ("v:c", "n0"))
-        return b.script
-    created = b.apply("pi-commute", ("n0", "v:c"))
+def fixpoint(g: SimpleGraph, u: str) -> Derivation:
+    """|g> with X(pi) on u and Z(pi) on each neighbour of u reaches |g>: the
+    X(pi) commutes through u onto each edge (an isolated u absorbs it as a
+    basis state), slides through the H-box and cancels the neighbour's Z(pi).
+    Only u and its k neighbours take part; the script is named after that
+    star, fixpoint-s<k+1>."""
+    k = len(g.neighbours(u))
+    b = ScriptBuilder(f"fixpoint-s{k + 1}", fixpoint_lhs(g, u))
+    rot = b.start.boundary_partner(f"w:{u}")
+    created = (b.apply("pi-commute", (rot, f"v:{u}")) if k
+               else b.apply("pi-state", (f"v:{u}", rot)))
     for p in [v for v in created if b.diagram.kind(v) == X]:
         box = [w for w in b.diagram.neighbours(p)
                if b.diagram.kind(w) == HBOX][0]
-        leaf = [w for w in b.diagram.neighbours(box) if w != p][0]
+        nb = [w for w in b.diagram.neighbours(box) if w != p][0]
         b.apply("h-phase", (box, p))
-        b.apply("spider-fuse", (leaf, p))
-        rot = [w for w in b.diagram.neighbours(leaf)
-               if b.diagram.kind(w) == Z and b.diagram.phase(w) == PI][0]
-        b.apply("spider-fuse", (leaf, rot))
-    return b.script
+        b.apply("spider-fuse", (nb, p))
+        nb_rot = [w for w in b.diagram.neighbours(nb)
+                  if b.diagram.kind(w) == Z and b.diagram.phase(w) == PI][0]
+        b.apply("spider-fuse", (nb, nb_rot))
+    return Derivation(b.start, b.script, graph_state(g))
 
 
-def fixpoint(n: int) -> Derivation:
-    """The fixpoint left side of the n-vertex star reaches the bare star."""
-    return Derivation(fixpoint_start(n), fixpoint_script(n),
-                      graph_state(star_graph(n)))
+def fixpoint_script(n: int) -> ProofScript:
+    return fixpoint(star_graph(n), "c").script
 
 
 def check_fixpoint_script(n: int) -> bool:
-    return fixpoint(n).check()
+    return fixpoint(star_graph(n), "c").check()
 
 
 # -- complete bipartite reduction (K_{n,m} = P_2) -------------------------------------
@@ -239,7 +230,7 @@ def complete_bipartite(m: int, n: int) -> Derivation:
     d = complete_bipartite_diagram(m, n)
     _, script = reduce_complete_bipartite(
         d, [f"r{i+1}" for i in range(m)], [f"g{j+1}" for j in range(n)])
-    return Derivation(d, script, p2_diagram(m, n), models=(1, 2, 3))
+    return Derivation(d, script, p2_diagram(m, n))
 
 
 def check_complete_bipartite(m: int, n: int) -> bool:
@@ -337,7 +328,7 @@ def even_cycle(n: int) -> Derivation:
         d, [x for i in range(n) for x in (f"r{i+1}", f"g{i+1}")])
     end = (p2_diagram(2, 2) if n == 2 else d if n == 3
            else hexagon_and_quadrilateral() if n == 4 else result)
-    return Derivation(d, script, end, models=(1, 2, 3))
+    return Derivation(d, script, end)
 
 
 def check_even_cycle(n: int) -> bool:
@@ -369,8 +360,8 @@ def euler_nonuniqueness() -> tuple[Derivation, Derivation]:
     z_chain = [v for v in made if b.diagram.kind(v) == Z]
     b.apply("spider-fuse", (z_chain[1], "c1"))
     b.apply("id-remove", (z_chain[1],))
-    return (Derivation(start, a.script, h_wire(), euler=True),
-            Derivation(start, b.script, euler_chain(first=X), euler=True))
+    return (Derivation(start, a.script, h_wire()),
+            Derivation(start, b.script, euler_chain(first=X)))
 
 
 def _dot_with_pendant(parts: list, names: list[str]) -> Diagram:
@@ -399,8 +390,8 @@ def pi2_colour_change() -> tuple[Derivation, Derivation]:
     b.apply("spider-fuse", ("st", "xc"))
     b.apply("spider-fuse", ("dot", "st"))
     right_end = rotation_chain([(X, HALF_PI)])
-    return (Derivation(start, a.script, left_end, euler=True),
-            Derivation(start, b.script, right_end, euler=True))
+    return (Derivation(start, a.script, left_end),
+            Derivation(start, b.script, right_end))
 
 
 # -- triangle local complementation -------------------------------------------------
@@ -438,7 +429,7 @@ def triangle_lc() -> Derivation:
     b.apply("h-phase", (box, xm))
     b.apply("use-pi2-colour", (g_n, xm))
     b.apply("h-colour", (r_n,))
-    return Derivation(b.start, b.script, triangle_lc_target(), euler=True)
+    return Derivation(b.start, b.script, triangle_lc_target())
 
 
 # -- local complementation implies the decomposition ----------------------------------
@@ -465,7 +456,7 @@ def lc_collapse() -> Derivation:
         b.apply("h-state", (box, state))
         b.apply("spider-fuse", (v, state))
         b.apply("id-remove", (v,))
-    return Derivation(b.start, b.script, h_wire(), euler=True)
+    return Derivation(b.start, b.script, h_wire())
 
 
 def lc_apply() -> Derivation:
@@ -476,7 +467,7 @@ def lc_apply() -> Derivation:
     q = made[0]
     b.apply("spider-fuse", (q, "st"))
     b.apply("h-colour", ("v:b",))
-    return Derivation(b.start, b.script, h_core(), euler=True)
+    return Derivation(b.start, b.script, h_core())
 
 
 def swap_core() -> tuple[Derivation, Derivation]:
@@ -491,8 +482,8 @@ def swap_core() -> tuple[Derivation, Derivation]:
     b.apply("h-phase", ("c0", zl))
     b.apply("h-phase", ("c2", zr))
     b.apply("h-colour", (x0,))
-    return (Derivation(start, a.script, h_wire(), euler=True),
-            Derivation(start, b.script, h_core_dual(), euler=True))
+    return (Derivation(start, a.script, h_wire()),
+            Derivation(start, b.script, h_core_dual()))
 
 
 def derive_euler_from_lc() -> Derivation:
@@ -520,7 +511,7 @@ def derive_euler_from_lc() -> Derivation:
     b.apply("spider-fuse", (junk_state, q2))
     end = euler_chain(first=Z).copy()
     end.add_node(X, HALF_PI, name="junk")
-    return Derivation(b.start, b.script, end.check(), euler=True)
+    return Derivation(b.start, b.script, end.check())
 
 
 def lc_implies_euler() -> dict[str, Derivation]:

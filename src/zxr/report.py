@@ -34,6 +34,8 @@ def _violation(value: Any, schema: dict, where: str) -> Optional[str]:
         return f"{where} must be {schema['const']!r}"
     if "minimum" in schema and value < schema["minimum"]:
         return f"{where} must be >= {schema['minimum']}"
+    if "not" in schema and _violation(value, schema["not"], where) is None:
+        return f"{where} must not match {schema['not']}"
     if isinstance(value, dict):
         for key in schema.get("required", ()):
             if key not in value:

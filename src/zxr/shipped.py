@@ -13,11 +13,13 @@ from typing import Callable
 
 from . import lemmas
 from .diagram import Diagram
+from .graphstate import star_graph
 from .proofs import ProofScript
 from .textio import parse, serialize
 
 BUILDERS: dict[str, Callable[[], lemmas.Derivation]] = {
-    **{f"fixpoint-s{n}": partial(lemmas.fixpoint, n) for n in range(1, 7)},
+    **{f"fixpoint-s{n}": partial(lemmas.fixpoint, star_graph(n), "c")
+       for n in range(1, 7)},
     **{f"knm-{m}x{n}": partial(lemmas.complete_bipartite, m, n)
        for m in range(1, 5) for n in range(1, 5)},
     **{f"cycle-{2*n}": partial(lemmas.even_cycle, n) for n in (2, 3, 4)},

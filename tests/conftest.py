@@ -2,7 +2,8 @@
 
 The oracles here recompute expected values by brute force (state-vector
 manipulation, parity formulas) without going through the diagram evaluator,
-so the two paths check each other.
+so the two paths check each other. ``steps_reached`` is the dependency walk
+over the derivations of ``zxr.lemmas``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+from zxr import lemmas
 from zxr.diagram import BOUNDARY, HBOX, Diagram, X, Z
 from zxr.graphstate import SimpleGraph
 from zxr.phase import Phase
@@ -112,6 +114,29 @@ def random_diagram(rng: random.Random, max_spiders: int = 7,
         (ins if rng.random() < 0.5 else outs).append(b)
     d.inputs, d.outputs = tuple(ins), tuple(outs)
     return d.check()
+
+
+# The derivations that establish each lemma step (a script-only step of
+# rules.RULES that stands for a derived equation).
+LEMMA_DERIVATIONS = {
+    "cut-h-core": lambda: [lemmas.lc_apply()],
+    "cut-h-core-dual": lambda: [lemmas.swap_core()[1]],
+    "use-pi2-colour": lambda: list(lemmas.pi2_colour_change()),
+}
+
+
+def steps_reached(deriv: lemmas.Derivation, through: tuple = ()) -> set[str]:
+    """Every step the derivation uses, each lemma step expanded into the
+    derivations that establish it; ValueError on a lemma step that depends
+    on itself."""
+    reached = set()
+    for rule in dict.fromkeys(rule for rule, _ in deriv.script.steps):
+        reached.add(rule)
+        if rule in through:
+            raise ValueError(" -> ".join(through + (rule,)) + " is a cycle")
+        for lemma in LEMMA_DERIVATIONS.get(rule, list)():
+            reached |= steps_reached(lemma, through + (rule,))
+    return reached
 
 
 @pytest.fixture

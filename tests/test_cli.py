@@ -40,6 +40,25 @@ def test_check_equal_euler_models(files):
                  files["h.zxd"], files["euler.zxd"]]) == 1
 
 
+def test_check_equal_shape_mismatch_writes_a_report(files, tmp_path):
+    """A report left by an earlier run must not be read as current."""
+    from zxr.report import ReportError, validate_report
+
+    split = tmp_path / "split.zxd"
+    split.write_text("node s z\nin i\nout a b\nedge i s\nedge s a\nedge s b\n")
+    path = tmp_path / "r.json"
+    assert main(["--json", str(path), "check-equal", files["hh.zxd"], files["wire.zxd"]]) == 0
+    assert main(["--json", str(path), "check-equal", files["wire.zxd"], str(split)]) == 1
+    report = json.loads(path.read_text())
+    assert report == {"suite": "check-equal", "model_n": 1, "equal": False,
+                      "shapes": [[2, 2], [4, 2]], "ok": False}
+    validate_report(report)
+    for bad in (dict(report, shapes=[[2, 2]]),
+                {k: v for k, v in report.items() if k != "shapes"}):
+        with pytest.raises(ReportError):
+            validate_report(bad)
+
+
 def test_check_equal_parse_error(files, tmp_path):
     bad = tmp_path / "bad.zxd"
     bad.write_text("node a h\nedge a a\n")

@@ -1,11 +1,12 @@
-from dataclasses import replace
+import itertools
+import random
 from pathlib import Path
 
 import pytest
 
-from zxr import lemmas, rules, shipped
+from zxr import lemmas, rules, semantics, shipped
 from zxr.diagram import Z, generator, h_wire, iso_equal, wire
-from zxr.graphstate import graph_state, star_graph
+from zxr.graphstate import SimpleGraph, all_graphs, graph_state, star_graph
 from zxr.phase import Phase
 from zxr.proofs import ProofScript, ReplayError, replay
 from zxr.rules import RuleError
@@ -54,9 +55,42 @@ def test_fixpoint_scripts_replay():
 
 
 def test_fixpoint_replay_checks_scaled_model_too():
-    script = lemmas.fixpoint_script(3)
-    end = replay(script, lemmas.fixpoint_start(3), models=(1, 2, 3))
+    deriv = lemmas.fixpoint(star_graph(3), "c")
+    end = replay(deriv.script, deriv.start, models=(1, 2, 3))
     assert iso_equal(end, graph_state(star_graph(3)))
+
+
+def test_fixpoint_builder_on_a_sample_of_five_vertex_pairs():
+    """Criterion 08 covers every pair on at most 4 vertices; all 5,120 on 5
+    take about 17 s, so a seeded sample of them runs here."""
+    rng = random.Random(5120)
+    graphs = list(all_graphs(tuple("abcde")))
+    for _ in range(256):
+        g = rng.choice(graphs)
+        u = rng.choice(g.vertices)
+        assert lemmas.fixpoint(g, u).check(), (g.edge_list(), u)
+
+
+def test_fixpoint_builder_on_large_graphs_evaluates_only_patches(monkeypatch):
+    """Seeded random graphs with edge probability 4/n. No diagram evaluated
+    during replay is anywhere near the whole one, which at n = 100 is over
+    the entry cap."""
+    sizes = []
+    evaluate_ = semantics.evaluate
+    monkeypatch.setattr(semantics, "evaluate",
+                        lambda d, n=1: sizes.append(d.node_count()) or evaluate_(d, n))
+    rng = random.Random(4)
+    for n in (20, 100):
+        labels = [f"q{i}" for i in range(n)]
+        g = SimpleGraph.build(labels, [e for e in itertools.combinations(labels, 2)
+                                       if rng.random() < 4 / n])
+        for u in rng.sample(labels, 4) + [max(labels, key=lambda v: len(g.neighbours(v)))]:
+            deriv = lemmas.fixpoint(g, u)
+            sizes.clear()
+            assert deriv.check(), u
+            assert sizes and max(sizes) < deriv.start.node_count() // 3, u
+    with pytest.raises(ResourceLimit):
+        evaluate_(deriv.start)
 
 
 def test_complete_bipartite_all_small():
@@ -145,12 +179,12 @@ def test_pi2_colour_change():
 
 
 def test_derivation_euler_fact_gates_the_script():
-    """A derivation recorded as not needing the decomposition may not use an
-    Euler-strength step."""
+    """A derivation with an Euler-strength step checks, in model 1, but its
+    script does not replay with the decomposition off."""
     _, swapped = lemmas.euler_nonuniqueness()
     assert not swapped.script.euler_free() and swapped.check()
     with pytest.raises(ReplayError, match="gated off"):
-        replace(swapped, euler=False).check()
+        replay(swapped.script, swapped.start, euler_on=False)
 
 
 def test_triangle_lc():

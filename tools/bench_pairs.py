@@ -24,8 +24,17 @@ The output holds:
   key) and end-to-end metric of ``BENCHMARK.json``, the parent's and the
   change's quartiles (inclusive method), the change's median over the
   parent's, the pairs the change won (strictly better in the metric's
-  direction), and whether the medians differ by more than the parent's
-  interquartile range.
+  direction), whether the medians differ by more than the parent's
+  interquartile range, and a ``verdict`` against the metric's ``bound``
+  (a fraction of the parent's median):
+  - ``better``: the change won at least nine tenths of the pairs and its
+    median is better by more than the parent's interquartile range;
+  - ``unresolved``: otherwise, when the parent's own runs spread (highest
+    less lowest) wider than the bound and not every change run beats every
+    parent run;
+  - ``worse``: otherwise, when the change's median is worse than the
+    parent's by more than the bound;
+  - ``within bound``: every other case.
 
 ``--append`` adds the new series to an existing file and recomputes its
 summary. Exits 1 if any run reports ``correct: false`` or prints no result
@@ -99,7 +108,7 @@ def summarise(all_runs: list[dict], metrics: list[dict], main_seed: int) -> dict
         side = {(r["pair"], r["side"]): r for r in runs}
         summary[key] = {}
         for metric in metrics:
-            name, higher = metric["name"], metric["better"] == "higher"
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
             # pairs in which both runs printed a result
             complete = sorted(p for p, s in side if s == "parent"
                               and name in side[p, s] and name in side.get((p, "change"), {}))
@@ -108,7 +117,15 @@ def summarise(all_runs: list[dict], metrics: list[dict], main_seed: int) -> dict
             parent = [side[p, "parent"][name] for p in complete]
             change = [side[p, "change"][name] for p in complete]
             pq, cq = quartiles(parent), quartiles(change)
-            won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+            won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            gain, limit = sign * (cq[1] - pq[1]), metric["bound"] * abs(pq[1])
+            if won >= 0.9 * len(complete) and gain > pq[2] - pq[0]:
+                verdict = "better"
+            elif (max(parent) - min(parent) > limit
+                  and not min(sign * c for c in change) > max(sign * p for p in parent)):
+                verdict = "unresolved"
+            else:
+                verdict = "worse" if -gain > limit else "within bound"
             summary[key][name] = {
                 "parent_q1_med_q3": pq,
                 "change_q1_med_q3": cq,
@@ -116,6 +133,7 @@ def summarise(all_runs: list[dict], metrics: list[dict], main_seed: int) -> dict
                 "change_won_pairs": won,
                 "pairs": len(complete),
                 "medians_differ_beyond_parent_iqr": abs(cq[1] - pq[1]) > pq[2] - pq[0],
+                "verdict": verdict,
             }
     return summary
 
