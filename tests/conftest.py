@@ -116,6 +116,35 @@ def random_diagram(rng: random.Random, max_spiders: int = 7,
     return d.check()
 
 
+def circuit(rng: random.Random, wires: int, gates: int) -> Diagram:
+    """A circuit-shaped diagram: grid-phase spiders, H-boxes and Z-X
+    (CNOT-like) pairs on ``wires`` wires, one input and one output per
+    wire."""
+    d = Diagram()
+    ins = [d.add_node(BOUNDARY, name=f"in{k}") for k in range(wires)]
+    ends = list(ins)
+    for _ in range(gates):
+        r = rng.random()
+        if r < 0.65:
+            k = rng.randrange(wires)
+            v = (d.add_node(rng.choice([Z, X]), rng.choice(GRID)) if r < 0.45
+                 else d.add_node(HBOX))
+            d.add_edge(ends[k], v)
+            ends[k] = v
+        else:
+            c, t = rng.sample(range(wires), 2)
+            z, x = d.add_node(Z, 0), d.add_node(X, 0)
+            d.add_edge(ends[c], z)
+            d.add_edge(ends[t], x)
+            d.add_edge(z, x)
+            ends[c], ends[t] = z, x
+    outs = [d.add_node(BOUNDARY, name=f"out{k}") for k in range(wires)]
+    for e, o in zip(ends, outs):
+        d.add_edge(e, o)
+    d.inputs, d.outputs = tuple(ins), tuple(outs)
+    return d.check()
+
+
 # The derivations that establish each lemma step (a script-only step of
 # rules.RULES that stands for a derived equation).
 LEMMA_DERIVATIONS = {

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_diagram
+from conftest import circuit, random_diagram
 from zxr import lemmas, rules, shipped
 from zxr.diagram import (BOUNDARY, HBOX, Diagram, X, Z, compose, generator,
                          iso_equal, rotation_chain, spider, wire)
@@ -286,6 +286,32 @@ def test_golden_script_steps():
             d = rules.apply(rule, d, anchor, euler_on=True)
             digest.update(f"{deriv.script.name} {rule} {anchor}\n{serialize(d)}".encode())
     assert digest.hexdigest() == SCRIPT_DIGEST
+
+
+# SHA-256 over seeded circuits of 40-125 nodes: for every rule that is not
+# gated, at every site, serialize() and the next fresh id of the apply
+# result; then each circuit's normalize trace and normal form. It pins the
+# outcome of rewriting a copy, node ids included, at circuit scale.
+CIRCUIT_DIGEST = "04d26f138d54f1866650e0578ac0064e5fed26c9c2d4ba0e8aa8b885a3590621"
+
+
+def _pinned_circuits():
+    rng = random.Random(4242)
+    return [circuit(rng, 4 + i % 2, 40 + 8 * i) for i in range(6)]
+
+
+def test_golden_circuit_rewrites():
+    digest = hashlib.sha256()
+    ungated = [rule for rule in rules.RULE_IDS if not rules.RULES[rule].euler]
+    for d in _pinned_circuits():
+        for rule in ungated:
+            for anchor in rules.match_sites(rule, d):
+                out = rules.apply(rule, d, anchor)
+                digest.update(f"{rule} {anchor} {out.fresh_id()}\n{serialize(out)}".encode())
+        trace = []
+        nf = rules.normalize(d, trace)
+        digest.update(f"{trace} {nf.fresh_id()}\n{serialize(nf)}".encode())
+    assert digest.hexdigest() == CIRCUIT_DIGEST
 
 
 def _mangled(rule, anchor):
