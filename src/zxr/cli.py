@@ -314,6 +314,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        # a report left by an earlier run must not be read as this run's
+        suite = args.suite if args.command == "verify" else args.command
+        _emit_report(args, {"suite": suite, "resource_limit": str(exc), "ok": False})
         return RESOURCE
 
 

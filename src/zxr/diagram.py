@@ -46,6 +46,15 @@ class Diagram:
     cost O(deg), ``remove_node`` and ``edge_count`` (a running total) O(1),
     and ``check`` O(V+E).
 
+    ``copy`` costs O(V) dict and set copies at C speed: the copy shares each
+    node's neighbour map ``_adj[v]`` with its source. Only a diagram that
+    owns a map writes it. A diagram that was never copied owns them all;
+    ``copy`` gives the source and the copy each a new, empty record of owned
+    maps (``_own``), ``add_node`` makes an owned map, and ``add_edge`` and
+    ``remove_edge`` take a private copy of a shared map the first time they
+    write it. So a rewrite of a copy costs what it writes, and neither side
+    sees the other's edits.
+
     After a successful ``check`` every mutator logs the nodes it touched, in
     first-touch order: ``add_node``, ``remove_node``, ``set_phase`` and
     ``set_kind`` the node, ``add_edge`` and ``remove_edge`` both ends
@@ -55,13 +64,16 @@ class Diagram:
     edge store symmetric, so a diagram that passed a full walk and has since
     changed only through these methods is valid exactly when its touched
     nodes are. A write to a private field is not logged: ``check`` sees it,
-    ``checked`` does not.
+    ``checked`` does not. It also skips the copy on first write, so a write
+    into a shared neighbour map reaches every diagram that shares it.
     """
 
     def __init__(self) -> None:
         self._kind: dict[str, str] = {}
         self._phase: dict[str, Phase] = {}
         self._adj: dict[str, dict[str, int]] = {}
+        # the nodes whose neighbour map this diagram owns; None: all of them
+        self._own: Optional[set[str]] = None
         self._n_edges = 0
         self.inputs: tuple[str, ...] = ()
         self.outputs: tuple[str, ...] = ()
@@ -78,7 +90,8 @@ class Diagram:
         d = Diagram()
         d._kind = dict(self._kind)
         d._phase = dict(self._phase)
-        d._adj = {v: dict(nb) for v, nb in self._adj.items()}
+        d._adj = dict(self._adj)   # neighbour maps shared until written
+        self._own, d._own = set(), set()
         d._n_edges = self._n_edges
         d.inputs = self.inputs
         d.outputs = self.outputs
@@ -108,15 +121,28 @@ class Diagram:
             raise DiagramError(f"{kind} node cannot carry a phase")
         self._kind[name] = kind
         self._adj[name] = {}
+        if self._own is not None:
+            self._own.add(name)
         if self._dirty is not None:
             self._dirty[name] = None
         return name
+
+    def _unshare(self, u: str, v: str) -> None:
+        """Own the neighbour maps of u and v, copying each one still shared."""
+        own, adj = self._own, self._adj
+        for w in (u, v):
+            if w not in own:
+                adj[w] = dict(adj[w])
+                own.add(w)
 
     def add_edge(self, u: str, v: str, times: int = 1) -> None:
         if times <= 0:
             return
         if u not in self._kind or v not in self._kind:
             raise DiagramError(f"edge endpoint missing: {u!r}-{v!r}")
+        own = self._own
+        if own is not None and (u not in own or v not in own):
+            self._unshare(u, v)
         self._adj[u][v] = self._adj[v][u] = self._adj[u].get(v, 0) + times
         self._n_edges += times
         if self._dirty is not None:
@@ -128,6 +154,9 @@ class Diagram:
         m = self._adj.get(u, {}).get(v, 0) - times
         if m < 0:
             raise DiagramError(f"no such edge {_edge_key(u, v)}")
+        own = self._own
+        if own is not None and (u not in own or v not in own):
+            self._unshare(u, v)
         self._n_edges -= times
         self._adj[u][v] = self._adj[v][u] = m
         if not m:

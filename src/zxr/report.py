@@ -52,9 +52,12 @@ def _violation(value: Any, schema: dict, where: str) -> Optional[str]:
             if err := _violation(item, schema["items"], f"{where}[{i}]"):
                 return err
     for part in schema.get("allOf", ()):
-        if _violation(value, part["if"], where) is None:
-            if err := _violation(value, part["then"], where):
-                return err
+        if err := _violation(value, part, where):
+            return err
+    if "if" in schema:
+        branch = "then" if _violation(value, schema["if"], where) is None else "else"
+        if err := _violation(value, schema.get(branch, {}), where):
+            return err
     return None
 
 

@@ -152,15 +152,21 @@ def _led_by(lead: Callable[[Diagram, str], bool]) -> Callable[[Diagram], list[An
 
 
 def _bialgebra_candidates(d: Diagram) -> Iterable[Anchor]:
-    spiders = d.spiders()
-    for a1 in spiders:
-        for a2 in spiders:
-            if a2 <= a1 or d.kind(a1) != d.kind(a2):
-                continue
-            shared = [g for g in d.neighbours(a1)
-                      if g in d.neighbours(a2) and _is_spider(d, g)
-                      and d.kind(g) == other_colour(d.kind(a1))]
-            for b1, b2 in combinations(shared, 2):
+    """(a1, a2, b1, b2) for same-colour spiders a1 < a2 and two of their
+    shared opposite-colour spider neighbours b1 < b2, found by a two-hop
+    walk from each a1 (through each such neighbour g to each a2 beyond it),
+    so the cost is O(S * deg^2), not one test per pair of spiders."""
+    for a1 in d.spiders():
+        colour = d.kind(a1)
+        across = other_colour(colour)
+        shared: dict[str, list[str]] = {}
+        for g in d.neighbours(a1):
+            if d.kind(g) == across:
+                for a2 in d.neighbours(g):
+                    if a2 > a1 and d.kind(a2) == colour:
+                        shared.setdefault(a2, []).append(g)
+        for a2 in sorted(shared):
+            for b1, b2 in combinations(shared[a2], 2):
                 yield (a1, a2, b1, b2)
 
 

@@ -39,3 +39,16 @@ def test_summary_verdict_against_the_bound(name, parent, change, expected):
     summary = bench_pairs.summarise(runs("w", parent, change, name), METRICS, 1)
     assert summary["w"][name]["verdict"] == expected
     assert set(summary["w"]) == {name}
+
+
+def test_summary_lines_print_medians_ratio_pairs_and_verdict():
+    rows = [dict(ops, **p50) for ops, p50 in zip(
+        runs("w", STEADY, [120, 121, 119, 120, 122], "ops_per_s"),
+        runs("w", [2.0, 2.1, 1.9, 2.0, 2.0], [2.6, 2.7, 2.5, 2.6, 2.6], "op_p50_ms"))]
+    rows += [dict(r, seed=2) for r in runs("w", [0.0] * 5, [0.0] * 5, "op_p50_ms")]
+    summary = bench_pairs.summarise(rows, METRICS, 1)
+    assert bench_pairs.summary_lines(summary) == [
+        "w  ops_per_s  100 -> 120  (1.200x)  won 5/5  better",
+        "w  op_p50_ms  2 -> 2.6  (1.300x)  won 0/5  worse",
+        "w (seed 2)  op_p50_ms  0 -> 0  (n/a)  won 0/5  within bound",
+    ]

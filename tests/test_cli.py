@@ -213,6 +213,36 @@ def test_resource_limit_exit_code(tmp_path):
     assert main(["check-equal", str(big), str(big)]) == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["check-equal", "big", "big"],
+    ["verify", "axioms"],
+])
+def test_resource_limit_replaces_the_json_report(files, tmp_path, monkeypatch,
+                                                 capsys, command):
+    """Exit 3 leaves a report that says so, not one from an earlier run."""
+    from zxr import semantics
+    from zxr.report import ReportError, validate_report
+
+    big = tmp_path / "big.zxd"
+    big.write_text("node s z\nout " + " ".join(f"w{i}" for i in range(30)) + "\n"
+                   + "".join(f"edge s w{i}\n" for i in range(30)))
+    if command[0] == "verify":
+        monkeypatch.setattr(semantics, "MAX_INTERMEDIATE", 2)
+    path = tmp_path / "r.json"
+    path.write_text('{"stale": true}\n')
+    assert main(["--json", str(path)] + [str(big) if a == "big" else a
+                                         for a in command]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    report = json.loads(path.read_text())
+    assert report == {"suite": command[-1] if command[0] == "verify" else command[0],
+                      "resource_limit": err[len("resource limit: "):-1], "ok": False}
+    validate_report(report)
+    for bad in (dict(report, ok=True), dict(report, resource_limit=3)):
+        with pytest.raises(ReportError):
+            validate_report(bad)
+
+
 def test_verify_axioms_single_model(files):
     assert main(["--model-n", "2", "verify", "axioms"]) == 0
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from collections import Counter
@@ -12,7 +13,7 @@ from zxr.diagram import (BOUNDARY, HBOX, Diagram, DiagramError, X, Z,
                          generator, iso_equal, spider, tensor, wire)
 from zxr.phase import Phase
 from zxr.semantics import evaluate
-from zxr.textio import parse
+from zxr.textio import parse, serialize
 
 
 def test_generator_arities():
@@ -420,6 +421,97 @@ def test_copy_carries_its_own_touch_log():
     clean = spider(Z, 1, 1)
     clean.copy().add_node(HBOX)
     assert clean._dirty == {} and clean.checked() is clean
+
+
+# -- copies share neighbour maps until written --------------------------------
+
+
+def _shared_base() -> Diagram:
+    """A 1->1 diagram with a doubled edge, a self-loop and a lone scalar."""
+    d = Diagram()
+    for name, colour, phase in (("a", Z, Phase(1, 2)), ("b", X, 0),
+                                ("c", Z, Phase(1, 4)), ("lone", Z, Phase(1))):
+        d.add_node(colour, phase, name=name)
+    d.add_edge("a", "b", 2)
+    d.add_edge("b", "c")
+    d.add_edge("a", "c")
+    d.add_edge("c", "c")
+    return attach_wires(d, ["a"], ["c"])
+
+
+def _state(d: Diagram) -> tuple:
+    """What an edit elsewhere must not move: the text, the edges, the next
+    fresh id (drawn on a shallow clone, so d keeps its own counter and maps)
+    and the matrix."""
+    m = evaluate(d)
+    return serialize(d), d.edges(), copy.copy(d).fresh_id(), m.shape, m.tobytes()
+
+
+EDITS = {
+    "add_edge": lambda d: d.add_edge("a", "b"),
+    "remove_edge": lambda d: d.remove_edge("a", "b"),
+    "remove_node": lambda d: d.remove_node("lone"),
+    "splice": lambda d: d.splice("b", "c", HBOX),
+    "substitute": lambda d: d.substitute(["b"], d.cut(["b"]), ["b"] * 3),
+    "set_phase": lambda d: d.set_phase("a", Phase(1)),
+    "set_kind": lambda d: d.set_kind("b", Z),
+}
+
+
+@pytest.mark.parametrize("edited", ["copy", "source"])
+@pytest.mark.parametrize("mutator", sorted(EDITS))
+def test_an_edit_of_one_side_of_a_copy_leaves_the_other_alone(mutator, edited):
+    source = _shared_base()
+    dup = source.copy()
+    written, other = (dup, source) if edited == "copy" else (source, dup)
+    before = _state(other)
+    EDITS[mutator](written)
+    assert written.checked() is written
+    assert _state(written) != before and _state(other) == before
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_sibling_copies_do_not_see_each_others_writes(order):
+    source = _shared_base()
+    sides = [source, source.copy(), source.copy()]
+    for i in order:                       # the source and two siblings
+        before = [_state(d) for d in sides]
+        EDITS["add_edge"](sides[i])
+        EDITS["remove_edge"](sides[i])
+        sides[i].remove_edge("b", "c")
+        assert sides[i].checked() is sides[i]
+        assert [_state(d) for d in sides[:i] + sides[i + 1:]] == before[:i] + before[i + 1:]
+
+
+def test_a_copy_of_a_copy_shares_and_unshares_the_same_way():
+    source = _shared_base()
+    first = source.copy()
+    EDITS["add_edge"](first)              # first owns the maps of a and b now
+    second = first.copy()
+    sides = [source, first, second]
+    for i, written in enumerate((first, second, source)):
+        before = [_state(d) for d in sides]
+        EDITS["add_edge"](written)
+        EDITS["splice"](written)
+        assert written.checked() is written
+        assert [_state(d) for d in sides if d is not written] == [
+            s for d, s in zip(sides, before) if d is not written]
+
+
+def test_checks_see_the_written_copy_only():
+    source = spider(Z, 1, 1)
+    dup = source.copy()
+    dup.add_edge("in0", "g")              # in0 now has degree 2, in dup only
+    with pytest.raises(DiagramError, match="boundary 'in0'"):
+        dup.checked()
+    assert source.checked() is source and source.check() is source
+    dup.remove_edge("in0", "g")
+    assert dup.checked() is dup
+    dup._adj["g"].update(ghost=1)         # a private write to a map dup owns
+    assert dup.checked() is dup
+    with pytest.raises(DiagramError, match="dangling"):
+        dup.check()
+    assert source.check() is source
 
 
 def test_checked_does_not_see_a_private_write():

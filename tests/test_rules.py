@@ -180,6 +180,48 @@ def test_graph_state_already_normal():
     assert iso_equal(rules.normalize(d), d)
 
 
+def _bialgebra_candidates_by_pairs(d):
+    """The generator that tried every pair of same-colour spiders, kept as
+    the reference for the two-hop walk."""
+    spiders = d.spiders()
+    for a1 in spiders:
+        for a2 in spiders:
+            if a2 <= a1 or d.kind(a1) != d.kind(a2):
+                continue
+            shared = [g for g in d.neighbours(a1)
+                      if g in d.neighbours(a2) and rules._is_spider(d, g)
+                      and d.kind(g) == rules.other_colour(d.kind(a1))]
+            for b1, b2 in itertools.combinations(shared, 2):
+                yield (a1, a2, b1, b2)
+
+
+def _tangled(d, rng):
+    """d with two extra wires per spider, between random spiders:
+    parallel edges, self-loops and new Z-X squares."""
+    sp = d.spiders()
+    for _ in range(2 * len(sp)):
+        d.add_edge(rng.choice(sp), rng.choice(sp))
+    return d.check()
+
+
+def test_bialgebra_walk_finds_the_pairwise_candidates(rng):
+    diagrams = []
+    for _ in range(300):
+        d = random_diagram(rng, max_spiders=10)
+        diagrams += [d, _tangled(d.copy(), rng)]
+    for i in range(12):
+        d = circuit(rng, 2 + i % 4, 30 + 5 * i)
+        diagrams += [d, _tangled(d.copy(), rng)]
+    found = parallel = looped = 0
+    for d in diagrams:
+        want = set(_bialgebra_candidates_by_pairs(d))
+        assert set(rules._bialgebra_candidates(d)) == want, d.edges()
+        found += bool(want)
+        parallel += bool(want) and any(m > 1 for u, v, m in d.edges() if u != v)
+        looped += bool(want) and any(u == v for u, v, _ in d.edges())
+    assert found > 100 and parallel > 80 and looped > 80, (found, parallel, looped)
+
+
 # -- golden behaviour ----------------------------------------------------------
 
 # SHA-256 of every site list, and of the outcome of apply at every site and

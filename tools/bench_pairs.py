@@ -36,6 +36,10 @@ The output holds:
     parent's by more than the bound;
   - ``within bound``: every other case.
 
+Once the file is written, the summary is printed too, one line per
+workload and metric: the parent's median, the change's, their ratio, the
+pairs the change won and the verdict.
+
 ``--append`` adds the new series to an existing file and recomputes its
 summary. Exits 1 if any run reports ``correct: false`` or prints no result
 (the file is still written), 2 on bad arguments.
@@ -138,6 +142,20 @@ def summarise(all_runs: list[dict], metrics: list[dict], main_seed: int) -> dict
     return summary
 
 
+def summary_lines(summary: dict) -> list[str]:
+    """One line per (workload, metric): the parent's median, the change's,
+    their ratio, the pairs the change won and the verdict."""
+    lines = []
+    for key, rows in summary.items():
+        for name, row in rows.items():
+            ratio = row["change_over_parent"]
+            lines.append(f"{key}  {name}  {row['parent_q1_med_q3'][1]:.4g} -> "
+                         f"{row['change_q1_med_q3'][1]:.4g}  "
+                         f"({'n/a' if ratio is None else f'{ratio:.3f}x'})  won "
+                         f"{row['change_won_pairs']}/{row['pairs']}  {row['verdict']}")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
@@ -197,6 +215,7 @@ def main(argv=None) -> int:
                     print(json.dumps(row), flush=True)
     doc["summary"] = summarise(doc["all_runs"], bench["end_to_end"], main_seed)
     out.write_text(json.dumps(doc, indent=1) + "\n")
+    print("\n".join(summary_lines(doc["summary"])))
     return 1 if failed else 0
 
 
