@@ -112,8 +112,8 @@ class Diagram:
                  name: Optional[str] = None) -> str:
         if name is None:
             name = self.fresh_id()
-        if name in self._kind:
-            raise DiagramError(f"duplicate node id {name!r}")
+        if name in self._used:
+            raise DiagramError(f"node id {name!r} is or was in use")
         self._used.add(name)
         if kind in SPIDERS:
             self._phase[name] = Phase.coerce(phase) if phase is not None else ZERO

@@ -5,14 +5,25 @@ an H-box on every edge. Local rotations act on the output wires. Output wire
 order follows the graph's vertex-declaration order, so matrix comparisons are
 well defined.
 
-Two LRU memos, both keyed on the labelled graph, keep a sweep from building
-or evaluating the same graph state again:
-- ``graph_state`` copies a build that passed a full ``check``; 16 entries
-  hold a graph and its local complements while its vertices are swept, so
-  each is built once there;
-- the fixpoint and local-complementation checks compare against |g>'s
-  read-only matrix; 1,024 entries, one per labelled 5-vertex graph, so a
-  sweep evaluates each state once, |LC(g, u)> included.
+Three LRU memos keep a sweep from building or evaluating the same thing
+again:
+- ``graph_state`` copies a build that passed a full ``check``, keyed on the
+  labelled graph; 16 entries hold a graph and its local complements while
+  its vertices are swept, so each is built once there;
+- |g>'s read-only matrix, keyed on the labelled graph; 1,024 entries, one
+  per labelled 5-vertex graph, so a sweep evaluates each state once,
+  |LC(g, u)> included;
+- the read-only 2x2 matrix of each one-wire rotation, keyed on its colour
+  and phase.
+
+The fixpoint and local-complementation checks contract no rotated diagram.
+The rotated diagram (``fixpoint_lhs``, ``vdn_lhs``) is |g> with one
+rotation spider spliced onto some output wires, so it is the tensor product
+of single-wire rotations composed after |g>; by the tensor and composition
+laws of the interpretation its matrix is |g>'s with each rotation's matrix
+applied to that wire's axis. One rotation list (``_rotations``) names the
+wires and rotations for the diagram and the matrix alike. As ``evaluate``
+does, the checks test the entry cap on every call, memoised or not.
 """
 
 from __future__ import annotations
@@ -24,9 +35,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .diagram import BOUNDARY, Diagram, X, Z, attach_wires, chain
+from . import semantics
+from .diagram import BOUNDARY, Diagram, X, Z, attach_wires, chain, rotation_chain
 from .phase import HALF_PI, MINUS_HALF_PI, PI, PhaseLike
-from .semantics import equal_up_to_scalar, evaluate
+from .semantics import ResourceLimit, equal_up_to_scalar, evaluate
 
 # Local-complementation witness rotations, fixed empirically against the
 # dense-matrix oracle: +pi/2 X-rotation on the complemented vertex and
@@ -137,27 +149,34 @@ def _built_state(g: SimpleGraph) -> Diagram:
     return d.check()
 
 
-def _rotated(g: SimpleGraph, u: str, at_u: PhaseLike,
-             at_neighbours: PhaseLike) -> Diagram:
-    """|g> with an X(at_u) rotation on u and Z(at_neighbours) on each
-    neighbour of u."""
+Rotation = tuple[str, str, PhaseLike]   # (vertex, colour, phase)
+
+
+def _rotations(g: SimpleGraph, u: str, at_u: PhaseLike,
+               at_neighbours: PhaseLike) -> list[Rotation]:
+    """An X(at_u) rotation on u and Z(at_neighbours) on each neighbour of u,
+    in that order."""
     if u not in g.vertices:
         raise GraphError(f"unknown vertex {u!r}")
+    return [(u, X, at_u)] + [(v, Z, at_neighbours) for v in g.neighbours(u)]
+
+
+def _rotated(g: SimpleGraph, rotations: list[Rotation]) -> Diagram:
+    """|g> with each rotation spliced onto its vertex's output wire."""
     d = graph_state(g)
-    d.splice(f"v:{u}", f"w:{u}", X, at_u)
-    for v in g.neighbours(u):
-        d.splice(f"v:{v}", f"w:{v}", Z, at_neighbours)
+    for v, colour, phase in rotations:
+        d.splice(f"v:{v}", f"w:{v}", colour, phase)
     return d.checked()
 
 
 def fixpoint_lhs(g: SimpleGraph, u: str) -> Diagram:
     """|g> with an X(pi) rotation on u and Z(pi) on each neighbour of u."""
-    return _rotated(g, u, PI, PI)
+    return _rotated(g, _rotations(g, u, PI, PI))
 
 
 def vdn_lhs(g: SimpleGraph, u: str) -> Diagram:
     """|g> with the local-complementation witness rotations at u."""
-    return _rotated(g, u, LC_VERTEX_PHASE, LC_NEIGHBOUR_PHASE)
+    return _rotated(g, _rotations(g, u, LC_VERTEX_PHASE, LC_NEIGHBOUR_PHASE))
 
 
 # -- graph operations --------------------------------------------------------------
@@ -180,13 +199,41 @@ def _state_matrix(g: SimpleGraph) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=8)
+def _rotation_matrix(colour: str, phase: PhaseLike) -> np.ndarray:
+    """The read-only 2x2 matrix of one rotation spider on a wire."""
+    m = evaluate(rotation_chain([(colour, phase)]))
+    m.flags.writeable = False
+    return m
+
+
+def _rotated_matrix(g: SimpleGraph, rotations: list[Rotation]) -> np.ndarray:
+    """The matrix of ``_rotated(g, rotations)``: |g>'s matrix with each
+    rotation's matrix applied to its vertex's wire axis. A fresh array; the
+    memoised ones are only read. The entry cap is tested against the
+    2^n-entry state and each rotation's 4 entries."""
+    n = len(g.vertices)
+    if 2 ** n > semantics.MAX_INTERMEDIATE:
+        raise ResourceLimit(f"a {n}-vertex graph state needs 2^{n} entries")
+    if 4 > semantics.MAX_INTERMEDIATE:
+        raise ResourceLimit("a one-wire rotation needs 2^2 entries")
+    t = _state_matrix(g).reshape((2,) * n)
+    for v, colour, phase in rotations:
+        i = g.vertices.index(v)
+        t = np.moveaxis(np.tensordot(_rotation_matrix(colour, phase), t,
+                                     axes=([1], [i])), 0, i)
+    return t.reshape((2 ** n, 1))
+
+
 def check_fixpoint(g: SimpleGraph, u: str) -> bool:
-    return equal_up_to_scalar(evaluate(fixpoint_lhs(g, u)), _state_matrix(g))
+    return equal_up_to_scalar(_rotated_matrix(g, _rotations(g, u, PI, PI)),
+                              _state_matrix(g))
 
 
 def check_vdn(g: SimpleGraph, u: str) -> bool:
-    return equal_up_to_scalar(evaluate(vdn_lhs(g, u)),
-                              _state_matrix(local_complement(g, u)))
+    lhs = _rotated_matrix(
+        g, _rotations(g, u, LC_VERTEX_PHASE, LC_NEIGHBOUR_PHASE))
+    return equal_up_to_scalar(lhs, _state_matrix(local_complement(g, u)))
 
 
 def lc_orbit(g: SimpleGraph) -> set[SimpleGraph]:

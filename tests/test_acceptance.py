@@ -91,9 +91,9 @@ def test_criterion_04_fixpoint_exhaustive():
     assert count == 1024 * 5
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
-    _report(4, f"on {count} graph/vertex pairs the dense matrix of |g> with "
-               f"X(pi) on u and Z(pi) on its neighbours equals that of |g> "
-               f"up to a scalar", started)
+    _report(4, f"on all {count} graph/vertex pairs on 5 labelled vertices, "
+               f"|g>'s matrix with X(pi) applied on u's wire and Z(pi) on "
+               f"each neighbour's equals |g>'s matrix up to a scalar", started)
 
 
 def test_criterion_05_vdn_exhaustive_plus_random():
@@ -117,9 +117,11 @@ def test_criterion_05_vdn_exhaustive_plus_random():
             count += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 180.0
-    _report(5, f"on {count} graph/vertex pairs the dense matrix of |g> with "
-               f"X(pi/2) on u and Z(-pi/2) on its neighbours equals that of "
-               f"|LC(g, u)> up to a scalar", started)
+    _report(5, f"on {count} graph/vertex pairs (all on 5 labelled vertices, "
+               f"then 50 seeded random 6-7-vertex graphs), |g>'s matrix with "
+               f"X(pi/2) applied on u's wire and Z(-pi/2) on each "
+               f"neighbour's equals |LC(g, u)>'s matrix up to a scalar",
+            started)
 
 
 def test_criterion_06_complete_bipartite():

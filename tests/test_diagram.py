@@ -233,6 +233,17 @@ def test_node_ids_never_reused():
     assert a != b
 
 
+def test_a_removed_id_is_not_handed_out_again_by_name():
+    d = Diagram()
+    a = d.add_node(Z, 0)
+    d.remove_node(a)
+    with pytest.raises(DiagramError):
+        d.add_node(Z, 0, name=a)
+    with pytest.raises(DiagramError):
+        d.copy().add_node(X, 1, name=a)
+    assert a not in d.nodes() and d.add_node(Z, 0) != a
+
+
 def assert_adjacency_matches_edge_list(d):
     """Every adjacency query agrees with a reference rebuilt from the
     diagram's edge list, one entry per parallel copy."""

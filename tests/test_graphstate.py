@@ -132,18 +132,82 @@ def test_fixpoint_and_vdn_exhaustive_to_four():
             assert check_vdn(g, u), (g, u)
 
 
+CHECKS = ((check_fixpoint, fixpoint_lhs, (PI, PI), lambda g, u: g),
+          (check_vdn, vdn_lhs, (graphstate.LC_VERTEX_PHASE,
+                                graphstate.LC_NEIGHBOUR_PHASE), local_complement))
+
+
 def test_checks_agree_with_uncached_form_cold_and_warm():
+    # cold: every composed matrix against its whole-diagram evaluation, and
+    # every verdict against diagrams_equal (spelt out, so the left side is
+    # evaluated once); warm: the memoised pieces give the same bits
     graphstate._state_matrix.cache_clear()
-    for _ in ("cold", "warm"):
-        for g in small_graphs(4):
-            assert np.array_equal(graphstate._state_matrix(g),
-                                  evaluate(graph_state(g)))
-            for u in g.vertices:
-                assert check_fixpoint(g, u) == diagrams_equal(
-                    fixpoint_lhs(g, u), graph_state(g)), (g, u)
-                assert check_vdn(g, u) == diagrams_equal(
-                    vdn_lhs(g, u), graph_state(local_complement(g, u))), (g, u)
+    graphstate._rotation_matrix.cache_clear()
+    cold = {}
+    for g in all_graphs(tuple("abcde")):
+        assert np.array_equal(graphstate._state_matrix(g),
+                              evaluate(graph_state(g)))
+        for u in g.vertices:
+            for i, (check, lhs, phases, target) in enumerate(CHECKS):
+                got = graphstate._rotated_matrix(
+                    g, graphstate._rotations(g, u, *phases))
+                ref = evaluate(lhs(g, u))
+                assert np.abs(got - ref).max() <= 1e-12, (g, u, lhs)
+                verdict = check(g, u)
+                assert verdict == equal_up_to_scalar(
+                    ref, evaluate(graph_state(target(g, u)))), (g, u, lhs)
+                cold[g, u, i] = got, verdict
+    assert len(cold) == 2 * 5120
+    for (g, u, i), (got, verdict) in cold.items():
+        check, _, phases, _ = CHECKS[i]
+        assert np.array_equal(graphstate._rotated_matrix(
+            g, graphstate._rotations(g, u, *phases)), got)
+        assert check(g, u) == verdict
     assert graphstate._state_matrix.cache_info().hits > 0
+    assert graphstate._rotation_matrix.cache_info().misses == 4
+
+
+def test_checks_agree_with_state_vector_oracle(rng):
+    # seeded 6-7-vertex graphs, beyond the exhaustive sweep
+    for _ in range(12):
+        verts = tuple("abcdefg"[:rng.choice((6, 7))])
+        g = SimpleGraph.build(verts, [e for e in itertools.combinations(verts, 2)
+                                      if rng.random() < 0.5])
+        idx = {v: i for i, v in enumerate(verts)}
+        for u in verts:
+            for check, _, (at_u, at_nb), target in CHECKS:
+                vec = graph_state_vector(g)
+                vec = apply_single(rx_mat(at_u.frac * np.pi), idx[u],
+                                   len(verts), vec)
+                for w in g.neighbours(u):
+                    vec = apply_single(rz_mat(at_nb.frac * np.pi), idx[w],
+                                       len(verts), vec)
+                got = graphstate._rotated_matrix(
+                    g, graphstate._rotations(g, u, at_u, at_nb))
+                assert proportional(got, vec), (g, u, check)
+                assert check(g, u) == proportional(
+                    vec, graph_state_vector(target(g, u))), (g, u, check)
+
+
+@pytest.mark.parametrize("check", [check_fixpoint, check_vdn])
+def test_checks_refuse_an_unknown_vertex(check):
+    with pytest.raises(GraphError):
+        check(triangle(), "zz")
+
+
+@pytest.mark.parametrize("vertices, cap, what", [
+    ("a", 2, "rotation"), ("abc", 4, "graph state")])
+def test_warm_checks_still_test_the_entry_cap(monkeypatch, vertices, cap, what):
+    # one vertex: the 2-entry state fits cap 2 and each rotation's 4 entries
+    # do not; three: the 8-entry state does not fit cap 4. The memoised
+    # matrices must not let a check slip under a lowered cap
+    from zxr import semantics
+    g = complete_graph(vertices)
+    assert check_fixpoint(g, "a") and check_vdn(g, "a")   # warms both memos
+    monkeypatch.setattr(semantics, "MAX_INTERMEDIATE", cap)
+    for check in (check_fixpoint, check_vdn):
+        with pytest.raises(semantics.ResourceLimit, match=what):
+            check(g, "a")
 
 
 def test_vdn_witness_holds_in_model_one_only():
