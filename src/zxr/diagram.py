@@ -9,7 +9,7 @@ stable across unrelated edits.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .phase import HALF_PI, MINUS_HALF_PI, Phase, PhaseLike, ZERO
 
@@ -19,6 +19,9 @@ HBOX = "h"
 BOUNDARY = "b"
 
 SPIDERS = (Z, X)
+
+
+T = TypeVar("T")
 
 
 class DiagramError(ValueError):
@@ -35,6 +38,15 @@ def other_colour(colour: str) -> str:
 
 def _edge_key(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
+
+
+def _across(nb: dict[str, int], prev: Optional[str]) -> str:
+    """The neighbour an H-box's wire leaves by, having come in from prev."""
+    if len(nb) == 1:   # both legs on one node
+        for w in nb:
+            return w
+    a, b = nb
+    return b if a == prev else a
 
 
 class Diagram:
@@ -66,6 +78,11 @@ class Diagram:
     nodes are. A write to a private field is not logged: ``check`` sees it,
     ``checked`` does not. It also skips the copy on first write, so a write
     into a shared neighbour map reaches every diagram that shares it.
+
+    ``memo(read)`` keeps ``read(self)`` until ``checked`` next walks
+    anything, which it does after any logged edit, so a kept read is of the
+    diagram as it now is, within the same limit. ``copy`` hands the kept
+    reads to the copy, which is the same diagram until one side changes.
     """
 
     def __init__(self) -> None:
@@ -83,6 +100,7 @@ class Diagram:
         # successful check; None until the first one
         self._dirty: Optional[dict[str, None]] = None
         self._bounds: tuple = ((), ())   # (inputs, outputs) at the last full check
+        self._memo: dict = {}   # reads kept by ``memo`` until the next check walk
 
     # -- construction ------------------------------------------------------
 
@@ -99,6 +117,7 @@ class Diagram:
         d._used = set(self._used)
         d._dirty = None if self._dirty is None else dict(self._dirty)
         d._bounds = self._bounds
+        d._memo = dict(self._memo)   # valid until the copy changes too
         return d
 
     def fresh_id(self) -> str:
@@ -220,42 +239,48 @@ class Diagram:
         return sorted((u, v, m) for u, nb in self._adj.items()
                       for v, m in nb.items() if u <= v)
 
-    def legs(self) -> tuple[list[tuple[str, str, Optional[Phase], list[int],
-                                       Sequence[int]]], int]:
-        """The diagram as a tensor network, read in one pass over the edge store.
+    def wires(self) -> tuple[list[tuple[str, Optional[Phase], int]], dict[str, int],
+                             list[tuple[int, int, int]], list[int]]:
+        """The diagram as wires between ends, read in one pass over the edge store.
 
-        One variable per parallel copy of each edge, numbered in ``edges()``
-        order. Returns every node in name order as (name, kind, phase or
-        None, legs, loops), and the number of variables. ``legs`` is a fresh
-        list of the node's variables in increasing order, each self-loop's
-        variable twice side by side; ``loops`` lists the self-loop variables.
+        An end is a spider or a boundary; a wire runs from end p to end q
+        through k >= 0 H-boxes. Returns every end in node-table order as
+        (kind, phase or None, degree), each end's position in that list by
+        name, every wire once as (p, q, k) by position, one per parallel
+        copy, and the length of each closed cycle of H-boxes, which no wire
+        reaches.
         """
         kind_of, phase_of, adj = self._kind, self._phase, self._adj
-        names = sorted(kind_of)
-        legs: dict[str, list[int]] = {v: [] for v in names}
-        rows = []
-        var = 0
-        for u in names:
-            lu, nb, loops = legs[u], adj[u], ()
-            for w in (nb if len(nb) == 1 else sorted(nb)):
-                if w < u:
+        at = {v: i for i, v in enumerate(v for v, k in kind_of.items() if k != HBOX)}
+        ends, wires, cycles, seen = [], [], [], set()
+        for p, i in at.items():
+            nb = adj[p]
+            ends.append((kind_of[p], phase_of.get(p), sum(nb.values()) + nb.get(p, 0)))
+            for q, m in nb.items():
+                j = at.get(q)
+                if j is not None:
+                    if i <= j:
+                        wires += [(i, j, 0)] * m
                     continue
-                m = nb[w]
-                if w == u:
-                    loops = range(var, var + m)
-                    for x in loops:
-                        lu += (x, x)
-                elif m == 1:
-                    lu.append(var)
-                    legs[w].append(var)
-                else:
-                    lw = legs[w]
-                    for x in range(var, var + m):
-                        lu.append(x)
-                        lw.append(x)
-                var += m
-            rows.append((u, kind_of[u], phase_of.get(u), lu, loops))
-        return rows, var
+                for _ in range(m):
+                    if q in seen:
+                        break
+                    prev, cur, k = p, q, 0
+                    while cur not in at:
+                        seen.add(cur)
+                        k += 1
+                        prev, cur = cur, _across(adj[cur], prev)
+                    wires.append((i, at[cur], k))
+        if len(seen) + len(at) < len(kind_of):
+            for h in kind_of:
+                if h not in at and h not in seen:
+                    prev, cur, k = None, h, 0
+                    while cur != h or not k:
+                        seen.add(cur)
+                        k += 1
+                        prev, cur = cur, _across(adj[cur], prev)
+                    cycles.append(k)
+        return ends, at, wires, cycles
 
     def created_since(self, earlier: "Diagram") -> list[str]:
         """Nodes that ``earlier`` lacks, in creation order (``copy`` keeps it)."""
@@ -331,11 +356,12 @@ class Diagram:
         boundary (inputs, then outputs) takes the next outside wire of
         ports[i]; a bare wire of rhs joins its two outside ends. rhs's other
         nodes get fresh ids in rhs's creation order. Raises DiagramError
-        unless ports takes every outside wire exactly once."""
+        unless ports takes every outside wire exactly once. rhs is read once
+        (``_gluing``, kept by ``memo``) and never written."""
         inside = set(nodes)
         ends = {v: [w for w, m in sorted(self._adj[v].items()) if w not in inside
                     for _ in range(m)] for v in inside if v in self._kind}
-        bound = rhs.boundary()
+        bound, made_from, inner, partners = rhs.memo(_gluing)
         if (len(ends) != len(inside) or len(ports) != len(bound)
                 or sorted(ports) != [v for v in sorted(ends) for _ in ends[v]]):
             raise DiagramError(f"ports {tuple(ports)} miss or repeat an outside wire")
@@ -345,15 +371,11 @@ class Diagram:
             for w, m in list(self._adj[v].items()):
                 self.remove_edge(v, w, m)
             self.remove_node(v)
-        made = {v: self.add_node(k, rhs._phase.get(v))
-                for v, k in rhs._kind.items() if k != BOUNDARY}
-        for u in made:
-            for v, m in rhs._adj[u].items():
-                if v in made and u <= v:
-                    self.add_edge(made[u], made[v], m)
-        for b in bound:
-            w = rhs.boundary_partner(b)
-            if w in made:
+        made = [self.add_node(k, phase) for k, phase in made_from]
+        for i, j, m in inner:
+            self.add_edge(made[i], made[j], m)
+        for b, w in zip(bound, partners):
+            if isinstance(w, int):
                 self.add_edge(made[w], outer[b])
             elif b < w:   # a bare wire, joined once
                 self.add_edge(outer[b], outer[w])
@@ -403,6 +425,7 @@ class Diagram:
             raise DiagramError("edge store and node table list different nodes")
         self._check_at(self._kind, bset, self.inputs + self.outputs)
         self._dirty, self._bounds = {}, (self.inputs, self.outputs)
+        self._memo = {}
         return self
 
     def checked(self) -> "Diagram":
@@ -421,8 +444,20 @@ class Diagram:
             bset = set(self.inputs) | set(self.outputs)
             self._check_at([v for v in self._dirty if v in kind_of], bset,
                            [b for b in self._dirty if b in bset])
-            self._dirty = {}
+            self._dirty, self._memo = {}, {}
         return self
+
+    def memo(self, read: Callable[["Diagram"], T]) -> T:
+        """``read(self)`` after ``checked``, computed once and kept until
+        ``checked`` next walks (see the class docstring). ``read`` must not
+        edit the diagram; every caller shares its result, so it should be
+        immutable."""
+        self.checked()
+        try:
+            return self._memo[read]
+        except KeyError:
+            value = self._memo[read] = read(self)
+            return value
 
     def _check_at(self, nodes: Iterable[str], bset: set[str],
                   listed: Iterable[str]) -> None:
@@ -485,6 +520,20 @@ def chain(d: Diagram, p: str, q: Optional[str], parts: Sequence,
     if q is not None:
         d.add_edge(prev, q)
     return made
+
+
+def _gluing(rhs: Diagram) -> tuple:
+    """What ``substitute`` reads of its right-hand side: its boundary; the
+    (kind, phase) of every other node, in creation order; the edges among
+    those, (i, j, multiplicity) by that order, in ``_adj`` order; and each
+    boundary's partner, by that order or, for a bare wire, by name."""
+    bound = rhs.boundary()
+    made = [v for v, k in rhs._kind.items() if k != BOUNDARY]
+    at = {v: i for i, v in enumerate(made)}
+    return (bound, tuple((rhs._kind[v], rhs._phase.get(v)) for v in made),
+            tuple((at[u], at[v], m) for u in made for v, m in rhs._adj[u].items()
+                  if v in at and u <= v),
+            tuple(at.get(w, w) for w in map(rhs.boundary_partner, bound)))
 
 
 def attach_wires(d: Diagram, ins_to: Sequence[str], outs_to: Sequence[str]) -> Diagram:

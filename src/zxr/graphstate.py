@@ -21,9 +21,12 @@ The rotated diagram (``fixpoint_lhs``, ``vdn_lhs``) is |g> with one
 rotation spider spliced onto some output wires, so it is the tensor product
 of single-wire rotations composed after |g>; by the tensor and composition
 laws of the interpretation its matrix is |g>'s with each rotation's matrix
-applied to that wire's axis. One rotation list (``_rotations``) names the
-wires and rotations for the diagram and the matrix alike. As ``evaluate``
-does, the checks test the entry cap on every call, memoised or not.
+applied to that wire's axis: one ``np.matmul`` per rotated wire, of the 2x2
+rotation and the state viewed as (2^i, 2, rest) for wire i. One rotation
+list (``_rotations``) names the wires and rotations for the diagram and the
+matrix alike. As ``evaluate`` does, the checks test the entry cap on every
+call, memoised or not. A copy from ``graph_state`` keeps the build's
+evaluation network (``Diagram.memo``) until it is edited.
 """
 
 from __future__ import annotations
@@ -209,19 +212,20 @@ def _rotation_matrix(colour: str, phase: PhaseLike) -> np.ndarray:
 
 def _rotated_matrix(g: SimpleGraph, rotations: list[Rotation]) -> np.ndarray:
     """The matrix of ``_rotated(g, rotations)``: |g>'s matrix with each
-    rotation's matrix applied to its vertex's wire axis. A fresh array; the
-    memoised ones are only read. The entry cap is tested against the
-    2^n-entry state and each rotation's 4 entries."""
+    rotation's matrix applied to its vertex's wire, wire i of n by one
+    ``np.matmul`` on the (2^i, 2, 2^(n-i-1)) view of the state. A fresh
+    array; the memoised ones are only read. The entry cap is tested against
+    the 2^n-entry state and each rotation's 4 entries."""
     n = len(g.vertices)
     if 2 ** n > semantics.MAX_INTERMEDIATE:
         raise ResourceLimit(f"a {n}-vertex graph state needs 2^{n} entries")
     if 4 > semantics.MAX_INTERMEDIATE:
         raise ResourceLimit("a one-wire rotation needs 2^2 entries")
-    t = _state_matrix(g).reshape((2,) * n)
+    t = _state_matrix(g)
     for v, colour, phase in rotations:
         i = g.vertices.index(v)
-        t = np.moveaxis(np.tensordot(_rotation_matrix(colour, phase), t,
-                                     axes=([1], [i])), 0, i)
+        t = np.matmul(_rotation_matrix(colour, phase),
+                      t.reshape((1 << i, 2, 1 << (n - i - 1))))
     return t.reshape((2 ** n, 1))
 
 

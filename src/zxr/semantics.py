@@ -5,255 +5,254 @@ Row indices encode the ordered outputs big-endian (first output wire is the
 most significant bit); columns encode inputs the same way. Under model n > 1
 every spider phase alpha is read as n*alpha; n = 1 is the standard
 interpretation.
+
+``evaluate`` contracts a network with one index per spider, not one per edge
+end: contraction with hyperedges (Gray & Kourtis, Quantum 5, 410, 2021). A Z
+spider's index is in the Z basis and an X spider's in the X basis, so a wire
+from end p to end q through k H-boxes is H^(e_p + k + e_q mod 2), with e = 1
+at an X end and 0 at a Z spider or a boundary: the identity or H. Spiders
+joined by identity wires share one index (spider fusion, which is exact).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import heapq
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .diagram import BOUNDARY, HBOX, Diagram, X
-from .phase import Phase
+from .diagram import BOUNDARY, Diagram, X
 
 MAX_INTERMEDIATE = 2 ** 26
+# bytes one evaluation may hold at once: its factors with a copy each while
+# built, its live intermediates, the one being made, and a copy of the result
+MAX_BYTES = 2 ** 32
+MAX_OPERANDS = 32   # einsum's operand limit under numpy 1.x (numpy 2: 64)
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"   # einsum's labels
 
 TOL = 1e-9  # entrywise, absolute; read by equal_up_to_scalar alone
 
 HALF_SQRT2 = 1.0 / math.sqrt(2.0)
-
 H_MATRIX = np.array([[HALF_SQRT2, HALF_SQRT2], [HALF_SQRT2, -HALF_SQRT2]],
                     dtype=complex)
 H_MATRIX.flags.writeable = False
 
 
 class ResourceLimit(RuntimeError):
-    """A contraction intermediate exceeded the configured entry cap."""
+    """An evaluation would exceed the entry cap or the byte budget."""
 
 
-def _spider_tensor(colour: str, degree: int, phase: Phase,
-                   model_n: int) -> np.ndarray:
-    """Read-only tensor of one spider node, symmetric in its legs.
-
-    The Z tensor has 1 at the all-zero corner and e^{i*n*alpha} at the all-one
-    corner, scaled by (1/sqrt2)^max(0, 2-degree) so that every generator of
-    the interpretation table is reproduced exactly. The X tensor conjugates
-    every leg by H.
-    """
-    scaled = phase.scaled(model_n)
-    amp = cmath.exp(1j * math.pi * scaled.num / scaled.den)
-    scale = HALF_SQRT2 ** max(0, 2 - degree)
-    if degree == 0:
-        t = np.array((1.0 + amp) * 0.5, dtype=complex)
-    else:
-        t = np.zeros((2,) * degree, dtype=complex)
-        t[(0,) * degree] = scale
-        t[(1,) * degree] = scale * amp
-    if colour == X:
-        for axis in range(degree):
-            t = np.tensordot(H_MATRIX, t, axes=([1], [axis]))
-            t = np.moveaxis(t, 0, axis)
+def _factor(axes: int, hmask: int, num: int, den: int) -> np.ndarray:
+    """Read-only tensor of one class: the sum over x in {0, 1} of amp(x)
+    times, per axis i, |x> or, where bit i of ``hmask`` is set, row x of H;
+    amp = [1, e^{i*pi*num/den}]."""
+    t = np.zeros((2,) * axes, dtype=complex)
+    for x, amp in ((0, 1.0), (1, cmath.exp(1j * math.pi * num / den))):
+        rows = [H_MATRIX[x] if hmask >> i & 1 else np.eye(2)[x] for i in range(axes)]
+        t += functools.reduce(np.multiply.outer, rows, np.array(amp, dtype=complex))
     t.flags.writeable = False
     return t
 
 
-# spider tensors by (colour, degree, phase num, phase den, model): plain
-# ints and strings, so a lookup hashes no Phase
-_SPIDER_TENSORS: dict[tuple[str, int, int, int, int], np.ndarray] = {}
+# class tensors by (axes, hmask, phase num, phase den), the phase in lowest
+# terms in [0, 2): plain ints, so a lookup hashes no Phase
+_FACTORS: dict[tuple[int, int, int, int], np.ndarray] = {}
+
+
+def _add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The sum of two phases num/den mod 2, in lowest terms."""
+    num, den = a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+    g = math.gcd(num, den)
+    return num // g % (2 * den // g), den // g
+
+
+def _network(d: Diagram) -> tuple:
+    """The diagram as (tensors, scale, plan), in every model: factor i is H
+    (tensors[i] None) or a class tensor (axes, hmask, (num, den, h)), and
+    ``_plan`` contracts the factors by their index tuples. Indices 0..free-1
+    are the boundaries, outputs then inputs. No array is built.
+
+    Identity wires merge their ends into classes (union-find). A class's
+    phase is its spiders' phase sum num/den, read n times over in model n,
+    plus pi if h: for an odd number of H wires within it, whose diagonal is
+    [1, -1]/sqrt2. A boundary on an H wire is an H-read leg of the class at
+    the other end; any other H wire is an H factor between two classes. A
+    class's tensor spans its legs. Its index is its first identity-read
+    leg, or else, if H factors hold it or it has no legs, one of its own on
+    the tensor's first axis, or else it is summed in the tensor. A tensor
+    [1, 1] on an index H factors hold is left out. ``scale`` collects
+    (1/sqrt2)^max(0, 2 - degree) per spider, 1/sqrt2 per H wire within a
+    class, and tr(H^k) per closed cycle of k H-boxes.
+    """
+    ends, at, wires, cycles = d.wires()
+    root = list(range(len(ends)))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    xs = [kind == X for kind, _, _ in ends]
+    h_wires = []
+    for p, q, k in wires:
+        if (k + xs[p] + xs[q]) % 2:
+            h_wires.append((p, q))
+        else:
+            root[find(q)] = find(p)
+    half = 0   # the power of 1/sqrt2 in the scalar
+    phase: dict[int, tuple[int, int]] = {}
+    for v, (_, ph, degree) in enumerate(ends):
+        r = root[v] = find(v)
+        if ph is not None:
+            half += max(0, 2 - degree)
+            phase[r] = _add(phase[r], (ph.num, ph.den)) if r in phase else (ph.num, ph.den)
+    pairs, h_read, loops = [], {}, set()   # h_read: boundary -> class reading it
+    for p, q in h_wires:
+        if ends[p][0] == BOUNDARY:
+            h_read[p] = root[q]
+        elif ends[q][0] == BOUNDARY:
+            h_read[q] = root[p]
+        elif root[p] == root[q]:
+            half += 1
+            loops ^= {root[p]}
+        else:
+            pairs.append((root[p], root[q]))
+    held = {r for pair in pairs for r in pair}
+
+    free = d.outputs + d.inputs
+    legs: dict[int, list[int]] = {}
+    hmask: dict[int, int] = {}
+    for i, b in enumerate(free):
+        r = h_read.get(at[b], -1)
+        c = root[at[b]] if r < 0 else r
+        ls = legs.setdefault(c, [])
+        hmask[c] = hmask.get(c, 0) | (r >= 0) << len(ls)
+        ls.append(i)
+    index: dict[int, int] = {}   # class -> its index
+    shape, tensors, own = [], [], len(free)
+    for r in list(legs) + [r for r in phase if r not in legs]:
+        ls, mask = legs.get(r, []), hmask.get(r, 0)
+        cp = (*phase.get(r, (0, 1)), r in loops)
+        if mask + 1 == 1 << len(ls) and (r in held or not ls):   # no identity-read leg
+            index[r], own = own, own + 1
+            ls, mask = [index[r]] + ls, mask << 1
+        elif r in held:
+            index[r] = ls[(~mask & (mask + 1)).bit_length() - 1]
+        if len(ls) > 1 or cp != (0, 1, False) or r not in held:
+            shape.append(tuple(ls))
+            tensors.append((len(ls), mask, cp))
+    for p, q in pairs:
+        shape.append(tuple(sorted((index[p], index[q]))))
+        tensors.append(None)
+    scale = 0.5 ** (half // 2) * (HALF_SQRT2 if half % 2 else 1.0)
+    scale *= math.prod(0.0 if k % 2 else 2.0 for k in cycles)
+    return tuple(tensors), scale, _plan(len(free), tuple(shape))
 
 
 def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
-    """Contract the diagram's tensor network into its matrix.
-
-    ``Diagram.legs`` reads the diagram in one pass: a variable per parallel
-    copy of each edge, and every node's kind, phase and legs. A spider's
-    tensor depends on its colour, degree (its leg count), phase and the
-    model alone, and is shared by every node and call with the same four,
-    looked up by them as plain ints and strings (H-boxes share
-    ``H_MATRIX``); self-loops are traced out of it per call. The
-    contraction order is greedy: each step contracts the pair of tensors
-    that share a variable and whose result has the fewest legs, ties going
-    to the pair that comes first in the work list (node tensors in node
-    order, each merged tensor appended at the end). Tensors are indexed by shared
-    variable, so a step costs no scan over all pairs. When no pair shares a
-    variable, the work list is stably sorted by size and the first two are
-    joined by an outer product. The whole order is planned from the leg
-    lists first (``_plan``), and ResourceLimit is raised before any
-    contraction if a node or any planned intermediate would exceed
-    ``MAX_INTERMEDIATE`` complex entries. A plan depends on the leg lists
-    alone, so it is reused by the next evaluations of the same leg
-    structure (a small LRU cache), such as one diagram in two models; the
-    cap is tested on every call all the same. The result is a fresh array
-    that shares no memory with the cached node tensors.
-    """
-    d.checked()
+    """Contract the diagram's network into its matrix. The network and its
+    plan (``_network``) are read once per diagram, through ``Diagram.memo``;
+    a plan depends on the index tuples alone and is cached (``_plan``). On
+    every call, ResourceLimit is raised before any factor is built or
+    contracted if a factor or a planned intermediate would exceed
+    ``MAX_INTERMEDIATE`` entries, or what is held at once ``MAX_BYTES``
+    bytes. Class tensors are shared read-only through ``_FACTORS``, keyed
+    by their phase in model n, H factors through ``H_MATRIX``; the result
+    is a fresh array."""
     if model_n < 1:
         raise ValueError("model_n must be >= 1")
-
-    nodes, next_var = d.legs()
-    tensors: list[tuple[np.ndarray, list[int]]] = []
-    boundary_var: dict[str, int] = {}
-    for v, kind, phase, legs, loops in nodes:
-        if kind == BOUNDARY:
-            boundary_var[v] = legs[0]
-            continue
-        if 2 ** len(legs) > MAX_INTERMEDIATE:
-            raise ResourceLimit(f"node {v!r} alone needs 2^{len(legs)} entries")
-        if kind == HBOX:
-            tensors.append((H_MATRIX, legs))
-            continue
-        key = (kind, len(legs), phase.num, phase.den, model_n)
-        t = _SPIDER_TENSORS.get(key)
-        if t is None:
-            t = _SPIDER_TENSORS[key] = _spider_tensor(kind, len(legs), phase,
-                                                      model_n)
-        # trace out self-loop variables inside the node tensor; each one's
-        # two legs sit side by side
-        for var in loops:
-            i = legs.index(var)
-            t = np.trace(t, axis1=i, axis2=i + 1)
-            del legs[i:i + 2]
-        tensors.append((t, legs))
-
-    # free legs in boundary order: outputs then inputs. A boundary-boundary
-    # edge exposes one variable twice; at its second occurrence splice in an
-    # identity tensor, so every variable has at most two occurrences
-    free: list[int] = []
-    for b in d.outputs + d.inputs:
-        var = boundary_var[b]
-        if var in free:
-            tensors.append((np.eye(2, dtype=complex), [var, next_var]))
-            var, next_var = next_var, next_var + 1
-        free.append(var)
-
-    t, legs = _contract_all(tensors)
-
-    # assemble output axes in boundary order
-    t = np.transpose(t, [legs.index(var) for var in free]) if legs else t.reshape(())
-    m, n = len(d.outputs), len(d.inputs)
-    out = t.reshape((2 ** m, 2 ** n))
-    # a read-only result is a view of a cached node tensor
-    return out if out.flags.writeable else out.copy()
+    tensors, scale, (steps, peak, nbytes) = d.memo(_network)
+    if 2 ** peak > MAX_INTERMEDIATE:
+        raise ResourceLimit(f"intermediate tensor with 2^{peak} entries exceeds the cap")
+    if nbytes > MAX_BYTES:
+        raise ResourceLimit(f"{nbytes} bytes held at once exceed the byte budget")
+    work: list[np.ndarray | None] = []
+    for f in tensors:
+        if f is not None:
+            axes, hmask, (num, den, h) = f
+            if model_n > 1 or h:
+                num, den = _add((model_n * num + h * den, den), (0, 1))
+            f = (axes, hmask, num, den)
+            if f not in _FACTORS:
+                _FACTORS[f] = _factor(*f)
+        work.append(H_MATRIX if f is None else _FACTORS[f])
+    for pos, subscripts in steps:
+        operands = [work[p] for p in pos]
+        for p in pos:
+            work[p] = None
+        work.append(np.einsum(subscripts, *operands))
+    out = (work[-1] if work else np.ones((), dtype=complex)).reshape(
+        (2 ** len(d.outputs), 2 ** len(d.inputs)))
+    return out if steps and scale == 1.0 else out * scale   # a lone factor may be cached
 
 
-Step = tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[int, int],
-             tuple[int, int], int]
-
-
-@lru_cache(maxsize=16)
-def _plan(shape: tuple[tuple[int, ...], ...]
-          ) -> tuple[tuple[Step, ...], tuple[int, ...]]:
-    """The greedy pairwise contraction order over tensors with leg lists
-    ``shape``, and the leg list of the final tensor; see ``evaluate``.
-
-    Each step (a, b, perm_a, perm_b, shape_a, shape_b, out_legs) contracts
-    tensor a with tensor b into a new tensor numbered after every tensor
-    before it. Every variable is held by at most two tensors, recorded in a
-    two-slot list per variable (-1 for an empty slot), and a tensor's number
-    orders it in the work list, so the smallest heap key (out_legs, a, b)
-    over pairs that share a variable is the greedy choice. A merge walks a's
-    legs once, finding each shared one's position in b as it goes, then
-    b's legs once for the ones it keeps; the merged tensor's still-shared
-    variables name the neighbours it gets heap entries for. The result is
-    immutable, because the cache hands it to every caller with the same
-    ``shape``.
+@functools.lru_cache(maxsize=64)
+def _plan(free: int, shape: tuple[tuple[int, ...], ...]
+          ) -> tuple[tuple[tuple[tuple[int, ...], str], ...], int, int]:
+    """The einsum steps that contract factors with index tuples ``shape``
+    into one tensor over indices 0..free-1 in order; the largest index count
+    of a factor or an intermediate; and the bytes held at once. A step
+    (positions, subscripts) reads the work list: the factors, then each
+    step's result. Other indices are eliminated greedily, fewest indices
+    left first, ties to the lowest, from a heap with lazy deletion; each
+    multiplies the factors that hold it. The rest are multiplied in order
+    of their largest index. Past ``MAX_OPERANDS`` operands the first two
+    are folded into one. The result is immutable: the cache shares it.
     """
-    legs = [list(ls) for ls in shape]
-    holders: dict[int, list[int]] = {}
-    for t, ls in enumerate(legs):
-        for var in ls:
-            h = holders.get(var)
-            if h is None:
-                holders[var] = [t, -1]
-            else:
-                h[1] = t
-    shared: dict[tuple[int, int], int] = {}
-    for a, b in holders.values():
-        if b >= 0:
-            shared[a, b] = shared.get((a, b), 0) + 1
-    heap = [(len(legs[a]) + len(legs[b]) - 2 * k, a, b)
-            for (a, b), k in shared.items()]
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
-    alive = [True] * len(legs)
-    steps: list[Step] = []
+    legs, steps, alive = list(shape), [], set(range(len(shape)))
+    holders: dict[int, set[int]] = {}
+    for f, ls in enumerate(legs):
+        for i in ls:
+            holders.setdefault(i, set()).add(f)
+    peak = max(map(len, legs), default=0)
+    live = held = 2 * sum(1 << len(ls) for ls in legs)
 
-    def merge(a: int, b: int) -> list[int]:
-        la, lb = legs[a], legs[b]
-        keep_a, axes_a, axes_b, lc = [], [], [], []
-        for i, var in enumerate(la):
-            if var in lb:
-                axes_a.append(i)
-                axes_b.append(lb.index(var))
-            else:
-                keep_a.append(i)
-                lc.append(var)
-        keep_b = [j for j, var in enumerate(lb) if var not in la]
-        lc += [lb[j] for j in keep_b]
-        k = 1 << len(axes_a)
-        steps.append((a, b, tuple(keep_a + axes_a), tuple(axes_b + keep_b),
-                      (1 << len(keep_a), k), (k, 1 << len(keep_b)), len(lc)))
-        legs.append(lc)
-        alive[a] = alive[b] = False
-        alive.append(True)
-        return lc
+    def emit(fs: list[int], out: tuple[int, ...]) -> int:
+        nonlocal peak, live, held
+        labels = sorted(set().union(*(legs[f] for f in fs)))
+        if len(labels) > len(_LETTERS):
+            raise ResourceLimit(f"intermediate tensor with 2^{len(labels) - 1} "
+                                "or more entries exceeds the cap")
+        letter = dict(zip(labels, _LETTERS))
+        steps.append((tuple(fs), ",".join("".join(map(letter.get, legs[f])) for f in fs)
+                      + "->" + "".join(map(letter.get, out))))
+        peak = max(peak, len(out))
+        held = max(held, live + (1 << len(out)))
+        live += (1 << len(out)) - sum(1 << len(legs[f]) for f in fs)
+        alive.difference_update(fs)
+        alive.add(len(legs))
+        legs.append(out)
+        return len(legs) - 1
 
+    def product(fs: list[int], out: tuple[int, ...]) -> int:
+        while len(fs) > MAX_OPERANDS:
+            fs = [emit(fs[:2], tuple(sorted({*legs[fs[0]], *legs[fs[1]]})))] + fs[2:]
+        return emit(fs, out)
+
+    def cost(i: int) -> int:
+        return len(set().union(*(legs[f] for f in holders[i]))) - 1
+
+    now = {i: cost(i) for i in holders if i >= free}
+    heap = sorted((c, i) for i, c in now.items())   # a sorted list is a heap
     while heap:
-        _, a, b = pop(heap)
-        if not (alive[a] and alive[b]):
+        c, i = heapq.heappop(heap)
+        if now.get(i) != c:
             continue
-        lc = merge(a, b)
-        c, n = len(legs) - 1, len(lc)
-        counts: dict[int, int] = {}
-        for var in lc:
-            h = holders[var]
-            if h[1] >= 0:
-                if h[0] == a or h[0] == b:
-                    h[0], other = c, h[1]
-                else:
-                    h[1], other = c, h[0]
-                counts[other] = counts.get(other, 0) + 1
-        for other, k in counts.items():
-            push(heap, (len(legs[other]) + n - 2 * k, other, c))
-
-    # disconnected components: no pair shares a variable, and no merge can
-    # create one, so the rest is outer products of the two smallest
-    work = [t for t, live in enumerate(alive) if live]
-    while len(work) > 1:
-        work.sort(key=lambda t: len(legs[t]))
-        merge(work[0], work[1])
-        work = work[2:] + [len(legs) - 1]
-    return tuple(steps), tuple(legs[-1])
-
-
-def _contract_all(tensors: list[tuple[np.ndarray, list[int]]]
-                  ) -> tuple[np.ndarray, tuple[int, ...]]:
-    if not tensors:
-        return np.array(1.0 + 0j), ()
-    steps, legs = _plan(tuple([tuple(ls) for _, ls in tensors]))
-    for step in steps:
-        if 2 ** step[-1] > MAX_INTERMEDIATE:
-            raise ResourceLimit(
-                f"intermediate tensor with 2^{step[-1]} entries exceeds the cap")
-    work: list[np.ndarray | None] = [t for t, _ in tensors]
-    for a, b, perm_a, perm_b, shape_a, shape_b, out_legs in steps:
-        work.append(_contract_pair(work[a], work[b], perm_a, perm_b,
-                                   shape_a, shape_b, out_legs))
-        work[a] = work[b] = None
-    return work[-1], legs
-
-
-def _contract_pair(ta: np.ndarray, tb: np.ndarray, perm_a: tuple[int, ...],
-                   perm_b: tuple[int, ...], shape_a: tuple[int, int],
-                   shape_b: tuple[int, int], out_legs: int) -> np.ndarray:
-    """np.tensordot's own transpose, reshape, dot, reshape sequence, with the
-    axes worked out in advance: the same floating-point operations."""
-    at = ta.transpose(perm_a).reshape(shape_a)
-    bt = tb.transpose(perm_b).reshape(shape_b)
-    return np.dot(at, bt).reshape((2,) * out_legs)
+        del now[i]
+        fs = sorted(holders.pop(i))
+        out = tuple(sorted(set().union(*(legs[f] for f in fs)) - {i}))
+        g = product(fs, out)
+        for j in out:
+            holders[j] = holders[j].difference(fs) | {g}
+            if j >= free:   # held by g alone, it leaves g's other indices
+                now[j] = len(out) - 1 if len(holders[j]) == 1 else cost(j)
+                heapq.heappush(heap, (now[j], j))
+    rest = sorted(alive, key=lambda f: (max(legs[f], default=-1), f))
+    if len(rest) > 1 or (rest and legs[rest[0]] != tuple(range(free))):
+        product(rest, tuple(range(free)))
+    return tuple(steps), peak, 16 * max(held, live + (1 << free))
 
 
 # -- scalar-equivalence --------------------------------------------------------

@@ -713,3 +713,51 @@ def test_changed_since_covers_rewired_edges_greedily():
     assert e.changed_since(d) == d.changed_since(e) == ["a", "d"]
     e.set_phase("b", 1)
     assert e.changed_since(d) == ["b", "c"]
+
+
+def test_memo_is_kept_until_an_edit_and_handed_to_copies():
+    reads = []
+
+    def read(d):
+        reads.append(d)
+        return d.edge_count()
+
+    d = spider(Z, 1, 1, "1/3")
+    assert d.memo(read) == d.memo(read) == 2 and reads == [d]
+    e = d.copy()
+    assert e.memo(read) == 2 and reads == [d]   # the copy is the same diagram
+    e.add_edge("g", "g")
+    assert e.memo(read) == 3 and reads == [d, e]
+    assert d.memo(read) == 2 and reads == [d, e]
+
+    def swap(d):
+        d.inputs, d.outputs = d.outputs, d.inputs
+
+    for edit in (lambda d: d.set_phase("g", 1), lambda d: d.set_kind("g", X), swap):
+        f = d.copy()
+        f.memo(read)
+        edit(f)
+        before = len(reads)
+        f.memo(read)
+        assert len(reads) == before + 1
+    # an evaluation reads the edited diagram, not the kept read of its source
+    g = spider(Z, 1, 1, "1/2")
+    m = evaluate(g)
+    h = g.copy()
+    h.set_phase("g", 1)
+    assert np.allclose(evaluate(h), np.diag([1, -1])) and np.allclose(evaluate(g), m)
+
+
+def test_wires_walk_h_chains_loops_and_closed_cycles():
+    d = parse("node a z\nnode b x 1/2\nnode h1 h\nnode h2 h\nnode h3 h\n"
+              "node c1 h\nnode c2 h\nnode c3 h\nin i\nout o\n"
+              "edge i a\nedge a h1\nedge h1 h2\nedge h2 b\nedge b h3\nedge b h3\n"
+              "edge a a\nedge b o\nedge c1 c2\nedge c2 c3\nedge c3 c1\n")
+    ends, at, wires, cycles = d.wires()
+    names = {i: v for v, i in at.items()}
+    assert sorted(names.values()) == ["a", "b", "i", "o"]
+    assert [(kind, degree) for kind, _, degree in ends] == [
+        (d.kind(v), d.degree(v)) for v in at]
+    got = sorted(tuple(sorted((names[p], names[q]))) + (k,) for p, q, k in wires)
+    assert got == [("a", "a", 0), ("a", "b", 2), ("a", "i", 0), ("b", "b", 1), ("b", "o", 0)]
+    assert cycles == [3]
