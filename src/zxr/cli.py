@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 from . import axioms, graphstate, proofs, rules, textio
 from .diagram import Diagram
 from .report import validate_report
-from .semantics import ResourceLimit, equal_up_to_scalar, evaluate, scalar_fit
+from .semantics import ResourceLimit, evaluate, matrices_equal, scalar_fit
 
 OK, DIFFER, USAGE, RESOURCE = 0, 1, 2, 3
 
@@ -84,7 +84,7 @@ def cmd_check_equal(args) -> int:
                             "ok": False})
         return DIFFER
     lam, residual = scalar_fit(ma, mb)
-    equal = equal_up_to_scalar(ma, mb)
+    equal = matrices_equal(a, ma, b, mb)
     print(f"equal={equal} lambda={lam:.12g} max_residual={residual:.3e}")
     _emit_report(args, {"suite": "check-equal", "model_n": model_n,
                         "equal": equal, "lambda": [lam.real, lam.imag],

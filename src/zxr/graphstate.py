@@ -24,8 +24,10 @@ laws of the interpretation its matrix is |g>'s with each rotation's matrix
 applied to that wire's axis: one ``np.matmul`` per rotated wire, of the 2x2
 rotation and the state viewed as (2^i, 2, rest) for wire i. One rotation
 list (``_rotations``) names the wires and rotations for the diagram and the
-matrix alike. As ``evaluate`` does, the checks test the entry cap on every
-call, memoised or not. A copy from ``graph_state`` keeps the build's
+matrix alike. The checks compare both matrices over the modulus all of
+|g>'s entries share, which many edges take under ``semantics.TOL``. As
+``evaluate`` does, the checks test the entry cap on every call, memoised or
+not. A copy from ``graph_state`` keeps the build's
 evaluation network (``Diagram.memo``) until it is edited.
 """
 
@@ -229,15 +231,23 @@ def _rotated_matrix(g: SimpleGraph, rotations: list[Rotation]) -> np.ndarray:
     return t.reshape((2 ** n, 1))
 
 
+def _same_state(lhs: np.ndarray, state: np.ndarray) -> bool:
+    """``equal_up_to_scalar`` of a rotated state and a graph state, both
+    over the one modulus that all of |g>'s entries share: 1/sqrt2 per edge
+    and isolated vertex, which from 60 edges on is under TOL."""
+    c = abs(state.flat[0])
+    return equal_up_to_scalar(lhs / c, state / c)
+
+
 def check_fixpoint(g: SimpleGraph, u: str) -> bool:
-    return equal_up_to_scalar(_rotated_matrix(g, _rotations(g, u, PI, PI)),
-                              _state_matrix(g))
+    return _same_state(_rotated_matrix(g, _rotations(g, u, PI, PI)),
+                       _state_matrix(g))
 
 
 def check_vdn(g: SimpleGraph, u: str) -> bool:
     lhs = _rotated_matrix(
         g, _rotations(g, u, LC_VERTEX_PHASE, LC_NEIGHBOUR_PHASE))
-    return equal_up_to_scalar(lhs, _state_matrix(local_complement(g, u)))
+    return _same_state(lhs, _state_matrix(local_complement(g, u)))
 
 
 def lc_orbit(g: SimpleGraph) -> set[SimpleGraph]:

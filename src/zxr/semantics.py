@@ -12,6 +12,9 @@ spider's index is in the Z basis and an X spider's in the X basis, so a wire
 from end p to end q through k H-boxes is H^(e_p + k + e_q mod 2), with e = 1
 at an X end and 0 at a Z spider or a boundary: the identity or H. Spiders
 joined by identity wires share one index (spider fusion, which is exact).
+Every 1/sqrt2 is kept out of the contraction in one scalar, and diagrams are
+compared with zero decided against it (``matrices_equal``), so 1/sqrt2 per
+H-box cannot take a nonzero diagram under TOL.
 """
 
 from __future__ import annotations
@@ -26,18 +29,16 @@ import numpy as np
 from .diagram import BOUNDARY, Diagram, X
 
 MAX_INTERMEDIATE = 2 ** 26
-# bytes one evaluation may hold at once: its factors with a copy each while
-# built, its live intermediates, the one being made, and a copy of the result
-MAX_BYTES = 2 ** 32
+MAX_BYTES = 2 ** 32   # held at once: factors twice, intermediates, result twice
 MAX_OPERANDS = 32   # einsum's operand limit under numpy 1.x (numpy 2: 64)
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"   # einsum's labels
 
-TOL = 1e-9  # entrywise, absolute; read by equal_up_to_scalar alone
+TOL = 1e-9  # entrywise, absolute; read by equal_up_to_scalar and _ray alone
 
 HALF_SQRT2 = 1.0 / math.sqrt(2.0)
-H_MATRIX = np.array([[HALF_SQRT2, HALF_SQRT2], [HALF_SQRT2, -HALF_SQRT2]],
-                    dtype=complex)
-H_MATRIX.flags.writeable = False
+_H_PLUS = np.array([[1, 1], [1, -1]], dtype=complex)   # sqrt2*H, as evaluated
+H_MATRIX = HALF_SQRT2 * _H_PLUS
+_H_PLUS.flags.writeable = H_MATRIX.flags.writeable = False
 
 
 class ResourceLimit(RuntimeError):
@@ -46,18 +47,17 @@ class ResourceLimit(RuntimeError):
 
 def _factor(axes: int, hmask: int, num: int, den: int) -> np.ndarray:
     """Read-only tensor of one class: the sum over x in {0, 1} of amp(x)
-    times, per axis i, |x> or, where bit i of ``hmask`` is set, row x of H;
-    amp = [1, e^{i*pi*num/den}]."""
+    times, per axis i, |x> or, where bit i of ``hmask`` is set, row x of
+    sqrt2*H; amp = [1, e^{i*pi*num/den}]."""
     t = np.zeros((2,) * axes, dtype=complex)
     for x, amp in ((0, 1.0), (1, cmath.exp(1j * math.pi * num / den))):
-        rows = [H_MATRIX[x] if hmask >> i & 1 else np.eye(2)[x] for i in range(axes)]
+        rows = [_H_PLUS[x] if hmask >> i & 1 else np.eye(2)[x] for i in range(axes)]
         t += functools.reduce(np.multiply.outer, rows, np.array(amp, dtype=complex))
     t.flags.writeable = False
     return t
 
 
-# class tensors by (axes, hmask, phase num, phase den), the phase in lowest
-# terms in [0, 2): plain ints, so a lookup hashes no Phase
+# class tensors by (axes, hmask, num, den), the phase num/den in lowest terms
 _FACTORS: dict[tuple[int, int, int, int], np.ndarray] = {}
 
 
@@ -69,23 +69,19 @@ def _add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 
 def _network(d: Diagram) -> tuple:
-    """The diagram as (tensors, scale, plan), in every model: factor i is H
-    (tensors[i] None) or a class tensor (axes, hmask, (num, den, h)), and
-    ``_plan`` contracts the factors by their index tuples. Indices 0..free-1
-    are the boundaries, outputs then inputs. No array is built.
-
-    Identity wires merge their ends into classes (union-find). A class's
-    phase is its spiders' phase sum num/den, read n times over in model n,
-    plus pi if h: for an odd number of H wires within it, whose diagonal is
-    [1, -1]/sqrt2. A boundary on an H wire is an H-read leg of the class at
-    the other end; any other H wire is an H factor between two classes. A
-    class's tensor spans its legs. Its index is its first identity-read
-    leg, or else, if H factors hold it or it has no legs, one of its own on
-    the tensor's first axis, or else it is summed in the tensor. A tensor
-    [1, 1] on an index H factors hold is left out. ``scale`` collects
-    (1/sqrt2)^max(0, 2 - degree) per spider, 1/sqrt2 per H wire within a
-    class, and tr(H^k) per closed cycle of k H-boxes.
-    """
+    """The diagram as (tensors, scale, plan), in every model, building no
+    array: factor i is sqrt2*H (tensors[i] None) or a class tensor (axes,
+    hmask, (num, den, h)), contracted by ``_plan`` over their index tuples;
+    indices 0..free-1 are the boundaries, outputs then inputs. Identity
+    wires merge their ends into classes (union-find), with their spiders'
+    phase sum, read n times over in model n, plus pi if h: an odd number of
+    H wires within the class. A boundary on an H wire is an H-read leg of
+    the class at its other end; other H wires are H factors between classes.
+    A class's index is its first identity-read leg, or, if H factors hold it
+    or it has no legs, its own on the tensor's first axis, or it is summed
+    in the tensor; a tensor [1, 1] on an index H factors hold is left out.
+    ``scale`` is 1/sqrt2 per H wire, (1/sqrt2)^max(0, 2 - degree) per
+    spider, and tr(H^k) per closed cycle of k H-boxes."""
     ends, at, wires, cycles = d.wires()
     root = list(range(len(ends)))
 
@@ -101,7 +97,7 @@ def _network(d: Diagram) -> tuple:
             h_wires.append((p, q))
         else:
             root[find(q)] = find(p)
-    half = 0   # the power of 1/sqrt2 in the scalar
+    half = len(h_wires)   # the power of 1/sqrt2 in the scalar
     phase: dict[int, tuple[int, int]] = {}
     for v, (_, ph, degree) in enumerate(ends):
         r = root[v] = find(v)
@@ -115,7 +111,6 @@ def _network(d: Diagram) -> tuple:
         elif ends[q][0] == BOUNDARY:
             h_read[q] = root[p]
         elif root[p] == root[q]:
-            half += 1
             loops ^= {root[p]}
         else:
             pairs.append((root[p], root[q]))
@@ -152,15 +147,12 @@ def _network(d: Diagram) -> tuple:
 
 
 def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
-    """Contract the diagram's network into its matrix. The network and its
-    plan (``_network``) are read once per diagram, through ``Diagram.memo``;
-    a plan depends on the index tuples alone and is cached (``_plan``). On
-    every call, ResourceLimit is raised before any factor is built or
-    contracted if a factor or a planned intermediate would exceed
-    ``MAX_INTERMEDIATE`` entries, or what is held at once ``MAX_BYTES``
-    bytes. Class tensors are shared read-only through ``_FACTORS``, keyed
-    by their phase in model n, H factors through ``H_MATRIX``; the result
-    is a fresh array."""
+    """Contract the diagram's network into its matrix, a fresh array. The
+    network and plan are read once per diagram (``Diagram.memo``). On every
+    call, ResourceLimit is raised before any factor is built or contracted
+    if a factor or planned intermediate would exceed ``MAX_INTERMEDIATE``
+    entries, or what is held at once ``MAX_BYTES`` bytes. Class tensors are
+    shared read-only through ``_FACTORS``, keyed by their phase in model n."""
     if model_n < 1:
         raise ValueError("model_n must be >= 1")
     tensors, scale, (steps, peak, nbytes) = d.memo(_network)
@@ -168,6 +160,7 @@ def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
         raise ResourceLimit(f"intermediate tensor with 2^{peak} entries exceeds the cap")
     if nbytes > MAX_BYTES:
         raise ResourceLimit(f"{nbytes} bytes held at once exceed the byte budget")
+    shape = (2 ** len(d.outputs), 2 ** len(d.inputs))
     work: list[np.ndarray | None] = []
     for f in tensors:
         if f is not None:
@@ -177,30 +170,27 @@ def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
             f = (axes, hmask, num, den)
             if f not in _FACTORS:
                 _FACTORS[f] = _factor(*f)
-        work.append(H_MATRIX if f is None else _FACTORS[f])
+        work.append(_H_PLUS if f is None else _FACTORS[f])
     for pos, subscripts in steps:
         operands = [work[p] for p in pos]
         for p in pos:
             work[p] = None
         work.append(np.einsum(subscripts, *operands))
-    out = (work[-1] if work else np.ones((), dtype=complex)).reshape(
-        (2 ** len(d.outputs), 2 ** len(d.inputs)))
+    out = (work[-1] if work else np.ones((), dtype=complex)).reshape(shape)
     return out if steps and scale == 1.0 else out * scale   # a lone factor may be cached
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=16)
 def _plan(free: int, shape: tuple[tuple[int, ...], ...]
           ) -> tuple[tuple[tuple[tuple[int, ...], str], ...], int, int]:
     """The einsum steps that contract factors with index tuples ``shape``
-    into one tensor over indices 0..free-1 in order; the largest index count
-    of a factor or an intermediate; and the bytes held at once. A step
-    (positions, subscripts) reads the work list: the factors, then each
-    step's result. Other indices are eliminated greedily, fewest indices
-    left first, ties to the lowest, from a heap with lazy deletion; each
-    multiplies the factors that hold it. The rest are multiplied in order
-    of their largest index. Past ``MAX_OPERANDS`` operands the first two
-    are folded into one. The result is immutable: the cache shares it.
-    """
+    into one tensor over indices 0..free-1; the largest index count of a
+    factor or an intermediate; the bytes held at once. A step (positions,
+    subscripts) reads the factors, then each step's result. Other indices
+    are eliminated greedily, fewest indices left first, then lowest, from a
+    heap, each multiplying its holders; the rest are multiplied in order of
+    their largest index, past ``MAX_OPERANDS`` folding the first two first.
+    Immutable: the cache shares it."""
     legs, steps, alive = list(shape), [], set(range(len(shape)))
     holders: dict[int, set[int]] = {}
     for f, ls in enumerate(legs):
@@ -255,9 +245,6 @@ def _plan(free: int, shape: tuple[tuple[int, ...], ...]
     return tuple(steps), peak, 16 * max(held, live + (1 << free))
 
 
-# -- scalar-equivalence --------------------------------------------------------
-
-
 def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
@@ -273,22 +260,17 @@ def scalar_fit(a: np.ndarray, b: np.ndarray) -> tuple[complex, float]:
 
 
 def _peak(x: np.ndarray) -> tuple[int, float]:
-    """The flat index and the value of the largest |x| entry, the first in
-    row-major order among equals; argmax finds a NaN first, as max does, so
-    the value is ``np.abs(x).max()``, at less cost on small arrays."""
+    """The flat index and value of the largest |x| entry, the first among
+    equals (or a NaN, as ``np.abs(x).max()`` finds)."""
     m = np.abs(x)
     i = int(m.argmax())
     return i, float(m.flat[i])
 
 
 def equal_up_to_scalar(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff a = lambda*b for some nonzero lambda, entrywise within TOL.
-
-    lambda is pivoted on the largest-magnitude entry of b (the first among
-    equals; |b| is taken once, for the pivot and the maximum alike). Two
-    zero matrices, empty ones included, are equal; a zero and a nonzero
-    matrix are not.
-    """
+    """True iff a = lambda*b for some nonzero lambda, entrywise within TOL,
+    lambda pivoted on b's largest entry (``_peak``). Two zero matrices, empty
+    ones included, are equal; a zero and a nonzero matrix are not."""
     _same_shape(a, b)
     if not b.size:
         return True
@@ -304,6 +286,21 @@ def equal_up_to_scalar(a: np.ndarray, b: np.ndarray) -> bool:
     return _peak(a - lam * b)[1] <= TOL
 
 
+def _ray(d: Diagram, m: np.ndarray) -> np.ndarray:
+    """d's matrix m over its largest entry, or zero if that is within TOL
+    times d's scale (``_network``): m over its scale is a sum of products of
+    unit-modulus numbers, so TOL tells a zero from float noise there at any
+    scale, as it cannot on m itself (K_12's entries are 2^-33)."""
+    top = _peak(m)[1]
+    return m / top if top > TOL * d.memo(_network)[1] else m * 0.0
+
+
+def matrices_equal(f: Diagram, a: np.ndarray, g: Diagram, b: np.ndarray) -> bool:
+    """Are f, whose matrix is a, and g, whose matrix in the same model is b,
+    equal up to a nonzero scalar? ``equal_up_to_scalar`` of their rays."""
+    return equal_up_to_scalar(_ray(f, a), _ray(g, b))
+
+
 def diagrams_equal(f: Diagram, g: Diagram, model_n: int = 1) -> bool:
     """Evaluate f, then g, in model n; equal up to a nonzero scalar?"""
-    return equal_up_to_scalar(evaluate(f, model_n), evaluate(g, model_n))
+    return matrices_equal(f, evaluate(f, model_n), g, evaluate(g, model_n))

@@ -210,6 +210,18 @@ def test_warm_checks_still_test_the_entry_cap(monkeypatch, vertices, cap, what):
             check(g, "a")
 
 
+def test_checks_compare_states_over_their_modulus():
+    # |K_12>'s 4,096 entries all have modulus 2^-33, under TOL: compared as
+    # they are, any two 66-edge states read as equal zero matrices
+    g = complete_graph([f"v{i}" for i in range(12)])
+    less = SimpleGraph.build(g.vertices, (tuple(e) for e in sorted(g.edges, key=sorted)[1:]))
+    state, other = graphstate._state_matrix(g), graphstate._state_matrix(less)
+    assert not graphstate._same_state(state, other)
+    assert check_fixpoint(g, "v0") and check_vdn(g, "v0")
+    wrong = graphstate._rotated_matrix(g, graphstate._rotations(g, "v0", PI, HALF_PI))
+    assert not graphstate._same_state(wrong, state)
+
+
 def test_vdn_witness_holds_in_model_one_only():
     p3 = path_graph("abc")
     lhs, rhs = vdn_lhs(p3, "b"), graph_state(local_complement(p3, "b"))

@@ -8,13 +8,14 @@ import pytest
 
 import leg_evaluator
 from conftest import H_MAT, SQRT2, graph_state_vector, proportional, random_diagram, rz_mat
-from zxr import axioms, proofs, semantics, shipped
+from zxr import axioms, cli, proofs, semantics, shipped
 from zxr.diagram import X, Z, compose, dagger, generator, iso_equal, spider, tensor, wire
 from zxr.graphstate import (SimpleGraph, fixpoint_lhs, graph_state, path_graph,
                             triangle, vdn_lhs)
 from zxr.phase import Phase
 from zxr.proofs import replay
 from zxr.semantics import H_MATRIX, ResourceLimit, equal_up_to_scalar, evaluate, scalar_fit
+from zxr.textio import parse, serialize_edges
 
 # frozen interpretation table (hand-typed, independent of the evaluator)
 TABLE = {
@@ -269,6 +270,49 @@ def test_complete_graph_states_plan_peak_two_to_the_m():
         assert proportional(got, want.reshape(-1, 1)), m
 
 
+# -- equality at any scale --------------------------------------------------------
+# 1/sqrt2 per H-box takes K_12's entries to 2^-33, under TOL: compared as they
+# are, any two such matrices read as equal zero matrices.
+
+
+def test_complete_graph_less_an_edge_is_another_state(tmp_path, capsys):
+    vs = [f"v{i}" for i in range(12)]
+    edges = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]]
+    graphs = [SimpleGraph.build(vs, es) for es in (edges, edges[1:])]
+    k, less = (graph_state(g) for g in graphs)
+    assert semantics.diagrams_equal(k, k) and not semantics.diagrams_equal(k, less)
+    files = []
+    for i, g in enumerate(graphs):
+        (tmp_path / f"{i}.edges").write_text(serialize_edges(g.vertices, g.edges))
+        files.append(str(tmp_path / f"{i}.zxd"))
+        assert cli.main(["graph-state", str(tmp_path / f"{i}.edges"), "-o", files[-1]]) == 0
+    assert cli.main(["check-equal", files[0], files[0]]) == 0
+    assert cli.main(["check-equal", *files]) == 1
+    assert "equal=False" in capsys.readouterr().out
+
+
+def test_rays_tell_a_zero_from_a_small_matrix():
+    # s, an X effect after a Z state, is 1/sqrt2; |+> and |-> stay apart
+    # under any power of it, and a zero stays zero
+    s = compose(generator("eps_x"), generator("eps_z_dag"))
+    plus, minus = spider(Z, 0, 1), spider(Z, 0, 1, "1")
+    for k in (16, 64):
+        a, b = plus, minus
+        for _ in range(k):
+            a, b = tensor(a, s), tensor(b, s)
+        assert semantics.diagrams_equal(a, a) and not semantics.diagrams_equal(a, b)
+    zero = spider(Z, 0, 0, "1")   # 1 + e^{i*pi}: float noise, not exactly 0
+    assert 0 < np.abs(evaluate(zero)).max() <= semantics.TOL
+    assert semantics.diagrams_equal(zero, tensor(zero, zero))
+    assert not semantics.diagrams_equal(zero, s)
+    # a closed cycle of three H-boxes is tr(H^3) = 0: its scale is zero
+    cycle = parse("node c1 h\nnode c2 h\nnode c3 h\nin i\nout o\nedge i o\n"
+                  "edge c1 c2\nedge c2 c3\nedge c3 c1\n")
+    assert not evaluate(cycle).any() and cycle.memo(semantics._network)[1] == 0
+    assert semantics.diagrams_equal(cycle, compose(cycle, generator("h")))
+    assert not semantics.diagrams_equal(cycle, wire())
+
+
 # -- the plan cache ------------------------------------------------------------------
 
 
@@ -281,7 +325,7 @@ def test_plan_cache_gives_bit_identical_matrices(rng):
             semantics._plan.cache_clear()
             d.check()   # empties the diagram's memo of its network too
             assert np.array_equal(evaluate(d, model_n), warm)
-    assert semantics._plan.cache_info().maxsize <= 64
+    assert semantics._plan.cache_info().maxsize <= 16
 
 
 def test_resource_limit_checked_on_a_cached_plan(monkeypatch):
@@ -379,8 +423,8 @@ PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
 
 def _assert_evaluations_match_reference(run, at_least):
     """Every evaluation made while ``run()`` runs agrees with the reference,
-    and so does the verdict of every ``diagrams_equal`` call that made two
-    of them; returns those verdicts."""
+    and the verdict of every ``diagrams_equal`` call that made two of them
+    is the reference's ``equal_up_to_scalar`` verdict; returns those."""
     seen, pairs = [], []
     evaluate_, equal_ = semantics.evaluate, semantics.diagrams_equal
 
@@ -391,7 +435,7 @@ def _assert_evaluations_match_reference(run, at_least):
 
     def pairing(f, g, model_n=1):
         verdict = equal_(f, g, model_n)
-        pairs.append(len(seen) - 2)
+        pairs.append((len(seen) - 2, verdict))
         return verdict
 
     with pytest.MonkeyPatch.context() as mp:
@@ -401,7 +445,9 @@ def _assert_evaluations_match_reference(run, at_least):
         run()
     assert len(seen) >= at_least
     results = [_assert_matches_reference(d, n) for d, n in seen]
-    return _assert_same_verdicts([(results[i], results[i + 1]) for i in pairs])
+    verdicts = _assert_same_verdicts([(results[i], results[i + 1]) for i, _ in pairs])
+    assert verdicts == [verdict for _, verdict in pairs]
+    return verdicts
 
 
 def test_plans_match_reference_on_random_diagrams(rng):
