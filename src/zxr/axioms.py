@@ -143,12 +143,6 @@ def _instances(axiom: str) -> Iterator[Instance]:
     return AXIOM_SCHEMAS[axiom]()
 
 
-def verify_axiom(axiom: str, model_n: int = 1) -> bool:
-    """True iff every instance of the schema holds up to scalar in model n."""
-    holds, _ = verify_axiom_residual(axiom, model_n)
-    return holds
-
-
 def verify_axiom_residual(axiom: str, model_n: int) -> tuple[bool, float]:
     """(holds, worst residual after the optimal scalar fit over instances)."""
     worst = 0.0

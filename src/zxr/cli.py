@@ -54,18 +54,26 @@ def _load_graph(path: str) -> graphstate.SimpleGraph:
     return graphstate.SimpleGraph(*_read(path, textio.parse_edges))
 
 
+def _save(path: str, text: str) -> None:
+    """Write text to a file; an unwritable path is a usage error naming it."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(USAGE, f"cannot write {path}: {exc}")
+
+
 def _write(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        _save(path, text)
 
 
 def _emit_report(args, report: dict) -> None:
     """Write the report to --json, if given, once it passes the schema."""
     if getattr(args, "json", None):
         validate_report(report)
-        Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
+        _save(args.json, json.dumps(report, indent=2) + "\n")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -130,10 +138,7 @@ def cmd_graph_state(args) -> int:
 
 def cmd_local_comp(args) -> int:
     g = _load_graph(args.graph)
-    try:
-        h = graphstate.local_complement(g, args.vertex)
-    except graphstate.GraphError as exc:
-        raise CliError(USAGE, str(exc))
+    h = graphstate.local_complement(g, args.vertex)
     _write(args.output, textio.serialize_edges(h.vertices, h.edges))
     return OK
 
@@ -308,16 +313,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if getattr(args, dest) not in (None, False) and command not in readers:
                 raise CliError(USAGE, f"--{dest.replace('_', '-')} does not "
                                       f"apply to {command}")
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except CliError as exc:
+        try:
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
+        except ResourceLimit as exc:
+            print(f"resource limit: {exc}", file=sys.stderr)
+            # a report left by an earlier run must not be read as this run's
+            suite = args.suite if args.command == "verify" else args.command
+            _emit_report(args, {"suite": suite, "resource_limit": str(exc), "ok": False})
+            return RESOURCE
+    except CliError as exc:   # an unwritable report after a resource limit too
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ResourceLimit as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        # a report left by an earlier run must not be read as this run's
-        suite = args.suite if args.command == "verify" else args.command
-        _emit_report(args, {"suite": suite, "resource_limit": str(exc), "ok": False})
-        return RESOURCE
+    except graphstate.GraphError as exc:   # an unknown vertex or a label with ':'
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from typing import Iterable
 import numpy as np
 
 from . import semantics
-from .diagram import BOUNDARY, Diagram, X, Z, attach_wires, chain, rotation_chain
+from .diagram import BOUNDARY, Diagram, X, Z, chain, rotation_chain
 from .phase import HALF_PI, MINUS_HALF_PI, PI, PhaseLike
 from .semantics import ResourceLimit, equal_up_to_scalar, evaluate
 
@@ -52,8 +52,6 @@ from .semantics import ResourceLimit, equal_up_to_scalar, evaluate
 # labels.)
 LC_VERTEX_PHASE = HALF_PI
 LC_NEIGHBOUR_PHASE = MINUS_HALF_PI
-
-ORBIT_CAP = 8
 
 
 class GraphError(ValueError):
@@ -123,15 +121,6 @@ def triangle() -> SimpleGraph:
 # -- diagrams -------------------------------------------------------------------
 
 
-def cz_diagram() -> Diagram:
-    """The controlled-Z map: two green spiders joined through an H-box."""
-    d = Diagram()
-    a = d.add_node(Z, name="a")
-    b = d.add_node(Z, name="b")
-    chain(d, a, b, ["h"], ["h"])
-    return attach_wires(d, [a, b], [a, b])
-
-
 def graph_state(g: SimpleGraph) -> Diagram:
     """The 0-input diagram preparing |g>: one green dot and output per vertex,
     an H-box per edge. A fresh copy of the memoised build, owned by the
@@ -142,9 +131,12 @@ def graph_state(g: SimpleGraph) -> Diagram:
 
 @lru_cache(maxsize=16)
 def _built_state(g: SimpleGraph) -> Diagram:
-    """|g> built and fully checked once; shared, so only ever read or copied."""
+    """|g> built and fully checked once; shared, so only ever read or copied.
+    Node ids join labels with ':', so a label holding one is refused."""
     d = Diagram()
     for v in g.vertices:
+        if ":" in v:
+            raise GraphError(f"vertex label {v!r} contains ':'")
         d.add_node(Z, name=f"v:{v}")
         d.add_node(BOUNDARY, name=f"w:{v}")
         d.add_edge(f"v:{v}", f"w:{v}")
@@ -248,28 +240,6 @@ def check_vdn(g: SimpleGraph, u: str) -> bool:
     lhs = _rotated_matrix(
         g, _rotations(g, u, LC_VERTEX_PHASE, LC_NEIGHBOUR_PHASE))
     return _same_state(lhs, _state_matrix(local_complement(g, u)))
-
-
-def lc_orbit(g: SimpleGraph) -> set[SimpleGraph]:
-    """Closure of {g} under local complementation at every vertex.
-
-    Works on labelled graphs: no isomorphism quotient, so every member shares
-    g's vertex order and wire order.
-    """
-    if len(g.vertices) > ORBIT_CAP:
-        raise GraphError(f"orbit capped at {ORBIT_CAP} vertices")
-    seen = {g}
-    frontier = [g]
-    while frontier:
-        cur = frontier.pop()
-        for u in cur.vertices:
-            if not cur.neighbours(u):
-                continue
-            nxt = local_complement(cur, u)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
 
 
 def all_graphs(labels: tuple[str, ...]) -> Iterable[SimpleGraph]:

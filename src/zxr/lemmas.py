@@ -11,10 +11,11 @@ The fixpoint property of every graph (``fixpoint(g, u)``), K(m,n) = P2 and
 the even-cycle reductions use no Euler-strength step; the triangle local
 complementation, the pi/2 colour change and the non-uniqueness of the
 decomposition use the decomposition, and its derivation from local
-complementation uses the hypothesis instead. Where a result equates two diagrams that are both irreducible
-under the directed rule set, it is two derivations from a common start whose
-ends are the two sides of the equation. ``shipped`` writes the scripts and
-start diagrams of these records to proofs/.
+complementation uses the hypothesis instead. Where a result equates two
+diagrams that are both irreducible under the directed rule set, it is two
+derivations from a common start whose ends are the two sides of the
+equation. ``shipped`` writes the scripts and start diagrams of these
+records to proofs/.
 """
 
 from __future__ import annotations
@@ -118,10 +119,6 @@ def fixpoint(g: SimpleGraph, u: str) -> Derivation:
                   if b.diagram.kind(w) == Z and b.diagram.phase(w) == PI][0]
         b.apply("spider-fuse", (nb, nb_rot))
     return Derivation(b.start, b.script, graph_state(g))
-
-
-def fixpoint_script(n: int) -> ProofScript:
-    return fixpoint(star_graph(n), "c").script
 
 
 def check_fixpoint_script(n: int) -> bool:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import pi
 from typing import Union
 
 PhaseLike = Union["Phase", Fraction, int, str]
@@ -13,21 +13,27 @@ PhaseLike = Union["Phase", Fraction, int, str]
 _TOKEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+def reduced(num: int, den: int) -> tuple[int, int]:
+    """The angle (num/den)*pi mod 2pi as (num, den) in lowest terms, with
+    den >= 1 and 0 <= num < 2*den; den = 0 raises ZeroDivisionError. The
+    one normalization of every phase, so fusion is bit-reproducible."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    num, den = num // g, den // g
+    return num % (2 * den), den
+
+
 @dataclass(frozen=True, order=True)
 class Phase:
-    """An angle (num/den)*pi with gcd(|num|, den) = 1 and 0 <= num/den < 2.
-
-    Fraction keeps the arithmetic exact, so spider fusion and mod-2pi
-    normalization are bit-reproducible.
-    """
+    """An angle (num/den)*pi with gcd(|num|, den) = 1 and 0 <= num/den < 2,
+    held as exact integers (``reduced``)."""
 
     num: int = 0
     den: int = 1
 
     def __post_init__(self) -> None:
-        f = Fraction(self.num, self.den) % 2
-        object.__setattr__(self, "num", f.numerator)
-        object.__setattr__(self, "den", f.denominator)
+        num, den = reduced(self.num, self.den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def coerce(value: PhaseLike) -> "Phase":
@@ -48,8 +54,7 @@ class Phase:
         """
         if not _TOKEN.fullmatch(token):
             raise ValueError(f"not a phase token: {token!r}")
-        f = Fraction(token)
-        p = Phase(f.numerator, f.denominator)
+        p = Phase(*map(int, token.split("/")))
         p.token()   # a phase that parses must also write back
         return p
 
@@ -58,26 +63,20 @@ class Phase:
         return Fraction(self.num, self.den)
 
     def __add__(self, other: "Phase") -> "Phase":
-        f = self.frac + other.frac
-        return Phase(f.numerator, f.denominator)
+        return Phase(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "Phase":
-        f = -self.frac
-        return Phase(f.numerator, f.denominator)
+        return Phase(-self.num, self.den)
 
     def __sub__(self, other: "Phase") -> "Phase":
         return self + (-other)
 
     def scaled(self, n: int) -> "Phase":
         """The phase n*alpha mod 2pi (the scaled-interpretation family)."""
-        f = self.frac * n
-        return Phase(f.numerator, f.denominator)
+        return Phase(self.num * n, self.den)
 
     def is_zero(self) -> bool:
         return self.num == 0
-
-    def radians(self) -> float:
-        return float(self.frac) * pi
 
     def token(self) -> str:
         return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"

@@ -72,9 +72,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .diagram import (HBOX, SPIDERS, Diagram, DiagramError, X, Z, attach_wires,
-                      empty, euler_chain, h_core, h_core_dual, h_wire,
-                      other_colour, wire)
+from .diagram import (HBOX, SPIDERS, Diagram, X, Z, attach_wires, empty,
+                      euler_chain, h_core, h_core_dual, h_wire, other_colour, wire)
 from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO, Phase
 
 Anchor = tuple[str, ...]
@@ -590,11 +589,3 @@ def normalize(d: Diagram, trace: list[tuple[str, Anchor]] | None = None) -> Diag
             return current
         if not (current.node_count(), current.edge_count()) < measure:
             raise RuntimeError("normalization step failed to decrease the measure")
-
-
-def is_bipartite_form(d: Diagram) -> bool:
-    """True iff no edge joins two same-colour spiders. H-boxes are rejected."""
-    for v in d.nodes():
-        if d.kind(v) == HBOX:
-            raise DiagramError("diagram contains H-boxes")
-    return not match_sites("spider-fuse", d)

@@ -27,9 +27,11 @@ import math
 import numpy as np
 
 from .diagram import BOUNDARY, Diagram, X
+from .phase import reduced
 
 MAX_INTERMEDIATE = 2 ** 26
 MAX_BYTES = 2 ** 32   # held at once: factors twice, intermediates, result twice
+MAX_CACHED_ENTRIES = 2 ** 11   # the largest class tensor the benchmark workloads use
 MAX_OPERANDS = 32   # einsum's operand limit under numpy 1.x (numpy 2: 64)
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"   # einsum's labels
 
@@ -37,8 +39,7 @@ TOL = 1e-9  # entrywise, absolute; read by equal_up_to_scalar and _ray alone
 
 HALF_SQRT2 = 1.0 / math.sqrt(2.0)
 _H_PLUS = np.array([[1, 1], [1, -1]], dtype=complex)   # sqrt2*H, as evaluated
-H_MATRIX = HALF_SQRT2 * _H_PLUS
-_H_PLUS.flags.writeable = H_MATRIX.flags.writeable = False
+_H_PLUS.flags.writeable = False
 
 
 class ResourceLimit(RuntimeError):
@@ -58,14 +59,8 @@ def _factor(axes: int, hmask: int, num: int, den: int) -> np.ndarray:
 
 
 # class tensors by (axes, hmask, num, den), the phase num/den in lowest terms
+# (``reduced``), of at most MAX_CACHED_ENTRIES entries
 _FACTORS: dict[tuple[int, int, int, int], np.ndarray] = {}
-
-
-def _add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """The sum of two phases num/den mod 2, in lowest terms."""
-    num, den = a[0] * b[1] + b[0] * a[1], a[1] * b[1]
-    g = math.gcd(num, den)
-    return num // g % (2 * den // g), den // g
 
 
 def _network(d: Diagram) -> tuple:
@@ -103,7 +98,8 @@ def _network(d: Diagram) -> tuple:
         r = root[v] = find(v)
         if ph is not None:
             half += max(0, 2 - degree)
-            phase[r] = _add(phase[r], (ph.num, ph.den)) if r in phase else (ph.num, ph.den)
+            num, den = phase.get(r, (0, 1))
+            phase[r] = reduced(num * ph.den + ph.num * den, den * ph.den)
     pairs, h_read, loops = [], {}, set()   # h_read: boundary -> class reading it
     for p, q in h_wires:
         if ends[p][0] == BOUNDARY:
@@ -151,8 +147,9 @@ def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
     network and plan are read once per diagram (``Diagram.memo``). On every
     call, ResourceLimit is raised before any factor is built or contracted
     if a factor or planned intermediate would exceed ``MAX_INTERMEDIATE``
-    entries, or what is held at once ``MAX_BYTES`` bytes. Class tensors are
-    shared read-only through ``_FACTORS``, keyed by their phase in model n."""
+    entries, or what is held at once ``MAX_BYTES`` bytes. Class tensors of
+    up to ``MAX_CACHED_ENTRIES`` entries are shared read-only through
+    ``_FACTORS``, keyed by their phase in model n."""
     if model_n < 1:
         raise ValueError("model_n must be >= 1")
     tensors, scale, (steps, peak, nbytes) = d.memo(_network)
@@ -166,11 +163,14 @@ def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
         if f is not None:
             axes, hmask, (num, den, h) = f
             if model_n > 1 or h:
-                num, den = _add((model_n * num + h * den, den), (0, 1))
-            f = (axes, hmask, num, den)
-            if f not in _FACTORS:
-                _FACTORS[f] = _factor(*f)
-        work.append(_H_PLUS if f is None else _FACTORS[f])
+                num, den = reduced(model_n * num + h * den, den)
+            key = (axes, hmask, num, den)
+            f = _FACTORS.get(key)
+            if f is None:
+                f = _factor(*key)
+                if f.size <= MAX_CACHED_ENTRIES:   # else built for this call alone
+                    _FACTORS[key] = f
+        work.append(_H_PLUS if f is None else f)
     for pos, subscripts in steps:
         operands = [work[p] for p in pos]
         for p in pos:

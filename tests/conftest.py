@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here recompute expected values by brute force (state-vector
-manipulation, parity formulas) without going through the diagram evaluator,
-so the two paths check each other. ``steps_reached`` is the dependency walk
-over the derivations of ``zxr.lemmas``.
+manipulation, parity formulas, local-complementation orbits) without going
+through the diagram evaluator, so the two paths check each other.
+``steps_reached`` is the dependency walk over the derivations of
+``zxr.lemmas``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 from zxr import lemmas
-from zxr.diagram import BOUNDARY, HBOX, Diagram, X, Z
-from zxr.graphstate import SimpleGraph
+from zxr.diagram import BOUNDARY, HBOX, Diagram, X, Z, attach_wires, chain
+from zxr.graphstate import SimpleGraph, local_complement
 from zxr.phase import Phase
 
 GRID = [Phase(0), Phase(1, 2), Phase(1), Phase(3, 2), Phase(1, 3), Phase(2, 5)]
@@ -44,6 +45,32 @@ def graph_state_vector(g: SimpleGraph) -> np.ndarray:
             if (x >> (nv - 1 - i)) & 1 and (x >> (nv - 1 - j)) & 1:
                 vec[x] = -vec[x]
     return vec.reshape(-1, 1)
+
+
+def cz_diagram() -> Diagram:
+    """The controlled-Z map: two green spiders joined through an H-box."""
+    d = Diagram()
+    a = d.add_node(Z, name="a")
+    b = d.add_node(Z, name="b")
+    chain(d, a, b, ["h"], ["h"])
+    return attach_wires(d, [a, b], [a, b])
+
+
+def lc_orbit(g: SimpleGraph) -> set[SimpleGraph]:
+    """Closure of {g} under local complementation at every vertex, on
+    labelled graphs: every member shares g's vertex order and wire order."""
+    seen = {g}
+    frontier = [g]
+    while frontier:
+        cur = frontier.pop()
+        for u in cur.vertices:
+            if not cur.neighbours(u):
+                continue
+            nxt = local_complement(cur, u)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 def apply_single(mat: np.ndarray, qubit: int, nqubits: int,

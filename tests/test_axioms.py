@@ -11,26 +11,26 @@ from zxr import axioms
 
 def test_base_axioms_hold_in_standard_model():
     for name in axioms.BASE_AXIOMS:
-        assert axioms.verify_axiom(name, 1), name
+        assert axioms.verify_axiom_residual(name, 1)[0], name
 
 
 def test_base_axioms_hold_in_scaled_models():
     for n in (2, 3):
         for name in axioms.BASE_AXIOMS:
-            assert axioms.verify_axiom(name, n), (name, n)
+            assert axioms.verify_axiom_residual(name, n)[0], (name, n)
 
 
 def test_spider_fusion_model_1():
-    assert axioms.verify_axiom("spider-fuse", 1)
+    assert axioms.verify_axiom_residual("spider-fuse", 1)[0]
 
 
 def test_bialgebra_model_2():
-    assert axioms.verify_axiom("bialgebra", 2)
+    assert axioms.verify_axiom_residual("bialgebra", 2)[0]
 
 
 def test_euler_only_in_standard_model():
-    assert axioms.verify_axiom("euler", 1)
-    assert not axioms.verify_axiom("euler", 2)
+    assert axioms.verify_axiom_residual("euler", 1)[0]
+    assert not axioms.verify_axiom_residual("euler", 2)[0]
 
 
 def test_euler_failure_is_gross():
@@ -81,7 +81,7 @@ def test_verdict_rejects_each_broken_pattern(model_n, axiom, change):
 
 def test_unknown_axiom():
     with pytest.raises(ValueError):
-        axioms.verify_axiom("nonsense")
+        axioms.verify_axiom_residual("nonsense", 1)
 
 
 def test_axioms_imports_no_proof_code():

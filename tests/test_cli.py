@@ -390,6 +390,39 @@ def test_every_resource_limit_exits_three(files, monkeypatch, capsys, command):
     assert capsys.readouterr().err.startswith("resource limit: ")
 
 
+def test_colon_label_is_usage_error(files, capsys):
+    colon = files["dir"] / "colon.edges"
+    colon.write_text("vertices a b:c a:b c\nedge a b:c\nedge a:b c\n")
+    assert main(["graph-state", str(colon)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "vertex label 'b:c' contains ':'" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph-state", "tri.edges", "-o", "OUT"],
+    ["rewrite", "hh.zxd", "--rule", "h-cancel", "--check", "-o", "OUT"],
+    ["--json", "OUT", "--max-vertices", "2", "verify", "fixpoint"],
+    ["--json", "OUT", "check-equal", "hh.zxd", "wire.zxd"],
+])
+def test_unwritable_output_is_usage_error(files, capsys, argv):
+    out = files["dir"] / "missing" / "out"
+    assert main([str(out) if a == "OUT" else files.get(a, a) for a in argv]) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+def test_unwritable_report_after_resource_limit_is_usage_error(
+        files, monkeypatch, capsys):
+    from zxr import semantics
+
+    monkeypatch.setattr(semantics, "MAX_INTERMEDIATE", 2)
+    out = files["dir"] / "missing" / "r.json"
+    assert main(["--json", str(out), "check-equal", files["hh.zxd"],
+                 files["wire.zxd"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ")
+    assert f"error: cannot write {out}: " in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--model-n", "2", "--enable-euler", "rewrite", "h.zxd", "--rule", "euler",
       "-o", "out.zxd"], "--model-n does not apply to rewrite without --check"),

@@ -43,7 +43,7 @@ def test_euler_free_reads_the_rule_flag():
 
 
 def test_script_json_round_trip():
-    script = lemmas.fixpoint_script(3)
+    script = lemmas.fixpoint(star_graph(3), "c").script
     text = script.to_json_lines()
     again = ProofScript.from_json_lines(script.name, text)
     assert again.steps == script.steps

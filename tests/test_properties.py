@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from conftest import random_diagram
+from conftest import lc_orbit, random_diagram
 from zxr import rules
 from zxr.diagram import BOUNDARY, Diagram, X, Z, compose, iso_equal
 from zxr.graphstate import (SimpleGraph, graph_state, local_complement,
-                            lc_orbit, star_graph, triangle, vdn_lhs)
+                            star_graph, triangle, vdn_lhs)
 from zxr.phase import HALF_PI, MINUS_HALF_PI
 from zxr.proofs import ProofScript, replay
 from zxr.semantics import equal_up_to_scalar, evaluate

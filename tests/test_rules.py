@@ -157,13 +157,11 @@ def test_normalize_measure_trace(rng):
 
 
 def test_is_bipartite_form():
-    assert rules.is_bipartite_form(hopf_lhs())
+    assert not rules.match_sites("spider-fuse", hopf_lhs())
     fusable = compose(generator("phase_z", Phase(1, 2)),
                       generator("phase_z", Phase(1, 2)))
-    assert not rules.is_bipartite_form(fusable)
-    assert rules.is_bipartite_form(generator("phase_z", Phase(1, 2)))
-    with pytest.raises(Exception):
-        rules.is_bipartite_form(generator("h"))
+    assert rules.match_sites("spider-fuse", fusable)
+    assert not rules.match_sites("spider-fuse", generator("phase_z", Phase(1, 2)))
 
 
 def test_normalize_is_bipartite_on_h_free(rng):
@@ -171,7 +169,7 @@ def test_normalize_is_bipartite_on_h_free(rng):
         d = random_diagram(rng)
         if any(d.kind(v) == HBOX for v in d.nodes()):
             continue
-        assert rules.is_bipartite_form(rules.normalize(d))
+        assert not rules.match_sites("spider-fuse", rules.normalize(d))
 
 
 def test_graph_state_already_normal():

@@ -14,7 +14,7 @@ from zxr.graphstate import (SimpleGraph, fixpoint_lhs, graph_state, path_graph,
                             triangle, vdn_lhs)
 from zxr.phase import Phase
 from zxr.proofs import replay
-from zxr.semantics import H_MATRIX, ResourceLimit, equal_up_to_scalar, evaluate, scalar_fit
+from zxr.semantics import ResourceLimit, equal_up_to_scalar, evaluate, scalar_fit
 from zxr.textio import parse, serialize_edges
 
 # frozen interpretation table (hand-typed, independent of the evaluator)
@@ -45,9 +45,9 @@ def test_delta_generators_are_adjoints():
 def test_phase_generators():
     for p in (Phase(0), Phase(1, 2), Phase(1), Phase(1, 3)):
         z = evaluate(generator("phase_z", p))
-        assert np.abs(z - rz_mat(p.radians())).max() < 1e-12
+        assert np.abs(z - rz_mat(float(p.frac) * np.pi)).max() < 1e-12
         x = evaluate(generator("phase_x", p))
-        assert np.abs(x - H_MAT @ rz_mat(p.radians()) @ H_MAT).max() < 1e-12
+        assert np.abs(x - H_MAT @ rz_mat(float(p.frac) * np.pi) @ H_MAT).max() < 1e-12
 
 
 def test_pauli_phases():
@@ -163,7 +163,7 @@ def test_evaluate_result_shares_no_memory_with_cached_tensors():
     m = evaluate(d)
     m *= 0
     assert np.abs(evaluate(d) - rz_mat(np.pi / 2)).max() < 1e-12
-    assert not H_MATRIX.flags.writeable
+    assert not semantics._H_PLUS.flags.writeable
     assert not any(t.flags.writeable for t in semantics._FACTORS.values())
     for fresh in (evaluate(generator("h")), evaluate(graph_state(triangle())), m):
         assert fresh.flags.writeable
@@ -196,6 +196,19 @@ def test_spider_tensors_are_shared_read_only(monkeypatch):
     m[:] = 0
     assert proportional(evaluate(d), want)
     assert semantics._FACTORS[key] is t
+
+
+def test_cache_keeps_no_class_tensor_over_its_bound(monkeypatch):
+    # a spider's class tensor over MAX_CACHED_ENTRIES is built for its call
+    # and dropped, so large spiders do not pile up in the cache
+    monkeypatch.setattr(semantics, "_FACTORS", {})
+    for k in (1, 3):
+        big = spider(Z, 0, 14, Phase(1, k))   # one class tensor of 2^14 entries
+        m = evaluate(big)
+        assert np.isclose(m[-1, 0] / m[0, 0], np.exp(1j * np.pi / k))
+        assert np.array_equal(evaluate(big), m)
+    evaluate(spider(Z, 0, 11, Phase(1, 4)))   # 2^11 entries: kept
+    assert [key[0] for key in semantics._FACTORS] == [11]
 
 
 def _counting(monkeypatch, owner, name):
