@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Iterator
 from .diagram import (BOUNDARY, Diagram, X, Z, compose, euler_chain, h_wire,
                       other_colour, spider, tensor, wire)
 from .phase import PI, Phase
-from .semantics import evaluate, matrices_equal, scalar_fit
+from .semantics import evaluate, matrices_equal, network_scale, scalar_fit
 
 PHASE_GRID = (Phase(0), Phase(1, 2), Phase(1), Phase(3, 2),
               Phase(1, 3), Phase(2, 5))
@@ -151,7 +151,7 @@ def verify_axiom_residual(axiom: str, model_n: int) -> tuple[bool, float]:
         a, b = evaluate(lhs, model_n), evaluate(rhs, model_n)
         _, residual = scalar_fit(a, b)
         worst = max(worst, residual)
-        if not matrices_equal(lhs, a, rhs, b):
+        if not matrices_equal(a, network_scale(lhs), b, network_scale(rhs)):
             holds = False
     return holds, worst
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 from . import axioms, graphstate, proofs, rules, textio
 from .diagram import Diagram
 from .report import validate_report
-from .semantics import ResourceLimit, evaluate, matrices_equal, scalar_fit
+from .semantics import ResourceLimit, evaluate, matrices_equal, network_scale, scalar_fit
 
 OK, DIFFER, USAGE, RESOURCE = 0, 1, 2, 3
 
@@ -92,12 +92,19 @@ def cmd_check_equal(args) -> int:
                             "ok": False})
         return DIFFER
     lam, residual = scalar_fit(ma, mb)
-    equal = matrices_equal(a, ma, b, mb)
+    equal = matrices_equal(ma, network_scale(a), mb, network_scale(b))
     print(f"equal={equal} lambda={lam:.12g} max_residual={residual:.3e}")
     _emit_report(args, {"suite": "check-equal", "model_n": model_n,
                         "equal": equal, "lambda": [lam.real, lam.imag],
                         "max_residual": residual, "ok": equal})
     return OK if equal else DIFFER
+
+
+def _refuse_gated(args, steps: list[str]) -> None:
+    """Without --enable-euler, a step of Euler strength is a usage error."""
+    gated = [r for r in steps if r in rules.RULES and rules.RULES[r].euler]
+    if gated and not args.enable_euler:
+        raise CliError(USAGE, f"{gated[0]} has Euler strength: pass --enable-euler")
 
 
 def cmd_rewrite(args) -> int:
@@ -107,8 +114,11 @@ def cmd_rewrite(args) -> int:
     if args.rule:
         if args.rule not in rules.RULE_IDS:
             raise CliError(USAGE, f"unknown rule {args.rule!r}")
-        if args.at:
+        _refuse_gated(args, [args.rule])
+        if args.at is not None:
             anchor = tuple(args.at.split(","))
+            if "" in anchor:
+                raise CliError(USAGE, f"--at {args.at!r} holds an empty node id")
         else:
             sites = rules.match_sites(args.rule, d)
             if not sites:
@@ -120,6 +130,7 @@ def cmd_rewrite(args) -> int:
         name = Path(args.script).stem
         script = _read(args.script,
                        lambda text: proofs.ProofScript.from_json_lines(name, text))
+        _refuse_gated(args, [rule for rule, _ in script.steps])
     models = ((args.model_n,) if args.model_n else None) if args.check else ()
     try:
         result = proofs.replay(script, d, euler_on=args.enable_euler, models=models)

@@ -303,28 +303,38 @@ def _validate_cycle(d: Diagram, cyc: list[str]) -> None:
                 raise RuleError("cycle has a chord")
 
 
-def hexagon_and_quadrilateral() -> Diagram:
-    """C_8 after one induction round, built without the reduction: the
-    hexagon r1-g2-r3-g3-r4-g4 and the split-off quadrilateral r1-g2-x-z,
-    the two faces sharing the edge r1-g2."""
+def hexagon_and_quadrilaterals(n: int) -> Diagram:
+    """C_2n after its n - 3 induction rounds, for n = 4, 5, 6, built without
+    the reduction. Round j removes g_(2j-1) and r_2j and splits off the
+    quadrilateral r_(2j-1)-g_2j-x_j-z_j on the edge r_(2j-1)-g_2j; x_j takes
+    g_(2j-1)'s wire and z_j r_2j's. What is left of the cycle is a hexagon."""
+    if n not in (4, 5, 6):
+        raise DiagramError("only C8, C10 and C12 reduce by clean rounds alone")
+    rounds = range(1, n - 2)
+    ring = [v for j in rounds for v in (f"r{2 * j - 1}", f"g{2 * j}")]
+    ring += [f"{c}{i}" for i in range(2 * n - 5, n + 1) for c in "rg"]
     d = Diagram()
     d.add_node(X, 0, name="r1")
-    chain(d, "r1", "r1", [(Z, 0), (X, 0), (Z, 0), (X, 0), (Z, 0)],
-          ["g2", "r3", "g3", "r4", "g4"])
-    chain(d, "g2", "r1", [(X, 0), (Z, 0)], ["x", "z"])
-    return attach_wires(d, ["r1", "z", "r3", "r4"], ["x", "g2", "g3", "g4"])
+    chain(d, "r1", "r1", [(X if v[0] == "r" else Z, 0) for v in ring[1:]], ring[1:])
+    moved = {}   # a removed vertex's wire, now on its quadrilateral
+    for j in rounds:
+        chain(d, f"g{2 * j}", f"r{2 * j - 1}", [(X, 0), (Z, 0)], [f"x{j}", f"z{j}"])
+        moved[f"g{2 * j - 1}"], moved[f"r{2 * j}"] = f"x{j}", f"z{j}"
+    return attach_wires(d, [moved.get(f"r{i}", f"r{i}") for i in range(1, n + 1)],
+                        [moved.get(f"g{i}", f"g{i}") for i in range(1, n + 1)])
 
 
 def even_cycle(n: int) -> Derivation:
     """The reduction of the 2n-cycle, every step checked in models 1-3. C_4
-    must reach the two-spider path, C_6 itself and C_8 the hexagon and
-    quadrilateral of ``hexagon_and_quadrilateral``; C_10 and longer cycles
-    have no independent target and must reach what the reduction built."""
+    must reach the two-spider path, C_6 itself, and C_8, C_10 and C_12 the
+    hexagon and quadrilaterals of ``hexagon_and_quadrilaterals``. From C_14
+    on the reduction splits spiders, and its end is not built independently:
+    the cycle must reach what the reduction built."""
     d = cycle_diagram(n)
     result, script = reduce_even_cycle(
         d, [x for i in range(n) for x in (f"r{i+1}", f"g{i+1}")])
     end = (p2_diagram(2, 2) if n == 2 else d if n == 3
-           else hexagon_and_quadrilateral() if n == 4 else result)
+           else hexagon_and_quadrilaterals(n) if n <= 6 else result)
     return Derivation(d, script, end)
 
 

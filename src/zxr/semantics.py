@@ -35,7 +35,7 @@ MAX_CACHED_ENTRIES = 2 ** 11   # the largest class tensor the benchmark workload
 MAX_OPERANDS = 32   # einsum's operand limit under numpy 1.x (numpy 2: 64)
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"   # einsum's labels
 
-TOL = 1e-9  # entrywise, absolute; read by equal_up_to_scalar and _ray alone
+TOL = 1e-9  # entrywise, absolute; read by equal_up_to_scalar and matrices_equal alone
 
 HALF_SQRT2 = 1.0 / math.sqrt(2.0)
 _H_PLUS = np.array([[1, 1], [1, -1]], dtype=complex)   # sqrt2*H, as evaluated
@@ -286,21 +286,23 @@ def equal_up_to_scalar(a: np.ndarray, b: np.ndarray) -> bool:
     return _peak(a - lam * b)[1] <= TOL
 
 
-def _ray(d: Diagram, m: np.ndarray) -> np.ndarray:
-    """d's matrix m over its largest entry, or zero if that is within TOL
-    times d's scale (``_network``): m over its scale is a sum of products of
-    unit-modulus numbers, so TOL tells a zero from float noise there at any
-    scale, as it cannot on m itself (K_12's entries are 2^-33)."""
-    top = _peak(m)[1]
-    return m / top if top > TOL * d.memo(_network)[1] else m * 0.0
+def network_scale(d: Diagram) -> float:
+    """The scalar held out of d's contraction (``_network``)."""
+    return d.memo(_network)[1]
 
 
-def matrices_equal(f: Diagram, a: np.ndarray, g: Diagram, b: np.ndarray) -> bool:
-    """Are f, whose matrix is a, and g, whose matrix in the same model is b,
-    equal up to a nonzero scalar? ``equal_up_to_scalar`` of their rays."""
-    return equal_up_to_scalar(_ray(f, a), _ray(g, b))
+def matrices_equal(a: np.ndarray, a_scale: float, b: np.ndarray, b_scale: float) -> bool:
+    """The one equality rule: are a and b, of scales a_scale and b_scale
+    (``network_scale``), equal up to a nonzero scalar? ``equal_up_to_scalar``
+    of each over its largest entry, or of zero where that is within TOL times
+    its scale: over its scale a matrix sums unit-modulus products, so TOL
+    tells a zero from float noise at any scale (K_12's entries are 2^-33)."""
+    rays = [m / top if (top := _peak(m)[1]) > TOL * s else m * 0.0
+            for m, s in ((a, a_scale), (b, b_scale))]
+    return equal_up_to_scalar(*rays)
 
 
 def diagrams_equal(f: Diagram, g: Diagram, model_n: int = 1) -> bool:
     """Evaluate f, then g, in model n; equal up to a nonzero scalar?"""
-    return matrices_equal(f, evaluate(f, model_n), g, evaluate(g, model_n))
+    return matrices_equal(evaluate(f, model_n), network_scale(f),
+                          evaluate(g, model_n), network_scale(g))

@@ -77,7 +77,7 @@ def test_main_keeps_no_state_between_calls(files, tmp_path):
     argv = ["rewrite", files["h.zxd"], "--rule", "euler",
             "-o", str(tmp_path / "out.zxd")]
     assert main(["--enable-euler", *argv]) == 0
-    assert main(argv) == 1
+    assert main(argv) == 2
 
 
 def test_main_calls_the_command_function_current_at_each_call(files, monkeypatch):
@@ -109,9 +109,33 @@ def test_rewrite_check_reads_model_n(files, tmp_path, capsys):
 def test_rewrite_euler_gate(files, tmp_path):
     out = tmp_path / "out.zxd"
     assert main(["rewrite", files["h.zxd"], "--rule", "euler",
-                 "-o", str(out)]) == 1
+                 "-o", str(out)]) == 2
     assert main(["--enable-euler", "rewrite", files["h.zxd"], "--rule",
                  "euler", "-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("check", [[], ["--check"]])
+def test_gated_step_without_the_flag_is_usage_error(files, tmp_path, capsys, check):
+    """The step matches; what is missing is the flag, so the refusal names
+    it, for a rule and for a script with an Euler-strength step alike."""
+    script = tmp_path / "s.json"
+    script.write_text('{"rule": "h-colour", "anchor": ["g1"]}\n'
+                      '{"rule": "euler-inv", "anchor": ["a", "b", "c"]}\n')
+    for argv in (["rewrite", files["h.zxd"], "--rule", "euler"],
+                 ["rewrite", str(PROOF_DIR / "cycle-4.start.zxd"), "--script", str(script)]):
+        assert main([*argv, *check, "-o", str(tmp_path / "out.zxd")]) == 2
+        captured = capsys.readouterr()
+        assert "--enable-euler" in captured.err and not captured.out
+        assert not (tmp_path / "out.zxd").exists()
+
+
+@pytest.mark.parametrize("at", ["", "a,", ",a", "a,,b"])
+def test_empty_anchor_id_is_usage_error(tmp_path, capsys, at):
+    one = tmp_path / "one.zxd"
+    one.write_text("node a z\nin i\nout o\nedge i a\nedge a o\n")
+    assert main(["rewrite", str(one), "--rule", "spider-split", "--at", at]) == 2
+    captured = capsys.readouterr()
+    assert repr(at) in captured.err and not captured.out
 
 
 def test_rewrite_script(files, tmp_path):

@@ -15,7 +15,7 @@ from zxr.graphstate import (GraphError, SimpleGraph, all_graphs, check_fixpoint,
                             vdn_lhs)
 from zxr.diagram import Z
 from zxr.phase import HALF_PI, PI
-from zxr.semantics import diagrams_equal, equal_up_to_scalar, evaluate
+from zxr.semantics import diagrams_equal, equal_up_to_scalar, evaluate, matrices_equal
 from zxr.textio import parse_edges, serialize, serialize_edges
 
 
@@ -226,10 +226,25 @@ def test_checks_compare_states_over_their_modulus():
     g = complete_graph([f"v{i}" for i in range(12)])
     less = SimpleGraph.build(g.vertices, (tuple(e) for e in sorted(g.edges, key=sorted)[1:]))
     state, other = graphstate._state_matrix(g), graphstate._state_matrix(less)
-    assert not graphstate._same_state(state, other)
+    scale = graphstate._state_scale(g)
+    assert not matrices_equal(state, scale, other, graphstate._state_scale(less))
     assert check_fixpoint(g, "v0") and check_vdn(g, "v0")
     wrong = graphstate._rotated_matrix(g, graphstate._rotations(g, "v0", PI, HALF_PI))
-    assert not graphstate._same_state(wrong, state)
+    assert not matrices_equal(wrong, scale, state, scale)
+
+
+@pytest.mark.parametrize("m", range(11, 15))
+def test_vdn_holds_when_the_complement_changes_the_scale(m, monkeypatch):
+    # LC at the centre of S_m adds (m-1)(m-2)/2 edges and LC at a vertex of
+    # K_m removes as many, so |g> and |LC(g, u)> have scales 2^((m-1)(m-2)/4)
+    # apart; each side is read over its own
+    cases = ((star_graph(m), "c"), (complete_graph([f"v{i}" for i in range(m)]), "v0"))
+    for g, u in cases:
+        assert check_vdn(g, u), (g, u)
+        assert diagrams_equal(vdn_lhs(g, u), graph_state(local_complement(g, u)))
+    if m == 13:   # a wrong witness is still refused
+        monkeypatch.setattr(graphstate, "LC_NEIGHBOUR_PHASE", HALF_PI)
+        assert not any(check_vdn(g, u) for g, u in cases)
 
 
 def test_vdn_witness_holds_in_model_one_only():

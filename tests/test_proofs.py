@@ -132,9 +132,26 @@ def test_eight_cycle_target_is_built_without_the_reduction(monkeypatch):
     """C8 must reach the hand-built hexagon and quadrilateral; an end the
     reduction does not reach, here C8 itself, is rejected."""
     assert lemmas.check_even_cycle(4)
-    monkeypatch.setattr(lemmas, "hexagon_and_quadrilateral",
-                        lambda: lemmas.cycle_diagram(4))
+    monkeypatch.setattr(lemmas, "hexagon_and_quadrilaterals", lemmas.cycle_diagram)
     assert not lemmas.check_even_cycle(4)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_ten_and_twelve_cycle_targets_are_built_without_the_reduction(monkeypatch, n):
+    """C10 and C12 reduce by clean rounds alone, so they too must reach the
+    hand-built hexagon and quadrilaterals: the cycle itself is rejected, and
+    so is the right shape with r1's and z1's input wires exchanged."""
+    assert lemmas.check_even_cycle(n)
+    built = lemmas.hexagon_and_quadrilaterals
+
+    def swapped(n):
+        d = built(n)
+        d.inputs = (d.inputs[1], d.inputs[0], *d.inputs[2:])
+        return d
+
+    for wrong in (lemmas.cycle_diagram, swapped):
+        monkeypatch.setattr(lemmas, "hexagon_and_quadrilaterals", wrong)
+        assert not lemmas.check_even_cycle(n)
 
 
 def test_cycle_four_is_bialgebra_base():
