@@ -111,6 +111,8 @@ def cmd_rewrite(args) -> int:
     d = _load_diagram(args.input)
     if bool(args.rule) == bool(args.script):
         raise CliError(USAGE, "give exactly one of --rule or --script")
+    if args.script and args.at is not None:
+        raise CliError(USAGE, "--at applies only with --rule")
     if args.rule:
         if args.rule not in rules.RULE_IDS:
             raise CliError(USAGE, f"unknown rule {args.rule!r}")

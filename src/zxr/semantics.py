@@ -15,6 +15,15 @@ joined by identity wires share one index (spider fusion, which is exact).
 Every 1/sqrt2 is kept out of the contraction in one scalar, and diagrams are
 compared with zero decided against it (``matrices_equal``), so 1/sqrt2 per
 H-box cannot take a nonzero diagram under TOL.
+
+Because the network absorbs spider fusion, identity wires and H colour
+changes, the rewrites that do only that leave it as it was, and a checked
+step evaluates its patch before and after: networks repeat. So ``evaluate``
+keeps its last ``MEMO_SIZE`` results of at most ``MAX_CACHED_ENTRIES``
+entries (``_MATRICES``, least recently used out first), keyed on everything
+the contraction reads: the factors, the scale, the plan's steps, the output
+shape and the model. Equal keys run the same float operations, so a result
+from the memo is bit-identical to a contraction.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import cmath
 import functools
 import heapq
 import math
+from collections import OrderedDict
 
 import numpy as np
 
@@ -32,6 +42,7 @@ from .phase import reduced
 MAX_INTERMEDIATE = 2 ** 26
 MAX_BYTES = 2 ** 32   # held at once: factors twice, intermediates, result twice
 MAX_CACHED_ENTRIES = 2 ** 11   # the largest class tensor the benchmark workloads use
+MEMO_SIZE = 64   # contracted matrices kept (``_MATRICES``)
 MAX_OPERANDS = 32   # einsum's operand limit under numpy 1.x (numpy 2: 64)
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"   # einsum's labels
 
@@ -142,14 +153,22 @@ def _network(d: Diagram) -> tuple:
     return tuple(tensors), scale, _plan(len(free), tuple(shape))
 
 
+# read-only contracted matrices by (tensors, scale, steps, shape, model_n),
+# least recently used first (see the module docstring)
+_MATRICES: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+
 def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
     """Contract the diagram's network into its matrix, a fresh array. The
     network and plan are read once per diagram (``Diagram.memo``). On every
     call, ResourceLimit is raised before any factor is built or contracted
     if a factor or planned intermediate would exceed ``MAX_INTERMEDIATE``
-    entries, or what is held at once ``MAX_BYTES`` bytes. Class tensors of
-    up to ``MAX_CACHED_ENTRIES`` entries are shared read-only through
-    ``_FACTORS``, keyed by their phase in model n."""
+    entries, or what is held at once ``MAX_BYTES`` bytes. Past those tests,
+    a network already contracted in model n is copied from ``_MATRICES``
+    (see the module docstring), which keeps a read-only copy of each new
+    result of up to ``MAX_CACHED_ENTRIES`` entries. Class tensors of that
+    size are shared read-only through ``_FACTORS``, keyed by their phase in
+    model n."""
     if model_n < 1:
         raise ValueError("model_n must be >= 1")
     tensors, scale, (steps, peak, nbytes) = d.memo(_network)
@@ -158,6 +177,11 @@ def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
     if nbytes > MAX_BYTES:
         raise ResourceLimit(f"{nbytes} bytes held at once exceed the byte budget")
     shape = (2 ** len(d.outputs), 2 ** len(d.inputs))
+    memo_key = (tensors, scale, steps, shape, model_n)
+    kept = _MATRICES.get(memo_key)
+    if kept is not None:
+        _MATRICES.move_to_end(memo_key)
+        return kept.copy()
     work: list[np.ndarray | None] = []
     for f in tensors:
         if f is not None:
@@ -177,7 +201,13 @@ def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
             work[p] = None
         work.append(np.einsum(subscripts, *operands))
     out = (work[-1] if work else np.ones((), dtype=complex)).reshape(shape)
-    return out if steps and scale == 1.0 else out * scale   # a lone factor may be cached
+    out = out if steps and scale == 1.0 else out * scale   # a lone factor may be cached
+    if out.size <= MAX_CACHED_ENTRIES:
+        kept = _MATRICES[memo_key] = out.copy()
+        kept.flags.writeable = False
+        if len(_MATRICES) > MEMO_SIZE:
+            _MATRICES.popitem(last=False)
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -276,10 +306,14 @@ def equal_up_to_scalar(a: np.ndarray, b: np.ndarray) -> bool:
         return True
     amax = _peak(a)[1]
     pivot, bmax = _peak(b)
-    if amax <= TOL and bmax <= TOL:
-        return True
     if amax <= TOL or bmax <= TOL:
-        return False
+        return amax <= TOL and bmax <= TOL
+    return _proportional(a, b, pivot)
+
+
+def _proportional(a: np.ndarray, b: np.ndarray, pivot: int) -> bool:
+    """Is a within TOL of lambda*b, lambda = a/b at ``pivot``, b's largest
+    entry, and |lambda| over TOL? Neither matrix may be zero."""
     lam = a.flat[pivot] / b.flat[pivot]
     if abs(lam) <= TOL:
         return False
@@ -296,10 +330,17 @@ def matrices_equal(a: np.ndarray, a_scale: float, b: np.ndarray, b_scale: float)
     (``network_scale``), equal up to a nonzero scalar? ``equal_up_to_scalar``
     of each over its largest entry, or of zero where that is within TOL times
     its scale: over its scale a matrix sums unit-modulus products, so TOL
-    tells a zero from float noise at any scale (K_12's entries are 2^-33)."""
-    rays = [m / top if (top := _peak(m)[1]) > TOL * s else m * 0.0
-            for m, s in ((a, a_scale), (b, b_scale))]
-    return equal_up_to_scalar(*rays)
+    tells a zero from float noise at any scale (K_12's entries are 2^-33).
+    One ``_peak`` per matrix both decides zero and forms its ray, whose
+    largest entry, modulus 1, is at the same index."""
+    _same_shape(a, b)
+    if not b.size:
+        return True
+    (_, a_top), (pivot, b_top) = _peak(a), _peak(b)
+    a_zero, b_zero = a_top <= TOL * a_scale, b_top <= TOL * b_scale
+    if a_zero or b_zero:
+        return a_zero and b_zero
+    return _proportional(a / a_top, b / b_top, pivot)
 
 
 def diagrams_equal(f: Diagram, g: Diagram, model_n: int = 1) -> bool:

@@ -138,6 +138,18 @@ def test_empty_anchor_id_is_usage_error(tmp_path, capsys, at):
     assert repr(at) in captured.err and not captured.out
 
 
+def test_anchor_with_a_script_is_usage_error(tmp_path, capsys):
+    # a script names its own anchors: --at would be dropped without a word
+    proof_dir = Path(__file__).resolve().parent.parent / "proofs"
+    out = tmp_path / "out.zxd"
+    assert main(["rewrite", str(proof_dir / "fixpoint-s3.start.zxd"),
+                 "--script", str(proof_dir / "fixpoint-s3.json"),
+                 "--at", "zz", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "--at applies only with --rule" in captured.err and not captured.out
+    assert not out.exists()
+
+
 def test_rewrite_script(files, tmp_path):
     proof_dir = Path(__file__).resolve().parent.parent / "proofs"
     out = tmp_path / "out.zxd"

@@ -1,6 +1,6 @@
 import random
 import re
-from collections import Counter, defaultdict
+from collections import Counter, OrderedDict, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +8,7 @@ import pytest
 
 import leg_evaluator
 from conftest import H_MAT, SQRT2, graph_state_vector, proportional, random_diagram, rz_mat
-from zxr import axioms, cli, proofs, semantics, shipped
+from zxr import axioms, cli, proofs, rules, semantics, shipped
 from zxr.diagram import X, Z, compose, dagger, generator, iso_equal, spider, tensor, wire
 from zxr.graphstate import (SimpleGraph, fixpoint_lhs, graph_state, path_graph,
                             triangle, vdn_lhs)
@@ -183,6 +183,7 @@ def test_spider_tensors_are_shared_read_only(monkeypatch):
     # class, so the cache holds the class's two-leg tensor, read-only and
     # reused by the next call; each result is fresh
     monkeypatch.setattr(semantics, "_FACTORS", {})
+    monkeypatch.setattr(semantics, "_MATRICES", OrderedDict())
     d = spider(Z, 1, 1, "1/3")
     v = d.spiders()[0]
     d.add_edge(v, v)
@@ -202,6 +203,7 @@ def test_cache_keeps_no_class_tensor_over_its_bound(monkeypatch):
     # a spider's class tensor over MAX_CACHED_ENTRIES is built for its call
     # and dropped, so large spiders do not pile up in the cache
     monkeypatch.setattr(semantics, "_FACTORS", {})
+    monkeypatch.setattr(semantics, "_MATRICES", OrderedDict())
     for k in (1, 3):
         big = spider(Z, 0, 14, Phase(1, k))   # one class tensor of 2^14 entries
         m = evaluate(big)
@@ -226,6 +228,7 @@ def _counting(monkeypatch, owner, name):
 
 def test_resource_limit_fires_before_any_contraction(monkeypatch):
     monkeypatch.setattr(semantics, "_FACTORS", {})
+    monkeypatch.setattr(semantics, "_MATRICES", OrderedDict())
     built = _counting(monkeypatch, semantics, "_factor")
     contracted = _counting(monkeypatch, np, "einsum")
     # the 30 legs of one spider are one class tensor of 2^30 entries over
@@ -247,6 +250,7 @@ def test_resource_limit_fires_before_any_contraction(monkeypatch):
 
 
 def test_byte_budget_fires_before_any_allocation(monkeypatch):
+    monkeypatch.setattr(semantics, "_MATRICES", OrderedDict())
     contracted = _counting(monkeypatch, np, "einsum")
     d = graph_state(path_graph("abcdef"))
     _, _, (_, peak, nbytes) = d.memo(semantics._network)
@@ -326,18 +330,40 @@ def test_rays_tell_a_zero_from_a_small_matrix():
     assert not semantics.diagrams_equal(cycle, wire())
 
 
-# -- the plan cache ------------------------------------------------------------------
+# -- the plan cache and the matrix memo --------------------------------------------
+# evaluate keeps the last MEMO_SIZE contracted matrices, keyed on everything the
+# contraction reads, so a diagram whose network repeats (a spider-fuse or
+# h-colour result, a patch before and after its step) is contracted once.
 
 
-def test_plan_cache_gives_bit_identical_matrices(rng):
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty matrix memo for the rest of the test."""
+    monkeypatch.setattr(semantics, "_MATRICES", OrderedDict())
+    return semantics._MATRICES
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_plan_cache_gives_bit_identical_matrices(monkeypatch, memo, rng):
+    # a cold result (plan cached, memo emptied) equals, bit for bit, the
+    # memo's hit and a result planned afresh
+    contracted = _counting(monkeypatch, np, "einsum")
     corpus = [random_diagram(rng) for _ in range(60)]
     for d in corpus:
         for model_n in (1, 2, 3):
-            warm = evaluate(d, model_n)
-            assert np.array_equal(evaluate(d, model_n), warm)
+            memo.clear()
+            cold = evaluate(d, model_n)
+            calls = len(contracted)
+            assert _same_bits(evaluate(d, model_n), cold)
+            assert len(contracted) == calls   # a hit contracts nothing
             semantics._plan.cache_clear()
             d.check()   # empties the diagram's memo of its network too
-            assert np.array_equal(evaluate(d, model_n), warm)
+            memo.clear()
+            assert _same_bits(evaluate(d, model_n), cold)
+    assert contracted
     assert semantics._plan.cache_info().maxsize <= 16
 
 
@@ -370,6 +396,97 @@ def test_cached_plan_holds_no_mutable_lists():
     steps, peak, nbytes = plan
     assert len(steps) == 4 and peak == 3 and nbytes > 0
     assert steps[-1][1].endswith("->abc")
+
+
+def test_memo_hits_in_shipped_replays_are_bit_identical_to_cold_results(monkeypatch, memo):
+    seen = []
+    evaluate_ = semantics.evaluate
+
+    def recording(d, model_n=1):
+        m = evaluate_(d, model_n)
+        seen.append((d, model_n, m.copy()))
+        return m
+
+    contracted = _counting(monkeypatch, np, "einsum")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "evaluate", recording)
+        for name in sorted(shipped.BUILDERS):
+            start, script = shipped.load(PROOF_DIR, name)
+            replay(script, start, euler_on=True, models=(1, 2, 3) if script.euler_free()
+                   else (1,))
+    assert len(contracted) < len(seen) / 2   # most evaluations were hits
+    for d, model_n, warm in seen:
+        memo.clear()
+        assert _same_bits(evaluate(d, model_n), warm)
+
+
+def test_memo_hit_is_a_fresh_writable_copy(memo):
+    d = graph_state(triangle())
+    first = evaluate(d)
+    (kept,) = memo.values()
+    assert not kept.flags.writeable and not np.shares_memory(first, kept)
+    want = first.copy()
+    first[:] = 7
+    hit = evaluate(d)
+    assert len(memo) == 1 and memo[next(iter(memo))] is kept
+    assert hit.flags.writeable and not np.shares_memory(hit, kept)
+    assert _same_bits(hit, want)
+    hit[:] = 7
+    assert _same_bits(evaluate(d), want)
+
+
+def test_resource_limits_fire_on_a_memo_hit(monkeypatch, memo):
+    d = graph_state(path_graph("abcdef"))
+    want = evaluate(d)
+    assert len(memo) == 1
+    _, _, (_, peak, nbytes) = d.memo(semantics._network)
+    contracted = _counting(monkeypatch, np, "einsum")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "MAX_INTERMEDIATE", 2 ** peak - 1)
+        with pytest.raises(ResourceLimit, match="intermediate tensor"):
+            evaluate(d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "MAX_BYTES", nbytes - 1)
+        with pytest.raises(ResourceLimit, match="byte budget"):
+            evaluate(d)
+    assert _same_bits(evaluate(d), want) and contracted == []
+
+
+def test_memo_keeps_its_size_and_drops_the_least_recently_used(monkeypatch, memo):
+    monkeypatch.setattr(semantics, "_FACTORS", {})
+    states = [spider(Z, 0, 1, Phase(j, 128)) for j in range(semantics.MEMO_SIZE + 1)]
+    keys = []
+    for d in states[:-1]:
+        evaluate(d)
+        keys.append(next(reversed(memo)))
+    assert list(memo) == keys and len(memo) == semantics.MEMO_SIZE == 64
+    evaluate(states[0])   # a hit: now the most recently used
+    evaluate(states[-1])
+    assert len(memo) == semantics.MEMO_SIZE
+    assert keys[0] in memo and keys[1] not in memo
+
+
+def test_memo_keeps_no_matrix_over_its_bound(memo):
+    big = spider(Z, 0, 12)   # 2^12 entries
+    assert np.array_equal(evaluate(big), evaluate(big))
+    assert not memo
+    evaluate(spider(Z, 0, 11))   # 2^11 entries: kept
+    assert [m.size for m in memo.values()] == [semantics.MAX_CACHED_ENTRIES]
+
+
+def test_colour_change_and_fusion_results_hit_the_memo(monkeypatch, memo):
+    # the network already reads b with H on its legs in either colour, and
+    # fuses a and c: both rewrites leave it as it is
+    d = parse("node a z 1/4\nnode b x 1/2\nnode c z 1/3\nin i\nout o p\n"
+              "edge i a\nedge a b\nedge b o\nedge a c\nedge c p\n")
+    want = evaluate(d)
+    contracted = _counting(monkeypatch, np, "einsum")
+    for rule, anchor in (("h-colour", ("b",)), ("spider-fuse", ("a", "c"))):
+        out = rules.apply(rule, d, anchor)
+        assert _same_bits(evaluate(out), want)
+    assert contracted == []
+    memo.clear()
+    assert _same_bits(evaluate(out), want) and contracted
 
 
 # -- differential check against the per-leg evaluator ------------------------------
