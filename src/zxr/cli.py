@@ -132,6 +132,9 @@ def cmd_rewrite(args) -> int:
         name = Path(args.script).stem
         script = _read(args.script,
                        lambda text: proofs.ProofScript.from_json_lines(name, text))
+        for i, (rule, _) in enumerate(script.steps):
+            if rule not in rules.RULES:
+                raise CliError(USAGE, f"{args.script}: step {i}: unknown rule {rule!r}")
         _refuse_gated(args, [rule for rule, _ in script.steps])
     models = ((args.model_n,) if args.model_n else None) if args.check else ()
     try:

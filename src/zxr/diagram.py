@@ -131,6 +131,8 @@ class Diagram:
                  name: Optional[str] = None) -> str:
         if name is None:
             name = self.fresh_id()
+        elif "#" in name or name.split() != [name]:   # .zxd could not write it
+            raise DiagramError(f"node id {name!r} is empty or holds whitespace or '#'")
         if name in self._used:
             raise DiagramError(f"node id {name!r} is or was in use")
         self._used.add(name)

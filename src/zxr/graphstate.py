@@ -6,14 +6,21 @@ order follows the graph's vertex-declaration order, so matrix comparisons are
 well defined.
 
 LRU memos keep a sweep from building or evaluating the same thing again:
-- |g>'s read-only matrix and its network scale, keyed on the labelled graph;
-  1,024 entries each, one per labelled 5-vertex graph, so a sweep evaluates
-  each state once, |LC(g, u)> included;
-- the read-only 2x2 matrix of each one-wire rotation;
-- ``graph_state``'s fully checked build, 16 entries. On the benchmark's
-  seed-4242 graph sweep it makes 1,670 misses and 2,308 hits: 826 for
-  repeated diagrams, the rest the scale read after the matrix. Without it
-  that sweep took 1.43x as long (in-process, 10 alternating runs, 2 CPUs).
+- |g>'s read-only matrix together with its network scale (``_state``), from
+  one evaluation, keyed on the labelled graph. States of at most
+  ``semantics.MAX_CACHED_ENTRIES`` entries, as every result memo keeps,
+  share 1,024 entries, one per labelled 5-vertex graph, so a sweep
+  evaluates each state once, |LC(g, u)> included; a larger state is kept
+  only while among the last two, |g> and |LC(g, u)> in a sweep over g's
+  vertices. On the benchmark's seed-4242 graph sweep: 1,482 misses and
+  12,218 hits;
+- the read-only 2x2 matrix of each one-wire rotation: 4 misses and 17,236
+  hits on that sweep;
+- ``graph_state``'s fully checked build, 16 entries: 1,670 misses and 826
+  hits on that sweep, the hits from the vdn-negative ops' repeated
+  diagrams. Without it that sweep took 1.07-1.09x as long (in-process
+  medians, 10 alternating runs each from cleared caches, two series, on a
+  shared 2-CPU machine).
 
 The fixpoint and local-complementation checks contract no rotated diagram.
 The rotated diagram (``fixpoint_lhs``, ``vdn_lhs``) is |g> with one
@@ -187,19 +194,24 @@ def local_complement(g: SimpleGraph, u: str) -> SimpleGraph:
     return SimpleGraph(g.vertices, frozenset(toggled))
 
 
-@lru_cache(maxsize=1024)
-def _state_matrix(g: SimpleGraph) -> np.ndarray:
-    """The read-only matrix of |g>, shared by every check against it."""
-    m = evaluate(_built_state(g))
+def _state(g: SimpleGraph) -> tuple[np.ndarray, float]:
+    """|g>'s read-only matrix, shared by every check against it, and its
+    network scale, which a rotated |g> shares: its rotations are unitary, and
+    their spiders, of degree 2, add no 1/sqrt2. Memoised by size (see the
+    module docstring)."""
+    small = 2 ** len(g.vertices) <= semantics.MAX_CACHED_ENTRIES
+    return (_small_states if small else _large_states)(g)
+
+
+def _evaluated(g: SimpleGraph) -> tuple[np.ndarray, float]:
+    d = _built_state(g)
+    m = evaluate(d)
     m.flags.writeable = False
-    return m
+    return m, network_scale(d)
 
 
-@lru_cache(maxsize=1024)
-def _state_scale(g: SimpleGraph) -> float:
-    """|g>'s network scale, which a rotated |g> shares: its rotations are
-    unitary, and their spiders, of degree 2, add no 1/sqrt2."""
-    return network_scale(_built_state(g))
+_small_states = lru_cache(maxsize=1024)(_evaluated)
+_large_states = lru_cache(maxsize=2)(_evaluated)
 
 
 @lru_cache(maxsize=8)
@@ -221,7 +233,7 @@ def _rotated_matrix(g: SimpleGraph, rotations: list[Rotation]) -> np.ndarray:
         raise ResourceLimit(f"a {n}-vertex graph state needs 2^{n} entries")
     if 4 > semantics.MAX_INTERMEDIATE:
         raise ResourceLimit("a one-wire rotation needs 2^2 entries")
-    t = _state_matrix(g)
+    t = _state(g)[0]
     for v, colour, phase in rotations:
         i = g.vertices.index(v)
         t = np.matmul(_rotation_matrix(colour, phase),
@@ -230,14 +242,14 @@ def _rotated_matrix(g: SimpleGraph, rotations: list[Rotation]) -> np.ndarray:
 
 
 def check_fixpoint(g: SimpleGraph, u: str) -> bool:
-    lhs, scale = _rotated_matrix(g, _rotations(g, u, PI, PI)), _state_scale(g)
-    return matrices_equal(lhs, scale, _state_matrix(g), scale)
+    lhs = _rotated_matrix(g, _rotations(g, u, PI, PI))
+    state, scale = _state(g)
+    return matrices_equal(lhs, scale, state, scale)
 
 
 def check_vdn(g: SimpleGraph, u: str) -> bool:
     lhs = _rotated_matrix(g, _rotations(g, u, LC_VERTEX_PHASE, LC_NEIGHBOUR_PHASE))
-    h = local_complement(g, u)
-    return matrices_equal(lhs, _state_scale(g), _state_matrix(h), _state_scale(h))
+    return matrices_equal(lhs, _state(g)[1], *_state(local_complement(g, u)))
 
 
 def all_graphs(labels: tuple[str, ...]) -> Iterable[SimpleGraph]:

@@ -7,6 +7,9 @@
     in <id> [<id> ...]         ids are implicitly boundary nodes
     out <id> [<id> ...]
     edge <id> <id>             repeated line => parallel edge
+
+An id is any nonempty run of characters other than whitespace and '#';
+``Diagram.add_node`` refuses any other, so every diagram can be written.
 """
 
 from __future__ import annotations
@@ -118,6 +121,11 @@ def serialize(d: Diagram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dot_id(v: str) -> str:
+    """v as a DOT quoted string, its backslashes and double quotes escaped."""
+    return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(d: Diagram) -> str:
     """Graphviz rendering: green Z, red X, square H, phase labels."""
     lines = ["graph zx {", "  node [style=filled];"]
@@ -127,15 +135,15 @@ def to_dot(d: Diagram) -> str:
             phase = d.phase(v)
             label = "" if phase.is_zero() else f"{phase.token()}π"
             fill = "green" if kind == Z else "red"
-            lines.append(f'  "{v}" [shape=circle, fillcolor={fill}, label="{label}"];')
+            lines.append(f'  {_dot_id(v)} [shape=circle, fillcolor={fill}, label="{label}"];')
         elif kind == HBOX:
-            lines.append(f'  "{v}" [shape=box, fillcolor=yellow, label="H"];')
+            lines.append(f'  {_dot_id(v)} [shape=box, fillcolor=yellow, label="H"];')
         else:
             role = "in" if v in d.inputs else "out"
             idx = (d.inputs if role == "in" else d.outputs).index(v)
-            lines.append(f'  "{v}" [shape=none, fillcolor=none, label="{role}{idx}"];')
+            lines.append(f'  {_dot_id(v)} [shape=none, fillcolor=none, label="{role}{idx}"];')
     for u, v, m in d.edges():
-        lines.extend([f'  "{u}" -- "{v}";'] * m)
+        lines.extend([f'  {_dot_id(u)} -- {_dot_id(v)};'] * m)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -150,6 +150,20 @@ def test_anchor_with_a_script_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("check", [[], ["--check"]])
+def test_unknown_script_step_is_usage_error(tmp_path, capsys, check):
+    # refused before replay, as --rule nope is, not reported as a failed step
+    script = tmp_path / "s.json"
+    script.write_text('{"rule": "h-colour", "anchor": ["g1"]}\n'
+                      '{"rule": "nope", "anchor": ["a"]}\n')
+    out = tmp_path / "out.zxd"
+    assert main(["rewrite", str(PROOF_DIR / "cycle-4.start.zxd"), "--script",
+                 str(script), *check, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {script}: step 1: unknown rule 'nope'\n"
+    assert not captured.out and not out.exists()
+
+
 def test_rewrite_script(files, tmp_path):
     proof_dir = Path(__file__).resolve().parent.parent / "proofs"
     out = tmp_path / "out.zxd"

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -151,11 +153,11 @@ def test_checks_agree_with_uncached_form_cold_and_warm():
     # cold: every composed matrix against its whole-diagram evaluation, and
     # every verdict against diagrams_equal (spelt out, so the left side is
     # evaluated once); warm: the memoised pieces give the same bits
-    graphstate._state_matrix.cache_clear()
+    graphstate._small_states.cache_clear()
     graphstate._rotation_matrix.cache_clear()
     cold = {}
     for g in all_graphs(tuple("abcde")):
-        assert np.array_equal(graphstate._state_matrix(g),
+        assert np.array_equal(graphstate._state(g)[0],
                               evaluate(graph_state(g)))
         for u in g.vertices:
             for i, (check, lhs, phases, target) in enumerate(CHECKS):
@@ -173,7 +175,7 @@ def test_checks_agree_with_uncached_form_cold_and_warm():
         assert np.array_equal(graphstate._rotated_matrix(
             g, graphstate._rotations(g, u, *phases)), got)
         assert check(g, u) == verdict
-    assert graphstate._state_matrix.cache_info().hits > 0
+    assert graphstate._small_states.cache_info().hits > 0
     assert graphstate._rotation_matrix.cache_info().misses == 4
 
 
@@ -225,9 +227,8 @@ def test_checks_compare_states_over_their_modulus():
     # they are, any two 66-edge states read as equal zero matrices
     g = complete_graph([f"v{i}" for i in range(12)])
     less = SimpleGraph.build(g.vertices, (tuple(e) for e in sorted(g.edges, key=sorted)[1:]))
-    state, other = graphstate._state_matrix(g), graphstate._state_matrix(less)
-    scale = graphstate._state_scale(g)
-    assert not matrices_equal(state, scale, other, graphstate._state_scale(less))
+    (state, scale), (other, other_scale) = graphstate._state(g), graphstate._state(less)
+    assert not matrices_equal(state, scale, other, other_scale)
     assert check_fixpoint(g, "v0") and check_vdn(g, "v0")
     wrong = graphstate._rotated_matrix(g, graphstate._rotations(g, "v0", PI, HALF_PI))
     assert not matrices_equal(wrong, scale, state, scale)
@@ -254,11 +255,11 @@ def test_vdn_witness_holds_in_model_one_only():
 
 
 def test_cached_state_matrix_is_read_only():
-    m = graphstate._state_matrix(triangle())
+    m = graphstate._state(triangle())[0]
     assert not m.flags.writeable
     with pytest.raises(ValueError):
         m[0, 0] = 99
-    assert np.array_equal(graphstate._state_matrix(triangle()),
+    assert np.array_equal(graphstate._state(triangle())[0],
                           evaluate(graph_state(triangle())))
 
 
@@ -266,9 +267,9 @@ def test_state_matrix_cache_keys_on_vertex_order():
     # same edge, different vertex (and so wire) order: separate entries
     g = SimpleGraph.build("abc", [("a", "b")])
     h = SimpleGraph.build("acb", [("a", "b")])
-    graphstate._state_matrix.cache_clear()
-    mg, mh = graphstate._state_matrix(g), graphstate._state_matrix(h)
-    assert graphstate._state_matrix.cache_info().currsize == 2
+    graphstate._small_states.cache_clear()
+    mg, mh = graphstate._state(g)[0], graphstate._state(h)[0]
+    assert graphstate._small_states.cache_info().currsize == 2
     assert not np.array_equal(mg, mh)
     assert np.array_equal(mg, evaluate(graph_state(g)))
     assert np.array_equal(mh, evaluate(graph_state(h)))
@@ -347,19 +348,50 @@ def test_mutating_a_returned_graph_state_leaves_later_calls_alone():
 
 
 def test_vdn_sweep_evaluates_each_graph_state_once():
-    graphstate._state_matrix.cache_clear()
+    graphstate._small_states.cache_clear()
     for g in all_graphs(tuple("abcde")):
         for u in g.vertices:
             assert check_vdn(g, u), (g, u)
-    assert graphstate._state_matrix.cache_info().misses == 1024
+    assert graphstate._small_states.cache_info().misses == 1024
 
 
 def test_sweeping_one_graph_builds_each_graph_state_once():
     g = SimpleGraph.build("abcde", [("a", "b"), ("b", "c"), ("c", "d"),
                                     ("d", "e"), ("b", "d"), ("a", "e")])
-    graphstate._state_matrix.cache_clear()
+    graphstate._small_states.cache_clear()
     graphstate._built_state.cache_clear()
     for u in g.vertices:
         assert check_fixpoint(g, u) and check_vdn(g, u)
     distinct = {g} | {local_complement(g, u) for u in g.vertices}
     assert graphstate._built_state.cache_info().misses == len(distinct)
+
+
+def test_states_over_the_cached_size_are_kept_two_at_a_time():
+    # 2^14 entries each, over MAX_CACHED_ENTRIES: a path on 14 vertices
+    # with one chord, 12 ways
+    verts = [f"v{i}" for i in range(14)]
+    kept = []
+    for k in range(2, 14):
+        g = SimpleGraph.build(verts, list(zip(verts, verts[1:])) + [(verts[0], verts[k])])
+        assert check_fixpoint(g, verts[k])
+        kept.append(weakref.ref(graphstate._state(g)[0]))
+    gc.collect()
+    assert sum(ref() is not None for ref in kept) <= 2
+
+
+@pytest.mark.parametrize("g", [complete_graph([f"v{i}" for i in range(14)]),
+                               star_graph(14)])
+def test_vertex_sweep_over_a_large_graph_evaluates_each_state_once(g, monkeypatch):
+    graphstate._large_states.cache_clear()
+    evaluated = []
+
+    def counted(d, *args):
+        if len(d.outputs) == len(g.vertices):
+            evaluated.append(serialize(d))
+        return evaluate(d, *args)
+
+    monkeypatch.setattr(graphstate, "evaluate", counted)
+    for u in g.vertices:
+        assert check_fixpoint(g, u) and check_vdn(g, u)
+    distinct = {g} | {local_complement(g, u) for u in g.vertices}
+    assert len(evaluated) == len(set(evaluated)) == len(distinct)

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from conftest import random_diagram
-from zxr.diagram import iso_equal
+from zxr.diagram import Diagram, DiagramError, Z, iso_equal
+from zxr.graphstate import SimpleGraph, graph_state
 from zxr.textio import (ParseError, parse, parse_edges, serialize,
                         serialize_edges, to_dot)
 
@@ -67,6 +70,30 @@ def test_dot_output_mentions_all_nodes():
     for name in ("a", "b", "h0", "w"):
         assert f'"{name}"' in dot
     assert "green" in dot and "red" in dot and "box" in dot
+
+
+@pytest.mark.parametrize("name", ["", "a b", "a#b", "a\tb", " a", "a\n"])
+def test_node_ids_the_format_cannot_write_are_refused(name):
+    # parse would split "a b" into an id and a kind, and cut "a#b" at a comment
+    with pytest.raises(DiagramError, match=f"node id {re.escape(repr(name))}"):
+        Diagram().add_node(Z, name=name)
+
+
+def test_every_diagram_serializes_to_text_that_parses_back():
+    with pytest.raises(DiagramError, match="'v:a b'"):
+        graph_state(SimpleGraph.build(["a b", "c"], [("a b", "c")]))
+    d = parse('node a"b\\ z 1/2\nnode x:y h\nout w\nedge a"b\\ x:y\nedge x:y w\n')
+    assert serialize(parse(serialize(d))) == serialize(d)
+    assert iso_equal(parse(serialize(d)), d)
+
+
+def test_dot_escapes_quotes_and_backslashes_in_ids():
+    d = parse('node a"b z\nnode c\\ x\nout w"\nedge a"b c\\\nedge c\\ w"\n')
+    dot = to_dot(d)
+    assert '"a\\"b" [shape=circle' in dot and '"a\\"b" -- "c\\\\";' in dot
+    # outside its quoted strings, each well-formed, the output has no quote
+    # or backslash left
+    assert not re.search(r'["\\]', re.sub(r'"(?:[^"\\]|\\.)*"', "", dot))
 
 
 def test_edges_format_round_trip():
