@@ -36,6 +36,12 @@ def other_colour(colour: str) -> str:
     raise DiagramError(f"not a spider colour: {colour!r}")
 
 
+def is_token(name: str) -> bool:
+    """Can the text formats (.zxd, .edges) write name as one token: is it
+    nonempty, without whitespace or '#'?"""
+    return "#" not in name and name.split() == [name]
+
+
 def _edge_key(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
@@ -131,7 +137,7 @@ class Diagram:
                  name: Optional[str] = None) -> str:
         if name is None:
             name = self.fresh_id()
-        elif "#" in name or name.split() != [name]:   # .zxd could not write it
+        elif not is_token(name):   # .zxd could not write it
             raise DiagramError(f"node id {name!r} is empty or holds whitespace or '#'")
         if name in self._used:
             raise DiagramError(f"node id {name!r} is or was in use")

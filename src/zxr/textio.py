@@ -8,15 +8,18 @@
     out <id> [<id> ...]
     edge <id> <id>             repeated line => parallel edge
 
-An id is any nonempty run of characters other than whitespace and '#';
-``Diagram.add_node`` refuses any other, so every diagram can be written.
+An id, like a vertex label of the .edges format, is any nonempty run of
+characters other than whitespace and '#' (``is_token``). ``Diagram.add_node``
+refuses any other id, so every diagram can be written, and
+``serialize_edges`` any other label.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .diagram import BOUNDARY, HBOX, SPIDERS, Diagram, DiagramError, Z
+from .diagram import BOUNDARY, HBOX, SPIDERS, Diagram, DiagramError, Z, is_token
+from .graphstate import GraphError
 from .phase import Phase
 
 
@@ -188,7 +191,12 @@ def parse_edges(text: str) -> tuple[tuple[str, ...], frozenset[frozenset[str]]]:
 
 
 def serialize_edges(vertices: Iterable[str], edges: Iterable[frozenset[str]]) -> str:
+    """.edges text that ``parse_edges`` reads back; GraphError on a vertex
+    label it could not write as one token (``is_token``)."""
     verts = list(vertices)
+    for v in verts:
+        if not is_token(v):
+            raise GraphError(f"vertex label {v!r} is empty or holds whitespace or '#'")
     lines = ["vertices " + " ".join(verts)]
     order = {v: i for i, v in enumerate(verts)}
     for e in sorted(edges, key=lambda e: sorted(order[v] for v in e)):

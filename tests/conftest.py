@@ -2,7 +2,9 @@
 
 The oracles here recompute expected values by brute force (state-vector
 manipulation, parity formulas, local-complementation orbits) without going
-through the diagram evaluator, so the two paths check each other.
+through the diagram evaluator, so the two paths check each other; ``dense``,
+the generator table contracted in one einsum, is the evaluator's differential
+reference.
 ``steps_reached`` is the dependency walk over the derivations of
 ``zxr.lemmas``.
 """
@@ -10,6 +12,7 @@ through the diagram evaluator, so the two paths check each other.
 from __future__ import annotations
 
 import random
+from string import ascii_letters   # einsum's labels
 
 import numpy as np
 import pytest
@@ -31,6 +34,53 @@ def rz_mat(angle: float) -> np.ndarray:
 
 def rx_mat(angle: float) -> np.ndarray:
     return H_MAT @ rz_mat(angle) @ H_MAT
+
+
+def dense(d: Diagram, model_n: int = 1) -> np.ndarray:
+    """The diagram's matrix from the generator table alone, in one einsum
+    over its public views, sharing nothing with ``zxr.semantics``. Each
+    parallel copy of an edge is one label, and a self-loop's label is taken
+    twice by its spider (a trace). A Z spider of degree k is 1 on its all-0
+    corner and e^{i*pi*n*alpha} on its all-1 corner, times
+    (1/sqrt2)^max(0, 2 - k); an X spider is that with H on every axis; an
+    H-box is H; a wire between two boundaries is the identity, on a fresh
+    label. Rows are the outputs, columns the inputs, big-endian."""
+    legs: dict[str, list[int]] = {v: [] for v in d.nodes()}
+    operands, labels, count = [np.ones(())], [[]], 0   # the unit, for a diagram of no node
+    for u, v, m in d.edges():
+        for _ in range(m):
+            legs[u].append(count)
+            if d.kind(u) == BOUNDARY == d.kind(v):
+                operands.append(np.eye(2))
+                labels.append((count, count + 1))
+                count += 1
+            legs[v].append(count)
+            count += 1
+    if count > len(ascii_letters):
+        raise ValueError(f"dense needs {count} einsum labels; einsum has {len(ascii_letters)}")
+    for v, ls in legs.items():
+        kind, k = d.kind(v), len(ls)
+        if kind == HBOX:
+            t = H_MAT
+        elif kind in (Z, X):
+            t = np.zeros((2,) * k, dtype=complex)
+            t[(0,) * k] += 1
+            t[(1,) * k] += np.exp(1j * np.pi * float(model_n * d.phase(v).frac % 2))
+            t *= SQRT2 ** -max(0, 2 - k)
+            if kind == X:
+                for axis in range(k):
+                    t = np.moveaxis(np.tensordot(H_MAT, t, (1, axis)), 0, axis)
+        else:
+            continue
+        operands.append(t)
+        labels.append(ls)
+
+    def word(ls):
+        return "".join(ascii_letters[i] for i in ls)
+
+    free = word(legs[b][0] for b in d.outputs + d.inputs)
+    m = np.einsum(",".join(map(word, labels)) + "->" + free, *operands, optimize=True)
+    return m.reshape(2 ** len(d.outputs), 2 ** len(d.inputs))
 
 
 def graph_state_vector(g: SimpleGraph) -> np.ndarray:

@@ -6,12 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import leg_evaluator
-from conftest import H_MAT, SQRT2, graph_state_vector, proportional, random_diagram, rz_mat
-from zxr import axioms, cli, proofs, rules, semantics, shipped
+from conftest import H_MAT, SQRT2, dense, graph_state_vector, proportional, random_diagram, rz_mat
+from zxr import axioms, cli, lemmas, proofs, rules, semantics, shipped
 from zxr.diagram import X, Z, compose, dagger, generator, iso_equal, spider, tensor, wire
-from zxr.graphstate import (SimpleGraph, fixpoint_lhs, graph_state, path_graph,
-                            triangle, vdn_lhs)
+from zxr.graphstate import (SimpleGraph, complete_graph, fixpoint_lhs, graph_state,
+                            path_graph, star_graph, triangle, vdn_lhs)
 from zxr.phase import Phase
 from zxr.proofs import replay
 from zxr.semantics import ResourceLimit, equal_up_to_scalar, evaluate, scalar_fit
@@ -489,17 +488,19 @@ def test_colour_change_and_fusion_results_hit_the_memo(monkeypatch, memo):
     assert _same_bits(evaluate(out), want) and contracted
 
 
-# -- differential check against the per-leg evaluator ------------------------------
-# ``leg_evaluator`` is the evaluator as it stood before it took one index per
-# spider, kept verbatim. evaluate must agree with it within 1e-12 entrywise,
-# and equal_up_to_scalar must give the same verdicts on both one's matrices.
+# -- differential check against the generator table ------------------------------
+# ``dense`` (conftest) contracts the whole diagram in one einsum over one label
+# per edge, read from the generator table alone: none of evaluate's network,
+# plan, memos or held-out scale. evaluate must agree with it within 1e-12
+# entrywise, and equal_up_to_scalar must give the same verdicts on both one's
+# matrices.
 
 AGREE = 1e-12
 
 
 def _assert_matches_reference(d, model_n=1):
     got = evaluate(d, model_n)
-    want = leg_evaluator.evaluate(d, model_n)
+    want = dense(d, model_n)
     assert got.shape == want.shape
     assert np.abs(got - want).max(initial=0.0) <= AGREE
     return got, want
@@ -511,6 +512,13 @@ def _assert_same_verdicts(pairs):
     verdicts = [equal_up_to_scalar(a[0], b[0]) for a, b in pairs]
     assert verdicts == [equal_up_to_scalar(a[1], b[1]) for a, b in pairs]
     return verdicts
+
+
+def test_reference_refuses_a_diagram_past_einsums_labels():
+    # one label per edge: 53 output wires are one too many, refused before
+    # any tensor is built
+    with pytest.raises(ValueError, match="53 einsum labels"):
+        dense(spider(Z, 0, 53))
 
 
 def test_planner_matches_reference_on_random_diagrams(rng):
@@ -543,9 +551,37 @@ def test_planner_matches_reference_on_disconnected_and_wires():
     disconnected = tensor(tensor(generator("eps_z_dag"), generator("h")),
                           tensor(spider(Z, 2, 1, "1/3"), generator("eps_x")))
     through_wire = tensor(wire(), compose(generator("h"), generator("phase_x", "1/2")))
-    for d in (disconnected, through_wire, tensor(through_wire, disconnected)):
+    # closed cycles of k H-boxes beside a spider: tr(H^k), 2 or 0
+    cycles = [parse("node s z 1/3\nout o\nedge s o\n"
+                    + "".join(f"node c{i} h\nedge c{i} c{(i + 1) % k}\n" for i in range(k)))
+              for k in (2, 3, 4)]
+    # an X spider holding both legs of one H-box: a pi on the spider
+    h_loop = parse("node x x 1/4\nnode h h\nin i\nout o\n"
+                   "edge i x\nedge x o\nedge x h\nedge x h\n")
+    # boundary-to-boundary wires through 0, 1 and 2 H-boxes: I, H and HH = I
+    bare = [wire(), generator("h"), compose(generator("h"), generator("h"))]
+    for d in (disconnected, through_wire, tensor(through_wire, disconnected),
+              *cycles, h_loop, *bare):
         _assert_same_verdicts([(_assert_matches_reference(d),
                                 _assert_matches_reference(d, 2))])
+
+
+def test_paper_claims_hold_under_the_generator_table():
+    # the three claims decided by dense and proportional alone: Euler is the
+    # one axiom that fails, in model 2 alone; Euler <=> local complementation
+    # holds where Euler does; the fixpoint property holds in every model
+    fails = {(n, name) for n in (1, 2, 3) for name, instances in axioms.AXIOM_SCHEMAS.items()
+             if not all(proportional(dense(lhs, n), dense(rhs, n)) for lhs, rhs in instances())}
+    assert fails == {(r["model_n"], r["axiom"]) for r in axioms.independence_report()
+                     if not r["holds"]} == {(2, "euler")}
+    for deriv in (lemmas.triangle_lc(), lemmas.derive_euler_from_lc()):
+        assert [proportional(dense(deriv.start, n), dense(deriv.end, n))
+                for n in (1, 2, 3)] == [True, False, True]
+    for g, u in ((star_graph(4), "c"), (path_graph("abcd"), "b"),
+                 (complete_graph("abcd"), "a")):
+        deriv = lemmas.fixpoint(g, u)
+        assert all(proportional(dense(deriv.start, n), dense(deriv.end, n))
+                   for n in (1, 2, 3)), (g, u)
 
 
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"

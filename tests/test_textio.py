@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_diagram
 from zxr.diagram import Diagram, DiagramError, Z, iso_equal
-from zxr.graphstate import SimpleGraph, graph_state
+from zxr.graphstate import GraphError, SimpleGraph, graph_state
 from zxr.textio import (ParseError, parse, parse_edges, serialize,
                         serialize_edges, to_dot)
 
@@ -101,6 +101,16 @@ def test_edges_format_round_trip():
     verts, edges = parse_edges(text)
     assert verts == ("a", "b", "c")
     assert serialize_edges(verts, edges) == text
+
+
+def test_edges_writer_refuses_labels_its_reader_cannot_read():
+    for label in ("v:1", "x\u00e9", 'a"b', "vertices", "edge"):
+        g = SimpleGraph.build([label, "e"], [(label, "e")])
+        assert parse_edges(serialize_edges(g.vertices, g.edges)) == (g.vertices, g.edges)
+    for label in ("a b", "c#d", ""):
+        g = SimpleGraph.build([label, "e"], [(label, "e")])
+        with pytest.raises(GraphError, match=re.escape(repr(label))):
+            serialize_edges(g.vertices, g.edges)
 
 
 def test_edges_format_errors():
