@@ -83,14 +83,16 @@ def cmd_check_equal(args) -> int:
     a = _load_diagram(args.a)
     b = _load_diagram(args.b)
     model_n = args.model_n or 1
-    ma = evaluate(a, model_n)
-    mb = evaluate(b, model_n)
-    if ma.shape != mb.shape:
-        print(f"shapes differ: {ma.shape} vs {mb.shape}")
+    # shapes from the boundary counts, so a mismatch is told before evaluating
+    sa, sb = ((2 ** len(d.outputs), 2 ** len(d.inputs)) for d in (a, b))
+    if sa != sb:
+        print(f"shapes differ: {sa} vs {sb}")
         _emit_report(args, {"suite": "check-equal", "model_n": model_n,
-                            "equal": False, "shapes": [list(ma.shape), list(mb.shape)],
+                            "equal": False, "shapes": [list(sa), list(sb)],
                             "ok": False})
         return DIFFER
+    ma = evaluate(a, model_n)
+    mb = evaluate(b, model_n)
     lam, residual = scalar_fit(ma, mb)
     equal = matrices_equal(ma, network_scale(a), mb, network_scale(b))
     print(f"equal={equal} lambda={lam:.12g} max_residual={residual:.3e}")

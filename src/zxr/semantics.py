@@ -17,13 +17,24 @@ compared with zero decided against it (``matrices_equal``), so 1/sqrt2 per
 H-box cannot take a nonzero diagram under TOL.
 
 Because the network absorbs spider fusion, identity wires and H colour
-changes, the rewrites that do only that leave it as it was, and a checked
-step evaluates its patch before and after: networks repeat. So ``evaluate``
+changes, the rewrites that do only that leave it as it was, and a sweep
+that evaluates a diagram before and after each rewrite meets the same
+network again. So ``evaluate``
 keeps its last ``MEMO_SIZE`` results of at most ``MAX_CACHED_ENTRIES``
 entries (``_MATRICES``, least recently used out first), keyed on everything
 the contraction reads: the factors, the scale, the plan's steps, the output
 shape and the model. Equal keys run the same float operations, so a result
 from the memo is bit-identical to a contraction.
+
+``diagrams_equal`` needs no matrix at all when the two networks are equal:
+the same factors and plan steps on the same boundary counts run the same
+contraction in every model, so the two matrices are one matrix M times each
+side's scale. If the scales are both nonzero or both zero, the two are equal
+up to a nonzero scalar whatever M is (two zero matrices count as equal), and
+the pair is decided from the networks alone, even when M is over the entry
+cap. One zero scale (a closed cycle of an odd number of H-boxes) beside a
+nonzero one is not decided so: that side is zero, the other is zero only if
+M is. Every other pair is evaluated and compared by ``matrices_equal``.
 """
 
 from __future__ import annotations
@@ -344,6 +355,17 @@ def matrices_equal(a: np.ndarray, a_scale: float, b: np.ndarray, b_scale: float)
 
 
 def diagrams_equal(f: Diagram, g: Diagram, model_n: int = 1) -> bool:
-    """Evaluate f, then g, in model n; equal up to a nonzero scalar?"""
-    return matrices_equal(evaluate(f, model_n), network_scale(f),
-                          evaluate(g, model_n), network_scale(g))
+    """Are f and g equal up to a nonzero scalar in model n? Their networks
+    are read first: equal factors and plan steps on the same boundary counts
+    run the same contraction in every model, so if their scales are both
+    nonzero or both zero the answer is True, with no factor built and no
+    entry cap read (see the module docstring). Otherwise f, then g, is
+    evaluated and compared by ``matrices_equal``."""
+    if model_n < 1:
+        raise ValueError("model_n must be >= 1")
+    f_tensors, f_scale, (f_steps, _, _) = f.memo(_network)
+    g_tensors, g_scale, (g_steps, _, _) = g.memo(_network)
+    if (f_tensors == g_tensors and f_steps == g_steps and (f_scale == 0) == (g_scale == 0)
+            and (len(f.outputs), len(f.inputs)) == (len(g.outputs), len(g.inputs))):
+        return True
+    return matrices_equal(evaluate(f, model_n), f_scale, evaluate(g, model_n), g_scale)

@@ -48,7 +48,7 @@ def parse(text: str) -> Diagram:
     d = Diagram()
     ins: list[str] = []
     outs: list[str] = []
-    pending_edges: list[tuple[int, int, str, str]] = []
+    pending_edges: list[tuple[int, list[tuple[int, str]]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _tokens(raw)
         if not toks:
@@ -86,15 +86,14 @@ def parse(text: str) -> Diagram:
         elif head == "edge":
             if len(args) != 2:
                 raise ParseError(lineno, col0, "edge needs exactly two ids")
-            pending_edges.append((lineno, args[0][0], args[0][1], args[1][1]))
+            pending_edges.append((lineno, args))
         else:
             raise ParseError(lineno, col0, f"unknown directive {head!r}")
-    for lineno, col, u, v in pending_edges:
-        if not d.has_node(u):
-            raise ParseError(lineno, col, f"unknown node {u!r}")
-        if not d.has_node(v):
-            raise ParseError(lineno, col, f"unknown node {v!r}")
-        d.add_edge(u, v)
+    for lineno, ends in pending_edges:
+        for col, name in ends:
+            if not d.has_node(name):
+                raise ParseError(lineno, col, f"unknown node {name!r}")
+        d.add_edge(ends[0][1], ends[1][1])
     d.inputs, d.outputs = tuple(ins), tuple(outs)
     try:
         return d.check()

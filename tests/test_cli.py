@@ -430,7 +430,8 @@ def test_verify_reports_each_failing_vertex(monkeypatch, tmp_path, capsys):
     ["check-equal", "hh.zxd", "wire.zxd"],
     ["--max-vertices", "2", "verify", "fixpoint"],
     ["verify", "axioms"],
-    ["rewrite", "hh.zxd", "--rule", "h-cancel", "--check"],
+    # the step changes its patch's network, so the patch must be evaluated
+    ["--enable-euler", "rewrite", "h.zxd", "--rule", "euler", "--check"],
 ])
 def test_every_resource_limit_exits_three(files, monkeypatch, capsys, command):
     from zxr import semantics
@@ -438,6 +439,30 @@ def test_every_resource_limit_exits_three(files, monkeypatch, capsys, command):
     monkeypatch.setattr(semantics, "MAX_INTERMEDIATE", 2)
     assert main([files.get(a, a) for a in command]) == 3
     assert capsys.readouterr().err.startswith("resource limit: ")
+
+
+def test_step_that_keeps_its_network_checks_under_any_cap(files, monkeypatch, capsys):
+    # H-H to a wire leaves the network as it was: decided with no evaluation
+    from zxr import semantics
+
+    monkeypatch.setattr(semantics, "MAX_INTERMEDIATE", 2)
+    assert main(["rewrite", files["hh.zxd"], "--rule", "h-cancel", "--check"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_check_equal_tells_shapes_apart_before_evaluating(files, capsys):
+    # 2^30 entries are over the cap, but the boundary counts already differ
+    big = files["dir"] / "big.zxd"
+    big.write_text("node s z\nout " + " ".join(f"o{i}" for i in range(30)) + "\n"
+                   + "".join(f"edge s o{i}\n" for i in range(30)))
+    one = files["dir"] / "one.zxd"
+    one.write_text("node s z\nout o\nedge s o\n")
+    report = files["dir"] / "r.json"
+    assert main(["--json", str(report), "check-equal", str(big), str(one)]) == 1
+    assert capsys.readouterr() == ("shapes differ: (1073741824, 1) vs (2, 1)\n", "")
+    assert json.loads(report.read_text()) == {
+        "suite": "check-equal", "model_n": 1, "equal": False,
+        "shapes": [[1073741824, 1], [2, 1]], "ok": False}
 
 
 def test_colon_label_is_usage_error(files, capsys):

@@ -10,7 +10,7 @@ from conftest import H_MAT, SQRT2, dense, graph_state_vector, proportional, rand
 from zxr import axioms, cli, lemmas, proofs, rules, semantics, shipped
 from zxr.diagram import X, Z, compose, dagger, generator, iso_equal, spider, tensor, wire
 from zxr.graphstate import (SimpleGraph, complete_graph, fixpoint_lhs, graph_state,
-                            path_graph, star_graph, triangle, vdn_lhs)
+                            local_complement, path_graph, star_graph, triangle, vdn_lhs)
 from zxr.phase import Phase
 from zxr.proofs import replay
 from zxr.semantics import ResourceLimit, equal_up_to_scalar, evaluate, scalar_fit
@@ -225,6 +225,30 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
+def _recorded_pairs(run):
+    """Every ``diagrams_equal`` call made while ``run()`` runs, through
+    ``semantics`` or ``proofs``, as (f, g, model_n, verdict)."""
+    pairs = []
+    equal_ = semantics.diagrams_equal
+
+    def recording(f, g, model_n=1):
+        verdict = equal_(f, g, model_n)
+        pairs.append((f, g, model_n, verdict))
+        return verdict
+
+    with pytest.MonkeyPatch.context() as mp:
+        for owner in (semantics, proofs):
+            mp.setattr(owner, "diagrams_equal", recording)
+        run()
+    return pairs
+
+
+def _replay_shipped(models_of=lambda script: (1,)):
+    for name in sorted(shipped.BUILDERS):
+        start, script = shipped.load(PROOF_DIR, name)
+        replay(script, start, euler_on=True, models=models_of(script))
+
+
 def test_resource_limit_fires_before_any_contraction(monkeypatch):
     monkeypatch.setattr(semantics, "_FACTORS", {})
     monkeypatch.setattr(semantics, "_MATRICES", OrderedDict())
@@ -398,21 +422,14 @@ def test_cached_plan_holds_no_mutable_lists():
 
 
 def test_memo_hits_in_shipped_replays_are_bit_identical_to_cold_results(monkeypatch, memo):
-    seen = []
-    evaluate_ = semantics.evaluate
-
-    def recording(d, model_n=1):
-        m = evaluate_(d, model_n)
-        seen.append((d, model_n, m.copy()))
-        return m
-
+    # replay decides equal networks without evaluating, so both sides of
+    # every pair it compares are evaluated here, in its order: a step that
+    # leaves its patch's network as it was hits the memo on the second side
+    pairs = _recorded_pairs(lambda: _replay_shipped(
+        lambda script: (1, 2, 3) if script.euler_free() else (1,)))
+    memo.clear()
     contracted = _counting(monkeypatch, np, "einsum")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semantics, "evaluate", recording)
-        for name in sorted(shipped.BUILDERS):
-            start, script = shipped.load(PROOF_DIR, name)
-            replay(script, start, euler_on=True, models=(1, 2, 3) if script.euler_free()
-                   else (1,))
+    seen = [(d, model_n, evaluate(d, model_n)) for f, g, model_n, _ in pairs for d in (f, g)]
     assert len(contracted) < len(seen) / 2   # most evaluations were hits
     for d, model_n, warm in seen:
         memo.clear()
@@ -588,31 +605,17 @@ PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
 
 
 def _assert_evaluations_match_reference(run, at_least):
-    """Every evaluation made while ``run()`` runs agrees with the reference,
-    and the verdict of every ``diagrams_equal`` call that made two of them
-    is the reference's ``equal_up_to_scalar`` verdict; returns those."""
-    seen, pairs = [], []
-    evaluate_, equal_ = semantics.evaluate, semantics.diagrams_equal
-
-    def recording(d, model_n=1):
-        m = evaluate_(d, model_n)
-        seen.append((d, model_n))
-        return m
-
-    def pairing(f, g, model_n=1):
-        verdict = equal_(f, g, model_n)
-        pairs.append((len(seen) - 2, verdict))
-        return verdict
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semantics, "evaluate", recording)
-        for owner in (semantics, proofs):
-            mp.setattr(owner, "diagrams_equal", pairing)
-        run()
-    assert len(seen) >= at_least
-    results = [_assert_matches_reference(d, n) for d, n in seen]
-    verdicts = _assert_same_verdicts([(results[i], results[i + 1]) for i, _ in pairs])
-    assert verdicts == [verdict for _, verdict in pairs]
+    """Both sides of every ``diagrams_equal`` call made while ``run()`` runs,
+    at least ``at_least`` diagrams, evaluate in the call's model as the
+    reference does, and the call's verdict, decided from the networks or
+    evaluated, is the reference's ``equal_up_to_scalar`` verdict; returns
+    those."""
+    pairs = _recorded_pairs(run)
+    assert 2 * len(pairs) >= at_least
+    verdicts = _assert_same_verdicts([(_assert_matches_reference(f, n),
+                                       _assert_matches_reference(g, n))
+                                      for f, g, n, _ in pairs])
+    assert verdicts == [verdict for _, _, _, verdict in pairs]
     return verdicts
 
 
@@ -646,11 +649,109 @@ def test_plans_match_reference_on_shipped_proofs():
         for start, _ in loaded:
             semantics.diagrams_equal(start, start)
 
-    def patch_cuts():
-        for start, script in loaded:
-            replay(script, start, euler_on=True, models=(1,))
     assert set(_assert_evaluations_match_reference(starts, len(loaded))) == {True}
-    _assert_evaluations_match_reference(patch_cuts, 100)
+    _assert_evaluations_match_reference(_replay_shipped, 100)
+
+
+# -- pairs decided from their networks ----------------------------------------------
+# diagrams_equal returns True on equal networks with scales both nonzero or
+# both zero, building no factor; every verdict it gives must still be dense's.
+
+
+def _h_cycle(k):
+    """A closed cycle of k H-boxes, and nothing else: tr(H^k)."""
+    return parse("".join(f"node c{i} h\nedge c{i} c{(i + 1) % k}\n" for i in range(k)))
+
+
+def test_fuse_over_the_cap_replays_in_models_one_and_two():
+    # one Z spider of 27 outputs and one of 3: each patch has 2^30 entries,
+    # but fusing them leaves the network as it was
+    outs = [f"o{i}" for i in range(30)]
+    start = parse("node a z 1/4\nnode b z 1/2\nout " + " ".join(outs) + "\nedge a b\n"
+                  + "".join(f"edge {'a' if i < 27 else 'b'} {o}\n" for i, o in enumerate(outs)))
+    script = proofs.ProofScript("fuse", [("spider-fuse", ("a", "b"))])
+    with pytest.raises(ResourceLimit):
+        evaluate(start)
+    end = replay(script, start, models=(1, 2))
+    assert [end.phase(v) for v in end.spiders()] == [Phase(3, 4)]
+
+
+def test_closed_h_cycles_against_the_empty_diagram(monkeypatch):
+    # C_3 and the empty diagram share the empty network, with scales 0 and 1:
+    # the scale guard sends them to evaluation, which tells 0 from 1
+    empty = parse("")
+    evaluated = _counting(monkeypatch, semantics, "evaluate")
+    for n in (1, 2):
+        assert not semantics.diagrams_equal(_h_cycle(3), empty, n)
+        assert not semantics.diagrams_equal(empty, _h_cycle(3), n)
+        assert len(evaluated) == 4 * n
+        assert semantics.diagrams_equal(_h_cycle(3), _h_cycle(5), n)
+        assert semantics.diagrams_equal(_h_cycle(2), empty, n)   # scale 2
+        assert len(evaluated) == 4 * n   # both decided from the networks
+    assert not proportional(dense(_h_cycle(3)), dense(empty))
+    assert proportional(dense(_h_cycle(2)), dense(empty))
+
+
+def test_equal_networks_on_other_boundary_counts_are_not_decided():
+    # one spider, two free legs: outputs then inputs give the same network,
+    # but a 2x2 and a 4x1 matrix are not compared
+    bent = parse("node s z 1/4\nin i\nout o\nedge i s\nedge s o\n")
+    cup = parse("node s z 1/4\nout o p\nedge s o\nedge s p\n")
+    assert bent.memo(semantics._network) == cup.memo(semantics._network)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        semantics.diagrams_equal(bent, cup)
+
+
+def test_equal_factors_wired_otherwise_are_not_decided():
+    # the paths a-b-c and b-a-c share their factors, but not their plan
+    vs = ("a", "b", "c")
+    f, g = (graph_state(SimpleGraph.build(vs, [("a", "b"), e])) for e in (("b", "c"), ("a", "c")))
+    (f_tensors, _, (f_steps, _, _)), (g_tensors, _, (g_steps, _, _)) = (
+        d.memo(semantics._network) for d in (f, g))
+    assert f_tensors == g_tensors and f_steps != g_steps
+    assert not semantics.diagrams_equal(f, g)
+    assert not proportional(dense(f), dense(g))
+
+
+def _rule_pairs(d):
+    """d against the result of every rule, Euler-strength ones too, at every
+    site, and against its double dagger."""
+    yield d, dagger(dagger(d))
+    for rule in rules.RULE_IDS:
+        for anchor in rules.match_sites(rule, d):
+            yield d, rules.apply(rule, d, anchor, euler_on=True)
+
+
+def _graph_sweep_pairs():
+    gen = random.Random(11)
+    for nv in (5, 6):
+        labels = [f"q{i}" for i in range(nv)]
+        for _ in range(4):
+            g = SimpleGraph.build(labels, [(a, b) for i, a in enumerate(labels)
+                                           for b in labels[i + 1:] if gen.random() < 0.5])
+            u = gen.choice(labels)
+            state = graph_state(g)
+            yield fixpoint_lhs(g, u), state
+            yield vdn_lhs(g, u), graph_state(local_complement(g, u))
+            yield vdn_lhs(g, u), state
+            yield state, graph_state(g)
+
+
+def test_every_verdict_decided_or_evaluated_is_the_dense_one(monkeypatch, rng):
+    evaluated = _counting(monkeypatch, semantics, "evaluate")
+    corpora = {"random": [p for _ in range(30) for p in _rule_pairs(random_diagram(rng))],
+               "graph sweep": list(_graph_sweep_pairs()),
+               "replay": [(f, g) for f, g, _, _ in _recorded_pairs(_replay_shipped)]}
+    for corpus, pairs in corpora.items():
+        verdicts, decided = set(), 0
+        for f, g in pairs:
+            for n in (1, 2, 3):
+                calls = len(evaluated)
+                verdict = semantics.diagrams_equal(f, g, n)
+                decided += len(evaluated) == calls
+                assert verdict == proportional(dense(f, n), dense(g, n)), (corpus, n)
+                verdicts.add(verdict)
+        assert verdicts == {True, False} and decided, corpus
 
 
 # -- equality verdicts against their predecessor ------------------------------------

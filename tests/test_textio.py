@@ -52,6 +52,16 @@ def test_error_reports_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, col", [("node a z\nedge a zz\n", 8),
+                                       ("node a z\nedge zz a\n", 6),
+                                       ("node a z\nedge  zz   yy\n", 7)])
+def test_unknown_edge_end_is_reported_at_its_own_column(text, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (2, col)
+    assert str(err.value) == f"line 2, column {col}: unknown node 'zz'"
+
+
 def test_bad_phase_token():
     with pytest.raises(ParseError) as err:
         parse("node a z one\n")
