@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence, TypeVar
 from . import axioms, graphstate, proofs, rules, textio
 from .diagram import Diagram
 from .report import validate_report
-from .semantics import ResourceLimit, evaluate, matrices_equal, network_scale, scalar_fit
+from .semantics import (ResourceLimit, evaluate, matrices_equal, network_scale,
+                        same_network, scalar_fit)
 
 OK, DIFFER, USAGE, RESOURCE = 0, 1, 2, 3
 
@@ -91,10 +92,18 @@ def cmd_check_equal(args) -> int:
                             "equal": False, "shapes": [list(sa), list(sb)],
                             "ok": False})
         return DIFFER
-    ma = evaluate(a, model_n)
-    mb = evaluate(b, model_n)
-    lam, residual = scalar_fit(ma, mb)
-    equal = matrices_equal(ma, network_scale(a), mb, network_scale(b))
+    try:
+        ma = evaluate(a, model_n)
+        mb = evaluate(b, model_n)
+    except ResourceLimit:
+        if not same_network(a, b):
+            raise
+        # one matrix times each side's scale: the fit is exact
+        sa, sb = network_scale(a), network_scale(b)
+        lam, residual, equal = complex(sa / sb) if sb else 0j, 0.0, True
+    else:
+        lam, residual = scalar_fit(ma, mb)
+        equal = matrices_equal(ma, network_scale(a), mb, network_scale(b))
     print(f"equal={equal} lambda={lam:.12g} max_residual={residual:.3e}")
     _emit_report(args, {"suite": "check-equal", "model_n": model_n,
                         "equal": equal, "lambda": [lam.real, lam.imag],

@@ -9,7 +9,7 @@ stable across unrelated edits.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, KeysView, Optional, Sequence, TypeVar
 
 from .phase import HALF_PI, MINUS_HALF_PI, Phase, PhaseLike, ZERO
 
@@ -85,6 +85,13 @@ class Diagram:
     ``checked`` does not. It also skips the copy on first write, so a write
     into a shared neighbour map reaches every diagram that shares it.
 
+    ``touched`` reads the record of the last non-empty ``checked`` walk: the
+    names it validated, removed ones included, so every node that the edits
+    since the walk before it touched. ``rules.normalize`` keeps its site sets
+    up to date by it. It has ``checked``'s one limit: a write to a private
+    field is not in it. It is None after a full ``check`` and on a fresh
+    ``copy``, and says nothing then.
+
     ``memo(read)`` keeps ``read(self)`` until ``checked`` next walks
     anything, which it does after any logged edit, so a kept read is of the
     diagram as it now is, within the same limit. ``copy`` hands the kept
@@ -107,6 +114,7 @@ class Diagram:
         self._dirty: Optional[dict[str, None]] = None
         self._bounds: tuple = ((), ())   # (inputs, outputs) at the last full check
         self._memo: dict = {}   # reads kept by ``memo`` until the next check walk
+        self._walked: Optional[dict[str, None]] = None   # read by ``touched``
 
     # -- construction ------------------------------------------------------
 
@@ -424,15 +432,17 @@ class Diagram:
         """Validate every structural invariant; returns self for chaining.
 
         Always a full O(V+E) walk, so it also sees writes to private fields.
-        On success it empties the touch log that ``checked`` reads.
+        On success it empties the touch log that ``checked`` reads, and
+        ``touched`` reads None.
         """
         bset = set(self.inputs) | set(self.outputs)
         if len(self.inputs) + len(self.outputs) != len(bset):
             raise DiagramError("inputs/outputs overlap or repeat")
         if self._adj.keys() != self._kind.keys():
             raise DiagramError("edge store and node table list different nodes")
-        self._check_at(self._kind, bset, self.inputs + self.outputs)
-        self._dirty, self._bounds = {}, (self.inputs, self.outputs)
+        self._check_at(self._kind.items(), bset, self.inputs + self.outputs)
+        self._dirty, self._walked = {}, None
+        self._bounds = (self.inputs, self.outputs)
         self._memo = {}
         return self
 
@@ -444,16 +454,22 @@ class Diagram:
         this equals a full walk, and its one limit."""
         if self._dirty is None or self._bounds != (self.inputs, self.outputs):
             return self.check()
-        if self._dirty:
+        dirty = self._dirty
+        if dirty:
             kind_of, adj = self._kind, self._adj
-            for v in self._dirty:
+            for v in dirty:
                 if (v in kind_of) != (v in adj):
                     raise DiagramError("edge store and node table list different nodes")
             bset = set(self.inputs) | set(self.outputs)
-            self._check_at([v for v in self._dirty if v in kind_of], bset,
-                           [b for b in self._dirty if b in bset])
-            self._dirty, self._memo = {}, {}
+            self._check_at([(v, kind_of[v]) for v in dirty if v in kind_of], bset,
+                           [b for b in dirty if b in bset])
+            self._dirty, self._walked, self._memo = {}, dirty, {}
         return self
+
+    def touched(self) -> Optional[KeysView[str]]:
+        """The names the last non-empty ``checked`` walk validated, in
+        first-touch order, or None (see the class docstring)."""
+        return None if self._walked is None else self._walked.keys()
 
     def memo(self, read: Callable[["Diagram"], T]) -> T:
         """``read(self)`` after ``checked``, computed once and kept until
@@ -467,15 +483,15 @@ class Diagram:
             value = self._memo[read] = read(self)
             return value
 
-    def _check_at(self, nodes: Iterable[str], bset: set[str],
+    def _check_at(self, pairs: Iterable[tuple[str, str]], bset: set[str],
                   listed: Iterable[str]) -> None:
         """The per-node tests, then that each of ``listed`` is a boundary
-        node, then the edge tests, over live ``nodes`` (iterated twice)."""
-        kind_of, adj = self._kind, self._adj
-        for name in nodes:
-            kind = kind_of[name]
-            if kind in SPIDERS:
-                if name not in self._phase:
+        node, then the edge tests, over live (node, kind) ``pairs`` (iterated
+        twice)."""
+        kind_of, phase_of, adj = self._kind, self._phase, self._adj
+        for name, kind in pairs:
+            if kind == Z or kind == X:
+                if name not in phase_of:
                     raise DiagramError(f"spider {name!r} lacks a phase")
             elif kind == BOUNDARY:
                 if name not in bset:
@@ -494,10 +510,14 @@ class Diagram:
         for b in listed:
             if kind_of.get(b) != BOUNDARY:
                 raise DiagramError(f"listed boundary {b!r} is not a boundary node")
-        for u in nodes:
+        for u, _ in pairs:
             for v, m in adj[u].items():
-                if m <= 0 or v not in adj or adj[v].get(u) != m:
-                    raise DiagramError(f"edge {_edge_key(u, v)} is empty, dangling or one-sided")
+                try:
+                    if m > 0 and adj[v][u] == m:
+                        continue
+                except KeyError:   # dangling, or one-sided
+                    pass
+                raise DiagramError(f"edge {_edge_key(u, v)} is empty, dangling or one-sided")
 
     # -- equality ------------------------------------------------------------
 

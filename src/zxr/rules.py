@@ -565,7 +565,27 @@ def apply(rule: str, d: Diagram, anchor: Sequence[str],
 
 # -- normalization ------------------------------------------------------------------
 
-_NORMALIZE_PRIORITY = ("spider-fuse", "self-loop", "id-remove", "hopf")
+
+def _edges_at(d: Diagram, v: str) -> list[Anchor]:
+    """The ``_edges`` candidates that hold v."""
+    return [(v, w) if v < w else (w, v) for w in d.neighbours(v)]
+
+
+def _spider_at(d: Diagram, v: str) -> list[Anchor]:
+    """The ``_spiders`` candidate that holds v."""
+    return [(v,)] if _is_spider(d, v) else []
+
+
+def _spiders_by(d: Diagram, v: str) -> list[Anchor]:
+    """The ``_spiders`` candidates at v and one hop from it: id-remove's
+    condition reads its anchor's neighbour's kind."""
+    return [(w,) for w in (v, *d.neighbours(v)) if _is_spider(d, w)]
+
+
+# the normalize rules in priority order, each with the candidates whose
+# verdict a step can change by touching a node
+_NORMALIZE = {"spider-fuse": _edges_at, "self-loop": _spider_at,
+              "id-remove": _spiders_by, "hopf": _edges_at}
 
 
 def normalize(d: Diagram, trace: list[tuple[str, Anchor]] | None = None) -> Diagram:
@@ -574,18 +594,39 @@ def normalize(d: Diagram, trace: list[tuple[str, Anchor]] | None = None) -> Diag
     Deterministic: always the lexicographically smallest anchor of the
     highest-priority applicable rule. Each step strictly decreases
     (node count, edge count), so this terminates.
+
+    Each rule's sites are kept in a set, filled by one ``match_sites`` scan
+    the first time the rule is consulted. After a step (through ``apply``)
+    the sets drop the anchors that hold a node the step touched
+    (``Diagram.touched``) and re-check the candidates at each touched node
+    still there, so a step costs what it touched, not a scan of every rule.
+    When the step has no record (``touched`` is None, as after a full
+    ``check``), the sets are scanned again.
     """
+    sites: dict[str, set[Anchor]] = {}
     current = d
     while True:
         measure = (current.node_count(), current.edge_count())
-        for rule in _NORMALIZE_PRIORITY:
-            sites = match_sites(rule, current)
-            if sites:
-                current = apply(rule, current, sites[0])
-                if trace is not None:
-                    trace.append((rule, sites[0]))
+        for rule in _NORMALIZE:
+            if rule not in sites:
+                sites[rule] = set(match_sites(rule, current))
+            if sites[rule]:
+                anchor = min(sites[rule])
                 break
         else:
             return current
+        current = apply(rule, current, anchor)
+        if trace is not None:
+            trace.append((rule, anchor))
         if not (current.node_count(), current.edge_count()) < measure:
             raise RuntimeError("normalization step failed to decrease the measure")
+        touched = current.touched()
+        if touched is None:
+            sites.clear()
+            continue
+        live = [v for v in touched if current.has_node(v)]
+        for rule, found in sites.items():
+            again = {a for v in live for a in _NORMALIZE[rule](current, v)}
+            found.difference_update([a for a in found
+                                     if a in again or not touched.isdisjoint(a)])
+            found.update(a for a in again if RULES[rule].check(current, a))

@@ -26,15 +26,17 @@ the contraction reads: the factors, the scale, the plan's steps, the output
 shape and the model. Equal keys run the same float operations, so a result
 from the memo is bit-identical to a contraction.
 
-``diagrams_equal`` needs no matrix at all when the two networks are equal:
-the same factors and plan steps on the same boundary counts run the same
-contraction in every model, so the two matrices are one matrix M times each
-side's scale. If the scales are both nonzero or both zero, the two are equal
-up to a nonzero scalar whatever M is (two zero matrices count as equal), and
-the pair is decided from the networks alone, even when M is over the entry
-cap. One zero scale (a closed cycle of an odd number of H-boxes) beside a
-nonzero one is not decided so: that side is zero, the other is zero only if
-M is. Every other pair is evaluated and compared by ``matrices_equal``.
+``same_network`` decides a pair with no matrix at all when the two networks
+are equal: the same factors and plan steps on the same boundary counts run
+the same contraction in every model, so the two matrices are one matrix M
+times each side's scale. If the scales are both nonzero or both zero, the
+two are equal up to a nonzero scalar whatever M is (two zero matrices count
+as equal), and the pair is decided from the networks alone, even when M is
+over the entry cap. ``diagrams_equal`` asks it first, and ``zxr
+check-equal`` when evaluating is over the cap. One zero scale (a closed
+cycle of an odd number of H-boxes) beside a nonzero one is not decided so:
+that side is zero, the other is zero only if M is. Every other pair is
+evaluated and compared by ``matrices_equal``.
 """
 
 from __future__ import annotations
@@ -354,18 +356,26 @@ def matrices_equal(a: np.ndarray, a_scale: float, b: np.ndarray, b_scale: float)
     return _proportional(a / a_top, b / b_top, pivot)
 
 
-def diagrams_equal(f: Diagram, g: Diagram, model_n: int = 1) -> bool:
-    """Are f and g equal up to a nonzero scalar in model n? Their networks
-    are read first: equal factors and plan steps on the same boundary counts
-    run the same contraction in every model, so if their scales are both
-    nonzero or both zero the answer is True, with no factor built and no
-    entry cap read (see the module docstring). Otherwise f, then g, is
-    evaluated and compared by ``matrices_equal``."""
-    if model_n < 1:
-        raise ValueError("model_n must be >= 1")
+def same_network(f: Diagram, g: Diagram) -> bool:
+    """Do f and g have equal factors and plan steps on the same boundary
+    counts, with scales both nonzero or both zero? Then they are equal up to
+    a nonzero scalar in every model, each matrix being one M times its own
+    scale, whatever M is (see the module docstring): no factor is built and
+    no entry cap read."""
     f_tensors, f_scale, (f_steps, _, _) = f.memo(_network)
     g_tensors, g_scale, (g_steps, _, _) = g.memo(_network)
-    if (f_tensors == g_tensors and f_steps == g_steps and (f_scale == 0) == (g_scale == 0)
-            and (len(f.outputs), len(f.inputs)) == (len(g.outputs), len(g.inputs))):
+    return (f_tensors == g_tensors and f_steps == g_steps
+            and (f_scale == 0) == (g_scale == 0)
+            and (len(f.outputs), len(f.inputs)) == (len(g.outputs), len(g.inputs)))
+
+
+def diagrams_equal(f: Diagram, g: Diagram, model_n: int = 1) -> bool:
+    """Are f and g equal up to a nonzero scalar in model n? True at once on
+    the same network (``same_network``); otherwise f, then g, is evaluated
+    and compared by ``matrices_equal``."""
+    if model_n < 1:
+        raise ValueError("model_n must be >= 1")
+    if same_network(f, g):
         return True
-    return matrices_equal(evaluate(f, model_n), f_scale, evaluate(g, model_n), g_scale)
+    return matrices_equal(evaluate(f, model_n), network_scale(f),
+                          evaluate(g, model_n), network_scale(g))

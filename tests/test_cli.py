@@ -252,19 +252,54 @@ def test_validator_enforces_schema_minimums_and_requirements(bad):
         validate_report(bad)
 
 
+def _big(path, phase="0", tail=""):
+    """A single spider with 30 wires, over the contraction cap."""
+    path.write_text(f"node s z {phase}\nout " + " ".join(f"w{i}" for i in range(30)) + "\n"
+                    + "".join(f"edge s w{i}\n" for i in range(30)) + tail)
+    return str(path)
+
+
 def test_resource_limit_exit_code(tmp_path):
-    # a single spider with 30 wires exceeds the contraction cap
-    lines = ["node s z"]
-    outs = [f"w{i}" for i in range(30)]
-    lines.append("out " + " ".join(outs))
-    lines.extend(f"edge s {w}" for w in outs)
-    big = tmp_path / "big.zxd"
-    big.write_text("\n".join(lines) + "\n")
-    assert main(["check-equal", str(big), str(big)]) == 3
+    # the phases differ, so the networks do and the pair must be evaluated
+    big = _big(tmp_path / "big.zxd")
+    assert main(["check-equal", big, _big(tmp_path / "big1.zxd", "1")]) == 3
+    # the same network, but a closed 3-H-box cycle makes one side's scale 0
+    cycle = "".join(f"node c{i} h\nedge c{i} c{(i + 1) % 3}\n" for i in range(3))
+    assert main(["check-equal", big, _big(tmp_path / "big0.zxd", tail=cycle)]) == 3
+
+
+def test_check_equal_over_the_cap_decides_equal_networks(files, capsys):
+    # the 27 + 3-output spider-fuse start against its fused end: 2^30 entries
+    # each, one network, scales 1 and 1
+    outs = [f"o{i}" for i in range(30)]
+    start = files["dir"] / "fuse.zxd"
+    start.write_text("node a z 1/4\nnode b z 1/2\nout " + " ".join(outs) + "\nedge a b\n"
+                     + "".join(f"edge {'a' if i < 27 else 'b'} {o}\n"
+                               for i, o in enumerate(outs)))
+    fused = files["dir"] / "fused.zxd"
+    fused.write_text("node a z 3/4\nout " + " ".join(outs) + "\n"
+                     + "".join(f"edge a {o}\n" for o in outs))
+    report = files["dir"] / "r.json"
+    assert main(["--json", str(report), "check-equal", str(start), str(fused)]) == 0
+    assert capsys.readouterr() == ("equal=True lambda=1+0j max_residual=0.000e+00\n", "")
+    assert json.loads(report.read_text()) == {
+        "suite": "check-equal", "model_n": 1, "equal": True, "lambda": [1.0, 0.0],
+        "max_residual": 0.0, "ok": True}
+    # a phase-0 pendant leaves the network but adds 1/sqrt2 to the scale:
+    # lambda is the scale ratio, as the fit finds it under the cap
+    for legs in (3, 30):   # under the cap, then over it
+        outs = " ".join(f"w{i}" for i in range(legs))
+        text = f"node s z\nout {outs}\n" + "".join(f"edge s w{i}\n" for i in range(legs))
+        (files["dir"] / "s.zxd").write_text(text)
+        (files["dir"] / "t.zxd").write_text(text + "node t z\nedge s t\n")
+        assert main(["check-equal", str(files["dir"] / "s.zxd"),
+                     str(files["dir"] / "t.zxd")]) == 0
+        out = capsys.readouterr().out
+        assert out == "equal=True lambda=1.41421356237+0j max_residual=0.000e+00\n", legs
 
 
 @pytest.mark.parametrize("command", [
-    ["check-equal", "big", "big"],
+    ["check-equal", "big", "big1"],   # two phases: two networks
     ["verify", "axioms"],
 ])
 def test_resource_limit_replaces_the_json_report(files, tmp_path, monkeypatch,
@@ -273,15 +308,12 @@ def test_resource_limit_replaces_the_json_report(files, tmp_path, monkeypatch,
     from zxr import semantics
     from zxr.report import ReportError, validate_report
 
-    big = tmp_path / "big.zxd"
-    big.write_text("node s z\nout " + " ".join(f"w{i}" for i in range(30)) + "\n"
-                   + "".join(f"edge s w{i}\n" for i in range(30)))
+    big = {"big": _big(tmp_path / "big.zxd"), "big1": _big(tmp_path / "big1.zxd", "1")}
     if command[0] == "verify":
         monkeypatch.setattr(semantics, "MAX_INTERMEDIATE", 2)
     path = tmp_path / "r.json"
     path.write_text('{"stale": true}\n')
-    assert main(["--json", str(path)] + [str(big) if a == "big" else a
-                                         for a in command]) == 3
+    assert main(["--json", str(path)] + [big.get(a, a) for a in command]) == 3
     err = capsys.readouterr().err
     assert err.startswith("resource limit: ") and err.count("\n") == 1
     report = json.loads(path.read_text())
@@ -427,7 +459,7 @@ def test_verify_reports_each_failing_vertex(monkeypatch, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["check-equal", "hh.zxd", "wire.zxd"],
+    ["check-equal", "h.zxd", "wire.zxd"],   # hh.zxd and wire.zxd share a network
     ["--max-vertices", "2", "verify", "fixpoint"],
     ["verify", "axioms"],
     # the step changes its patch's network, so the patch must be evaluated
@@ -491,7 +523,7 @@ def test_unwritable_report_after_resource_limit_is_usage_error(
 
     monkeypatch.setattr(semantics, "MAX_INTERMEDIATE", 2)
     out = files["dir"] / "missing" / "r.json"
-    assert main(["--json", str(out), "check-equal", files["hh.zxd"],
+    assert main(["--json", str(out), "check-equal", files["h.zxd"],
                  files["wire.zxd"]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("resource limit: ")

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -330,17 +331,75 @@ def test_set_kind_keeps_phase():
         generator("h").set_kind("g", Z)
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda d: d._adj["g"].update(in0=2),      # one-sided
-    lambda d: d._adj["g"].update(g=0),        # zero multiplicity
-    lambda d: d._adj["g"].update(ghost=1),    # dangling
-    lambda d: d._adj.update(ghost={}),        # not a live node
-])
-def test_check_rejects_corrupt_edge_store(corrupt):
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d: d._adj["g"].update(in0=2),      # one-sided
+     "edge ('g', 'in0') is empty, dangling or one-sided"),
+    (lambda d: d._adj["g"].update(g=0),        # zero multiplicity
+     "edge ('g', 'g') is empty, dangling or one-sided"),
+    (lambda d: d._adj["g"].update(ghost=1),    # dangling
+     "edge ('g', 'ghost') is empty, dangling or one-sided"),
+    (lambda d: d._adj.update(ghost={}),        # not a live node
+     "edge store and node table list different nodes"),
+], ids=[f"<lambda>{i}" for i in range(4)])   # by position, as pytest names a lambda
+def test_check_rejects_corrupt_edge_store(corrupt, message):
     d = generator("phase_z", Phase(1, 2))
     corrupt(d)
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError, match=re.escape(message)):
         d.check()
+
+
+def _unlisted_boundary(d):
+    d.add_edge(d.add_node(BOUNDARY, name="b"), "g")
+
+
+def _lopsided_hbox(d):
+    d.add_edge(d.add_node(HBOX, name="h"), "g")
+
+
+def _looped_hbox(d):
+    h = d.add_node(HBOX, name="h")
+    d.add_edge(h, h)
+
+
+def _removed_input(d):
+    d.remove_edge("in0", "g")
+    d.remove_node("in0")
+
+
+# one fault each: (edit, its message, whether ``checked`` reaches it)
+NODE_FAULTS = {
+    "unknown kind": (lambda d: d.add_node("q", name="q"), "unknown node kind 'q'", True),
+    "spider without a phase": (lambda d: d._phase.pop("g"), "spider 'g' lacks a phase", False),
+    "unlisted boundary": (_unlisted_boundary,
+                          "boundary 'b' not listed in inputs/outputs", True),
+    "boundary degree": (lambda d: d.add_edge("in0", "g"), "boundary 'in0' must have degree 1",
+                        True),
+    "H-box degree": (_lopsided_hbox, "H-box 'h' must have degree 2", True),
+    "H-box self-loop": (_looped_hbox, "H-box 'h' has a self-loop", True),
+    "listed non-boundary": (_removed_input, "listed boundary 'in0' is not a boundary node",
+                            True),
+    "listed non-boundary, reassigned": (lambda d: setattr(d, "outputs", ("out0", "g")),
+                                        "listed boundary 'g' is not a boundary node", True),
+    "overlapping inputs/outputs": (lambda d: setattr(d, "outputs", d.inputs),
+                                   "inputs/outputs overlap or repeat", True),
+    "node table and edge store": (lambda d: d._kind.update(ghost=X),
+                                  "edge store and node table list different nodes", False),
+}
+
+
+@pytest.mark.parametrize("fault", NODE_FAULTS)
+def test_check_names_each_node_fault(fault):
+    """Each fault alone on a valid diagram, through ``check`` and, where a
+    logged edit or a reassigned boundary list made it, through ``checked``
+    after a full walk."""
+    edit, message, logged = NODE_FAULTS[fault]
+    d = generator("phase_z", Phase(1, 2))
+    edit(d)
+    with pytest.raises(DiagramError, match=f"^{re.escape(message)}$"):
+        d.copy().check()
+    if logged:
+        with pytest.raises(DiagramError, match=f"^{re.escape(message)}$"):
+            d.checked()
 
 
 # -- the touch log and checked() ------------------------------------------------
