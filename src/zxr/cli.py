@@ -213,6 +213,8 @@ def _sweep_graphs(args):
 
 
 def _verify_graph_property(args, checker, name) -> tuple[bool, dict]:
+    if args.seed is not None and not args.random:   # no graph is drawn to seed
+        raise CliError(USAGE, "--seed applies only with --random")
     rows = []
     ok = True
     count = 0

@@ -87,10 +87,11 @@ class Diagram:
 
     ``touched`` reads the record of the last non-empty ``checked`` walk: the
     names it validated, removed ones included, so every node that the edits
-    since the walk before it touched. ``rules.normalize`` keeps its site sets
-    up to date by it. It has ``checked``'s one limit: a write to a private
-    field is not in it. It is None after a full ``check`` and on a fresh
-    ``copy``, and says nothing then.
+    since the walk before it touched. It is the one record of what a step
+    changed: ``rules.normalize`` keeps its site sets up to date by it, and
+    ``changed_since`` reads replay's patch from it. It has ``checked``'s one
+    limit: a write to a private field is not in it. It is None after a full
+    ``check`` and on a fresh ``copy``, and says nothing then.
 
     ``memo(read)`` keeps ``read(self)`` until ``checked`` next walks
     anything, which it does after any logged edit, so a kept read is of the
@@ -302,8 +303,8 @@ class Diagram:
         """Nodes that ``earlier`` lacks, in creation order (``copy`` keeps it)."""
         return [v for v in self._kind if v not in earlier._kind]
 
-    def changed_since(self, earlier: "Diagram") -> list[str]:
-        """The patch of an edit from ``earlier`` to self, sorted.
+    def changed_since(self, earlier: "Diagram") -> Optional[list[str]]:
+        """The patch of an edit from ``earlier`` to self, sorted, or None.
 
         It holds every node created or removed, or whose kind, phase or
         degree changed, plus a greedy cover of the edges whose multiplicity
@@ -311,13 +312,21 @@ class Diagram:
         the lower degree, then the name. Every node and edge outside the
         patch is the same on both sides, so each side is one context
         composed with its own ``cut`` of the patch.
+
+        It reads only the names in ``touched``, so it costs O(touched), and
+        is None without a record: self must be ``earlier``'s copy with every
+        edit since walked by one ``checked``, as ``rules.apply`` returns it.
+        It has ``checked``'s one limit, a write to a private field.
         """
+        touched = self.touched()
+        if touched is None:
+            return None
         patch, rewired = set(), []
-        for v in self._kind.keys() | earlier._kind.keys():
+        for v in touched:
             if (self._kind.get(v), self._phase.get(v)) != (earlier._kind.get(v),
                                                            earlier._phase.get(v)):
                 patch.add(v)
-            elif self._adj[v] != earlier._adj[v]:
+            elif self._adj.get(v) != earlier._adj.get(v):
                 if self.degree(v) != earlier.degree(v):
                     patch.add(v)
                 else:

@@ -11,13 +11,15 @@ created, removed or changed, plus a cover of the edges it rewired. Outside
 the patch both diagrams are the same context C, so before = C o P and after
 = C o P' for the two cuts P, P' of the patch (``Diagram.cut``). The
 interpretation is compositional, so P' = lambda P with lambda nonzero gives
-after = lambda before: a passing patch is a passing step, at a cost set by
-the patch, not the diagram. A patch is not always an equation on its own
-(a step that swaps one state for another can rely on the unchanged node
-that absorbs it), so when the two patches differ, or one hits the entry
-cap, the whole diagrams are compared and decide the step. Either way the
-verdict is that of the whole diagrams, and the start diagram itself is
-never evaluated.
+after = lambda before: a passing patch is a passing step. The patch is read
+from the step's touch log (``Diagram.touched``), so finding it costs
+O(touched); its evaluation costs what the patch costs, not the diagram. The
+step's ``copy`` is still O(V), at C speed. A patch is not always an
+equation on its own (a step that swaps one state for another can rely on
+the unchanged node that absorbs it), so when the two patches differ, one
+hits the entry cap or the step left no record, the whole diagrams are
+compared and decide the step. Either way the verdict is that of the whole
+diagrams, and the start diagram itself is never evaluated.
 """
 
 from __future__ import annotations
@@ -91,9 +93,9 @@ def replay(script: ProofScript, start: Diagram, *, euler_on: bool = False,
     Checks model 1 always and model 2 as well when the script is free of
     Euler-strength steps; pass ``models`` to override, ``()`` to apply the
     steps without evaluating anything. A step is first checked on its patch
-    (see the module docstring), then, if the patches differ or one exceeds
-    the entry cap, on the whole diagrams, whose verdict is final; so only a
-    whole diagram over the cap raises ResourceLimit.
+    (see the module docstring), then, if the patches differ, one exceeds
+    the entry cap or there is no patch, on the whole diagrams, whose verdict
+    is final; so only a whole diagram over the cap raises ResourceLimit.
     """
     if models is None:
         models = (1, 2) if script.euler_free() else (1,)
@@ -105,11 +107,9 @@ def replay(script: ProofScript, start: Diagram, *, euler_on: bool = False,
             nxt = rules.apply(rule, current, anchor, euler_on=euler_on)
         except (RuleError, DiagramError) as exc:
             raise ReplayError(index, rule, f"does not match: {exc}")
-        cuts = None
-        # a step that moved the diagram's own boundary leaves no one context
-        if models and (current.inputs, current.outputs) == (nxt.inputs, nxt.outputs):
-            patch = nxt.changed_since(current)
-            cuts = current.cut(patch), nxt.cut(patch)
+        # None without a record: a step that reassigned the boundary walked all
+        patch = nxt.changed_since(current) if models else None
+        cuts = None if patch is None else (current.cut(patch), nxt.cut(patch))
         for n in models:
             if not ((cuts and _patch_holds(*cuts, n)) or diagrams_equal(current, nxt, n)):
                 raise ReplayError(index, rule, f"semantic drift in model n={n}")

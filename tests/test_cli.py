@@ -342,6 +342,18 @@ def test_verify_vdn_small_with_random(files):
                  "verify", "vdn"]) == 0
 
 
+@pytest.mark.parametrize("suite", ["fixpoint", "vdn"])
+@pytest.mark.parametrize("random_n", [[], ["--random", "0"]])
+def test_seed_without_random_is_usage_error(tmp_path, capsys, suite, random_n):
+    # no random graph is drawn: the seed would be dropped without a word
+    report = tmp_path / "r.json"
+    assert main(["--json", str(report), "--seed", "3", "--max-vertices", "2",
+                 *random_n, "verify", suite]) == 2
+    captured = capsys.readouterr()
+    assert "--seed applies only with --random" in captured.err and not captured.out
+    assert not report.exists()
+
+
 def test_verify_reports_are_deterministic(files, tmp_path):
     out = []
     for name in ("a.json", "b.json"):
