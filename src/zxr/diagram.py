@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Iterable, KeysView, Optional, Sequence, TypeVar
 
-from .phase import HALF_PI, MINUS_HALF_PI, Phase, PhaseLike, ZERO
+from .phase import HALF_PI, MINUS_HALF_PI, Phase, PhaseLike, ZERO, reduced
 
 Z = "z"
 X = "x"
@@ -85,13 +85,15 @@ class Diagram:
     ``checked`` does not. It also skips the copy on first write, so a write
     into a shared neighbour map reaches every diagram that shares it.
 
-    ``touched`` reads the record of the last non-empty ``checked`` walk: the
-    names it validated, removed ones included, so every node that the edits
-    since the walk before it touched. It is the one record of what a step
-    changed: ``rules.normalize`` keeps its site sets up to date by it, and
-    ``changed_since`` reads replay's patch from it. It has ``checked``'s one
-    limit: a write to a private field is not in it. It is None after a full
-    ``check`` and on a fresh ``copy``, and says nothing then.
+    ``touched`` reads the record a ``copy`` starts: every name a ``checked``
+    walk has validated since the copy, removed ones included, plus the names
+    logged and not yet walked, so every node that the edits since the copy
+    touched. It is the one record of what a step changed: ``rules.normalize``
+    keeps its site sets up to date by it, and ``changed_since`` reads
+    replay's patch from it. It has ``checked``'s one limit: a write to a
+    private field is not in it. A full ``check`` ends the record until the
+    next copy. ``touched`` is None then, and while the record is empty, and
+    says nothing.
 
     ``memo(read)`` keeps ``read(self)`` until ``checked`` next walks
     anything, which it does after any logged edit, so a kept read is of the
@@ -115,7 +117,8 @@ class Diagram:
         self._dirty: Optional[dict[str, None]] = None
         self._bounds: tuple = ((), ())   # (inputs, outputs) at the last full check
         self._memo: dict = {}   # reads kept by ``memo`` until the next check walk
-        self._walked: Optional[dict[str, None]] = None   # read by ``touched``
+        # names walked since the copy, read by ``touched``; None: no record
+        self._walked: Optional[dict[str, None]] = None
 
     # -- construction ------------------------------------------------------
 
@@ -133,6 +136,7 @@ class Diagram:
         d._dirty = None if self._dirty is None else dict(self._dirty)
         d._bounds = self._bounds
         d._memo = dict(self._memo)   # valid until the copy changes too
+        d._walked = {}
         return d
 
     def fresh_id(self) -> str:
@@ -256,38 +260,75 @@ class Diagram:
         return sorted((u, v, m) for u, nb in self._adj.items()
                       for v, m in nb.items() if u <= v)
 
-    def wires(self) -> tuple[list[tuple[str, Optional[Phase], int]], dict[str, int],
-                             list[tuple[int, int, int]], list[int]]:
-        """The diagram as wires between ends, read in one pass over the edge store.
+    def wires(self) -> tuple[dict[str, int], list[int], dict[int, tuple[int, int]],
+                             list[tuple[int, int]], int, list[int]]:
+        """The diagram's ends fused into classes, read in one pass over the edge store.
 
         An end is a spider or a boundary; a wire runs from end p to end q
-        through k >= 0 H-boxes. Returns every end in node-table order as
-        (kind, phase or None, degree), each end's position in that list by
-        name, every wire once as (p, q, k) by position, one per parallel
-        copy, and the length of each closed cycle of H-boxes, which no wire
-        reaches.
+        through k >= 0 H-boxes. It is plain when k plus the number of X ends
+        among p and q is even, and an H wire otherwise; ends joined by plain
+        wires are one class (spider fusion, each X end read through its
+        colour change), merged as the walk meets the wire. Returns:
+
+        - each end's position by name, in node-table order;
+        - each end's class, as the position of one end in it;
+        - each class holding a spider, in order of its first spider, to its
+          spiders' phase sum as (num, den) (``reduced``);
+        - every H wire once as (p, q) by position, one per parallel copy;
+        - the legs the spiders lack below two, summed;
+        - the length of each closed cycle of H-boxes, which no wire reaches.
         """
         kind_of, phase_of, adj = self._kind, self._phase, self._adj
-        at = {v: i for i, v in enumerate(v for v, k in kind_of.items() if k != HBOX)}
-        ends, wires, cycles, seen = [], [], [], set()
+        at: dict[str, int] = {}
+        for v, k in kind_of.items():
+            if k != HBOX:
+                at[v] = len(at)
+        cls = list(range(len(at)))
+        h_wires, cycles, seen, short = [], [], set(), 0
         for p, i in at.items():
             nb = adj[p]
-            ends.append((kind_of[p], phase_of.get(p), sum(nb.values()) + nb.get(p, 0)))
+            xp = kind_of[p] == X
+            if len(nb) < 2 and p in phase_of:   # else two legs at least
+                short += max(0, 2 - sum(nb.values()) - nb.get(p, 0))
             for q, m in nb.items():
                 j = at.get(q)
-                if j is not None:
-                    if i <= j:
-                        wires += [(i, j, 0)] * m
-                    continue
-                for _ in range(m):
+                if j is None:   # an H-box: walk its chain, once
                     if q in seen:
-                        break
-                    prev, cur, k = p, q, 0
-                    while cur not in at:
+                        continue
+                    prev, cur, k, m = p, q, 0, 1
+                    while j is None:
                         seen.add(cur)
                         k += 1
                         prev, cur = cur, _across(adj[cur], prev)
-                    wires.append((i, at[cur], k))
+                        j = at.get(cur)
+                    k += xp + (kind_of[cur] == X)
+                elif i < j:
+                    k = xp + (kind_of[q] == X)
+                else:   # taken from the other end, or a plain self-loop
+                    continue
+                if k & 1:
+                    h_wires += [(i, j)] * m
+                    continue
+                a = i
+                while cls[a] != a:
+                    cls[a] = a = cls[cls[a]]
+                while cls[j] != j:
+                    cls[j] = j = cls[cls[j]]
+                cls[j] = a
+        phases: dict[int, tuple[int, int]] = {}
+        for v, i in at.items():
+            r = i
+            while cls[r] != r:
+                r = cls[r]
+            cls[i] = r
+            ph = phase_of.get(v)
+            if ph is None:
+                continue
+            if r not in phases:
+                phases[r] = (ph.num, ph.den)
+            elif ph.num:
+                num, den = phases[r]
+                phases[r] = reduced(num * ph.den + ph.num * den, den * ph.den)
         if len(seen) + len(at) < len(kind_of):
             for h in kind_of:
                 if h not in at and h not in seen:
@@ -297,7 +338,7 @@ class Diagram:
                         k += 1
                         prev, cur = cur, _across(adj[cur], prev)
                     cycles.append(k)
-        return ends, at, wires, cycles
+        return at, cls, phases, h_wires, short, cycles
 
     def created_since(self, earlier: "Diagram") -> list[str]:
         """Nodes that ``earlier`` lacks, in creation order (``copy`` keeps it)."""
@@ -314,9 +355,10 @@ class Diagram:
         composed with its own ``cut`` of the patch.
 
         It reads only the names in ``touched``, so it costs O(touched), and
-        is None without a record: self must be ``earlier``'s copy with every
-        edit since walked by one ``checked``, as ``rules.apply`` returns it.
-        It has ``checked``'s one limit, a write to a private field.
+        is None without a record: self must be ``earlier``'s copy, edited
+        since through the mutators with no full ``check`` between, as
+        ``rules.apply`` returns it. It has ``checked``'s one limit, a write
+        to a private field.
         """
         touched = self.touched()
         if touched is None:
@@ -472,13 +514,18 @@ class Diagram:
             bset = set(self.inputs) | set(self.outputs)
             self._check_at([(v, kind_of[v]) for v in dirty if v in kind_of], bset,
                            [b for b in dirty if b in bset])
-            self._dirty, self._walked, self._memo = {}, dirty, {}
+            if self._walked is not None:
+                self._walked.update(dirty)
+            self._dirty, self._memo = {}, {}
         return self
 
     def touched(self) -> Optional[KeysView[str]]:
-        """The names the last non-empty ``checked`` walk validated, in
-        first-touch order, or None (see the class docstring)."""
-        return None if self._walked is None else self._walked.keys()
+        """The names walked since the copy, then those logged since the last
+        walk, in first-touch order, or None (see the class docstring)."""
+        walked, dirty = self._walked, self._dirty
+        if walked is None or not (walked or dirty):
+            return None
+        return {**walked, **dirty}.keys() if dirty else walked.keys()
 
     def memo(self, read: Callable[["Diagram"], T]) -> T:
         """``read(self)`` after ``checked``, computed once and kept until

@@ -27,12 +27,13 @@ shape and the model. Equal keys run the same float operations, so a result
 from the memo is bit-identical to a contraction.
 
 ``same_network`` decides a pair with no matrix at all when the two networks
-are equal: the same factors and plan steps on the same boundary counts run
-the same contraction in every model, so the two matrices are one matrix M
-times each side's scale. If the scales are both nonzero or both zero, the
-two are equal up to a nonzero scalar whatever M is (two zero matrices count
-as equal), and the pair is decided from the networks alone, even when M is
-over the entry cap. ``diagrams_equal`` asks it first, and ``zxr
+are equal: the same factors on the same index tuples and boundary counts
+run the same contraction in every model (the plan is made from those
+alone), so the two matrices are one matrix M times each side's scale. If
+the scales are both nonzero or both zero, the two are equal up to a nonzero
+scalar whatever M is (two zero matrices count as equal), and the pair is
+decided from the networks alone, even when M is over the entry cap or
+einsum has too few labels to plan it. ``diagrams_equal`` asks it first, and ``zxr
 check-equal`` when evaluating is over the cap. One zero scale (a closed
 cycle of an odd number of H-boxes) beside a nonzero one is not decided so:
 that side is zero, the other is zero only if M is. Every other pair is
@@ -49,7 +50,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .diagram import BOUNDARY, Diagram, X
+from .diagram import Diagram
 from .phase import reduced
 
 MAX_INTERMEDIATE = 2 ** 26
@@ -88,68 +89,50 @@ _FACTORS: dict[tuple[int, int, int, int], np.ndarray] = {}
 
 
 def _network(d: Diagram) -> tuple:
-    """The diagram as (tensors, scale, plan), in every model, building no
-    array: factor i is sqrt2*H (tensors[i] None) or a class tensor (axes,
-    hmask, (num, den, h)), contracted by ``_plan`` over their index tuples;
-    indices 0..free-1 are the boundaries, outputs then inputs. Identity
-    wires merge their ends into classes (union-find), with their spiders'
-    phase sum, read n times over in model n, plus pi if h: an odd number of
-    H wires within the class. A boundary on an H wire is an H-read leg of
-    the class at its other end; other H wires are H factors between classes.
-    A class's index is its first identity-read leg, or, if H factors hold it
-    or it has no legs, its own on the tensor's first axis, or it is summed
-    in the tensor; a tensor [1, 1] on an index H factors hold is left out.
+    """The diagram as (tensors, scale, shape), in every model, building no
+    array and planning nothing: factor i is sqrt2*H (tensors[i] None) or a
+    class tensor (axes, hmask, (num, den, h)) over the indices shape[i];
+    indices 0..free-1 are the boundaries, outputs then inputs. A class is
+    a set of ends joined by identity wires (``Diagram.wires``, one walk that
+    merges them as it meets them), with its spiders' phase sum, read n
+    times over in model n, plus pi if h: an odd number of H wires within
+    the class. A boundary on an H wire is an H-read leg of the class at its
+    other end; other H wires are H factors between classes. A class's index
+    is its first identity-read leg, or, if H factors hold it or it has no
+    legs, its own on the tensor's first axis, or it is summed in the
+    tensor; a tensor [1, 1] on an index H factors hold is left out.
     ``scale`` is 1/sqrt2 per H wire, (1/sqrt2)^max(0, 2 - degree) per
-    spider, and tr(H^k) per closed cycle of k H-boxes."""
-    ends, at, wires, cycles = d.wires()
-    root = list(range(len(ends)))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
-    xs = [kind == X for kind, _, _ in ends]
-    h_wires = []
-    for p, q, k in wires:
-        if (k + xs[p] + xs[q]) % 2:
-            h_wires.append((p, q))
-        else:
-            root[find(q)] = find(p)
-    half = len(h_wires)   # the power of 1/sqrt2 in the scalar
-    phase: dict[int, tuple[int, int]] = {}
-    for v, (_, ph, degree) in enumerate(ends):
-        r = root[v] = find(v)
-        if ph is not None:
-            half += max(0, 2 - degree)
-            num, den = phase.get(r, (0, 1))
-            phase[r] = reduced(num * ph.den + ph.num * den, den * ph.den)
-    pairs, h_read, loops = [], {}, set()   # h_read: boundary -> class reading it
-    for p, q in h_wires:
-        if ends[p][0] == BOUNDARY:
-            h_read[p] = root[q]
-        elif ends[q][0] == BOUNDARY:
-            h_read[q] = root[p]
-        elif root[p] == root[q]:
-            loops ^= {root[p]}
-        else:
-            pairs.append((root[p], root[q]))
-    held = {r for pair in pairs for r in pair}
-
+    spider, and tr(H^k) per closed cycle of k H-boxes. The contraction
+    plan is its own read, ``_planned``."""
+    at, cls, phases, h_wires, short, cycles = d.wires()
     free = d.outputs + d.inputs
+    bound = set(map(at.__getitem__, free))
+    h_read: dict[int, int] = {}   # boundary -> class reading it
+    pairs, loops, held = [], set(), set()
+    for p, q in h_wires:
+        if p in bound:
+            h_read[p] = cls[q]
+        elif q in bound:
+            h_read[q] = cls[p]
+        elif cls[p] == cls[q]:
+            loops ^= {cls[p]}
+        else:
+            pairs.append((cls[p], cls[q]))
+            held.update(pairs[-1])
+
     legs: dict[int, list[int]] = {}
     hmask: dict[int, int] = {}
     for i, b in enumerate(free):
         r = h_read.get(at[b], -1)
-        c = root[at[b]] if r < 0 else r
+        c = cls[at[b]] if r < 0 else r
         ls = legs.setdefault(c, [])
         hmask[c] = hmask.get(c, 0) | (r >= 0) << len(ls)
         ls.append(i)
     index: dict[int, int] = {}   # class -> its index
     shape, tensors, own = [], [], len(free)
-    for r in list(legs) + [r for r in phase if r not in legs]:
+    for r in legs | phases:   # legs' classes, then the other spiders' in order
         ls, mask = legs.get(r, []), hmask.get(r, 0)
-        cp = (*phase.get(r, (0, 1)), r in loops)
+        cp = (*phases.get(r, (0, 1)), r in loops)
         if mask + 1 == 1 << len(ls) and (r in held or not ls):   # no identity-read leg
             index[r], own = own, own + 1
             ls, mask = [index[r]] + ls, mask << 1
@@ -161,9 +144,20 @@ def _network(d: Diagram) -> tuple:
     for p, q in pairs:
         shape.append(tuple(sorted((index[p], index[q]))))
         tensors.append(None)
+    half = len(h_wires) + short   # the power of 1/sqrt2 in the scalar
     scale = 0.5 ** (half // 2) * (HALF_SQRT2 if half % 2 else 1.0)
-    scale *= math.prod(0.0 if k % 2 else 2.0 for k in cycles)
-    return tuple(tensors), scale, _plan(len(free), tuple(shape))
+    if cycles:
+        scale *= math.prod(0.0 if k % 2 else 2.0 for k in cycles)
+    return tuple(tensors), scale, tuple(shape)
+
+
+def _planned(d: Diagram) -> tuple:
+    """d's network with the plan that contracts it, (tensors, scale, (steps,
+    peak, bytes)) (``_plan``), read by ``evaluate`` alone: nothing else
+    needs the plan, and a plan can raise ResourceLimit where the network
+    cannot."""
+    tensors, scale, shape = d.memo(_network)
+    return tensors, scale, _plan(len(d.outputs) + len(d.inputs), shape)
 
 
 # read-only contracted matrices by (tensors, scale, steps, shape, model_n),
@@ -173,10 +167,11 @@ _MATRICES: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
     """Contract the diagram's network into its matrix, a fresh array. The
-    network and plan are read once per diagram (``Diagram.memo``). On every
-    call, ResourceLimit is raised before any factor is built or contracted
-    if a factor or planned intermediate would exceed ``MAX_INTERMEDIATE``
-    entries, or what is held at once ``MAX_BYTES`` bytes. Past those tests,
+    network and its plan are read once per diagram (``Diagram.memo``), the
+    plan here alone (``_planned``). On every call, ResourceLimit is raised
+    before any factor is built or contracted if a factor or planned
+    intermediate would exceed ``MAX_INTERMEDIATE`` entries, what is held at
+    once ``MAX_BYTES`` bytes, or a step einsum's labels. Past those tests,
     a network already contracted in model n is copied from ``_MATRICES``
     (see the module docstring), which keeps a read-only copy of each new
     result of up to ``MAX_CACHED_ENTRIES`` entries. Class tensors of that
@@ -184,7 +179,7 @@ def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
     model n."""
     if model_n < 1:
         raise ValueError("model_n must be >= 1")
-    tensors, scale, (steps, peak, nbytes) = d.memo(_network)
+    tensors, scale, (steps, peak, nbytes) = d.memo(_planned)
     if 2 ** peak > MAX_INTERMEDIATE:
         raise ResourceLimit(f"intermediate tensor with 2^{peak} entries exceeds the cap")
     if nbytes > MAX_BYTES:
@@ -223,6 +218,16 @@ def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
     return out
 
 
+def _bits(m: int) -> list[int]:
+    """The set bits of m, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
 @functools.lru_cache(maxsize=16)
 def _plan(free: int, shape: tuple[tuple[int, ...], ...]
           ) -> tuple[tuple[tuple[tuple[int, ...], str], ...], int, int]:
@@ -233,58 +238,79 @@ def _plan(free: int, shape: tuple[tuple[int, ...], ...]
     are eliminated greedily, fewest indices left first, then lowest, from a
     heap, each multiplying its holders; the rest are multiplied in order of
     their largest index, past ``MAX_OPERANDS`` folding the first two first.
+    A factor's index set and an index's holder set are int bitmasks.
+    Raises ResourceLimit if a step needs more than einsum's 52 labels.
     Immutable: the cache shares it."""
-    legs, steps, alive = list(shape), [], set(range(len(shape)))
-    holders: dict[int, set[int]] = {}
+    legs, steps = list(shape), []
+    masks, holders, live = [], {}, 0
     for f, ls in enumerate(legs):
+        m = 0
         for i in ls:
-            holders.setdefault(i, set()).add(f)
+            m |= 1 << i
+            holders[i] = holders.get(i, 0) | 1 << f
+        masks.append(m)
+        live += 2 << len(ls)
+    alive, held = (1 << len(legs)) - 1, live
     peak = max(map(len, legs), default=0)
-    live = held = 2 * sum(1 << len(ls) for ls in legs)
 
-    def emit(fs: list[int], out: tuple[int, ...]) -> int:
-        nonlocal peak, live, held
-        labels = sorted(set().union(*(legs[f] for f in fs)))
+    def emit(fs: list[int], drop: int = 0) -> int:
+        """Multiply factors fs into one over their indices less ``drop``."""
+        nonlocal peak, live, held, alive
+        while len(fs) > MAX_OPERANDS:
+            fs = [emit(fs[:2])] + fs[2:]
+        union = gone = 0
+        for f in fs:
+            union |= masks[f]
+            gone += 1 << len(legs[f])
+            alive &= ~(1 << f)
+        labels = _bits(union)
         if len(labels) > len(_LETTERS):
             raise ResourceLimit(f"intermediate tensor with 2^{len(labels) - 1} "
                                 "or more entries exceeds the cap")
         letter = dict(zip(labels, _LETTERS))
-        steps.append((tuple(fs), ",".join("".join(map(letter.get, legs[f])) for f in fs)
+        if drop:
+            labels.remove(drop.bit_length() - 1)
+        out = tuple(labels)
+        steps.append((tuple(fs), ",".join(["".join(map(letter.get, legs[f])) for f in fs])
                       + "->" + "".join(map(letter.get, out))))
-        peak = max(peak, len(out))
-        held = max(held, live + (1 << len(out)))
-        live += (1 << len(out)) - sum(1 << len(legs[f]) for f in fs)
-        alive.difference_update(fs)
-        alive.add(len(legs))
+        size = 1 << len(out)
+        if len(out) > peak:
+            peak = len(out)
+        if live + size > held:
+            held = live + size
+        live += size - gone
+        alive |= 1 << len(legs)
         legs.append(out)
+        masks.append(union & ~drop)
         return len(legs) - 1
 
-    def product(fs: list[int], out: tuple[int, ...]) -> int:
-        while len(fs) > MAX_OPERANDS:
-            fs = [emit(fs[:2], tuple(sorted({*legs[fs[0]], *legs[fs[1]]})))] + fs[2:]
-        return emit(fs, out)
-
     def cost(i: int) -> int:
-        return len(set().union(*(legs[f] for f in holders[i]))) - 1
+        union = 0
+        for f in _bits(holders[i]):
+            union |= masks[f]
+        return union.bit_count() - 1
 
-    now = {i: cost(i) for i in holders if i >= free}
-    heap = sorted((c, i) for i, c in now.items())   # a sorted list is a heap
+    now = {}
+    for i in holders:
+        if i >= free:
+            now[i] = cost(i)
+    heap = sorted(zip(now.values(), now))   # (cost, index); a sorted list is a heap
     while heap:
         c, i = heapq.heappop(heap)
         if now.get(i) != c:
             continue
         del now[i]
-        fs = sorted(holders.pop(i))
-        out = tuple(sorted(set().union(*(legs[f] for f in fs)) - {i}))
-        g = product(fs, out)
+        fs_mask = holders.pop(i)
+        g = emit(_bits(fs_mask), 1 << i)
+        out = legs[g]
         for j in out:
-            holders[j] = holders[j].difference(fs) | {g}
+            hj = holders[j] = holders[j] & ~fs_mask | 1 << g
             if j >= free:   # held by g alone, it leaves g's other indices
-                now[j] = len(out) - 1 if len(holders[j]) == 1 else cost(j)
+                now[j] = len(out) - 1 if hj & (hj - 1) == 0 else cost(j)
                 heapq.heappush(heap, (now[j], j))
-    rest = sorted(alive, key=lambda f: (max(legs[f], default=-1), f))
+    rest = sorted(_bits(alive), key=lambda f: (masks[f].bit_length() - 1, f))
     if len(rest) > 1 or (rest and legs[rest[0]] != tuple(range(free))):
-        product(rest, tuple(range(free)))
+        emit(rest)
     return tuple(steps), peak, 16 * max(held, live + (1 << free))
 
 
@@ -357,14 +383,15 @@ def matrices_equal(a: np.ndarray, a_scale: float, b: np.ndarray, b_scale: float)
 
 
 def same_network(f: Diagram, g: Diagram) -> bool:
-    """Do f and g have equal factors and plan steps on the same boundary
-    counts, with scales both nonzero or both zero? Then they are equal up to
-    a nonzero scalar in every model, each matrix being one M times its own
-    scale, whatever M is (see the module docstring): no factor is built and
-    no entry cap read."""
-    f_tensors, f_scale, (f_steps, _, _) = f.memo(_network)
-    g_tensors, g_scale, (g_steps, _, _) = g.memo(_network)
-    return (f_tensors == g_tensors and f_steps == g_steps
+    """Do f and g have equal factors on equal index tuples and the same
+    boundary counts, with scales both nonzero or both zero? Then they are
+    equal up to a nonzero scalar in every model, each matrix being one M
+    times its own scale, whatever M is (see the module docstring): nothing
+    is planned or built and no entry cap read, so a pair past einsum's 52
+    labels is decided too."""
+    f_tensors, f_scale, f_shape = f.memo(_network)
+    g_tensors, g_scale, g_shape = g.memo(_network)
+    return (f_tensors == g_tensors and f_shape == g_shape
             and (f_scale == 0) == (g_scale == 0)
             and (len(f.outputs), len(f.inputs)) == (len(g.outputs), len(g.inputs)))
 

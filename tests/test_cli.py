@@ -268,6 +268,17 @@ def test_resource_limit_exit_code(tmp_path):
     assert main(["check-equal", big, _big(tmp_path / "big0.zxd", tail=cycle)]) == 3
 
 
+def test_check_equal_decides_equal_networks_past_einsums_labels(files, capsys):
+    # Z(1/4) -- H -- Z(1/2), 30 outputs each: planning it needs 60 einsum
+    # labels, 8 more than einsum has, but the network decides the pair
+    outs = [f"{v}{i}" for v in "ab" for i in range(30)]
+    big = files["dir"] / "big.zxd"
+    big.write_text("node a z 1/4\nnode b z 1/2\nnode h h\nedge a h\nedge h b\nout "
+                   + " ".join(outs) + "\n" + "".join(f"edge {o[0]} {o}\n" for o in outs))
+    assert main(["check-equal", str(big), str(big)]) == 0
+    assert capsys.readouterr() == ("equal=True lambda=1+0j max_residual=0.000e+00\n", "")
+
+
 def test_check_equal_over_the_cap_decides_equal_networks(files, capsys):
     # the 27 + 3-output spider-fuse start against its fused end: 2^30 entries
     # each, one network, scales 1 and 1

@@ -776,6 +776,34 @@ def test_changed_since_covers_rewired_edges_greedily():
     assert e.changed_since(d) == ["b", "c"]
 
 
+def test_changed_since_sees_an_edit_after_the_last_walk():
+    d = parse("node a z\nnode b z\nnode c z\nedge a b\nedge b c\n")
+    e = d.copy()
+    e.set_phase("a", 1)
+    e.checked()
+    e.set_phase("c", 1)   # logged, not yet walked
+    assert e.changed_since(d) == whole_table_patch(e, d) == ["a", "c"]
+
+
+def test_changed_since_sees_an_edit_before_the_last_walk():
+    d = parse("node a z\nnode b z\nnode c z\nedge a b\nedge b c\n")
+    e = d.copy()
+    e.set_phase("a", 1)
+    e.checked()
+    e.set_phase("c", 1)
+    e.checked()   # walks c alone; a stays in the record
+    assert list(e.touched()) == ["a", "c"]
+    assert e.changed_since(d) == whole_table_patch(e, d) == ["a", "c"]
+    # a full check ends the record: no patch, until the next copy
+    e.check()
+    e.set_phase("b", 1)
+    e.checked()
+    assert e.touched() is None and e.changed_since(d) is None
+    f = e.copy()
+    f.set_phase("b", 0)
+    assert f.changed_since(e) == whole_table_patch(f, e) == ["b"]
+
+
 def test_memo_is_kept_until_an_edit_and_handed_to_copies():
     reads = []
 
@@ -814,11 +842,13 @@ def test_wires_walk_h_chains_loops_and_closed_cycles():
               "node c1 h\nnode c2 h\nnode c3 h\nin i\nout o\n"
               "edge i a\nedge a h1\nedge h1 h2\nedge h2 b\nedge b h3\nedge b h3\n"
               "edge a a\nedge b o\nedge c1 c2\nedge c2 c3\nedge c3 c1\n")
-    ends, at, wires, cycles = d.wires()
+    at, cls, phases, h_wires, short, cycles = d.wires()
     names = {i: v for v, i in at.items()}
     assert sorted(names.values()) == ["a", "b", "i", "o"]
-    assert [(kind, degree) for kind, _, degree in ends] == [
-        (d.kind(v), d.degree(v)) for v in at]
-    got = sorted(tuple(sorted((names[p], names[q]))) + (k,) for p, q, k in wires)
-    assert got == [("a", "a", 0), ("a", "b", 2), ("a", "i", 0), ("b", "b", 1), ("b", "o", 0)]
-    assert cycles == [3]
+    # i-a is plain; a-h1-h2-b, b-h3-b and b-o pass an odd number of colour changes
+    members = {r: "".join(sorted(v for v in at if cls[at[v]] == r)) for r in cls}
+    assert sorted(members.values()) == ["ai", "b", "o"]
+    assert {members[r]: ph for r, ph in phases.items()} == {"ai": (0, 1), "b": (1, 2)}
+    got = sorted(tuple(sorted((names[p], names[q]))) for p, q in h_wires)
+    assert got == [("a", "b"), ("b", "b"), ("b", "o")]
+    assert short == 0 and cycles == [3]

@@ -276,7 +276,7 @@ def test_byte_budget_fires_before_any_allocation(monkeypatch):
     monkeypatch.setattr(semantics, "_MATRICES", OrderedDict())
     contracted = _counting(monkeypatch, np, "einsum")
     d = graph_state(path_graph("abcdef"))
-    _, _, (_, peak, nbytes) = d.memo(semantics._network)
+    _, _, (_, peak, nbytes) = d.memo(semantics._planned)
     assert 2 ** peak <= semantics.MAX_INTERMEDIATE
     monkeypatch.setattr(semantics, "MAX_BYTES", nbytes - 1)
     with pytest.raises(ResourceLimit, match="byte budget"):
@@ -296,7 +296,7 @@ def test_complete_graph_states_plan_peak_two_to_the_m():
         g = SimpleGraph.build([f"v{i}" for i in range(m)],
                               [(f"v{i}", f"v{j}") for i in range(m) for j in range(i)])
         d = graph_state(g)
-        _, _, (steps, peak, _) = d.memo(semantics._network)
+        _, _, (steps, peak, _) = d.memo(semantics._planned)
         assert peak == m, m
         assert all(s.count(",") < semantics.MAX_OPERANDS for _, s in steps)
         got = evaluate(d)
@@ -455,7 +455,7 @@ def test_resource_limits_fire_on_a_memo_hit(monkeypatch, memo):
     d = graph_state(path_graph("abcdef"))
     want = evaluate(d)
     assert len(memo) == 1
-    _, _, (_, peak, nbytes) = d.memo(semantics._network)
+    _, _, (_, peak, nbytes) = d.memo(semantics._planned)
     contracted = _counting(monkeypatch, np, "einsum")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semantics, "MAX_INTERMEDIATE", 2 ** peak - 1)
@@ -702,13 +702,33 @@ def test_equal_networks_on_other_boundary_counts_are_not_decided():
         semantics.diagrams_equal(bent, cup)
 
 
+def _past_the_labels():
+    """Z(1/4) and Z(1/2) joined through one H-box, 30 outputs each: 60
+    indices, past einsum's 52 labels, so no plan exists."""
+    outs = [f"{v}{i}" for v in "ab" for i in range(30)]
+    return parse("node a z 1/4\nnode b z 1/2\nnode h h\nedge a h\nedge h b\nout "
+                 + " ".join(outs) + "\n" + "".join(f"edge {o[0]} {o}\n" for o in outs))
+
+
+def test_equal_networks_past_einsums_labels_are_decided(monkeypatch):
+    d = _past_the_labels()
+    planned = _counting(monkeypatch, semantics, "_planned")
+    assert semantics.same_network(d, d.copy())
+    assert semantics.network_scale(d) == semantics.HALF_SQRT2
+    assert semantics.diagrams_equal(d, d.copy())
+    assert planned == []   # the network alone decides: no plan is read
+    with pytest.raises(ResourceLimit, match=r"2\^59 or more entries"):
+        evaluate(d)
+    assert planned
+
+
 def test_equal_factors_wired_otherwise_are_not_decided():
-    # the paths a-b-c and b-a-c share their factors, but not their plan
+    # the paths a-b-c and b-a-c share their factors, but not their index tuples
     vs = ("a", "b", "c")
     f, g = (graph_state(SimpleGraph.build(vs, [("a", "b"), e])) for e in (("b", "c"), ("a", "c")))
-    (f_tensors, _, (f_steps, _, _)), (g_tensors, _, (g_steps, _, _)) = (
+    (f_tensors, _, f_shape), (g_tensors, _, g_shape) = (
         d.memo(semantics._network) for d in (f, g))
-    assert f_tensors == g_tensors and f_steps != g_steps
+    assert f_tensors == g_tensors and f_shape != g_shape
     assert not semantics.diagrams_equal(f, g)
     assert not proportional(dense(f), dense(g))
 
