@@ -260,8 +260,9 @@ class Diagram:
         return sorted((u, v, m) for u, nb in self._adj.items()
                       for v, m in nb.items() if u <= v)
 
-    def wires(self) -> tuple[dict[str, int], list[int], dict[int, tuple[int, int]],
-                             list[tuple[int, int]], int, list[int]]:
+    def wires(self, nodes: Optional[Iterable[str]] = None) -> tuple[
+            dict, list[int], dict[int, tuple[int, int]], list[tuple[int, int]], int,
+            list[int], tuple[tuple, tuple]]:
         """The diagram's ends fused into classes, read in one pass over the edge store.
 
         An end is a spider or a boundary; a wire runs from end p to end q
@@ -276,10 +277,22 @@ class Diagram:
           spiders' phase sum as (num, den) (``reduced``);
         - every H wire once as (p, q) by position, one per parallel copy;
         - the legs the spiders lack below two, summed;
-        - the length of each closed cycle of H-boxes, which no wire reaches.
+        - the length of each closed cycle of H-boxes, which no wire reaches;
+        - the (outputs, inputs) by name.
+
+        Given ``nodes``, it first checks self (``checked``), then reads the
+        sub-diagram that ``cut(nodes)`` would build without building it: the
+        same walk, over ``_view(nodes)``. Each edge leaving the set is one of
+        the cut's boundary wires, named 0, 1, ... in ``cut``'s order
+        (outside end, then inside end), and the set's own outputs follow
+        them; its inputs stay inputs.
         """
-        kind_of, phase_of, adj = self._kind, self._phase, self._adj
-        at: dict[str, int] = {}
+        if nodes is None:
+            kind_of, adj, bounds = self._kind, self._adj, (self.outputs, self.inputs)
+        else:
+            kind_of, adj, bounds = self.checked()._view(nodes)
+        phase_of = self._phase
+        at: dict = {}
         for v, k in kind_of.items():
             if k != HBOX:
                 at[v] = len(at)
@@ -338,7 +351,39 @@ class Diagram:
                         k += 1
                         prev, cur = cur, _across(adj[cur], prev)
                     cycles.append(k)
-        return at, cls, phases, h_wires, short, cycles
+        return at, cls, phases, h_wires, short, cycles, bounds
+
+    def _view(self, nodes: Iterable[str]) -> tuple[dict, dict, tuple[tuple, tuple]]:
+        """The sub-diagram on ``nodes`` as plain dicts: its node table, edge
+        store and (outputs, inputs). Its nodes are those of ``nodes`` that
+        self has, sorted, then one boundary wire per parallel copy of each
+        edge leaving them, named 0, 1, ... in order of (outside end, inside
+        end). Each node's neighbours are in the order a pass over the sorted
+        nodes, each over its edges in self's order, first meets them, its
+        boundary wires last. Only the set's own edges are read, and self's inputs and
+        outputs only when the set holds a boundary node. ``cut`` builds its
+        diagram from it; ``wires`` walks it in place."""
+        kind_of, adj = self._kind, self._adj
+        inside = sorted(v for v in set(nodes) if v in kind_of)
+        kinds = {v: kind_of[v] for v in inside}
+        view: dict = {v: {} for v in inside}
+        leaving = []
+        for v in inside:
+            nb = view[v]
+            for w, m in adj[v].items():
+                if w not in kinds:
+                    leaving += [(w, v)] * m
+                elif v <= w:
+                    nb[w] = view[w][v] = m
+        for c, (_, v) in enumerate(sorted(leaving)):
+            kinds[c] = BOUNDARY
+            view[c] = {v: 1}
+            view[v][c] = 1
+        ins = outs = ()
+        if BOUNDARY in kinds.values():
+            ins = tuple(b for b in self.inputs if b in view)
+            outs = tuple(b for b in self.outputs if b in view)
+        return kinds, view, (tuple(range(len(leaving))) + outs, ins)
 
     def created_since(self, earlier: "Diagram") -> list[str]:
         """Nodes that ``earlier`` lacks, in creation order (``copy`` keeps it)."""
@@ -393,26 +438,22 @@ class Diagram:
         inputs and outputs stay boundaries, its outputs after the cut wires.
         Every generator is symmetric in its legs, so the order among wires
         that meet one outside node does not matter. The cut wires take the
-        sub-diagram's own fresh ids, which no kept id can clash with.
+        sub-diagram's own fresh ids, which no kept id can clash with. It is
+        ``_view(nodes)`` built through the mutators, in the view's orders,
+        so ``wires(nodes)`` reads it without building it.
         """
-        inside = sorted(v for v in set(nodes) if v in self._kind)
-        keep = set(inside)
+        kinds, view, (outs, ins) = self._view(nodes)
         p = Diagram()
-        for v in inside:
-            p.add_node(self._kind[v], self._phase.get(v), name=v)
-        cut = []
-        for v in inside:
-            for w, m in self._adj[v].items():
-                if w not in keep:
-                    cut += [(w, v)] * m
-                elif v <= w:
-                    p.add_edge(v, w, m)
-        wires = []
-        for _, v in sorted(cut):
-            wires.append(p.add_node(BOUNDARY))
-            p.add_edge(wires[-1], v)
-        p.inputs = tuple(b for b in self.inputs if b in keep)
-        p.outputs = tuple(wires) + tuple(b for b in self.outputs if b in keep)
+        name = {v: p.add_node(k, self._phase.get(v), name=None if type(v) is int else v)
+                for v, k in kinds.items()}
+        done = set()   # each edge is added from the end the view meets first
+        for v, nb in view.items():
+            for w, m in nb.items():
+                if w not in done:
+                    p.add_edge(name[v], name[w], m)
+            done.add(v)
+        p.inputs = ins
+        p.outputs = tuple(map(name.get, outs))
         return p
 
     def substitute(self, nodes: Iterable[str], rhs: "Diagram",

@@ -13,13 +13,17 @@ the patch both diagrams are the same context C, so before = C o P and after
 interpretation is compositional, so P' = lambda P with lambda nonzero gives
 after = lambda before: a passing patch is a passing step. The patch is read
 from the step's touch log (``Diagram.touched``), so finding it costs
-O(touched); its evaluation costs what the patch costs, not the diagram. The
-step's ``copy`` is still O(V), at C speed. A patch is not always an
-equation on its own (a step that swaps one state for another can rely on
-the unchanged node that absorbs it), so when the two patches differ, one
-hits the entry cap or the step left no record, the whole diagrams are
-compared and decide the step. Either way the verdict is that of the whole
-diagrams, and the start diagram itself is never evaluated.
+O(touched). The step's ``copy`` is still O(V), at C speed. The networks of
+P and P' are read in place from the two diagrams (``same_network`` over
+the patch): equal ones pass the step in every model, with neither cut
+built and nothing evaluated. Only a step that changed its patch's network
+has its two cuts built and evaluated, at what the patch costs, not the
+diagram. A patch is not always an equation on its own (a step that swaps
+one state for another can rely on the unchanged node that absorbs it), so
+when the two cuts differ, one hits the entry cap or the step left no
+record, the whole diagrams are compared and decide the step. Either way
+the verdict is that of the whole diagrams, and the start diagram itself is
+never evaluated.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Optional, Sequence
 from . import rules
 from .diagram import Diagram, DiagramError
 from .rules import Anchor, RuleError
-from .semantics import ResourceLimit, diagrams_equal
+from .semantics import ResourceLimit, diagrams_equal, same_network
 
 Step = tuple[str, Anchor]
 
@@ -92,10 +96,11 @@ def replay(script: ProofScript, start: Diagram, *, euler_on: bool = False,
 
     Checks model 1 always and model 2 as well when the script is free of
     Euler-strength steps; pass ``models`` to override, ``()`` to apply the
-    steps without evaluating anything. A step is first checked on its patch
-    (see the module docstring), then, if the patches differ, one exceeds
-    the entry cap or there is no patch, on the whole diagrams, whose verdict
-    is final; so only a whole diagram over the cap raises ResourceLimit.
+    steps without evaluating anything. A step is first checked on its patch,
+    read in place, then on its two cuts (see the module docstring), then,
+    if the cuts differ, one exceeds the entry cap or there is no patch, on
+    the whole diagrams, whose verdict is final; so only a whole diagram over
+    the cap raises ResourceLimit.
     """
     if models is None:
         models = (1, 2) if script.euler_free() else (1,)
@@ -109,6 +114,9 @@ def replay(script: ProofScript, start: Diagram, *, euler_on: bool = False,
             raise ReplayError(index, rule, f"does not match: {exc}")
         # None without a record: a step that reassigned the boundary walked all
         patch = nxt.changed_since(current) if models else None
+        if patch is not None and same_network(current, nxt, patch):
+            current = nxt   # the patch keeps its network: equal in every model
+            continue
         cuts = None if patch is None else (current.cut(patch), nxt.cut(patch))
         for n in models:
             if not ((cuts and _patch_holds(*cuts, n)) or diagrams_equal(current, nxt, n)):

@@ -33,11 +33,12 @@ alone), so the two matrices are one matrix M times each side's scale. If
 the scales are both nonzero or both zero, the two are equal up to a nonzero
 scalar whatever M is (two zero matrices count as equal), and the pair is
 decided from the networks alone, even when M is over the entry cap or
-einsum has too few labels to plan it. ``diagrams_equal`` asks it first, and ``zxr
-check-equal`` when evaluating is over the cap. One zero scale (a closed
-cycle of an odd number of H-boxes) beside a nonzero one is not decided so:
-that side is zero, the other is zero only if M is. Every other pair is
-evaluated and compared by ``matrices_equal``.
+einsum has too few labels to plan it. ``diagrams_equal`` asks it first,
+``zxr check-equal`` when evaluating is over the cap, and ``proofs.replay``
+of a step's patch, read in place from both diagrams. One zero scale (a
+closed cycle of an odd number of H-boxes) beside a nonzero one is not
+decided so: that side is zero, the other is zero only if M is. Every other
+pair is evaluated and compared by ``matrices_equal``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import functools
 import heapq
 import math
 from collections import OrderedDict
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -88,24 +90,26 @@ def _factor(axes: int, hmask: int, num: int, den: int) -> np.ndarray:
 _FACTORS: dict[tuple[int, int, int, int], np.ndarray] = {}
 
 
-def _network(d: Diagram) -> tuple:
-    """The diagram as (tensors, scale, shape), in every model, building no
-    array and planning nothing: factor i is sqrt2*H (tensors[i] None) or a
-    class tensor (axes, hmask, (num, den, h)) over the indices shape[i];
-    indices 0..free-1 are the boundaries, outputs then inputs. A class is
-    a set of ends joined by identity wires (``Diagram.wires``, one walk that
-    merges them as it meets them), with its spiders' phase sum, read n
-    times over in model n, plus pi if h: an odd number of H wires within
-    the class. A boundary on an H wire is an H-read leg of the class at its
-    other end; other H wires are H factors between classes. A class's index
-    is its first identity-read leg, or, if H factors hold it or it has no
-    legs, its own on the tensor's first axis, or it is summed in the
-    tensor; a tensor [1, 1] on an index H factors hold is left out.
-    ``scale`` is 1/sqrt2 per H wire, (1/sqrt2)^max(0, 2 - degree) per
-    spider, and tr(H^k) per closed cycle of k H-boxes. The contraction
-    plan is its own read, ``_planned``."""
-    at, cls, phases, h_wires, short, cycles = d.wires()
-    free = d.outputs + d.inputs
+def _network(d: Diagram, nodes: Optional[Iterable[str]] = None) -> tuple:
+    """The diagram as (tensors, scale, shape, (outputs, inputs) count), in
+    every model, building no array and planning nothing: factor i is
+    sqrt2*H (tensors[i] None) or a class tensor (axes, hmask, (num, den,
+    h)) over the indices shape[i]; indices 0..free-1 are the boundaries,
+    outputs then inputs. A class is a set of ends joined by identity wires
+    (``Diagram.wires``, one walk that merges them as it meets them), with
+    its spiders' phase sum, read n times over in model n, plus pi if h: an
+    odd number of H wires within the class. A boundary on an H wire is an
+    H-read leg of the class at its other end; other H wires are H factors
+    between classes. A class's index is its first identity-read leg, or,
+    if H factors hold it or it has no legs, its own on the tensor's first
+    axis, or it is summed in the tensor; a tensor [1, 1] on an index H
+    factors hold is left out. ``scale`` is 1/sqrt2 per H wire,
+    (1/sqrt2)^max(0, 2 - degree) per spider, and tr(H^k) per closed cycle
+    of k H-boxes. The contraction plan is its own read, ``_planned``.
+    Given ``nodes``, the network of ``d.cut(nodes)``, read in place by the
+    same walk (``Diagram.wires``), with no cut built."""
+    at, cls, phases, h_wires, short, cycles, (outs, ins) = d.wires(nodes)
+    free = outs + ins
     bound = set(map(at.__getitem__, free))
     h_read: dict[int, int] = {}   # boundary -> class reading it
     pairs, loops, held = [], set(), set()
@@ -148,7 +152,7 @@ def _network(d: Diagram) -> tuple:
     scale = 0.5 ** (half // 2) * (HALF_SQRT2 if half % 2 else 1.0)
     if cycles:
         scale *= math.prod(0.0 if k % 2 else 2.0 for k in cycles)
-    return tuple(tensors), scale, tuple(shape)
+    return tuple(tensors), scale, tuple(shape), (len(outs), len(ins))
 
 
 def _planned(d: Diagram) -> tuple:
@@ -156,8 +160,8 @@ def _planned(d: Diagram) -> tuple:
     peak, bytes)) (``_plan``), read by ``evaluate`` alone: nothing else
     needs the plan, and a plan can raise ResourceLimit where the network
     cannot."""
-    tensors, scale, shape = d.memo(_network)
-    return tensors, scale, _plan(len(d.outputs) + len(d.inputs), shape)
+    tensors, scale, shape, (outs, ins) = d.memo(_network)
+    return tensors, scale, _plan(outs + ins, shape)
 
 
 # read-only contracted matrices by (tensors, scale, steps, shape, model_n),
@@ -382,18 +386,23 @@ def matrices_equal(a: np.ndarray, a_scale: float, b: np.ndarray, b_scale: float)
     return _proportional(a / a_top, b / b_top, pivot)
 
 
-def same_network(f: Diagram, g: Diagram) -> bool:
+def same_network(f: Diagram, g: Diagram, nodes: Optional[Sequence[str]] = None) -> bool:
     """Do f and g have equal factors on equal index tuples and the same
     boundary counts, with scales both nonzero or both zero? Then they are
     equal up to a nonzero scalar in every model, each matrix being one M
     times its own scale, whatever M is (see the module docstring): nothing
     is planned or built and no entry cap read, so a pair past einsum's 52
-    labels is decided too."""
-    f_tensors, f_scale, f_shape = f.memo(_network)
-    g_tensors, g_scale, g_shape = g.memo(_network)
+    labels is decided too. Given ``nodes``, the same rule for
+    ``f.cut(nodes)`` and ``g.cut(nodes)``, each read in place
+    (``_network``), so neither cut is built."""
+    if nodes is None:
+        f_net, g_net = f.memo(_network), g.memo(_network)
+    else:
+        f_net, g_net = _network(f, nodes), _network(g, nodes)
+    f_tensors, f_scale, f_shape, f_arity = f_net
+    g_tensors, g_scale, g_shape, g_arity = g_net
     return (f_tensors == g_tensors and f_shape == g_shape
-            and (f_scale == 0) == (g_scale == 0)
-            and (len(f.outputs), len(f.inputs)) == (len(g.outputs), len(g.inputs)))
+            and (f_scale == 0) == (g_scale == 0) and f_arity == g_arity)
 
 
 def diagrams_equal(f: Diagram, g: Diagram, model_n: int = 1) -> bool:

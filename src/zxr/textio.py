@@ -33,14 +33,18 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-def _tokens(line: str) -> list[tuple[int, str]]:
-    out = []
+def _split(line: str) -> list[str]:
+    """The tokens of a line, its comment cut off."""
+    return line.split("#", 1)[0].split()
+
+
+def _error(lineno: int, line: str, toks: list[str], i: int, reason: str) -> ParseError:
+    """A ParseError at toks[i], a token of line (``_split``): its column is
+    found only here, when the line is known to be malformed."""
     col = 0
-    for tok in line.split("#", 1)[0].split():
-        col = line.index(tok, col)
-        out.append((col + 1, tok))
-        col += len(tok)
-    return out
+    for tok in toks[:i]:
+        col = line.index(tok, col) + len(tok)
+    return ParseError(lineno, line.index(toks[i], col) + 1, reason)
 
 
 def parse(text: str) -> Diagram:
@@ -48,52 +52,51 @@ def parse(text: str) -> Diagram:
     d = Diagram()
     ins: list[str] = []
     outs: list[str] = []
-    pending_edges: list[tuple[int, list[tuple[int, str]]]] = []
+    pending_edges: list[tuple[int, str, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
+        toks = _split(raw)
         if not toks:
             continue
-        col0, head = toks[0]
-        args = toks[1:]
+        head = toks[0]
         if head == "node":
-            if len(args) < 2:
-                raise ParseError(lineno, col0, "node needs an id and a kind")
-            (_, name), (kcol, kind) = args[0], args[1]
+            if len(toks) < 3:
+                raise _error(lineno, raw, toks, 0, "node needs an id and a kind")
+            name, kind = toks[1], toks[2]
             if d.has_node(name):
-                raise ParseError(lineno, args[0][0], f"duplicate node id {name!r}")
-            if kind in ("z", "x"):
-                phase = Phase(0)
-                if len(args) == 3:
+                raise _error(lineno, raw, toks, 1, f"duplicate node id {name!r}")
+            if kind in SPIDERS:
+                phase = None   # add_node gives it the shared ZERO
+                if len(toks) == 4:
                     try:
-                        phase = Phase.parse(args[2][1])
+                        phase = Phase.parse(toks[3])
                     except (ValueError, ZeroDivisionError):
-                        raise ParseError(lineno, args[2][0], f"bad phase token {args[2][1]!r}")
-                elif len(args) > 3:
-                    raise ParseError(lineno, args[3][0], "trailing tokens after phase")
+                        raise _error(lineno, raw, toks, 3, f"bad phase token {toks[3]!r}")
+                elif len(toks) > 4:
+                    raise _error(lineno, raw, toks, 4, "trailing tokens after phase")
                 d.add_node(kind, phase, name=name)
-            elif kind == "h":
-                if len(args) != 2:
-                    raise ParseError(lineno, args[2][0], "h node takes no phase")
+            elif kind == HBOX:
+                if len(toks) != 3:
+                    raise _error(lineno, raw, toks, 3, "h node takes no phase")
                 d.add_node(HBOX, name=name)
             else:
-                raise ParseError(lineno, kcol, f"unknown node kind {kind!r}")
+                raise _error(lineno, raw, toks, 2, f"unknown node kind {kind!r}")
         elif head in ("in", "out"):
-            for col, name in args:
+            for i, name in enumerate(toks[1:], start=1):
                 if d.has_node(name):
-                    raise ParseError(lineno, col, f"duplicate node id {name!r}")
+                    raise _error(lineno, raw, toks, i, f"duplicate node id {name!r}")
                 d.add_node(BOUNDARY, name=name)
-                (ins if head == "in" else outs).append(name)
+            (ins if head == "in" else outs).extend(toks[1:])
         elif head == "edge":
-            if len(args) != 2:
-                raise ParseError(lineno, col0, "edge needs exactly two ids")
-            pending_edges.append((lineno, args))
+            if len(toks) != 3:
+                raise _error(lineno, raw, toks, 0, "edge needs exactly two ids")
+            pending_edges.append((lineno, raw, toks))
         else:
-            raise ParseError(lineno, col0, f"unknown directive {head!r}")
-    for lineno, ends in pending_edges:
-        for col, name in ends:
-            if not d.has_node(name):
-                raise ParseError(lineno, col, f"unknown node {name!r}")
-        d.add_edge(ends[0][1], ends[1][1])
+            raise _error(lineno, raw, toks, 0, f"unknown directive {head!r}")
+    for lineno, raw, toks in pending_edges:
+        for i in (1, 2):
+            if not d.has_node(toks[i]):
+                raise _error(lineno, raw, toks, i, f"unknown node {toks[i]!r}")
+        d.add_edge(toks[1], toks[2])
     d.inputs, d.outputs = tuple(ins), tuple(outs)
     try:
         return d.check()
@@ -158,32 +161,32 @@ def parse_edges(text: str) -> tuple[tuple[str, ...], frozenset[frozenset[str]]]:
     vertices: tuple[str, ...] | None = None
     edges: set[frozenset[str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
+        toks = _split(raw)
         if not toks:
             continue
-        col0, head = toks[0]
+        head = toks[0]
         if head == "vertices":
             if vertices is not None:
-                raise ParseError(lineno, col0, "duplicate vertices line")
-            names = [t for _, t in toks[1:]]
+                raise _error(lineno, raw, toks, 0, "duplicate vertices line")
+            names = toks[1:]
             if len(set(names)) != len(names):
-                raise ParseError(lineno, col0, "repeated vertex name")
+                raise _error(lineno, raw, toks, 0, "repeated vertex name")
             vertices = tuple(names)
         elif head == "edge":
             if vertices is None:
-                raise ParseError(lineno, col0, "edge before vertices line")
+                raise _error(lineno, raw, toks, 0, "edge before vertices line")
             if len(toks) != 3:
-                raise ParseError(lineno, col0, "edge needs exactly two vertices")
-            (cu, u), (cv, v) = toks[1], toks[2]
+                raise _error(lineno, raw, toks, 0, "edge needs exactly two vertices")
+            u, v = toks[1], toks[2]
             if u not in vertices:
-                raise ParseError(lineno, cu, f"unknown vertex {u!r}")
+                raise _error(lineno, raw, toks, 1, f"unknown vertex {u!r}")
             if v not in vertices:
-                raise ParseError(lineno, cv, f"unknown vertex {v!r}")
+                raise _error(lineno, raw, toks, 2, f"unknown vertex {v!r}")
             if u == v:
-                raise ParseError(lineno, cu, "self-loops are not allowed")
+                raise _error(lineno, raw, toks, 1, "self-loops are not allowed")
             edges.add(frozenset((u, v)))
         else:
-            raise ParseError(lineno, col0, f"unknown directive {head!r}")
+            raise _error(lineno, raw, toks, 0, f"unknown directive {head!r}")
     if vertices is None:
         raise ParseError(0, 0, "missing vertices line")
     return vertices, frozenset(edges)

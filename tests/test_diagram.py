@@ -842,7 +842,7 @@ def test_wires_walk_h_chains_loops_and_closed_cycles():
               "node c1 h\nnode c2 h\nnode c3 h\nin i\nout o\n"
               "edge i a\nedge a h1\nedge h1 h2\nedge h2 b\nedge b h3\nedge b h3\n"
               "edge a a\nedge b o\nedge c1 c2\nedge c2 c3\nedge c3 c1\n")
-    at, cls, phases, h_wires, short, cycles = d.wires()
+    at, cls, phases, h_wires, short, cycles, _ = d.wires()
     names = {i: v for v, i in at.items()}
     assert sorted(names.values()) == ["a", "b", "i", "o"]
     # i-a is plain; a-h1-h2-b, b-h3-b and b-o pass an odd number of colour changes

@@ -230,7 +230,7 @@ def assert_same_as_reference(diagrams):
     were compared."""
     count, planned = 0, set()
     for d in diagrams:
-        tensors, scale, shape = semantics._network(d)
+        tensors, scale, shape, _ = semantics._network(d)
         assert (tensors, scale, shape) == reference_network(d), d
         free = len(d.outputs) + len(d.inputs)
         if (free, shape) not in planned:

@@ -62,6 +62,34 @@ def test_unknown_edge_end_is_reported_at_its_own_column(text, col):
     assert str(err.value) == f"line 2, column {col}: unknown node 'zz'"
 
 
+@pytest.mark.parametrize("text, line, column, message", [
+    ("node a\n", 1, 1, "node needs an id and a kind"),
+    ("\t node\ta\n", 1, 3, "node needs an id and a kind"),
+    ("node a z\n  node   a x  # again\n", 2, 10, "duplicate node id 'a'"),
+    ("node a z 1.5\n", 1, 10, "bad phase token '1.5'"),
+    ("node a\tx  \t1/0 # zero\n", 1, 12, "bad phase token '1/0'"),
+    ("node a z 1 2\n", 1, 12, "trailing tokens after phase"),
+    ("node a z 1/2 1/2 # the phase again\n", 1, 14, "trailing tokens after phase"),
+    ("node hh h   h\n", 1, 13, "h node takes no phase"),
+    ("node a q\n", 1, 8, "unknown node kind 'q'"),
+    ("node ab\t  b # not a kind\n", 1, 11, "unknown node kind 'b'"),
+    ("node a z\nin i\nout o  a # a is a spider\n", 3, 8, "duplicate node id 'a'"),
+    ("in ii i ii\n", 1, 9, "duplicate node id 'ii'"),
+    ("in i\nout  i\n", 2, 6, "duplicate node id 'i'"),
+    ("node a z\n\t edge a\n", 2, 3, "edge needs exactly two ids"),
+    ("node a z\nedge a a a\n", 2, 1, "edge needs exactly two ids"),
+    ("node a z\n   vertex a  # the .edges word\n", 2, 4, "unknown directive 'vertex'"),
+    ("#node a z\nnode#a z\n", 2, 1, "node needs an id and a kind"),
+    ("node ab z\nedge ab\t b # b is missing\n", 2, 10, "unknown node 'b'"),
+    ("node b z\nedge ghost b\nedge b  ghost\n", 2, 6, "unknown node 'ghost'"),
+])
+def test_every_parse_error_is_pinned_to_its_line_and_column(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column, err.value.reason) == (line, column, message)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
 def test_bad_phase_token():
     with pytest.raises(ParseError) as err:
         parse("node a z one\n")
@@ -121,6 +149,22 @@ def test_edges_writer_refuses_labels_its_reader_cannot_read():
         g = SimpleGraph.build([label, "e"], [(label, "e")])
         with pytest.raises(GraphError, match=re.escape(repr(label))):
             serialize_edges(g.vertices, g.edges)
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("vertices a b\n vertices c\n", 2, 2, "duplicate vertices line"),
+    ("\tvertices a b a\n", 1, 2, "repeated vertex name"),
+    ("# no vertices yet\n  edge a b\n", 2, 3, "edge before vertices line"),
+    ("vertices a b\nedge a # b\n", 2, 1, "edge needs exactly two vertices"),
+    ("vertices ab b\nedge  ab\tc\n", 2, 10, "unknown vertex 'c'"),
+    ("vertices a b\nedge c a\n", 2, 6, "unknown vertex 'c'"),
+    ("vertices a b\nedge   b  b\n", 2, 8, "self-loops are not allowed"),
+    ("vertices a\n  node a z\n", 2, 3, "unknown directive 'node'"),
+])
+def test_every_edges_parse_error_is_pinned_to_its_line_and_column(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_edges(text)
+    assert (err.value.line, err.value.column, err.value.reason) == (line, column, message)
 
 
 def test_edges_format_errors():
