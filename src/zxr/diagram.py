@@ -3,13 +3,15 @@
 Diagrams are value-like: every operation returns a new diagram and callers
 never mutate a diagram they did not just create. Node ids are opaque strings
 and are never reused within one diagram's lifetime, so rewrite anchors stay
-stable across unrelated edits.
+stable across unrelated edits. A copy keeps one edit log, the names written
+since the copy (``Diagram.touched``), from which a rewrite step's patch is
+read (``Diagram.changed_since``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, KeysView, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, KeysView, Optional, Sequence, TypeVar
 
 from .phase import HALF_PI, MINUS_HALF_PI, Phase, PhaseLike, ZERO, reduced
 
@@ -64,39 +66,37 @@ class Diagram:
     cost O(deg), ``remove_node`` and ``edge_count`` (a running total) O(1),
     and ``check`` O(V+E).
 
-    ``copy`` costs O(V) dict and set copies at C speed: the copy shares each
-    node's neighbour map ``_adj[v]`` with its source. Only a diagram that
-    owns a map writes it. A diagram that was never copied owns them all;
-    ``copy`` gives the source and the copy each a new, empty record of owned
-    maps (``_own``), ``add_node`` makes an owned map, and ``add_edge`` and
-    ``remove_edge`` take a private copy of a shared map the first time they
-    write it. So a rewrite of a copy costs what it writes, and neither side
-    sees the other's edits.
+    Every mutator touches the nodes it writes (``_touch``): ``add_node``,
+    ``remove_node``, ``set_phase`` and ``set_kind`` the node, ``add_edge``
+    and ``remove_edge`` both ends (``splice`` and ``substitute`` go through
+    them). The first touch of a name since the diagram was made by ``copy``
+    logs it (``_log``, in first-touch order, removed names included) and
+    gives the diagram its own copy of the name's neighbour map. ``copy``
+    costs O(V) dict and set copies at C speed: it starts the copy's log
+    empty, and the copy shares each neighbour map ``_adj[v]`` with its
+    source but those the source logged, which the source keeps writing in
+    place, as it keeps its log. So a rewrite of a copy costs what it
+    writes, and neither side sees the other's edits. A diagram never made
+    by ``copy`` owns every map and has no log until it is first copied.
 
-    After a successful ``check`` every mutator logs the nodes it touched, in
-    first-touch order: ``add_node``, ``remove_node``, ``set_phase`` and
-    ``set_kind`` the node, ``add_edge`` and ``remove_edge`` both ends
-    (``splice`` goes through them). ``checked`` re-validates only the logged
-    nodes, so it costs O(touched) instead of O(V+E). Every invariant of
-    ``check`` is local to one node or one edge, and the mutators keep the
-    edge store symmetric, so a diagram that passed a full walk and has since
-    changed only through these methods is valid exactly when its touched
-    nodes are. A write to a private field is not logged: ``check`` sees it,
-    ``checked`` does not. It also skips the copy on first write, so a write
-    into a shared neighbour map reaches every diagram that shares it.
+    After a successful ``check`` a touch also marks the node pending
+    (``_dirty``), and ``checked`` re-validates only the pending nodes, so it
+    costs O(touched) instead of O(V+E). Every invariant of ``check`` is
+    local to one node or one edge, and the mutators keep the edge store
+    symmetric, so a diagram that passed a full walk and has since changed
+    only through these methods is valid exactly when its touched nodes
+    are. A write to a private field is not touched: ``check`` sees it,
+    ``checked`` does not, and a write into a shared map reaches every
+    diagram that shares it.
 
-    ``touched`` reads the record a ``copy`` starts: every name a ``checked``
-    walk has validated since the copy, removed ones included, plus the names
-    logged and not yet walked, so every node that the edits since the copy
-    touched. It is the one record of what a step changed: ``rules.normalize``
-    keeps its site sets up to date by it, and ``changed_since`` reads
-    replay's patch from it. It has ``checked``'s one limit: a write to a
-    private field is not in it. A full ``check`` ends the record until the
-    next copy. ``touched`` is None then, and while the record is empty, and
-    says nothing.
+    ``touched`` is the log, whatever was checked since; None without one.
+    It is the one record of what a step changed: ``rules.normalize`` keeps
+    its site sets up to date by it, and ``changed_since`` reads replay's
+    patch from it. It has ``checked``'s one limit: a write to a private
+    field is not in it.
 
     ``memo(read)`` keeps ``read(self)`` until ``checked`` next walks
-    anything, which it does after any logged edit, so a kept read is of the
+    anything, which it does after any touched edit, so a kept read is of the
     diagram as it now is, within the same limit. ``copy`` hands the kept
     reads to the copy, which is the same diagram until one side changes.
     """
@@ -105,20 +105,17 @@ class Diagram:
         self._kind: dict[str, str] = {}
         self._phase: dict[str, Phase] = {}
         self._adj: dict[str, dict[str, int]] = {}
-        # the nodes whose neighbour map this diagram owns; None: all of them
-        self._own: Optional[set[str]] = None
+        # names written since the copy, in first-touch order; None: not copied
+        self._log: Optional[dict[str, None]] = None
         self._n_edges = 0
         self.inputs: tuple[str, ...] = ()
         self.outputs: tuple[str, ...] = ()
         self._fresh = 0
         self._used: set[str] = set()   # ids are never reused, even after removal
-        # touched names (a dict, for first-touch order) since the last
-        # successful check; None until the first one
+        # touched names since the last successful check; None until the first
         self._dirty: Optional[dict[str, None]] = None
         self._bounds: tuple = ((), ())   # (inputs, outputs) at the last full check
         self._memo: dict = {}   # reads kept by ``memo`` until the next check walk
-        # names walked since the copy, read by ``touched``; None: no record
-        self._walked: Optional[dict[str, None]] = None
 
     # -- construction ------------------------------------------------------
 
@@ -126,8 +123,10 @@ class Diagram:
         d = Diagram()
         d._kind = dict(self._kind)
         d._phase = dict(self._phase)
-        d._adj = dict(self._adj)   # neighbour maps shared until written
-        self._own, d._own = set(), set()
+        adj = d._adj = dict(self._adj)   # neighbour maps shared until written
+        log = self._log = {} if self._log is None else self._log
+        adj.update((v, dict(adj[v])) for v in log if v in adj)   # written in place by self
+        d._log = {}
         d._n_edges = self._n_edges
         d.inputs = self.inputs
         d.outputs = self.outputs
@@ -136,7 +135,6 @@ class Diagram:
         d._dirty = None if self._dirty is None else dict(self._dirty)
         d._bounds = self._bounds
         d._memo = dict(self._memo)   # valid until the copy changes too
-        d._walked = {}
         return d
 
     def fresh_id(self) -> str:
@@ -160,33 +158,34 @@ class Diagram:
         elif phase is not None:
             raise DiagramError(f"{kind} node cannot carry a phase")
         self._kind[name] = kind
+        self._touch(name)   # before its map exists: a new map is not copied
         self._adj[name] = {}
-        if self._own is not None:
-            self._own.add(name)
-        if self._dirty is not None:
-            self._dirty[name] = None
         return name
 
-    def _unshare(self, u: str, v: str) -> None:
-        """Own the neighbour maps of u and v, copying each one still shared."""
-        own, adj = self._own, self._adj
-        for w in (u, v):
-            if w not in own:
-                adj[w] = dict(adj[w])
-                own.add(w)
+    def _touch(self, *names: str) -> None:
+        """Mark each name pending for ``checked``; log its first write since
+        the copy and copy its neighbour map (see the class docstring)."""
+        dirty, log, adj = self._dirty, self._log, self._adj
+        for v in names:
+            if dirty is not None:
+                dirty[v] = None
+            if log is not None and v not in log:
+                log[v] = None
+                if v in adj:
+                    adj[v] = dict(adj[v])
 
     def add_edge(self, u: str, v: str, times: int = 1) -> None:
         if times <= 0:
             return
         if u not in self._kind or v not in self._kind:
             raise DiagramError(f"edge endpoint missing: {u!r}-{v!r}")
-        own = self._own
-        if own is not None and (u not in own or v not in own):
-            self._unshare(u, v)
+        log = self._log
+        if log is not None and (u not in log or v not in log):
+            self._touch(u, v)
+        elif self._dirty is not None:   # both maps are self's own already
+            self._dirty[u] = self._dirty[v] = None
         self._adj[u][v] = self._adj[v][u] = self._adj[u].get(v, 0) + times
         self._n_edges += times
-        if self._dirty is not None:
-            self._dirty[u] = self._dirty[v] = None
 
     def remove_edge(self, u: str, v: str, times: int = 1) -> None:
         if times <= 0:
@@ -194,16 +193,16 @@ class Diagram:
         m = self._adj.get(u, {}).get(v, 0) - times
         if m < 0:
             raise DiagramError(f"no such edge {_edge_key(u, v)}")
-        own = self._own
-        if own is not None and (u not in own or v not in own):
-            self._unshare(u, v)
+        log = self._log
+        if log is not None and (u not in log or v not in log):
+            self._touch(u, v)
+        elif self._dirty is not None:   # both maps are self's own already
+            self._dirty[u] = self._dirty[v] = None
         self._n_edges -= times
         self._adj[u][v] = self._adj[v][u] = m
         if not m:
             del self._adj[u][v]
             self._adj[v].pop(u, None)   # already gone if u == v
-        if self._dirty is not None:
-            self._dirty[u] = self._dirty[v] = None
 
     def remove_node(self, name: str) -> None:
         if self._adj[name]:
@@ -211,8 +210,7 @@ class Diagram:
         del self._adj[name]
         del self._kind[name]
         self._phase.pop(name, None)
-        if self._dirty is not None:
-            self._dirty[name] = None
+        self._touch(name)
 
     def splice(self, u: str, v: str, kind: str,
                phase: Optional[PhaseLike] = None) -> str:
@@ -227,16 +225,14 @@ class Diagram:
         if self._kind.get(name) not in SPIDERS:
             raise DiagramError(f"{name!r} is not a spider")
         self._phase[name] = Phase.coerce(phase)
-        if self._dirty is not None:
-            self._dirty[name] = None
+        self._touch(name)
 
     def set_kind(self, name: str, colour: str) -> None:
         """Recolour a spider; its phase and wires stay."""
         if self._kind.get(name) not in SPIDERS or colour not in SPIDERS:
             raise DiagramError(f"cannot make {name!r} a {colour!r} spider")
         self._kind[name] = colour
-        if self._dirty is not None:
-            self._dirty[name] = None
+        self._touch(name)
 
     # -- views -------------------------------------------------------------
 
@@ -281,11 +277,7 @@ class Diagram:
         - the (outputs, inputs) by name.
 
         Given ``nodes``, it first checks self (``checked``), then reads the
-        sub-diagram that ``cut(nodes)`` would build without building it: the
-        same walk, over ``_view(nodes)``. Each edge leaving the set is one of
-        the cut's boundary wires, named 0, 1, ... in ``cut``'s order
-        (outside end, then inside end), and the set's own outputs follow
-        them; its inputs stay inputs.
+        sub-diagram on them (``_view``) in place, by the same walk.
         """
         if nodes is None:
             kind_of, adj, bounds = self._kind, self._adj, (self.outputs, self.inputs)
@@ -358,11 +350,12 @@ class Diagram:
         store and (outputs, inputs). Its nodes are those of ``nodes`` that
         self has, sorted, then one boundary wire per parallel copy of each
         edge leaving them, named 0, 1, ... in order of (outside end, inside
-        end). Each node's neighbours are in the order a pass over the sorted
-        nodes, each over its edges in self's order, first meets them, its
-        boundary wires last. Only the set's own edges are read, and self's inputs and
-        outputs only when the set holds a boundary node. ``cut`` builds its
-        diagram from it; ``wires`` walks it in place."""
+        end; every generator is symmetric in its legs, so their order at one
+        outside node does not matter). Each node's neighbours are in the
+        order a pass over the sorted nodes, each over its edges in self's
+        order, first meets them, its boundary wires last. Only the set's own
+        edges are read, and self's inputs and outputs only when the set
+        holds a boundary node."""
         kind_of, adj = self._kind, self._adj
         inside = sorted(v for v in set(nodes) if v in kind_of)
         kinds = {v: kind_of[v] for v in inside}
@@ -397,16 +390,17 @@ class Diagram:
         changed: the node covering the most uncovered ones first, ties to
         the lower degree, then the name. Every node and edge outside the
         patch is the same on both sides, so each side is one context
-        composed with its own ``cut`` of the patch.
+        composed with its own sub-diagram on the patch (``wires(patch)``).
 
-        It reads only the names in ``touched``, so it costs O(touched), and
-        is None without a record: self must be ``earlier``'s copy, edited
-        since through the mutators with no full ``check`` between, as
-        ``rules.apply`` returns it. It has ``checked``'s one limit, a write
-        to a private field.
+        It reads only the names in ``touched``, so it costs O(touched): self
+        must be ``earlier``'s copy, edited since through the mutators, as
+        ``rules.apply`` returns it. It is None without a log, and when the
+        inputs or outputs differ, which no patch covers. It has
+        ``checked``'s one limit, a write to a private field.
         """
         touched = self.touched()
-        if touched is None:
+        if touched is None or (self.inputs, self.outputs) != (earlier.inputs,
+                                                              earlier.outputs):
             return None
         patch, rewired = set(), []
         for v in touched:
@@ -430,39 +424,13 @@ class Diagram:
             uncovered = {e for e in uncovered if best not in e}
         return sorted(patch)
 
-    def cut(self, nodes: Iterable[str]) -> "Diagram":
-        """The sub-diagram on the given nodes (those self lacks are ignored).
-
-        Each edge leaving the set becomes an output wire, one per parallel
-        copy, ordered by (outside endpoint, inside endpoint); the set's own
-        inputs and outputs stay boundaries, its outputs after the cut wires.
-        Every generator is symmetric in its legs, so the order among wires
-        that meet one outside node does not matter. The cut wires take the
-        sub-diagram's own fresh ids, which no kept id can clash with. It is
-        ``_view(nodes)`` built through the mutators, in the view's orders,
-        so ``wires(nodes)`` reads it without building it.
-        """
-        kinds, view, (outs, ins) = self._view(nodes)
-        p = Diagram()
-        name = {v: p.add_node(k, self._phase.get(v), name=None if type(v) is int else v)
-                for v, k in kinds.items()}
-        done = set()   # each edge is added from the end the view meets first
-        for v, nb in view.items():
-            for w, m in nb.items():
-                if w not in done:
-                    p.add_edge(name[v], name[w], m)
-            done.add(v)
-        p.inputs = ins
-        p.outputs = tuple(map(name.get, outs))
-        return p
-
     def substitute(self, nodes: Iterable[str], rhs: "Diagram",
                    ports: Sequence[str]) -> "Diagram":
-        """Swap the nodes for a copy of the open diagram rhs, the inverse of
-        ``cut``; returns self. A node's outside wires are its edges leaving
-        the set, in neighbour order, one per parallel copy. rhs's i-th
-        boundary (inputs, then outputs) takes the next outside wire of
-        ports[i]; a bare wire of rhs joins its two outside ends. rhs's other
+        """Swap the nodes for a copy of the open diagram rhs; returns self.
+        A node's outside wires are its edges leaving the set, in neighbour
+        order, one per parallel copy. rhs's i-th boundary (inputs, then
+        outputs) takes the next outside wire of ports[i]; a bare wire of rhs
+        joins its two outside ends. rhs's other
         nodes get fresh ids in rhs's creation order. Raises DiagramError
         unless ports takes every outside wire exactly once. rhs is read once
         (``_gluing``, kept by ``memo``) and never written."""
@@ -524,8 +492,7 @@ class Diagram:
         """Validate every structural invariant; returns self for chaining.
 
         Always a full O(V+E) walk, so it also sees writes to private fields.
-        On success it empties the touch log that ``checked`` reads, and
-        ``touched`` reads None.
+        On success nothing is pending for ``checked``; the log stays.
         """
         bset = set(self.inputs) | set(self.outputs)
         if len(self.inputs) + len(self.outputs) != len(bset):
@@ -533,7 +500,7 @@ class Diagram:
         if self._adj.keys() != self._kind.keys():
             raise DiagramError("edge store and node table list different nodes")
         self._check_at(self._kind.items(), bset, self.inputs + self.outputs)
-        self._dirty, self._walked = {}, None
+        self._dirty = {}
         self._bounds = (self.inputs, self.outputs)
         self._memo = {}
         return self
@@ -555,18 +522,13 @@ class Diagram:
             bset = set(self.inputs) | set(self.outputs)
             self._check_at([(v, kind_of[v]) for v in dirty if v in kind_of], bset,
                            [b for b in dirty if b in bset])
-            if self._walked is not None:
-                self._walked.update(dirty)
             self._dirty, self._memo = {}, {}
         return self
 
     def touched(self) -> Optional[KeysView[str]]:
-        """The names walked since the copy, then those logged since the last
-        walk, in first-touch order, or None (see the class docstring)."""
-        walked, dirty = self._walked, self._dirty
-        if walked is None or not (walked or dirty):
-            return None
-        return {**walked, **dirty}.keys() if dirty else walked.keys()
+        """The log: the names written since the copy, in first-touch order,
+        or None without one (see the class docstring)."""
+        return None if self._log is None else self._log.keys()
 
     def memo(self, read: Callable[["Diagram"], T]) -> T:
         """``read(self)`` after ``checked``, computed once and kept until
@@ -853,25 +815,37 @@ def iso_equal(a: Diagram, b: Diagram) -> bool:
             start.append((d._kind[v], d._phase.get(v), d.self_loops(v), place.get(v, -1)))
             nbrs.append([(at[w], m) for w, m in d._adj[v].items() if w != v])
 
-    def search(colour: list) -> bool:
+    # depth-first over individualisations, one open branch per level:
+    # (refined colours, a's node u, the fresh colour, b's candidates left)
+    branches: list[tuple[list, int, int, Iterator[int]]] = []
+    colour = start
+    while True:
         cells = len(set(colour))
-        while True:   # refine until no cell splits
+        while True:   # refine until no cell splits; sizes None: the counts differ
             ids: dict = {}
             colour = [ids.setdefault((c, tuple(sorted((colour[w], m) for w, m in nb))), len(ids))
                       for c, nb in zip(colour, nbrs)]
-            if Counter(colour[:n]) != Counter(colour[n:]):
-                return False
-            if len(ids) == cells:
+            sizes = Counter(colour[:n])
+            if sizes != Counter(colour[n:]):
+                sizes = None
+            if sizes is None or len(ids) == cells:
                 break
             cells = len(ids)
-        sizes = Counter(colour[:n])
-        if len(sizes) == n:   # all cells singletons: the mapping is fixed
+        if sizes is not None and len(sizes) < n:
+            _, cell = min((k, c) for c, k in sizes.items() if k > 1)
+            branches.append((colour, colour.index(cell), cells,
+                             iter([v for v in range(n, 2 * n) if colour[v] == cell])))
+        elif sizes is not None:   # all cells singletons: the mapping is fixed
             image = dict(zip(colour[n:], names[n:]))
             to_b = {v: image[c] for v, c in zip(names[:n], colour)}
-            return all(b.multiplicity(to_b[u], to_b[v]) == m for u, v, m in a.edges())
-        _, cell = min((k, c) for c, k in sizes.items() if k > 1)
-        u = colour.index(cell)
-        return any(search([cells if w in (u, v) else c for w, c in enumerate(colour)])
-                   for v in range(n, 2 * n) if colour[v] == cell)
-
-    return search(start)
+            if all(b.multiplicity(to_b[u], to_b[v]) == m for u, v, m in a.edges()):
+                return True
+        while branches:   # the next candidate of the deepest open branch
+            parent, u, fresh, candidates = branches[-1]
+            v = next(candidates, None)
+            if v is not None:
+                colour = [fresh if w in (u, v) else c for w, c in enumerate(parent)]
+                break
+            branches.pop()
+        else:
+            return False

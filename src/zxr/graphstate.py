@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -91,10 +91,21 @@ class SimpleGraph:
         return frozenset((u, v)) in self.edges
 
     def neighbours(self, u: str) -> tuple[str, ...]:
-        if u not in self.vertices:
-            raise GraphError(f"unknown vertex {u!r}")
-        return tuple(v for v in self.vertices
-                     if v != u and self.has_edge(u, v))
+        """u's neighbours in vertex order, in O(degree)."""
+        try:
+            return self._adjacency[u]
+        except KeyError:
+            raise GraphError(f"unknown vertex {u!r}") from None
+
+    @cached_property
+    def _adjacency(self) -> dict[str, tuple[str, ...]]:
+        """Each vertex's neighbours in vertex order, built on first use."""
+        order = {v: i for i, v in enumerate(self.vertices)}
+        nbs: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for u, v in self.edges:
+            nbs[u].append(v)
+            nbs[v].append(u)
+        return {v: tuple(sorted(ws, key=order.__getitem__)) for v, ws in nbs.items()}
 
     def edge_list(self) -> list[tuple[str, str]]:
         order = {v: i for i, v in enumerate(self.vertices)}
@@ -158,9 +169,7 @@ Rotation = tuple[str, str, PhaseLike]   # (vertex, colour, phase)
 def _rotations(g: SimpleGraph, u: str, at_u: PhaseLike,
                at_neighbours: PhaseLike) -> list[Rotation]:
     """An X(at_u) rotation on u and Z(at_neighbours) on each neighbour of u,
-    in that order."""
-    if u not in g.vertices:
-        raise GraphError(f"unknown vertex {u!r}")
+    in that order; GraphError if u is no vertex of g."""
     return [(u, X, at_u)] + [(v, Z, at_neighbours) for v in g.neighbours(u)]
 
 

@@ -7,23 +7,21 @@ script avoids Euler-strength steps). A step is any rule of ``rules.RULES``,
 the script-only steps included.
 
 Each step is checked on its patch (``Diagram.changed_since``): the nodes it
-created, removed or changed, plus a cover of the edges it rewired. Outside
-the patch both diagrams are the same context C, so before = C o P and after
-= C o P' for the two cuts P, P' of the patch (``Diagram.cut``). The
-interpretation is compositional, so P' = lambda P with lambda nonzero gives
-after = lambda before: a passing patch is a passing step. The patch is read
-from the step's touch log (``Diagram.touched``), so finding it costs
-O(touched). The step's ``copy`` is still O(V), at C speed. The networks of
-P and P' are read in place from the two diagrams (``same_network`` over
-the patch): equal ones pass the step in every model, with neither cut
-built and nothing evaluated. Only a step that changed its patch's network
-has its two cuts built and evaluated, at what the patch costs, not the
-diagram. A patch is not always an equation on its own (a step that swaps
-one state for another can rely on the unchanged node that absorbs it), so
-when the two cuts differ, one hits the entry cap or the step left no
-record, the whole diagrams are compared and decide the step. Either way
-the verdict is that of the whole diagrams, and the start diagram itself is
-never evaluated.
+created, removed or changed, plus a cover of the edges it rewired, read
+from the step's edit log (``Diagram.touched``) in O(touched). Outside the
+patch both diagrams are the same context C, so before = C o P and after =
+C o P' for the two sub-diagrams P, P' on the patch. The interpretation is
+compositional, so P' = lambda P with lambda nonzero gives after = lambda
+before: a passing patch is a passing step. The networks of P and P' are
+read in place from the two diagrams, once per step, with no sub-diagram
+built: equal ones pass the step in every model, and others are contracted
+as they are (``semantics.networks_equal``), at what the patch costs, not
+the diagram. A patch is not always an equation on its own (a step that
+swaps one state for another can rely on the unchanged node that absorbs
+it), so when the two differ, one hits the entry cap or the step has no
+patch, the whole diagrams are compared and decide the step. Either way the
+verdict is that of the whole diagrams, and the start diagram itself is
+never evaluated. The step's ``copy`` is still O(V), at C speed.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from typing import Optional, Sequence
 from . import rules
 from .diagram import Diagram, DiagramError
 from .rules import Anchor, RuleError
-from .semantics import ResourceLimit, diagrams_equal, same_network
+from .semantics import ResourceLimit, _network, diagrams_equal, networks_equal
 
 Step = tuple[str, Anchor]
 
@@ -96,11 +94,9 @@ def replay(script: ProofScript, start: Diagram, *, euler_on: bool = False,
 
     Checks model 1 always and model 2 as well when the script is free of
     Euler-strength steps; pass ``models`` to override, ``()`` to apply the
-    steps without evaluating anything. A step is first checked on its patch,
-    read in place, then on its two cuts (see the module docstring), then,
-    if the cuts differ, one exceeds the entry cap or there is no patch, on
-    the whole diagrams, whose verdict is final; so only a whole diagram over
-    the cap raises ResourceLimit.
+    steps without evaluating anything. A step is decided by its patch or
+    by the whole diagrams (see the module docstring), so only a whole
+    diagram over the cap raises ResourceLimit.
     """
     if models is None:
         models = (1, 2) if script.euler_free() else (1,)
@@ -112,25 +108,17 @@ def replay(script: ProofScript, start: Diagram, *, euler_on: bool = False,
             nxt = rules.apply(rule, current, anchor, euler_on=euler_on)
         except (RuleError, DiagramError) as exc:
             raise ReplayError(index, rule, f"does not match: {exc}")
-        # None without a record: a step that reassigned the boundary walked all
         patch = nxt.changed_since(current) if models else None
-        if patch is not None and same_network(current, nxt, patch):
-            current = nxt   # the patch keeps its network: equal in every model
-            continue
-        cuts = None if patch is None else (current.cut(patch), nxt.cut(patch))
+        nets = None if patch is None else (_network(current, patch), _network(nxt, patch))
         for n in models:
-            if not ((cuts and _patch_holds(*cuts, n)) or diagrams_equal(current, nxt, n)):
+            try:
+                holds = nets is not None and networks_equal(*nets, n)
+            except ResourceLimit:   # the patch is over the cap: the whole diagrams decide
+                holds = False
+            if not (holds or diagrams_equal(current, nxt, n)):
                 raise ReplayError(index, rule, f"semantic drift in model n={n}")
         current = nxt
     return current
-
-
-def _patch_holds(before: Diagram, after: Diagram, n: int) -> bool:
-    """The two patches are equal in model n; one over the entry cap is not."""
-    try:
-        return diagrams_equal(before, after, n)
-    except ResourceLimit:
-        return False
 
 
 class ScriptBuilder:

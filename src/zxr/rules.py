@@ -598,10 +598,9 @@ def normalize(d: Diagram, trace: list[tuple[str, Anchor]] | None = None) -> Diag
     Each rule's sites are kept in a set, filled by one ``match_sites`` scan
     the first time the rule is consulted. After a step (through ``apply``)
     the sets drop the anchors that hold a node the step touched
-    (``Diagram.touched``) and re-check the candidates at each touched node
-    still there, so a step costs what it touched, not a scan of every rule.
-    When the step has no record (``touched`` is None, as after a full
-    ``check``), the sets are scanned again.
+    (``Diagram.touched``, the log of the copy ``apply`` made) and re-check
+    the candidates at each touched node still there, so a step costs what
+    it touched, not a scan of every rule.
     """
     sites: dict[str, set[Anchor]] = {}
     current = d
@@ -621,9 +620,6 @@ def normalize(d: Diagram, trace: list[tuple[str, Anchor]] | None = None) -> Diag
         if not (current.node_count(), current.edge_count()) < measure:
             raise RuntimeError("normalization step failed to decrease the measure")
         touched = current.touched()
-        if touched is None:
-            sites.clear()
-            continue
         live = [v for v in touched if current.has_node(v)]
         for rule, found in sites.items():
             again = {a for v in live for a in _NORMALIZE[rule](current, v)}

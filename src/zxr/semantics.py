@@ -19,7 +19,7 @@ H-box cannot take a nonzero diagram under TOL.
 Because the network absorbs spider fusion, identity wires and H colour
 changes, the rewrites that do only that leave it as it was, and a sweep
 that evaluates a diagram before and after each rewrite meets the same
-network again. So ``evaluate``
+network again. So the contraction behind ``evaluate`` (``_contract``)
 keeps its last ``MEMO_SIZE`` results of at most ``MAX_CACHED_ENTRIES``
 entries (``_MATRICES``, least recently used out first), keyed on everything
 the contraction reads: the factors, the scale, the plan's steps, the output
@@ -34,8 +34,10 @@ the scales are both nonzero or both zero, the two are equal up to a nonzero
 scalar whatever M is (two zero matrices count as equal), and the pair is
 decided from the networks alone, even when M is over the entry cap or
 einsum has too few labels to plan it. ``diagrams_equal`` asks it first,
-``zxr check-equal`` when evaluating is over the cap, and ``proofs.replay``
-of a step's patch, read in place from both diagrams. One zero scale (a
+and ``zxr check-equal`` when evaluating is over the cap. ``proofs.replay``
+reads a step's patch in place from both diagrams, as two networks, and
+asks the same of them (``networks_equal``); two that differ are contracted
+as they are, with no sub-diagram built (``_contract``). One zero scale (a
 closed cycle of an odd number of H-boxes) beside a nonzero one is not
 decided so: that side is zero, the other is zero only if M is. Every other
 pair is evaluated and compared by ``matrices_equal``.
@@ -48,7 +50,7 @@ import functools
 import heapq
 import math
 from collections import OrderedDict
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -105,9 +107,9 @@ def _network(d: Diagram, nodes: Optional[Iterable[str]] = None) -> tuple:
     axis, or it is summed in the tensor; a tensor [1, 1] on an index H
     factors hold is left out. ``scale`` is 1/sqrt2 per H wire,
     (1/sqrt2)^max(0, 2 - degree) per spider, and tr(H^k) per closed cycle
-    of k H-boxes. The contraction plan is its own read, ``_planned``.
-    Given ``nodes``, the network of ``d.cut(nodes)``, read in place by the
-    same walk (``Diagram.wires``), with no cut built."""
+    of k H-boxes. The contraction plan is its own read (``_plan``, in
+    ``_contract``). Given ``nodes``, the network of the sub-diagram on
+    them, read in place by the same walk (``Diagram.wires(nodes)``)."""
     at, cls, phases, h_wires, short, cycles, (outs, ins) = d.wires(nodes)
     free = outs + ins
     bound = set(map(at.__getitem__, free))
@@ -155,40 +157,35 @@ def _network(d: Diagram, nodes: Optional[Iterable[str]] = None) -> tuple:
     return tuple(tensors), scale, tuple(shape), (len(outs), len(ins))
 
 
-def _planned(d: Diagram) -> tuple:
-    """d's network with the plan that contracts it, (tensors, scale, (steps,
-    peak, bytes)) (``_plan``), read by ``evaluate`` alone: nothing else
-    needs the plan, and a plan can raise ResourceLimit where the network
-    cannot."""
-    tensors, scale, shape, (outs, ins) = d.memo(_network)
-    return tensors, scale, _plan(outs + ins, shape)
-
-
 # read-only contracted matrices by (tensors, scale, steps, shape, model_n),
 # least recently used first (see the module docstring)
 _MATRICES: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 
 def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
-    """Contract the diagram's network into its matrix, a fresh array. The
-    network and its plan are read once per diagram (``Diagram.memo``), the
-    plan here alone (``_planned``). On every call, ResourceLimit is raised
-    before any factor is built or contracted if a factor or planned
-    intermediate would exceed ``MAX_INTERMEDIATE`` entries, what is held at
-    once ``MAX_BYTES`` bytes, or a step einsum's labels. Past those tests,
-    a network already contracted in model n is copied from ``_MATRICES``
-    (see the module docstring), which keeps a read-only copy of each new
-    result of up to ``MAX_CACHED_ENTRIES`` entries. Class tensors of that
-    size are shared read-only through ``_FACTORS``, keyed by their phase in
-    model n."""
+    """Contract the diagram's network, read once per diagram
+    (``Diagram.memo``), into its matrix, a fresh array (``_contract``)."""
+    return _contract(d.memo(_network), model_n)
+
+
+def _contract(net: tuple, model_n: int) -> np.ndarray:
+    """The matrix of a network (``_network``) in model n, a fresh array.
+    ResourceLimit is raised before any factor is built or contracted if the
+    plan (``_plan``) has a factor or intermediate over ``MAX_INTERMEDIATE``
+    entries, holds over ``MAX_BYTES`` bytes at once, or needs more than
+    einsum's labels in a step. Past those tests, a network already
+    contracted in model n is copied from ``_MATRICES`` (see the module
+    docstring), which keeps a read-only copy of each new result of up to
+    ``MAX_CACHED_ENTRIES`` entries, as ``_FACTORS`` keeps class tensors."""
     if model_n < 1:
         raise ValueError("model_n must be >= 1")
-    tensors, scale, (steps, peak, nbytes) = d.memo(_planned)
+    tensors, scale, legs, (outs, ins) = net
+    steps, peak, nbytes = _plan(outs + ins, legs)
     if 2 ** peak > MAX_INTERMEDIATE:
         raise ResourceLimit(f"intermediate tensor with 2^{peak} entries exceeds the cap")
     if nbytes > MAX_BYTES:
         raise ResourceLimit(f"{nbytes} bytes held at once exceed the byte budget")
-    shape = (2 ** len(d.outputs), 2 ** len(d.inputs))
+    shape = (2 ** outs, 2 ** ins)
     memo_key = (tensors, scale, steps, shape, model_n)
     kept = _MATRICES.get(memo_key)
     if kept is not None:
@@ -386,32 +383,34 @@ def matrices_equal(a: np.ndarray, a_scale: float, b: np.ndarray, b_scale: float)
     return _proportional(a / a_top, b / b_top, pivot)
 
 
-def same_network(f: Diagram, g: Diagram, nodes: Optional[Sequence[str]] = None) -> bool:
-    """Do f and g have equal factors on equal index tuples and the same
-    boundary counts, with scales both nonzero or both zero? Then they are
-    equal up to a nonzero scalar in every model, each matrix being one M
-    times its own scale, whatever M is (see the module docstring): nothing
-    is planned or built and no entry cap read, so a pair past einsum's 52
-    labels is decided too. Given ``nodes``, the same rule for
-    ``f.cut(nodes)`` and ``g.cut(nodes)``, each read in place
-    (``_network``), so neither cut is built."""
-    if nodes is None:
-        f_net, g_net = f.memo(_network), g.memo(_network)
-    else:
-        f_net, g_net = _network(f, nodes), _network(g, nodes)
+def same_network(f: Diagram, g: Diagram) -> bool:
+    """Are f and g equal up to a nonzero scalar in every model because their
+    networks are (``_same``)? Nothing is planned or built and no entry cap
+    read, so a pair past einsum's 52 labels is decided too."""
+    return _same(f.memo(_network), g.memo(_network))
+
+
+def _same(f_net: tuple, g_net: tuple) -> bool:
+    """Do two networks (``_network``) have equal factors on equal index
+    tuples and boundary counts, and scales both nonzero or both zero?"""
     f_tensors, f_scale, f_shape, f_arity = f_net
     g_tensors, g_scale, g_shape, g_arity = g_net
     return (f_tensors == g_tensors and f_shape == g_shape
             and (f_scale == 0) == (g_scale == 0) and f_arity == g_arity)
 
 
+def networks_equal(f_net: tuple, g_net: tuple, model_n: int) -> bool:
+    """Are two networks (``_network``) equal up to a nonzero scalar in model
+    n? True at once when they are the same (``_same``); otherwise each is
+    contracted (``_contract``) and compared by ``matrices_equal``."""
+    return _same(f_net, g_net) or matrices_equal(
+        _contract(f_net, model_n), f_net[1], _contract(g_net, model_n), g_net[1])
+
+
 def diagrams_equal(f: Diagram, g: Diagram, model_n: int = 1) -> bool:
-    """Are f and g equal up to a nonzero scalar in model n? True at once on
-    the same network (``same_network``); otherwise f, then g, is evaluated
-    and compared by ``matrices_equal``."""
+    """Are f and g equal up to a nonzero scalar in model n? Their networks,
+    each read once per diagram (``Diagram.memo``), decide: the same ones at
+    once, others contracted, f's first (``networks_equal``)."""
     if model_n < 1:
         raise ValueError("model_n must be >= 1")
-    if same_network(f, g):
-        return True
-    return matrices_equal(evaluate(f, model_n), network_scale(f),
-                          evaluate(g, model_n), network_scale(g))
+    return networks_equal(f.memo(_network), g.memo(_network), model_n)

@@ -5,6 +5,8 @@ manipulation, parity formulas, local-complementation orbits) without going
 through the diagram evaluator, so the two paths check each other; ``dense``,
 the generator table contracted in one einsum, is the evaluator's differential
 reference.
+``reference_cut`` builds the sub-diagram on a node set, which
+``semantics._network(d, nodes)`` reads in place.
 ``steps_reached`` is the dependency walk over the derivations of
 ``zxr.lemmas``.
 """
@@ -81,6 +83,34 @@ def dense(d: Diagram, model_n: int = 1) -> np.ndarray:
     free = word(legs[b][0] for b in d.outputs + d.inputs)
     m = np.einsum(",".join(map(word, labels)) + "->" + free, *operands, optimize=True)
     return m.reshape(2 ** len(d.outputs), 2 ** len(d.inputs))
+
+
+def reference_cut(self, nodes):
+    """The sub-diagram on the given nodes (those self lacks are ignored).
+    Each edge leaving the set becomes an output wire, one per parallel
+    copy, ordered by (outside endpoint, inside endpoint), with fresh ids;
+    the set's own inputs and outputs stay boundaries, its outputs after the
+    cut wires. It is ``Diagram.cut`` as it was before the in-place read,
+    kept verbatim bar its name."""
+    inside = sorted(v for v in set(nodes) if v in self._kind)
+    keep = set(inside)
+    p = Diagram()
+    for v in inside:
+        p.add_node(self._kind[v], self._phase.get(v), name=v)
+    cut = []
+    for v in inside:
+        for w, m in self._adj[v].items():
+            if w not in keep:
+                cut += [(w, v)] * m
+            elif v <= w:
+                p.add_edge(v, w, m)
+    wires = []
+    for _, v in sorted(cut):
+        wires.append(p.add_node(BOUNDARY))
+        p.add_edge(wires[-1], v)
+    p.inputs = tuple(b for b in self.inputs if b in keep)
+    p.outputs = tuple(wires) + tuple(b for b in self.outputs if b in keep)
+    return p
 
 
 def graph_state_vector(g: SimpleGraph) -> np.ndarray:

@@ -7,9 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_diagram
+from conftest import random_diagram, reference_cut
 from test_patch_check import whole_table_patch
-from zxr import rules
+from zxr import rules, semantics
 from zxr.diagram import (BOUNDARY, HBOX, Diagram, DiagramError, X, Z,
                          attach_wires, chain, compose, dagger, empty, euler_chain,
                          generator, iso_equal, spider, tensor, wire)
@@ -182,6 +182,27 @@ def test_iso_equal_agrees_with_brute_force():
 def test_iso_symmetric_cycles(n):
     assert not iso_equal(_cycles(2 * n), _cycles(n, n))
     assert iso_equal(_cycles(2 * n), _relabelled(_cycles(2 * n), random.Random(n)))
+
+
+def test_iso_backtracks_past_a_failed_candidate():
+    # colour refinement cannot tell C4 from C8: a's first node, on its C4,
+    # is tried against b's C8 first, and only a later candidate fits
+    a, b = _cycles(4, 8), _cycles(8, 4)
+    assert iso_equal(a, b) and iso_equal(b, a)
+
+
+def _isolated(prefix, phases):
+    d = Diagram()
+    for i, phase in enumerate(phases):
+        d.add_node(Z, phase, name=f"{prefix}{i}")
+    return d.check()
+
+
+def test_iso_equal_on_600_isolated_spiders():
+    # 599 individualisations deep, one search level each: no recursion limit
+    zeros = [0] * 600
+    assert iso_equal(_isolated("s", zeros), _isolated("t", zeros))
+    assert not iso_equal(_isolated("s", zeros), _isolated("t", zeros[1:] + [Phase(1, 2)]))
 
 
 def test_invariants_rejected():
@@ -523,7 +544,7 @@ EDITS = {
     "remove_edge": lambda d: d.remove_edge("a", "b"),
     "remove_node": lambda d: d.remove_node("lone"),
     "splice": lambda d: d.splice("b", "c", HBOX),
-    "substitute": lambda d: d.substitute(["b"], d.cut(["b"]), ["b"] * 3),
+    "substitute": lambda d: d.substitute(["b"], cut(d, ["b"]), ["b"] * 3),
     "set_phase": lambda d: d.set_phase("a", Phase(1)),
     "set_kind": lambda d: d.set_kind("b", Z),
 }
@@ -654,12 +675,20 @@ def test_attach_wires_names_boundaries_in_order():
 # -- cuts ----------------------------------------------------------------------
 
 
+def cut(d, nodes):
+    """The sub-diagram on nodes (``reference_cut``), whose network the
+    in-place read of nodes must be."""
+    p = reference_cut(d, nodes)
+    assert semantics._network(d, nodes) == semantics._network(p)
+    return p
+
+
 def test_cut_turns_parallel_edges_into_one_wire_each():
     d = Diagram()
     a, o = d.add_node(Z, "1/2", name="a"), d.add_node(X, 0, name="o")
     d.add_edge(a, o, 2)
     attach_wires(d, [a], [o])
-    p = d.cut([a, "in0"])
+    p = cut(d, [a, "in0"])
     assert p.inputs == ("in0",) and len(p.outputs) == 2
     assert [p.boundary_partner(w) for w in p.outputs] == [a, a]
     assert np.allclose(evaluate(p), evaluate(spider(Z, 1, 2, Phase(1, 2))))
@@ -670,7 +699,7 @@ def test_cut_orders_wires_by_outside_then_inside_end():
     a, b, o, q = (d.add_node(Z, 0, name=v) for v in "aboq")
     for u, v in ((a, q), (b, o), (a, o)):
         d.add_edge(u, v)
-    p = d.cut([b, a])
+    p = cut(d, [b, a])
     assert p.inputs == ()
     assert [p.boundary_partner(w) for w in p.outputs] == [a, b, a]
 
@@ -679,7 +708,7 @@ def test_cut_keeps_boundaries_after_the_cut_wires_with_fresh_ids():
     d = Diagram()
     n0 = d.add_node(Z, "1/2", name="n0")
     attach_wires(d, [n0], [n0])
-    p = d.cut([n0, "out0"]).check()
+    p = cut(d, [n0, "out0"]).check()
     assert p.inputs == () and p.outputs == ("n1", "out0")
     assert p.boundary_partner("n1") == n0
     assert np.allclose(evaluate(p).reshape(2, 2), evaluate(d))
@@ -690,14 +719,14 @@ def test_cut_keeps_a_self_loop_inside():
     s, t = d.add_node(Z, 1, name="s"), d.add_node(X, 0, name="t")
     d.add_edge(s, s)
     d.add_edge(s, t)
-    p = d.cut([s]).check()
+    p = cut(d, [s]).check()
     assert (p.self_loops(s), p.degree(s), len(p.outputs)) == (1, 3, 1)
 
 
 def test_cut_of_nothing_is_the_empty_diagram():
     d = generator("phase_z", Phase(1, 2))
     for nodes in ([], ["ghost"]):
-        p = d.cut(nodes).check()
+        p = cut(d, nodes).check()
         assert p.node_count() == 0 and p.boundary() == ()
         assert np.allclose(evaluate(p), [[1]])
 
@@ -716,7 +745,7 @@ def test_substitute_is_the_inverse_of_cut():
         d = random_diagram(rng)
         inner = [v for v in d.nodes() if d.kind(v) != BOUNDARY]
         nodes = rng.sample(inner, rng.randint(0, len(inner)))
-        p = d.cut(nodes)
+        p = cut(d, nodes)
         e = d.copy()
         assert e.substitute(nodes, p, _cut_ports(p)) is e
         assert iso_equal(e.checked(), d) and iso_equal(e.check(), d)
@@ -725,7 +754,7 @@ def test_substitute_is_the_inverse_of_cut():
 
 def test_substitute_refuses_ports_that_miss_or_repeat_a_wire():
     d = generator("phase_z", Phase(1, 2))
-    p = d.cut(["g"])
+    p = cut(d, ["g"])
     for ports in ([], ["g"], ["g", "g", "g"], ["g", "in0"], ["in0", "out0"]):
         with pytest.raises(DiagramError, match="outside"):
             d.copy().substitute(["g"], p, ports)
@@ -794,14 +823,39 @@ def test_changed_since_sees_an_edit_before_the_last_walk():
     e.checked()   # walks c alone; a stays in the record
     assert list(e.touched()) == ["a", "c"]
     assert e.changed_since(d) == whole_table_patch(e, d) == ["a", "c"]
-    # a full check ends the record: no patch, until the next copy
+    # a full check keeps the log: it still names every write since the copy
     e.check()
     e.set_phase("b", 1)
     e.checked()
-    assert e.touched() is None and e.changed_since(d) is None
+    assert list(e.touched()) == ["a", "c", "b"]
+    assert e.changed_since(d) == whole_table_patch(e, d) == ["a", "b", "c"]
     f = e.copy()
     f.set_phase("b", 0)
     assert f.changed_since(e) == whole_table_patch(f, e) == ["b"]
+
+
+def test_a_copys_source_keeps_its_log():
+    d = parse("node a z\nnode b z\nnode c z\nin i\nout o\n"
+              "edge i a\nedge a b\nedge b c\nedge c o\n")
+    e = d.copy()
+    e.set_phase("a", 1)
+    e.add_edge("a", "c")
+    f = e.copy()
+    assert list(e.touched()) == ["a", "c"] and list(f.touched()) == []
+    # the source writes its logged maps in place; the copy does not see it
+    e.add_edge("a", "c")
+    e.remove_edge("b", "c")
+    e.add_edge("b", "b")
+    assert list(e.touched()) == ["a", "c", "b"]
+    assert (f.multiplicity("a", "c"), f.multiplicity("b", "c"), f.self_loops("b")) == (1, 1, 0)
+    assert e.checked().changed_since(d) == whole_table_patch(e, d) == ["a", "b", "c"]
+    f.remove_edge("a", "c")
+    assert (e.multiplicity("a", "c"), f.multiplicity("a", "c")) == (2, 0)
+    assert list(f.checked().touched()) == ["a", "c"]
+    # a never-copied source starts its log at its first copy
+    assert d.touched() is not None and list(d.touched()) == []
+    d.set_phase("b", 1)
+    assert list(d.touched()) == ["b"] and e.phase("b") == Phase(0)
 
 
 def test_memo_is_kept_until_an_edit_and_handed_to_copies():

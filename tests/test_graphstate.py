@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import random
 import weakref
 
 import numpy as np
@@ -97,6 +98,30 @@ def test_unknown_vertex():
         local_complement(triangle(), "zz")
     with pytest.raises(GraphError):
         fixpoint_lhs(triangle(), "zz")
+
+
+def _scanned_neighbours(g, u):
+    """``SimpleGraph.neighbours`` as it was: a scan of every vertex."""
+    if u not in g.vertices:
+        raise GraphError(f"unknown vertex {u!r}")
+    return tuple(v for v in g.vertices if v != u and g.has_edge(u, v))
+
+
+def test_neighbours_are_the_scan_of_every_vertex():
+    # every graph on up to 5 vertices, labels out of sorted order, then the
+    # seeded G(1000, 4/1000)
+    graphs = [g for n in range(1, 6) for g in all_graphs(tuple("caebd"[:n]))]
+    rng, verts = random.Random(4242), [f"v{i}" for i in range(1000)]
+    graphs.append(SimpleGraph.build(verts, [e for e in itertools.combinations(verts, 2)
+                                            if rng.random() < 4 / 1000]))
+    for g in graphs:
+        assert [g.neighbours(u) for u in g.vertices] == [
+            _scanned_neighbours(g, u) for u in g.vertices], g
+        twin = SimpleGraph(g.vertices, g.edges)   # the map is no field
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+    for g in (graphs[0], graphs[-1]):
+        with pytest.raises(GraphError, match="unknown vertex 'zz'"):
+            g.neighbours("zz")
 
 
 def test_label_with_colon_is_refused():

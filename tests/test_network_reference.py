@@ -19,7 +19,7 @@ import random
 from pathlib import Path
 from typing import Optional
 
-from conftest import circuit, random_diagram
+from conftest import circuit, random_diagram, reference_cut
 from zxr import rules, semantics, shipped
 from zxr.diagram import BOUNDARY, HBOX, Diagram, X, _across
 from zxr.graphstate import all_graphs, complete_graph, fixpoint_lhs, graph_state, vdn_lhs
@@ -252,8 +252,8 @@ def replayed_diagrams():
             yield nxt
             patch = nxt.changed_since(current)
             if patch is not None:
-                yield current.cut(patch)
-                yield nxt.cut(patch)
+                yield reference_cut(current, patch)
+                yield reference_cut(nxt, patch)
             current = nxt
 
 

@@ -131,11 +131,13 @@ def test_same_as_full_scan_next_to_h_boxes():
     assert seen > 100
 
 
-def test_touched_is_the_last_walk():
+def test_touched_is_the_log_since_the_copy():
     d = parse("node a z\nnode b z 1/2\nin i\nout o\nedge i a\nedge a b\nedge b o\n")
-    assert d.touched() is None   # parse ends in a full check
+    assert d.touched() is None   # never copied: no log
     e = rules.apply("spider-fuse", d, ("a", "b"))
     assert list(e.touched()) == ["a", "b", "o"]
-    e.checked()   # nothing new: the record stays
+    e.checked()   # nothing new: the log stays
     assert list(e.touched()) == ["a", "b", "o"]
-    assert e.copy().touched() is None and e.check().touched() is None
+    e.check()   # a full check keeps it too
+    assert list(e.touched()) == ["a", "b", "o"]
+    assert list(e.copy().touched()) == []   # a copy starts its own

@@ -1,15 +1,11 @@
 """The network of a node set, read in place, against the network of its cut.
 
-``semantics._network(d, nodes)`` reads the sub-diagram that ``d.cut(nodes)``
-builds without building it. On every corpus below it must equal
-``_network(d.cut(nodes))`` exactly: the same factors in the same order, the
-same scale, index tuples and boundary counts. Replay decides a step from two
-such reads, so any difference would change which steps it cuts.
-
-``cut`` now builds from the same view of the node set that the read walks,
-so it must also equal the network of ``reference_cut``: ``Diagram.cut`` as
-it was before, kept verbatim bar its name, which built the sub-diagram on
-its own.
+``semantics._network(d, nodes)`` reads the sub-diagram on ``nodes`` without
+building it. On every corpus below it must equal the network of
+``reference_cut(d, nodes)`` (``conftest``), which builds that sub-diagram on
+its own, exactly: the same factors in the same order, the same scale, index
+tuples and boundary counts. Replay decides a step from two such reads, so
+any difference would change which steps it contracts.
 """
 
 import random
@@ -17,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import circuit, random_diagram
+from conftest import circuit, random_diagram, reference_cut
 from zxr import rules, semantics, shipped
 from zxr.diagram import BOUNDARY, HBOX, X, Z, Diagram, DiagramError, chain
 from zxr.proofs import ProofScript, replay
@@ -26,39 +22,16 @@ from zxr.textio import parse
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
 
 
-def reference_cut(self, nodes):
-    inside = sorted(v for v in set(nodes) if v in self._kind)
-    keep = set(inside)
-    p = Diagram()
-    for v in inside:
-        p.add_node(self._kind[v], self._phase.get(v), name=v)
-    cut = []
-    for v in inside:
-        for w, m in self._adj[v].items():
-            if w not in keep:
-                cut += [(w, v)] * m
-            elif v <= w:
-                p.add_edge(v, w, m)
-    wires = []
-    for _, v in sorted(cut):
-        wires.append(p.add_node(BOUNDARY))
-        p.add_edge(wires[-1], v)
-    p.inputs = tuple(b for b in self.inputs if b in keep)
-    p.outputs = tuple(wires) + tuple(b for b in self.outputs if b in keep)
-    return p
-
-
 def assert_read_in_place(d, nodes):
-    """The in-place read of nodes equals the read of their cut, and of
-    their reference cut; returns it."""
+    """The in-place read of nodes equals the read of their reference cut;
+    returns it."""
     read = semantics._network(d, nodes)
-    assert read == semantics._network(d.cut(nodes)), (d, sorted(nodes))
     assert read == semantics._network(reference_cut(d, nodes)), (d, sorted(nodes))
     return read
 
 
 def assert_steps_read_in_place(start, steps, euler_on=False):
-    """Both sides of each step's patch read in place as their cuts do;
+    """Both sides of each step's patch read in place as their cuts read;
     returns how many steps had a patch."""
     current, patched = start, 0
     for rule, anchor in steps:
@@ -187,7 +160,7 @@ def test_a_patch_holding_boundaries_out_of_sorted_order_keeps_their_order():
     d.inputs, d.outputs = tuple(ins), tuple(outs)
     d.check()
     nodes = ["s", "o0", "i1", "o2", "i2"]
-    p = d.cut(nodes)
+    p = reference_cut(d, nodes)
     assert p.inputs == ("i2", "i1") and p.outputs[-2:] == ("o2", "o0")
     assert len(p.outputs) == 4 + 2   # s-t, s-i0, o2-t and i2-t leave the set
     assert d.wires(nodes)[-1] == ((0, 1, 2, 3, "o2", "o0"), ("i2", "i1"))
@@ -201,32 +174,40 @@ def test_the_in_place_read_checks_its_host_first():
         semantics._network(d, ["a"])
 
 
-def _counting_cuts(monkeypatch):
+def _counting_contractions(monkeypatch):
+    """Count the contractions of a network that no ``evaluate`` asked for:
+    replay's contractions of a patch."""
     calls = []
-    cut = Diagram.cut
+    contract, evaluate = semantics._contract, semantics.evaluate
 
-    def counting(self, nodes):
+    def counting(net, model_n):
         calls.append(1)
-        return cut(self, nodes)
+        return contract(net, model_n)
 
-    monkeypatch.setattr(Diagram, "cut", counting)
+    def evaluating(d, model_n=1):
+        calls.append(-1)
+        return evaluate(d, model_n)
+
+    monkeypatch.setattr(semantics, "_contract", counting)
+    monkeypatch.setattr(semantics, "evaluate", evaluating)
     return calls
 
 
-def test_replay_cuts_just_the_patches_whose_network_changed(monkeypatch):
+def test_replay_contracts_just_the_patches_whose_network_changed(monkeypatch):
     loaded = [shipped.load(PROOF_DIR, name) for name in sorted(shipped.BUILDERS)]
     changed = steps = 0
     for current, script in loaded:
         for rule, anchor in script.steps:
             nxt = rules.apply(rule, current, anchor, euler_on=True)
             patch = nxt.changed_since(current)
-            changed += not semantics.same_network(current.cut(patch), nxt.cut(patch))
+            changed += not semantics.same_network(reference_cut(current, patch),
+                                                  reference_cut(nxt, patch))
             steps, current = steps + 1, nxt
-    cuts = _counting_cuts(monkeypatch)
+    contracted = _counting_contractions(monkeypatch)
     for start, script in loaded:
         replay(script, start, euler_on=True, models=(1,))
-    assert len(cuts) == 2 * changed and 0 < changed < steps / 2
-    cuts.clear()
+    assert sum(contracted) == 2 * changed and 0 < changed < steps / 2
+    contracted.clear()
     fuse = parse("node a z 1/4\nnode b z 1/2\nin i\nout o\nedge i a\nedge a b\nedge b o\n")
     replay(ProofScript("fuse", [("spider-fuse", ("a", "b"))]), fuse, models=(1, 2, 3))
-    assert cuts == []   # fusion keeps the network: decided in place
+    assert contracted == []   # fusion keeps the network: decided in place

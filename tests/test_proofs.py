@@ -72,13 +72,13 @@ def test_fixpoint_builder_on_a_sample_of_five_vertex_pairs():
 
 
 def test_fixpoint_builder_on_large_graphs_evaluates_only_patches(monkeypatch):
-    """Seeded random graphs with edge probability 4/n. No diagram evaluated
-    during replay is anywhere near the whole one, which at n = 100 is over
-    the entry cap."""
+    """Seeded random graphs with edge probability 4/n. No network contracted
+    during replay has a third of the whole one's factors; the whole one at
+    n = 100 is over the entry cap."""
     sizes = []
-    evaluate_ = semantics.evaluate
-    monkeypatch.setattr(semantics, "evaluate",
-                        lambda d, n=1: sizes.append(d.node_count()) or evaluate_(d, n))
+    contract = semantics._contract
+    monkeypatch.setattr(semantics, "_contract",
+                        lambda net, n: sizes.append(len(net[0])) or contract(net, n))
     rng = random.Random(4)
     for n in (20, 100):
         labels = [f"q{i}" for i in range(n)]
@@ -88,9 +88,10 @@ def test_fixpoint_builder_on_large_graphs_evaluates_only_patches(monkeypatch):
             deriv = lemmas.fixpoint(g, u)
             sizes.clear()
             assert deriv.check(), u
-            assert sizes and max(sizes) < deriv.start.node_count() // 3, u
+            whole = len(deriv.start.memo(semantics._network)[0])
+            assert sizes and max(sizes) < whole // 3, (u, max(sizes), whole)
     with pytest.raises(ResourceLimit):
-        evaluate_(deriv.start)
+        semantics.evaluate(deriv.start)
 
 
 def test_complete_bipartite_all_small():

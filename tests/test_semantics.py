@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import H_MAT, SQRT2, dense, graph_state_vector, proportional, random_diagram, rz_mat
+from conftest import (H_MAT, SQRT2, dense, graph_state_vector, proportional, random_diagram,
+                      reference_cut, rz_mat)
 from zxr import axioms, cli, lemmas, proofs, rules, semantics, shipped
 from zxr.diagram import X, Z, compose, dagger, generator, iso_equal, spider, tensor, wire
 from zxr.graphstate import (SimpleGraph, complete_graph, fixpoint_lhs, graph_state,
@@ -243,18 +244,25 @@ def _recorded_pairs(run):
     return pairs
 
 
+def _plan_of(d):
+    """d's contraction plan, (steps, peak, bytes), as ``_contract`` makes it."""
+    _, _, shape, (outs, ins) = d.memo(semantics._network)
+    return semantics._plan(outs + ins, shape)
+
+
 def _replay_shipped(models_of=lambda script: (1,)):
     """Step through every shipped proof and compare, in each model, each
-    step's two cuts of its patch (``changed_since``, ``cut``), then the
-    whole diagrams where the cuts are not found equal: the ``diagrams_equal``
-    calls replay makes when it cuts every patch. Replay itself cuts only a
-    patch whose network the step changed."""
+    step's two cuts of its patch (``changed_since``, ``reference_cut``),
+    then the whole diagrams where the cuts are not found equal: the pairs
+    replay compares, the cuts as the networks it reads in place and
+    contracts when they differ."""
     for name in sorted(shipped.BUILDERS):
         current, script = shipped.load(PROOF_DIR, name)
         for rule, anchor in script.steps:
             nxt = rules.apply(rule, current, anchor, euler_on=True)
             patch = nxt.changed_since(current)
-            cuts = None if patch is None else (current.cut(patch), nxt.cut(patch))
+            cuts = None if patch is None else (reference_cut(current, patch),
+                                               reference_cut(nxt, patch))
             for n in models_of(script):
                 try:
                     if cuts and semantics.diagrams_equal(*cuts, n):
@@ -292,7 +300,7 @@ def test_byte_budget_fires_before_any_allocation(monkeypatch):
     monkeypatch.setattr(semantics, "_MATRICES", OrderedDict())
     contracted = _counting(monkeypatch, np, "einsum")
     d = graph_state(path_graph("abcdef"))
-    _, _, (_, peak, nbytes) = d.memo(semantics._planned)
+    _, peak, nbytes = _plan_of(d)
     assert 2 ** peak <= semantics.MAX_INTERMEDIATE
     monkeypatch.setattr(semantics, "MAX_BYTES", nbytes - 1)
     with pytest.raises(ResourceLimit, match="byte budget"):
@@ -312,7 +320,7 @@ def test_complete_graph_states_plan_peak_two_to_the_m():
         g = SimpleGraph.build([f"v{i}" for i in range(m)],
                               [(f"v{i}", f"v{j}") for i in range(m) for j in range(i)])
         d = graph_state(g)
-        _, _, (steps, peak, _) = d.memo(semantics._planned)
+        steps, peak, _ = _plan_of(d)
         assert peak == m, m
         assert all(s.count(",") < semantics.MAX_OPERANDS for _, s in steps)
         got = evaluate(d)
@@ -471,7 +479,7 @@ def test_resource_limits_fire_on_a_memo_hit(monkeypatch, memo):
     d = graph_state(path_graph("abcdef"))
     want = evaluate(d)
     assert len(memo) == 1
-    _, _, (_, peak, nbytes) = d.memo(semantics._planned)
+    _, peak, nbytes = _plan_of(d)
     contracted = _counting(monkeypatch, np, "einsum")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semantics, "MAX_INTERMEDIATE", 2 ** peak - 1)
@@ -696,7 +704,7 @@ def test_closed_h_cycles_against_the_empty_diagram(monkeypatch):
     # C_3 and the empty diagram share the empty network, with scales 0 and 1:
     # the scale guard sends them to evaluation, which tells 0 from 1
     empty = parse("")
-    evaluated = _counting(monkeypatch, semantics, "evaluate")
+    evaluated = _counting(monkeypatch, semantics, "_contract")
     for n in (1, 2):
         assert not semantics.diagrams_equal(_h_cycle(3), empty, n)
         assert not semantics.diagrams_equal(empty, _h_cycle(3), n)
@@ -730,7 +738,7 @@ def _past_the_labels():
 
 def test_equal_networks_past_einsums_labels_are_decided(monkeypatch):
     d = _past_the_labels()
-    planned = _counting(monkeypatch, semantics, "_planned")
+    planned = _counting(monkeypatch, semantics, "_plan")
     assert semantics.same_network(d, d.copy())
     assert semantics.network_scale(d) == semantics.HALF_SQRT2
     assert semantics.diagrams_equal(d, d.copy())
@@ -776,7 +784,7 @@ def _graph_sweep_pairs():
 
 
 def test_every_verdict_decided_or_evaluated_is_the_dense_one(monkeypatch, rng):
-    evaluated = _counting(monkeypatch, semantics, "evaluate")
+    evaluated = _counting(monkeypatch, semantics, "_contract")
     corpora = {"random": [p for _ in range(30) for p in _rule_pairs(random_diagram(rng))],
                "graph sweep": list(_graph_sweep_pairs()),
                "replay": [(f, g) for f, g, _, _ in _recorded_pairs(_replay_shipped)]}
