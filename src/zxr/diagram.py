@@ -3,9 +3,9 @@
 Diagrams are value-like: every operation returns a new diagram and callers
 never mutate a diagram they did not just create. Node ids are opaque strings
 and are never reused within one diagram's lifetime, so rewrite anchors stay
-stable across unrelated edits. A copy keeps one edit log, the names written
-since the copy (``Diagram.touched``), from which a rewrite step's patch is
-read (``Diagram.changed_since``).
+stable across unrelated edits. A diagram keeps one edit log, the names
+written since its copy or first check (``Diagram.touched``), from which a
+rewrite step is validated and its patch and new nodes are read.
 """
 
 from __future__ import annotations
@@ -69,57 +69,50 @@ class Diagram:
     Every mutator touches the nodes it writes (``_touch``): ``add_node``,
     ``remove_node``, ``set_phase`` and ``set_kind`` the node, ``add_edge``
     and ``remove_edge`` both ends (``splice`` and ``substitute`` go through
-    them). The first touch of a name since the diagram was made by ``copy``
-    logs it (``_log``, in first-touch order, removed names included) and
-    gives the diagram its own copy of the name's neighbour map. ``copy``
-    costs O(V) dict and set copies at C speed: it starts the copy's log
-    empty, and the copy shares each neighbour map ``_adj[v]`` with its
-    source but those the source logged, which the source keeps writing in
-    place, as it keeps its log. So a rewrite of a copy costs what it
-    writes, and neither side sees the other's edits. A diagram never made
-    by ``copy`` owns every map and has no log until it is first copied.
+    them). Once a diagram has a log (``_log``, from its first ``copy`` or
+    ``check``; a copy's starts empty), a name's first touch logs it, removed
+    names included, and gives the diagram its own copy of the name's
+    neighbour map. The log is the one record of edits, so a step costs what
+    it touched: a copy shares the neighbour maps its source has not logged
+    (``copy`` costs O(V) dict and set copies at C speed, and neither side
+    sees the other's edits); ``checked`` validates the logged names; and
+    ``changed_since`` reads replay's patch from it, ``rules.normalize`` its
+    site sets, and ``created_since`` the nodes made, in creation order.
 
-    After a successful ``check`` a touch also marks the node pending
-    (``_dirty``), and ``checked`` re-validates only the pending nodes, so it
-    costs O(touched) instead of O(V+E). Every invariant of ``check`` is
-    local to one node or one edge, and the mutators keep the edge store
-    symmetric, so a diagram that passed a full walk and has since changed
-    only through these methods is valid exactly when its touched nodes
-    are. A write to a private field is not touched: ``check`` sees it,
-    ``checked`` does not, and a write into a shared map reaches every
-    diagram that shares it.
+    Every invariant of ``check`` is local to one node or one edge, and the
+    mutators keep the edge store symmetric, so a diagram valid at some point
+    since its log started, and changed since only through these methods, is
+    valid exactly when its logged nodes are. ``check`` makes such a point,
+    and so does the ``copy`` of a diagram without unchecked edits; any other
+    copy is walked whole by its first ``checked``. A write to a private
+    field is not logged: ``check`` sees it, nothing that reads the log does,
+    and a write into a shared map reaches every diagram that shares it.
 
-    ``touched`` is the log, whatever was checked since; None without one.
-    It is the one record of what a step changed: ``rules.normalize`` keeps
-    its site sets up to date by it, and ``changed_since`` reads replay's
-    patch from it. It has ``checked``'s one limit: a write to a private
-    field is not in it.
-
-    ``memo(read)`` keeps ``read(self)`` until ``checked`` next walks
-    anything, which it does after any touched edit, so a kept read is of the
-    diagram as it now is, within the same limit. ``copy`` hands the kept
-    reads to the copy, which is the same diagram until one side changes.
+    ``memo(read)`` keeps ``read(self)`` until the next touch, within the
+    same limit; ``_memo`` None (no kept reads) marks edits ``checked`` has
+    not seen. ``copy`` hands the kept reads to the copy.
     """
 
     def __init__(self) -> None:
         self._kind: dict[str, str] = {}
         self._phase: dict[str, Phase] = {}
         self._adj: dict[str, dict[str, int]] = {}
-        # names written since the copy, in first-touch order; None: not copied
+        # names written since the copy or first check, in first-touch order
         self._log: Optional[dict[str, None]] = None
         self._n_edges = 0
         self.inputs: tuple[str, ...] = ()
         self.outputs: tuple[str, ...] = ()
         self._fresh = 0
         self._used: set[str] = set()   # ids are never reused, even after removal
-        # touched names since the last successful check; None until the first
-        self._dirty: Optional[dict[str, None]] = None
-        self._bounds: tuple = ((), ())   # (inputs, outputs) at the last full check
-        self._memo: dict = {}   # reads kept by ``memo`` until the next check walk
+        self._bounds: Optional[tuple] = None   # (inputs, outputs) at the last full check
+        self._memo: Optional[dict] = None   # reads kept by ``memo``; None: edits unchecked
 
     # -- construction ------------------------------------------------------
 
     def copy(self) -> "Diagram":
+        """The same diagram with an empty log (see the class docstring). It
+        keeps self's reads and validation unless self has edits ``checked``
+        has not seen; then its first ``checked`` walks everything."""
         d = Diagram()
         d._kind = dict(self._kind)
         d._phase = dict(self._phase)
@@ -132,9 +125,8 @@ class Diagram:
         d.outputs = self.outputs
         d._fresh = self._fresh
         d._used = set(self._used)
-        d._dirty = None if self._dirty is None else dict(self._dirty)
-        d._bounds = self._bounds
-        d._memo = dict(self._memo)   # valid until the copy changes too
+        if self._memo is not None:   # valid until the copy changes too
+            d._bounds, d._memo = self._bounds, dict(self._memo)
         return d
 
     def fresh_id(self) -> str:
@@ -163,16 +155,16 @@ class Diagram:
         return name
 
     def _touch(self, *names: str) -> None:
-        """Mark each name pending for ``checked``; log its first write since
-        the copy and copy its neighbour map (see the class docstring)."""
-        dirty, log, adj = self._dirty, self._log, self._adj
-        for v in names:
-            if dirty is not None:
-                dirty[v] = None
-            if log is not None and v not in log:
-                log[v] = None
-                if v in adj:
-                    adj[v] = dict(adj[v])
+        """Drop the kept reads; log each name's first write and copy its
+        neighbour map (see the class docstring)."""
+        self._memo = None
+        log, adj = self._log, self._adj
+        if log is not None:
+            for v in names:
+                if v not in log:
+                    log[v] = None
+                    if v in adj:
+                        adj[v] = dict(adj[v])
 
     def add_edge(self, u: str, v: str, times: int = 1) -> None:
         if times <= 0:
@@ -181,9 +173,8 @@ class Diagram:
             raise DiagramError(f"edge endpoint missing: {u!r}-{v!r}")
         log = self._log
         if log is not None and (u not in log or v not in log):
-            self._touch(u, v)
-        elif self._dirty is not None:   # both maps are self's own already
-            self._dirty[u] = self._dirty[v] = None
+            self._touch(u, v)   # a logged name's map is self's own already
+        self._memo = None
         self._adj[u][v] = self._adj[v][u] = self._adj[u].get(v, 0) + times
         self._n_edges += times
 
@@ -195,9 +186,8 @@ class Diagram:
             raise DiagramError(f"no such edge {_edge_key(u, v)}")
         log = self._log
         if log is not None and (u not in log or v not in log):
-            self._touch(u, v)
-        elif self._dirty is not None:   # both maps are self's own already
-            self._dirty[u] = self._dirty[v] = None
+            self._touch(u, v)   # a logged name's map is self's own already
+        self._memo = None
         self._n_edges -= times
         self._adj[u][v] = self._adj[v][u] = m
         if not m:
@@ -379,8 +369,11 @@ class Diagram:
         return kinds, view, (tuple(range(len(leaving))) + outs, ins)
 
     def created_since(self, earlier: "Diagram") -> list[str]:
-        """Nodes that ``earlier`` lacks, in creation order (``copy`` keeps it)."""
-        return [v for v in self._kind if v not in earlier._kind]
+        """The nodes made since self was copied from ``earlier`` (as for
+        ``changed_since``), in creation order: the log's new names, as a
+        node's first touch is its ``add_node``. O(touched); none without a log."""
+        kind_of, was = self._kind, earlier._kind
+        return [v for v in self._log or () if v in kind_of and v not in was]
 
     def changed_since(self, earlier: "Diagram") -> Optional[list[str]]:
         """The patch of an edit from ``earlier`` to self, sorted, or None.
@@ -492,7 +485,8 @@ class Diagram:
         """Validate every structural invariant; returns self for chaining.
 
         Always a full O(V+E) walk, so it also sees writes to private fields.
-        On success nothing is pending for ``checked``; the log stays.
+        On success it starts the log of a diagram without one, and keeps an
+        existing log.
         """
         bset = set(self.inputs) | set(self.outputs)
         if len(self.inputs) + len(self.outputs) != len(bset):
@@ -500,40 +494,41 @@ class Diagram:
         if self._adj.keys() != self._kind.keys():
             raise DiagramError("edge store and node table list different nodes")
         self._check_at(self._kind.items(), bset, self.inputs + self.outputs)
-        self._dirty = {}
-        self._bounds = (self.inputs, self.outputs)
-        self._memo = {}
+        if self._log is None:
+            self._log = {}
+        self._bounds, self._memo = (self.inputs, self.outputs), {}
         return self
 
     def checked(self) -> "Diagram":
-        """Validate only the nodes touched since the last ``check``; returns
-        self. Walks everything, through ``check``, when the diagram never
-        passed one or its inputs/outputs were reassigned since. A fault is
-        reported at the first-touched node. The class docstring says why
-        this equals a full walk, and its one limit."""
-        if self._dirty is None or self._bounds != (self.inputs, self.outputs):
+        """Validate the logged nodes if anything was written since the last
+        check; returns self. Walks everything, through ``check``, when the
+        diagram never passed one, is the copy of a diagram with unchecked
+        edits, or had its inputs/outputs reassigned since. A fault is
+        reported at the first-logged node. The class docstring says why this
+        equals a full walk, and its one limit."""
+        if self._bounds != (self.inputs, self.outputs):   # None: not checked yet
             return self.check()
-        dirty = self._dirty
-        if dirty:
-            kind_of, adj = self._kind, self._adj
-            for v in dirty:
+        if self._memo is None:
+            kind_of, adj, log = self._kind, self._adj, self._log
+            for v in log:
                 if (v in kind_of) != (v in adj):
                     raise DiagramError("edge store and node table list different nodes")
             bset = set(self.inputs) | set(self.outputs)
-            self._check_at([(v, kind_of[v]) for v in dirty if v in kind_of], bset,
-                           [b for b in dirty if b in bset])
-            self._dirty, self._memo = {}, {}
+            self._check_at([(v, kind_of[v]) for v in log if v in kind_of], bset,
+                           [b for b in log if b in bset])
+            self._memo = {}
         return self
 
     def touched(self) -> Optional[KeysView[str]]:
-        """The log: the names written since the copy, in first-touch order,
-        or None without one (see the class docstring)."""
+        """The log: the names written since the diagram's copy or first
+        check, in first-touch order, or None without one (see the class
+        docstring)."""
         return None if self._log is None else self._log.keys()
 
     def memo(self, read: Callable[["Diagram"], T]) -> T:
-        """``read(self)`` after ``checked``, computed once and kept until
-        ``checked`` next walks (see the class docstring). ``read`` must not
-        edit the diagram; every caller shares its result, so it should be
+        """``read(self)`` after ``checked``, computed once and kept until the
+        next touch (see the class docstring). ``read`` must not edit the
+        diagram; every caller shares its result, so it should be
         immutable."""
         self.checked()
         try:
@@ -800,7 +795,10 @@ def iso_equal(a: Diagram, b: Diagram) -> bool:
     Practical graph isomorphism, II). A node starts as (kind, phase,
     self-loops, boundary index); each round adds the sorted (neighbour
     colour, multiplicity) list. Colour ids are shared by both diagrams, so a
-    colour count that differs rejects at once.
+    colour count that differs rejects at once. A branch tries one node of
+    each twin class of b (one start label and one neighbour map, so never
+    adjacent): swapping two twins is an automorphism of b that fixes the
+    rest. Interchangeable components of several nodes still backtrack.
     """
     if (len(a.inputs), len(a.outputs), a.node_count(), a.edge_count()) != (
             len(b.inputs), len(b.outputs), b.node_count(), b.edge_count()):
@@ -814,6 +812,8 @@ def iso_equal(a: Diagram, b: Diagram) -> bool:
             names.append(v)
             start.append((d._kind[v], d._phase.get(v), d.self_loops(v), place.get(v, -1)))
             nbrs.append([(at[w], m) for w, m in d._adj[v].items() if w != v])
+    classes: dict = {}
+    twin = [classes.setdefault((start[v], frozenset(nbrs[v])), v) for v in range(n, 2 * n)]
 
     # depth-first over individualisations, one open branch per level:
     # (refined colours, a's node u, the fresh colour, b's candidates left)
@@ -833,8 +833,8 @@ def iso_equal(a: Diagram, b: Diagram) -> bool:
             cells = len(ids)
         if sizes is not None and len(sizes) < n:
             _, cell = min((k, c) for c, k in sizes.items() if k > 1)
-            branches.append((colour, colour.index(cell), cells,
-                             iter([v for v in range(n, 2 * n) if colour[v] == cell])))
+            branches.append((colour, colour.index(cell), cells, iter(
+                {twin[v - n]: v for v in range(n, 2 * n) if colour[v] == cell}.values())))
         elif sizes is not None:   # all cells singletons: the mapping is fixed
             image = dict(zip(colour[n:], names[n:]))
             to_b = {v: image[c] for v, c in zip(names[:n], colour)}

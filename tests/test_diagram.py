@@ -1,15 +1,18 @@
+import builtins
 import copy
 import itertools
 import random
 import re
+import signal
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from conftest import random_diagram, reference_cut
 from test_patch_check import whole_table_patch
-from zxr import rules, semantics
+from zxr import diagram, rules, semantics
 from zxr.diagram import (BOUNDARY, HBOX, Diagram, DiagramError, X, Z,
                          attach_wires, chain, compose, dagger, empty, euler_chain,
                          generator, iso_equal, spider, tensor, wire)
@@ -203,6 +206,65 @@ def test_iso_equal_on_600_isolated_spiders():
     zeros = [0] * 600
     assert iso_equal(_isolated("s", zeros), _isolated("t", zeros))
     assert not iso_equal(_isolated("s", zeros), _isolated("t", zeros[1:] + [Phase(1, 2)]))
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+    before = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, before)
+
+
+@pytest.mark.parametrize("k", [3, 10])
+def test_iso_negative_beside_isolated_twins_decides_at_once(k):
+    # refinement cannot tell C4 + C4 + C4 from C8 + C4 (all Z(0)), and the k
+    # isolated Z(0) spiders are the smallest cell: without twin pruning the
+    # search tried all k! of their orders before failing on the cycles
+    # (7.4 s at k = 6)
+    def beside(*lengths):
+        d = Diagram()
+        for n in lengths:
+            ring = [d.add_node(Z, 0) for _ in range(n)]
+            for i in range(n):
+                d.add_edge(ring[i], ring[(i + 1) % n])
+        for _ in range(k):
+            d.add_node(Z, 0)
+        return d.check()
+
+    a, b = beside(4, 4, 4), beside(8, 4)
+    with _deadline(5):
+        assert not iso_equal(a, b) and not iso_equal(b, a)
+        assert iso_equal(a, _relabelled(a, random.Random(k)))
+
+
+def test_iso_tries_one_twin_but_every_adjacent_node(monkeypatch):
+    """The candidates each branch is handed: isolated spiders and the
+    opposite corners of a C4 are twins, a triangle's corners are adjacent,
+    and two nodes whose neighbours differ only in multiplicity are not
+    twins."""
+    tried = []
+    monkeypatch.setattr(diagram, "iter", lambda xs: builtins.iter(
+        tried.append(list(xs)) or tried[-1]), raising=False)
+
+    def first_branch(d):
+        tried.clear()
+        assert iso_equal(d, _relabelled(d, random.Random(1)))
+        return len(tried[0])
+
+    triangle = parse("node a z\nnode b z\nnode c z\nedge a b\nedge b c\nedge c a\n")
+    lopsided = parse("node p z\nnode q z\nnode w x\nnode y x\n"
+                     "edge p w\nedge p y\nedge p y\nedge q w\nedge q w\nedge q y\n")
+    assert first_branch(_isolated("s", [0] * 5)) == 1
+    assert first_branch(_cycles(4)) == 1
+    assert first_branch(triangle) == 3
+    assert first_branch(lopsided) == 2
 
 
 def test_invariants_rejected():
@@ -470,15 +532,23 @@ def _rejects(validate) -> bool:
 
 
 def test_checked_agrees_with_a_full_check_after_public_edits(rng):
-    verdicts = Counter()
+    """Some edits follow a ``checked`` of the edits before them, some land
+    on a copy taken between edits, and some on the source after a copy."""
+    verdicts, copied = Counter(), 0
     for _ in range(2000):
         d = random_diagram(rng)
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(rng.randint(1, 4)):
+            r = rng.random()
+            if r < 0.5:
+                _rejects(d.checked)
+            if r < 0.3:
+                d = rng.choice((d, d.copy()))
+                copied += 1
             _public_edit(d, rng)
         whole = _rejects(d.copy().check)
         assert _rejects(d.checked) == whole, d.edges()
         verdicts[whole] += 1
-    assert verdicts[True] > 200 and verdicts[False] > 200
+    assert verdicts[True] > 200 and verdicts[False] > 200 and copied > 500
 
 
 def test_checked_walks_everything_after_the_boundary_is_reassigned():
@@ -501,18 +571,32 @@ def test_checked_names_the_first_touched_fault():
             d.checked()
 
 
-def test_copy_carries_its_own_touch_log():
+def test_checked_sees_a_rewrite_of_logged_nodes_after_a_check():
+    e = spider(Z, 1, 1).copy()
+    h = e.add_node(HBOX)
+    e.add_edge(h, "g", 2)
+    assert e.checked() is e and list(e.touched()) == [h, "g"]
+    e.add_edge(h, "g")                    # both ends logged already
+    with pytest.raises(DiagramError, match="H-box"):
+        e.checked()
+
+
+def test_copy_carries_its_own_touch_log(monkeypatch):
     d = spider(Z, 1, 1)
     h = d.add_node(HBOX)
     e = d.copy()
-    assert list(e._dirty) == [h] and e._dirty is not d._dirty
+    assert list(e.touched()) == [] and list(d.touched()) == [h]
     e.remove_node(h)
-    assert e.checked() is e
+    walks, full = [], Diagram.check
+    monkeypatch.setattr(Diagram, "check", lambda self: walks.append(self) or full(self))
+    # d's H-box was never checked, so the copy walks everything, once
+    assert e.checked() is e and e.checked() is e and walks == [e]
     with pytest.raises(DiagramError, match="H-box"):
         d.checked()
+    assert walks == [e]   # the source validates its own log
     clean = spider(Z, 1, 1)
     clean.copy().add_node(HBOX)
-    assert clean._dirty == {} and clean.checked() is clean
+    assert clean.checked() is clean and list(clean.touched()) == []
 
 
 # -- copies share neighbour maps until written --------------------------------

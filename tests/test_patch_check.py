@@ -6,7 +6,9 @@ check must give the same outcome, failing step and message everywhere.
 
 ``whole_table_patch`` is ``Diagram.changed_since`` as it was before it read
 the touch log: a diff of both diagrams' whole node and edge tables, kept
-here verbatim as the reference for the patch itself.
+here verbatim as the reference for the patch itself. ``whole_table_created``
+is ``Diagram.created_since`` as it was before it read the log: a scan of
+the whole node table.
 """
 
 import itertools
@@ -18,7 +20,7 @@ import pytest
 
 from conftest import random_diagram, reference_cut
 from zxr import lemmas, rules, semantics, shipped
-from zxr.diagram import Z, DiagramError, _edge_key, iso_equal
+from zxr.diagram import Z, Diagram, DiagramError, _edge_key, iso_equal
 from zxr.graphstate import SimpleGraph, star_graph
 from zxr.proofs import ProofScript, ReplayError, replay
 from zxr.rules import RuleError
@@ -51,6 +53,10 @@ def whole_table_patch(after, before):
         patch.add(best)
         uncovered = {e for e in uncovered if best not in e}
     return sorted(patch)
+
+
+def whole_table_created(after, before):
+    return [v for v in after._kind if v not in before._kind]
 
 
 def whole_diagram_replay(script, start, *, euler_on=False, models=None):
@@ -233,6 +239,23 @@ def test_patch_is_the_whole_table_diff():
     assert len(pairs) >= 6500
     for before, after in pairs:
         assert after.changed_since(before) == whole_table_patch(after, before)
+
+
+def test_created_since_is_the_whole_table_scan(monkeypatch):
+    """At every ScriptBuilder step of every shipped derivation and of the
+    fixpoint derivation of a seeded 100-vertex graph."""
+    made, read = [], Diagram.created_since
+
+    def both(after, before):
+        made.append(read(after, before))
+        assert made[-1] == whole_table_created(after, before)
+        return made[-1]
+
+    monkeypatch.setattr(Diagram, "created_since", both)
+    for name in sorted(shipped.BUILDERS):
+        shipped.BUILDERS[name]()
+    lemmas.fixpoint(*seeded_graph(100))
+    assert len(made) >= 250 and sum(map(len, made)) >= 200
 
 
 def test_node_made_and_removed_in_one_edit_is_not_in_the_patch():
