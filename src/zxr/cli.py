@@ -339,7 +339,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         command = _command_name(args)
         for dest, readers in OPTION_READERS.items():
-            if getattr(args, dest) not in (None, False) and command not in readers:
+            given = getattr(args, dest)   # by identity: 0 == False
+            if given is not None and given is not False and command not in readers:
                 raise CliError(USAGE, f"--{dest.replace('_', '-')} does not "
                                       f"apply to {command}")
         try:

@@ -8,7 +8,10 @@ and requires the end reached to be isomorphic to the recorded end. Replay is
 the only semantic check (chained, its steps equate start and end), so a
 derivation costs what its patches cost, not what its whole diagrams cost.
 The fixpoint property of every graph (``fixpoint(g, u)``), K(m,n) = P2 and
-the even-cycle reductions use no Euler-strength step; the triangle local
+the even-cycle reductions use no Euler-strength step. The two reductions,
+``reduce_complete_bipartite(m, n)`` and ``reduce_even_cycle(n)``, build
+their own start diagrams and return the ``ScriptBuilder`` that ran them,
+which holds the start, the diagram reached and the script. The triangle local
 complementation, the pi/2 colour change and the non-uniqueness of the
 decomposition use the decomposition, and its derivation from local
 complementation uses the hypothesis instead. Where a result equates two
@@ -21,11 +24,10 @@ records to proofs/.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .diagram import (HBOX, SPIDERS, Diagram, DiagramError, X, Z, attach_wires,
-                      chain, euler_chain, h_core, h_core_dual, h_wire,
-                      iso_equal, other_colour, rotation_chain)
+from .diagram import (HBOX, Diagram, DiagramError, X, Z, attach_wires, chain,
+                      euler_chain, h_core, h_core_dual, h_wire, iso_equal,
+                      rotation_chain)
 from .graphstate import (SimpleGraph, fixpoint_lhs, graph_state, path_graph,
                          star_graph, triangle)
 from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO
@@ -89,10 +91,7 @@ def p2_diagram(m: int, n: int) -> Diagram:
 
 
 def _free_end(d: Diagram, v: str, consumed: set[str]) -> str:
-    for w in d.neighbours(v):
-        if w not in consumed:
-            return w
-    raise RuleError(f"{v!r} has no external leg")
+    return next(w for w in d.neighbours(v) if w not in consumed)
 
 
 # -- the fixpoint property, for any graph and vertex -----------------------------------
@@ -128,47 +127,21 @@ def check_fixpoint_script(n: int) -> bool:
 # -- complete bipartite reduction (K_{n,m} = P_2) -------------------------------------
 
 
-def reduce_complete_bipartite(d: Diagram, reds: Sequence[str],
-                              greens: Sequence[str]) -> tuple[Diagram, ProofScript]:
-    """Rewrite the anchored complete bipartite subdiagram to its two-spider
-    path, emitting the full script.
+def reduce_complete_bipartite(m: int, n: int) -> ScriptBuilder:
+    """Rewrite K_{m,n} (``complete_bipartite_diagram``) to its two-spider
+    path; the builder returned holds the start, the diagram reached and the
+    script.
 
     Induction: for n > 2, split every red to extract a K_{m,n-1}, reduce it,
     then finish on the resulting K_{m,2}; for m > 2 and n = 2 the mirrored
     route; K_{2,2} is one bialgebra; one-sided cases reduce by identity
     removals plus an identity insertion.
     """
-    _validate_complete_bipartite(d, reds, greens)
-    b = ScriptBuilder(f"knm-{len(reds)}x{len(greens)}", d)
-    _reduce_knm(b, list(reds), list(greens))
-    return b.diagram, b.script
-
-
-def _validate_complete_bipartite(d: Diagram, reds: Sequence[str],
-                                 greens: Sequence[str]) -> None:
-    if not reds or not greens:
+    if m < 1 or n < 1:
         raise RuleError("need at least one node on each side")
-    colour_r = d.kind(reds[0]) if d.has_node(reds[0]) else ""
-    if colour_r not in SPIDERS:
-        raise RuleError("anchor must consist of spiders")
-    colour_g = other_colour(colour_r)
-    for r in reds:
-        if not (d.has_node(r) and d.kind(r) == colour_r and d.phase(r) == ZERO
-                and d.degree(r) == len(greens) + 1 and not d.self_loops(r)):
-            raise RuleError(f"{r!r} does not fit K_{{{len(reds)},{len(greens)}}}")
-    for g in greens:
-        if not (d.has_node(g) and d.kind(g) == colour_g and d.phase(g) == ZERO
-                and d.degree(g) == len(reds) + 1 and not d.self_loops(g)):
-            raise RuleError(f"{g!r} does not fit the bipartite anchor")
-    for r in reds:
-        for g in greens:
-            if d.multiplicity(r, g) != 1:
-                raise RuleError(f"missing edge {r!r}-{g!r}")
-    for side in (reds, greens):
-        for i, u in enumerate(side):
-            for v in side[i + 1:]:
-                if d.multiplicity(u, v):
-                    raise RuleError("anchor has a same-side edge")
+    b = ScriptBuilder(f"knm-{m}x{n}", complete_bipartite_diagram(m, n))
+    _reduce_knm(b, [f"r{i+1}" for i in range(m)], [f"g{j+1}" for j in range(n)])
+    return b
 
 
 def _reduce_knm(b: ScriptBuilder, reds: list[str],
@@ -224,10 +197,8 @@ def _reduce_knm(b: ScriptBuilder, reds: list[str],
 
 def complete_bipartite(m: int, n: int) -> Derivation:
     """K_{m,n} reaches the two-spider path, every step checked in models 1-3."""
-    d = complete_bipartite_diagram(m, n)
-    _, script = reduce_complete_bipartite(
-        d, [f"r{i+1}" for i in range(m)], [f"g{j+1}" for j in range(n)])
-    return Derivation(d, script, p2_diagram(m, n))
+    b = reduce_complete_bipartite(m, n)
+    return Derivation(b.start, b.script, p2_diagram(m, n))
 
 
 def check_complete_bipartite(m: int, n: int) -> bool:
@@ -237,8 +208,10 @@ def check_complete_bipartite(m: int, n: int) -> bool:
 # -- even cycle reduction ---------------------------------------------------------------
 
 
-def reduce_even_cycle(d: Diagram, cycle: Sequence[str]) -> tuple[Diagram, ProofScript]:
-    """Reduce an alternating-colour even cycle, one bialgebra per round.
+def reduce_even_cycle(n: int) -> ScriptBuilder:
+    """Reduce the alternating-colour 2n-cycle (``cycle_diagram``), one
+    bialgebra per round; the builder returned holds the start, the diagram
+    reached and the script.
 
     C_4 collapses to the two-spider path in one bialgebra; C_6 is already a
     single hexagonal face and is left alone. Larger cycles shrink by one
@@ -246,15 +219,11 @@ def reduce_even_cycle(d: Diagram, cycle: Sequence[str]) -> tuple[Diagram, ProofS
     one cycle edge, then two fusions, which shortens the cycle by two while
     splitting off a quadrilateral face.
     """
-    cyc = list(cycle)
-    _validate_cycle(d, cyc)
-    n2 = len(cyc)
-    b = ScriptBuilder(f"cycle-{n2}", d)
-    if n2 == 4:
-        if d.kind(cyc[0]) != X:
-            cyc = cyc[1:] + cyc[:1]
-        b.apply("bialgebra", (cyc[0], cyc[2], cyc[1], cyc[3]))
-        return b.diagram, b.script
+    b = ScriptBuilder(f"cycle-{2 * n}", cycle_diagram(n))
+    if n == 2:
+        b.apply("bialgebra", ("r1", "r2", "g1", "g2"))
+        return b
+    cyc = [x for i in range(n) for x in (f"r{i+1}", f"g{i+1}")]
     clean = set(cyc)
     while len(cyc) > 6:
         # a cycle edge (g, r) with both endpoints still untouched; failing
@@ -280,27 +249,7 @@ def reduce_even_cycle(d: Diagram, cycle: Sequence[str]) -> tuple[Diagram, ProofS
         clean -= {g, r, g_prev, r_next}
         cyc = [v for v in cyc if v not in (g, r)]
         # the cycle now runs ... g_prev, r_next ... through the new chord
-    return b.diagram, b.script
-
-
-def _validate_cycle(d: Diagram, cyc: list[str]) -> None:
-    if len(cyc) < 4 or len(cyc) % 2:
-        raise RuleError("need an even cycle of length >= 4")
-    if len(set(cyc)) != len(cyc):
-        raise RuleError("cycle nodes must be distinct")
-    for i, v in enumerate(cyc):
-        w = cyc[(i + 1) % len(cyc)]
-        if not (d.has_node(v) and d.kind(v) in SPIDERS and d.phase(v) == ZERO
-                and d.degree(v) == 3 and not d.self_loops(v)):
-            raise RuleError(f"{v!r} does not fit an alternating cycle")
-        if d.kind(w) != other_colour(d.kind(v)):
-            raise RuleError("cycle colours must alternate")
-        if d.multiplicity(v, w) != 1:
-            raise RuleError(f"missing cycle edge {v!r}-{w!r}")
-    for i, v in enumerate(cyc):
-        for j in range(i + 2, len(cyc)):
-            if (i, j) != (0, len(cyc) - 1) and d.multiplicity(v, cyc[j]):
-                raise RuleError("cycle has a chord")
+    return b
 
 
 def hexagon_and_quadrilaterals(n: int) -> Diagram:
@@ -330,12 +279,10 @@ def even_cycle(n: int) -> Derivation:
     hexagon and quadrilaterals of ``hexagon_and_quadrilaterals``. From C_14
     on the reduction splits spiders, and its end is not built independently:
     the cycle must reach what the reduction built."""
-    d = cycle_diagram(n)
-    result, script = reduce_even_cycle(
-        d, [x for i in range(n) for x in (f"r{i+1}", f"g{i+1}")])
-    end = (p2_diagram(2, 2) if n == 2 else d if n == 3
-           else hexagon_and_quadrilaterals(n) if n <= 6 else result)
-    return Derivation(d, script, end)
+    b = reduce_even_cycle(n)
+    end = (p2_diagram(2, 2) if n == 2 else b.start if n == 3
+           else hexagon_and_quadrilaterals(n) if n <= 6 else b.diagram)
+    return Derivation(b.start, b.script, end)
 
 
 def check_even_cycle(n: int) -> bool:

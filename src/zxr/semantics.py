@@ -340,7 +340,12 @@ def _peak(x: np.ndarray) -> tuple[int, float]:
 def equal_up_to_scalar(a: np.ndarray, b: np.ndarray) -> bool:
     """True iff a = lambda*b for some nonzero lambda, entrywise within TOL,
     lambda pivoted on b's largest entry (``_peak``). Two zero matrices, empty
-    ones included, are equal; a zero and a nonzero matrix are not."""
+    ones included, are equal; a zero and a nonzero matrix are not.
+
+    The zero test is absolute, so it is no verdict on diagrams: ``evaluate``
+    gives K_12 and K_12 less an edge largest entries near 1e-10, both read
+    as zero, and so as equal. Compare diagrams with ``diagrams_equal``,
+    which decides zero against each network's scale (``matrices_equal``)."""
     _same_shape(a, b)
     if not b.size:
         return True

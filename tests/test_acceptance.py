@@ -128,14 +128,12 @@ def test_criterion_06_complete_bipartite():
     started = time.perf_counter()
     for m in range(1, 5):
         for n in range(1, 5):
-            d = lemmas.complete_bipartite_diagram(m, n)
-            reds = [f"r{i+1}" for i in range(m)]
-            greens = [f"g{j+1}" for j in range(n)]
-            result, script = lemmas.reduce_complete_bipartite(d, reds, greens)
-            end = replay(script, d, models=(1, 2, 3))
-            assert iso_equal(end, result)
-            assert iso_equal(result, lemmas.p2_diagram(m, n))
-            assert equal_up_to_scalar(evaluate(d), evaluate(result))
+            b = lemmas.reduce_complete_bipartite(m, n)
+            assert iso_equal(b.start, lemmas.complete_bipartite_diagram(m, n))
+            end = replay(b.script, b.start, models=(1, 2, 3))
+            assert iso_equal(end, b.diagram)
+            assert iso_equal(b.diagram, lemmas.p2_diagram(m, n))
+            assert equal_up_to_scalar(evaluate(b.start), evaluate(b.diagram))
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     _report(6, "K(m,n) collapses to the two-spider path, 1 <= m,n <= 4", started)

@@ -562,6 +562,11 @@ def test_unwritable_report_after_resource_limit_is_usage_error(
      "--max-vertices does not apply to verify axioms"),
     (["--enable-euler", "check-equal", "h.zxd", "h.zxd"],
      "--enable-euler does not apply to check-equal"),
+    # given as 0, which == False, an option is still given
+    (["--seed", "0", "render", "h.zxd", "-o", "out.dot"], "--seed does not apply to render"),
+    (["--max-vertices", "0", "render", "h.zxd", "-o", "out.dot"],
+     "--max-vertices does not apply to render"),
+    (["--random", "0", "render", "h.zxd", "-o", "out.dot"], "--random does not apply to render"),
 ])
 def test_global_option_the_command_does_not_read_is_usage_error(
         files, capsys, argv, message):
@@ -571,6 +576,25 @@ def test_global_option_the_command_does_not_read_is_usage_error(
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
     assert not any(p.exists() for p in outs.values())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rewrite", "hh.zxd"], "give exactly one of --rule or --script"),
+    (["rewrite", "hh.zxd", "--rule", "h-cancel", "--script", "s.json"],
+     "give exactly one of --rule or --script"),
+    (["rewrite", "hh.zxd", "--rule", "bogus"], "unknown rule 'bogus'"),
+])
+def test_rewrite_needs_one_known_rule_or_a_script(files, capsys, argv, message):
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
+def test_rewrite_rule_without_a_site_differs(files, tmp_path, capsys):
+    out = tmp_path / "out.zxd"
+    assert main(["rewrite", files["wire.zxd"], "--rule", "spider-fuse", "-o", str(out)]) == 1
+    assert capsys.readouterr().out == "spider-fuse: no matching site\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -100,10 +100,11 @@ def test_complete_bipartite_all_small():
             assert lemmas.check_complete_bipartite(m, n), (m, n)
 
 
-def test_complete_bipartite_bad_anchor():
-    d = lemmas.complete_bipartite_diagram(2, 2)
-    with pytest.raises(RuleError):
-        lemmas.reduce_complete_bipartite(d, ["r1", "r2"], ["g1"])
+def test_complete_bipartite_needs_a_node_on_each_side():
+    # an empty side would recurse without end
+    for m, n in ((0, 2), (0, 3), (2, 0), (0, 0)):
+        with pytest.raises(RuleError, match="need at least one node on each side"):
+            lemmas.complete_bipartite(m, n)
 
 
 def test_even_cycles():
@@ -156,17 +157,16 @@ def test_ten_and_twelve_cycle_targets_are_built_without_the_reduction(monkeypatc
 
 
 def test_cycle_four_is_bialgebra_base():
-    d = lemmas.cycle_diagram(2)
-    result, script = lemmas.reduce_even_cycle(d, ["r1", "g1", "r2", "g2"])
-    assert [s[0] for s in script.steps] == ["bialgebra"]
-    assert iso_equal(result, lemmas.p2_diagram(2, 2))
+    b = lemmas.reduce_even_cycle(2)
+    assert iso_equal(b.start, lemmas.cycle_diagram(2))
+    assert b.script.steps == [("bialgebra", ("r1", "r2", "g1", "g2"))]
+    assert iso_equal(b.diagram, lemmas.p2_diagram(2, 2))
 
 
 def test_cycle_six_is_fixed():
-    d = lemmas.cycle_diagram(3)
-    result, script = lemmas.reduce_even_cycle(
-        d, [x for i in range(3) for x in (f"r{i+1}", f"g{i+1}")])
-    assert script.steps == [] and result is d
+    b = lemmas.reduce_even_cycle(3)
+    assert iso_equal(b.start, lemmas.cycle_diagram(3))
+    assert b.script.steps == [] and b.diagram is b.start
 
 
 def test_cycle_six_check_needs_a_normal_form(monkeypatch):

@@ -164,8 +164,9 @@ def test_eight_cycle_equals_hexagon_chain():
         assert equal_up_to_scalar(evaluate(c8, n), evaluate(hexes, n))
     assert iso_equal(rules.normalize(hexes), hexes)
     # the implemented reduction reaches a different, equally irreducible chain
-    reduced, _ = reduce_even_cycle(
-        c8, [x for i in range(4) for x in (f"r{i+1}", f"g{i+1}")])
+    b = reduce_even_cycle(4)
+    assert iso_equal(b.start, c8)
+    reduced = b.diagram
     assert iso_equal(rules.normalize(reduced), reduced)
     assert equal_up_to_scalar(evaluate(reduced), evaluate(hexes))
     assert not iso_equal(reduced, hexes)

@@ -10,7 +10,7 @@ from zxr.diagram import (BOUNDARY, HBOX, Diagram, X, Z, compose, generator,
                          iso_equal, rotation_chain, spider, wire)
 from zxr.phase import Phase
 from zxr.semantics import equal_up_to_scalar, evaluate
-from zxr.textio import serialize
+from zxr.textio import parse, serialize
 
 
 def chain(*parts):
@@ -79,6 +79,16 @@ def test_anchor_mismatch_raises():
         rules.apply("spider-fuse", generator("h"), ("g", "g"))
     with pytest.raises(rules.RuleError):
         rules.apply("hopf", hopf_lhs(), ("i", "o"))
+    # euler-inv matches a z-x-z chain of -pi/2 spiders, not a z-z-z one whose
+    # colours do not alternate, nor s1 and s2 joined twice with s3 alone
+    nodes = "node s1 z 3/2\nnode s2 {} 3/2\nnode s3 z 3/2\nin i\nout o\n"
+    path = "edge i s1\nedge s1 s2\nedge s2 s3\nedge s3 o\n"
+    doubled = "edge s1 s2\nedge s1 s2\nedge i s3\nedge s3 o\n"
+    anchor = ("s1", "s2", "s3")
+    rules.apply("euler-inv", parse(nodes.format("x") + path), anchor, euler_on=True)
+    for text in (nodes.format("z") + path, nodes.format("x") + doubled):
+        with pytest.raises(rules.RuleError, match="does not match"):
+            rules.apply("euler-inv", parse(text), anchor, euler_on=True)
 
 
 def test_soundness_every_rule_every_anchor(rng):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (H_MAT, SQRT2, dense, graph_state_vector, proportional, random_diagram,
                       reference_cut, rz_mat)
+import zxr
 from zxr import axioms, cli, lemmas, proofs, rules, semantics, shipped
 from zxr.diagram import X, Z, compose, dagger, generator, iso_equal, spider, tensor, wire
 from zxr.graphstate import (SimpleGraph, complete_graph, fixpoint_lhs, graph_state,
@@ -345,6 +346,10 @@ def test_complete_graph_less_an_edge_is_another_state(tmp_path, capsys):
     graphs = [SimpleGraph.build(vs, es) for es in (edges, edges[1:])]
     k, less = (graph_state(g) for g in graphs)
     assert semantics.diagrams_equal(k, k) and not semantics.diagrams_equal(k, less)
+    # equal_up_to_scalar's zero test is absolute: it reads both as zero, so
+    # it is no diagram verdict, and the package no longer exports it
+    assert equal_up_to_scalar(evaluate(k), evaluate(less))
+    assert not hasattr(zxr, "equal_up_to_scalar") and "equal_up_to_scalar" not in zxr.__all__
     files = []
     for i, g in enumerate(graphs):
         (tmp_path / f"{i}.edges").write_text(serialize_edges(g.vertices, g.edges))
@@ -353,6 +358,14 @@ def test_complete_graph_less_an_edge_is_another_state(tmp_path, capsys):
     assert cli.main(["check-equal", files[0], files[0]]) == 0
     assert cli.main(["check-equal", *files]) == 1
     assert "equal=False" in capsys.readouterr().out
+
+
+def test_model_n_below_one_is_a_value_error():
+    d = generator("h")
+    with pytest.raises(ValueError, match="model_n must be >= 1"):
+        evaluate(d, 0)
+    with pytest.raises(ValueError, match="model_n must be >= 1"):
+        semantics.diagrams_equal(d, d, 0)
 
 
 def test_rays_tell_a_zero_from_a_small_matrix():

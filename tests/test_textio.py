@@ -168,6 +168,9 @@ def test_every_edges_parse_error_is_pinned_to_its_line_and_column(text, line, co
 
 
 def test_edges_format_errors():
+    for empty in ("", "# a comment\n\n"):
+        with pytest.raises(ParseError, match="missing vertices line"):
+            parse_edges(empty)
     with pytest.raises(ParseError):
         parse_edges("edge a b\n")
     with pytest.raises(ParseError):
