@@ -10,6 +10,7 @@ rewrite step is validated and its patch and new nodes are read.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Callable, Iterable, Iterator, KeysView, Optional, Sequence, TypeVar
 
@@ -21,6 +22,8 @@ HBOX = "h"
 BOUNDARY = "b"
 
 SPIDERS = (Z, X)
+
+HALF_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 T = TypeVar("T")
@@ -246,40 +249,48 @@ class Diagram:
         return sorted((u, v, m) for u, nb in self._adj.items()
                       for v, m in nb.items() if u <= v)
 
-    def wires(self, nodes: Optional[Iterable[str]] = None) -> tuple[
-            dict, list[int], dict[int, tuple[int, int]], list[tuple[int, int]], int,
-            list[int], tuple[tuple, tuple]]:
-        """The diagram's ends fused into classes, read in one pass over the edge store.
+    def network(self, nodes: Optional[Iterable[str]] = None) -> tuple:
+        """The diagram as a hyperedge tensor network (Gray & Kourtis, Quantum
+        5, 410, 2021): (tensors, scale, shape, (outputs, inputs) count), the
+        same in every model, read in one pass over the edge store, building
+        no array and planning nothing.
 
         An end is a spider or a boundary; a wire runs from end p to end q
-        through k >= 0 H-boxes. It is plain when k plus the number of X ends
-        among p and q is even, and an H wire otherwise; ends joined by plain
-        wires are one class (spider fusion, each X end read through its
-        colour change), merged as the walk meets the wire. Returns:
+        through k >= 0 H-boxes. A Z spider's index is in the Z basis and an
+        X spider's in the X basis, so the wire is H^(e_p + k + e_q mod 2),
+        with e = 1 at an X end and 0 at a Z spider or a boundary: a plain
+        wire (the identity) or an H wire. Ends joined by plain wires are one
+        class (spider fusion, which is exact), merged as the walk meets the
+        wire.
 
-        - each end's position by name, in node-table order;
-        - each end's class, as the position of one end in it;
-        - each class holding a spider, in order of its first spider, to its
-          spiders' phase sum as (num, den) (``reduced``);
-        - every H wire once as (p, q) by position, one per parallel copy;
-        - the legs the spiders lack below two, summed;
-        - the length of each closed cycle of H-boxes, which no wire reaches;
-        - the (outputs, inputs) by name.
+        Factor i is sqrt2*H (tensors[i] None) or a class tensor (axes,
+        hmask, (num, den, h)) over the indices shape[i]; indices 0..free-1
+        are the boundaries, outputs then inputs. A class tensor holds its
+        spiders' phase sum num/den (``reduced``), read n times over in model
+        n, plus pi if h: an odd number of H wires within the class. A
+        boundary on an H wire is an H-read leg of the class at its other
+        end; other H wires are H factors between classes. A class's index is
+        its first identity-read leg, or, if H factors hold it or it has no
+        legs, its own on the tensor's first axis, or it is summed in the
+        tensor; a tensor [1, 1] on an index H factors hold is left out.
+        ``scale``, every 1/sqrt2 kept out of the contraction, is 1/sqrt2 per
+        H wire, (1/sqrt2)^max(0, 2 - degree) per spider, and tr(H^k) per
+        closed cycle of k H-boxes, which no wire reaches.
 
         Given ``nodes``, it first checks self (``checked``), then reads the
         sub-diagram on them (``_view``) in place, by the same walk.
         """
         if nodes is None:
-            kind_of, adj, bounds = self._kind, self._adj, (self.outputs, self.inputs)
+            kind_of, adj, outs, ins = self._kind, self._adj, self.outputs, self.inputs
         else:
-            kind_of, adj, bounds = self.checked()._view(nodes)
+            kind_of, adj, (outs, ins) = self.checked()._view(nodes)
         phase_of = self._phase
         at: dict = {}
         for v, k in kind_of.items():
             if k != HBOX:
                 at[v] = len(at)
         cls = list(range(len(at)))
-        h_wires, cycles, seen, short = [], [], set(), 0
+        h_wires, seen, short, trace = [], set(), 0, 1.0
         for p, i in at.items():
             nb = adj[p]
             xp = kind_of[p] == X
@@ -332,8 +343,49 @@ class Diagram:
                         seen.add(cur)
                         k += 1
                         prev, cur = cur, _across(adj[cur], prev)
-                    cycles.append(k)
-        return at, cls, phases, h_wires, short, cycles, bounds
+                    trace *= 0.0 if k % 2 else 2.0   # tr(H^k)
+        # the classes laid out as factors
+        free = outs + ins
+        bound = set(map(at.__getitem__, free))
+        h_read: dict[int, int] = {}   # boundary -> class reading it
+        pairs, loops, held = [], set(), set()
+        for p, q in h_wires:
+            if p in bound:
+                h_read[p] = cls[q]
+            elif q in bound:
+                h_read[q] = cls[p]
+            elif cls[p] == cls[q]:
+                loops ^= {cls[p]}
+            else:
+                pairs.append((cls[p], cls[q]))
+                held.update(pairs[-1])
+        legs: dict[int, list[int]] = {}
+        hmask: dict[int, int] = {}
+        for i, b in enumerate(free):
+            r = h_read.get(at[b], -1)
+            c = cls[at[b]] if r < 0 else r
+            ls = legs.setdefault(c, [])
+            hmask[c] = hmask.get(c, 0) | (r >= 0) << len(ls)
+            ls.append(i)
+        index: dict[int, int] = {}   # class -> its index
+        shape, tensors, own = [], [], len(free)
+        for r in legs | phases:   # legs' classes, then the other spiders' in order
+            ls, mask = legs.get(r, []), hmask.get(r, 0)
+            cp = (*phases.get(r, (0, 1)), r in loops)
+            if mask + 1 == 1 << len(ls) and (r in held or not ls):   # no identity-read leg
+                index[r], own = own, own + 1
+                ls, mask = [index[r]] + ls, mask << 1
+            elif r in held:
+                index[r] = ls[(~mask & (mask + 1)).bit_length() - 1]
+            if len(ls) > 1 or cp != (0, 1, False) or r not in held:
+                shape.append(tuple(ls))
+                tensors.append((len(ls), mask, cp))
+        for p, q in pairs:
+            shape.append(tuple(sorted((index[p], index[q]))))
+            tensors.append(None)
+        half = len(h_wires) + short   # the power of 1/sqrt2 in the scalar
+        scale = 0.5 ** (half // 2) * (HALF_SQRT2 if half % 2 else 1.0) * trace
+        return tuple(tensors), scale, tuple(shape), (len(outs), len(ins))
 
     def _view(self, nodes: Iterable[str]) -> tuple[dict, dict, tuple[tuple, tuple]]:
         """The sub-diagram on ``nodes`` as plain dicts: its node table, edge
@@ -383,7 +435,7 @@ class Diagram:
         changed: the node covering the most uncovered ones first, ties to
         the lower degree, then the name. Every node and edge outside the
         patch is the same on both sides, so each side is one context
-        composed with its own sub-diagram on the patch (``wires(patch)``).
+        composed with its own sub-diagram on the patch (``network(patch)``).
 
         It reads only the names in ``touched``, so it costs O(touched): self
         must be ``earlier``'s copy, edited since through the mutators, as
@@ -798,7 +850,10 @@ def iso_equal(a: Diagram, b: Diagram) -> bool:
     colour count that differs rejects at once. A branch tries one node of
     each twin class of b (one start label and one neighbour map, so never
     adjacent): swapping two twins is an automorphism of b that fixes the
-    rest. Interchangeable components of several nodes still backtrack.
+    rest. When b's cell is one twin class, its one candidate fixes the whole
+    cell at once, a's nodes to b's twins in order, as some isomorphism does
+    if any does. Interchangeable components of several nodes still
+    backtrack.
     """
     if (len(a.inputs), len(a.outputs), a.node_count(), a.edge_count()) != (
             len(b.inputs), len(b.outputs), b.node_count(), b.edge_count()):
@@ -816,8 +871,9 @@ def iso_equal(a: Diagram, b: Diagram) -> bool:
     twin = [classes.setdefault((start[v], frozenset(nbrs[v])), v) for v in range(n, 2 * n)]
 
     # depth-first over individualisations, one open branch per level:
-    # (refined colours, a's node u, the fresh colour, b's candidates left)
-    branches: list[tuple[list, int, int, Iterator[int]]] = []
+    # (refined colours, the first fresh colour, the candidates left, each
+    # the (a node, b node) pairs it fixes)
+    branches: list[tuple[list, int, Iterator[list[tuple[int, int]]]]] = []
     colour = start
     while True:
         cells = len(set(colour))
@@ -833,18 +889,25 @@ def iso_equal(a: Diagram, b: Diagram) -> bool:
             cells = len(ids)
         if sizes is not None and len(sizes) < n:
             _, cell = min((k, c) for c, k in sizes.items() if k > 1)
-            branches.append((colour, colour.index(cell), cells, iter(
-                {twin[v - n]: v for v in range(n, 2 * n) if colour[v] == cell}.values())))
+            vs = [v for v in range(n, 2 * n) if colour[v] == cell]
+            tried = {twin[v - n]: v for v in vs}
+            if len(tried) == 1:   # one twin class: the whole cell, in order
+                pairs = [list(zip([u for u in range(n) if colour[u] == cell], vs))]
+            else:
+                pairs = [[(colour.index(cell), v)] for v in tried.values()]
+            branches.append((colour, cells, iter(pairs)))
         elif sizes is not None:   # all cells singletons: the mapping is fixed
             image = dict(zip(colour[n:], names[n:]))
             to_b = {v: image[c] for v, c in zip(names[:n], colour)}
             if all(b.multiplicity(to_b[u], to_b[v]) == m for u, v, m in a.edges()):
                 return True
         while branches:   # the next candidate of the deepest open branch
-            parent, u, fresh, candidates = branches[-1]
-            v = next(candidates, None)
-            if v is not None:
-                colour = [fresh if w in (u, v) else c for w, c in enumerate(parent)]
+            parent, fresh, candidates = branches[-1]
+            fixed = next(candidates, None)
+            if fixed is not None:
+                colour = parent[:]
+                for c, (u, v) in enumerate(fixed, fresh):
+                    colour[u] = colour[v] = c
                 break
             branches.pop()
         else:

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 from . import rules
 from .diagram import Diagram, DiagramError
 from .rules import Anchor, RuleError
-from .semantics import ResourceLimit, _network, diagrams_equal, networks_equal
+from .semantics import ResourceLimit, diagrams_equal, networks_equal
 
 Step = tuple[str, Anchor]
 
@@ -109,7 +109,7 @@ def replay(script: ProofScript, start: Diagram, *, euler_on: bool = False,
         except (RuleError, DiagramError) as exc:
             raise ReplayError(index, rule, f"does not match: {exc}")
         patch = nxt.changed_since(current) if models else None
-        nets = None if patch is None else (_network(current, patch), _network(nxt, patch))
+        nets = None if patch is None else (current.network(patch), nxt.network(patch))
         for n in models:
             try:
                 holds = nets is not None and networks_equal(*nets, n)

@@ -6,13 +6,9 @@ most significant bit); columns encode inputs the same way. Under model n > 1
 every spider phase alpha is read as n*alpha; n = 1 is the standard
 interpretation.
 
-``evaluate`` contracts a network with one index per spider, not one per edge
-end: contraction with hyperedges (Gray & Kourtis, Quantum 5, 410, 2021). A Z
-spider's index is in the Z basis and an X spider's in the X basis, so a wire
-from end p to end q through k H-boxes is H^(e_p + k + e_q mod 2), with e = 1
-at an X end and 0 at a Z spider or a boundary: the identity or H. Spiders
-joined by identity wires share one index (spider fusion, which is exact).
-Every 1/sqrt2 is kept out of the contraction in one scalar, and diagrams are
+``evaluate`` contracts the diagram's hyperedge tensor network
+(``Diagram.network``), one index per class of fused spiders. Every 1/sqrt2
+is kept out of the contraction in the network's scale, and diagrams are
 compared with zero decided against it (``matrices_equal``), so 1/sqrt2 per
 H-box cannot take a nonzero diagram under TOL.
 
@@ -26,15 +22,15 @@ the contraction reads: the factors, the scale, the plan's steps, the output
 shape and the model. Equal keys run the same float operations, so a result
 from the memo is bit-identical to a contraction.
 
-``same_network`` decides a pair with no matrix at all when the two networks
-are equal: the same factors on the same index tuples and boundary counts
-run the same contraction in every model (the plan is made from those
-alone), so the two matrices are one matrix M times each side's scale. If
-the scales are both nonzero or both zero, the two are equal up to a nonzero
-scalar whatever M is (two zero matrices count as equal), and the pair is
-decided from the networks alone, even when M is over the entry cap or
-einsum has too few labels to plan it. ``diagrams_equal`` asks it first,
-and ``zxr check-equal`` when evaluating is over the cap. ``proofs.replay``
+Two equal networks (``_same``) decide a pair with no matrix at all: the
+same factors on the same index tuples and boundary counts run the same
+contraction in every model (the plan is made from those alone), so the two
+matrices are one matrix M times each side's scale. If the scales are both
+nonzero or both zero, the two are equal up to a nonzero scalar whatever M
+is (two zero matrices count as equal), and the pair is decided from the
+networks alone, even when M is over the entry cap or einsum has too few
+labels to plan it. ``diagrams_equal`` asks it first,
+so ``zxr check-equal`` decides such a pair over the cap. ``proofs.replay``
 reads a step's patch in place from both diagrams, as two networks, and
 asks the same of them (``networks_equal``); two that differ are contracted
 as they are, with no sub-diagram built (``_contract``). One zero scale (a
@@ -50,7 +46,6 @@ import functools
 import heapq
 import math
 from collections import OrderedDict
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -66,7 +61,6 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"   # einsum's l
 
 TOL = 1e-9  # entrywise, absolute; read by equal_up_to_scalar and matrices_equal alone
 
-HALF_SQRT2 = 1.0 / math.sqrt(2.0)
 _H_PLUS = np.array([[1, 1], [1, -1]], dtype=complex)   # sqrt2*H, as evaluated
 _H_PLUS.flags.writeable = False
 
@@ -92,71 +86,6 @@ def _factor(axes: int, hmask: int, num: int, den: int) -> np.ndarray:
 _FACTORS: dict[tuple[int, int, int, int], np.ndarray] = {}
 
 
-def _network(d: Diagram, nodes: Optional[Iterable[str]] = None) -> tuple:
-    """The diagram as (tensors, scale, shape, (outputs, inputs) count), in
-    every model, building no array and planning nothing: factor i is
-    sqrt2*H (tensors[i] None) or a class tensor (axes, hmask, (num, den,
-    h)) over the indices shape[i]; indices 0..free-1 are the boundaries,
-    outputs then inputs. A class is a set of ends joined by identity wires
-    (``Diagram.wires``, one walk that merges them as it meets them), with
-    its spiders' phase sum, read n times over in model n, plus pi if h: an
-    odd number of H wires within the class. A boundary on an H wire is an
-    H-read leg of the class at its other end; other H wires are H factors
-    between classes. A class's index is its first identity-read leg, or,
-    if H factors hold it or it has no legs, its own on the tensor's first
-    axis, or it is summed in the tensor; a tensor [1, 1] on an index H
-    factors hold is left out. ``scale`` is 1/sqrt2 per H wire,
-    (1/sqrt2)^max(0, 2 - degree) per spider, and tr(H^k) per closed cycle
-    of k H-boxes. The contraction plan is its own read (``_plan``, in
-    ``_contract``). Given ``nodes``, the network of the sub-diagram on
-    them, read in place by the same walk (``Diagram.wires(nodes)``)."""
-    at, cls, phases, h_wires, short, cycles, (outs, ins) = d.wires(nodes)
-    free = outs + ins
-    bound = set(map(at.__getitem__, free))
-    h_read: dict[int, int] = {}   # boundary -> class reading it
-    pairs, loops, held = [], set(), set()
-    for p, q in h_wires:
-        if p in bound:
-            h_read[p] = cls[q]
-        elif q in bound:
-            h_read[q] = cls[p]
-        elif cls[p] == cls[q]:
-            loops ^= {cls[p]}
-        else:
-            pairs.append((cls[p], cls[q]))
-            held.update(pairs[-1])
-
-    legs: dict[int, list[int]] = {}
-    hmask: dict[int, int] = {}
-    for i, b in enumerate(free):
-        r = h_read.get(at[b], -1)
-        c = cls[at[b]] if r < 0 else r
-        ls = legs.setdefault(c, [])
-        hmask[c] = hmask.get(c, 0) | (r >= 0) << len(ls)
-        ls.append(i)
-    index: dict[int, int] = {}   # class -> its index
-    shape, tensors, own = [], [], len(free)
-    for r in legs | phases:   # legs' classes, then the other spiders' in order
-        ls, mask = legs.get(r, []), hmask.get(r, 0)
-        cp = (*phases.get(r, (0, 1)), r in loops)
-        if mask + 1 == 1 << len(ls) and (r in held or not ls):   # no identity-read leg
-            index[r], own = own, own + 1
-            ls, mask = [index[r]] + ls, mask << 1
-        elif r in held:
-            index[r] = ls[(~mask & (mask + 1)).bit_length() - 1]
-        if len(ls) > 1 or cp != (0, 1, False) or r not in held:
-            shape.append(tuple(ls))
-            tensors.append((len(ls), mask, cp))
-    for p, q in pairs:
-        shape.append(tuple(sorted((index[p], index[q]))))
-        tensors.append(None)
-    half = len(h_wires) + short   # the power of 1/sqrt2 in the scalar
-    scale = 0.5 ** (half // 2) * (HALF_SQRT2 if half % 2 else 1.0)
-    if cycles:
-        scale *= math.prod(0.0 if k % 2 else 2.0 for k in cycles)
-    return tuple(tensors), scale, tuple(shape), (len(outs), len(ins))
-
-
 # read-only contracted matrices by (tensors, scale, steps, shape, model_n),
 # least recently used first (see the module docstring)
 _MATRICES: OrderedDict[tuple, np.ndarray] = OrderedDict()
@@ -165,11 +94,11 @@ _MATRICES: OrderedDict[tuple, np.ndarray] = OrderedDict()
 def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
     """Contract the diagram's network, read once per diagram
     (``Diagram.memo``), into its matrix, a fresh array (``_contract``)."""
-    return _contract(d.memo(_network), model_n)
+    return _contract(d.memo(Diagram.network), model_n)
 
 
 def _contract(net: tuple, model_n: int) -> np.ndarray:
-    """The matrix of a network (``_network``) in model n, a fresh array.
+    """The matrix of a network (``Diagram.network``) in model n, a fresh array.
     ResourceLimit is raised before any factor is built or contracted if the
     plan (``_plan``) has a factor or intermediate over ``MAX_INTERMEDIATE``
     entries, holds over ``MAX_BYTES`` bytes at once, or needs more than
@@ -366,8 +295,8 @@ def _proportional(a: np.ndarray, b: np.ndarray, pivot: int) -> bool:
 
 
 def network_scale(d: Diagram) -> float:
-    """The scalar held out of d's contraction (``_network``)."""
-    return d.memo(_network)[1]
+    """The scalar held out of d's contraction (``Diagram.network``)."""
+    return d.memo(Diagram.network)[1]
 
 
 def matrices_equal(a: np.ndarray, a_scale: float, b: np.ndarray, b_scale: float) -> bool:
@@ -388,16 +317,9 @@ def matrices_equal(a: np.ndarray, a_scale: float, b: np.ndarray, b_scale: float)
     return _proportional(a / a_top, b / b_top, pivot)
 
 
-def same_network(f: Diagram, g: Diagram) -> bool:
-    """Are f and g equal up to a nonzero scalar in every model because their
-    networks are (``_same``)? Nothing is planned or built and no entry cap
-    read, so a pair past einsum's 52 labels is decided too."""
-    return _same(f.memo(_network), g.memo(_network))
-
-
 def _same(f_net: tuple, g_net: tuple) -> bool:
-    """Do two networks (``_network``) have equal factors on equal index
-    tuples and boundary counts, and scales both nonzero or both zero?"""
+    """Do two networks (``Diagram.network``) have equal factors on equal
+    index tuples and boundary counts, and scales both nonzero or both zero?"""
     f_tensors, f_scale, f_shape, f_arity = f_net
     g_tensors, g_scale, g_shape, g_arity = g_net
     return (f_tensors == g_tensors and f_shape == g_shape
@@ -405,9 +327,9 @@ def _same(f_net: tuple, g_net: tuple) -> bool:
 
 
 def networks_equal(f_net: tuple, g_net: tuple, model_n: int) -> bool:
-    """Are two networks (``_network``) equal up to a nonzero scalar in model
-    n? True at once when they are the same (``_same``); otherwise each is
-    contracted (``_contract``) and compared by ``matrices_equal``."""
+    """Are two networks (``Diagram.network``) equal up to a nonzero scalar
+    in model n? True at once when they are the same (``_same``); otherwise
+    each is contracted (``_contract``) and compared by ``matrices_equal``."""
     return _same(f_net, g_net) or matrices_equal(
         _contract(f_net, model_n), f_net[1], _contract(g_net, model_n), g_net[1])
 
@@ -418,4 +340,4 @@ def diagrams_equal(f: Diagram, g: Diagram, model_n: int = 1) -> bool:
     once, others contracted, f's first (``networks_equal``)."""
     if model_n < 1:
         raise ValueError("model_n must be >= 1")
-    return networks_equal(f.memo(_network), g.memo(_network), model_n)
+    return networks_equal(f.memo(Diagram.network), g.memo(Diagram.network), model_n)

@@ -6,7 +6,7 @@ through the diagram evaluator, so the two paths check each other; ``dense``,
 the generator table contracted in one einsum, is the evaluator's differential
 reference.
 ``reference_cut`` builds the sub-diagram on a node set, which
-``semantics._network(d, nodes)`` reads in place.
+``Diagram.network(nodes)`` reads in place.
 ``steps_reached`` is the dependency walk over the derivations of
 ``zxr.lemmas``.
 """

@@ -18,7 +18,7 @@ from zxr.graphstate import (SimpleGraph, all_graphs, check_fixpoint, check_vdn,
                             graph_state, star_graph)
 from zxr.phase import Phase
 from zxr.proofs import replay
-from zxr.semantics import equal_up_to_scalar, evaluate, scalar_fit
+from zxr.semantics import diagrams_equal, evaluate, scalar_fit
 
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
 
@@ -133,7 +133,7 @@ def test_criterion_06_complete_bipartite():
             end = replay(b.script, b.start, models=(1, 2, 3))
             assert iso_equal(end, b.diagram)
             assert iso_equal(b.diagram, lemmas.p2_diagram(m, n))
-            assert equal_up_to_scalar(evaluate(b.start), evaluate(b.diagram))
+            assert diagrams_equal(b.start, b.diagram)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     _report(6, "K(m,n) collapses to the two-spider path, 1 <= m,n <= 4", started)
@@ -201,7 +201,6 @@ def test_criterion_10_rewrite_soundness_sweep():
     started = time.perf_counter()
     applications = 0
     for d in _thousand_diagrams():
-        vals = {n: evaluate(d, n) for n in (1, 2)}
         for rule in rules.RULE_IDS:
             if rules.RULES[rule].euler:
                 continue
@@ -209,8 +208,7 @@ def test_criterion_10_rewrite_soundness_sweep():
                 out = rules.apply(rule, d, anchor)
                 applications += 1
                 for n in (1, 2):
-                    assert equal_up_to_scalar(vals[n], evaluate(out, n)), \
-                        (rule, anchor, n)
+                    assert diagrams_equal(d, out, n), (rule, anchor, n)
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
     _report(10, f"{applications} rule applications preserve semantics "
@@ -225,6 +223,6 @@ def test_criterion_11_normalization_sweep():
         assert not rules.match_sites("self-loop", out)
         assert not rules.match_sites("hopf", out)
         assert not rules.match_sites("id-remove", out)
-        assert equal_up_to_scalar(evaluate(d), evaluate(out))
+        assert diagrams_equal(d, out)
     _report(11, "normalization terminates on irreducible, equal diagrams",
             started)

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import random_diagram, reference_cut
 from test_patch_check import whole_table_patch
-from zxr import diagram, rules, semantics
+from zxr import diagram, rules
 from zxr.diagram import (BOUNDARY, HBOX, Diagram, DiagramError, X, Z,
                          attach_wires, chain, compose, dagger, empty, euler_chain,
                          generator, iso_equal, spider, tensor, wire)
@@ -53,6 +53,27 @@ def test_phase_generator_requires_phase():
         generator("phase_z")
     with pytest.raises(DiagramError):
         generator("delta_z", Phase(1))
+
+
+def test_wire_and_h_carry_no_phase_and_unknown_generators_are_refused():
+    for kind in ("wire", "h"):
+        with pytest.raises(DiagramError, match=f"{kind} carries no phase"):
+            generator(kind, 1)
+    with pytest.raises(DiagramError, match="unknown generator 'bogus'"):
+        generator("bogus")
+
+
+def test_misused_nodes_and_edges_are_refused():
+    with pytest.raises(DiagramError, match="not a spider colour: 'h'"):
+        diagram.other_colour(HBOX)
+    d = Diagram()
+    with pytest.raises(DiagramError, match="h node cannot carry a phase"):
+        d.add_node(HBOX, phase=1)
+    a, b = d.add_node(Z, name="a"), d.add_node(BOUNDARY, name="b")
+    with pytest.raises(DiagramError, match="edge endpoint missing: 'a'-'c'"):
+        d.add_edge(a, "c")
+    with pytest.raises(DiagramError, match="boundary 'b' has no wire"):
+        d.boundary_partner(b)
 
 
 def test_compose_arity_mismatch():
@@ -202,7 +223,7 @@ def _isolated(prefix, phases):
 
 
 def test_iso_equal_on_600_isolated_spiders():
-    # 599 individualisations deep, one search level each: no recursion limit
+    # one twin class, fixed in one search level
     zeros = [0] * 600
     assert iso_equal(_isolated("s", zeros), _isolated("t", zeros))
     assert not iso_equal(_isolated("s", zeros), _isolated("t", zeros[1:] + [Phase(1, 2)]))
@@ -222,26 +243,40 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, before)
 
 
+def _beside(k, *lengths):
+    """Z(0) rings of the given lengths beside k isolated Z(0) spiders."""
+    d = Diagram()
+    for n in lengths:
+        ring = [d.add_node(Z, 0) for _ in range(n)]
+        for i in range(n):
+            d.add_edge(ring[i], ring[(i + 1) % n])
+    for _ in range(k):
+        d.add_node(Z, 0)
+    return d.check()
+
+
 @pytest.mark.parametrize("k", [3, 10])
 def test_iso_negative_beside_isolated_twins_decides_at_once(k):
     # refinement cannot tell C4 + C4 + C4 from C8 + C4 (all Z(0)), and the k
     # isolated Z(0) spiders are the smallest cell: without twin pruning the
     # search tried all k! of their orders before failing on the cycles
     # (7.4 s at k = 6)
-    def beside(*lengths):
-        d = Diagram()
-        for n in lengths:
-            ring = [d.add_node(Z, 0) for _ in range(n)]
-            for i in range(n):
-                d.add_edge(ring[i], ring[(i + 1) % n])
-        for _ in range(k):
-            d.add_node(Z, 0)
-        return d.check()
-
-    a, b = beside(4, 4, 4), beside(8, 4)
+    a, b = _beside(k, 4, 4, 4), _beside(k, 8, 4)
     with _deadline(5):
         assert not iso_equal(a, b) and not iso_equal(b, a)
         assert iso_equal(a, _relabelled(a, random.Random(k)))
+
+
+def test_iso_fixes_a_whole_twin_class_in_one_step():
+    # 2,400 isolated Z(0) spiders are one twin class: fixing one of them per
+    # search level re-refined both diagrams 2,400 times (11 s each positive)
+    zeros = [0] * 2400
+    s, t = _isolated("s", zeros), _isolated("t", zeros)
+    a, b = _beside(2400, 4, 4, 4), _beside(2400, 8, 4)
+    a_moved = _relabelled(a, random.Random(1))
+    with _deadline(2):
+        assert iso_equal(s, t) and iso_equal(a, a_moved)
+        assert not iso_equal(a, b) and not iso_equal(b, a)
 
 
 def test_iso_tries_one_twin_but_every_adjacent_node(monkeypatch):
@@ -763,7 +798,7 @@ def cut(d, nodes):
     """The sub-diagram on nodes (``reference_cut``), whose network the
     in-place read of nodes must be."""
     p = reference_cut(d, nodes)
-    assert semantics._network(d, nodes) == semantics._network(p)
+    assert d.network(nodes) == p.network()
     return p
 
 
@@ -976,17 +1011,18 @@ def test_memo_is_kept_until_an_edit_and_handed_to_copies():
 
 
 def test_wires_walk_h_chains_loops_and_closed_cycles():
-    d = parse("node a z\nnode b x 1/2\nnode h1 h\nnode h2 h\nnode h3 h\n"
-              "node c1 h\nnode c2 h\nnode c3 h\nin i\nout o\n"
-              "edge i a\nedge a h1\nedge h1 h2\nedge h2 b\nedge b h3\nedge b h3\n"
-              "edge a a\nedge b o\nedge c1 c2\nedge c2 c3\nedge c3 c1\n")
-    at, cls, phases, h_wires, short, cycles, _ = d.wires()
-    names = {i: v for v, i in at.items()}
-    assert sorted(names.values()) == ["a", "b", "i", "o"]
-    # i-a is plain; a-h1-h2-b, b-h3-b and b-o pass an odd number of colour changes
-    members = {r: "".join(sorted(v for v in at if cls[at[v]] == r)) for r in cls}
-    assert sorted(members.values()) == ["ai", "b", "o"]
-    assert {members[r]: ph for r, ph in phases.items()} == {"ai": (0, 1), "b": (1, 2)}
-    got = sorted(tuple(sorted((names[p], names[q]))) for p, q in h_wires)
-    assert got == [("a", "b"), ("b", "b"), ("b", "o")]
-    assert short == 0 and cycles == [3]
+    text = ("node a z\nnode b x 1/2\nnode h1 h\nnode h2 h\nnode h3 h\nin i\nout o\n"
+            "edge i a\nedge a h1\nedge h1 h2\nedge h2 b\nedge b h3\nedge b h3\n"
+            "edge a a\nedge b o\n")
+    cycle = "node c1 h\nnode c2 h\nnode c3 h\nedge c1 c2\nedge c2 c3\nedge c3 c1\n"
+    # i-a is plain, so i reads class {a, i} (index 1) by identity; a-h1-h2-b,
+    # b-h3-b and b-o pass an odd number of colour changes: one H factor
+    # between the classes, pi on b's phase for the H loop, and o read
+    # through H by class {b}, which takes its own index 2 for the H factor;
+    # class {a, i}, of phase 0, needs no tensor
+    tensors, scale, shape, arity = parse(text).network()
+    assert tensors == ((2, 0b10, (1, 2, True)), None)
+    assert shape == ((2, 0), (1, 2)) and arity == (1, 1)
+    assert scale == 0.5 * diagram.HALF_SQRT2   # three H wires, no spider short of legs
+    # a closed cycle of three H-boxes, which no wire reaches, is tr(H^3) = 0
+    assert parse(text + cycle).network() == (tensors, 0.0, shape, arity)

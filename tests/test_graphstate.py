@@ -100,6 +100,17 @@ def test_unknown_vertex():
         fixpoint_lhs(triangle(), "zz")
 
 
+def test_malformed_graphs_are_refused():
+    with pytest.raises(GraphError, match="repeated vertex label"):
+        SimpleGraph.build(["a", "b", "a"])
+    with pytest.raises(GraphError, match="not a simple edge"):
+        SimpleGraph(("a", "b", "c"), frozenset([frozenset("abc")]))
+    with pytest.raises(GraphError, match="edge endpoint not a vertex"):
+        SimpleGraph.build(["a", "b"], [("a", "z")])
+    with pytest.raises(GraphError, match="a star needs at least one vertex"):
+        star_graph(0)
+
+
 def _scanned_neighbours(g, u):
     """``SimpleGraph.neighbours`` as it was: a scan of every vertex."""
     if u not in g.vertices:

@@ -1,15 +1,15 @@
 """The network read and the planner against their predecessors.
 
-``reference_wires`` is ``Diagram.wires`` as it stood before the read became
-one pass: every end and every wire listed, to be merged into classes by
-``reference_network``, which is ``semantics._network`` of that time.
+``reference_wires`` is the walk of ``Diagram.network`` as it stood before
+the read became one pass: every end and every wire listed, to be merged
+into classes by ``reference_network``, the network layout of that time.
 ``reference_plan`` is ``semantics._plan`` before its index and holder sets
 became int bitmasks. All three are kept verbatim, bar their names and
 reference_network's last line, which returns its index tuples where it
-returned their plan, as ``_network`` now does. On every diagram of the
+returned their plan, as ``Diagram.network`` now does. On every diagram of the
 corpora below, the new read gives equal (tensors, scale, shape), and the new
 planner equal (steps, peak, bytes) or the same ResourceLimit, so matrices,
-memo keys and ``same_network``'s decisions are those of the old code.
+memo keys and ``semantics._same``'s decisions are those of the old code.
 """
 
 import heapq
@@ -21,10 +21,10 @@ from typing import Optional
 
 from conftest import circuit, random_diagram, reference_cut
 from zxr import rules, semantics, shipped
-from zxr.diagram import BOUNDARY, HBOX, Diagram, X, _across
+from zxr.diagram import BOUNDARY, HALF_SQRT2, HBOX, Diagram, X, _across
 from zxr.graphstate import all_graphs, complete_graph, fixpoint_lhs, graph_state, vdn_lhs
 from zxr.phase import Phase, reduced
-from zxr.semantics import _LETTERS, HALF_SQRT2, MAX_OPERANDS, ResourceLimit
+from zxr.semantics import _LETTERS, MAX_OPERANDS, ResourceLimit
 from zxr.textio import parse
 
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
@@ -230,7 +230,7 @@ def assert_same_as_reference(diagrams):
     were compared."""
     count, planned = 0, set()
     for d in diagrams:
-        tensors, scale, shape, _ = semantics._network(d)
+        tensors, scale, shape, _ = d.network()
         assert (tensors, scale, shape) == reference_network(d), d
         free = len(d.outputs) + len(d.inputs)
         if (free, shape) not in planned:
@@ -339,5 +339,5 @@ def test_shipped_replays_match_the_reference():
 def test_complete_graph_past_the_operand_limit_matches_the_reference():
     # K_12's 66 H factors make the last product fold past MAX_OPERANDS
     k12 = graph_state(complete_graph([f"v{i}" for i in range(12)]))
-    assert len(semantics._network(k12)[0]) > MAX_OPERANDS
+    assert len(k12.network()[0]) > MAX_OPERANDS
     assert assert_same_as_reference([k12]) == 1

@@ -1,6 +1,6 @@
 """The network of a node set, read in place, against the network of its cut.
 
-``semantics._network(d, nodes)`` reads the sub-diagram on ``nodes`` without
+``Diagram.network(nodes)`` reads the sub-diagram on ``nodes`` without
 building it. On every corpus below it must equal the network of
 ``reference_cut(d, nodes)`` (``conftest``), which builds that sub-diagram on
 its own, exactly: the same factors in the same order, the same scale, index
@@ -15,7 +15,7 @@ import pytest
 
 from conftest import circuit, random_diagram, reference_cut
 from zxr import rules, semantics, shipped
-from zxr.diagram import BOUNDARY, HBOX, X, Z, Diagram, DiagramError, chain
+from zxr.diagram import BOUNDARY, HALF_SQRT2, HBOX, X, Z, Diagram, DiagramError, chain
 from zxr.proofs import ProofScript, replay
 from zxr.textio import parse
 
@@ -25,8 +25,8 @@ PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
 def assert_read_in_place(d, nodes):
     """The in-place read of nodes equals the read of their reference cut;
     returns it."""
-    read = semantics._network(d, nodes)
-    assert read == semantics._network(reference_cut(d, nodes)), (d, sorted(nodes))
+    read = d.network(nodes)
+    assert read == reference_cut(d, nodes).network(), (d, sorted(nodes))
     return read
 
 
@@ -129,7 +129,7 @@ def test_an_h_box_with_both_legs_on_one_node(nodes):
               "edge s t\nedge t o\n")
     tensors, scale, shape, arity = assert_read_in_place(d, nodes)
     if nodes == ["h"]:   # two cut wires joined through H
-        assert arity == (2, 0) and scale == semantics.HALF_SQRT2
+        assert arity == (2, 0) and scale == HALF_SQRT2
 
 
 @pytest.mark.parametrize("nodes", [["h1", "h2"], ["h1", "h2", "h3"], ["a", "h2"], ["h3"]])
@@ -163,7 +163,7 @@ def test_a_patch_holding_boundaries_out_of_sorted_order_keeps_their_order():
     p = reference_cut(d, nodes)
     assert p.inputs == ("i2", "i1") and p.outputs[-2:] == ("o2", "o0")
     assert len(p.outputs) == 4 + 2   # s-t, s-i0, o2-t and i2-t leave the set
-    assert d.wires(nodes)[-1] == ((0, 1, 2, 3, "o2", "o0"), ("i2", "i1"))
+    assert d._view(nodes)[-1] == ((0, 1, 2, 3, "o2", "o0"), ("i2", "i1"))
     assert assert_read_in_place(d, nodes)[3] == (6, 2)
 
 
@@ -171,7 +171,7 @@ def test_the_in_place_read_checks_its_host_first():
     d = parse("node a z\nnode b x\nout o\nedge a b\nedge b o\n")
     d.add_node(HBOX, name="h")   # logged, and an H-box of degree 0
     with pytest.raises(DiagramError, match="H-box 'h' must have degree 2"):
-        semantics._network(d, ["a"])
+        d.network(["a"])
 
 
 def _counting_contractions(monkeypatch):
@@ -200,8 +200,8 @@ def test_replay_contracts_just_the_patches_whose_network_changed(monkeypatch):
         for rule, anchor in script.steps:
             nxt = rules.apply(rule, current, anchor, euler_on=True)
             patch = nxt.changed_since(current)
-            changed += not semantics.same_network(reference_cut(current, patch),
-                                                  reference_cut(nxt, patch))
+            changed += not semantics._same(reference_cut(current, patch).network(),
+                                           reference_cut(nxt, patch).network())
             steps, current = steps + 1, nxt
     contracted = _counting_contractions(monkeypatch)
     for start, script in loaded:

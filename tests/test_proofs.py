@@ -5,12 +5,12 @@ from pathlib import Path
 import pytest
 
 from zxr import lemmas, rules, semantics, shipped
-from zxr.diagram import Z, generator, h_wire, iso_equal, wire
+from zxr.diagram import DiagramError, Z, generator, h_wire, iso_equal, wire
 from zxr.graphstate import SimpleGraph, all_graphs, graph_state, star_graph
 from zxr.phase import Phase
 from zxr.proofs import ProofScript, ReplayError, replay
 from zxr.rules import RuleError
-from zxr.semantics import ResourceLimit, equal_up_to_scalar, evaluate
+from zxr.semantics import ResourceLimit, diagrams_equal, evaluate
 from zxr.textio import serialize
 
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
@@ -88,7 +88,7 @@ def test_fixpoint_builder_on_large_graphs_evaluates_only_patches(monkeypatch):
             deriv = lemmas.fixpoint(g, u)
             sizes.clear()
             assert deriv.check(), u
-            whole = len(deriv.start.memo(semantics._network)[0])
+            whole = len(deriv.start.network()[0])
             assert sizes and max(sizes) < whole // 3, (u, max(sizes), whole)
     with pytest.raises(ResourceLimit):
         semantics.evaluate(deriv.start)
@@ -110,6 +110,13 @@ def test_complete_bipartite_needs_a_node_on_each_side():
 def test_even_cycles():
     for n in (2, 3, 4):
         assert lemmas.check_even_cycle(n), n
+
+
+def test_cycle_and_target_sizes_out_of_range_are_refused():
+    with pytest.raises(DiagramError, match="need a cycle of length >= 4"):
+        lemmas.cycle_diagram(1)
+    with pytest.raises(DiagramError, match="only C8, C10 and C12"):
+        lemmas.hexagon_and_quadrilaterals(7)
 
 
 def test_even_cycle_seven():
@@ -273,7 +280,15 @@ def test_shipped_scripts_replay_from_disk():
     for name in sorted(shipped.BUILDERS):
         start, script = shipped.load(PROOF_DIR, name)
         end = replay(script, start, euler_on=True)
-        assert equal_up_to_scalar(evaluate(start), evaluate(end)), name
+        assert diagrams_equal(start, end), name
+
+
+def test_write_all_writes_the_shipped_files(tmp_path):
+    target = tmp_path / "proofs"
+    assert shipped.write_all(target) == sorted(shipped.BUILDERS)
+    assert sorted(f.name for f in target.iterdir()) == sorted(f.name for f in PROOF_DIR.iterdir())
+    for f in PROOF_DIR.iterdir():
+        assert (target / f.name).read_bytes() == f.read_bytes(), f.name
 
 
 def test_shipped_files_are_current():

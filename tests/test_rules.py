@@ -9,7 +9,7 @@ from zxr import lemmas, rules, shipped
 from zxr.diagram import (BOUNDARY, HBOX, Diagram, X, Z, compose, generator,
                          iso_equal, rotation_chain, spider, wire)
 from zxr.phase import Phase
-from zxr.semantics import equal_up_to_scalar, evaluate
+from zxr.semantics import diagrams_equal, equal_up_to_scalar, evaluate
 from zxr.textio import parse, serialize
 
 
@@ -95,7 +95,6 @@ def test_soundness_every_rule_every_anchor(rng):
     checked = set()
     for _ in range(60):
         d = random_diagram(rng)
-        vals = {n: evaluate(d, n) for n in (1, 2)}
         for rule in rules.RULE_IDS:
             for anchor in rules.match_sites(rule, d):
                 out = rules.apply(rule, d, anchor, euler_on=True)
@@ -103,10 +102,26 @@ def test_soundness_every_rule_every_anchor(rng):
                 for n in (1, 2):
                     if rules.RULES[rule].euler and n != 1:
                         continue
-                    assert equal_up_to_scalar(vals[n], evaluate(out, n)), \
-                        (rule, anchor, n)
+                    assert diagrams_equal(d, out, n), (rule, anchor, n)
     assert {"spider-fuse", "id-remove", "self-loop", "h-colour",
             "h-phase", "id-insert", "spider-split"} <= checked
+
+
+def test_match_sites_refuses_a_script_only_step():
+    script_only = [name for name, r in rules.RULES.items() if r.candidates is None]
+    assert "cut-h-core" in script_only
+    for name in script_only:
+        with pytest.raises(rules.RuleError, match=f"unknown rule '{name}'"):
+            rules.match_sites(name, generator("h"))
+
+
+def test_normalize_refuses_a_step_that_does_not_shrink(monkeypatch):
+    # a spider-fuse that rewrites nothing would loop forever
+    fuse = rules.RULES["spider-fuse"]
+    monkeypatch.setitem(rules.RULES, "spider-fuse", fuse._replace(rewrite=lambda d, a: d))
+    d = compose(generator("phase_z", Phase(1, 3)), generator("phase_z", Phase(1, 2)))
+    with pytest.raises(RuntimeError, match="failed to decrease the measure"):
+        rules.normalize(d)
 
 
 def test_normalize_chain_fuses():

@@ -10,7 +10,7 @@ from conftest import (H_MAT, SQRT2, dense, graph_state_vector, proportional, ran
                       reference_cut, rz_mat)
 import zxr
 from zxr import axioms, cli, lemmas, proofs, rules, semantics, shipped
-from zxr.diagram import X, Z, compose, dagger, generator, iso_equal, spider, tensor, wire
+from zxr.diagram import HALF_SQRT2, Diagram, X, Z, compose, dagger, generator, iso_equal, spider, tensor, wire
 from zxr.graphstate import (SimpleGraph, complete_graph, fixpoint_lhs, graph_state,
                             local_complement, path_graph, star_graph, triangle, vdn_lhs)
 from zxr.phase import Phase
@@ -121,6 +121,11 @@ def test_equal_up_to_scalar_tolerance_boundary():
     eye, ones = np.eye(2, dtype=complex), np.ones((2, 2), dtype=complex)
     assert equal_up_to_scalar(eye, eye + 0.5 * semantics.TOL * ones)
     assert not equal_up_to_scalar(eye, eye + 2 * semantics.TOL * ones)
+
+
+def test_two_empty_matrices_are_equal():
+    empty = np.zeros((1, 0), dtype=complex)
+    assert semantics.matrices_equal(empty, 1.0, empty.copy(), 0.5)
 
 
 def test_scalar_fit_rejects_mismatched_shapes():
@@ -247,7 +252,7 @@ def _recorded_pairs(run):
 
 def _plan_of(d):
     """d's contraction plan, (steps, peak, bytes), as ``_contract`` makes it."""
-    _, _, shape, (outs, ins) = d.memo(semantics._network)
+    _, _, shape, (outs, ins) = d.memo(Diagram.network)
     return semantics._plan(outs + ins, shape)
 
 
@@ -385,7 +390,7 @@ def test_rays_tell_a_zero_from_a_small_matrix():
     # a closed cycle of three H-boxes is tr(H^3) = 0: its scale is zero
     cycle = parse("node c1 h\nnode c2 h\nnode c3 h\nin i\nout o\nedge i o\n"
                   "edge c1 c2\nedge c2 c3\nedge c3 c1\n")
-    assert not evaluate(cycle).any() and cycle.memo(semantics._network)[1] == 0
+    assert not evaluate(cycle).any() and cycle.memo(Diagram.network)[1] == 0
     assert semantics.diagrams_equal(cycle, compose(cycle, generator("h")))
     assert not semantics.diagrams_equal(cycle, wire())
 
@@ -735,7 +740,7 @@ def test_equal_networks_on_other_boundary_counts_are_not_decided():
     bent = parse("node s z 1/4\nin i\nout o\nedge i s\nedge s o\n")
     cup = parse("node s z 1/4\nout o p\nedge s o\nedge s p\n")
     (*bent_net, bent_arity), (*cup_net, cup_arity) = (
-        d.memo(semantics._network) for d in (bent, cup))
+        d.memo(Diagram.network) for d in (bent, cup))
     assert bent_net == cup_net and (bent_arity, cup_arity) == ((1, 1), (2, 0))
     with pytest.raises(ValueError, match="shape mismatch"):
         semantics.diagrams_equal(bent, cup)
@@ -752,8 +757,8 @@ def _past_the_labels():
 def test_equal_networks_past_einsums_labels_are_decided(monkeypatch):
     d = _past_the_labels()
     planned = _counting(monkeypatch, semantics, "_plan")
-    assert semantics.same_network(d, d.copy())
-    assert semantics.network_scale(d) == semantics.HALF_SQRT2
+    assert semantics._same(d.memo(Diagram.network), d.copy().memo(Diagram.network))
+    assert semantics.network_scale(d) == HALF_SQRT2
     assert semantics.diagrams_equal(d, d.copy())
     assert planned == []   # the network alone decides: no plan is read
     with pytest.raises(ResourceLimit, match=r"2\^59 or more entries"):
@@ -766,7 +771,7 @@ def test_equal_factors_wired_otherwise_are_not_decided():
     vs = ("a", "b", "c")
     f, g = (graph_state(SimpleGraph.build(vs, [("a", "b"), e])) for e in (("b", "c"), ("a", "c")))
     (f_tensors, _, f_shape, _), (g_tensors, _, g_shape, _) = (
-        d.memo(semantics._network) for d in (f, g))
+        d.memo(Diagram.network) for d in (f, g))
     assert f_tensors == g_tensors and f_shape != g_shape
     assert not semantics.diagrams_equal(f, g)
     assert not proportional(dense(f), dense(g))
