@@ -1,16 +1,21 @@
 """The axiom schemas as pairs of diagrams, verified in each scaled model.
 
-Each schema yields equation instances (lhs, rhs). Schemas with a free angle
-are instantiated on a fixed grid that includes non-Clifford angles, so a pass
-is not an artifact of Clifford coincidences.
+Each schema yields left-hand sides; an equation instance (lhs, rhs) takes
+its right side from the rule of the same name in ``rules.RULES``, applied at
+the first site ``match_sites`` finds, so the verdicts speak for the rewrites
+the engine performs. Schemas with a free angle are instantiated on a fixed
+grid that includes non-Clifford angles, so a pass is not an artifact of
+Clifford coincidences.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
-from .diagram import (BOUNDARY, Diagram, X, Z, compose, euler_chain, h_wire,
-                      other_colour, spider, tensor, wire)
+from . import rules
+from .diagram import (BOUNDARY, Diagram, X, Z, compose, h_wire, other_colour,
+                      spider, tensor, wire)
 from .phase import PI, Phase
 from .semantics import evaluate, matrices_equal, network_scale, scalar_fit
 
@@ -20,44 +25,33 @@ PHASE_GRID = (Phase(0), Phase(1, 2), Phase(1), Phase(3, 2),
 Instance = tuple[Diagram, Diagram]
 
 
-def _both_colours(make: Callable[[str], Iterable[Instance]]) -> Iterator[Instance]:
+def _both_colours(make: Callable[[str], Iterable[Diagram]]) -> Iterator[Diagram]:
     for colour in (Z, X):
         yield from make(colour)
 
 
-def _spider_fusion(colour: str) -> Iterator[Instance]:
+def _spider_fusion(colour: str) -> Iterator[Diagram]:
     for a in PHASE_GRID:
         for b in (Phase(1, 2), Phase(1, 3)):
-            lhs = compose(spider(colour, 1, 1, a), spider(colour, 1, 1, b))
-            rhs = spider(colour, 1, 1, a + b)
-            yield lhs, rhs
+            yield compose(spider(colour, 1, 1, a), spider(colour, 1, 1, b))
     # a higher-arity fusion: phased spider into a splitter
     for a in (Phase(1, 2), Phase(2, 5)):
-        lhs = compose(spider(colour, 1, 2), spider(colour, 1, 1, a))
-        rhs = spider(colour, 1, 2, a)
-        yield lhs, rhs
+        yield compose(spider(colour, 1, 2), spider(colour, 1, 1, a))
 
 
-def _identity(colour: str) -> Iterator[Instance]:
-    yield spider(colour, 1, 1, 0), wire()
+def _identity(colour: str) -> Iterator[Diagram]:
+    yield spider(colour, 1, 1, 0)
 
 
-def _copy(colour: str) -> Iterator[Instance]:
-    point = spider(other_colour(colour), 0, 1, 0)
-    lhs = compose(spider(colour, 1, 2), point)
-    rhs = tensor(point, point)
-    yield lhs, rhs
+def _copy(colour: str) -> Iterator[Diagram]:
+    yield compose(spider(colour, 1, 2), spider(other_colour(colour), 0, 1, 0))
 
 
-def _bialgebra(colour: str) -> Iterator[Instance]:
-    other = other_colour(colour)
-    split, merge = spider(colour, 1, 2), spider(other, 2, 1)
-    swap = _swap_diagram()
-    lhs = compose(tensor(merge, merge),
-                  compose(tensor(wire(), tensor(swap, wire())),
+def _bialgebra(colour: str) -> Iterator[Diagram]:
+    split, merge = spider(colour, 1, 2), spider(other_colour(colour), 2, 1)
+    yield compose(tensor(merge, merge),
+                  compose(tensor(wire(), tensor(_swap_diagram(), wire())),
                           tensor(split, split)))
-    rhs = compose(split, merge)
-    yield lhs, rhs
 
 
 def _swap_diagram() -> Diagram:
@@ -70,54 +64,33 @@ def _swap_diagram() -> Diagram:
     return d.check()
 
 
-def _pi_commute(colour: str) -> Iterator[Instance]:
-    other = other_colour(colour)
-    pi_rot = spider(colour, 1, 1, PI)
-    split = spider(other, 1, 2)
-    yield compose(tensor(pi_rot, pi_rot), split), compose(split, pi_rot)
+def _pi_commute(colour: str) -> Iterator[Diagram]:
+    # pi on the splitter's input: the rule pushes it onto both outputs
+    yield compose(spider(other_colour(colour), 1, 2), spider(colour, 1, 1, PI))
 
 
-def _pi_state(colour: str) -> Iterator[Instance]:
-    erase = spider(other_colour(colour), 1, 0, 0)
-    yield compose(erase, spider(colour, 1, 1, PI)), erase
+def _pi_state(colour: str) -> Iterator[Diagram]:
+    yield compose(spider(other_colour(colour), 1, 0, 0), spider(colour, 1, 1, PI))
 
 
-def _hopf(colour: str) -> Iterator[Instance]:
-    other = other_colour(colour)
-    lhs = compose(spider(other, 2, 1), spider(colour, 1, 2))
-    rhs = compose(spider(other, 0, 1), spider(colour, 1, 0))
-    yield lhs, rhs
+def _hopf(colour: str) -> Iterator[Diagram]:
+    yield compose(spider(other_colour(colour), 2, 1), spider(colour, 1, 2))
 
 
-def _h_cancel(_: str) -> Iterator[Instance]:
-    yield compose(h_wire(), h_wire()), wire()
+def _h_colour(colour: str) -> Iterator[Diagram]:
+    yield compose(spider(other_colour(colour), 1, 2), h_wire())
 
 
-def _h_colour(colour: str) -> Iterator[Instance]:
-    other = other_colour(colour)
-    lhs = compose(spider(other, 1, 2), h_wire())
-    rhs = compose(tensor(h_wire(), h_wire()), spider(colour, 1, 2))
-    yield lhs, rhs
-
-
-def _h_phase(colour: str) -> Iterator[Instance]:
-    other = other_colour(colour)
+def _h_phase(colour: str) -> Iterator[Diagram]:
     for a in PHASE_GRID:
-        lhs = compose(spider(colour, 1, 1, a), h_wire())
-        rhs = compose(h_wire(), spider(other, 1, 1, a))
-        yield lhs, rhs
+        yield compose(spider(colour, 1, 1, a), h_wire())
 
 
-def _h_state(colour: str) -> Iterator[Instance]:
-    yield (compose(h_wire(), spider(colour, 0, 1, 0)),
-           spider(other_colour(colour), 0, 1, 0))
+def _h_state(colour: str) -> Iterator[Diagram]:
+    yield compose(h_wire(), spider(colour, 0, 1, 0))
 
 
-def _euler(_: str) -> Iterator[Instance]:
-    yield h_wire(), euler_chain(first=Z)
-
-
-AXIOM_SCHEMAS: dict[str, Callable[[], Iterator[Instance]]] = {
+_LEFT_SIDES: dict[str, Callable[[], Iterator[Diagram]]] = {
     "spider-fuse": lambda: _both_colours(_spider_fusion),
     "id-remove": lambda: _both_colours(_identity),
     "copy": lambda: _both_colours(_copy),
@@ -125,12 +98,23 @@ AXIOM_SCHEMAS: dict[str, Callable[[], Iterator[Instance]]] = {
     "pi-commute": lambda: _both_colours(_pi_commute),
     "pi-state": lambda: _both_colours(_pi_state),
     "hopf": lambda: _both_colours(_hopf),
-    "h-cancel": lambda: iter(_h_cancel(Z)),
+    "h-cancel": lambda: iter([compose(h_wire(), h_wire())]),
     "h-colour": lambda: _both_colours(_h_colour),
     "h-phase": lambda: _both_colours(_h_phase),
     "h-state": lambda: _both_colours(_h_state),
-    "euler": lambda: _euler(Z),   # the decomposition stays last
+    "euler": lambda: iter([h_wire()]),   # the decomposition stays last
 }
+
+
+def _equations(name: str) -> Iterator[Instance]:
+    """Each left side of the schema with the rule's rewrite at its first site."""
+    for lhs in _LEFT_SIDES[name]():
+        yield lhs, rules.apply(name, lhs, rules.match_sites(name, lhs)[0],
+                               euler_on=True)
+
+
+AXIOM_SCHEMAS: dict[str, Callable[[], Iterator[Instance]]] = {
+    name: partial(_equations, name) for name in _LEFT_SIDES}
 
 EULER_AXIOM = "euler"
 ALL_AXIOMS = tuple(AXIOM_SCHEMAS)

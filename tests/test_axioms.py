@@ -6,7 +6,12 @@ from pathlib import Path
 import pytest
 
 import zxr
-from zxr import axioms
+from zxr import axioms, rules
+from zxr.diagram import iso_equal
+
+# each rule without a schema of its own, paired with the schema it inverts
+INVERSES = {"spider-split": "spider-fuse", "id-insert": "id-remove",
+            "euler-inv": "euler"}
 
 
 def test_base_axioms_hold_in_standard_model():
@@ -92,3 +97,29 @@ def test_axioms_imports_no_proof_code():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_every_right_side_is_its_rule_at_every_site():
+    for name, instances in axioms.AXIOM_SCHEMAS.items():
+        for lhs, rhs in instances():
+            sites = rules.match_sites(name, lhs)
+            assert sites, name
+            for site in sites:
+                assert iso_equal(rules.apply(name, lhs, site, euler_on=True), rhs), (name, site)
+
+
+def test_inverse_rules_round_trip_through_their_schema():
+    """Every inverse site on a right side of the forward schema is undone by
+    some forward site. So each inverse rewrite is a forward rewrite read
+    right to left, and the forward rule's soundness (its schema, the
+    rule-soundness sweeps) gives the inverse's."""
+    assert set(rules.RULE_IDS) == set(axioms.AXIOM_SCHEMAS) | set(INVERSES) | {"self-loop"}
+    counts = dict.fromkeys(INVERSES, 0)
+    for inverse, forward in INVERSES.items():
+        for _, rhs in axioms.AXIOM_SCHEMAS[forward]():
+            for site in rules.match_sites(inverse, rhs):
+                there = rules.apply(inverse, rhs, site, euler_on=True)
+                assert any(iso_equal(rules.apply(forward, there, back, euler_on=True), rhs)
+                           for back in rules.match_sites(forward, there)), (inverse, site)
+                counts[inverse] += 1
+    assert counts == {"spider-split": 28, "id-insert": 4, "euler-inv": 1}
