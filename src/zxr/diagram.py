@@ -52,7 +52,8 @@ def _edge_key(u: str, v: str) -> tuple[str, str]:
 
 
 def _across(nb: dict[str, int], prev: Optional[str]) -> str:
-    """The neighbour an H-box's wire leaves by, having come in from prev."""
+    """The neighbour a two-legged node's wire (an H-box's or an identity
+    spider's) leaves by, having come in from prev."""
     if len(nb) == 1:   # both legs on one node
         for w in nb:
             return w
@@ -255,13 +256,18 @@ class Diagram:
         same in every model, read in one pass over the edge store, building
         no array and planning nothing.
 
-        An end is a spider or a boundary; a wire runs from end p to end q
-        through k >= 0 H-boxes. A Z spider's index is in the Z basis and an
-        X spider's in the X basis, so the wire is H^(e_p + k + e_q mod 2),
-        with e = 1 at an X end and 0 at a Z spider or a boundary: a plain
-        wire (the identity) or an H wire. Ends joined by plain wires are one
-        class (spider fusion, which is exact), merged as the walk meets the
-        wire.
+        An end is a boundary or a spider, bar identity spiders (Z or X,
+        phase 0, two legs, no self-loop), each the plain wire in every
+        model. A wire runs from end p to end q through k >= 0 H-boxes and
+        any identity spiders, which the walk passes as it passes an H-box
+        but which add nothing to k. A Z spider's index is in the Z basis and
+        an X spider's in the X basis, so the wire is H^(e_p + k + e_q mod
+        2), with e = 1 at an X end and 0 at a Z spider or a boundary: a
+        plain wire (the identity) or an H wire. Ends joined by plain wires
+        are one class (spider fusion, which is exact), merged as the walk
+        meets the wire. So a rewrite that only adds or removes an identity
+        spider leaves the network as it was, but for the order of its H
+        factors, which follows the adjacency order.
 
         Factor i is sqrt2*H (tensors[i] None) or a class tensor (axes,
         hmask, (num, den, h)) over the indices shape[i]; indices 0..free-1
@@ -275,7 +281,8 @@ class Diagram:
         tensor; a tensor [1, 1] on an index H factors hold is left out.
         ``scale``, every 1/sqrt2 kept out of the contraction, is 1/sqrt2 per
         H wire, (1/sqrt2)^max(0, 2 - degree) per spider, and tr(H^k) per
-        closed cycle of k H-boxes, which no wire reaches.
+        closed cycle of k H-boxes and any identity spiders, which no wire
+        reaches.
 
         Given ``nodes``, it first checks self (``checked``), then reads the
         sub-diagram on them (``_view``) in place, by the same walk.
@@ -287,8 +294,13 @@ class Diagram:
         phase_of = self._phase
         at: dict = {}
         for v, k in kind_of.items():
-            if k != HBOX:
-                at[v] = len(at)
+            if k == HBOX:
+                continue
+            if k != BOUNDARY and not phase_of[v].num:   # an identity spider?
+                nb = adj[v]
+                if len(nb) < 3 and sum(nb.values()) == 2 and v not in nb:
+                    continue
+            at[v] = len(at)
         cls = list(range(len(at)))
         h_wires, seen, short, trace = [], set(), 0, 1.0
         for p, i in at.items():
@@ -304,7 +316,7 @@ class Diagram:
                     prev, cur, k, m = p, q, 0, 1
                     while j is None:
                         seen.add(cur)
-                        k += 1
+                        k += kind_of[cur] == HBOX
                         prev, cur = cur, _across(adj[cur], prev)
                         j = at.get(cur)
                     k += xp + (kind_of[cur] == X)
@@ -339,9 +351,9 @@ class Diagram:
             for h in kind_of:
                 if h not in at and h not in seen:
                     prev, cur, k = None, h, 0
-                    while cur != h or not k:
+                    while cur != h or prev is None:
                         seen.add(cur)
-                        k += 1
+                        k += kind_of[cur] == HBOX
                         prev, cur = cur, _across(adj[cur], prev)
                     trace *= 0.0 if k % 2 else 2.0   # tr(H^k)
         # the classes laid out as factors

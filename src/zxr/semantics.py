@@ -12,15 +12,16 @@ is kept out of the contraction in the network's scale, and diagrams are
 compared with zero decided against it (``matrices_equal``), so 1/sqrt2 per
 H-box cannot take a nonzero diagram under TOL.
 
-Because the network absorbs spider fusion, identity wires and H colour
-changes, the rewrites that do only that leave it as it was, and a sweep
-that evaluates a diagram before and after each rewrite meets the same
-network again. So the contraction behind ``evaluate`` (``_contract``)
-keeps its last ``MEMO_SIZE`` results of at most ``MAX_CACHED_ENTRIES``
-entries (``_MATRICES``, least recently used out first), keyed on everything
-the contraction reads: the factors, the scale, the plan's steps, the output
-shape and the model. Equal keys run the same float operations, so a result
-from the memo is bit-identical to a contraction.
+Because the network absorbs spider fusion, identity wires, identity spiders
+(phase 0, two legs) and H colour changes, the rewrites that do only that
+leave it as it was, and a sweep that evaluates a diagram before and after
+each rewrite meets the same network again. So the contraction behind
+``evaluate`` (``_contract``) keeps its last ``MEMO_SIZE`` results of at most
+``MAX_CACHED_ENTRIES`` entries (``_MATRICES``, least recently used out
+first), keyed on everything the contraction reads: the factors, the scale,
+the plan's steps, the output shape and the model. Equal keys run the same
+float operations, so a result from the memo is bit-identical to a
+contraction.
 
 Two equal networks (``_same``) decide a pair with no matrix at all: the
 same factors on the same index tuples and boundary counts run the same

@@ -309,6 +309,20 @@ def test_check_equal_over_the_cap_decides_equal_networks(files, capsys):
         assert out == "equal=True lambda=1.41421356237+0j max_residual=0.000e+00\n", legs
 
 
+def test_check_equal_over_the_cap_walks_through_an_identity_spider(files, capsys):
+    # the 27 + 3-output spider-fuse start against itself with an X(0) spider
+    # on its a-b wire: the network walks through the spider, so the two are
+    # one network, 2^30 entries each
+    outs = [f"o{i}" for i in range(30)]
+    legs = "".join(f"edge {'a' if i < 27 else 'b'} {o}\n" for i, o in enumerate(outs))
+    head = "node a z 1/4\nnode b z 1/2\nout " + " ".join(outs) + "\n"
+    start, split = files["dir"] / "fuse.zxd", files["dir"] / "split.zxd"
+    start.write_text(head + "edge a b\n" + legs)
+    split.write_text(head + "node m x\nedge a m\nedge m b\n" + legs)
+    assert main(["check-equal", str(start), str(split)]) == 0
+    assert capsys.readouterr() == ("equal=True lambda=1+0j max_residual=0.000e+00\n", "")
+
+
 @pytest.mark.parametrize("command", [
     ["check-equal", "big", "big1"],   # two phases: two networks
     ["verify", "axioms"],

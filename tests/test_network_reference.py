@@ -6,10 +6,17 @@ into classes by ``reference_network``, the network layout of that time.
 ``reference_plan`` is ``semantics._plan`` before its index and holder sets
 became int bitmasks. All three are kept verbatim, bar their names and
 reference_network's last line, which returns its index tuples where it
-returned their plan, as ``Diagram.network`` now does. On every diagram of the
-corpora below, the new read gives equal (tensors, scale, shape), and the new
-planner equal (steps, peak, bytes) or the same ResourceLimit, so matrices,
-memo keys and ``semantics._same``'s decisions are those of the old code.
+returned their plan, as ``Diagram.network`` now does.
+
+The new read also walks through identity spiders (Z or X, phase 0, two legs,
+no self-loop) as through H-boxes, adding nothing to a wire's parity; the old
+read kept each as an end. Since H.H = I, such a spider is two H-boxes in
+series, and ``identities_as_h_pairs`` rewrites it so, the H-box on each leg
+in the spider's place in its node table and in that leg's neighbour map. On
+every diagram of the corpora below, the new read of a diagram gives the
+(tensors, scale, shape) the old read gives of it so rewritten, and the new
+planner equal (steps, peak, bytes) or the same ResourceLimit, so matrices
+and memo keys are those of the old code on the rewritten diagram.
 """
 
 import heapq
@@ -21,7 +28,7 @@ from typing import Optional
 
 from conftest import circuit, random_diagram, reference_cut
 from zxr import rules, semantics, shipped
-from zxr.diagram import BOUNDARY, HALF_SQRT2, HBOX, Diagram, X, _across
+from zxr.diagram import BOUNDARY, HALF_SQRT2, HBOX, SPIDERS, Diagram, X, _across
 from zxr.graphstate import all_graphs, complete_graph, fixpoint_lhs, graph_state, vdn_lhs
 from zxr.phase import Phase, reduced
 from zxr.semantics import _LETTERS, MAX_OPERANDS, ResourceLimit
@@ -224,14 +231,55 @@ def plan_or_limit(plan, free, shape):
         return str(exc)
 
 
+def identities_as_h_pairs(d: Diagram) -> Diagram:
+    """d with each identity spider (Z or X, phase 0, two legs, no self-loop)
+    replaced by two H-boxes in series, named after it: ``s.0`` on its first
+    leg and ``s.1`` on its second, in its neighbour map's order. They take
+    its place in the node table, and each takes its place in the neighbour
+    map of the node on its leg. Of two identity spiders joined by both their
+    legs, leg i meets leg i."""
+    kind_of, phase_of, adj = d._kind, d._phase, d._adj
+    legs = {}
+    for v, k in kind_of.items():
+        ends = [w for w, m in adj[v].items() for _ in range(m)]
+        if k in SPIDERS and not phase_of[v].num and len(ends) == 2 and v not in ends:
+            legs[v] = ends
+
+    def facing(w: str, v: str) -> list[str]:
+        """What v's legs to w meet: w, or w's H-boxes on them."""
+        if w not in legs:
+            return [w]
+        return [f"{w}.{i}" for i, u in enumerate(legs[w]) if u == v]
+
+    e = Diagram()
+    e.inputs, e.outputs = d.inputs, d.outputs
+    for v, k in kind_of.items():
+        if v not in legs:
+            e._kind[v] = k
+            if v in phase_of:
+                e._phase[v] = phase_of[v]
+            e._adj[v] = {}
+            for w, m in adj[v].items():
+                for u in facing(w, v):
+                    e._adj[v][u] = m if u == w else 1
+            continue
+        h = (f"{v}.0", f"{v}.1")
+        assert not kind_of.keys() & set(h)
+        a, b = (ends[i % len(ends)] for i, ends in enumerate(facing(w, v) for w in legs[v]))
+        e._kind[h[0]] = e._kind[h[1]] = HBOX
+        e._adj[h[0]], e._adj[h[1]] = {a: 1, h[1]: 1}, {h[0]: 1, b: 1}
+    return e
+
+
 def assert_same_as_reference(diagrams):
-    """Each diagram's network equals the reference's, and so does the plan
-    of its index tuples, each distinct one once; returns how many diagrams
-    were compared."""
+    """Each diagram's network equals the reference's of the diagram with its
+    identity spiders as H-box pairs (``identities_as_h_pairs``), and so does
+    the plan of its index tuples, each distinct one once; returns how many
+    diagrams were compared."""
     count, planned = 0, set()
     for d in diagrams:
         tensors, scale, shape, _ = d.network()
-        assert (tensors, scale, shape) == reference_network(d), d
+        assert (tensors, scale, shape) == reference_network(identities_as_h_pairs(d)), d
         free = len(d.outputs) + len(d.inputs)
         if (free, shape) not in planned:
             planned.add((free, shape))
@@ -300,10 +348,20 @@ def hand_cases():
     for colour in "zx":
         yield parse(f"node s {colour} 1\nnode t {colour}\nnode u z\nedge s s\nedge s s\n"
                     "edge s t\nin i\nedge i s\n")
+    # identity spiders: both legs on one spider, on one H-box, on each other
+    yield parse("node s x 1/4\nnode m z\nin i\nedge s m\nedge s m\nedge i s\n")
+    yield parse("node m x\nnode h h\nedge m h\nedge m h\n")
+    yield parse("node a z\nnode b x\nedge a b\nedge a b\nin i\nout o\nedge i o\n")
+    # boundary to boundary through identities and H-boxes, and a ring of them
+    yield parse("node a z\nnode g h\nnode b x\nnode k h\nnode c z\nnode s z 1/2\nin i\n"
+                "out o p\nedge i a\nedge a g\nedge g b\nedge b k\nedge k c\nedge c o\n"
+                "edge s p\n")
+    yield parse("node a z\nnode g h\nnode b x\nnode k h\nedge a g\nedge g b\nedge b k\n"
+                "edge k a\n")
 
 
 def test_hand_cases_match_the_reference():
-    assert assert_same_as_reference(hand_cases()) == 36
+    assert assert_same_as_reference(hand_cases()) == 41
 
 
 def test_random_diagrams_match_the_reference():

@@ -767,14 +767,63 @@ def test_equal_networks_past_einsums_labels_are_decided(monkeypatch):
 
 
 def test_equal_factors_wired_otherwise_are_not_decided():
-    # the paths a-b-c and b-a-c share their factors, but not their index tuples
-    vs = ("a", "b", "c")
-    f, g = (graph_state(SimpleGraph.build(vs, [("a", "b"), e])) for e in (("b", "c"), ("a", "c")))
+    # the cycles a-b-c-d-a and a-c-b-d-a share their factors, but not their
+    # index tuples (a path's end vertices are identity spiders, which join
+    # their wires, so paths no longer make this case)
+    vs = ("a", "b", "c", "d")
+    f, g = (graph_state(SimpleGraph.build(vs, list(zip(cycle, cycle[1:] + cycle[:1]))))
+            for cycle in ("abcd", "acbd"))
     (f_tensors, _, f_shape, _), (g_tensors, _, g_shape, _) = (
         d.memo(Diagram.network) for d in (f, g))
     assert f_tensors == g_tensors and f_shape != g_shape
     assert not semantics.diagrams_equal(f, g)
     assert not proportional(dense(f), dense(g))
+
+
+# An identity spider (Z or X, phase 0, two legs, no self-loop) is the plain
+# wire in every model: the network walks through it, so a diagram with one
+# has the network of the diagram without it.
+
+def _assert_one_network(with_identity, without):
+    assert with_identity.network() == without.network()
+    for n in (1, 2):
+        _assert_matches_reference(with_identity, n)
+        _assert_matches_reference(without, n)
+
+
+def test_z_identity_between_x_spiders_is_the_wire():
+    # X(1/4) -- Z(0) -- X(1/2): two H wires at the Z spider, which cancel
+    _assert_one_network(
+        parse("node a x 1/4\nnode m z\nnode b x 1/2\nin i\nout o p\n"
+              "edge i a\nedge a m\nedge m b\nedge b o\nedge a p\n"),
+        parse("node a x 1/4\nnode b x 1/2\nin i\nout o p\n"
+              "edge i a\nedge a b\nedge b o\nedge a p\n"))
+
+
+def test_x_identity_between_z_spiders_is_the_wire():
+    _assert_one_network(
+        parse("node a z 1/3\nnode m x\nnode b z\nin i\nout o\n"
+              "edge i a\nedge a m\nedge m b\nedge b o\n"),
+        parse("node a z 1/3\nnode b z\nin i\nout o\nedge i a\nedge a b\nedge b o\n"))
+
+
+def test_identity_between_boundaries_is_the_bare_wire():
+    for colour in "zx":
+        _assert_one_network(parse(f"node m {colour}\nin i\nout o\nedge i m\nedge m o\n"),
+                            parse("in i\nout o\nedge i o\n"))
+
+
+def test_ring_of_identities_and_h_boxes_is_a_trace_of_h():
+    # Z(0) and X(0) spiders between k H-boxes close no wire: tr(H^k)
+    for k in (1, 2, 3, 4):
+        ring = [v for j in range(k) for v in (f"{'zx'[j % 2]}{j}", f"h{j}")]
+        text = "".join(f"node {v} {v[0]}\n" for v in ring)
+        text += "".join(f"edge {a} {b}\n" for a, b in zip(ring, ring[1:] + ring[:1]))
+        d = parse(text)
+        _assert_one_network(d, _h_cycle(k if k > 1 else 3))   # no H-box has a self-loop
+        assert evaluate(d).tolist() == [[0.0 if k % 2 else 2.0]]
+    # two identity spiders joined by both their legs: tr(I) = 2, as C_2
+    _assert_one_network(parse("node a z\nnode b x\nedge a b\nedge a b\n"), _h_cycle(2))
 
 
 def _rule_pairs(d):
