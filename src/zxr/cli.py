@@ -18,8 +18,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 from . import axioms, graphstate, proofs, rules, textio
 from .diagram import Diagram
 from .report import validate_report
-from .semantics import (ResourceLimit, diagrams_equal, evaluate, matrices_equal,
-                        network_scale, scalar_fit)
+from .semantics import ResourceLimit, diagrams_equal, evaluate, network_scale, scalar_fit
 
 OK, DIFFER, USAGE, RESOURCE = 0, 1, 2, 3
 
@@ -92,18 +91,14 @@ def cmd_check_equal(args) -> int:
                             "equal": False, "shapes": [list(sa), list(sb)],
                             "ok": False})
         return DIFFER
+    equal = diagrams_equal(a, b, model_n)
     try:
-        ma = evaluate(a, model_n)
-        mb = evaluate(b, model_n)
+        lam, residual = scalar_fit(evaluate(a, model_n), evaluate(b, model_n))
     except ResourceLimit:
-        # over the cap only equal networks decide (others raise again): one
+        # over the cap only equal networks decide (others raised above): one
         # matrix times each side's scale, so the fit is exact
-        equal = diagrams_equal(a, b, model_n)
         sa, sb = network_scale(a), network_scale(b)
         lam, residual = complex(sa / sb) if sb else 0j, 0.0
-    else:
-        lam, residual = scalar_fit(ma, mb)
-        equal = matrices_equal(ma, network_scale(a), mb, network_scale(b))
     print(f"equal={equal} lambda={lam:.12g} max_residual={residual:.3e}")
     _emit_report(args, {"suite": "check-equal", "model_n": model_n,
                         "equal": equal, "lambda": [lam.real, lam.imag],

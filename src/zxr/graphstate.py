@@ -87,9 +87,6 @@ class SimpleGraph:
         return SimpleGraph(tuple(vertices),
                            frozenset(frozenset(e) for e in edges))
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return frozenset((u, v)) in self.edges
-
     def neighbours(self, u: str) -> tuple[str, ...]:
         """u's neighbours in vertex order, in O(degree)."""
         try:

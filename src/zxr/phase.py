@@ -58,10 +58,6 @@ class Phase:
         p.token()   # a phase that parses must also write back
         return p
 
-    @property
-    def frac(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
     def __add__(self, other: "Phase") -> "Phase":
         return Phase(self.num * other.den + other.num * self.den, self.den * other.den)
 
@@ -90,7 +86,3 @@ PI = Phase(1)
 HALF_PI = Phase(1, 2)
 MINUS_HALF_PI = Phase(-1, 2)
 
-
-def phase_add(a: PhaseLike, b: PhaseLike) -> Phase:
-    """Normalized sum mod 2pi of two phases."""
-    return Phase.coerce(a) + Phase.coerce(b)

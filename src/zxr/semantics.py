@@ -17,11 +17,14 @@ Because the network absorbs spider fusion, identity wires, identity spiders
 leave it as it was, and a sweep that evaluates a diagram before and after
 each rewrite meets the same network again. So the contraction behind
 ``evaluate`` (``_contract``) keeps its last ``MEMO_SIZE`` results of at most
-``MAX_CACHED_ENTRIES`` entries (``_MATRICES``, least recently used out
-first), keyed on everything the contraction reads: the factors, the scale,
-the plan's steps, the output shape and the model. Equal keys run the same
+``MAX_CACHED_ENTRIES`` entries in an ``lru_cache`` (``_small_results``),
+keyed on everything the contraction reads: the factors, the scale, the
+plan's steps, the boundary counts and the model. Equal keys run the same
 float operations, so a result from the memo is bit-identical to a
-contraction.
+contraction. Class tensors of at most ``MAX_CACHED_ENTRIES`` entries share
+another, of 1,024 entries (``_small_factors``). A result's or a tensor's
+size is known before it is built, so the larger ones are built for their
+call alone and never enter a memo; ``cache_info()`` counts each memo's hits.
 
 Two equal networks (``_same``) decide a pair with no matrix at all: the
 same factors on the same index tuples and boundary counts run the same
@@ -46,7 +49,6 @@ import cmath
 import functools
 import heapq
 import math
-from collections import OrderedDict
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from .phase import reduced
 MAX_INTERMEDIATE = 2 ** 26
 MAX_BYTES = 2 ** 32   # held at once: factors twice, intermediates, result twice
 MAX_CACHED_ENTRIES = 2 ** 11   # the largest class tensor the benchmark workloads use
-MEMO_SIZE = 64   # contracted matrices kept (``_MATRICES``)
+MEMO_SIZE = 64   # contracted matrices kept (``_small_results``)
 MAX_OPERANDS = 32   # einsum's operand limit under numpy 1.x (numpy 2: 64)
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"   # einsum's labels
 
@@ -84,12 +86,7 @@ def _factor(axes: int, hmask: int, num: int, den: int) -> np.ndarray:
 
 # class tensors by (axes, hmask, num, den), the phase num/den in lowest terms
 # (``reduced``), of at most MAX_CACHED_ENTRIES entries
-_FACTORS: dict[tuple[int, int, int, int], np.ndarray] = {}
-
-
-# read-only contracted matrices by (tensors, scale, steps, shape, model_n),
-# least recently used first (see the module docstring)
-_MATRICES: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_small_factors = functools.lru_cache(maxsize=1024)(_factor)
 
 
 def evaluate(d: Diagram, model_n: int = 1) -> np.ndarray:
@@ -103,10 +100,9 @@ def _contract(net: tuple, model_n: int) -> np.ndarray:
     ResourceLimit is raised before any factor is built or contracted if the
     plan (``_plan``) has a factor or intermediate over ``MAX_INTERMEDIATE``
     entries, holds over ``MAX_BYTES`` bytes at once, or needs more than
-    einsum's labels in a step. Past those tests, a network already
-    contracted in model n is copied from ``_MATRICES`` (see the module
-    docstring), which keeps a read-only copy of each new result of up to
-    ``MAX_CACHED_ENTRIES`` entries, as ``_FACTORS`` keeps class tensors."""
+    einsum's labels in a step. Past those tests, a result of up to
+    ``MAX_CACHED_ENTRIES`` entries is copied from ``_small_results`` (see
+    the module docstring); a larger one is contracted for this call alone."""
     if model_n < 1:
         raise ValueError("model_n must be >= 1")
     tensors, scale, legs, (outs, ins) = net
@@ -115,37 +111,38 @@ def _contract(net: tuple, model_n: int) -> np.ndarray:
         raise ResourceLimit(f"intermediate tensor with 2^{peak} entries exceeds the cap")
     if nbytes > MAX_BYTES:
         raise ResourceLimit(f"{nbytes} bytes held at once exceed the byte budget")
-    shape = (2 ** outs, 2 ** ins)
-    memo_key = (tensors, scale, steps, shape, model_n)
-    kept = _MATRICES.get(memo_key)
-    if kept is not None:
-        _MATRICES.move_to_end(memo_key)
-        return kept.copy()
+    if 2 ** (outs + ins) > MAX_CACHED_ENTRIES:
+        return _run(tensors, scale, steps, outs, ins, model_n)
+    return _small_results(tensors, scale, steps, outs, ins, model_n).copy()
+
+
+def _run(tensors: tuple, scale: float, steps: tuple, outs: int, ins: int,
+         model_n: int) -> np.ndarray:
+    """Build the class tensors in model n and run the plan's steps: a fresh
+    2^outs x 2^ins array."""
     work: list[np.ndarray | None] = []
     for f in tensors:
         if f is not None:
             axes, hmask, (num, den, h) = f
             if model_n > 1 or h:
                 num, den = reduced(model_n * num + h * den, den)
-            key = (axes, hmask, num, den)
-            f = _FACTORS.get(key)
-            if f is None:
-                f = _factor(*key)
-                if f.size <= MAX_CACHED_ENTRIES:   # else built for this call alone
-                    _FACTORS[key] = f
+            small = 2 ** axes <= MAX_CACHED_ENTRIES   # else built for this call alone
+            f = (_small_factors if small else _factor)(axes, hmask, num, den)
         work.append(_H_PLUS if f is None else f)
     for pos, subscripts in steps:
         operands = [work[p] for p in pos]
         for p in pos:
             work[p] = None
         work.append(np.einsum(subscripts, *operands))
-    out = (work[-1] if work else np.ones((), dtype=complex)).reshape(shape)
-    out = out if steps and scale == 1.0 else out * scale   # a lone factor may be cached
-    if out.size <= MAX_CACHED_ENTRIES:
-        kept = _MATRICES[memo_key] = out.copy()
-        kept.flags.writeable = False
-        if len(_MATRICES) > MEMO_SIZE:
-            _MATRICES.popitem(last=False)
+    out = (work[-1] if work else np.ones((), dtype=complex)).reshape(2 ** outs, 2 ** ins)
+    return out if steps and scale == 1.0 else out * scale   # a lone factor may be cached
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _small_results(*key) -> np.ndarray:
+    """``_run``'s result, read-only: ``_contract`` hands out copies."""
+    out = _run(*key)
+    out.flags.writeable = False
     return out
 
 

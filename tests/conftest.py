@@ -14,6 +14,7 @@ reference.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from string import ascii_letters   # einsum's labels
 
 import numpy as np
@@ -65,9 +66,9 @@ def dense(d: Diagram, model_n: int = 1) -> np.ndarray:
         if kind == HBOX:
             t = H_MAT
         elif kind in (Z, X):
-            t = np.zeros((2,) * k, dtype=complex)
+            t, p = np.zeros((2,) * k, dtype=complex), d.phase(v)
             t[(0,) * k] += 1
-            t[(1,) * k] += np.exp(1j * np.pi * float(model_n * d.phase(v).frac % 2))
+            t[(1,) * k] += np.exp(1j * np.pi * float(model_n * Fraction(p.num, p.den) % 2))
             t *= SQRT2 ** -max(0, 2 - k)
             if kind == X:
                 for axis in range(k):

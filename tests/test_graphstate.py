@@ -115,7 +115,7 @@ def _scanned_neighbours(g, u):
     """``SimpleGraph.neighbours`` as it was: a scan of every vertex."""
     if u not in g.vertices:
         raise GraphError(f"unknown vertex {u!r}")
-    return tuple(v for v in g.vertices if v != u and g.has_edge(u, v))
+    return tuple(v for v in g.vertices if v != u and frozenset((u, v)) in g.edges)
 
 
 def test_neighbours_are_the_scan_of_every_vertex():
@@ -148,7 +148,7 @@ def test_label_with_colon_is_refused():
 def test_fixpoint_isolated_vertex():
     g = SimpleGraph.build("a")
     lhs = fixpoint_lhs(g, "a")
-    assert equal_up_to_scalar(evaluate(lhs), evaluate(graph_state(g)))
+    assert diagrams_equal(lhs, graph_state(g))
 
 
 def test_fixpoint_matches_rotation_oracle():
@@ -170,7 +170,7 @@ def test_vdn_triangle_and_star():
     # the star at its centre reaches the complete graph
     lhs = vdn_lhs(star_graph(4), "c")
     want = graph_state(complete_graph(star_graph(4).vertices))
-    assert equal_up_to_scalar(evaluate(lhs), evaluate(want))
+    assert diagrams_equal(lhs, want)
 
 
 def test_fixpoint_and_vdn_exhaustive_to_four():
@@ -225,10 +225,10 @@ def test_checks_agree_with_state_vector_oracle(rng):
         for u in verts:
             for check, _, (at_u, at_nb), target in CHECKS:
                 vec = graph_state_vector(g)
-                vec = apply_single(rx_mat(at_u.frac * np.pi), idx[u],
+                vec = apply_single(rx_mat(at_u.num / at_u.den * np.pi), idx[u],
                                    len(verts), vec)
                 for w in g.neighbours(u):
-                    vec = apply_single(rz_mat(at_nb.frac * np.pi), idx[w],
+                    vec = apply_single(rz_mat(at_nb.num / at_nb.den * np.pi), idx[w],
                                        len(verts), vec)
                 got = graphstate._rotated_matrix(
                     g, graphstate._rotations(g, u, at_u, at_nb))
@@ -325,8 +325,7 @@ def test_orbit_members_reachable_semantically():
     g = star_graph(3)
     for u in g.vertices:
         h = local_complement(g, u)
-        assert equal_up_to_scalar(evaluate(vdn_lhs(g, u)),
-                                  evaluate(graph_state(h)))
+        assert diagrams_equal(vdn_lhs(g, u), graph_state(h))
         for w in h.vertices:
             assert check_vdn(h, w)
 
@@ -341,8 +340,7 @@ def test_graph_state_normal_form():
         d = graph_state(g)
         assert normalize(d).iso_equal(d)
     leafy = normalize(graph_state(star_graph(3)))
-    assert equal_up_to_scalar(evaluate(leafy),
-                              evaluate(graph_state(star_graph(3))))
+    assert diagrams_equal(leafy, graph_state(star_graph(3)))
 
 
 def test_edges_io_round_trip():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zxr.phase import Phase, phase_add
+from zxr.phase import Phase
 
 rationals = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=24)
@@ -15,15 +15,15 @@ def as_phase(f: Fraction) -> Phase:
 
 
 def test_full_turn_cancels():
-    assert phase_add(Phase(1, 2), Phase(3, 2)) == Phase(0)
+    assert Phase(1, 2) + Phase(3, 2) == Phase(0)
 
 
 def test_half_plus_half_is_pi():
-    assert phase_add(Phase(1, 2), Phase(1, 2)) == Phase(1)
+    assert Phase(1, 2) + Phase(1, 2) == Phase(1)
 
 
 def test_negative_normalizes_into_range():
-    assert phase_add(Phase(-1, 2), Phase(0)) == Phase(3, 2)
+    assert Phase(-1, 2) + Phase(0) == Phase(3, 2)
 
 
 def test_parse_tokens():

@@ -11,7 +11,7 @@ from zxr.graphstate import (SimpleGraph, graph_state, local_complement,
                             star_graph, triangle, vdn_lhs)
 from zxr.phase import HALF_PI, MINUS_HALF_PI
 from zxr.proofs import ProofScript, replay
-from zxr.semantics import equal_up_to_scalar, evaluate
+from zxr.semantics import diagrams_equal
 
 
 def test_apply_is_local(rng):
@@ -51,7 +51,7 @@ def test_normalize_strategy_independent(rng):
                 break
             rule, anchor = shuffle.choice(options)
             current = rules.apply(rule, current, anchor)
-        assert equal_up_to_scalar(evaluate(deterministic), evaluate(current))
+        assert diagrams_equal(deterministic, current)
 
 
 def _rotation_layer(g: SimpleGraph, u: str) -> Diagram:
@@ -63,7 +63,7 @@ def _rotation_layer(g: SimpleGraph, u: str) -> Diagram:
         bo = d.add_node(BOUNDARY, name=f"out{i}")
         if v == u:
             r = d.add_node(X, HALF_PI)
-        elif g.has_edge(u, v):
+        elif frozenset((u, v)) in g.edges:
             r = d.add_node(Z, MINUS_HALF_PI)
         else:
             d.add_edge(bi, bo)
@@ -98,8 +98,7 @@ def test_orbit_reachable_by_chained_witnesses(seed_graph):
         state = graph_state(seed_graph)
         for g, u in path:
             state = compose(_rotation_layer(g, u), state)
-        assert equal_up_to_scalar(evaluate(state),
-                                  evaluate(graph_state(target))), target
+        assert diagrams_equal(state, graph_state(target)), target
 
 
 def test_hopf_derivation_replay():
@@ -127,7 +126,7 @@ def test_hopf_derivation_replay():
 def test_vdn_witness_diagram_matches_layer():
     g = triangle()
     layered = compose(_rotation_layer(g, "a"), graph_state(g))
-    assert equal_up_to_scalar(evaluate(layered), evaluate(vdn_lhs(g, "a")))
+    assert diagrams_equal(layered, vdn_lhs(g, "a"))
 
 
 def hexagon_chain_eight() -> Diagram:
@@ -161,12 +160,12 @@ def test_eight_cycle_equals_hexagon_chain():
     c8 = cycle_diagram(4)
     hexes = hexagon_chain_eight()
     for n in (1, 2, 3):
-        assert equal_up_to_scalar(evaluate(c8, n), evaluate(hexes, n))
+        assert diagrams_equal(c8, hexes, n)
     assert iso_equal(rules.normalize(hexes), hexes)
     # the implemented reduction reaches a different, equally irreducible chain
     b = reduce_even_cycle(4)
     assert iso_equal(b.start, c8)
     reduced = b.diagram
     assert iso_equal(rules.normalize(reduced), reduced)
-    assert equal_up_to_scalar(evaluate(reduced), evaluate(hexes))
+    assert diagrams_equal(reduced, hexes)
     assert not iso_equal(reduced, hexes)

@@ -1,6 +1,6 @@
 import random
 import re
-from collections import Counter, OrderedDict, defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +46,9 @@ def test_delta_generators_are_adjoints():
 def test_phase_generators():
     for p in (Phase(0), Phase(1, 2), Phase(1), Phase(1, 3)):
         z = evaluate(generator("phase_z", p))
-        assert np.abs(z - rz_mat(float(p.frac) * np.pi)).max() < 1e-12
+        assert np.abs(z - rz_mat(p.num / p.den * np.pi)).max() < 1e-12
         x = evaluate(generator("phase_x", p))
-        assert np.abs(x - H_MAT @ rz_mat(float(p.frac) * np.pi) @ H_MAT).max() < 1e-12
+        assert np.abs(x - H_MAT @ rz_mat(p.num / p.den * np.pi) @ H_MAT).max() < 1e-12
 
 
 def test_pauli_phases():
@@ -170,7 +170,9 @@ def test_evaluate_result_shares_no_memory_with_cached_tensors():
     m *= 0
     assert np.abs(evaluate(d) - rz_mat(np.pi / 2)).max() < 1e-12
     assert not semantics._H_PLUS.flags.writeable
-    assert not any(t.flags.writeable for t in semantics._FACTORS.values())
+    hits = semantics._small_factors.cache_info().hits
+    assert not semantics._small_factors(2, 0, 1, 2).flags.writeable   # d's class tensor
+    assert semantics._small_factors.cache_info().hits == hits + 1
     for fresh in (evaluate(generator("h")), evaluate(graph_state(triangle())), m):
         assert fresh.flags.writeable
     # boundary-to-boundary edges: one class of two boundaries, whose tensor
@@ -184,39 +186,57 @@ def test_evaluate_result_shares_no_memory_with_cached_tensors():
         assert np.array_equal(evaluate(d), want)
 
 
-def test_spider_tensors_are_shared_read_only(monkeypatch):
+@pytest.fixture
+def empty_memos():
+    """The class-tensor and matrix memos, emptied for the rest of the test."""
+    semantics._small_factors.cache_clear()
+    semantics._small_results.cache_clear()
+
+
+def test_spider_tensors_are_shared_read_only(empty_memos):
     # a Z spider with a self-loop: the loop is an identity wire within its
     # class, so the cache holds the class's two-leg tensor, read-only and
     # reused by the next call; each result is fresh
-    monkeypatch.setattr(semantics, "_FACTORS", {})
-    monkeypatch.setattr(semantics, "_MATRICES", OrderedDict())
     d = spider(Z, 1, 1, "1/3")
     v = d.spiders()[0]
     d.add_edge(v, v)
     want = evaluate(spider(Z, 1, 1, "1/3"))
     m = evaluate(d.check())
+    assert semantics._small_factors.cache_info().currsize == 1   # both share it
     key = (2, 0, 1, 3)   # (axes, hmask, phase num, phase den)
-    t = semantics._FACTORS[key]
+    t = semantics._small_factors(*key)
+    assert semantics._small_factors.cache_info()[:2] == (1, 1)   # (hits, misses)
     assert not t.flags.writeable
     assert np.array_equal(t, semantics._factor(*key))
     assert proportional(m, want)
     m[:] = 0
+    semantics._small_results.cache_clear()
     assert proportional(evaluate(d), want)
-    assert semantics._FACTORS[key] is t
+    assert semantics._small_factors(*key) is t
+    assert semantics._small_factors.cache_info().misses == 1
 
 
-def test_cache_keeps_no_class_tensor_over_its_bound(monkeypatch):
+def test_cache_keeps_no_class_tensor_over_its_bound(empty_memos):
     # a spider's class tensor over MAX_CACHED_ENTRIES is built for its call
     # and dropped, so large spiders do not pile up in the cache
-    monkeypatch.setattr(semantics, "_FACTORS", {})
-    monkeypatch.setattr(semantics, "_MATRICES", OrderedDict())
     for k in (1, 3):
         big = spider(Z, 0, 14, Phase(1, k))   # one class tensor of 2^14 entries
         m = evaluate(big)
         assert np.isclose(m[-1, 0] / m[0, 0], np.exp(1j * np.pi / k))
         assert np.array_equal(evaluate(big), m)
+    assert semantics._small_factors.cache_info()[:2] == (0, 0)   # (hits, misses)
     evaluate(spider(Z, 0, 11, Phase(1, 4)))   # 2^11 entries: kept
-    assert [key[0] for key in semantics._FACTORS] == [11]
+    assert semantics._small_factors.cache_info().currsize == 1
+    semantics._small_factors(11, 0, 1, 4)
+    assert semantics._small_factors.cache_info()[:2] == (1, 1)
+
+
+def test_cache_keeps_at_most_1024_class_tensors(empty_memos):
+    # one small spider in 1,100 phases: 1,100 class tensors, the oldest dropped
+    for k in range(1, 1101):
+        evaluate(spider(Z, 0, 3, Phase(k, 4001)))
+    info = semantics._small_factors.cache_info()
+    assert info.misses == 1100 and info.currsize <= info.maxsize == 1024
 
 
 def _counting(monkeypatch, owner, name):
@@ -279,10 +299,9 @@ def _replay_shipped(models_of=lambda script: (1,)):
             current = nxt
 
 
-def test_resource_limit_fires_before_any_contraction(monkeypatch):
-    monkeypatch.setattr(semantics, "_FACTORS", {})
-    monkeypatch.setattr(semantics, "_MATRICES", OrderedDict())
-    built = _counting(monkeypatch, semantics, "_factor")
+def test_resource_limit_fires_before_any_contraction(monkeypatch, empty_memos):
+    built = _counting(monkeypatch, semantics, "_factor")   # over the memo's bound
+    cached = semantics._small_factors.cache_info
     contracted = _counting(monkeypatch, np, "einsum")
     # the 30 legs of one spider are one class tensor of 2^30 entries over
     # the cap: it must not be built
@@ -296,14 +315,15 @@ def test_resource_limit_fires_before_any_contraction(monkeypatch):
             evaluate(d)
         with pytest.raises(ResourceLimit):
             evaluate(spider(X, 1, 4, "1/4"))   # one tensor of 2^5 entries
-    assert built == [] and contracted == []
+    assert built == [] and cached().misses == 0 and contracted == []
     evaluate(d)
     evaluate(spider(X, 1, 4, "1/4"))
-    assert contracted and built
+    assert contracted and cached().misses
+    evaluate(spider(X, 1, 12))
+    assert built
 
 
-def test_byte_budget_fires_before_any_allocation(monkeypatch):
-    monkeypatch.setattr(semantics, "_MATRICES", OrderedDict())
+def test_byte_budget_fires_before_any_allocation(monkeypatch, empty_memos):
     contracted = _counting(monkeypatch, np, "einsum")
     d = graph_state(path_graph("abcdef"))
     _, peak, nbytes = _plan_of(d)
@@ -402,10 +422,16 @@ def test_rays_tell_a_zero_from_a_small_matrix():
 
 
 @pytest.fixture
-def memo(monkeypatch):
-    """An empty matrix memo for the rest of the test."""
-    monkeypatch.setattr(semantics, "_MATRICES", OrderedDict())
-    return semantics._MATRICES
+def memo():
+    """The matrix memo, emptied for the rest of the test."""
+    semantics._small_results.cache_clear()
+    return semantics._small_results
+
+
+def _memo_key(d, model_n=1):
+    """d's key in the matrix memo, as ``_contract`` passes it."""
+    tensors, scale, _, (outs, ins) = d.memo(Diagram.network)
+    return tensors, scale, _plan_of(d)[0], outs, ins, model_n
 
 
 def _same_bits(a, b):
@@ -419,14 +445,14 @@ def test_plan_cache_gives_bit_identical_matrices(monkeypatch, memo, rng):
     corpus = [random_diagram(rng) for _ in range(60)]
     for d in corpus:
         for model_n in (1, 2, 3):
-            memo.clear()
+            memo.cache_clear()
             cold = evaluate(d, model_n)
             calls = len(contracted)
             assert _same_bits(evaluate(d, model_n), cold)
             assert len(contracted) == calls   # a hit contracts nothing
             semantics._plan.cache_clear()
             d.check()   # empties the diagram's memo of its network too
-            memo.clear()
+            memo.cache_clear()
             assert _same_bits(evaluate(d, model_n), cold)
     assert contracted
     assert semantics._plan.cache_info().maxsize <= 16
@@ -469,24 +495,25 @@ def test_memo_hits_in_shipped_replays_are_bit_identical_to_cold_results(monkeypa
     # leaves its patch's network as it was hits the memo on the second side
     pairs = _recorded_pairs(lambda: _replay_shipped(
         lambda script: (1, 2, 3) if script.euler_free() else (1,)))
-    memo.clear()
+    memo.cache_clear()
     contracted = _counting(monkeypatch, np, "einsum")
     seen = [(d, model_n, evaluate(d, model_n)) for f, g, model_n, _ in pairs for d in (f, g)]
     assert len(contracted) < len(seen) / 2   # most evaluations were hits
     for d, model_n, warm in seen:
-        memo.clear()
+        memo.cache_clear()
         assert _same_bits(evaluate(d, model_n), warm)
 
 
 def test_memo_hit_is_a_fresh_writable_copy(memo):
     d = graph_state(triangle())
     first = evaluate(d)
-    (kept,) = memo.values()
+    kept = memo(*_memo_key(d))
+    assert memo.cache_info()[:2] == (1, 1)   # (hits, misses)
     assert not kept.flags.writeable and not np.shares_memory(first, kept)
     want = first.copy()
     first[:] = 7
     hit = evaluate(d)
-    assert len(memo) == 1 and memo[next(iter(memo))] is kept
+    assert memo.cache_info()[:2] == (2, 1) and memo(*_memo_key(d)) is kept
     assert hit.flags.writeable and not np.shares_memory(hit, kept)
     assert _same_bits(hit, want)
     hit[:] = 7
@@ -496,7 +523,7 @@ def test_memo_hit_is_a_fresh_writable_copy(memo):
 def test_resource_limits_fire_on_a_memo_hit(monkeypatch, memo):
     d = graph_state(path_graph("abcdef"))
     want = evaluate(d)
-    assert len(memo) == 1
+    assert memo.cache_info().currsize == 1
     _, peak, nbytes = _plan_of(d)
     contracted = _counting(monkeypatch, np, "einsum")
     with pytest.MonkeyPatch.context() as mp:
@@ -508,28 +535,31 @@ def test_resource_limits_fire_on_a_memo_hit(monkeypatch, memo):
         with pytest.raises(ResourceLimit, match="byte budget"):
             evaluate(d)
     assert _same_bits(evaluate(d), want) and contracted == []
+    assert memo.cache_info()[:2] == (1, 1)   # (hits, misses)
 
 
-def test_memo_keeps_its_size_and_drops_the_least_recently_used(monkeypatch, memo):
-    monkeypatch.setattr(semantics, "_FACTORS", {})
+def test_memo_keeps_its_size_and_drops_the_least_recently_used(memo):
     states = [spider(Z, 0, 1, Phase(j, 128)) for j in range(semantics.MEMO_SIZE + 1)]
-    keys = []
     for d in states[:-1]:
         evaluate(d)
-        keys.append(next(reversed(memo)))
-    assert list(memo) == keys and len(memo) == semantics.MEMO_SIZE == 64
+    assert memo.cache_info()[1:] == (64, semantics.MEMO_SIZE, 64)   # misses, maxsize, currsize
     evaluate(states[0])   # a hit: now the most recently used
-    evaluate(states[-1])
-    assert len(memo) == semantics.MEMO_SIZE
-    assert keys[0] in memo and keys[1] not in memo
+    evaluate(states[-1])   # a miss: drops states[1]
+    assert memo.cache_info()[:2] == (1, 65) and memo.cache_info().currsize == 64
+    evaluate(states[0])
+    assert memo.cache_info()[:2] == (2, 65)   # states[0] kept
+    evaluate(states[1])
+    assert memo.cache_info()[:2] == (2, 66)   # states[1] dropped
 
 
 def test_memo_keeps_no_matrix_over_its_bound(memo):
     big = spider(Z, 0, 12)   # 2^12 entries
     assert np.array_equal(evaluate(big), evaluate(big))
-    assert not memo
-    evaluate(spider(Z, 0, 11))   # 2^11 entries: kept
-    assert [m.size for m in memo.values()] == [semantics.MAX_CACHED_ENTRIES]
+    assert memo.cache_info()[1] == memo.cache_info().currsize == 0
+    small = spider(Z, 0, 11)   # 2^11 entries: kept
+    evaluate(small)
+    assert memo.cache_info().currsize == 1
+    assert memo(*_memo_key(small)).size == semantics.MAX_CACHED_ENTRIES
 
 
 def test_colour_change_and_fusion_results_hit_the_memo(monkeypatch, memo):
@@ -543,7 +573,7 @@ def test_colour_change_and_fusion_results_hit_the_memo(monkeypatch, memo):
         out = rules.apply(rule, d, anchor)
         assert _same_bits(evaluate(out), want)
     assert contracted == []
-    memo.clear()
+    memo.cache_clear()
     assert _same_bits(evaluate(out), want) and contracted
 
 
