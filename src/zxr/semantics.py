@@ -33,14 +33,16 @@ matrices are one matrix M times each side's scale. If the scales are both
 nonzero or both zero, the two are equal up to a nonzero scalar whatever M
 is (two zero matrices count as equal), and the pair is decided from the
 networks alone, even when M is over the entry cap or einsum has too few
-labels to plan it. ``diagrams_equal`` asks it first,
-so ``zxr check-equal`` decides such a pair over the cap. ``proofs.replay``
-reads a step's patch in place from both diagrams, as two networks, and
-asks the same of them (``networks_equal``); two that differ are contracted
-as they are, with no sub-diagram built (``_contract``). One zero scale (a
-closed cycle of an odd number of H-boxes) beside a nonzero one is not
-decided so: that side is zero, the other is zero only if M is. Every other
-pair is evaluated and compared by ``matrices_equal``.
+labels to plan it. ``diagrams_equal`` asks it first, and so does
+``compare``, which gives ``zxr check-equal`` the same verdict and a scalar
+fit from one contraction of each side, so check-equal decides such a pair
+over the cap. ``proofs.replay`` reads a step's patch in place from both
+diagrams, as two networks, and asks the same of them (``networks_equal``);
+two that differ are contracted as they are, with no sub-diagram built
+(``_contract``). One zero scale (a closed cycle of an odd number of
+H-boxes) beside a nonzero one is not decided so: that side is zero, the
+other is zero only if M is. Every other pair is evaluated and compared by
+``matrices_equal``.
 """
 
 from __future__ import annotations
@@ -339,3 +341,21 @@ def diagrams_equal(f: Diagram, g: Diagram, model_n: int = 1) -> bool:
     if model_n < 1:
         raise ValueError("model_n must be >= 1")
     return networks_equal(f.memo(Diagram.network), g.memo(Diagram.network), model_n)
+
+
+def compare(f: Diagram, g: Diagram, model_n: int = 1) -> tuple[bool, complex, float]:
+    """``diagrams_equal``'s verdict on f and g in model n, with lambda and
+    the max residual of f's matrix against g's (``scalar_fit``), each side
+    contracted once. Over the entry cap only equal networks (``_same``) are
+    decided, with no matrix: one matrix times each side's scale, so lambda
+    is the ratio of the scales and the residual 0. Any other pair over the
+    cap raises ResourceLimit, as ``diagrams_equal`` does."""
+    f_net, g_net = f.memo(Diagram.network), g.memo(Diagram.network)
+    same = _same(f_net, g_net)
+    try:
+        a, b = evaluate(f, model_n), evaluate(g, model_n)
+    except ResourceLimit:
+        if not same:
+            raise
+        return True, complex(f_net[1] / g_net[1]) if g_net[1] else 0j, 0.0
+    return same or matrices_equal(a, f_net[1], b, g_net[1]), *scalar_fit(a, b)

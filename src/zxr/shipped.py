@@ -15,7 +15,7 @@ from . import lemmas
 from .diagram import Diagram
 from .graphstate import star_graph
 from .proofs import ProofScript
-from .textio import parse, serialize
+from .textio import parse, serialize, write_file
 
 BUILDERS: dict[str, Callable[[], lemmas.Derivation]] = {
     **{f"fixpoint-s{n}": partial(lemmas.fixpoint, star_graph(n), "c")
@@ -35,8 +35,8 @@ def write_all(directory: Path) -> list[str]:
     written = []
     for name, build in sorted(BUILDERS.items()):
         deriv = build()
-        (directory / f"{name}.start.zxd").write_text(serialize(deriv.start))
-        (directory / f"{name}.json").write_text(deriv.script.to_json_lines())
+        write_file(directory / f"{name}.start.zxd", serialize(deriv.start))
+        write_file(directory / f"{name}.json", deriv.script.to_json_lines())
         written.append(name)
     return written
 

@@ -323,6 +323,29 @@ def test_check_equal_over_the_cap_walks_through_an_identity_spider(files, capsys
     assert capsys.readouterr() == ("equal=True lambda=1+0j max_residual=0.000e+00\n", "")
 
 
+def test_check_equal_contracts_each_side_once(files, monkeypatch, capsys):
+    # K_12 and K_12 less one edge as graph states: 2^12 entries each, over
+    # MAX_CACHED_ENTRIES, so no memo hides a second contraction
+    import itertools
+
+    from zxr import semantics, textio
+    from zxr.graphstate import SimpleGraph, graph_state
+
+    verts = [f"v{i}" for i in range(12)]
+    pairs = list(itertools.combinations(verts, 2))
+    paths = []
+    for drop in (0, 1):
+        path = files["dir"] / f"k12-{drop}.zxd"
+        path.write_text(textio.serialize(graph_state(SimpleGraph.build(verts, pairs[drop:]))))
+        paths.append(str(path))
+    runs = []
+    run = semantics._run
+    monkeypatch.setattr(semantics, "_run", lambda *key: runs.append(key) or run(*key))
+    assert main(["check-equal", *paths]) == 1
+    assert len(runs) == 2 and all(2 ** (key[3] + key[4]) == 4096 for key in runs)
+    assert capsys.readouterr().out.startswith("equal=False ")
+
+
 @pytest.mark.parametrize("command", [
     ["check-equal", "big", "big1"],   # two phases: two networks
     ["verify", "axioms"],
@@ -552,6 +575,52 @@ def test_unwritable_output_is_usage_error(files, capsys, argv):
     out = files["dir"] / "missing" / "out"
     assert main([str(out) if a == "OUT" else files.get(a, a) for a in argv]) == 2
     assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("dir", "[Errno 21] Is a directory"),
+    ("missing", "[Errno 2] No such file or directory"),
+])
+def test_unwritable_output_message(files, capsys, kind, reason):
+    out = files["dir"] if kind == "dir" else files["dir"] / "missing" / "out.zxd"
+    assert main(["rewrite", files["hh.zxd"], "--rule", "h-cancel", "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}: '{out}'\n")
+
+
+def test_output_over_a_longer_file_holds_the_result_alone(files, capsys):
+    argv = ["rewrite", files["hh.zxd"], "--rule", "h-cancel", "--check", "-o"]
+    assert main(argv + ["-"]) == 0
+    result = capsys.readouterr().out
+    out = files["dir"] / "out.zxd"
+    out.write_text("# stale\n" * 2000)
+    assert main(argv + [str(out)]) == 0
+    assert out.read_text() == result and capsys.readouterr() == ("", "")
+
+
+def test_output_to_a_device_is_written_uncut(files):
+    # /dev/null cannot be truncated (EINVAL), so only a regular file is cut
+    assert main(["rewrite", files["hh.zxd"], "--rule", "h-cancel", "-o", os.devnull]) == 0
+    assert main(["--json", os.devnull, "check-equal", files["hh.zxd"], files["wire.zxd"]]) == 0
+
+
+def test_report_over_a_longer_stale_report_validates(files):
+    from zxr.report import validate_report
+
+    path = files["dir"] / "r.json"
+    path.write_text(json.dumps({"stale": ["x" * 80] * 200}, indent=2) + "\n")
+    assert main(["--json", str(path), "check-equal", files["hh.zxd"], files["wire.zxd"]]) == 0
+    validate_report(json.loads(path.read_text()))
+
+
+def test_shipped_proofs_rebuild_over_longer_stale_files(tmp_path):
+    from zxr import shipped
+
+    for name in shipped.BUILDERS:
+        for suffix in (".start.zxd", ".json"):
+            (tmp_path / (name + suffix)).write_text("stale\n" * 5000)
+    shipped.write_all(tmp_path)
+    for path in sorted(tmp_path.iterdir()):
+        assert path.read_bytes() == (PROOF_DIR / path.name).read_bytes(), path.name
 
 
 def test_unwritable_report_after_resource_limit_is_usage_error(
