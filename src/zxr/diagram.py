@@ -414,6 +414,10 @@ class Diagram:
         inside = sorted(v for v in set(nodes) if v in kind_of)
         kinds = {v: kind_of[v] for v in inside}
         view: dict = {v: {} for v in inside}
+        ins = outs = ()
+        if BOUNDARY in kinds.values():
+            ins = tuple(b for b in self.inputs if b in view)
+            outs = tuple(b for b in self.outputs if b in view)
         leaving = []
         for v in inside:
             nb = view[v]
@@ -426,10 +430,6 @@ class Diagram:
             kinds[c] = BOUNDARY
             view[c] = {v: 1}
             view[v][c] = 1
-        ins = outs = ()
-        if BOUNDARY in kinds.values():
-            ins = tuple(b for b in self.inputs if b in view)
-            outs = tuple(b for b in self.outputs if b in view)
         return kinds, view, (tuple(range(len(leaving))) + outs, ins)
 
     def created_since(self, earlier: "Diagram") -> list[str]:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import zxr
 from zxr import axioms, rules
 from zxr.diagram import iso_equal
+from zxr.semantics import evaluate, matrices_equal, network_scale, scalar_fit
 
 # each rule without a schema of its own, paired with the schema it inverts
 INVERSES = {"spider-split": "spider-fuse", "id-insert": "id-remove",
@@ -123,3 +125,35 @@ def test_inverse_rules_round_trip_through_their_schema():
                            for back in rules.match_sites(forward, there)), (inverse, site)
                 counts[inverse] += 1
     assert counts == {"spider-split": 28, "id-insert": 4, "euler-inv": 1}
+
+
+def test_axiom_rows_build_each_schema_once_and_fit_as_per_instance(monkeypatch):
+    """The table is built once per report, not once per model, and its rows
+    are those of each (model, axiom) on freshly built instances: both sides
+    evaluated, the worst scalar-fit residual from 0.0, and the verdict of
+    ``matrices_equal`` on their network scales."""
+    builders, calls = dict(axioms.AXIOM_SCHEMAS), Counter()
+
+    def counted(name):
+        def build():
+            calls[name] += 1
+            return builders[name]()
+        return build
+
+    for name in builders:
+        monkeypatch.setitem(axioms.AXIOM_SCHEMAS, name, counted(name))
+    rows = axioms.axiom_rows((1, 2, 3), axioms.ALL_AXIOMS)
+    assert calls == Counter(dict.fromkeys(axioms.ALL_AXIOMS, 1))
+    want = []
+    for n in (1, 2, 3):
+        for name in axioms.ALL_AXIOMS:
+            holds, worst = True, 0.0
+            for lhs, rhs in builders[name]():
+                a, b = evaluate(lhs, n), evaluate(rhs, n)
+                worst = max(worst, scalar_fit(a, b)[1])
+                holds &= matrices_equal(a, network_scale(lhs), b, network_scale(rhs))
+            want.append({"model_n": n, "axiom": name, "holds": holds,
+                         "max_residual": worst})
+    assert rows == want
+    assert [type(r["holds"]) for r in rows] == [bool] * len(want)
+    assert [(r["model_n"], r["axiom"]) for r in rows if not r["holds"]] == [(2, "euler")]

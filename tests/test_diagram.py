@@ -16,6 +16,7 @@ from zxr import diagram, rules
 from zxr.diagram import (BOUNDARY, HBOX, Diagram, DiagramError, X, Z,
                          attach_wires, chain, compose, dagger, empty, euler_chain,
                          generator, iso_equal, spider, tensor, wire)
+from zxr.graphstate import graph_state, path_graph
 from zxr.phase import Phase
 from zxr.semantics import evaluate
 from zxr.textio import parse, serialize
@@ -1026,3 +1027,28 @@ def test_wires_walk_h_chains_loops_and_closed_cycles():
     assert scale == 0.5 * diagram.HALF_SQRT2   # three H wires, no spider short of legs
     # a closed cycle of three H-boxes, which no wire reaches, is tr(H^3) = 0
     assert parse(text + cycle).network() == (tensors, 0.0, shape, arity)
+
+
+
+class CountedTuple(tuple):
+    """A tuple that counts the passes over it."""
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_a_patch_read_without_a_boundary_node_reads_no_boundary_tuple():
+    d = graph_state(path_graph(f"v{i}" for i in range(20)))
+    d.outputs = CountedTuple(d.outputs)
+    d.check()
+    d.outputs.passes = 0
+    patch = {"v:v5", "h:v5:v6", "v:v6"}
+    read = d.network(patch)
+    assert d.outputs.passes == 0
+    assert read == reference_cut(d, patch).network()
+    with_wire, d.outputs.passes = {"v:v5", "w:v5"}, 0
+    read = d.network(with_wire)
+    assert d.outputs.passes == 1   # a boundary node: its outputs are filtered
+    assert read == reference_cut(d, with_wire).network()
