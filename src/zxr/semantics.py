@@ -271,6 +271,11 @@ def equal_up_to_scalar(a: np.ndarray, b: np.ndarray) -> bool:
     lambda pivoted on b's largest entry (``_peak``). Two zero matrices, empty
     ones included, are equal; a zero and a nonzero matrix are not.
 
+    Arrays of one dtype and the same bytes, largest entry finite, are equal
+    at once, lambda = 1: a fitted lambda one ulp off 1 fails the absolute TOL
+    at magnitudes past 1e7. Every other pair (NaN or infinite entries, one
+    set of bytes under two dtypes) is fitted.
+
     The zero test is absolute, so it is no verdict on diagrams: ``evaluate``
     gives K_12 and K_12 less an edge largest entries near 1e-10, both read
     as zero, and so as equal. Compare diagrams with ``diagrams_equal``,
@@ -279,6 +284,8 @@ def equal_up_to_scalar(a: np.ndarray, b: np.ndarray) -> bool:
     if not b.size:
         return True
     amax = _peak(a)[1]
+    if a.dtype == b.dtype and a.tobytes() == b.tobytes() and math.isfinite(amax):
+        return True
     pivot, bmax = _peak(b)
     if amax <= TOL or bmax <= TOL:
         return amax <= TOL and bmax <= TOL
@@ -330,6 +337,8 @@ def networks_equal(f_net: tuple, g_net: tuple, model_n: int) -> bool:
     """Are two networks (``Diagram.network``) equal up to a nonzero scalar
     in model n? True at once when they are the same (``_same``); otherwise
     each is contracted (``_contract``) and compared by ``matrices_equal``."""
+    if model_n < 1:
+        raise ValueError("model_n must be >= 1")
     return _same(f_net, g_net) or matrices_equal(
         _contract(f_net, model_n), f_net[1], _contract(g_net, model_n), g_net[1])
 
@@ -338,8 +347,6 @@ def diagrams_equal(f: Diagram, g: Diagram, model_n: int = 1) -> bool:
     """Are f and g equal up to a nonzero scalar in model n? Their networks,
     each read once per diagram (``Diagram.memo``), decide: the same ones at
     once, others contracted, f's first (``networks_equal``)."""
-    if model_n < 1:
-        raise ValueError("model_n must be >= 1")
     return networks_equal(f.memo(Diagram.network), g.memo(Diagram.network), model_n)
 
 

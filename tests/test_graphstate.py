@@ -18,7 +18,7 @@ from zxr.graphstate import (GraphError, SimpleGraph, all_graphs, check_fixpoint,
                             vdn_lhs)
 from zxr.diagram import Z
 from zxr.phase import HALF_PI, PI
-from zxr.semantics import diagrams_equal, equal_up_to_scalar, evaluate, matrices_equal
+from zxr.semantics import diagrams_equal, evaluate, matrices_equal
 from zxr.textio import parse_edges, serialize, serialize_edges
 
 
@@ -43,13 +43,13 @@ def _graph_from_mask(size, mask):
 
 def test_cz_matrix():
     got = evaluate(cz_diagram())
-    assert equal_up_to_scalar(got, np.diag([1, 1, 1, -1]).astype(complex))
+    assert proportional(got, np.diag([1, 1, 1, -1]).astype(complex))
 
 
 def test_cz_self_inverse():
     from zxr.diagram import compose
     twice = compose(cz_diagram(), cz_diagram())
-    assert equal_up_to_scalar(evaluate(twice), np.eye(4, dtype=complex))
+    assert proportional(evaluate(twice), np.eye(4, dtype=complex))
 
 
 def test_cz_symmetric():
@@ -58,14 +58,14 @@ def test_cz_symmetric():
     for a in range(2):
         for b in range(2):
             swap[(b << 1) | a, (a << 1) | b] = 1
-    assert equal_up_to_scalar(swap @ m @ swap, m)
+    assert proportional(swap @ m @ swap, m)
 
 
 def test_empty_graph_is_plus_states():
     g = SimpleGraph.build("ab")
     got = evaluate(graph_state(g))
     want = np.ones((4, 1), dtype=complex) / 2
-    assert equal_up_to_scalar(got, want)
+    assert proportional(got, want)
 
 
 def test_graph_state_matches_oracle_small():
@@ -187,8 +187,8 @@ CHECKS = ((check_fixpoint, fixpoint_lhs, (PI, PI), lambda g, u: g),
 
 def test_checks_agree_with_uncached_form_cold_and_warm():
     # cold: every composed matrix against its whole-diagram evaluation, and
-    # every verdict against diagrams_equal (spelt out, so the left side is
-    # evaluated once); warm: the memoised pieces give the same bits
+    # every verdict against diagrams_equal on the diagram just evaluated, its
+    # network read once; warm: the memoised pieces give the same bits
     graphstate._small_states.cache_clear()
     graphstate._rotation_matrix.cache_clear()
     cold = {}
@@ -199,11 +199,11 @@ def test_checks_agree_with_uncached_form_cold_and_warm():
             for i, (check, lhs, phases, target) in enumerate(CHECKS):
                 got = graphstate._rotated_matrix(
                     g, graphstate._rotations(g, u, *phases))
-                ref = evaluate(lhs(g, u))
-                assert np.abs(got - ref).max() <= 1e-12, (g, u, lhs)
+                d = lhs(g, u)
+                assert np.abs(got - evaluate(d)).max() <= 1e-12, (g, u, lhs)
                 verdict = check(g, u)
-                assert verdict == equal_up_to_scalar(
-                    ref, evaluate(graph_state(target(g, u)))), (g, u, lhs)
+                assert verdict == diagrams_equal(
+                    d, graph_state(target(g, u))), (g, u, lhs)
                 cold[g, u, i] = got, verdict
     assert len(cold) == 2 * 5120
     for (g, u, i), (got, verdict) in cold.items():

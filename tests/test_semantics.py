@@ -393,6 +393,17 @@ def test_model_n_below_one_is_a_value_error():
         semantics.diagrams_equal(d, d, 0)
 
 
+def test_equal_networks_and_their_replay_refuse_model_zero():
+    # the model is tested before equal networks are decided, else a replay
+    # whose every step keeps its patch's network would pass in model 0
+    net = generator("h").memo(Diagram.network)
+    with pytest.raises(ValueError, match="model_n must be >= 1"):
+        semantics.networks_equal(net, net, 0)
+    start, script = shipped.load(PROOF_DIR, "fixpoint-s2")
+    with pytest.raises(ValueError, match="model_n must be >= 1"):
+        replay(script, start, models=(0,))
+
+
 def test_rays_tell_a_zero_from_a_small_matrix():
     # s, an X effect after a Z state, is 1/sqrt2; |+> and |-> stay apart
     # under any power of it, and a zero stays zero
@@ -1005,3 +1016,38 @@ def test_equal_up_to_scalar_matches_reference_on_evaluated_pairs(rng):
             by_shape[m.shape].append(m)
     verdicts = Counter(_same_verdict(a, b) for a, b in pairs[:2000])
     assert verdicts[True] > 100 and verdicts[False] > 100
+
+
+# -- identical arrays ----------------------------------------------------------------
+# Two arrays of one dtype and the same bytes, largest entry finite, are equal
+# with no fit; every other pair keeps the reference's verdict.
+
+
+def test_identical_finite_arrays_are_equal_at_every_magnitude():
+    # the fitted lambda is one ulp off 1, and TOL is absolute: past 1e7 a fit
+    # would call some of these unequal to their own copies
+    rng = np.random.default_rng(41)
+    for e in range(13):
+        for _ in range(100):
+            a = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) * 10.0 ** e
+            assert equal_up_to_scalar(a, a.copy()), (e, a)
+
+
+def test_pairs_not_decided_by_their_bytes_keep_the_reference_verdict():
+    # identical arrays holding NaN or inf are fitted, as before
+    with np.errstate(invalid="ignore"):
+        for bad in (np.nan, complex(np.nan, 1), np.inf, -np.inf, complex(1, np.inf),
+                    complex(np.inf, np.nan)):
+            x = np.array([[1, 2j], [bad, 0.5]])
+            assert _same_verdict(x, x) is False
+            assert _same_verdict(x, x.copy()) is False
+        real = np.array([1.0, np.inf])
+        assert _same_verdict(real, real.copy()) is False
+    # one set of bytes under two dtypes
+    f = np.array([1.0, 2.0])
+    assert _same_verdict(f.view(np.int64), f) is False
+    assert _same_verdict(f, f.view(np.int64)) is False
+    # signed zeros differ in their bytes and are both zero
+    for z in (np.zeros((2, 2)), np.zeros((2, 2), dtype=complex)):
+        assert _same_verdict(z, -z) is True
+        assert _same_verdict(-z, z) is True
