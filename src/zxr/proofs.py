@@ -96,10 +96,13 @@ def replay(script: ProofScript, start: Diagram, *, euler_on: bool = False,
     Euler-strength steps; pass ``models`` to override, ``()`` to apply the
     steps without evaluating anything. A step is decided by its patch or
     by the whole diagrams (see the module docstring), so only a whole
-    diagram over the cap raises ResourceLimit.
+    diagram over the cap raises ResourceLimit. A model below 1 raises
+    ValueError before any step, as a script without steps has none.
     """
     if models is None:
         models = (1, 2) if script.euler_free() else (1,)
+    if any(n < 1 for n in models):
+        raise ValueError("model_n must be >= 1")
     if models:
         start.checked()   # a checked replay rejects a malformed start outright
     current = start

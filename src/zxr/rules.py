@@ -48,12 +48,15 @@ and the script steps that assume or use an equation equivalent to it
 ``Rule.euler`` flag is set. ``apply`` refuses them unless ``euler_on=True``,
 and ``proofs.replay`` checks only the standard model when a script uses one.
 
-A rule whose right-hand side is a fixed open diagram rewrites by one
-``Diagram.substitute`` of it, built once at import: a bare wire for
-id-remove, pi-state and h-cancel (the empty diagram for a closed H-H pair),
-``euler_chain`` for euler, ``h_wire`` for euler-inv, ``h_core`` and
-``h_core_dual`` for the two core steps, and a two-spider path or square per
-corner colour for bialgebra and bialgebra-expand.
+A rule whose two sides are fixed open diagrams is an equation row, which
+``_equation`` builds from one (lhs, rhs) pair per kind of the anchor's
+first node: euler (``h_wire`` to ``euler_chain``), euler-inv (either
+colour's chain to ``h_wire``), bialgebra (the square to the two-spider
+path, per corner colour), bialgebra-expand (the same pairs reversed), and
+cut-h-core and cut-h-core-dual (``h_wire`` to ``h_core``, ``h_core_dual``).
+id-remove, pi-state and h-cancel keep their own checks, as their H-loop
+guards and free phases are no fixed pattern, and substitute a bare wire
+(the empty diagram for a closed H-H pair).
 
 Every rule is one ``Rule`` in ``RULES``. ``apply`` first refuses an anchor
 that is not ``arity`` distinct node ids; ``check(d, anchor)`` is then the
@@ -116,12 +119,6 @@ def _basis_state(d: Diagram, v: str) -> bool:
     """Degree-1 spider with phase 0 or pi."""
     return (_is_spider(d, v) and d.degree(v) == 1
             and d.phase(v) in (ZERO, PI))
-
-
-def _plain3(d: Diagram, v: str) -> bool:
-    """Phase-0 degree-3 spider without self-loops (a bialgebra corner)."""
-    return (_is_spider(d, v) and d.phase(v) == ZERO and d.degree(v) == 3
-            and not d.self_loops(v))
 
 
 def _spiders(d: Diagram) -> list[Anchor]:
@@ -202,7 +199,7 @@ def _stamp_states(d: Diagram, s: str, colour: str, phase: Phase) -> None:
     d.remove_node(s)
 
 
-# -- fixed right-hand sides, built once --------------------------------------------
+# -- equation rows: rules whose two sides are fixed open diagrams -------------------
 
 
 def _bipartite(colour: str, k: int) -> Diagram:
@@ -217,11 +214,47 @@ def _bipartite(colour: str, k: int) -> Diagram:
     return attach_wires(d, a * (2 // k), b * (2 // k))
 
 
-# keyed by the colour of the anchor's first node
-_BIALGEBRA = {c: _bipartite(other_colour(c), 1) for c in SPIDERS}
-_EXPAND = {c: _bipartite(other_colour(c), 2) for c in SPIDERS}
-_WIRE, _EMPTY, _H, _EULER = wire(), empty(), h_wire(), euler_chain()
-_CORE, _CORE_DUAL = h_core(), h_core_dual()
+_WIRE, _EMPTY, _H = wire(), empty(), h_wire()
+# the bialgebra equation, one row per colour of the square's first corner
+_SQUARE = [(_bipartite(c, 2), _bipartite(other_colour(c), 1)) for c in SPIDERS]
+
+
+def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Anchor]]],
+              pairs: Iterable[tuple[Diagram, Diagram]], euler: bool = False) -> Rule:
+    """The rule rewriting each fixed open diagram lhs to its rhs, one row
+    per (lhs, rhs), keyed by the kind of lhs's first node, so by that of the
+    anchor's. The anchor is lhs's non-boundary nodes in name order (arity:
+    their count). It matches where each has its kind, phase and degree in
+    lhs and the edges among them, self-loops included, are exactly lhs's.
+    The rewrite is one ``substitute`` of rhs, whose i-th boundary takes an
+    outside wire of the node that lhs's i-th boundary is on. Each pattern is
+    read here, once, and the rewrite does not match again."""
+    rows = {}
+    for lhs, rhs in pairs:
+        nodes = sorted(set(lhs.nodes()) - set(lhs.boundary()))
+        at = {v: i for i, v in enumerate(nodes)}
+        rows[lhs.kind(nodes[0])] = (
+            tuple((lhs.kind(v), lhs.phase(v) if _is_spider(lhs, v) else None,
+                   lhs.degree(v)) for v in nodes),
+            tuple((i, j, lhs.multiplicity(u, v)) for i, u in enumerate(nodes)
+                  for j, v in enumerate(nodes[i:], i)),
+            rhs, tuple(at[lhs.boundary_partner(b)] for b in lhs.boundary()))
+    (arity,) = {len(spec) for spec, _, _, _ in rows.values()}
+
+    def check(d: Diagram, anchor: Anchor) -> bool:
+        row = rows.get(d.kind(anchor[0]))
+        if row is None:
+            return False
+        spec, edges, _, _ = row
+        return (all(d.kind(v) == k and (p is None or d.phase(v) == p)
+                    and d.degree(v) == n for v, (k, p, n) in zip(anchor, spec))
+                and all(d.multiplicity(anchor[i], anchor[j]) == m for i, j, m in edges))
+
+    def rewrite(d: Diagram, anchor: Anchor) -> Diagram:
+        _, _, rhs, ports = rows[d.kind(anchor[0])]
+        return d.substitute(anchor, rhs, tuple(anchor[i] for i in ports))
+
+    return Rule(name, arity, candidates, check, rewrite, euler)
 
 
 # -- the rules ----------------------------------------------------------------------
@@ -307,17 +340,6 @@ def _rewrite_copy(d: Diagram, anchor: Anchor) -> Diagram:
     d.remove_node(state)
     _stamp_states(d, s, colour, phase)
     return d
-
-
-def _check_bialgebra(d: Diagram, anchor: Anchor) -> bool:
-    if not all(_plain3(d, v) for v in anchor):
-        return False
-    a1, a2, b1, b2 = anchor
-    cb = other_colour(d.kind(a1))
-    if d.kind(a2) != d.kind(a1) or d.kind(b1) != cb or d.kind(b2) != cb:
-        return False
-    return (all(d.multiplicity(a, b) == 1 for a in (a1, a2) for b in (b1, b2))
-            and not d.multiplicity(a1, a2) and not d.multiplicity(b1, b2))
 
 
 def _pi_wire(d: Diagram, r: str) -> bool:
@@ -417,24 +439,6 @@ def _check_h_state(d: Diagram, anchor: Anchor) -> bool:
             and d.phase(anchor[1]) == ZERO)
 
 
-def _check_one_hbox(d: Diagram, anchor: Anchor) -> bool:
-    return _is_hbox(d, anchor[0])
-
-
-def _check_euler_inv(d: Diagram, anchor: Anchor) -> bool:
-    s1, s2, s3 = anchor
-    if not all(_is_spider(d, v) and d.phase(v) == MINUS_HALF_PI
-               and d.degree(v) == 2 and not d.self_loops(v) for v in anchor):
-        return False
-    c = d.kind(s1)
-    if d.kind(s3) != c or d.kind(s2) != other_colour(c):
-        return False
-    if d.multiplicity(s1, s2) != 1 or d.multiplicity(s2, s3) != 1:
-        return False
-    # outer wires must leave the chain
-    return _far_end(d, s1, s2) not in anchor and _far_end(d, s3, s2) not in anchor
-
-
 # -- script-only steps ----------------------------------------------------------------
 
 
@@ -489,13 +493,6 @@ def _rewrite_use_pi2_colour(d: Diagram, anchor: Anchor) -> Diagram:
     return d
 
 
-def _check_bialgebra_expand(d: Diagram, anchor: Anchor) -> bool:
-    """An adjacent opposite-colour pair of bialgebra corners."""
-    return (all(_plain3(d, v) for v in anchor)
-            and d.kind(anchor[0]) != d.kind(anchor[1])
-            and d.multiplicity(*anchor) == 1)
-
-
 # -- the table ------------------------------------------------------------------------
 
 RULES: dict[str, Rule] = {r.name: r for r in (
@@ -506,8 +503,7 @@ RULES: dict[str, Rule] = {r.name: r for r in (
     Rule("id-insert", 2, _adjacent, _check_id_insert, _rewrite_id_insert),
     Rule("self-loop", 1, _spiders, _check_self_loop, _rewrite_self_loop),
     Rule("copy", 2, _led_by(_basis_state), _check_copy, _rewrite_copy),
-    Rule("bialgebra", 4, _bialgebra_candidates, _check_bialgebra,
-         lambda d, a: d.substitute(a, _BIALGEBRA[d.kind(a[0])], a)),
+    _equation("bialgebra", _bialgebra_candidates, _SQUARE),
     Rule("pi-commute", 2, _led_by(_pi_wire), _check_pi_commute,
          _rewrite_pi_commute),
     Rule("pi-state", 2, _led_by(_basis_state), _check_pi_state,
@@ -519,20 +515,16 @@ RULES: dict[str, Rule] = {r.name: r for r in (
     Rule("h-colour", 1, _spiders, _check_h_colour, _rewrite_h_colour),
     Rule("h-phase", 2, _led_by(_is_hbox), _check_h_phase, _rewrite_h_phase),
     Rule("h-state", 2, _led_by(_is_hbox), _check_h_state, _rewrite_h_phase),
-    Rule("euler", 1, _nodes, _check_one_hbox,
-         lambda d, a: d.substitute(a, _EULER, a * 2), euler=True),
-    Rule("euler-inv", 3, _euler_inv_candidates, _check_euler_inv,
-         lambda d, a: d.substitute(a, _H, (a[0], a[2])), euler=True),
+    _equation("euler", _nodes, [(_H, euler_chain())], euler=True),
+    _equation("euler-inv", _euler_inv_candidates,
+              [(euler_chain(c), _H) for c in SPIDERS], euler=True),
     Rule("assume-lc-triangle", 3, None, _check_assume_lc_triangle,
          _rewrite_assume_lc_triangle, euler=True),
-    Rule("cut-h-core", 1, None, _check_one_hbox,
-         lambda d, a: d.substitute(a, _CORE, a * 2), euler=True),
-    Rule("cut-h-core-dual", 1, None, _check_one_hbox,
-         lambda d, a: d.substitute(a, _CORE_DUAL, a * 2), euler=True),
+    _equation("cut-h-core", None, [(_H, h_core())], euler=True),
+    _equation("cut-h-core-dual", None, [(_H, h_core_dual())], euler=True),
     Rule("use-pi2-colour", 2, None, _check_use_pi2_colour, _rewrite_use_pi2_colour,
          euler=True),
-    Rule("bialgebra-expand", 2, None, _check_bialgebra_expand,
-         lambda d, a: d.substitute(a, _EXPAND[d.kind(a[0])], (a[0], a[0], a[1], a[1]))),
+    _equation("bialgebra-expand", None, [(rhs, lhs) for lhs, rhs in _SQUARE]),
 )}
 
 RULE_IDS = tuple(name for name, r in RULES.items() if r.candidates is not None)

@@ -21,6 +21,15 @@ def test_empty_script_is_identity():
     assert replay(ProofScript("noop"), d) is d
 
 
+def test_replay_refuses_a_model_below_one_before_its_first_step():
+    # cycle-6 has no steps, so no step's check could test the model
+    start, script = shipped.load(PROOF_DIR, "cycle-6")
+    assert script.steps == []
+    for models in ((0,), (-1, 1)):
+        with pytest.raises(ValueError, match="model_n must be >= 1"):
+            replay(script, start, models=models)
+
+
 def test_replay_reports_failing_step():
     script = ProofScript("bad", [("spider-fuse", ("a", "b"))])
     with pytest.raises(ReplayError) as err:

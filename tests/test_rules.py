@@ -6,8 +6,9 @@ import pytest
 
 from conftest import circuit, random_diagram
 from zxr import lemmas, rules, shipped
-from zxr.diagram import (BOUNDARY, HBOX, Diagram, X, Z, compose, generator,
-                         iso_equal, rotation_chain, spider, wire)
+from zxr.diagram import (BOUNDARY, HBOX, Diagram, X, Z, compose, euler_chain,
+                         generator, h_wire, iso_equal, rotation_chain, spider,
+                         wire)
 from zxr.phase import Phase
 from zxr.semantics import diagrams_equal
 from zxr.textio import parse, serialize
@@ -414,3 +415,80 @@ def test_bad_anchor_arity_or_node_raises_rule_error():
             with pytest.raises(rules.RuleError, match="does not match"):
                 rules.apply(rule, d, bad, euler_on=True)
     assert seen == set(rules.RULES)
+
+
+# SHA-256 of each equation row (a rule whose two sides are fixed diagrams)
+# applied in every colour it is keyed on: rule, anchor, the result's next
+# fresh id and the result. Nothing above pins the X-first forms of
+# bialgebra-expand and euler-inv.
+ROW_DIGEST = "39cb3b6e784fca31b13eb64bb0e87d7495435659e4ed895ee8d71f01d5265be8"
+
+_INVERSE = {"bialgebra": "bialgebra-expand", "bialgebra-expand": "bialgebra",
+            "euler": "euler-inv", "euler-inv": "euler"}
+
+
+def _row_steps():
+    """(rule, diagram, anchor): bialgebra-expand at the two-spider path in
+    both orders, bialgebra at every site of both squares it makes,
+    euler-inv on both chains, and the three H-box rows on one H-box."""
+    p2 = lemmas.p2_diagram(2, 2)
+    steps = [("bialgebra-expand", p2, a) for a in (("gstar", "rstar"), ("rstar", "gstar"))]
+    for rule, d, a in list(steps):
+        square = rules.apply(rule, d, a)
+        steps += [("bialgebra", square, s) for s in rules.match_sites("bialgebra", square)]
+    for chain3 in (euler_chain(Z), euler_chain(X)):
+        steps += [("euler-inv", chain3, a) for a in rules.match_sites("euler-inv", chain3)]
+    steps += [("euler", h_wire(), a) for a in rules.match_sites("euler", h_wire())]
+    return steps + [(rule, h_wire(), ("c0",)) for rule in ("cut-h-core", "cut-h-core-dual")]
+
+
+def test_equation_rows_in_every_colour_they_are_keyed_on():
+    digest = hashlib.sha256()
+    steps = _row_steps()
+    assert len(steps) == 11
+    for rule, d, anchor in steps:
+        out = rules.apply(rule, d, anchor, euler_on=True)
+        digest.update(f"{rule} {anchor} {out.fresh_id()}\n{serialize(out)}".encode())
+        assert rules.RULES[rule].arity == len(anchor)
+        for n in (1,) if rules.RULES[rule].euler else (1, 2, 3):
+            assert diagrams_equal(d, out, n), (rule, anchor, n)
+        if rule in _INVERSE:
+            # the inverse row's anchor is the nodes this step made; euler has
+            # one row, so it brings either chain back as the Z-first one
+            back = rules.apply(_INVERSE[rule], out, out.created_since(d), euler_on=True)
+            assert iso_equal(back, euler_chain(Z) if rule == "euler-inv" else d), (rule, anchor)
+    assert digest.hexdigest() == ROW_DIGEST
+
+
+_CORNERS = "in i1 i2\nout o1 o2\nedge i1 p\nedge i2 p\nedge q o1\nedge q o2\n"
+
+
+@pytest.mark.parametrize("rule, text, anchor", [
+    # bialgebra-expand: two adjacent phase-0 degree-3 spiders of opposite colours
+    ("bialgebra-expand", "node p z\nnode q z\nedge p q\n" + _CORNERS, ("p", "q")),
+    ("bialgebra-expand", "node p x\nnode q x\nedge p q\n" + _CORNERS, ("p", "q")),
+    ("bialgebra-expand", "node p z 1/2\nnode q x\nedge p q\n" + _CORNERS, ("p", "q")),
+    ("bialgebra-expand", "node p z\nnode q x\nin i\nout o\n"
+     "edge i p\nedge p q\nedge p q\nedge q o\n", ("p", "q")),
+    ("bialgebra-expand", "node p z\nnode q x\nout o1 o2\n"
+     "edge p p\nedge p q\nedge q o1\nedge q o2\n", ("p", "q")),
+    ("bialgebra-expand", "node p z\nnode q x\nin i0\nedge i0 p\nedge p q\n"
+     + _CORNERS, ("p", "q")),
+    ("bialgebra-expand", "node p h\nnode q x\nin i\nout o1 o2\n"
+     "edge i p\nedge p q\nedge q o1\nedge q o2\n", ("p", "q")),
+    # euler-inv: its chain closed into a triangle has no outside wires
+    ("euler-inv", "node s1 z 3/2\nnode s2 x 3/2\nnode s3 z 3/2\n"
+     "edge s1 s2\nedge s2 s3\nedge s3 s1\n", ("s1", "s2", "s3")),
+    # bialgebra: a square whose two a corners are also joined
+    ("bialgebra", "node a1 z\nnode a2 z\nnode b1 x\nnode b2 x\nout o1 o2\n"
+     "edge a1 b1\nedge a1 b2\nedge a2 b1\nedge a2 b2\nedge a1 a2\n"
+     "edge b1 o1\nedge b2 o2\n", ("a1", "a2", "b1", "b2")),
+    # cut-h-core: a spider in the H-box's place
+    ("cut-h-core", "node g z\nin i\nout o\nedge i g\nedge g o\n", ("g",)),
+])
+def test_equation_rows_reject_near_misses(rule, text, anchor):
+    d = parse(text)
+    with pytest.raises(rules.RuleError, match="does not match"):
+        rules.apply(rule, d, anchor, euler_on=True)
+    if rule in rules.RULE_IDS:
+        assert rules.match_sites(rule, d) == []
