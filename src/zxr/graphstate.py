@@ -5,36 +5,43 @@ an H-box on every edge. Local rotations act on the output wires. Output wire
 order follows the graph's vertex-declaration order, so matrix comparisons are
 well defined.
 
-LRU memos keep a sweep from building or evaluating the same thing again:
+LRU memos keep a sweep from building or evaluating the same thing again.
+Counts are from the benchmark's seed-4242 15-s graph sweep, cold:
 - |g>'s read-only matrix together with its network scale (``_state``), from
   one evaluation, keyed on the labelled graph. States of at most
   ``semantics.MAX_CACHED_ENTRIES`` entries, as every result memo keeps,
   share 1,024 entries, one per labelled 5-vertex graph, so a sweep
   evaluates each state once, |LC(g, u)> included; a larger state is kept
   only while among the last two, |g> and |LC(g, u)> in a sweep over g's
-  vertices. On the benchmark's seed-4242 graph sweep: 1,482 misses and
-  12,218 hits;
-- the read-only 2x2 matrix of each one-wire rotation: 4 misses and 17,236
-  hits on that sweep;
+  vertices. 1,482 misses and 6,738 hits;
+- the read-only 2x2 matrix of each one-wire rotation: 4 misses and 5,874
+  hits;
+- the read-only 2^n diagonal of the Z rotations on a vertex's neighbours
+  (``_diagonal``), keyed on (n, neighbour bitmask, phase), 1,024 entries
+  of at most ``MAX_CACHED_ENTRIES`` entries; a larger one is built per
+  call. 398 misses and 5,082 hits;
 - ``graph_state``'s fully checked build, 16 entries: 1,670 misses and 826
-  hits on that sweep, the hits from the vdn-negative ops' repeated
-  diagrams. Without it that sweep took 1.07-1.09x as long (in-process
-  medians, 10 alternating runs each from cleared caches, two series, on a
-  shared 2-CPU machine).
+  hits, the hits from the vdn-negative ops' repeated diagrams. Without it
+  that sweep took 1.07-1.09x as long (in-process medians, 10 alternating
+  runs each from cleared caches, two series, on a shared 2-CPU machine).
 
 The fixpoint and local-complementation checks contract no rotated diagram.
 The rotated diagram (``fixpoint_lhs``, ``vdn_lhs``) is |g> with one
 rotation spider spliced onto some output wires, so it is the tensor product
 of single-wire rotations composed after |g>; by the tensor and composition
 laws of the interpretation its matrix is |g>'s with each rotation's matrix
-applied to that wire's axis: one ``np.matmul`` per rotated wire, of the 2x2
-rotation and the state viewed as (2^i, 2, rest) for wire i. One rotation
-list (``_rotations``) names the wires and rotations for the diagram and the
-matrix alike. The checks decide by ``semantics.matrices_equal``, the rule
-every diagram comparison uses, the rotated state taking |g>'s scale. As
-``evaluate`` does, the checks test the entry cap on every call, memoised or
-not. A copy from ``graph_state`` keeps the build's evaluation network
-(``Diagram.memo``) until it is edited.
+applied to that wire's axis. The X rotation on u is one ``np.matmul``, of
+the 2x2 rotation and the state viewed as (2^i, 2, rest) for u's wire i.
+The Z rotations are diagonal, so their tensor product with the identity on
+the other wires is one 2^n diagonal, the outer product of the Z rotation's
+diagonal on the neighbours' wires with ones on the rest, and they are one
+elementwise product with it. One triple (u, the phase at u, the phase at
+its neighbours) names the rotations for the diagram (``_rotations``) and
+the matrix (``_rotated_matrix``) alike. The checks decide by
+``semantics.matrices_equal``, the rule every diagram comparison uses, the
+rotated state taking |g>'s scale. As ``evaluate`` does, the checks test
+the entry cap on every call, memoised or not. A copy from ``graph_state``
+keeps the build's evaluation network (``Diagram.memo``) until it is edited.
 """
 
 from __future__ import annotations
@@ -228,34 +235,61 @@ def _rotation_matrix(colour: str, phase: PhaseLike) -> np.ndarray:
     return m
 
 
-def _rotated_matrix(g: SimpleGraph, rotations: list[Rotation]) -> np.ndarray:
-    """The matrix of ``_rotated(g, rotations)``: |g>'s matrix with each
-    rotation's matrix applied to its vertex's wire, wire i of n by one
-    ``np.matmul`` on the (2^i, 2, 2^(n-i-1)) view of the state. A fresh
-    array; the memoised ones are only read. The entry cap is tested against
-    the 2^n-entry state and each rotation's 4 entries."""
+def _diagonal(n: int, mask: int, phase: PhaseLike) -> np.ndarray:
+    """The read-only 2^n x 1 diagonal of Z(phase) on each wire i of n whose
+    bit ``1 << i`` is set in mask and the identity on the rest: the outer
+    product, wire 0 outermost, of the evaluated Z rotation's diagonal on
+    those wires with ones on the others. ValueError if that rotation's
+    matrix is not exactly diagonal."""
+    z = _rotation_matrix(Z, phase)
+    if z[0, 1] != 0 or z[1, 0] != 0:
+        raise ValueError(f"the Z({phase}) rotation's matrix is not diagonal")
+    on, off = np.diagonal(z), np.ones(2, dtype=z.dtype)
+    d = np.ones(1, dtype=z.dtype)
+    for i in range(n):
+        d = np.outer(d, on if mask >> i & 1 else off).ravel()
+    d = d.reshape((2 ** n, 1))
+    d.flags.writeable = False
+    return d
+
+
+_small_diagonals = lru_cache(maxsize=1024)(_diagonal)
+
+
+def _rotated_matrix(g: SimpleGraph, u: str, at_u: PhaseLike,
+                    at_neighbours: PhaseLike) -> tuple[np.ndarray, np.ndarray, float]:
+    """The matrix of ``_rotated(g, _rotations(g, u, at_u, at_neighbours))``,
+    with the matrix and scale of |g> it was rotated from (one lookup). The
+    X rotation acts on u's wire i of n by one ``np.matmul`` on the
+    (2^i, 2, 2^(n-i-1)) view of |g>; the Z rotations on u's neighbours are
+    one elementwise product with their 2^n diagonal (``_diagonal``, memoised
+    by size as the states are). A fresh array; the memoised ones are only
+    read. GraphError if u is no vertex of g, before the entry cap is tested
+    against the 2^n-entry state and the rotation's 4 entries."""
+    neighbours = g.neighbours(u)
     n = len(g.vertices)
     if 2 ** n > semantics.MAX_INTERMEDIATE:
         raise ResourceLimit(f"a {n}-vertex graph state needs 2^{n} entries")
     if 4 > semantics.MAX_INTERMEDIATE:
         raise ResourceLimit("a one-wire rotation needs 2^2 entries")
-    t = _state(g)[0]
-    for v, colour, phase in rotations:
-        i = g.vertices.index(v)
-        t = np.matmul(_rotation_matrix(colour, phase),
-                      t.reshape((1 << i, 2, 1 << (n - i - 1))))
-    return t.reshape((2 ** n, 1))
+    state, scale = _state(g)
+    i = g.vertices.index(u)
+    t = np.matmul(_rotation_matrix(X, at_u),
+                  state.reshape((1 << i, 2, 1 << (n - i - 1))))
+    mask = sum(1 << g.vertices.index(v) for v in neighbours)
+    small = 2 ** n <= semantics.MAX_CACHED_ENTRIES
+    diagonal = (_small_diagonals if small else _diagonal)(n, mask, at_neighbours)
+    return t.reshape((2 ** n, 1)) * diagonal, state, scale
 
 
 def check_fixpoint(g: SimpleGraph, u: str) -> bool:
-    lhs = _rotated_matrix(g, _rotations(g, u, PI, PI))
-    state, scale = _state(g)
+    lhs, state, scale = _rotated_matrix(g, u, PI, PI)
     return matrices_equal(lhs, scale, state, scale)
 
 
 def check_vdn(g: SimpleGraph, u: str) -> bool:
-    lhs = _rotated_matrix(g, _rotations(g, u, LC_VERTEX_PHASE, LC_NEIGHBOUR_PHASE))
-    return matrices_equal(lhs, _state(g)[1], *_state(local_complement(g, u)))
+    lhs, _, scale = _rotated_matrix(g, u, LC_VERTEX_PHASE, LC_NEIGHBOUR_PHASE)
+    return matrices_equal(lhs, scale, *_state(local_complement(g, u)))
 
 
 def all_graphs(labels: tuple[str, ...]) -> Iterable[SimpleGraph]:

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from conftest import (apply_single, cz_diagram, graph_state_vector, lc_orbit,
                       proportional, rx_mat, rz_mat)
-from zxr import graphstate
+from zxr import graphstate, semantics
+from zxr.axioms import PHASE_GRID
 from zxr.graphstate import (GraphError, SimpleGraph, all_graphs, check_fixpoint,
                             check_vdn, complete_graph, fixpoint_lhs, graph_state,
                             local_complement, path_graph, star_graph, triangle,
                             vdn_lhs)
 from zxr.diagram import Z
-from zxr.phase import HALF_PI, PI
-from zxr.semantics import diagrams_equal, evaluate, matrices_equal
+from zxr.phase import HALF_PI, MINUS_HALF_PI, PI
+from zxr.semantics import ResourceLimit, diagrams_equal, evaluate, matrices_equal
 from zxr.textio import parse_edges, serialize, serialize_edges
 
 
@@ -191,14 +192,14 @@ def test_checks_agree_with_uncached_form_cold_and_warm():
     # network read once; warm: the memoised pieces give the same bits
     graphstate._small_states.cache_clear()
     graphstate._rotation_matrix.cache_clear()
+    graphstate._small_diagonals.cache_clear()
     cold = {}
     for g in all_graphs(tuple("abcde")):
         assert np.array_equal(graphstate._state(g)[0],
                               evaluate(graph_state(g)))
         for u in g.vertices:
             for i, (check, lhs, phases, target) in enumerate(CHECKS):
-                got = graphstate._rotated_matrix(
-                    g, graphstate._rotations(g, u, *phases))
+                got = graphstate._rotated_matrix(g, u, *phases)[0]
                 d = lhs(g, u)
                 assert np.abs(got - evaluate(d)).max() <= 1e-12, (g, u, lhs)
                 verdict = check(g, u)
@@ -208,8 +209,7 @@ def test_checks_agree_with_uncached_form_cold_and_warm():
     assert len(cold) == 2 * 5120
     for (g, u, i), (got, verdict) in cold.items():
         check, _, phases, _ = CHECKS[i]
-        assert np.array_equal(graphstate._rotated_matrix(
-            g, graphstate._rotations(g, u, *phases)), got)
+        assert np.array_equal(graphstate._rotated_matrix(g, u, *phases)[0], got)
         assert check(g, u) == verdict
     assert graphstate._small_states.cache_info().hits > 0
     assert graphstate._rotation_matrix.cache_info().misses == 4
@@ -230,11 +230,94 @@ def test_checks_agree_with_state_vector_oracle(rng):
                 for w in g.neighbours(u):
                     vec = apply_single(rz_mat(at_nb.num / at_nb.den * np.pi), idx[w],
                                        len(verts), vec)
-                got = graphstate._rotated_matrix(
-                    g, graphstate._rotations(g, u, at_u, at_nb))
+                got = graphstate._rotated_matrix(g, u, at_u, at_nb)[0]
                 assert proportional(got, vec), (g, u, check)
                 assert check(g, u) == proportional(
                     vec, graph_state_vector(target(g, u))), (g, u, check)
+
+
+def reference_rotated_matrix(g, rotations):
+    """``_rotated_matrix`` as it was: one ``np.matmul`` per rotated wire."""
+    n = len(g.vertices)
+    if 2 ** n > semantics.MAX_INTERMEDIATE:
+        raise ResourceLimit(f"a {n}-vertex graph state needs 2^{n} entries")
+    if 4 > semantics.MAX_INTERMEDIATE:
+        raise ResourceLimit("a one-wire rotation needs 2^2 entries")
+    t = graphstate._state(g)[0]
+    for v, colour, phase in rotations:
+        i = g.vertices.index(v)
+        t = np.matmul(graphstate._rotation_matrix(colour, phase),
+                      t.reshape((1 << i, 2, 1 << (n - i - 1))))
+    return t.reshape((2 ** n, 1))
+
+
+def test_one_diagonal_product_agrees_with_a_matmul_per_wire(rng):
+    # every (g, u) of the 5-vertex graphs and of 12 seeded 6-7-vertex
+    # graphs, for both phase pairs: the same matrix up to rounding (the
+    # neighbours' phases are multiplied together before they meet the
+    # state) and the same verdict
+    graphs = list(all_graphs(tuple("abcde")))
+    for _ in range(12):
+        verts = tuple("abcdefg"[:rng.choice((6, 7))])
+        graphs.append(SimpleGraph.build(verts, [e for e in itertools.combinations(verts, 2)
+                                                if rng.random() < 0.5]))
+    cases = 0
+    for g in graphs:
+        state, scale = graphstate._state(g)
+        for u in g.vertices:
+            for check, _, phases, target in CHECKS:
+                want = reference_rotated_matrix(g, graphstate._rotations(g, u, *phases))
+                got = graphstate._rotated_matrix(g, u, *phases)[0]
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (g, u, check)
+                verdict = matrices_equal(want, scale, *graphstate._state(target(g, u)))
+                assert check(g, u) == verdict, (g, u, check)
+                cases += 1
+    assert cases == 10400
+
+
+@pytest.mark.parametrize("phase", PHASE_GRID + (HALF_PI, MINUS_HALF_PI, PI))
+def test_z_rotation_is_exactly_diagonal(phase):
+    # what the neighbours' one product relies on: zero off the diagonal
+    # and 1 at the top, so a wire off the mask multiplies by exactly 1
+    m = graphstate._rotation_matrix(Z, phase)
+    assert m[0, 1] == 0 and m[1, 0] == 0 and m[0, 0] == 1
+
+
+def test_a_non_diagonal_z_rotation_is_refused(monkeypatch):
+    monkeypatch.setattr(graphstate, "_rotation_matrix",
+                        lambda colour, phase: np.ones((2, 2), dtype=complex))
+    with pytest.raises(ValueError, match="not diagonal"):
+        graphstate._diagonal(2, 1, PI)
+
+
+def test_diagonal_memo_keeps_small_read_only_vectors(monkeypatch):
+    graphstate._small_diagonals.cache_clear()
+    keys = set()
+    for g in itertools.chain(all_graphs(tuple("abcd")), [star_graph(7), star_graph(11)]):
+        for u in g.vertices:
+            assert check_fixpoint(g, u) and check_vdn(g, u)
+            mask = sum(1 << g.vertices.index(v) for v in g.neighbours(u))
+            keys |= {(len(g.vertices), mask, phase) for phase in (PI, graphstate.LC_NEIGHBOUR_PHASE)}
+    info = graphstate._small_diagonals.cache_info()
+    assert info.maxsize == 1024 and info.currsize == len(keys)
+    for key in keys:
+        d = graphstate._small_diagonals(*key)
+        assert not d.flags.writeable and d.shape == (2 ** key[0], 1)
+        assert d.size <= semantics.MAX_CACHED_ENTRIES
+    # K_12's 4,096-entry diagonal is over the cached size: built per call
+    built, build = [], graphstate._diagonal
+
+    def counted(n, mask, phase):
+        built.append(n)
+        return build(n, mask, phase)
+
+    monkeypatch.setattr(graphstate, "_diagonal", counted)
+    k12 = complete_graph([f"v{i}" for i in range(12)])
+    size = graphstate._small_diagonals.cache_info().currsize
+    for _ in range(2):
+        assert check_fixpoint(k12, "v0") and check_vdn(k12, "v0")
+    assert built == [12] * 4
+    assert graphstate._small_diagonals.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("check", [check_fixpoint, check_vdn])
@@ -266,7 +349,7 @@ def test_checks_compare_states_over_their_modulus():
     (state, scale), (other, other_scale) = graphstate._state(g), graphstate._state(less)
     assert not matrices_equal(state, scale, other, other_scale)
     assert check_fixpoint(g, "v0") and check_vdn(g, "v0")
-    wrong = graphstate._rotated_matrix(g, graphstate._rotations(g, "v0", PI, HALF_PI))
+    wrong = graphstate._rotated_matrix(g, "v0", PI, HALF_PI)[0]
     assert not matrices_equal(wrong, scale, state, scale)
 
 
