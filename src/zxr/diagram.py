@@ -481,21 +481,45 @@ class Diagram:
             uncovered = {e for e in uncovered if best not in e}
         return sorted(patch)
 
-    def substitute(self, nodes: Iterable[str], rhs: "Diagram",
-                   ports: Sequence[str]) -> "Diagram":
+    def substitute(self, nodes: Iterable[str], rhs: "Diagram", ports: Sequence[str],
+                   keep: Optional[dict[str, str]] = None) -> "Diagram":
         """Swap the nodes for a copy of the open diagram rhs; returns self.
         A node's outside wires are its edges leaving the set, in neighbour
         order, one per parallel copy. rhs's i-th boundary (inputs, then
         outputs) takes the next outside wire of ports[i]; a bare wire of rhs
-        joins its two outside ends. rhs's other
-        nodes get fresh ids in rhs's creation order. Raises DiagramError
-        unless ports takes every outside wire exactly once. rhs is read once
-        (``_gluing``, kept by ``memo``) and never written."""
+        joins its two outside ends. rhs's other nodes get fresh ids in rhs's
+        creation order, bar those ``keep`` maps by name to nodes of self
+        outside the set: these stay, their phases gain rhs's, and rhs's
+        edges among them are taken to be there. A kept node's edges to the
+        set go with it; if ports names the node, its outside wires are its
+        other edges but self-loops, less rhs's among kept nodes. Raises
+        DiagramError unless keep maps rhs nodes to distinct nodes outside
+        the set, ports names at most one of them, and ports takes every
+        outside wire of the set, and of that kept node, exactly once. rhs
+        is read once (``_gluing``, kept by ``memo``) and never written."""
         inside = set(nodes)
-        ends = {v: [w for w, m in sorted(self._adj[v].items()) if w not in inside
-                    for _ in range(m)] for v in inside if v in self._kind}
         bound, made_from, inner, partners = rhs.memo(_gluing)
-        if (len(ends) != len(inside) or len(ports) != len(bound)
+        held: dict[int, str] = {}
+        moved: list[str] = []
+        skip = inside
+        if keep:
+            held = {i: keep[v] for i, (v, _, _) in enumerate(made_from) if v in keep}
+            stay = set(held.values())
+            moved = sorted(stay.intersection(ports))
+            if (len(stay) != len(keep) or len(moved) > 1
+                    or not all(self.has_node(v) and v not in inside for v in stay)):
+                raise DiagramError(f"keep {keep} is not rhs nodes onto distinct nodes "
+                                   "outside the set, at most one of them a port")
+            skip = inside | stay
+            shared = Counter({(held[i], held[j]): m for i, j, m in inner
+                              if i in held and j in held})
+            inner = tuple(e for e in inner if not {e[0], e[1]} <= held.keys())
+        ends = {v: [w for w, m in sorted(self._adj[v].items()) if w not in skip
+                    for _ in range(m)] for v in inside if v in self._kind}
+        for v in moved:
+            ends[v] = [w for w, m in sorted(self._adj[v].items()) if w not in inside
+                       and w != v for _ in range(m - shared[v, w] - shared[w, v])]
+        if (len(ends) != len(inside) + len(moved) or len(ports) != len(bound)
                 or sorted(ports) != [v for v in sorted(ends) for _ in ends[v]]):
             raise DiagramError(f"ports {tuple(ports)} miss or repeat an outside wire")
         wires = {v: iter(e) for v, e in ends.items()}
@@ -504,7 +528,14 @@ class Diagram:
             for w, m in list(self._adj[v].items()):
                 self.remove_edge(v, w, m)
             self.remove_node(v)
-        made = [self.add_node(k, phase) for k, phase in made_from]
+        for v in moved:
+            for w in ends[v]:
+                self.remove_edge(v, w)
+        made = [held[i] if i in held else self.add_node(k, phase)
+                for i, (_, k, phase) in enumerate(made_from)]
+        for i, v in held.items():
+            if made_from[i][2] not in (None, ZERO):
+                self.set_phase(v, self.phase(v) + made_from[i][2])
         for i, j, m in inner:
             self.add_edge(made[i], made[j], m)
         for b, w in zip(bound, partners):
@@ -670,13 +701,13 @@ def chain(d: Diagram, p: str, q: Optional[str], parts: Sequence,
 
 def _gluing(rhs: Diagram) -> tuple:
     """What ``substitute`` reads of its right-hand side: its boundary; the
-    (kind, phase) of every other node, in creation order; the edges among
-    those, (i, j, multiplicity) by that order, in ``_adj`` order; and each
-    boundary's partner, by that order or, for a bare wire, by name."""
+    (name, kind, phase) of every other node, in creation order; the edges
+    among those, (i, j, multiplicity) by that order, in ``_adj`` order; and
+    each boundary's partner, by that order or, for a bare wire, by name."""
     bound = rhs.boundary()
     made = [v for v, k in rhs._kind.items() if k != BOUNDARY]
     at = {v: i for i, v in enumerate(made)}
-    return (bound, tuple((rhs._kind[v], rhs._phase.get(v)) for v in made),
+    return (bound, tuple((v, rhs._kind[v], rhs._phase.get(v)) for v in made),
             tuple((at[u], at[v], m) for u in made for v, m in rhs._adj[u].items()
                   if v in at and u <= v),
             tuple(at.get(w, w) for w in map(rhs.boundary_partner, bound)))

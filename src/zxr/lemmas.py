@@ -12,13 +12,13 @@ the even-cycle reductions use no Euler-strength step. The two reductions,
 ``reduce_complete_bipartite(m, n)`` and ``reduce_even_cycle(n)``, build
 their own start diagrams and return the ``ScriptBuilder`` that ran them,
 which holds the start, the diagram reached and the script. The triangle local
-complementation, the pi/2 colour change and the non-uniqueness of the
-decomposition use the decomposition, and its derivation from local
-complementation uses the hypothesis instead. Where a result equates two
-diagrams that are both irreducible under the directed rule set, it is two
-derivations from a common start whose ends are the two sides of the
-equation. ``shipped`` writes the scripts and start diagrams of these
-records to proofs/.
+complementation, the pi/2 colour change, the two sides of the hub2 step and
+the non-uniqueness of the decomposition use the decomposition, and its
+derivation from local complementation uses the hypothesis instead. Where a
+result equates two diagrams that are both irreducible under the directed
+rule set, it is two derivations from a common start whose ends are the two
+sides of the equation. ``shipped`` writes the scripts and start diagrams of
+these records to proofs/.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .diagram import (HBOX, Diagram, DiagramError, X, Z, attach_wires, chain,
                       rotation_chain)
 from .graphstate import (SimpleGraph, fixpoint_lhs, graph_state, path_graph,
                          star_graph, triangle)
-from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO
+from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO, Phase
 from .proofs import ProofScript, ReplayError, ScriptBuilder, replay
 from .rules import RuleError, match_sites, normalize
 
@@ -346,6 +346,29 @@ def pi2_colour_change() -> tuple[Derivation, Derivation]:
     right_end = rotation_chain([(X, HALF_PI)])
     return (Derivation(start, a.script, left_end),
             Derivation(start, b.script, right_end))
+
+
+def hub2(legs_p: int = 1, legs_q: int = 1) -> tuple[Derivation, Derivation]:
+    """The two sides of the hub2 step, Z spiders p and q joined through an
+    X(-pi/2) spider x against p and q with pi/2 more each joined through
+    an H-box, reached from p(pi/2) - Z(-pi/2) - X(-pi/2) - Z(-pi/2) -
+    q(pi/2), p with legs_p inputs and q with legs_q outputs: two
+    spider-fuses reach the left side, and one euler-inv the right."""
+    def ends(phase: Phase, parts: list, names: list[str]) -> Diagram:
+        d = Diagram()
+        p, q = d.add_node(Z, phase, name="p"), d.add_node(Z, phase, name="q")
+        chain(d, p, q, parts, names)
+        return attach_wires(d, ["p"] * legs_p, ["q"] * legs_q)
+
+    start = ends(HALF_PI, [(Z, MINUS_HALF_PI), (X, MINUS_HALF_PI), (Z, MINUS_HALF_PI)],
+                 ["zp", "x", "zq"])
+    a = ScriptBuilder("hub2-left", start)
+    a.apply("spider-fuse", ("p", "zp"))
+    a.apply("spider-fuse", ("q", "zq"))
+    b = ScriptBuilder("hub2", start)
+    b.apply("euler-inv", ("zp", "x", "zq"))
+    return (Derivation(start, a.script, ends(ZERO, [(X, MINUS_HALF_PI)], ["x"])),
+            Derivation(start, b.script, ends(HALF_PI, ["h"], ["h"])))
 
 
 # -- triangle local complementation -------------------------------------------------

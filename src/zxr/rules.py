@@ -37,26 +37,25 @@ or the CLI's ``--rule``:
     cut-h-core-dual      its colour swap, likewise derived before use
     use-pi2-colour       absorb a -pi/2 / +pi/2 opposite-colour pendant
                          state into a spider (the pi/2 colour-change lemma)
+    hub2                 replace a degree-2 X(-pi/2) spider between Z
+                         spiders by an H-box, adding pi/2 to both
     bialgebra-expand     the bialgebra equation right-to-left (a pair
                          becomes a complete bipartite square)
 
 A step has *Euler strength* when it holds in the standard model but can fail
-in a scaled model n > 1, where every other rule holds: the Euler
-decomposition of H (euler, euler-inv), which the other rules cannot derive,
-and the script steps that assume or use an equation equivalent to it
-(assume-lc-triangle, cut-h-core, cut-h-core-dual, use-pi2-colour). Their
-``Rule.euler`` flag is set. ``apply`` refuses them unless ``euler_on=True``,
-and ``proofs.replay`` checks only the standard model when a script uses one.
+in a scaled model n > 1, where every other rule holds: the Euler decomposition
+of H (euler, euler-inv), which the other rules cannot derive, and the script
+steps but bialgebra-expand, which assume or use an equation equivalent to it.
+They set ``Rule.euler``; ``apply`` refuses them unless ``euler_on=True``, and
+``proofs.replay`` checks only the standard model when a script uses one.
 
-A rule whose two sides are fixed open diagrams is an equation row, which
-``_equation`` builds from one (lhs, rhs) pair per kind of the anchor's
-first node: euler (``h_wire`` to ``euler_chain``), euler-inv (either
-colour's chain to ``h_wire``), bialgebra (the square to the two-spider
-path, per corner colour), bialgebra-expand (the same pairs reversed), and
-cut-h-core and cut-h-core-dual (``h_wire`` to ``h_core``, ``h_core_dual``).
+A rule whose two sides are open patterns is an equation row, read by
+``_equation`` from the (lhs, rhs) pairs ``RULES`` gives it; the patterns of
+the lemma steps use-pi2-colour, assume-lc-triangle and hub2 hold context
+spiders, which keep their ids and gain a constant phase, and H-edges.
 id-remove, pi-state and h-cancel keep their own checks, as their H-loop
-guards and free phases are no fixed pattern, and substitute a bare wire
-(the empty diagram for a closed H-H pair).
+guards and free phases are no pattern, and substitute a bare wire (the
+empty diagram for a closed H-H pair).
 
 Every rule is one ``Rule`` in ``RULES``. ``apply`` first refuses an anchor
 that is not ``arity`` distinct node ids; ``check(d, anchor)`` is then the
@@ -72,10 +71,10 @@ structurally valid anchor.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .diagram import (HBOX, SPIDERS, Diagram, X, Z, attach_wires, empty,
+from .diagram import (HBOX, SPIDERS, Diagram, X, Z, attach_wires, chain, empty,
                       euler_chain, h_core, h_core_dual, h_wire, other_colour, wire)
 from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO, Phase
 
@@ -99,7 +98,7 @@ class Rule(NamedTuple):
     name: str
     arity: Optional[int]
     candidates: Optional[Callable[[Diagram], Iterable[Anchor]]]
-    check: Callable[[Diagram, Anchor], bool]
+    check: Callable[[Diagram, Anchor], object]
     rewrite: Callable[[Diagram, Anchor], Diagram]
     euler: bool = False
 
@@ -199,7 +198,7 @@ def _stamp_states(d: Diagram, s: str, colour: str, phase: Phase) -> None:
     d.remove_node(s)
 
 
-# -- equation rows: rules whose two sides are fixed open diagrams -------------------
+# -- equation rows: rules whose two sides are open patterns -------------------------
 
 
 def _bipartite(colour: str, k: int) -> Diagram:
@@ -208,10 +207,41 @@ def _bipartite(colour: str, k: int) -> Diagram:
     d = Diagram()
     a = [d.add_node(colour, 0) for _ in range(k)]
     b = [d.add_node(other_colour(colour), 0) for _ in range(k)]
-    for u in a:
-        for v in b:
-            d.add_edge(u, v)
+    for u, v in product(a, b):
+        d.add_edge(u, v)
     return attach_wires(d, a * (2 // k), b * (2 // k))
+
+
+def _pendant(colour: str, phase: Phase) -> tuple[Diagram, Diagram]:
+    """use-pi2-colour: a absorbs its pendant b of the phase, gaining minus it."""
+    lhs, rhs = Diagram(), Diagram()
+    a = lhs.add_node(colour, 0, name="a")
+    chain(lhs, a, None, [(other_colour(colour), phase)], ["b"])
+    rhs.add_node(colour, -phase, name="a")
+    return lhs.check(), rhs.check()
+
+
+def _lc_triangle() -> tuple[Diagram, Diagram]:
+    """assume-lc-triangle: the b-c H-edge of the triangle goes, b and c gain
+    -pi/2, and X(pi/2) lands on the wire of a, the vertex complemented."""
+    lhs, rhs = Diagram(), Diagram()
+    for d, phase, boxes in ((lhs, ZERO, ("ab", "ac", "bc")),
+                            (rhs, MINUS_HALF_PI, ("ab", "ac"))):
+        for v, p in zip("abc", (ZERO, phase, phase)):
+            d.add_node(Z, p, name=v)
+        for box in boxes:
+            chain(d, box[0], box[1], ["h"], [box])
+    chain(rhs, "a", None, [(X, HALF_PI)], ["x"])
+    return attach_wires(lhs, ["a"], []), attach_wires(rhs, ["x"], [])
+
+
+def _hub2() -> tuple[Diagram, Diagram]:
+    """hub2: a - X(-pi/2) - c becomes a - H - c, a and c gaining pi/2."""
+    lhs, rhs = Diagram(), Diagram()
+    for d, phase, middle in ((lhs, ZERO, (X, MINUS_HALF_PI)), (rhs, HALF_PI, "h")):
+        a, c = d.add_node(Z, phase, name="a"), d.add_node(Z, phase, name="c")
+        chain(d, a, c, [middle], ["b"])
+    return lhs.check(), rhs.check()
 
 
 _WIRE, _EMPTY, _H = wire(), empty(), h_wire()
@@ -220,41 +250,62 @@ _SQUARE = [(_bipartite(c, 2), _bipartite(other_colour(c), 1)) for c in SPIDERS]
 
 
 def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Anchor]]],
-              pairs: Iterable[tuple[Diagram, Diagram]], euler: bool = False) -> Rule:
-    """The rule rewriting each fixed open diagram lhs to its rhs, one row
-    per (lhs, rhs), keyed by the kind of lhs's first node, so by that of the
-    anchor's. The anchor is lhs's non-boundary nodes in name order (arity:
-    their count). It matches where each has its kind, phase and degree in
-    lhs and the edges among them, self-loops included, are exactly lhs's.
-    The rewrite is one ``substitute`` of rhs, whose i-th boundary takes an
-    outside wire of the node that lhs's i-th boundary is on. Each pattern is
-    read here, once, and the rewrite does not match again."""
-    rows = {}
+              pairs: Iterable[tuple[Diagram, Diagram]], euler: bool = False,
+              keep: Sequence[str] = (), free: Sequence[str] = ()) -> Rule:
+    """The rule rewriting each open pattern lhs to its rhs, one row per pair,
+    keyed by the kind of lhs's first node. lhs's H-boxes between spiders are
+    H-edges, its other non-boundary nodes the anchor, in name order. Nodes
+    named in keep or free stay, with their ids; a context spider's phase (0 in
+    lhs) gains rhs's. A node matches its kind, phase (any if in free) and
+    degree (any if kept and off lhs's boundary: free legs); the plain edges
+    among the anchor are lhs's, bar those between kept nodes at free legs, and
+    each H-edge's spiders share just one H-box. The check returns the match or
+    None; the rewrite substitutes rhs for the nodes not kept, rhs's i-th
+    boundary taking a wire of the node lhs's i-th boundary is on."""
+    rows: dict[str, list] = {}
+    kept = {*keep, *free}
     for lhs, rhs in pairs:
-        nodes = sorted(set(lhs.nodes()) - set(lhs.boundary()))
-        at = {v: i for i, v in enumerate(nodes)}
-        rows[lhs.kind(nodes[0])] = (
-            tuple((lhs.kind(v), lhs.phase(v) if _is_spider(lhs, v) else None,
-                   lhs.degree(v)) for v in nodes),
+        bound = lhs.boundary()
+        inner = [v for v in lhs.nodes() if v not in bound]
+        boxes = [v for v in inner if _is_hbox(lhs, v)
+                 and all(_is_spider(lhs, w) for w in lhs.neighbours(v))]
+        nodes = [v for v in inner if v not in boxes]
+        loose = {v for v in kept.intersection(nodes)
+                 if set(bound).isdisjoint(lhs.neighbours(v))}
+        at = {v: i for i, v in enumerate(nodes + boxes)}
+        rows.setdefault(lhs.kind(nodes[0]), []).append((
+            tuple((lhs.kind(v), None if v in free or _is_hbox(lhs, v) else lhs.phase(v),
+                   None if v in loose else lhs.degree(v)) for v in nodes),
             tuple((i, j, lhs.multiplicity(u, v)) for i, u in enumerate(nodes)
-                  for j, v in enumerate(nodes[i:], i)),
-            rhs, tuple(at[lhs.boundary_partner(b)] for b in lhs.boundary()))
-    (arity,) = {len(spec) for spec, _, _, _ in rows.values()}
+                  for j, v in enumerate(nodes[i:], i)
+                  if not ({u, v} & loose and {u, v} <= kept)),
+            tuple(tuple(at[w] for w in lhs.neighbours(h)) for h in boxes),
+            (rhs, tuple(at[v] for v in nodes + boxes if v not in kept),
+             tuple(at[lhs.boundary_partner(b)] for b in bound),
+             tuple((v, at[v]) for v in sorted(kept)))))
+    (arity,) = {len(row[0]) for group in rows.values() for row in group}
 
-    def check(d: Diagram, anchor: Anchor) -> bool:
-        row = rows.get(d.kind(anchor[0]))
-        if row is None:
-            return False
-        spec, edges, _, _ = row
-        return (all(d.kind(v) == k and (p is None or d.phase(v) == p)
-                    and d.degree(v) == n for v, (k, p, n) in zip(anchor, spec))
-                and all(d.multiplicity(anchor[i], anchor[j]) == m for i, j, m in edges))
+    def match(d: Diagram, anchor: Anchor) -> Optional[tuple]:
+        for spec, edges, boxes, glue in rows.get(d.kind(anchor[0]), ()):
+            if (all(d.kind(v) == k and (p is None or d.phase(v) == p)
+                    and (n is None or d.degree(v) == n)
+                    for v, (k, p, n) in zip(anchor, spec))
+                    and all(d.multiplicity(anchor[i], anchor[j]) == m
+                            for i, j, m in edges)):
+                if not boxes:
+                    return anchor, glue
+                found = [[w for w in d.neighbours(anchor[i]) if d.kind(w) == HBOX
+                          and d.multiplicity(w, anchor[j]) == 1] for i, j in boxes]
+                if all(len(h) == 1 for h in found):
+                    return anchor + tuple(h for h, in found), glue
+        return None
 
     def rewrite(d: Diagram, anchor: Anchor) -> Diagram:
-        _, _, rhs, ports = rows[d.kind(anchor[0])]
-        return d.substitute(anchor, rhs, tuple(anchor[i] for i in ports))
+        host, (rhs, removed, ports, held) = match(d, anchor)   # apply has matched it
+        return d.substitute([host[i] for i in removed], rhs, [host[i] for i in ports],
+                            {v: host[i] for v, i in held})
 
-    return Rule(name, arity, candidates, check, rewrite, euler)
+    return Rule(name, arity, candidates, match, rewrite, euler)
 
 
 # -- the rules ----------------------------------------------------------------------
@@ -439,60 +490,6 @@ def _check_h_state(d: Diagram, anchor: Anchor) -> bool:
             and d.phase(anchor[1]) == ZERO)
 
 
-# -- script-only steps ----------------------------------------------------------------
-
-
-def _hboxes_between(d: Diagram, u: str, v: str) -> list[str]:
-    return [w for w in d.neighbours(u)
-            if d.kind(w) == HBOX and d.multiplicity(w, v) == 1
-            and d.multiplicity(w, u) == 1]
-
-
-def _check_assume_lc_triangle(d: Diagram, anchor: Anchor) -> bool:
-    """Three phase-0 green dots pairwise joined through one H-box each, the
-    first of degree exactly 3 and free of self-loops."""
-    return (all(d.kind(v) == Z and d.phase(v) == ZERO for v in anchor)
-            and all(len(_hboxes_between(d, p, q)) == 1
-                    for p, q in combinations(anchor, 2))
-            and d.degree(anchor[0]) == 3 and not d.self_loops(anchor[0]))
-
-
-def _rewrite_assume_lc_triangle(d: Diagram, anchor: Anchor) -> Diagram:
-    """Complement the triangle {u, a, b} locally at u: the a-b box is
-    deleted, a and b each acquire -pi/2, and an X(pi/2) node lands on u's
-    remaining leg."""
-    u, a, b = anchor
-    boxes = _hboxes_between(d, u, a) + _hboxes_between(d, u, b)
-    (w,) = [x for x in d.neighbours(u) if x not in boxes]
-    (h_ab,) = _hboxes_between(d, a, b)
-    d.remove_edge(h_ab, a)
-    d.remove_edge(h_ab, b)
-    d.remove_node(h_ab)
-    d.set_phase(a, d.phase(a) + MINUS_HALF_PI)
-    d.set_phase(b, d.phase(b) + MINUS_HALF_PI)
-    d.splice(u, w, X, HALF_PI)
-    return d
-
-
-def _check_use_pi2_colour(d: Diagram, anchor: Anchor) -> bool:
-    """An opposite-colour degree-1 pendant of phase -pi/2 or +pi/2."""
-    s, pend = anchor
-    return (_is_spider(d, s) and _is_spider(d, pend)
-            and d.kind(pend) != d.kind(s) and d.degree(pend) == 1
-            and d.multiplicity(s, pend) == 1
-            and d.phase(pend) in (HALF_PI, MINUS_HALF_PI))
-
-
-def _rewrite_use_pi2_colour(d: Diagram, anchor: Anchor) -> Diagram:
-    """Absorb the pendant, adding +pi/2 (for -pi/2) or -pi/2 (for +pi/2)."""
-    s, pend = anchor
-    delta = HALF_PI if d.phase(pend) == MINUS_HALF_PI else MINUS_HALF_PI
-    d.remove_edge(s, pend)
-    d.remove_node(pend)
-    d.set_phase(s, d.phase(s) + delta)
-    return d
-
-
 # -- the table ------------------------------------------------------------------------
 
 RULES: dict[str, Rule] = {r.name: r for r in (
@@ -518,12 +515,14 @@ RULES: dict[str, Rule] = {r.name: r for r in (
     _equation("euler", _nodes, [(_H, euler_chain())], euler=True),
     _equation("euler-inv", _euler_inv_candidates,
               [(euler_chain(c), _H) for c in SPIDERS], euler=True),
-    Rule("assume-lc-triangle", 3, None, _check_assume_lc_triangle,
-         _rewrite_assume_lc_triangle, euler=True),
+    _equation("assume-lc-triangle", None, [_lc_triangle()], euler=True,
+              keep=("a", "b", "c", "ab", "ac")),
     _equation("cut-h-core", None, [(_H, h_core())], euler=True),
     _equation("cut-h-core-dual", None, [(_H, h_core_dual())], euler=True),
-    Rule("use-pi2-colour", 2, None, _check_use_pi2_colour, _rewrite_use_pi2_colour,
-         euler=True),
+    _equation("use-pi2-colour", None, [_pendant(c, p) for c in SPIDERS
+                                       for p in (MINUS_HALF_PI, HALF_PI)],
+              euler=True, free=("a",)),
+    _equation("hub2", None, [_hub2()], euler=True, free=("a", "c")),
     _equation("bialgebra-expand", None, [(rhs, lhs) for lhs, rhs in _SQUARE]),
 )}
 

@@ -259,6 +259,7 @@ LEMMA_DERIVATIONS = {
     "cut-h-core": lambda: [lemmas.lc_apply()],
     "cut-h-core-dual": lambda: [lemmas.swap_core()[1]],
     "use-pi2-colour": lambda: list(lemmas.pi2_colour_change()),
+    "hub2": lambda: list(lemmas.hub2()),
 }
 
 

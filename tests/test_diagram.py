@@ -900,6 +900,39 @@ def test_substitute_edits_are_seen_by_checked():
         d.checked()
 
 
+def test_substitute_keeps_the_nodes_keep_names():
+    """A kept node keeps its id and self-loop, gains rhs's phase, and, named
+    in ports, gives its other edges up as outside wires, one to each port."""
+    d = parse("node k z 1/4\nnode w x\nin i\nout o\n"
+              "edge i k\nedge k k\nedge k w\nedge w o\n")
+    rhs = Diagram()
+    chain(rhs, rhs.add_node(Z, "1/2", name="k"), None, [(X, "1/2")], ["x"])
+    attach_wires(rhs, ["x"], ["k"])
+    d.substitute([], rhs, ["k", "k"], {"k": "k"})
+    assert d.phase("k") == Phase(3, 4) and d.self_loops("k") == 1
+    assert iso_equal(d.checked(), parse("node k z 3/4\nnode x x 1/2\nnode w x\nin i\nout o\n"
+                                        "edge i x\nedge x k\nedge k k\nedge k w\nedge w o\n"))
+
+
+@pytest.mark.parametrize("nodes, keep", [
+    ([], {"k": "k", "u": "u"}),   # two kept ports would both take their k-u edge
+    (["u"], {"k": "u"}),          # a kept node inside the set
+    ([], {"k": "k", "u": "k"}),   # two rhs nodes onto one
+    ([], {"v": "k"}),             # no rhs node of that name
+    ([], {"k": "nowhere"}),       # no such node
+])
+def test_substitute_refuses_a_keep_it_cannot_honour(nodes, keep):
+    d = parse("node k z\nnode u z\nin i\nout o\nedge i k\nedge k u\nedge u o\n")
+    rhs = Diagram()
+    rhs.add_node(Z, 0, name="k")
+    rhs.add_node(Z, 0, name="u")
+    attach_wires(rhs, ["k", "k"], ["u", "u"])
+    before = serialize(d)
+    with pytest.raises(DiagramError, match="keep"):
+        d.substitute(nodes, rhs, ["k", "k", "u", "u"], keep)
+    assert serialize(d) == before
+
+
 def test_substitute_makes_rhs_nodes_in_its_creation_order():
     d = generator("h")
     made = d.copy().substitute(["g"], euler_chain(), ["g", "g"]).created_since(d)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from zxr import lemmas, rules, semantics, shipped
-from zxr.diagram import DiagramError, Z, generator, h_wire, iso_equal, wire
+from zxr.diagram import DiagramError, Z, attach_wires, generator, h_wire, iso_equal, wire
 from zxr.graphstate import SimpleGraph, all_graphs, graph_state, star_graph
 from zxr.phase import Phase
 from zxr.proofs import ProofScript, ReplayError, replay
@@ -39,7 +39,7 @@ def test_replay_reports_failing_step():
 
 def test_euler_free_reads_the_rule_flag():
     for rule in ("euler", "euler-inv", "assume-lc-triangle", "cut-h-core",
-                 "cut-h-core-dual", "use-pi2-colour"):
+                 "cut-h-core-dual", "use-pi2-colour", "hub2"):
         assert not ProofScript("s", [("hopf", ()), (rule, ())]).euler_free()
     for rule in ("hopf", "bialgebra-expand", "no-such-rule"):
         assert ProofScript("s", [(rule, ())]).euler_free()
@@ -212,6 +212,34 @@ def test_pi2_colour_change():
     assert all(deriv.check() for deriv in lemmas.pi2_colour_change())
 
 
+@pytest.mark.parametrize("legs", [(1, 1), (2, 3)])
+def test_hub2_derivations_reach_the_two_sides_of_its_row(legs):
+    """Both replay, and their ends are the row's patterns with the context
+    spiders a and c given legs[0] inputs and legs[1] outputs."""
+    left, right = lemmas.hub2(*legs)
+    assert left.check() and right.check()
+    for deriv, side in zip((left, right), rules._hub2()):
+        assert iso_equal(deriv.end, attach_wires(side.copy(), ["a"] * legs[0], ["c"] * legs[1]))
+
+
+def test_hub2_holds_in_models_one_and_three_and_fails_in_model_two():
+    """On every context phase pair and leg count tried, the row's two sides
+    (the right one from the rule) are equal exactly where the Euler
+    decomposition holds. The step is gated as it has Euler strength."""
+    lhs = rules._hub2()[0]
+    for p, q in ((0, 0), ("1/4", "3/4"), ("1/2", "-1/3")):
+        for legs in itertools.product((1, 2, 3), (1, 3)):
+            d = lhs.copy()
+            d.set_phase("a", Phase.coerce(p))
+            d.set_phase("c", Phase.coerce(q))
+            d = attach_wires(d, ["a"] * legs[0], ["c"] * legs[1])
+            out = rules.apply("hub2", d, ("a", "b", "c"), euler_on=True)
+            assert [diagrams_equal(d, out, n) for n in (1, 2, 3)] == [True, False, True]
+    assert rules.RULES["hub2"].euler
+    with pytest.raises(RuleError, match="gated off"):
+        rules.apply("hub2", d, ("a", "b", "c"))
+
+
 def test_derivation_euler_fact_gates_the_script():
     """A derivation with an Euler-strength step checks, in model 1, but its
     script does not replay with the decomposition off."""
@@ -235,6 +263,7 @@ def test_lc_implies_euler():
     ("cut-h-core-dual", ("c0",), h_wire, lambda: lemmas.swap_core()[1].end),
     ("use-pi2-colour", ("dot", "st"), lambda: lemmas.pi2_colour_change()[0].end,
      lambda: lemmas.pi2_colour_change()[1].end),
+    ("hub2", ("p", "x", "q"), lambda: lemmas.hub2()[0].end, lambda: lemmas.hub2()[1].end),
 ])
 def test_lemma_step_reaches_the_other_side_of_its_lemma(rule, anchor, one_side,
                                                          other_side):

@@ -393,7 +393,8 @@ def _mangled(rule, anchor):
 
 def _matching_steps():
     """(rule, diagram, anchor) for a matching anchor of every table rule,
-    script-only steps included (taken from the proof scripts)."""
+    script-only steps included (taken from the proof scripts, and hub2, which
+    no shipped script uses yet, on the left side of its lemma)."""
     for d in _golden_corpus():
         for rule in rules.RULE_IDS:
             for anchor in rules.match_sites(rule, d)[:1]:
@@ -405,6 +406,7 @@ def _matching_steps():
         for rule, anchor in deriv.script.steps:
             yield rule, d, anchor
             d = rules.apply(rule, d, anchor, euler_on=True)
+    yield "hub2", lemmas.hub2()[0].end, ("p", "x", "q")
 
 
 def test_bad_anchor_arity_or_node_raises_rule_error():
