@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Iterable, Iterator, KeysView, Optional, Sequence, TypeVar
+from typing import (Callable, ItemsView, Iterable, Iterator, KeysView, Optional, Sequence,
+                    TypeVar)
 
 from .phase import HALF_PI, MINUS_HALF_PI, Phase, PhaseLike, ZERO, reduced
 
@@ -244,6 +245,10 @@ class Diagram:
 
     def spiders(self) -> list[str]:
         return [v for v in self.nodes() if self._kind[v] in SPIDERS]
+
+    def kinds(self) -> ItemsView[str, str]:
+        """Each node once with its kind, in creation order (unsorted)."""
+        return self._kind.items()
 
     def edges(self) -> list[tuple[str, str, int]]:
         """Distinct edges (u <= v) with multiplicities, in sorted order."""
@@ -554,7 +559,16 @@ class Diagram:
 
     def neighbours(self, name: str) -> list[str]:
         """Distinct neighbouring nodes (self excluded), sorted."""
-        return sorted(w for w in self._adj.get(name, ()) if w != name)
+        nb = self._adj.get(name, {})
+        out = sorted(nb)
+        if name in nb:
+            out.remove(name)
+        return out
+
+    def around(self, name: str) -> ItemsView[str, int]:
+        """(neighbour, multiplicity) for each distinct neighbour, a self-loop
+        included as (name, loops), in edge-store order (unsorted)."""
+        return self._adj.get(name, {}).items()
 
     def self_loops(self, name: str) -> int:
         return self._adj.get(name, {}).get(name, 0)
@@ -885,33 +899,59 @@ def dagger(f: Diagram) -> Diagram:
 def iso_equal(a: Diagram, b: Diagram) -> bool:
     """Label- and multiplicity-preserving isomorphism, boundaries index-wise.
 
-    Colour refinement of both diagrams at once, individualising a node of the
-    smallest non-singleton cell against each candidate (McKay & Piperno,
-    Practical graph isomorphism, II). A node starts as (kind, phase,
-    self-loops, boundary index); each round adds the sorted (neighbour
-    colour, multiplicity) list. Colour ids are shared by both diagrams, so a
-    colour count that differs rejects at once. A branch tries one node of
-    each twin class of b (one start label and one neighbour map, so never
-    adjacent): swapping two twins is an automorphism of b that fixes the
-    rest. When b's cell is one twin class, its one candidate fixes the whole
-    cell at once, a's nodes to b's twins in order, as some isomorphism does
-    if any does. Interchangeable components of several nodes still
-    backtrack.
+    A node starts as an integer label shared by both diagrams, one per
+    (kind, phase, self-loops, boundary index). First the connected
+    components, from one depth-first pass over both diagrams, are compared
+    as multisets of their sorted start labels: an isomorphism maps each
+    component onto one with the same labels, so a difference rejects before
+    any search.
+
+    Then colour refinement of both diagrams at once, individualising a node
+    of the smallest non-singleton cell against each candidate (McKay &
+    Piperno, Practical graph isomorphism, II); each round adds the sorted
+    (neighbour colour, multiplicity) list. Colour ids are shared by both
+    diagrams, so a colour count that differs rejects at once. A branch tries
+    one node of each twin class of b (one start label and one neighbour map,
+    so never adjacent): swapping two twins is an automorphism of b that fixes
+    the rest. When b's cell is one twin class, its one candidate fixes the
+    whole cell at once, a's nodes to b's twins in order, as some isomorphism
+    does if any does. Components with equal label multisets that refinement
+    cannot tell apart (the cube and the Wagner graph, all Z(0)) still
+    individualise, and interchangeable ones of several nodes can backtrack.
     """
     if (len(a.inputs), len(a.outputs), a.node_count(), a.edge_count()) != (
             len(b.inputs), len(b.outputs), b.node_count(), b.edge_count()):
         return False
     n = a.node_count()
     names, start, nbrs = [], [], []
+    labels: dict = {}
     for d in (a, b):
         at = {v: len(names) + i for i, v in enumerate(d.nodes())}
         place = {v: i for i, v in enumerate(d.boundary())}
         for v in d.nodes():
             names.append(v)
-            start.append((d._kind[v], d._phase.get(v), d.self_loops(v), place.get(v, -1)))
+            label = (d._kind[v], d._phase.get(v), d.self_loops(v), place.get(v, -1))
+            start.append(labels.setdefault(label, len(labels)))
             nbrs.append([(at[w], m) for w, m in d._adj[v].items() if w != v])
     classes: dict = {}
     twin = [classes.setdefault((start[v], frozenset(nbrs[v])), v) for v in range(n, 2 * n)]
+
+    seen = [False] * (2 * n)   # the components, a's nodes 0..n-1 and b's the rest
+    sides: tuple[list, list] = ([], [])
+    for s in range(2 * n):
+        if not seen[s]:
+            seen[s] = True
+            stack, part = [s], []
+            while stack:
+                v = stack.pop()
+                part.append(start[v])
+                for w, _ in nbrs[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+            sides[s >= n].append(sorted(part))
+    if sorted(sides[0]) != sorted(sides[1]):
+        return False
 
     # depth-first over individualisations, one open branch per level:
     # (refined colours, the first fresh colour, the candidates left, each

@@ -63,10 +63,12 @@ rest of the left-hand-side condition (kinds, phases, degrees and
 multiplicities). ``match_sites`` keeps the candidate anchors that pass
 ``check``, so the condition is written once.
 
-Every anchor is a tuple of node ids. ``match_sites`` enumerates occurrences
-deterministically (sorted); for the expansion rules (spider-split, id-insert,
-euler-inv) the listing is the canonical subset while ``apply`` accepts any
-structurally valid anchor.
+Every anchor is a tuple of node ids. A rule's candidates come from one pass
+over the edge store (``Diagram.kinds`` and ``Diagram.around``), in creation
+order and unsorted; only ``match_sites`` reads them, and it sorts the sites
+it keeps, so occurrences are listed deterministically. For the expansion
+rules (spider-split, id-insert, euler-inv) the listing is the canonical
+subset while ``apply`` accepts any structurally valid anchor.
 """
 
 from __future__ import annotations
@@ -89,10 +91,11 @@ class Rule(NamedTuple):
     """One rewrite rule: where to look, what must hold, what to do.
 
     ``arity`` is the anchor length (None: any from 1 up), ``candidates``
-    lists anchors worth checking (None for a script-only step), ``check`` is
-    the left-hand-side condition on an anchor of distinct existing nodes and
-    ``rewrite`` turns a fresh copy of a matching diagram into the right-hand
-    side. ``euler`` marks Euler strength.
+    lists anchors worth checking, unsorted, for ``match_sites`` to sort
+    (None for a script-only step), ``check`` is the left-hand-side condition
+    on an anchor of distinct existing nodes and ``rewrite`` turns a fresh
+    copy of a matching diagram into the right-hand side. ``euler`` marks
+    Euler strength.
     """
 
     name: str
@@ -116,33 +119,34 @@ def _is_hbox(d: Diagram, v: str) -> bool:
 
 def _basis_state(d: Diagram, v: str) -> bool:
     """Degree-1 spider with phase 0 or pi."""
-    return (_is_spider(d, v) and d.degree(v) == 1
+    return (d.degree(v) == 1 and _is_spider(d, v)
             and d.phase(v) in (ZERO, PI))
 
 
 def _spiders(d: Diagram) -> list[Anchor]:
-    return [(s,) for s in d.spiders()]
+    return [(s,) for s, k in d.kinds() if k in SPIDERS]
 
 
 def _nodes(d: Diagram) -> list[Anchor]:
-    return [(v,) for v in d.nodes()]
+    return [(v,) for v, _ in d.kinds()]
 
 
 def _edges(d: Diagram) -> list[Anchor]:
     """Each non-loop edge once, as (u, v) with u < v."""
-    return [(u, v) for u, v, _ in d.edges() if u != v]
+    return [(u, v) for u, _ in d.kinds() for v, _ in d.around(u) if u < v]
 
 
 def _adjacent(d: Diagram) -> list[Anchor]:
     """Each non-loop edge in both orders."""
-    return [p for u, v in _edges(d) for p in ((u, v), (v, u))]
+    return [(u, v) for u, _ in d.kinds() for v, _ in d.around(u) if u != v]
 
 
 def _led_by(lead: Callable[[Diagram, str], bool]) -> Callable[[Diagram], list[Anchor]]:
     """Candidates (u, v), v a neighbour of u, for each node u that passes
     lead: the test that the rule's check applies to its first node."""
     def candidates(d: Diagram) -> list[Anchor]:
-        return [(u, v) for u in d.nodes() if lead(d, u) for v in d.neighbours(u)]
+        return [(u, v) for u, _ in d.kinds() if lead(d, u)
+                for v, _ in d.around(u) if v != u]
     return candidates
 
 
@@ -151,22 +155,23 @@ def _bialgebra_candidates(d: Diagram) -> Iterable[Anchor]:
     shared opposite-colour spider neighbours b1 < b2, found by a two-hop
     walk from each a1 (through each such neighbour g to each a2 beyond it),
     so the cost is O(S * deg^2), not one test per pair of spiders."""
-    for a1 in d.spiders():
-        colour = d.kind(a1)
+    for a1, colour in d.kinds():
+        if colour not in SPIDERS:
+            continue
         across = other_colour(colour)
         shared: dict[str, list[str]] = {}
-        for g in d.neighbours(a1):
+        for g, _ in d.around(a1):
             if d.kind(g) == across:
-                for a2 in d.neighbours(g):
+                for a2, _ in d.around(g):
                     if a2 > a1 and d.kind(a2) == colour:
                         shared.setdefault(a2, []).append(g)
-        for a2 in sorted(shared):
-            for b1, b2 in combinations(shared[a2], 2):
-                yield (a1, a2, b1, b2)
+        for a2, gs in shared.items():
+            for b1, b2 in combinations(gs, 2):
+                yield (a1, a2, b1, b2) if b1 < b2 else (a1, a2, b2, b1)
 
 
 def _euler_inv_candidates(d: Diagram) -> Iterable[Anchor]:
-    for s2 in d.spiders():
+    for (s2,) in _spiders(d):
         nbs = d.neighbours(s2)
         if len(nbs) == 2:
             yield (nbs[0], s2, nbs[1])
@@ -351,7 +356,7 @@ def _rewrite_spider_split(d: Diagram, anchor: Anchor) -> Diagram:
 
 def _check_id_remove(d: Diagram, anchor: Anchor) -> bool:
     (s,) = anchor
-    if not (_is_spider(d, s) and d.phase(s) == ZERO and d.degree(s) == 2
+    if not (d.degree(s) == 2 and _is_spider(d, s) and d.phase(s) == ZERO
             and not d.self_loops(s)):
         return False
     nbs = d.neighbours(s)
@@ -395,7 +400,7 @@ def _rewrite_copy(d: Diagram, anchor: Anchor) -> Diagram:
 
 def _pi_wire(d: Diagram, r: str) -> bool:
     """Degree-2 pi spider without self-loops."""
-    return (_is_spider(d, r) and d.phase(r) == PI and d.degree(r) == 2
+    return (d.degree(r) == 2 and _is_spider(d, r) and d.phase(r) == PI
             and not d.self_loops(r))
 
 

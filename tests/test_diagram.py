@@ -201,12 +201,55 @@ def test_iso_equal_agrees_with_brute_force():
         assert iso_equal(a, b) == expected, i
         verdicts[expected] += 1
     assert verdicts[True] >= 150 and verdicts[False] >= 50, verdicts
+    # disconnected pairs, decided by their components or by the search
+    pairs = [(_cycles(3, 3), _cycles(6)), (_cycles(4, 4), _cycles(8)),
+             (_beside(0, 3, 3), _beside(0, 6)), (_beside(1, 2, 3), _beside(1, 5)),
+             (_cycles(2, 4), _cycles(4, 2)), (_beside(1, 3, 3), _beside(1, 3, 3))]
+    pairs += [(a, _relabelled(a, rng)) for a, _ in pairs]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            assert iso_equal(x, y) == _brute_iso(x, y), (x.edges(), y.edges())
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_iso_symmetric_cycles(n):
     assert not iso_equal(_cycles(2 * n), _cycles(n, n))
     assert iso_equal(_cycles(2 * n), _relabelled(_cycles(2 * n), random.Random(n)))
+
+
+def _cube():
+    """The 3-cube graph on Z(0) spiders: cubic and bipartite."""
+    d = Diagram()
+    v = [d.add_node(Z, 0) for _ in range(8)]
+    for i, bit in itertools.product(range(8), (1, 2, 4)):
+        if i < i ^ bit:
+            d.add_edge(v[i], v[i ^ bit])
+    return d.check()
+
+
+def _wagner():
+    """The Wagner graph (an 8-ring and its 4 long diagonals) on Z(0)
+    spiders: cubic, like the cube, but with 5-cycles."""
+    d = Diagram()
+    v = [d.add_node(Z, 0) for _ in range(8)]
+    for i in range(8):
+        d.add_edge(v[i], v[(i + 1) % 8])
+    for i in range(4):
+        d.add_edge(v[i], v[i + 4])
+    return d.check()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 6])
+def test_iso_search_decides_components_alike_in_labels(k):
+    # the cube and the Wagner graph have the same labels, node and edge
+    # counts and degrees, so neither the component test nor refinement
+    # tells them apart: the search has to individualise
+    rings = _beside(0, *[4] * k)
+    a, b = tensor(_cube(), rings), tensor(_wagner(), rings)
+    with _deadline(2):
+        assert not iso_equal(a, b) and not iso_equal(b, a)
+        assert iso_equal(a, _relabelled(a, random.Random(k)))
+        assert iso_equal(b, _relabelled(b, random.Random(k)))
 
 
 def test_iso_backtracks_past_a_failed_candidate():
@@ -266,6 +309,16 @@ def test_iso_negative_beside_isolated_twins_decides_at_once(k):
     with _deadline(5):
         assert not iso_equal(a, b) and not iso_equal(b, a)
         assert iso_equal(a, _relabelled(a, random.Random(k)))
+
+
+def test_iso_negative_of_interchangeable_rings_decides_by_components():
+    # refinement cannot tell five C4 rings and a C8 from seven C4 rings (all
+    # Z(0)); the search tried the rings' orders, 7.4-13.1 s, before the
+    # components were compared
+    a, b = _beside(0, 4, 4, 4, 4, 4, 8), _beside(0, *[4] * 7)
+    with _deadline(2):
+        assert not iso_equal(a, b) and not iso_equal(b, a)
+        assert iso_equal(a, _relabelled(a, random.Random(7)))
 
 
 def test_iso_fixes_a_whole_twin_class_in_one_step():
@@ -387,6 +440,11 @@ def assert_adjacency_matches_edge_list(d):
             assert d.multiplicity(u, v) == mult[u, v], (u, v)
     for b in d.boundary():
         assert [d.boundary_partner(b)] == d.neighbours(b), b
+    kinds = list(d.kinds())
+    assert sorted(v for v, _ in kinds) == d.nodes()
+    assert all(d.kind(v) == k for v, k in kinds)
+    for u in d.nodes():
+        assert dict(d.around(u)) == {v: mult[u, v] for v in d.nodes() if mult[u, v]}, u
 
 
 def test_adjacency_queries_match_edge_list(rng):

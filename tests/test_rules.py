@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,8 @@ from zxr import lemmas, rules, shipped
 from zxr.diagram import (BOUNDARY, HBOX, Diagram, X, Z, compose, euler_chain,
                          generator, h_wire, iso_equal, rotation_chain, spider,
                          wire)
-from zxr.phase import Phase
+from zxr.graphstate import all_graphs, graph_state, vdn_lhs
+from zxr.phase import PI, ZERO, Phase
 from zxr.semantics import diagrams_equal
 from zxr.textio import parse, serialize
 
@@ -39,9 +41,9 @@ def test_match_sites_examples():
     assert rules.match_sites("h-cancel", generator("h")) == []
 
 
-def test_match_sites_sorted_and_unique(rng):
-    for _ in range(10):
-        d = random_diagram(rng)
+def test_match_sites_sorted_and_unique():
+    # the candidates come unsorted: match_sites' sort alone orders the sites
+    for d in _candidate_corpus():
         for rule in rules.RULE_IDS:
             sites = rules.match_sites(rule, d)
             assert sites == sorted(set(sites))
@@ -244,6 +246,112 @@ def test_bialgebra_walk_finds_the_pairwise_candidates(rng):
         parallel += bool(want) and any(m > 1 for u, v, m in d.edges() if u != v)
         looped += bool(want) and any(u == v for u, v, _ in d.edges())
     assert found > 100 and parallel > 80 and looped > 80, (found, parallel, looped)
+
+
+# -- the sorted candidate generators, kept as the reference for the unsorted ----
+
+
+def _sorted_basis_state(d, v):
+    """Degree-1 spider with phase 0 or pi."""
+    return (rules._is_spider(d, v) and d.degree(v) == 1
+            and d.phase(v) in (ZERO, PI))
+
+
+def _sorted_pi_wire(d, r):
+    """Degree-2 pi spider without self-loops."""
+    return (rules._is_spider(d, r) and d.phase(r) == PI and d.degree(r) == 2
+            and not d.self_loops(r))
+
+
+def _sorted_spiders(d):
+    return [(s,) for s in d.spiders()]
+
+
+def _sorted_nodes(d):
+    return [(v,) for v in d.nodes()]
+
+
+def _sorted_edges(d):
+    """Each non-loop edge once, as (u, v) with u < v."""
+    return [(u, v) for u, v, _ in d.edges() if u != v]
+
+
+def _sorted_adjacent(d):
+    """Each non-loop edge in both orders."""
+    return [p for u, v in _sorted_edges(d) for p in ((u, v), (v, u))]
+
+
+def _sorted_led_by(lead):
+    def candidates(d):
+        return [(u, v) for u in d.nodes() if lead(d, u) for v in d.neighbours(u)]
+    return candidates
+
+
+def _sorted_bialgebra(d):
+    for a1 in d.spiders():
+        colour = d.kind(a1)
+        across = rules.other_colour(colour)
+        shared = {}
+        for g in d.neighbours(a1):
+            if d.kind(g) == across:
+                for a2 in d.neighbours(g):
+                    if a2 > a1 and d.kind(a2) == colour:
+                        shared.setdefault(a2, []).append(g)
+        for a2 in sorted(shared):
+            for b1, b2 in itertools.combinations(shared[a2], 2):
+                yield (a1, a2, b1, b2)
+
+
+def _sorted_euler_inv(d):
+    for s2 in d.spiders():
+        nbs = d.neighbours(s2)
+        if len(nbs) == 2:
+            yield (nbs[0], s2, nbs[1])
+
+
+SORTED_CANDIDATES = {
+    "spider-fuse": _sorted_edges, "spider-split": _sorted_spiders,
+    "id-remove": _sorted_spiders, "id-insert": _sorted_adjacent,
+    "self-loop": _sorted_spiders, "copy": _sorted_led_by(_sorted_basis_state),
+    "bialgebra": _sorted_bialgebra, "pi-commute": _sorted_led_by(_sorted_pi_wire),
+    "pi-state": _sorted_led_by(_sorted_basis_state), "hopf": _sorted_edges,
+    "h-cancel": _sorted_edges, "h-colour": _sorted_spiders,
+    "h-phase": _sorted_led_by(rules._is_hbox), "h-state": _sorted_led_by(rules._is_hbox),
+    "euler": _sorted_nodes, "euler-inv": _sorted_euler_inv,
+}
+
+
+def _candidate_corpus():
+    """Random diagrams and circuits, each also tangled (parallel edges and
+    self-loops), and graph states with and without their local
+    complementation rotations, on vertex names out of sorted order."""
+    rng = random.Random(4545)
+    out = []
+    for _ in range(300):
+        d = random_diagram(rng, max_spiders=10)
+        out += [d, _tangled(d.copy(), rng)]
+    for i in range(12):
+        d = circuit(rng, 2 + i % 4, 30 + 5 * i)
+        out += [d, _tangled(d.copy(), rng)]
+    for n in range(1, 5):
+        for g in all_graphs(tuple("caeb"[:n])):
+            out += [graph_state(g)] + [vdn_lhs(g, u) for u in g.vertices]
+    return out
+
+
+def test_unsorted_candidates_are_the_sorted_ones():
+    assert set(SORTED_CANDIDATES) == set(rules.RULE_IDS)
+    sites = Counter()
+    for d in _candidate_corpus():
+        for rule, reference in SORTED_CANDIDATES.items():
+            r = rules.RULES[rule]
+            want = list(reference(d))
+            assert sorted(r.candidates(d)) == sorted(want), (rule, d.edges())
+            found = rules.match_sites(rule, d)
+            assert found == sorted({a for a in want if r.check(d, a)}), (rule, d.edges())
+            sites[rule] += len(found)
+    assert all(sites[rule] for rule in rules.RULE_IDS), sites
+    assert sum(sites.values()) > 20000, sites
 
 
 # -- golden behaviour ----------------------------------------------------------
