@@ -1,6 +1,7 @@
 """The axiom schemas as pairs of diagrams, verified in each scaled model.
 
-Each schema yields left-hand sides; an equation instance (lhs, rhs) takes
+Each schema yields left-hand sides, those of the rule's equation rows when
+these hold no free leg or phase; an equation instance (lhs, rhs) takes
 its right side from the rule of the same name in ``rules.RULES``, applied at
 the first site ``match_sites`` finds, so the verdicts speak for the rewrites
 the engine performs. Schemas with a free angle are instantiated on a fixed
@@ -14,8 +15,7 @@ from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from . import rules
-from .diagram import (BOUNDARY, Diagram, X, Z, compose, h_wire, other_colour,
-                      spider, tensor, wire)
+from .diagram import Diagram, X, Z, compose, h_wire, other_colour, spider
 from .phase import PI, Phase
 from .semantics import compare
 
@@ -39,29 +39,8 @@ def _spider_fusion(colour: str) -> Iterator[Diagram]:
         yield compose(spider(colour, 1, 2), spider(colour, 1, 1, a))
 
 
-def _identity(colour: str) -> Iterator[Diagram]:
-    yield spider(colour, 1, 1, 0)
-
-
 def _copy(colour: str) -> Iterator[Diagram]:
     yield compose(spider(colour, 1, 2), spider(other_colour(colour), 0, 1, 0))
-
-
-def _bialgebra(colour: str) -> Iterator[Diagram]:
-    split, merge = spider(colour, 1, 2), spider(other_colour(colour), 2, 1)
-    yield compose(tensor(merge, merge),
-                  compose(tensor(wire(), tensor(_swap_diagram(), wire())),
-                          tensor(split, split)))
-
-
-def _swap_diagram() -> Diagram:
-    d = Diagram()
-    for name in ("in0", "in1", "out0", "out1"):
-        d.add_node(BOUNDARY, name=name)
-    d.add_edge("in0", "out1")
-    d.add_edge("in1", "out0")
-    d.inputs, d.outputs = ("in0", "in1"), ("out0", "out1")
-    return d.check()
 
 
 def _pi_commute(colour: str) -> Iterator[Diagram]:
@@ -86,23 +65,24 @@ def _h_phase(colour: str) -> Iterator[Diagram]:
         yield compose(spider(colour, 1, 1, a), h_wire())
 
 
-def _h_state(colour: str) -> Iterator[Diagram]:
-    yield compose(h_wire(), spider(colour, 0, 1, 0))
+def _rows(name: str) -> Iterator[Diagram]:
+    """The left sides of the rule's equation rows."""
+    return (lhs for lhs, _ in rules.RULES[name].pairs)
 
 
 _LEFT_SIDES: dict[str, Callable[[], Iterator[Diagram]]] = {
     "spider-fuse": lambda: _both_colours(_spider_fusion),
-    "id-remove": lambda: _both_colours(_identity),
+    "id-remove": partial(_rows, "id-remove"),
     "copy": lambda: _both_colours(_copy),
-    "bialgebra": lambda: _both_colours(_bialgebra),
+    "bialgebra": partial(_rows, "bialgebra"),
     "pi-commute": lambda: _both_colours(_pi_commute),
     "pi-state": lambda: _both_colours(_pi_state),
     "hopf": lambda: _both_colours(_hopf),
-    "h-cancel": lambda: iter([compose(h_wire(), h_wire())]),
+    "h-cancel": partial(_rows, "h-cancel"),
     "h-colour": lambda: _both_colours(_h_colour),
     "h-phase": lambda: _both_colours(_h_phase),
-    "h-state": lambda: _both_colours(_h_state),
-    "euler": lambda: iter([h_wire()]),   # the decomposition stays last
+    "h-state": partial(_rows, "h-state"),
+    "euler": partial(_rows, "euler"),   # the decomposition stays last
 }
 
 

@@ -494,14 +494,15 @@ class Diagram:
         outputs) takes the next outside wire of ports[i]; a bare wire of rhs
         joins its two outside ends. rhs's other nodes get fresh ids in rhs's
         creation order, bar those ``keep`` maps by name to nodes of self
-        outside the set: these stay, their phases gain rhs's, and rhs's
-        edges among them are taken to be there. A kept node's edges to the
-        set go with it; if ports names the node, its outside wires are its
-        other edges but self-loops, less rhs's among kept nodes. Raises
-        DiagramError unless keep maps rhs nodes to distinct nodes outside
-        the set, ports names at most one of them, and ports takes every
-        outside wire of the set, and of that kept node, exactly once. rhs
-        is read once (``_gluing``, kept by ``memo``) and never written."""
+        outside the set: these stay, each taking rhs's kind and gaining its
+        phase, and rhs's edges among them are taken to be there. A kept
+        node's edges to the set go with it; each kept node ports names gives
+        up its other edges as outside wires, bar self-loops and rhs's edges
+        among kept nodes. Raises DiagramError unless keep maps rhs nodes to
+        distinct nodes outside the set, no two kept ports would take one
+        edge, and ports takes every outside wire of the set and of the kept
+        ports exactly once. rhs is read once (``_gluing``, kept by ``memo``)
+        and never written."""
         inside = set(nodes)
         bound, made_from, inner, partners = rhs.memo(_gluing)
         held: dict[int, str] = {}
@@ -511,10 +512,10 @@ class Diagram:
             held = {i: keep[v] for i, (v, _, _) in enumerate(made_from) if v in keep}
             stay = set(held.values())
             moved = sorted(stay.intersection(ports))
-            if (len(stay) != len(keep) or len(moved) > 1
+            if (len(stay) != len(keep)
                     or not all(self.has_node(v) and v not in inside for v in stay)):
                 raise DiagramError(f"keep {keep} is not rhs nodes onto distinct nodes "
-                                   "outside the set, at most one of them a port")
+                                   "outside the set")
             skip = inside | stay
             shared = Counter({(held[i], held[j]): m for i, j, m in inner
                               if i in held and j in held})
@@ -524,6 +525,8 @@ class Diagram:
         for v in moved:
             ends[v] = [w for w, m in sorted(self._adj[v].items()) if w not in inside
                        and w != v for _ in range(m - shared[v, w] - shared[w, v])]
+            if not set(moved).isdisjoint(ends[v]):
+                raise DiagramError(f"keep {keep} gives one edge to two kept ports")
         if (len(ends) != len(inside) + len(moved) or len(ports) != len(bound)
                 or sorted(ports) != [v for v in sorted(ends) for _ in ends[v]]):
             raise DiagramError(f"ports {tuple(ports)} miss or repeat an outside wire")
@@ -539,8 +542,11 @@ class Diagram:
         made = [held[i] if i in held else self.add_node(k, phase)
                 for i, (_, k, phase) in enumerate(made_from)]
         for i, v in held.items():
-            if made_from[i][2] not in (None, ZERO):
-                self.set_phase(v, self.phase(v) + made_from[i][2])
+            _, kind, phase = made_from[i]
+            if kind != self._kind[v]:
+                self.set_kind(v, kind)
+            if phase not in (None, ZERO):
+                self.set_phase(v, self._phase[v] + phase)
         for i, j, m in inner:
             self.add_edge(made[i], made[j], m)
         for b, w in zip(bound, partners):

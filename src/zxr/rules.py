@@ -50,12 +50,14 @@ They set ``Rule.euler``; ``apply`` refuses them unless ``euler_on=True``, and
 ``proofs.replay`` checks only the standard model when a script uses one.
 
 A rule whose two sides are open patterns is an equation row, read by
-``_equation`` from the (lhs, rhs) pairs ``RULES`` gives it; the patterns of
-the lemma steps use-pi2-colour, assume-lc-triangle and hub2 hold context
-spiders, which keep their ids and gain a constant phase, and H-edges.
-id-remove, pi-state and h-cancel keep their own checks, as their H-loop
-guards and free phases are no pattern, and substitute a bare wire (the
-empty diagram for a closed H-H pair).
+``_equation`` from the (lhs, rhs) pairs it keeps as ``Rule.pairs``. Sixteen
+rules are rows: id-remove, self-loop, bialgebra, pi-state, hopf, h-cancel,
+h-phase, h-state, euler, euler-inv and the six script-only steps. A row's
+kept nodes stay, taking rhs's kind, phase change and edges among them, and
+one guard keeps a bare-wire rhs from closing an H self-loop. Six rules are
+written by hand: spider-split, copy, pi-commute and h-colour act on every
+leg of a spider of any degree, spider-fuse merges the legs of two, and
+id-insert picks its new node's colour from the kind of u.
 
 Every rule is one ``Rule`` in ``RULES``. ``apply`` first refuses an anchor
 that is not ``arity`` distinct node ids; ``check(d, anchor)`` is then the
@@ -77,7 +79,8 @@ from itertools import combinations, product
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .diagram import (HBOX, SPIDERS, Diagram, X, Z, attach_wires, chain, empty,
-                      euler_chain, h_core, h_core_dual, h_wire, other_colour, wire)
+                      euler_chain, h_core, h_core_dual, h_wire, other_colour,
+                      rotation_chain, spider, wire)
 from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO, Phase
 
 Anchor = tuple[str, ...]
@@ -95,7 +98,8 @@ class Rule(NamedTuple):
     (None for a script-only step), ``check`` is the left-hand-side condition
     on an anchor of distinct existing nodes and ``rewrite`` turns a fresh
     copy of a matching diagram into the right-hand side. ``euler`` marks
-    Euler strength.
+    Euler strength, and ``pairs`` holds an equation row's (lhs, rhs)
+    patterns (empty for a rule written by hand).
     """
 
     name: str
@@ -104,6 +108,7 @@ class Rule(NamedTuple):
     check: Callable[[Diagram, Anchor], object]
     rewrite: Callable[[Diagram, Anchor], Diagram]
     euler: bool = False
+    pairs: tuple[tuple[Diagram, Diagram], ...] = ()
 
 
 # -- node tests and candidate generators ------------------------------------------
@@ -139,6 +144,28 @@ def _edges(d: Diagram) -> list[Anchor]:
 def _adjacent(d: Diagram) -> list[Anchor]:
     """Each non-loop edge in both orders."""
     return [(u, v) for u, _ in d.kinds() for v, _ in d.around(u) if u != v]
+
+
+def _looped(d: Diagram) -> list[Anchor]:
+    """Each node with a self-loop: only a spider can hold one."""
+    return [(v,) for v, _ in d.kinds() if d.self_loops(v)]
+
+
+def _parallel(d: Diagram) -> list[Anchor]:
+    """Each edge of multiplicity 2 or more once, as (u, v) with u < v."""
+    return [(u, v) for u, _ in d.kinds() for v, m in d.around(u) if m > 1 and u < v]
+
+
+def _h_pairs(d: Diagram) -> list[Anchor]:
+    """Each edge between two H-boxes once, as (u, v) with u < v."""
+    return [(u, v) for u, k in d.kinds() if k == HBOX
+            for v, _ in d.around(u) if u < v and d.kind(v) == HBOX]
+
+
+def _h_states(d: Diagram) -> list[Anchor]:
+    """(h, s) for each H-box h and degree-1 spider s beside it."""
+    return [(h, s) for h, k in d.kinds() if k == HBOX
+            for s, _ in d.around(h) if d.degree(s) == 1 and _is_spider(d, s)]
 
 
 def _led_by(lead: Callable[[Diagram, str], bool]) -> Callable[[Diagram], list[Anchor]]:
@@ -180,11 +207,6 @@ def _euler_inv_candidates(d: Diagram) -> Iterable[Anchor]:
 # -- rewriting helpers -------------------------------------------------------------
 
 
-def _far_end(d: Diagram, v: str, skip: str) -> str:
-    """The first neighbour of v other than skip."""
-    return next(w for w in d.neighbours(v) if w != skip)
-
-
 def _stamp_states(d: Diagram, s: str, colour: str, phase: Phase) -> None:
     """Delete spider s, placing a fresh (colour, phase) state on each of its
     remaining edge ends."""
@@ -215,6 +237,45 @@ def _bipartite(colour: str, k: int) -> Diagram:
     for u, v in product(a, b):
         d.add_edge(u, v)
     return attach_wires(d, a * (2 // k), b * (2 // k))
+
+
+def _drop(colours: Sequence[str], times: int) -> tuple[Diagram, Diagram]:
+    """hopf and self-loop: the phase-0 spiders a, b of the colours (a alone
+    for one colour) lose the `times` edges between a and the last of them."""
+    lhs, rhs = Diagram(), Diagram()
+    for d in (lhs, rhs):
+        names = [d.add_node(c, 0, name=v) for c, v in zip(colours, "ab")]
+    lhs.add_edge("a", names[-1], times)
+    return lhs.check(), rhs.check()
+
+
+def _pi_state(colour: str, phase: Phase) -> tuple[Diagram, Diagram]:
+    """pi-state: the state a of the colour and phase absorbs the phase-0
+    opposite-colour spider b on its wire."""
+    lhs, rhs = Diagram(), Diagram()
+    a = lhs.add_node(colour, phase, name="a")
+    chain(lhs, a, None, [(other_colour(colour), 0)], ["b"])
+    rhs.add_node(colour, phase, name="a")
+    return attach_wires(lhs, [], ["b"]), attach_wires(rhs, [], ["a"])
+
+
+def _h_slide(colour: str, legs: int) -> tuple[Diagram, Diagram]:
+    """h-phase and h-state: the phase-0 spider b of the colour, with one or
+    two legs, one on the H-box a, passes through a, flipping its colour."""
+    lhs, rhs = Diagram(), Diagram()
+    chain(lhs, lhs.add_node(HBOX, name="a"), None, [(colour, 0)], ["b"])
+    b = rhs.add_node(other_colour(colour), 0, name="b")
+    chain(rhs, b, None, ["h"] * (legs - 1), ["a"])
+    wires, back = ["a", "b"][:legs], ["b", "a"][:legs]
+    return (attach_wires(lhs, wires[:-1], wires[-1:]),
+            attach_wires(rhs, back[:-1], back[-1:]))
+
+
+def _h_loop() -> Diagram:
+    """h-cancel's closed pair: two H-boxes joined by both their wires."""
+    d = Diagram()
+    d.add_edge(d.add_node(HBOX, name="c0"), d.add_node(HBOX, name="c1"), 2)
+    return d.check()
 
 
 def _pendant(colour: str, phase: Phase) -> tuple[Diagram, Diagram]:
@@ -250,67 +311,87 @@ def _hub2() -> tuple[Diagram, Diagram]:
 
 
 _WIRE, _EMPTY, _H = wire(), empty(), h_wire()
+_MANY = float("inf")   # no upper bound on a multiplicity
 # the bialgebra equation, one row per colour of the square's first corner
 _SQUARE = [(_bipartite(c, 2), _bipartite(other_colour(c), 1)) for c in SPIDERS]
 
 
 def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Anchor]]],
-              pairs: Iterable[tuple[Diagram, Diagram]], euler: bool = False,
-              keep: Sequence[str] = (), free: Sequence[str] = ()) -> Rule:
+              pairs: Sequence[tuple[Diagram, Diagram]], euler: bool = False,
+              keep: Sequence[str] = (), free: Sequence[str] = (),
+              legs: Sequence[str] = ()) -> Rule:
     """The rule rewriting each open pattern lhs to its rhs, one row per pair,
     keyed by the kind of lhs's first node. lhs's H-boxes between spiders are
-    H-edges, its other non-boundary nodes the anchor, in name order. Nodes
-    named in keep or free stay, with their ids; a context spider's phase (0 in
-    lhs) gains rhs's. A node matches its kind, phase (any if in free) and
-    degree (any if kept and off lhs's boundary: free legs); the plain edges
-    among the anchor are lhs's, bar those between kept nodes at free legs, and
-    each H-edge's spiders share just one H-box. The check returns the match or
-    None; the rewrite substitutes rhs for the nodes not kept, rhs's i-th
-    boundary taking a wire of the node lhs's i-th boundary is on."""
+    H-edges, its other non-boundary nodes the anchor, in name order. A node
+    named in keep or free that rhs holds too is kept: it stays, with its id,
+    takes rhs's kind, its phase changes by rhs's less lhs's, and its edges
+    to kept nodes (self-loops included) become rhs's. A node matches its
+    kind, phase (any if in free) and degree (any if in legs: free legs, for
+    a kept node); the edges among the anchor are lhs's, but at least lhs's
+    between kept nodes one of which has free legs, and each H-edge's spiders
+    share just one H-box. A row whose rhs is a bare wire refuses a match
+    whose two outside wire ends are one H-box, which the wire would close
+    into an H self-loop. The check returns the match or None; the rewrite
+    substitutes rhs for the nodes not kept, rhs's i-th boundary taking a
+    wire of the node lhs's i-th boundary is on."""
     rows: dict[str, list] = {}
-    kept = {*keep, *free}
     for lhs, rhs in pairs:
         bound = lhs.boundary()
         inner = [v for v in lhs.nodes() if v not in bound]
         boxes = [v for v in inner if _is_hbox(lhs, v)
                  and all(_is_spider(lhs, w) for w in lhs.neighbours(v))]
         nodes = [v for v in inner if v not in boxes]
-        loose = {v for v in kept.intersection(nodes)
-                 if set(bound).isdisjoint(lhs.neighbours(v))}
+        kept = [v for v in inner if v in {*keep, *free} and rhs.has_node(v)]
         at = {v: i for i, v in enumerate(nodes + boxes)}
+        glue = rhs.copy()   # each kept spider's phase change, which substitute adds
+        for v in set(kept).intersection(lhs.spiders()):
+            glue.set_phase(v, rhs.phase(v) - lhs.phase(v))
+        held, loose = set(kept), set(legs)   # loose: kept nodes with free legs
+        edges = [(i, j, lhs.multiplicity(u, v), {u, v} <= held and bool({u, v} & loose))
+                 for i, u in enumerate(nodes) for j, v in enumerate(nodes[i:], i)]
+        shift = [(at[u], at[v], rhs.multiplicity(u, v) - lhs.multiplicity(u, v))
+                 for i, u in enumerate(kept) for v in kept[i:]]
         rows.setdefault(lhs.kind(nodes[0]), []).append((
             tuple((lhs.kind(v), None if v in free or _is_hbox(lhs, v) else lhs.phase(v),
-                   None if v in loose else lhs.degree(v)) for v in nodes),
-            tuple((i, j, lhs.multiplicity(u, v)) for i, u in enumerate(nodes)
-                  for j, v in enumerate(nodes[i:], i)
-                  if not ({u, v} & loose and {u, v} <= kept)),
+                   None if v in legs else lhs.degree(v)) for v in nodes),
+            tuple((i, j, m, _MANY if least else m) for i, j, m, least in edges
+                  if m or not least),
             tuple(tuple(at[w] for w in lhs.neighbours(h)) for h in boxes),
-            (rhs, tuple(at[v] for v in nodes + boxes if v not in kept),
+            rhs.node_count() == len(rhs.boundary()) == 2,
+            (glue.check(), tuple(at[v] for v in nodes + boxes if v not in kept),
              tuple(at[lhs.boundary_partner(b)] for b in bound),
-             tuple((v, at[v]) for v in sorted(kept)))))
+             tuple((v, at[v]) for v in kept), tuple(e for e in shift if e[2]))))
     (arity,) = {len(row[0]) for group in rows.values() for row in group}
 
     def match(d: Diagram, anchor: Anchor) -> Optional[tuple]:
-        for spec, edges, boxes, glue in rows.get(d.kind(anchor[0]), ()):
-            if (all(d.kind(v) == k and (p is None or d.phase(v) == p)
-                    and (n is None or d.degree(v) == n)
-                    for v, (k, p, n) in zip(anchor, spec))
-                    and all(d.multiplicity(anchor[i], anchor[j]) == m
-                            for i, j, m in edges)):
-                if not boxes:
-                    return anchor, glue
-                found = [[w for w in d.neighbours(anchor[i]) if d.kind(w) == HBOX
-                          and d.multiplicity(w, anchor[j]) == 1] for i, j in boxes]
-                if all(len(h) == 1 for h in found):
-                    return anchor + tuple(h for h, in found), glue
+        for spec, edges, boxes, bare, glue in rows.get(d.kind(anchor[0]), ()):
+            if not (all(d.kind(v) == k and (n is None or d.degree(v) == n)
+                        and (p is None or d.phase(v) == p)
+                        for v, (k, p, n) in zip(anchor, spec))
+                    and all(m <= d.multiplicity(anchor[i], anchor[j]) <= most
+                            for i, j, m, most in edges)):
+                continue
+            if bare:
+                ends = {w for v in anchor for w, _ in d.around(v)}.difference(anchor)
+                if len(ends) == 1 and d.kind(*ends) == HBOX:
+                    continue
+            if not boxes:
+                return anchor, glue
+            found = [[w for w in d.neighbours(anchor[i]) if d.kind(w) == HBOX
+                      and d.multiplicity(w, anchor[j]) == 1] for i, j in boxes]
+            if all(len(h) == 1 for h in found):
+                return anchor + tuple(h for h, in found), glue
         return None
 
-    def rewrite(d: Diagram, anchor: Anchor) -> Diagram:
-        host, (rhs, removed, ports, held) = match(d, anchor)   # apply has matched it
+    def rewrite(d: Diagram, anchor: Anchor) -> Diagram:   # apply has matched the anchor
+        host, (rhs, removed, ports, held, shift) = match(d, anchor)
+        for i, j, k in shift:   # kept nodes' edges among them become rhs's
+            d.add_edge(host[i], host[j], k)      # a no-op unless k > 0
+            d.remove_edge(host[i], host[j], -k)  # a no-op unless k < 0
         return d.substitute([host[i] for i in removed], rhs, [host[i] for i in ports],
                             {v: host[i] for v, i in held})
 
-    return Rule(name, arity, candidates, match, rewrite, euler)
+    return Rule(name, arity, candidates, match, rewrite, euler, tuple(pairs))
 
 
 # -- the rules ----------------------------------------------------------------------
@@ -354,16 +435,6 @@ def _rewrite_spider_split(d: Diagram, anchor: Anchor) -> Diagram:
     return d
 
 
-def _check_id_remove(d: Diagram, anchor: Anchor) -> bool:
-    (s,) = anchor
-    if not (d.degree(s) == 2 and _is_spider(d, s) and d.phase(s) == ZERO
-            and not d.self_loops(s)):
-        return False
-    nbs = d.neighbours(s)
-    # removing s must not create an H self-loop
-    return not (len(nbs) == 1 and d.kind(nbs[0]) == HBOX)
-
-
 def _check_id_insert(d: Diagram, anchor: Anchor) -> bool:
     return d.multiplicity(*anchor) >= 1
 
@@ -371,15 +442,6 @@ def _check_id_insert(d: Diagram, anchor: Anchor) -> bool:
 def _rewrite_id_insert(d: Diagram, anchor: Anchor) -> Diagram:
     u, v = anchor
     d.splice(u, v, other_colour(d.kind(u)) if _is_spider(d, u) else Z)
-    return d
-
-
-def _check_self_loop(d: Diagram, anchor: Anchor) -> bool:
-    return d.self_loops(anchor[0]) >= 1 and _is_spider(d, anchor[0])
-
-
-def _rewrite_self_loop(d: Diagram, anchor: Anchor) -> Diagram:
-    d.remove_edge(anchor[0], anchor[0])
     return d
 
 
@@ -423,33 +485,6 @@ def _rewrite_pi_commute(d: Diagram, anchor: Anchor) -> Diagram:
     return d
 
 
-def _check_pi_state(d: Diagram, anchor: Anchor) -> bool:
-    return (_check_copy(d, anchor) and d.degree(anchor[1]) == 2
-            and not d.self_loops(anchor[1]))
-
-
-def _check_hopf(d: Diagram, anchor: Anchor) -> bool:
-    u, v = anchor
-    return (d.multiplicity(u, v) >= 2 and _is_spider(d, u)
-            and _is_spider(d, v) and d.kind(u) != d.kind(v))
-
-
-def _rewrite_hopf(d: Diagram, anchor: Anchor) -> Diagram:
-    d.remove_edge(*anchor, 2)
-    return d
-
-
-def _check_h_cancel(d: Diagram, anchor: Anchor) -> bool:
-    h1, h2 = anchor
-    if not (_is_hbox(d, h1) and _is_hbox(d, h2) and d.multiplicity(h1, h2) >= 1):
-        return False
-    if d.multiplicity(h1, h2) == 2:
-        return True
-    a, b = _far_end(d, h1, h2), _far_end(d, h2, h1)
-    # joining the outer wires must not close a loop on a third H-box
-    return not (a == b and d.kind(a) == HBOX)
-
-
 def _check_h_colour(d: Diagram, anchor: Anchor) -> bool:
     return _is_spider(d, anchor[0])
 
@@ -469,65 +504,42 @@ def _rewrite_h_colour(d: Diagram, anchor: Anchor) -> Diagram:
     return d
 
 
-def _check_h_phase(d: Diagram, anchor: Anchor) -> bool:
-    h, s = anchor
-    return (_is_hbox(d, h) and _is_spider(d, s) and d.multiplicity(h, s) == 1
-            and not d.self_loops(s) and d.degree(s) in (1, 2))
-
-
-def _rewrite_h_phase(d: Diagram, anchor: Anchor) -> Diagram:
-    h, s = anchor
-    if d.degree(s) == 1:
-        # state form: absorb the box
-        d.substitute((h,), _WIRE, (h, h))
-    else:
-        far_h, far_s = _far_end(d, h, s), _far_end(d, s, h)
-        d.remove_edge(s, far_s)
-        d.remove_edge(h, far_h)
-        d.add_edge(h, far_s)
-        d.add_edge(s, far_h)
-    d.set_kind(s, other_colour(d.kind(s)))
-    return d
-
-
-def _check_h_state(d: Diagram, anchor: Anchor) -> bool:
-    return (_check_h_phase(d, anchor) and d.degree(anchor[1]) == 1
-            and d.phase(anchor[1]) == ZERO)
-
-
 # -- the table ------------------------------------------------------------------------
 
 RULES: dict[str, Rule] = {r.name: r for r in (
     Rule("spider-fuse", 2, _edges, _check_spider_fuse, _rewrite_spider_fuse),
     Rule("spider-split", None, _spiders, _check_spider_split, _rewrite_spider_split),
-    Rule("id-remove", 1, _spiders, _check_id_remove,
-         lambda d, a: d.substitute(a, _WIRE, a * 2)),
+    _equation("id-remove", _spiders, [(spider(c, 1, 1), _WIRE) for c in SPIDERS]),
     Rule("id-insert", 2, _adjacent, _check_id_insert, _rewrite_id_insert),
-    Rule("self-loop", 1, _spiders, _check_self_loop, _rewrite_self_loop),
+    _equation("self-loop", _looped, [_drop((c,), 1) for c in SPIDERS],
+              free=("a",), legs=("a",)),
     Rule("copy", 2, _led_by(_basis_state), _check_copy, _rewrite_copy),
     _equation("bialgebra", _bialgebra_candidates, _SQUARE),
     Rule("pi-commute", 2, _led_by(_pi_wire), _check_pi_commute,
          _rewrite_pi_commute),
-    Rule("pi-state", 2, _led_by(_basis_state), _check_pi_state,
-         lambda d, a: d.substitute(a[1:], _WIRE, a[1:] * 2)),
-    Rule("hopf", 2, _edges, _check_hopf, _rewrite_hopf),
-    Rule("h-cancel", 2, _edges, _check_h_cancel,   # a closed pair is a scalar
-         lambda d, a: (d.substitute(a, _EMPTY, ()) if d.multiplicity(*a) == 2
-                       else d.substitute(a, _WIRE, a))),
+    _equation("pi-state", _led_by(_basis_state),
+              [_pi_state(c, p) for c in SPIDERS for p in (ZERO, PI)],
+              keep=("a",), free=("b",)),
+    _equation("hopf", _parallel, [_drop((c, other_colour(c)), 2) for c in SPIDERS],
+              free=("a", "b"), legs=("a", "b")),
+    _equation("h-cancel", _h_pairs,   # a closed pair is a scalar
+              [(rotation_chain(["h", "h"]), _WIRE), (_h_loop(), _EMPTY)]),
     Rule("h-colour", 1, _spiders, _check_h_colour, _rewrite_h_colour),
-    Rule("h-phase", 2, _led_by(_is_hbox), _check_h_phase, _rewrite_h_phase),
-    Rule("h-state", 2, _led_by(_is_hbox), _check_h_state, _rewrite_h_phase),
+    _equation("h-phase", _led_by(_is_hbox),
+              [_h_slide(c, n) for c in SPIDERS for n in (1, 2)],
+              keep=("a", "b"), free=("b",)),
+    _equation("h-state", _h_states, [_h_slide(c, 1) for c in SPIDERS], keep=("b",)),
     _equation("euler", _nodes, [(_H, euler_chain())], euler=True),
     _equation("euler-inv", _euler_inv_candidates,
               [(euler_chain(c), _H) for c in SPIDERS], euler=True),
     _equation("assume-lc-triangle", None, [_lc_triangle()], euler=True,
-              keep=("a", "b", "c", "ab", "ac")),
+              keep=("a", "b", "c", "ab", "ac"), legs=("b", "c")),
     _equation("cut-h-core", None, [(_H, h_core())], euler=True),
     _equation("cut-h-core-dual", None, [(_H, h_core_dual())], euler=True),
     _equation("use-pi2-colour", None, [_pendant(c, p) for c in SPIDERS
                                        for p in (MINUS_HALF_PI, HALF_PI)],
-              euler=True, free=("a",)),
-    _equation("hub2", None, [_hub2()], euler=True, free=("a", "c")),
+              euler=True, free=("a",), legs=("a",)),
+    _equation("hub2", None, [_hub2()], euler=True, free=("a", "c"), legs=("a", "c")),
     _equation("bialgebra-expand", None, [(rhs, lhs) for lhs, rhs in _SQUARE]),
 )}
 

@@ -224,6 +224,15 @@ def random_diagram(rng: random.Random, max_spiders: int = 7,
     return d.check()
 
 
+def tangled(d: Diagram, rng: random.Random) -> Diagram:
+    """d with two extra wires per spider, between random spiders:
+    parallel edges, self-loops and new Z-X squares."""
+    sp = d.spiders()
+    for _ in range(2 * len(sp)):
+        d.add_edge(rng.choice(sp), rng.choice(sp))
+    return d.check()
+
+
 def circuit(rng: random.Random, wires: int, gates: int) -> Diagram:
     """A circuit-shaped diagram: grid-phase spiders, H-boxes and Z-X
     (CNOT-like) pairs on ``wires`` wires, one input and one output per

@@ -4,14 +4,17 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import functools
 import itertools
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from conftest import H_MAT, SQRT2, random_diagram, rz_mat, steps_reached
+from conftest import H_MAT, SQRT2, circuit, random_diagram, rz_mat, steps_reached
 from zxr import axioms, lemmas, rules, shipped
 from zxr.diagram import generator, iso_equal
 from zxr.graphstate import (SimpleGraph, all_graphs, check_fixpoint, check_vdn,
@@ -19,6 +22,7 @@ from zxr.graphstate import (SimpleGraph, all_graphs, check_fixpoint, check_vdn,
 from zxr.phase import Phase
 from zxr.proofs import replay
 from zxr.semantics import diagrams_equal, evaluate
+from zxr.textio import serialize
 
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
 
@@ -195,22 +199,71 @@ def _thousand_diagrams():
     return out
 
 
+@functools.cache
+def _rewrite_corpus():
+    """Criterion 10's diagrams: the thousand above and 40 small circuits,
+    which hold the bialgebra and h-cancel sites that the thousand lack."""
+    rng = random.Random(7)
+    return _thousand_diagrams() + [circuit(rng, 5, 12) for _ in range(40)]
+
+
+def _sound(rule, d, anchor, models=(1, 2)):
+    """Criterion 10's check: apply at the site keeps d's semantics in each
+    of the models."""
+    out = rules.apply(rule, d, anchor)
+    return all(diagrams_equal(d, out, n) for n in models)
+
+
 def test_criterion_10_rewrite_soundness_sweep():
     started = time.perf_counter()
-    applications = 0
-    for d in _thousand_diagrams():
-        for rule in rules.RULE_IDS:
-            if rules.RULES[rule].euler:
-                continue
+    ungated = [rule for rule in rules.RULE_IDS if not rules.RULES[rule].euler]
+    sites = Counter()
+    for d in _rewrite_corpus():
+        for rule in ungated:
             for anchor in rules.match_sites(rule, d):
-                out = rules.apply(rule, d, anchor)
-                applications += 1
-                for n in (1, 2):
-                    assert diagrams_equal(d, out, n), (rule, anchor, n)
+                sites[rule] += 1
+                assert _sound(rule, d, anchor), (rule, anchor)
+    assert all(sites[rule] for rule in ungated), sites
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
-    _report(10, f"{applications} rule applications preserve semantics "
-                f"at n in {{1,2}}", started)
+    _report(10, f"{sum(sites.values())} rule applications preserve semantics "
+                "at n in {1,2}; sites per rule: "
+                + ", ".join(f"{rule} {sites[rule]}" for rule in ungated), started)
+
+
+# the equation rows whose right side holds a spider, each with the keywords
+# RULES passes to _equation for it
+_ROW_KEYWORDS = {"self-loop": {"free": ("a",), "legs": ("a",)},
+                 "pi-state": {"keep": ("a",), "free": ("b",)},
+                 "hopf": {"free": ("a", "b"), "legs": ("a", "b")},
+                 "h-phase": {"keep": ("a", "b"), "free": ("b",)},
+                 "h-state": {"keep": ("b",)}}
+
+
+def _turned(rule, turn):
+    """The rule's row rebuilt with the first spider of each right side
+    turned by the phase."""
+    r, pairs = rules.RULES[rule], []
+    for lhs, rhs in r.pairs:
+        rhs = rhs.copy()
+        s = rhs.spiders()[0]
+        rhs.set_phase(s, rhs.phase(s) + turn)
+        pairs.append((lhs, rhs.check()))
+    return rules._equation(rule, r.candidates, pairs, r.euler, **_ROW_KEYWORDS[rule])
+
+
+@pytest.mark.parametrize("rule", sorted(_ROW_KEYWORDS))
+def test_criterion_10_catches_a_row_whose_right_side_is_turned(rule, monkeypatch):
+    corpus, real, same = _rewrite_corpus(), rules.RULES[rule], _turned(rule, Phase(0))
+    for d in corpus[:300]:   # the keywords above are those of RULES
+        for anchor in real.candidates(d):
+            assert bool(same.check(d, anchor)) == bool(real.check(d, anchor))
+            if real.check(d, anchor):
+                assert serialize(same.rewrite(d.copy(), anchor)) == serialize(
+                    real.rewrite(d.copy(), anchor))
+    monkeypatch.setitem(rules.RULES, rule, _turned(rule, Phase(1, 4)))
+    assert any(not _sound(rule, d, anchor, (1,))
+               for d in corpus for anchor in rules.match_sites(rule, d))
 
 
 def test_criterion_11_normalization_sweep():

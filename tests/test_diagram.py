@@ -972,6 +972,19 @@ def test_substitute_keeps_the_nodes_keep_names():
                                         "edge i x\nedge x k\nedge k k\nedge k w\nedge w o\n"))
 
 
+def test_substitute_lets_two_kept_ports_trade_wires():
+    """Two kept ports each give up their outside wire, rhs's edge between
+    them stays, and a kept spider takes rhs's colour: an H-box and a spider
+    swap places on their wire."""
+    d = parse("node h h\nnode s z 1/4\nin i\nout o\nedge i h\nedge h s\nedge s o\n")
+    rhs = Diagram()
+    chain(rhs, rhs.add_node(X, 0, name="b"), None, ["h"], ["a"])
+    attach_wires(rhs, ["b"], ["a"])
+    d.substitute([], rhs, ["h", "s"], {"a": "h", "b": "s"})
+    assert serialize(d.checked()) == ("node h h\nnode s x 1/4\nin i\nout o\n"
+                                      "edge h o\nedge h s\nedge i s\n")
+
+
 @pytest.mark.parametrize("nodes, keep", [
     ([], {"k": "k", "u": "u"}),   # two kept ports would both take their k-u edge
     (["u"], {"k": "u"}),          # a kept node inside the set

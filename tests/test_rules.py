@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import circuit, random_diagram
+from conftest import circuit, random_diagram, tangled
 from zxr import lemmas, rules, shipped
 from zxr.diagram import (BOUNDARY, HBOX, Diagram, X, Z, compose, euler_chain,
                          generator, h_wire, iso_equal, rotation_chain, spider,
@@ -221,23 +221,14 @@ def _bialgebra_candidates_by_pairs(d):
                 yield (a1, a2, b1, b2)
 
 
-def _tangled(d, rng):
-    """d with two extra wires per spider, between random spiders:
-    parallel edges, self-loops and new Z-X squares."""
-    sp = d.spiders()
-    for _ in range(2 * len(sp)):
-        d.add_edge(rng.choice(sp), rng.choice(sp))
-    return d.check()
-
-
 def test_bialgebra_walk_finds_the_pairwise_candidates(rng):
     diagrams = []
     for _ in range(300):
         d = random_diagram(rng, max_spiders=10)
-        diagrams += [d, _tangled(d.copy(), rng)]
+        diagrams += [d, tangled(d.copy(), rng)]
     for i in range(12):
         d = circuit(rng, 2 + i % 4, 30 + 5 * i)
-        diagrams += [d, _tangled(d.copy(), rng)]
+        diagrams += [d, tangled(d.copy(), rng)]
     found = parallel = looped = 0
     for d in diagrams:
         want = set(_bialgebra_candidates_by_pairs(d))
@@ -276,6 +267,26 @@ def _sorted_edges(d):
     return [(u, v) for u, v, _ in d.edges() if u != v]
 
 
+def _sorted_parallel(d):
+    """Each edge of multiplicity 2 or more once, as (u, v) with u < v."""
+    return [(u, v) for u, v, m in d.edges() if u != v and m > 1]
+
+
+def _sorted_looped(d):
+    return [(s,) for s in d.spiders() if d.self_loops(s)]
+
+
+def _sorted_h_pairs(d):
+    """Each edge between two H-boxes once, as (u, v) with u < v."""
+    return [(u, v) for u, v, _ in d.edges() if u != v and d.kind(u) == HBOX == d.kind(v)]
+
+
+def _sorted_h_states(d):
+    """(h, s) for each H-box h and degree-1 spider s beside it."""
+    return [(h, s) for h in d.nodes() if rules._is_hbox(d, h) for s in d.neighbours(h)
+            if d.degree(s) == 1 and rules._is_spider(d, s)]
+
+
 def _sorted_adjacent(d):
     """Each non-loop edge in both orders."""
     return [p for u, v in _sorted_edges(d) for p in ((u, v), (v, u))]
@@ -312,11 +323,11 @@ def _sorted_euler_inv(d):
 SORTED_CANDIDATES = {
     "spider-fuse": _sorted_edges, "spider-split": _sorted_spiders,
     "id-remove": _sorted_spiders, "id-insert": _sorted_adjacent,
-    "self-loop": _sorted_spiders, "copy": _sorted_led_by(_sorted_basis_state),
+    "self-loop": _sorted_looped, "copy": _sorted_led_by(_sorted_basis_state),
     "bialgebra": _sorted_bialgebra, "pi-commute": _sorted_led_by(_sorted_pi_wire),
-    "pi-state": _sorted_led_by(_sorted_basis_state), "hopf": _sorted_edges,
-    "h-cancel": _sorted_edges, "h-colour": _sorted_spiders,
-    "h-phase": _sorted_led_by(rules._is_hbox), "h-state": _sorted_led_by(rules._is_hbox),
+    "pi-state": _sorted_led_by(_sorted_basis_state), "hopf": _sorted_parallel,
+    "h-cancel": _sorted_h_pairs, "h-colour": _sorted_spiders,
+    "h-phase": _sorted_led_by(rules._is_hbox), "h-state": _sorted_h_states,
     "euler": _sorted_nodes, "euler-inv": _sorted_euler_inv,
 }
 
@@ -329,10 +340,10 @@ def _candidate_corpus():
     out = []
     for _ in range(300):
         d = random_diagram(rng, max_spiders=10)
-        out += [d, _tangled(d.copy(), rng)]
+        out += [d, tangled(d.copy(), rng)]
     for i in range(12):
         d = circuit(rng, 2 + i % 4, 30 + 5 * i)
-        out += [d, _tangled(d.copy(), rng)]
+        out += [d, tangled(d.copy(), rng)]
     for n in range(1, 5):
         for g in all_graphs(tuple("caeb"[:n])):
             out += [graph_state(g)] + [vdn_lhs(g, u) for u in g.vertices]

@@ -179,7 +179,7 @@ def test_evaluate_result_shares_no_memory_with_cached_tensors():
     # is the result itself, so it must come back as a copy
     swap = np.eye(4)[[0, 2, 1, 3]]
     for d, want in ((wire(), np.eye(2)), (tensor(wire(), wire()), np.eye(4)),
-                    (axioms._swap_diagram(), swap)):
+                    (parse("in i0 i1\nout o0 o1\nedge i0 o1\nedge i1 o0\n"), swap)):
         m = evaluate(d)
         assert np.array_equal(m, want)
         m[:] = 7
