@@ -79,10 +79,11 @@ class Diagram:
     names included, and gives the diagram its own copy of the name's
     neighbour map. The log is the one record of edits, so a step costs what
     it touched: a copy shares the neighbour maps its source has not logged
-    (``copy`` costs O(V) dict and set copies at C speed, and neither side
-    sees the other's edits); ``checked`` validates the logged names; and
-    ``changed_since`` reads replay's patch from it, ``rules.normalize`` its
-    site sets, and ``created_since`` the nodes made, in creation order.
+    (``copy`` costs O(V) dict copies at C speed and a copy of the removed
+    ids, and neither side sees the other's edits); ``checked`` validates
+    the logged names; and ``changed_since`` reads replay's patch from it,
+    ``rules.normalize`` its site sets, and ``created_since`` the nodes
+    made, in creation order.
 
     Every invariant of ``check`` is local to one node or one edge, and the
     mutators keep the edge store symmetric, so a diagram valid at some point
@@ -108,7 +109,7 @@ class Diagram:
         self.inputs: tuple[str, ...] = ()
         self.outputs: tuple[str, ...] = ()
         self._fresh = 0
-        self._used: set[str] = set()   # ids are never reused, even after removal
+        self._removed: set[str] = set()   # removed ids; see ``_taken``
         self._bounds: Optional[tuple] = None   # (inputs, outputs) at the last full check
         self._memo: Optional[dict] = None   # reads kept by ``memo``; None: edits unchecked
 
@@ -129,16 +130,20 @@ class Diagram:
         d.inputs = self.inputs
         d.outputs = self.outputs
         d._fresh = self._fresh
-        d._used = set(self._used)
+        d._removed = set(self._removed)
         if self._memo is not None:   # valid until the copy changes too
             d._bounds, d._memo = self._bounds, dict(self._memo)
         return d
+
+    def _taken(self, name: str) -> bool:
+        """Whether the id is live or was removed: ids are never reused."""
+        return name in self._kind or name in self._removed
 
     def fresh_id(self) -> str:
         while True:
             name = f"n{self._fresh}"
             self._fresh += 1
-            if name not in self._used:
+            if not self._taken(name):
                 return name
 
     def add_node(self, kind: str, phase: Optional[PhaseLike] = None,
@@ -147,9 +152,8 @@ class Diagram:
             name = self.fresh_id()
         elif not is_token(name):   # .zxd could not write it
             raise DiagramError(f"node id {name!r} is empty or holds whitespace or '#'")
-        if name in self._used:
+        if self._taken(name):
             raise DiagramError(f"node id {name!r} is or was in use")
-        self._used.add(name)
         if kind in SPIDERS:
             self._phase[name] = Phase.coerce(phase) if phase is not None else ZERO
         elif phase is not None:
@@ -205,6 +209,7 @@ class Diagram:
         del self._adj[name]
         del self._kind[name]
         self._phase.pop(name, None)
+        self._removed.add(name)
         self._touch(name)
 
     def splice(self, u: str, v: str, kind: str,
@@ -645,12 +650,11 @@ class Diagram:
         next touch (see the class docstring). ``read`` must not edit the
         diagram; every caller shares its result, so it should be
         immutable."""
-        self.checked()
-        try:
-            return self._memo[read]
-        except KeyError:
-            value = self._memo[read] = read(self)
-            return value
+        memo = self.checked()._memo
+        value = memo.get(read, memo)   # the memo itself: no read returns it
+        if value is memo:
+            value = memo[read] = read(self)
+        return value
 
     def _check_at(self, pairs: Iterable[tuple[str, str]], bset: set[str],
                   listed: Iterable[str]) -> None:
@@ -846,7 +850,7 @@ def _merged_namespace(f: Diagram, g: Diagram) -> tuple[Diagram, dict[str, str]]:
     for v in g.nodes():
         name = v
         k = 0
-        while name in d._used:
+        while d._taken(name):
             name = f"{v}.{k}"
             k += 1
         rename[v] = name

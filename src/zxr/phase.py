@@ -37,12 +37,18 @@ class Phase:
 
     @staticmethod
     def coerce(value: PhaseLike) -> "Phase":
+        """The phase a ``PhaseLike`` names: a Phase, a token (``parse``), or
+        an int or Fraction (times pi), read as exact integers. Anything else,
+        a float's binary expansion among them, raises TypeError."""
         if isinstance(value, Phase):
             return value
+        if isinstance(value, int):
+            return Phase(value)
         if isinstance(value, str):
             return Phase.parse(value)
-        f = Fraction(value)
-        return Phase(f.numerator, f.denominator)
+        if isinstance(value, Fraction):
+            return Phase(value.numerator, value.denominator)
+        raise TypeError(f"not a phase: {value!r} (give a Phase, str, int or Fraction)")
 
     @staticmethod
     def parse(token: str) -> "Phase":

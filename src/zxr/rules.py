@@ -54,7 +54,9 @@ A rule whose two sides are open patterns is an equation row, read by
 rules are rows: id-remove, self-loop, bialgebra, pi-state, hopf, h-cancel,
 h-phase, h-state, euler, euler-inv and the six script-only steps. A row's
 kept nodes stay, taking rhs's kind, phase change and edges among them, and
-one guard keeps a bare-wire rhs from closing an H self-loop. Six rules are
+one guard keeps a bare-wire rhs from closing an H self-loop. A row that
+removes, adds and changes no node (hopf, self-loop) only shifts kept nodes'
+edges and calls no ``substitute``. Six rules are
 written by hand: spider-split, copy, pi-commute and h-colour act on every
 leg of a spider of any degree, spider-fuse merges the legs of two, and
 id-insert picks its new node's colour from the kind of u.
@@ -62,8 +64,10 @@ id-insert picks its new node's colour from the kind of u.
 Every rule is one ``Rule`` in ``RULES``. ``apply`` first refuses an anchor
 that is not ``arity`` distinct node ids; ``check(d, anchor)`` is then the
 rest of the left-hand-side condition (kinds, phases, degrees and
-multiplicities). ``match_sites`` keeps the candidate anchors that pass
-``check``, so the condition is written once.
+multiplicities), returning the match or None, and ``apply`` hands that match
+to ``rewrite``, so one application matches once. A hand-written rule's match
+is its anchor, a row's its host nodes and glue. ``match_sites`` keeps the
+candidate anchors that match, so the condition is written once.
 
 Every anchor is a tuple of node ids. A rule's candidates come from one pass
 over the edge store (``Diagram.kinds`` and ``Diagram.around``), in creation
@@ -96,8 +100,10 @@ class Rule(NamedTuple):
     ``arity`` is the anchor length (None: any from 1 up), ``candidates``
     lists anchors worth checking, unsorted, for ``match_sites`` to sort
     (None for a script-only step), ``check`` is the left-hand-side condition
-    on an anchor of distinct existing nodes and ``rewrite`` turns a fresh
-    copy of a matching diagram into the right-hand side. ``euler`` marks
+    on an anchor of distinct existing nodes, returning the match or None,
+    and ``rewrite`` turns a fresh copy of a matching diagram into the
+    right-hand side, given the match ``check`` returned (a hand-written
+    rule's is its anchor). ``euler`` marks
     Euler strength, and ``pairs`` holds an equation row's (lhs, rhs)
     patterns (empty for a rule written by hand).
     """
@@ -106,7 +112,7 @@ class Rule(NamedTuple):
     arity: Optional[int]
     candidates: Optional[Callable[[Diagram], Iterable[Anchor]]]
     check: Callable[[Diagram, Anchor], object]
-    rewrite: Callable[[Diagram, Anchor], Diagram]
+    rewrite: Callable[[Diagram, object], Diagram]
     euler: bool = False
     pairs: tuple[tuple[Diagram, Diagram], ...] = ()
 
@@ -331,9 +337,12 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
     between kept nodes one of which has free legs, and each H-edge's spiders
     share just one H-box. A row whose rhs is a bare wire refuses a match
     whose two outside wire ends are one H-box, which the wire would close
-    into an H self-loop. The check returns the match or None; the rewrite
-    substitutes rhs for the nodes not kept, rhs's i-th boundary taking a
-    wire of the node lhs's i-th boundary is on."""
+    into an H self-loop. The check returns the match, the host nodes and
+    the row's glue, or None; the rewrite takes that match, so it matches
+    nothing again, shifts the kept nodes' edges and substitutes rhs for the
+    nodes not kept, rhs's i-th boundary taking a wire of the node lhs's i-th
+    boundary is on. A still row, which removes, adds and changes no node,
+    stops after the shift: decided here, once, it calls no substitute."""
     rows: dict[str, list] = {}
     for lhs, rhs in pairs:
         bound = lhs.boundary()
@@ -346,6 +355,9 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
         glue = rhs.copy()   # each kept spider's phase change, which substitute adds
         for v in set(kept).intersection(lhs.spiders()):
             glue.set_phase(v, rhs.phase(v) - lhs.phase(v))
+        still = (len(kept) == len(inner) == rhs.node_count()
+                 and all(glue.kind(v) == lhs.kind(v) for v in kept)
+                 and all(glue.phase(v) == ZERO for v in glue.spiders()))
         held, loose = set(kept), set(legs)   # loose: kept nodes with free legs
         edges = [(i, j, lhs.multiplicity(u, v), {u, v} <= held and bool({u, v} & loose))
                  for i, u in enumerate(nodes) for j, v in enumerate(nodes[i:], i)]
@@ -358,7 +370,8 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
                   if m or not least),
             tuple(tuple(at[w] for w in lhs.neighbours(h)) for h in boxes),
             rhs.node_count() == len(rhs.boundary()) == 2,
-            (glue.check(), tuple(at[v] for v in nodes + boxes if v not in kept),
+            (None if still else glue.check(),
+             tuple(at[v] for v in nodes + boxes if v not in kept),
              tuple(at[lhs.boundary_partner(b)] for b in bound),
              tuple((v, at[v]) for v in kept), tuple(e for e in shift if e[2]))))
     (arity,) = {len(row[0]) for group in rows.values() for row in group}
@@ -383,11 +396,13 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
                 return anchor + tuple(h for h, in found), glue
         return None
 
-    def rewrite(d: Diagram, anchor: Anchor) -> Diagram:   # apply has matched the anchor
-        host, (rhs, removed, ports, held, shift) = match(d, anchor)
+    def rewrite(d: Diagram, found: tuple) -> Diagram:   # found: match's result
+        host, (rhs, removed, ports, held, shift) = found
         for i, j, k in shift:   # kept nodes' edges among them become rhs's
             d.add_edge(host[i], host[j], k)      # a no-op unless k > 0
             d.remove_edge(host[i], host[j], -k)  # a no-op unless k < 0
+        if rhs is None:   # a still row
+            return d
         return d.substitute([host[i] for i in removed], rhs, [host[i] for i in ports],
                             {v: host[i] for v, i in held})
 
@@ -397,9 +412,10 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
 # -- the rules ----------------------------------------------------------------------
 
 
-def _check_spider_fuse(d: Diagram, anchor: Anchor) -> bool:
+def _check_spider_fuse(d: Diagram, anchor: Anchor) -> Optional[Anchor]:
     u, v = anchor
-    return _is_spider(d, u) and d.kind(v) == d.kind(u) and d.multiplicity(u, v) >= 1
+    return (anchor if _is_spider(d, u) and d.kind(v) == d.kind(u)
+            and d.multiplicity(u, v) >= 1 else None)
 
 
 def _rewrite_spider_fuse(d: Diagram, anchor: Anchor) -> Diagram:
@@ -419,14 +435,14 @@ def _rewrite_spider_fuse(d: Diagram, anchor: Anchor) -> Diagram:
     return d
 
 
-def _check_spider_split(d: Diagram, anchor: Anchor) -> bool:
+def _check_spider_split(d: Diagram, anchor: Anchor) -> Optional[Anchor]:
     s, moved = anchor[0], anchor[1:]
-    return _is_spider(d, s) and all(d.multiplicity(s, v) for v in moved)
+    return anchor if _is_spider(d, s) and all(d.multiplicity(s, v) for v in moved) else None
 
 
 def _rewrite_spider_split(d: Diagram, anchor: Anchor) -> Diagram:
     s, moved = anchor[0], anchor[1:]
-    fresh = d.add_node(d.kind(s), 0)
+    fresh = d.add_node(d.kind(s), ZERO)
     for v in moved:
         m = d.multiplicity(s, v)
         d.remove_edge(s, v, m)
@@ -435,8 +451,8 @@ def _rewrite_spider_split(d: Diagram, anchor: Anchor) -> Diagram:
     return d
 
 
-def _check_id_insert(d: Diagram, anchor: Anchor) -> bool:
-    return d.multiplicity(*anchor) >= 1
+def _check_id_insert(d: Diagram, anchor: Anchor) -> Optional[Anchor]:
+    return anchor if d.multiplicity(*anchor) >= 1 else None
 
 
 def _rewrite_id_insert(d: Diagram, anchor: Anchor) -> Diagram:
@@ -445,10 +461,10 @@ def _rewrite_id_insert(d: Diagram, anchor: Anchor) -> Diagram:
     return d
 
 
-def _check_copy(d: Diagram, anchor: Anchor) -> bool:
+def _check_copy(d: Diagram, anchor: Anchor) -> Optional[Anchor]:
     state, s = anchor
-    return (_basis_state(d, state) and _is_spider(d, s)
-            and d.kind(s) != d.kind(state) and d.multiplicity(state, s) == 1)
+    return (anchor if _basis_state(d, state) and _is_spider(d, s)
+            and d.kind(s) != d.kind(state) and d.multiplicity(state, s) == 1 else None)
 
 
 def _rewrite_copy(d: Diagram, anchor: Anchor) -> Diagram:
@@ -466,11 +482,11 @@ def _pi_wire(d: Diagram, r: str) -> bool:
             and not d.self_loops(r))
 
 
-def _check_pi_commute(d: Diagram, anchor: Anchor) -> bool:
+def _check_pi_commute(d: Diagram, anchor: Anchor) -> Optional[Anchor]:
     r, s = anchor
-    return (_pi_wire(d, r) and _is_spider(d, s) and d.kind(s) != d.kind(r)
+    return (anchor if _pi_wire(d, r) and _is_spider(d, s) and d.kind(s) != d.kind(r)
             and d.phase(s) == ZERO and not d.self_loops(s)
-            and d.multiplicity(r, s) == 1)
+            and d.multiplicity(r, s) == 1 else None)
 
 
 def _rewrite_pi_commute(d: Diagram, anchor: Anchor) -> Diagram:
@@ -485,8 +501,8 @@ def _rewrite_pi_commute(d: Diagram, anchor: Anchor) -> Diagram:
     return d
 
 
-def _check_h_colour(d: Diagram, anchor: Anchor) -> bool:
-    return _is_spider(d, anchor[0])
+def _check_h_colour(d: Diagram, anchor: Anchor) -> Optional[Anchor]:
+    return anchor if _is_spider(d, anchor[0]) else None
 
 
 def _rewrite_h_colour(d: Diagram, anchor: Anchor) -> Diagram:
@@ -565,10 +581,11 @@ def apply(rule: str, d: Diagram, anchor: Sequence[str],
         raise RuleError(f"{rule} is gated off (pass euler_on=True to enable)")
     anchor = tuple(anchor)
     shaped = len(anchor) == r.arity if r.arity else len(anchor) >= 1
-    if not (shaped and len(set(anchor)) == len(anchor)
-            and all(d.has_node(v) for v in anchor) and r.check(d, anchor)):
+    found = (shaped and len(set(anchor)) == len(anchor)
+             and all(d.has_node(v) for v in anchor) and r.check(d, anchor))
+    if not found:
         raise RuleError(f"{rule} does not match at {anchor}")
-    return r.rewrite(d.copy(), anchor).checked()
+    return r.rewrite(d.copy(), found).checked()
 
 
 # -- normalization ------------------------------------------------------------------

@@ -418,6 +418,32 @@ def test_a_removed_id_is_not_handed_out_again_by_name():
     assert a not in d.nodes() and d.add_node(Z, 0) != a
 
 
+def test_removed_ids_stay_refused_on_every_later_copy():
+    d = Diagram()
+    d.add_node(Z, 0, name="n0")
+    d.add_node(Z, 0, name="n1")
+    d.remove_node("n0")
+    later = [d, d.copy(), d.copy().copy()]
+    later[1].remove_node("n1")
+    later.append(later[1].copy())
+    for e in later:
+        for v in ("n0", "n1"):
+            with pytest.raises(DiagramError, match="is or was in use"):
+                e.add_node(X, 1, name=v)
+        assert e.fresh_id() == "n2"   # skips n0, removed, and n1, live or removed
+    # compose and tensor rename the other side's nodes around removed ids
+    gone = generator("h").copy()
+    gone.add_node(Z, 0, name="x")
+    gone.remove_node("x")
+    w = Diagram()
+    w.add_node(Z, 0, name="x")
+    w = attach_wires(w, ["x"], ["x"])
+    for both in (tensor(gone, w), compose(w, gone)):
+        assert "x" not in both.nodes() and "x.0" in both.nodes()
+        with pytest.raises(DiagramError, match="is or was in use"):
+            both.add_node(Z, 0, name="x")
+
+
 def assert_adjacency_matches_edge_list(d):
     """Every adjacency query agrees with a reference rebuilt from the
     diagram's edge list, one entry per parallel copy."""

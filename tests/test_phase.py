@@ -1,9 +1,12 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zxr.diagram import Diagram, Z
 from zxr.phase import Phase
 
 rationals = st.fractions(
@@ -77,3 +80,31 @@ def test_zero_identity_and_inverse(a):
     p = as_phase(a)
     assert p + Phase(0) == p
     assert (p + (-p)).is_zero()
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 1.0, float("nan"), Decimal("0.5"), 1j, None])
+def test_coerce_refuses_all_but_exact_phases(value):
+    # a float's binary expansion (0.1 -> 3602879701896397/36028797018963968)
+    # is no phase a .zxd author meant
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        Phase.coerce(value)
+
+
+def test_a_diagram_refuses_a_float_phase():
+    d = Diagram()
+    with pytest.raises(TypeError, match="0.1"):
+        d.add_node(Z, 0.1)
+    v = d.add_node(Z, 1)
+    with pytest.raises(TypeError, match="0.25"):
+        d.set_phase(v, 0.25)
+    assert d.phase(v) == Phase(1)
+
+
+@pytest.mark.parametrize("value, num, den", [
+    (0, 0, 1), (1, 1, 1), (-3, 1, 1), (7, 1, 1), (10**30 + 1, 1, 1), (True, 1, 1),
+    (False, 0, 1), (Fraction(1, 2), 1, 2), (Fraction(-7, 4), 1, 4),
+    (Fraction(10**30 + 1, 3), 5, 3), ("-1/2", 3, 2), (Phase(2, 3), 2, 3),
+])
+def test_coerce_reads_ints_and_fractions_exactly(value, num, den):
+    p = Phase.coerce(value)
+    assert (p.num, p.den, type(p.num), type(p.den)) == (num, den, int, int)

@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -455,6 +457,100 @@ def test_golden_sites_and_rewrites():
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
+# SHA-256 of the order state each rewrite above leaves, which sorted serialize
+# text cannot see: the network (its H factors follow adjacency order), the
+# log in touch order, the next fresh id and each node's neighbour order. The
+# matrix memo and replay read these, so a faster rewrite must not move them.
+ORDER_DIGEST = "0e494848f685587daf9cc3465600dda11f0e0bdb29a8133b76ade7d1285fcbf2"
+
+
+def _order_lines():
+    for d in _golden_corpus():
+        for rule in rules.RULE_IDS:
+            sites = rules.match_sites(rule, d)
+            for anchor in sites + _near_misses(rule, d, sites):
+                try:
+                    out = rules.apply(rule, d, anchor, euler_on=True)
+                except rules.RuleError:
+                    yield f"{anchor} RuleError"
+                    continue
+                around = [(v, list(out.around(v))) for v in out.nodes()]
+                yield (f"{anchor} {out.network()} {list(out.touched())} "
+                       f"{copy.copy(out).fresh_id()} {around}")
+
+
+def test_golden_rewrites_leave_the_same_order_state():
+    digest = hashlib.sha256()
+    for line in _order_lines():
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == ORDER_DIGEST
+
+
+def _script_derivations():
+    """Every shipped derivation and every stage of lemmas.lc_implies_euler():
+    the script-only steps' sites."""
+    derivs = [build() for _, build in sorted(shipped.BUILDERS.items())]
+    return derivs + [deriv for _, deriv in sorted(lemmas.lc_implies_euler().items())]
+
+
+def _contract_sites():
+    """(rule, diagram, anchor) at every site of the golden corpus, at hub2's
+    one site on the end of lemmas.hub2()'s left side (no script steps
+    through it), and at every step of the derivations above."""
+    for d in _golden_corpus():
+        for rule in rules.RULE_IDS:
+            for anchor in rules.match_sites(rule, d):
+                yield rule, d, anchor
+    yield "hub2", lemmas.hub2()[0].end, ("p", "x", "q")
+    for deriv in _script_derivations():
+        d = deriv.start
+        for rule, anchor in deriv.script.steps:
+            yield rule, d, anchor
+            d = rules.apply(rule, d, anchor, euler_on=True)
+
+
+def test_rewrite_takes_the_match_its_check_returns():
+    seen = set()
+    for rule, d, anchor in _contract_sites():
+        r = rules.RULES[rule]
+        out = r.rewrite(d.copy(), r.check(d, anchor)).checked()
+        assert serialize(out) == serialize(rules.apply(rule, d, anchor, euler_on=True)), (
+            rule, anchor)
+        seen.add(rule)
+    assert seen == set(rules.RULES)
+
+
+def _apply_everywhere(rule, corpus):
+    applied = 0
+    for d in corpus:
+        for anchor in rules.match_sites(rule, d):
+            rules.apply(rule, d, anchor, euler_on=True)
+            applied += 1
+    assert applied, rule
+
+
+def test_hopf_and_self_loop_substitute_nothing(monkeypatch):
+    corpus, calls = _golden_corpus(), []
+    substitute = Diagram.substitute
+    monkeypatch.setattr(Diagram, "substitute",
+                        lambda d, *args: calls.append(args) or substitute(d, *args))
+    for rule in ("hopf", "self-loop"):
+        _apply_everywhere(rule, corpus)
+    assert calls == []
+    _apply_everywhere("h-cancel", corpus)   # the wrapper does see a substitution
+    assert calls
+
+
+def test_spider_split_constructs_no_fraction(monkeypatch):
+    corpus, made = _golden_corpus(), []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(
+        lambda cls, *args, **kwargs: made.append(args) or new(cls, *args, **kwargs)))
+    _apply_everywhere("spider-split", corpus)
+    assert made == []
+    assert Fraction(1, 3) and made == [(1, 3)]   # the count sees a construction
+
+
 # SHA-256 of each step and the diagram it reaches, fresh ids included, over
 # every shipped derivation and every stage of lemmas.lc_implies_euler(). The
 # script-only steps are not in RULE_IDS, so the digest above misses them.
@@ -462,10 +558,8 @@ SCRIPT_DIGEST = "ab7348db2b553c110360770d02b3ad1baa010982b0146ab3f51d55a7d1c31dc
 
 
 def test_golden_script_steps():
-    derivs = [build() for _, build in sorted(shipped.BUILDERS.items())]
-    derivs += [deriv for _, deriv in sorted(lemmas.lc_implies_euler().items())]
     digest = hashlib.sha256()
-    for deriv in derivs:
+    for deriv in _script_derivations():
         d = deriv.start
         for rule, anchor in deriv.script.steps:
             d = rules.apply(rule, d, anchor, euler_on=True)
