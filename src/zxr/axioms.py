@@ -1,12 +1,13 @@
 """The axiom schemas as pairs of diagrams, verified in each scaled model.
 
 Each schema yields left-hand sides, those of the rule's equation rows when
-these hold no free leg or phase; an equation instance (lhs, rhs) takes
-its right side from the rule of the same name in ``rules.RULES``, applied at
-the first site ``match_sites`` finds, so the verdicts speak for the rewrites
-the engine performs. Schemas with a free angle are instantiated on a fixed
-grid that includes non-Clifford angles, so a pass is not an artifact of
-Clifford coincidences.
+these hold no free leg or phase (copy's and pi-commute's with their box
+drawn twice); an equation instance (lhs, rhs) takes its right side from
+the rule of the same name in ``rules.RULES``, applied at the first site
+``match_sites`` finds, so the verdicts speak for the rewrites the engine
+performs. Schemas with a free angle are instantiated on a fixed grid that
+includes non-Clifford angles, so a pass is not an artifact of Clifford
+coincidences.
 """
 
 from __future__ import annotations
@@ -39,15 +40,6 @@ def _spider_fusion(colour: str) -> Iterator[Diagram]:
         yield compose(spider(colour, 1, 2), spider(colour, 1, 1, a))
 
 
-def _copy(colour: str) -> Iterator[Diagram]:
-    yield compose(spider(colour, 1, 2), spider(other_colour(colour), 0, 1, 0))
-
-
-def _pi_commute(colour: str) -> Iterator[Diagram]:
-    # pi on the splitter's input: the rule pushes it onto both outputs
-    yield compose(spider(other_colour(colour), 1, 2), spider(colour, 1, 1, PI))
-
-
 def _pi_state(colour: str) -> Iterator[Diagram]:
     yield compose(spider(other_colour(colour), 1, 0, 0), spider(colour, 1, 1, PI))
 
@@ -73,9 +65,9 @@ def _rows(name: str) -> Iterator[Diagram]:
 _LEFT_SIDES: dict[str, Callable[[], Iterator[Diagram]]] = {
     "spider-fuse": lambda: _both_colours(_spider_fusion),
     "id-remove": partial(_rows, "id-remove"),
-    "copy": lambda: _both_colours(_copy),
+    "copy": lambda: (rules.boxed(lhs, 2) for lhs in _rows("copy")),
     "bialgebra": partial(_rows, "bialgebra"),
-    "pi-commute": lambda: _both_colours(_pi_commute),
+    "pi-commute": lambda: (rules.boxed(lhs, 2) for lhs in _rows("pi-commute")),
     "pi-state": lambda: _both_colours(_pi_state),
     "hopf": lambda: _both_colours(_hopf),
     "h-cancel": partial(_rows, "h-cancel"),

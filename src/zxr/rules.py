@@ -50,16 +50,14 @@ They set ``Rule.euler``; ``apply`` refuses them unless ``euler_on=True``, and
 ``proofs.replay`` checks only the standard model when a script uses one.
 
 A rule whose two sides are open patterns is an equation row, read by
-``_equation`` from the (lhs, rhs) pairs it keeps as ``Rule.pairs``. Sixteen
-rules are rows: id-remove, self-loop, bialgebra, pi-state, hopf, h-cancel,
-h-phase, h-state, euler, euler-inv and the six script-only steps. A row's
-kept nodes stay, taking rhs's kind, phase change and edges among them, and
-one guard keeps a bare-wire rhs from closing an H self-loop. A row that
-removes, adds and changes no node (hopf, self-loop) only shifts kept nodes'
-edges and calls no ``substitute``. Six rules are
-written by hand: spider-split, copy, pi-commute and h-colour act on every
-leg of a spider of any degree, spider-fuse merges the legs of two, and
-id-insert picks its new node's colour from the kind of u.
+``_equation`` from the (lhs, rhs) pairs it keeps as ``Rule.pairs``. A row's
+kept nodes stay, taking rhs's kind, phase change and edges among them; one
+guard keeps a bare-wire rhs from closing an H self-loop; a row that removes,
+adds and changes no node (hopf, self-loop) calls no ``substitute``; and a
+!-box (copy, pi-commute) repeats one pattern on every leg of a spider of any
+degree. Four rules are written by hand: spider-fuse (its rhs phase is a
+sum), spider-split (its anchor chooses the legs), h-colour (two !-boxes)
+and id-insert (its new node's colour follows u's kind).
 
 Every rule is one ``Rule`` in ``RULES``. ``apply`` first refuses an anchor
 that is not ``arity`` distinct node ids; ``check(d, anchor)`` is then the
@@ -82,7 +80,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .diagram import (HBOX, SPIDERS, Diagram, X, Z, attach_wires, chain, empty,
+from .diagram import (BOUNDARY, HBOX, SPIDERS, Diagram, X, Z, attach_wires, chain, empty,
                       euler_chain, h_core, h_core_dual, h_wire, other_colour,
                       rotation_chain, spider, wire)
 from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO, Phase
@@ -132,6 +130,12 @@ def _basis_state(d: Diagram, v: str) -> bool:
     """Degree-1 spider with phase 0 or pi."""
     return (d.degree(v) == 1 and _is_spider(d, v)
             and d.phase(v) in (ZERO, PI))
+
+
+def _pi_wire(d: Diagram, r: str) -> bool:
+    """Degree-2 pi spider without self-loops."""
+    return (d.degree(r) == 2 and _is_spider(d, r) and d.phase(r) == PI
+            and not d.self_loops(r))
 
 
 def _spiders(d: Diagram) -> list[Anchor]:
@@ -210,27 +214,6 @@ def _euler_inv_candidates(d: Diagram) -> Iterable[Anchor]:
             yield (nbs[0], s2, nbs[1])
 
 
-# -- rewriting helpers -------------------------------------------------------------
-
-
-def _stamp_states(d: Diagram, s: str, colour: str, phase: Phase) -> None:
-    """Delete spider s, placing a fresh (colour, phase) state on each of its
-    remaining edge ends."""
-    for w in list(d.neighbours(s)):
-        m = d.multiplicity(s, w)
-        d.remove_edge(s, w, m)
-        for _ in range(m):
-            fresh = d.add_node(colour, phase)
-            d.add_edge(fresh, w)
-    loops = d.self_loops(s)
-    for _ in range(loops):
-        d.remove_edge(s, s)
-        f1 = d.add_node(colour, phase)
-        f2 = d.add_node(colour, phase)
-        d.add_edge(f1, f2)
-    d.remove_node(s)
-
-
 # -- equation rows: rules whose two sides are open patterns -------------------------
 
 
@@ -255,14 +238,22 @@ def _drop(colours: Sequence[str], times: int) -> tuple[Diagram, Diagram]:
     return lhs.check(), rhs.check()
 
 
-def _pi_state(colour: str, phase: Phase) -> tuple[Diagram, Diagram]:
-    """pi-state: the state a of the colour and phase absorbs the phase-0
-    opposite-colour spider b on its wire."""
+def _state(colour: str, phase: Phase) -> tuple[Diagram, Diagram]:
+    """pi-state and copy: the state a of the colour and phase absorbs the
+    phase-0 opposite-colour spider b on its wire, or copies onto b's box."""
     lhs, rhs = Diagram(), Diagram()
-    a = lhs.add_node(colour, phase, name="a")
-    chain(lhs, a, None, [(other_colour(colour), 0)], ["b"])
+    chain(lhs, lhs.add_node(colour, phase, name="a"), None, [(other_colour(colour), 0)], ["b"])
     rhs.add_node(colour, phase, name="a")
     return attach_wires(lhs, [], ["b"]), attach_wires(rhs, [], ["a"])
+
+
+def _pi_commute(colour: str) -> tuple[Diagram, Diagram]:
+    """pi-commute: the pi spider a of the colour, on a wire of the phase-0
+    spider b of the other, passes onto b's boxed leg."""
+    lhs, rhs = Diagram(), Diagram()
+    chain(lhs, lhs.add_node(colour, PI, name="a"), None, [(other_colour(colour), 0)], ["b"])
+    chain(rhs, rhs.add_node(other_colour(colour), 0, name="b"), None, [(colour, PI)], ["a"])
+    return attach_wires(lhs, ["a"], ["b"]), attach_wires(rhs, ["b"], ["a"])
 
 
 def _h_slide(colour: str, legs: int) -> tuple[Diagram, Diagram]:
@@ -320,12 +311,13 @@ _WIRE, _EMPTY, _H = wire(), empty(), h_wire()
 _MANY = float("inf")   # no upper bound on a multiplicity
 # the bialgebra equation, one row per colour of the square's first corner
 _SQUARE = [(_bipartite(c, 2), _bipartite(other_colour(c), 1)) for c in SPIDERS]
+_STATES = [_state(c, p) for c in SPIDERS for p in (ZERO, PI)]
 
 
 def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Anchor]]],
               pairs: Sequence[tuple[Diagram, Diagram]], euler: bool = False,
               keep: Sequence[str] = (), free: Sequence[str] = (),
-              legs: Sequence[str] = ()) -> Rule:
+              legs: Sequence[str] = (), box: bool = False) -> Rule:
     """The rule rewriting each open pattern lhs to its rhs, one row per pair,
     keyed by the kind of lhs's first node. lhs's H-boxes between spiders are
     H-edges, its other non-boundary nodes the anchor, in name order. A node
@@ -342,7 +334,16 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
     nothing again, shifts the kept nodes' edges and substitutes rhs for the
     nodes not kept, rhs's i-th boundary taking a wire of the node lhs's i-th
     boundary is on. A still row, which removes, adds and changes no node,
-    stops after the shift: decided here, once, it calls no substitute."""
+    stops after the shift: decided here, once, it calls no substitute.
+
+    With box, lhs's last output is a !-box (Kissinger, Merry & Soloviev,
+    arXiv:1204.6695): the one leg there of its spider, of any degree, stands
+    for each edge end of it that lhs's other edges do not hold (its
+    self-loops' too, unless rhs keeps it). rhs's new nodes are the box, on
+    rhs's last output. The spider stays through the substitution, then
+    gives each end, in sorted neighbour order and one parallel copy at a
+    time, to a fresh copy of the box (a self-loop's two ends to two copies
+    joined by its edge), and goes unless rhs keeps it."""
     rows: dict[str, list] = {}
     for lhs, rhs in pairs:
         bound = lhs.boundary()
@@ -350,22 +351,35 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
         boxes = [v for v in inner if _is_hbox(lhs, v)
                  and all(_is_spider(lhs, w) for w in lhs.neighbours(v))]
         nodes = [v for v in inner if v not in boxes]
-        kept = [v for v in inner if v in {*keep, *free} and rhs.has_node(v)]
+        hub = box and lhs.boundary_partner(lhs.outputs[-1])   # the box's spider
+        kept = [v for v in inner if v in {*keep, *free} and rhs.has_node(v) or v == hub]
         at = {v: i for i, v in enumerate(nodes + boxes)}
-        glue = rhs.copy()   # each kept spider's phase change, which substitute adds
-        for v in set(kept).intersection(lhs.spiders()):
-            glue.set_phase(v, rhs.phase(v) - lhs.phase(v))
+        glue, gone, repeat = rhs.copy(), hub and not rhs.has_node(hub), None
+        if box:   # repeat: the spider, one copy's nodes and edges, its leg's end, gone
+            made = [v for v, k in rhs.kinds() if k != BOUNDARY and v not in kept]
+            index = {v: at[v] for v in kept} | {v: len(at) + i for i, v in enumerate(made)}
+            repeat = (at[hub], tuple((k, rhs.phase(v) if k in SPIDERS else None)
+                                     for v, k in rhs.kinds() if v in made),
+                      tuple((index[w], index[v], m) for v in made for w, m in rhs.around(v)
+                            if w in index and (w in kept or index[v] <= index[w])),
+                      index[rhs.boundary_partner(rhs.outputs[-1])], gone)
+            bound, glue = bound[:-1], boxed(rhs, 0, made)
+            if gone:   # it stays until its legs are copied
+                glue.add_node(lhs.kind(hub), lhs.phase(hub), name=hub)
+        for v in set(kept).intersection(lhs.spiders()):   # the phase change
+            glue.set_phase(v, glue.phase(v) - lhs.phase(v))
         still = (len(kept) == len(inner) == rhs.node_count()
                  and all(glue.kind(v) == lhs.kind(v) for v in kept)
                  and all(glue.phase(v) == ZERO for v in glue.spiders()))
         held, loose = set(kept), set(legs)   # loose: kept nodes with free legs
-        edges = [(i, j, lhs.multiplicity(u, v), {u, v} <= held and bool({u, v} & loose))
+        edges = [(i, j, lhs.multiplicity(u, v),
+                  {u, v} <= held and bool({u, v} & loose) or u == v == hub and gone)
                  for i, u in enumerate(nodes) for j, v in enumerate(nodes[i:], i)]
         shift = [(at[u], at[v], rhs.multiplicity(u, v) - lhs.multiplicity(u, v))
                  for i, u in enumerate(kept) for v in kept[i:]]
         rows.setdefault(lhs.kind(nodes[0]), []).append((
             tuple((lhs.kind(v), None if v in free or _is_hbox(lhs, v) else lhs.phase(v),
-                   None if v in legs else lhs.degree(v)) for v in nodes),
+                   None if v in legs or v == hub else lhs.degree(v)) for v in nodes),
             tuple((i, j, m, _MANY if least else m) for i, j, m, least in edges
                   if m or not least),
             tuple(tuple(at[w] for w in lhs.neighbours(h)) for h in boxes),
@@ -373,7 +387,7 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
             (None if still else glue.check(),
              tuple(at[v] for v in nodes + boxes if v not in kept),
              tuple(at[lhs.boundary_partner(b)] for b in bound),
-             tuple((v, at[v]) for v in kept), tuple(e for e in shift if e[2]))))
+             tuple((v, at[v]) for v in kept), tuple(e for e in shift if e[2]), repeat)))
     (arity,) = {len(row[0]) for group in rows.values() for row in group}
 
     def match(d: Diagram, anchor: Anchor) -> Optional[tuple]:
@@ -397,16 +411,50 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
         return None
 
     def rewrite(d: Diagram, found: tuple) -> Diagram:   # found: match's result
-        host, (rhs, removed, ports, held, shift) = found
+        host, (rhs, removed, ports, held, shift, repeat) = found
         for i, j, k in shift:   # kept nodes' edges among them become rhs's
             d.add_edge(host[i], host[j], k)      # a no-op unless k > 0
             d.remove_edge(host[i], host[j], -k)  # a no-op unless k < 0
         if rhs is None:   # a still row
             return d
-        return d.substitute([host[i] for i in removed], rhs, [host[i] for i in ports],
-                            {v: host[i] for v, i in held})
+        if repeat:   # the box's edge ends, read before the substitution
+            hub, made, edges, end, gone = repeat
+            hub = host[hub]
+            ends = [w for w, m in sorted(d.around(hub)) if w not in host for _ in range(m)]
+            ends += [hub] * d.self_loops(hub) * gone
+        d.substitute([host[i] for i in removed], rhs, [host[i] for i in ports],
+                     {v: host[i] for v, i in held})
+        if not repeat:
+            return d
+
+        def stamp() -> str:   # one copy of the box; returns its leg's end
+            names = host + tuple(d.add_node(k, p) for k, p in made)
+            for i, j, m in edges:
+                d.add_edge(names[i], names[j], m)
+            return names[end]
+
+        for w in ends:   # a self-loop's two ends become two joined copies
+            d.remove_edge(hub, w)
+            d.add_edge(stamp(), stamp() if w == hub else w)
+        if gone:
+            d.remove_node(hub)
+        return d
 
     return Rule(name, arity, candidates, match, rewrite, euler, tuple(pairs))
+
+
+def boxed(d: Diagram, copies: int, drop: Sequence[str] = ()) -> Diagram:
+    """d less the nodes in drop, with the leg on its last output drawn
+    ``copies`` times: a box row's lhs with its box drawn that many times."""
+    out = Diagram()
+    for v, k in d.kinds():
+        if k != BOUNDARY and v not in drop:
+            out.add_node(k, d.phase(v) if k in SPIDERS else None, name=v)
+    for u, v, m in d.edges():
+        if out.has_node(u) and out.has_node(v):
+            out.add_edge(u, v, m)
+    ins, outs = ([d.boundary_partner(b) for b in side] for side in (d.inputs, d.outputs))
+    return attach_wires(out, ins, outs[:-1] + outs[-1:] * copies)
 
 
 # -- the rules ----------------------------------------------------------------------
@@ -461,46 +509,6 @@ def _rewrite_id_insert(d: Diagram, anchor: Anchor) -> Diagram:
     return d
 
 
-def _check_copy(d: Diagram, anchor: Anchor) -> Optional[Anchor]:
-    state, s = anchor
-    return (anchor if _basis_state(d, state) and _is_spider(d, s)
-            and d.kind(s) != d.kind(state) and d.multiplicity(state, s) == 1 else None)
-
-
-def _rewrite_copy(d: Diagram, anchor: Anchor) -> Diagram:
-    state, s = anchor
-    colour, phase = d.kind(state), d.phase(state)
-    d.remove_edge(state, s)
-    d.remove_node(state)
-    _stamp_states(d, s, colour, phase)
-    return d
-
-
-def _pi_wire(d: Diagram, r: str) -> bool:
-    """Degree-2 pi spider without self-loops."""
-    return (d.degree(r) == 2 and _is_spider(d, r) and d.phase(r) == PI
-            and not d.self_loops(r))
-
-
-def _check_pi_commute(d: Diagram, anchor: Anchor) -> Optional[Anchor]:
-    r, s = anchor
-    return (anchor if _pi_wire(d, r) and _is_spider(d, s) and d.kind(s) != d.kind(r)
-            and d.phase(s) == ZERO and not d.self_loops(s)
-            and d.multiplicity(r, s) == 1 else None)
-
-
-def _rewrite_pi_commute(d: Diagram, anchor: Anchor) -> Diagram:
-    r, s = anchor
-    colour = d.kind(r)
-    # pi nodes go onto every leg of s except the one the pi came through
-    legs = [(w, d.multiplicity(s, w)) for w in d.neighbours(s) if w != r]
-    d.substitute((r,), _WIRE, (r, r))
-    for w, m in legs:
-        for _ in range(m):
-            d.splice(s, w, colour, PI)
-    return d
-
-
 def _check_h_colour(d: Diagram, anchor: Anchor) -> Optional[Anchor]:
     return anchor if _is_spider(d, anchor[0]) else None
 
@@ -529,13 +537,11 @@ RULES: dict[str, Rule] = {r.name: r for r in (
     Rule("id-insert", 2, _adjacent, _check_id_insert, _rewrite_id_insert),
     _equation("self-loop", _looped, [_drop((c,), 1) for c in SPIDERS],
               free=("a",), legs=("a",)),
-    Rule("copy", 2, _led_by(_basis_state), _check_copy, _rewrite_copy),
+    _equation("copy", _led_by(_basis_state), _STATES, free=("b",), box=True),
     _equation("bialgebra", _bialgebra_candidates, _SQUARE),
-    Rule("pi-commute", 2, _led_by(_pi_wire), _check_pi_commute,
-         _rewrite_pi_commute),
-    _equation("pi-state", _led_by(_basis_state),
-              [_pi_state(c, p) for c in SPIDERS for p in (ZERO, PI)],
-              keep=("a",), free=("b",)),
+    _equation("pi-commute", _led_by(_pi_wire), [_pi_commute(c) for c in SPIDERS],
+              keep=("b",), box=True),
+    _equation("pi-state", _led_by(_basis_state), _STATES, keep=("a",), free=("b",)),
     _equation("hopf", _parallel, [_drop((c, other_colour(c)), 2) for c in SPIDERS],
               free=("a", "b"), legs=("a", "b")),
     _equation("h-cancel", _h_pairs,   # a closed pair is a scalar
