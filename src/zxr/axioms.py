@@ -1,13 +1,13 @@
 """The axiom schemas as pairs of diagrams, verified in each scaled model.
 
-Each schema yields left-hand sides, those of the rule's equation rows when
-these hold no free leg or phase (copy's and pi-commute's with their box
-drawn twice); an equation instance (lhs, rhs) takes its right side from
-the rule of the same name in ``rules.RULES``, applied at the first site
-``match_sites`` finds, so the verdicts speak for the rewrites the engine
-performs. Schemas with a free angle are instantiated on a fixed grid that
-includes non-Clifford angles, so a pass is not an artifact of Clifford
-coincidences.
+Each schema yields left-hand sides, those of the rule's equation rows
+drawn: the box twice, one wire on each node with free legs and, when a row
+has free phases, one draw per ``PHASE_GRID`` value, which includes
+non-Clifford angles, so a pass is not an artifact of Clifford coincidences.
+h-colour's rule is written by hand, so its schema alone keeps a builder.
+An equation instance (lhs, rhs) takes its right side from the rule of the
+same name in ``rules.RULES``, applied at the first site ``match_sites``
+finds, so the verdicts speak for the rewrites the engine performs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import rules
 from .diagram import Diagram, X, Z, compose, h_wire, other_colour, spider
-from .phase import PI, Phase
+from .phase import Phase
 from .semantics import compare
 
 PHASE_GRID = (Phase(0), Phase(1, 2), Phase(1), Phase(3, 2),
@@ -26,67 +26,33 @@ PHASE_GRID = (Phase(0), Phase(1, 2), Phase(1), Phase(3, 2),
 Instance = tuple[Diagram, Diagram]
 
 
-def _both_colours(make: Callable[[str], Iterable[Diagram]]) -> Iterator[Diagram]:
-    for colour in (Z, X):
-        yield from make(colour)
-
-
-def _spider_fusion(colour: str) -> Iterator[Diagram]:
-    for a in PHASE_GRID:
-        for b in (Phase(1, 2), Phase(1, 3)):
-            yield compose(spider(colour, 1, 1, a), spider(colour, 1, 1, b))
-    # a higher-arity fusion: phased spider into a splitter
-    for a in (Phase(1, 2), Phase(2, 5)):
-        yield compose(spider(colour, 1, 2), spider(colour, 1, 1, a))
-
-
-def _pi_state(colour: str) -> Iterator[Diagram]:
-    yield compose(spider(other_colour(colour), 1, 0, 0), spider(colour, 1, 1, PI))
-
-
-def _hopf(colour: str) -> Iterator[Diagram]:
-    yield compose(spider(other_colour(colour), 2, 1), spider(colour, 1, 2))
-
-
-def _h_colour(colour: str) -> Iterator[Diagram]:
-    yield compose(spider(other_colour(colour), 1, 2), h_wire())
-
-
-def _h_phase(colour: str) -> Iterator[Diagram]:
-    for a in PHASE_GRID:
-        yield compose(spider(colour, 1, 1, a), h_wire())
-
-
-def _rows(name: str) -> Iterator[Diagram]:
-    """The left sides of the rule's equation rows."""
-    return (lhs for lhs, _ in rules.RULES[name].pairs)
-
-
-_LEFT_SIDES: dict[str, Callable[[], Iterator[Diagram]]] = {
-    "spider-fuse": lambda: _both_colours(_spider_fusion),
-    "id-remove": partial(_rows, "id-remove"),
-    "copy": lambda: (rules.boxed(lhs, 2) for lhs in _rows("copy")),
-    "bialgebra": partial(_rows, "bialgebra"),
-    "pi-commute": lambda: (rules.boxed(lhs, 2) for lhs in _rows("pi-commute")),
-    "pi-state": lambda: _both_colours(_pi_state),
-    "hopf": lambda: _both_colours(_hopf),
-    "h-cancel": partial(_rows, "h-cancel"),
-    "h-colour": lambda: _both_colours(_h_colour),
-    "h-phase": lambda: _both_colours(_h_phase),
-    "h-state": partial(_rows, "h-state"),
-    "euler": partial(_rows, "euler"),   # the decomposition stays last
-}
+def _left_sides(name: str) -> Iterator[Diagram]:
+    """The rule's rows drawn, the i-th free spider of a row taking the
+    (i + k)-th grid value in its k-th draw; h-colour's two by hand."""
+    r = rules.RULES[name]
+    if not r.pairs:   # h-colour, the one schema of a hand-written rule
+        for colour in (Z, X):
+            yield compose(spider(other_colour(colour), 1, 2), h_wire())
+    for lhs, _ in r.pairs:
+        for k in range(len(PHASE_GRID) if r.free else 1):
+            d = rules.boxed(lhs, 2 if r.box else 1, wired=r.legs)
+            for i, v in enumerate(r.free):
+                d.set_phase(v, PHASE_GRID[(i + k) % len(PHASE_GRID)])
+            yield d.checked()
 
 
 def _equations(name: str) -> Iterator[Instance]:
     """Each left side of the schema with the rule's rewrite at its first site."""
-    for lhs in _LEFT_SIDES[name]():
+    for lhs in _left_sides(name):
         yield lhs, rules.apply(name, lhs, rules.match_sites(name, lhs)[0],
                                euler_on=True)
 
 
 AXIOM_SCHEMAS: dict[str, Callable[[], Iterator[Instance]]] = {
-    name: partial(_equations, name) for name in _LEFT_SIDES}
+    name: partial(_equations, name) for name in (
+        "spider-fuse", "id-remove", "copy", "bialgebra", "pi-commute", "pi-state",
+        "hopf", "h-cancel", "h-colour", "h-phase", "h-state",
+        "euler")}   # the decomposition stays last
 
 EULER_AXIOM = "euler"
 ALL_AXIOMS = tuple(AXIOM_SCHEMAS)

@@ -54,10 +54,11 @@ A rule whose two sides are open patterns is an equation row, read by
 kept nodes stay, taking rhs's kind, phase change and edges among them; one
 guard keeps a bare-wire rhs from closing an H self-loop; a row that removes,
 adds and changes no node (hopf, self-loop) calls no ``substitute``; and a
-!-box (copy, pi-commute) repeats one pattern on every leg of a spider of any
-degree. Four rules are written by hand: spider-fuse (its rhs phase is a
-sum), spider-split (its anchor chooses the legs), h-colour (two !-boxes)
-and id-insert (its new node's colour follows u's kind).
+!-box (copy, pi-commute, spider-fuse) repeats one pattern on every leg of a
+spider of any degree; spider-fuse's kept spider also gains the phase its
+other spider matched. Three rules are written by hand: spider-split (its
+anchor chooses the legs), h-colour (two !-boxes) and id-insert (its new
+node's colour follows u's kind).
 
 Every rule is one ``Rule`` in ``RULES``. ``apply`` first refuses an anchor
 that is not ``arity`` distinct node ids; ``check(d, anchor)`` is then the
@@ -103,7 +104,9 @@ class Rule(NamedTuple):
     right-hand side, given the match ``check`` returned (a hand-written
     rule's is its anchor). ``euler`` marks
     Euler strength, and ``pairs`` holds an equation row's (lhs, rhs)
-    patterns (empty for a rule written by hand).
+    patterns (empty for a rule written by hand), with the lhs nodes whose
+    phase (``free``) or legs (``legs``) are any and whether lhs's last
+    output is a !-box (``box``): what ``axioms`` reads to draw its instances.
     """
 
     name: str
@@ -113,6 +116,9 @@ class Rule(NamedTuple):
     rewrite: Callable[[Diagram, object], Diagram]
     euler: bool = False
     pairs: tuple[tuple[Diagram, Diagram], ...] = ()
+    free: tuple[str, ...] = ()
+    legs: tuple[str, ...] = ()
+    box: bool = False
 
 
 # -- node tests and candidate generators ------------------------------------------
@@ -238,11 +244,12 @@ def _drop(colours: Sequence[str], times: int) -> tuple[Diagram, Diagram]:
     return lhs.check(), rhs.check()
 
 
-def _state(colour: str, phase: Phase) -> tuple[Diagram, Diagram]:
-    """pi-state and copy: the state a of the colour and phase absorbs the
-    phase-0 opposite-colour spider b on its wire, or copies onto b's box."""
+def _state(colour: str, phase: Phase, across: str) -> tuple[Diagram, Diagram]:
+    """pi-state, copy and spider-fuse: the spider a of the colour and phase
+    absorbs the phase-0 spider b of the colour across on its wire, copies
+    onto b's box or takes it."""
     lhs, rhs = Diagram(), Diagram()
-    chain(lhs, lhs.add_node(colour, phase, name="a"), None, [(other_colour(colour), 0)], ["b"])
+    chain(lhs, lhs.add_node(colour, phase, name="a"), None, [(across, 0)], ["b"])
     rhs.add_node(colour, phase, name="a")
     return attach_wires(lhs, [], ["b"]), attach_wires(rhs, [], ["a"])
 
@@ -311,19 +318,40 @@ _WIRE, _EMPTY, _H = wire(), empty(), h_wire()
 _MANY = float("inf")   # no upper bound on a multiplicity
 # the bialgebra equation, one row per colour of the square's first corner
 _SQUARE = [(_bipartite(c, 2), _bipartite(other_colour(c), 1)) for c in SPIDERS]
-_STATES = [_state(c, p) for c in SPIDERS for p in (ZERO, PI)]
+_STATES = [_state(c, p, other_colour(c)) for c in SPIDERS for p in (ZERO, PI)]
+
+
+def _fits(d: Diagram, anchor: Anchor, test: tuple) -> bool:
+    """Does the anchor pass a row's test: its (i, kind)s, (i, degree)s,
+    (i, phase)s and (i, j, least, most) multiplicities? Plain loops: a
+    check is called per candidate, and a generator costs more than the test."""
+    kinds, degrees, phases, edges = test
+    for i, k in kinds:
+        if d.kind(anchor[i]) != k:
+            return False
+    for i, n in degrees:
+        if d.degree(anchor[i]) != n:
+            return False
+    for i, p in phases:
+        if d.phase(anchor[i]) != p:
+            return False
+    for i, j, least, most in edges:
+        if not least <= d.multiplicity(anchor[i], anchor[j]) <= most:
+            return False
+    return True
 
 
 def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Anchor]]],
               pairs: Sequence[tuple[Diagram, Diagram]], euler: bool = False,
               keep: Sequence[str] = (), free: Sequence[str] = (),
-              legs: Sequence[str] = (), box: bool = False) -> Rule:
+              legs: Sequence[str] = (), box: bool = False, gain: Sequence[str] = ()) -> Rule:
     """The rule rewriting each open pattern lhs to its rhs, one row per pair,
-    keyed by the kind of lhs's first node. lhs's H-boxes between spiders are
-    H-edges, its other non-boundary nodes the anchor, in name order. A node
-    named in keep or free that rhs holds too is kept: it stays, with its id,
-    takes rhs's kind, its phase changes by rhs's less lhs's, and its edges
-    to kept nodes (self-loops included) become rhs's. A node matches its
+    keyed by the kinds of its anchor's first and last nodes. lhs's H-boxes
+    between spiders are H-edges, its other non-boundary nodes the anchor, in
+    name order. A node named in keep or free that rhs holds too is kept: it
+    stays, with its id, takes rhs's kind, its phase changes by rhs's less
+    lhs's, and its edges to kept nodes (self-loops included) become rhs's.
+    A node matches its
     kind, phase (any if in free) and degree (any if in legs: free legs, for
     a kept node); the edges among the anchor are lhs's, but at least lhs's
     between kept nodes one of which has free legs, and each H-edge's spiders
@@ -334,23 +362,31 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
     nothing again, shifts the kept nodes' edges and substitutes rhs for the
     nodes not kept, rhs's i-th boundary taking a wire of the node lhs's i-th
     boundary is on. A still row, which removes, adds and changes no node,
-    stops after the shift: decided here, once, it calls no substitute.
+    calls no substitute: decided here, once. With gain (u, w), kept node u
+    also gains the phase w matched: spider-fuse's sum, the one phase
+    expression a rule needs.
 
     With box, lhs's last output is a !-box (Kissinger, Merry & Soloviev,
     arXiv:1204.6695): the one leg there of its spider, of any degree, stands
-    for each edge end of it that lhs's other edges do not hold (its
-    self-loops' too, unless rhs keeps it). rhs's new nodes are the box, on
-    rhs's last output. The spider stays through the substitution, then
-    gives each end, in sorted neighbour order and one parallel copy at a
-    time, to a fresh copy of the box (a self-loop's two ends to two copies
-    joined by its edge), and goes unless rhs keeps it."""
-    rows: dict[str, list] = {}
+    for each edge end of it that lhs's other edges do not hold, bar those at
+    nodes rhs drops (its self-loops' too, unless rhs keeps it). rhs's new
+    nodes are the box, on rhs's last output. The spider stays through the
+    substitution, then gives each end, in sorted neighbour order and one
+    parallel copy at a time, to a fresh copy of the box (a self-loop's two
+    ends to two copies joined by its edge), and goes unless rhs keeps it.
+    A box of no nodes merges the spider into the kept node on rhs's last
+    output: the ends at host nodes (parallel edges to it, the spider's
+    self-loops) go first, each becoming its self-loop; a box of nodes takes
+    the self-loops last."""
+    rows: dict[tuple[str, str], list] = {}
+    sizes = set()
     for lhs, rhs in pairs:
         bound = lhs.boundary()
         inner = [v for v in lhs.nodes() if v not in bound]
         boxes = [v for v in inner if _is_hbox(lhs, v)
                  and all(_is_spider(lhs, w) for w in lhs.neighbours(v))]
         nodes = [v for v in inner if v not in boxes]
+        sizes.add(len(nodes))
         hub = box and lhs.boundary_partner(lhs.outputs[-1])   # the box's spider
         kept = [v for v in inner if v in {*keep, *free} and rhs.has_node(v) or v == hub]
         at = {v: i for i, v in enumerate(nodes + boxes)}
@@ -368,7 +404,7 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
                 glue.add_node(lhs.kind(hub), lhs.phase(hub), name=hub)
         for v in set(kept).intersection(lhs.spiders()):   # the phase change
             glue.set_phase(v, glue.phase(v) - lhs.phase(v))
-        still = (len(kept) == len(inner) == rhs.node_count()
+        still = (len(kept) == len(inner) == glue.node_count()
                  and all(glue.kind(v) == lhs.kind(v) for v in kept)
                  and all(glue.phase(v) == ZERO for v in glue.spiders()))
         held, loose = set(kept), set(legs)   # loose: kept nodes with free legs
@@ -377,26 +413,25 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
                  for i, u in enumerate(nodes) for j, v in enumerate(nodes[i:], i)]
         shift = [(at[u], at[v], rhs.multiplicity(u, v) - lhs.multiplicity(u, v))
                  for i, u in enumerate(kept) for v in kept[i:]]
-        rows.setdefault(lhs.kind(nodes[0]), []).append((
-            tuple((lhs.kind(v), None if v in free or _is_hbox(lhs, v) else lhs.phase(v),
-                   None if v in legs or v == hub else lhs.degree(v)) for v in nodes),
-            tuple((i, j, m, _MANY if least else m) for i, j, m, least in edges
-                  if m or not least),
+        rows.setdefault((lhs.kind(nodes[0]), lhs.kind(nodes[-1])), []).append((
+            (tuple((i, lhs.kind(v)) for i, v in enumerate(nodes[1:-1], 1)),
+             tuple((i, lhs.degree(v)) for i, v in enumerate(nodes) if v not in legs and v != hub),
+             tuple((i, lhs.phase(v)) for i, v in enumerate(nodes)
+                   if v not in free and not _is_hbox(lhs, v)),
+             tuple((i, j, m, _MANY if least else m) for i, j, m, least in edges
+                   if m or not least)),
             tuple(tuple(at[w] for w in lhs.neighbours(h)) for h in boxes),
             rhs.node_count() == len(rhs.boundary()) == 2,
             (None if still else glue.check(),
              tuple(at[v] for v in nodes + boxes if v not in kept),
              tuple(at[lhs.boundary_partner(b)] for b in bound),
-             tuple((v, at[v]) for v in kept), tuple(e for e in shift if e[2]), repeat)))
-    (arity,) = {len(row[0]) for group in rows.values() for row in group}
+             tuple((v, at[v]) for v in kept), tuple(e for e in shift if e[2]), repeat,
+             tuple(at[v] for v in gain))))
+    (arity,) = sizes   # every row's anchor has one length
 
     def match(d: Diagram, anchor: Anchor) -> Optional[tuple]:
-        for spec, edges, boxes, bare, glue in rows.get(d.kind(anchor[0]), ()):
-            if not (all(d.kind(v) == k and (n is None or d.degree(v) == n)
-                        and (p is None or d.phase(v) == p)
-                        for v, (k, p, n) in zip(anchor, spec))
-                    and all(m <= d.multiplicity(anchor[i], anchor[j]) <= most
-                            for i, j, m, most in edges)):
+        for test, boxes, bare, glue in rows.get((d.kind(anchor[0]), d.kind(anchor[-1])), ()):
+            if not _fits(d, anchor, test):
                 continue
             if bare:
                 ends = {w for v in anchor for w, _ in d.around(v)}.difference(anchor)
@@ -411,41 +446,49 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
         return None
 
     def rewrite(d: Diagram, found: tuple) -> Diagram:   # found: match's result
-        host, (rhs, removed, ports, held, shift, repeat) = found
+        host, (rhs, removed, ports, held, shift, repeat, gain) = found
+        if gain:   # read before any edit
+            u, w = host[gain[0]], host[gain[1]]
+            d.set_phase(u, d.phase(u) + d.phase(w))
         for i, j, k in shift:   # kept nodes' edges among them become rhs's
             d.add_edge(host[i], host[j], k)      # a no-op unless k > 0
             d.remove_edge(host[i], host[j], -k)  # a no-op unless k < 0
-        if rhs is None:   # a still row
-            return d
         if repeat:   # the box's edge ends, read before the substitution
             hub, made, edges, end, gone = repeat
-            hub = host[hub]
-            ends = [w for w, m in sorted(d.around(hub)) if w not in host for _ in range(m)]
-            ends += [hub] * d.self_loops(hub) * gone
-        d.substitute([host[i] for i in removed], rhs, [host[i] for i in ports],
-                     {v: host[i] for v, i in held})
+            hub, cut = host[hub], [host[i] for i in removed]
+            ends = sorted((e for e in d.around(hub) if e[0] not in cut),   # ends at host
+                          key=lambda e: ((e[0] in host) == bool(made), e[0]))   # nodes: a merge's first
+        if rhs is not None:   # not a still row
+            d.substitute([host[i] for i in removed], rhs, [host[i] for i in ports],
+                         {v: host[i] for v, i in held})
         if not repeat:
             return d
 
         def stamp() -> str:   # one copy of the box; returns its leg's end
+            if not made:   # a merge's copy is the kept node alone
+                return host[end]
             names = host + tuple(d.add_node(k, p) for k, p in made)
             for i, j, m in edges:
                 d.add_edge(names[i], names[j], m)
             return names[end]
 
-        for w in ends:   # a self-loop's two ends become two joined copies
-            d.remove_edge(hub, w)
-            d.add_edge(stamp(), stamp() if w == hub else w)
+        for w, m in ends:   # a self-loop's two ends become two joined copies
+            d.remove_edge(hub, w, m)
+            for _ in range(m):
+                d.add_edge(stamp(), stamp() if w == hub else w)
         if gone:
             d.remove_node(hub)
         return d
 
-    return Rule(name, arity, candidates, match, rewrite, euler, tuple(pairs))
+    return Rule(name, arity, candidates, match, rewrite, euler, tuple(pairs),
+                tuple(free), tuple(legs), box)
 
 
-def boxed(d: Diagram, copies: int, drop: Sequence[str] = ()) -> Diagram:
+def boxed(d: Diagram, copies: int, drop: Sequence[str] = (),
+          wired: Sequence[str] = ()) -> Diagram:
     """d less the nodes in drop, with the leg on its last output drawn
-    ``copies`` times: a box row's lhs with its box drawn that many times."""
+    ``copies`` times and one more input on each node in wired: a box row's
+    lhs with its box drawn that many times."""
     out = Diagram()
     for v, k in d.kinds():
         if k != BOUNDARY and v not in drop:
@@ -454,33 +497,10 @@ def boxed(d: Diagram, copies: int, drop: Sequence[str] = ()) -> Diagram:
         if out.has_node(u) and out.has_node(v):
             out.add_edge(u, v, m)
     ins, outs = ([d.boundary_partner(b) for b in side] for side in (d.inputs, d.outputs))
-    return attach_wires(out, ins, outs[:-1] + outs[-1:] * copies)
+    return attach_wires(out, ins + list(wired), outs[:-1] + outs[-1:] * copies)
 
 
 # -- the rules ----------------------------------------------------------------------
-
-
-def _check_spider_fuse(d: Diagram, anchor: Anchor) -> Optional[Anchor]:
-    u, v = anchor
-    return (anchor if _is_spider(d, u) and d.kind(v) == d.kind(u)
-            and d.multiplicity(u, v) >= 1 else None)
-
-
-def _rewrite_spider_fuse(d: Diagram, anchor: Anchor) -> Diagram:
-    u, v = anchor
-    k = d.multiplicity(u, v)
-    vloops = d.self_loops(v)
-    d.remove_edge(u, v, k)
-    d.add_edge(u, u, k - 1)              # surplus parallel edges become loops
-    d.add_edge(u, u, vloops)
-    d.remove_edge(v, v, vloops)
-    for w in d.neighbours(v):
-        m = d.multiplicity(v, w)
-        d.remove_edge(v, w, m)
-        d.add_edge(u, w, m)
-    d.set_phase(u, d.phase(u) + d.phase(v))
-    d.remove_node(v)
-    return d
 
 
 def _check_spider_split(d: Diagram, anchor: Anchor) -> Optional[Anchor]:
@@ -531,7 +551,8 @@ def _rewrite_h_colour(d: Diagram, anchor: Anchor) -> Diagram:
 # -- the table ------------------------------------------------------------------------
 
 RULES: dict[str, Rule] = {r.name: r for r in (
-    Rule("spider-fuse", 2, _edges, _check_spider_fuse, _rewrite_spider_fuse),
+    _equation("spider-fuse", _edges, [_state(c, ZERO, c) for c in SPIDERS],
+              free=("a", "b"), legs=("a",), box=True, gain=("a", "b")),
     Rule("spider-split", None, _spiders, _check_spider_split, _rewrite_spider_split),
     _equation("id-remove", _spiders, [(spider(c, 1, 1), _WIRE) for c in SPIDERS]),
     Rule("id-insert", 2, _adjacent, _check_id_insert, _rewrite_id_insert),

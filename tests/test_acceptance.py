@@ -256,8 +256,10 @@ def test_criterion_10_rewrite_soundness_sweep():
 
 # the equation rows whose right side holds a spider, each with the keywords
 # RULES passes to _equation for it; the first right-side spider of copy and
-# pi-commute is their box's
-_ROW_KEYWORDS = {"copy": {"free": ("b",), "box": True},
+# pi-commute is their box's, spider-fuse's the one that gains a phase
+_ROW_KEYWORDS = {"spider-fuse": {"free": ("a", "b"), "legs": ("a",), "box": True,
+                                 "gain": ("a", "b")},
+                 "copy": {"free": ("b",), "box": True},
                  "pi-commute": {"keep": ("b",), "box": True},
                  "self-loop": {"free": ("a",), "legs": ("a",)},
                  "pi-state": {"keep": ("a",), "free": ("b",)},
@@ -266,16 +268,17 @@ _ROW_KEYWORDS = {"copy": {"free": ("b",), "box": True},
                  "h-state": {"keep": ("b",)}}
 
 
-def _turned(rule, turn):
+def _turned(rule, turn, **change):
     """The rule's row rebuilt with the first spider of each right side
-    turned by the phase."""
+    turned by the phase, and the keywords changed."""
     r, pairs = rules.RULES[rule], []
     for lhs, rhs in r.pairs:
         rhs = rhs.copy()
         s = rhs.spiders()[0]
         rhs.set_phase(s, rhs.phase(s) + turn)
         pairs.append((lhs, rhs.check()))
-    return rules._equation(rule, r.candidates, pairs, r.euler, **_ROW_KEYWORDS[rule])
+    return rules._equation(rule, r.candidates, pairs, r.euler,
+                           **{**_ROW_KEYWORDS[rule], **change})
 
 
 @pytest.mark.parametrize("rule", sorted(_ROW_KEYWORDS))
@@ -288,9 +291,13 @@ def test_criterion_10_catches_a_row_whose_right_side_is_turned(rule, monkeypatch
             if found:   # a rewrite takes its check's match
                 assert serialize(same.rewrite(d.copy(), same.check(d, anchor))) == serialize(
                     real.rewrite(d.copy(), found))
-    monkeypatch.setitem(rules.RULES, rule, _turned(rule, Phase(1, 4)))
-    assert any(not _sound(rule, d, anchor, (1,))
-               for d in corpus for anchor in rules.match_sites(rule, d))
+    broken = [_turned(rule, Phase(1, 4))]
+    if "gain" in _ROW_KEYWORDS[rule]:   # and, apart, the row without its phase gain
+        broken.append(_turned(rule, Phase(0), gain=()))
+    for row in broken:
+        monkeypatch.setitem(rules.RULES, rule, row)
+        assert any(not _sound(rule, d, anchor, (1,))
+                   for d in corpus for anchor in rules.match_sites(rule, d))
 
 
 def test_criterion_11_normalization_sweep():

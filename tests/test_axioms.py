@@ -10,6 +10,7 @@ import zxr
 from zxr import axioms, rules
 from zxr.diagram import iso_equal
 from zxr.semantics import evaluate, matrices_equal, network_scale, scalar_fit
+from zxr.textio import serialize
 
 # each rule without a schema of its own, paired with the schema it inverts
 INVERSES = {"spider-split": "spider-fuse", "id-insert": "id-remove",
@@ -124,7 +125,29 @@ def test_inverse_rules_round_trip_through_their_schema():
                 assert any(iso_equal(rules.apply(forward, there, back, euler_on=True), rhs)
                            for back in rules.match_sites(forward, there)), (inverse, site)
                 counts[inverse] += 1
-    assert counts == {"spider-split": 28, "id-insert": 4, "euler-inv": 1}
+    assert counts == {"spider-split": 12, "id-insert": 4, "euler-inv": 1}
+
+
+# the free-phase spiders of the rows of each schema that has them
+FREE_SPIDERS = {"spider-fuse": ("a", "b"), "copy": ("b",), "pi-state": ("b",),
+                "hopf": ("a", "b"), "h-phase": ("b",)}
+
+
+def test_every_free_spider_takes_every_grid_phase():
+    """Over the instances of each row (those of one shape once the free
+    spiders are set to phase 0), every free spider takes every PHASE_GRID
+    value, so a nonzero one too: copy's copying spider is not only drawn
+    at phase 0."""
+    for name, free in FREE_SPIDERS.items():
+        seen = {}
+        for lhs, _ in axioms.AXIOM_SCHEMAS[name]():
+            shape = lhs.copy()
+            for v in free:
+                shape.set_phase(v, 0)
+            for v in free:
+                seen.setdefault((serialize(shape), v), set()).add(lhs.phase(v))
+        assert seen and all(p == set(axioms.PHASE_GRID) for p in seen.values()), name
+        assert all(any(p != 0 for p in phases) for phases in seen.values()), name
 
 
 def test_axiom_rows_build_each_schema_once_and_fit_as_per_instance(monkeypatch):

@@ -24,7 +24,8 @@ from zxr.diagram import Z, Diagram, DiagramError, _edge_key, iso_equal
 from zxr.graphstate import SimpleGraph, star_graph
 from zxr.proofs import ProofScript, ReplayError, replay
 from zxr.rules import RuleError
-from zxr.semantics import ResourceLimit, diagrams_equal, equal_up_to_scalar, evaluate
+from zxr.semantics import (ResourceLimit, diagrams_equal, evaluate, matrices_equal,
+                           network_scale)
 from zxr.textio import parse, serialize
 
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
@@ -71,7 +72,7 @@ def whole_diagram_replay(script, start, *, euler_on=False, models=None):
             raise ReplayError(index, rule, f"does not match: {exc}")
         for n in models:
             after = evaluate(nxt, n)
-            if not equal_up_to_scalar(vals[n], after):
+            if not matrices_equal(vals[n], network_scale(current), after, network_scale(nxt)):
                 raise ReplayError(index, rule, f"semantic drift in model n={n}")
             vals[n] = after
         current = nxt

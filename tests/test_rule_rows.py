@@ -1,5 +1,6 @@
 """hopf, self-loop, h-phase, h-state, pi-state, id-remove and h-cancel as
-equation rows of ``rules``, and copy and pi-commute as rows with a !-box.
+equation rows of ``rules``, copy and pi-commute as rows with a !-box, and
+spider-fuse as a row with a !-box and a phase gain.
 
 Each rule had a hand-written check and rewrite. They are kept here verbatim
 as the reference: on every ordered anchor of the rule's arity over the
@@ -11,13 +12,15 @@ in creation order and the same patch.
 import itertools
 import random
 from collections import Counter
+from typing import Optional
 
 from conftest import circuit, random_diagram, tangled
 from zxr import lemmas, rules, shipped
 from zxr.diagram import (BOUNDARY, HBOX, SPIDERS, Diagram, empty, iso_equal,
                          Z, other_colour, wire)
 from zxr.graphstate import all_graphs, graph_state
-from zxr.phase import PI, ZERO
+from zxr.phase import PI, ZERO, Phase
+from zxr.rules import Anchor
 from zxr.semantics import diagrams_equal
 from zxr.textio import parse, serialize
 
@@ -41,6 +44,29 @@ def _basis_state(d: Diagram, v: str) -> bool:
 def _far_end(d: Diagram, v: str, skip: str) -> str:
     """The first neighbour of v other than skip."""
     return next(w for w in d.neighbours(v) if w != skip)
+
+
+def _check_spider_fuse(d: Diagram, anchor: Anchor) -> Optional[Anchor]:
+    u, v = anchor
+    return (anchor if _is_spider(d, u) and d.kind(v) == d.kind(u)
+            and d.multiplicity(u, v) >= 1 else None)
+
+
+def _rewrite_spider_fuse(d: Diagram, anchor: Anchor) -> Diagram:
+    u, v = anchor
+    k = d.multiplicity(u, v)
+    vloops = d.self_loops(v)
+    d.remove_edge(u, v, k)
+    d.add_edge(u, u, k - 1)              # surplus parallel edges become loops
+    d.add_edge(u, u, vloops)
+    d.remove_edge(v, v, vloops)
+    for w in d.neighbours(v):
+        m = d.multiplicity(v, w)
+        d.remove_edge(v, w, m)
+        d.add_edge(u, w, m)
+    d.set_phase(u, d.phase(u) + d.phase(v))
+    d.remove_node(v)
+    return d
 
 
 def _check_id_remove(d, anchor):
@@ -174,6 +200,7 @@ def _check_h_state(d, anchor):
 
 
 REFERENCE = {
+    "spider-fuse": (2, _check_spider_fuse, _rewrite_spider_fuse),
     "copy": (2, _check_copy, _rewrite_copy),
     "pi-commute": (2, _check_pi_commute, _rewrite_pi_commute),
     "id-remove": (1, _check_id_remove, lambda d, a: d.substitute(a, _WIRE, a * 2)),
@@ -213,6 +240,17 @@ _ODD = [
         "zx", "zx", ("0", "1", "1/2"), ("edge b o\n", "node h h\nedge b h\nedge h o\n",
                                       "node t z 1/3\nedge b t\nedge t o\nedge t t\n"),
         ("", "edge b b\n", "edge a b\n"))
+]
+
+
+# spider-fuse's sites: a and b joined by k = 1-3 parallel edges, a
+# self-loop on either or both, and b's other legs on a boundary, an H-box
+# and an opposite-colour spider
+_FUSING = [
+    f"node a {c} 1/3\nnode b {c} 1/4\nnode h h\nnode t {o} 1/2\nin i\nout o p q\n"
+    "edge i a\nedge b o\nedge b h\nedge h p\nedge b t\nedge t q\n" + "edge a b\n" * k + loops
+    for c, o in ("zx", "xz") for k in (1, 2, 3)
+    for loops in ("", "edge a a\n", "edge b b\n", "edge a a\nedge b b\n")
 ]
 
 
@@ -268,7 +306,7 @@ def _corpus():
         yield d
         yield tangled(d.copy(), rng)
     yield from (graph_state(g) for g in all_graphs(tuple("abcd")))
-    yield from map(parse, _ODD)
+    yield from map(parse, _ODD + _FUSING)
     derivs = [shipped.BUILDERS[f"fixpoint-s{n}"]() for n in range(1, 7)]
     derivs += [lemmas.fixpoint(g, "a") for g in all_graphs(tuple("abc"))]
     for deriv in derivs + list(lemmas.lc_implies_euler().values()):
@@ -282,7 +320,7 @@ def _corpus():
 
 
 def test_moved_rows_agree_with_the_hand_written_rules():
-    matched = Counter()
+    matched, fused = Counter(), set()
     for d in _corpus():
         for rule, (arity, check, rewrite) in REFERENCE.items():
             row = rules.RULES[rule]
@@ -293,6 +331,10 @@ def test_moved_rows_agree_with_the_hand_written_rules():
                 if not verdict:
                     continue
                 matched[rule] += 1
+                if rule == "spider-fuse":   # k, loops on a and on b, b's neighbour kinds
+                    u, v = anchor
+                    fused.add((d.multiplicity(u, v), d.self_loops(u) > 0, d.self_loops(v) > 0))
+                    fused.update(d.kind(w) for w in d.neighbours(v))
                 out = rules.apply(rule, d, anchor)
                 ref = rewrite(d.copy(), anchor).checked()
                 assert serialize(out) == serialize(ref), (rule, anchor)
@@ -300,19 +342,22 @@ def test_moved_rows_agree_with_the_hand_written_rules():
                 assert out.changed_since(d) == ref.changed_since(d), (rule, anchor)
                 assert out.fresh_id() == ref.fresh_id(), (rule, anchor)
     assert all(matched[rule] >= 15 for rule in REFERENCE), matched
+    assert fused >= {*itertools.product((1, 2, 3), (False, True), (False, True)),
+                     BOUNDARY, HBOX, *SPIDERS}, fused
 
 
 # the rows whose lhs's last output is a !-box
-BOX_ROWS = ("copy", "pi-commute")
+BOX_ROWS = ("copy", "pi-commute", "spider-fuse")
 
 
 def test_every_row_is_an_equation():
     """Each row's own two sides are equal in the standard model, and in
     models 1-3 when the row has no Euler strength. A box row's rewrite of
-    its lhs with the box drawn 0-3 times is equal to that lhs too, and with
-    it drawn once is the row's rhs."""
+    its lhs with the box drawn 0-3 times, its free phases nonzero, is equal
+    to that lhs too, and with it drawn once is the row's rhs."""
     rows = [r for r in rules.RULES.values() if r.pairs]
-    assert len(rows) == 18
+    assert len(rows) == 19
+    assert sorted(r.name for r in rows if r.box) == sorted(BOX_ROWS)
     for r in rows:
         models = (1,) if r.euler else (1, 2, 3)
         for lhs, rhs in r.pairs:
@@ -323,13 +368,15 @@ def test_every_row_is_an_equation():
             assert iso_equal(rules.apply(r.name, lhs, ("a", "b")), rhs), r.name
             for copies in range(4):
                 drawn = rules.boxed(lhs, copies)
-                out = rules.apply(r.name, drawn, ("a", "b"))
+                for k, v in enumerate(r.free):   # nonzero; fuse's closed pair is no zero
+                    drawn.set_phase(v, Phase(1, 3 + k))
+                out = rules.apply(r.name, drawn.checked(), ("a", "b"))
                 assert all(diagrams_equal(drawn, out, n) for n in models), (r.name, copies)
 
 
-def test_only_four_rules_are_written_by_hand():
-    """spider-fuse needs a phase sum, spider-split's anchor chooses its legs,
-    h-colour needs two boxes and id-insert's new colour follows its anchor:
-    every other rule is an equation row."""
+def test_only_three_rules_are_written_by_hand():
+    """spider-split's anchor chooses its legs, h-colour needs two boxes and
+    id-insert's new colour follows its anchor: every other rule is an
+    equation row."""
     hand = {name for name, r in rules.RULES.items() if not r.pairs}
-    assert hand == {"spider-fuse", "spider-split", "id-insert", "h-colour"}
+    assert hand == {"spider-split", "id-insert", "h-colour"}
