@@ -4,7 +4,8 @@ Each schema yields left-hand sides, those of the rule's equation rows
 drawn: the box twice, one wire on each node with free legs and, when a row
 has free phases, one draw per ``PHASE_GRID`` value, which includes
 non-Clifford angles, so a pass is not an artifact of Clifford coincidences.
-h-colour's rule is written by hand, so its schema alone keeps a builder.
+h-colour's rule is written by hand, so its schema alone keeps a builder,
+drawn over ``PHASE_GRID`` too, with the loops its rule leaves as they are.
 An equation instance (lhs, rhs) takes its right side from the rule of the
 same name in ``rules.RULES``, applied at the first site ``match_sites``
 finds, so the verdicts speak for the rewrites the engine performs.
@@ -16,7 +17,7 @@ from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from . import rules
-from .diagram import Diagram, X, Z, compose, h_wire, other_colour, spider
+from .diagram import HBOX, Diagram, X, Z, compose, h_wire, other_colour, spider
 from .phase import Phase
 from .semantics import compare
 
@@ -28,11 +29,16 @@ Instance = tuple[Diagram, Diagram]
 
 def _left_sides(name: str) -> Iterator[Diagram]:
     """The rule's rows drawn, the i-th free spider of a row taking the
-    (i + k)-th grid value in its k-th draw; h-colour's two by hand."""
+    (i + k)-th grid value in its k-th draw; h-colour's by hand, its spider
+    g at every grid phase with a self-loop and an H-box on both legs."""
     r = rules.RULES[name]
     if not r.pairs:   # h-colour, the one schema of a hand-written rule
         for colour in (Z, X):
-            yield compose(spider(other_colour(colour), 1, 2), h_wire())
+            for phase in PHASE_GRID:
+                d = compose(spider(other_colour(colour), 1, 2, phase), h_wire())
+                d.add_edge("g", "g")
+                d.add_edge("g", d.add_node(HBOX), 2)
+                yield d.checked()
     for lhs, _ in r.pairs:
         for k in range(len(PHASE_GRID) if r.free else 1):
             d = rules.boxed(lhs, 2 if r.box else 1, wired=r.legs)

@@ -42,7 +42,8 @@ two that differ are contracted as they are, with no sub-diagram built
 (``_contract``). One zero scale (a closed cycle of an odd number of
 H-boxes) beside a nonzero one is not decided so: that side is zero, the
 other is zero only if M is. Every other pair is evaluated and compared by
-``matrices_equal``.
+``matrices_equal``, the one equality rule; ``equal_up_to_scalar`` is that
+rule at unit scale, for the benchmark's checks on matrices with no scale.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ MEMO_SIZE = 64   # contracted matrices kept (``_small_results``)
 MAX_OPERANDS = 32   # einsum's operand limit under numpy 1.x (numpy 2: 64)
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"   # einsum's labels
 
-TOL = 1e-9  # entrywise, absolute; read by equal_up_to_scalar and matrices_equal alone
+TOL = 1e-9  # entrywise, on a matrix over its scale; read by matrices_equal alone
 
 _H_PLUS = np.array([[1, 1], [1, -1]], dtype=complex)   # sqrt2*H, as evaluated
 _H_PLUS.flags.writeable = False
@@ -267,38 +268,16 @@ def _peak(x: np.ndarray) -> tuple[int, float]:
 
 
 def equal_up_to_scalar(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff a = lambda*b for some nonzero lambda, entrywise within TOL,
-    lambda pivoted on b's largest entry (``_peak``). Two zero matrices, empty
-    ones included, are equal; a zero and a nonzero matrix are not.
-
+    """``matrices_equal`` at unit scale, the rule for two arrays that carry
+    no scale: its zero test is absolute, its nonzero test compares rays.
     Arrays of one dtype and the same bytes, largest entry finite, are equal
-    at once, lambda = 1: a fitted lambda one ulp off 1 fails the absolute TOL
-    at magnitudes past 1e7. Every other pair (NaN or infinite entries, one
-    set of bytes under two dtypes) is fitted.
-
-    The zero test is absolute, so it is no verdict on diagrams: ``evaluate``
-    gives K_12 and K_12 less an edge largest entries near 1e-10, both read
-    as zero, and so as equal. Compare diagrams with ``diagrams_equal``,
-    which decides zero against each network's scale (``matrices_equal``)."""
+    at once. Compare diagrams with ``diagrams_equal``, which decides zero
+    against each network's scale."""
     _same_shape(a, b)
-    if not b.size:
+    if (b.size and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            and math.isfinite(_peak(a)[1])):
         return True
-    amax = _peak(a)[1]
-    if a.dtype == b.dtype and a.tobytes() == b.tobytes() and math.isfinite(amax):
-        return True
-    pivot, bmax = _peak(b)
-    if amax <= TOL or bmax <= TOL:
-        return amax <= TOL and bmax <= TOL
-    return _proportional(a, b, pivot)
-
-
-def _proportional(a: np.ndarray, b: np.ndarray, pivot: int) -> bool:
-    """Is a within TOL of lambda*b, lambda = a/b at ``pivot``, b's largest
-    entry, and |lambda| over TOL? Neither matrix may be zero."""
-    lam = a.flat[pivot] / b.flat[pivot]
-    if abs(lam) <= TOL:
-        return False
-    return _peak(a - lam * b)[1] <= TOL
+    return matrices_equal(a, 1.0, b, 1.0)
 
 
 def network_scale(d: Diagram) -> float:
@@ -308,12 +287,15 @@ def network_scale(d: Diagram) -> float:
 
 def matrices_equal(a: np.ndarray, a_scale: float, b: np.ndarray, b_scale: float) -> bool:
     """The one equality rule: are a and b, of scales a_scale and b_scale
-    (``network_scale``), equal up to a nonzero scalar? ``equal_up_to_scalar``
-    of each over its largest entry, or of zero where that is within TOL times
-    its scale: over its scale a matrix sums unit-modulus products, so TOL
-    tells a zero from float noise at any scale (K_12's entries are 2^-33).
-    One ``_peak`` per matrix both decides zero and forms its ray, whose
-    largest entry, modulus 1, is at the same index."""
+    (``network_scale``), equal up to a nonzero scalar? Each is zero where its
+    largest entry is within TOL times its scale: over its scale a matrix
+    sums unit-modulus products, so TOL tells a zero from float noise at any
+    scale (K_12's entries are 2^-33). Two zero matrices, empty ones
+    included, are equal; a zero and a nonzero one are not. Two nonzero ones
+    are equal where their rays, each over its largest entry, are within TOL
+    entrywise of lambda times the other, lambda their ratio at b's largest
+    entry (``_peak``). A ray's largest entry has modulus 1, so a lambda
+    within TOL of 0 leaves a residual near 1."""
     _same_shape(a, b)
     if not b.size:
         return True
@@ -321,7 +303,8 @@ def matrices_equal(a: np.ndarray, a_scale: float, b: np.ndarray, b_scale: float)
     a_zero, b_zero = a_top <= TOL * a_scale, b_top <= TOL * b_scale
     if a_zero or b_zero:
         return a_zero and b_zero
-    return _proportional(a / a_top, b / b_top, pivot)
+    a, b = a / a_top, b / b_top
+    return _peak(a - a.flat[pivot] / b.flat[pivot] * b)[1] <= TOL
 
 
 def _same(f_net: tuple, g_net: tuple) -> bool:

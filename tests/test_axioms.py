@@ -128,9 +128,9 @@ def test_inverse_rules_round_trip_through_their_schema():
     assert counts == {"spider-split": 12, "id-insert": 4, "euler-inv": 1}
 
 
-# the free-phase spiders of the rows of each schema that has them
+# the free-phase spiders of each schema that has them: its rows', or h-colour's builder's
 FREE_SPIDERS = {"spider-fuse": ("a", "b"), "copy": ("b",), "pi-state": ("b",),
-                "hopf": ("a", "b"), "h-phase": ("b",)}
+                "hopf": ("a", "b"), "h-phase": ("b",), "h-colour": ("g",)}
 
 
 def test_every_free_spider_takes_every_grid_phase():

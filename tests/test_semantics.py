@@ -60,14 +60,14 @@ def test_pauli_phases():
 
 def test_hh_is_identity():
     hh = compose(generator("h"), generator("h"))
-    assert equal_up_to_scalar(evaluate(hh), np.eye(2))
+    assert proportional(evaluate(hh), np.eye(2))
 
 
 def test_triangle_state_signs():
     # entries proportional to (-1)^(x1 x2 + x2 x3 + x1 x3)
     want = np.array([1, 1, 1, -1, 1, -1, -1, -1], dtype=complex).reshape(-1, 1)
     got = evaluate(graph_state(triangle()))
-    assert equal_up_to_scalar(got, want)
+    assert proportional(got, want)
     assert proportional(got, graph_state_vector(triangle()))
 
 
@@ -91,7 +91,7 @@ def test_deformation_soundness(rng):
         d = random_diagram(rng)
         e = parse(serialize(d))
         assert iso_equal(d, e)
-        assert equal_up_to_scalar(evaluate(d), evaluate(e))
+        assert semantics.diagrams_equal(d, e)
 
 
 def test_scaled_models_multiply_phases():
@@ -371,8 +371,9 @@ def test_complete_graph_less_an_edge_is_another_state(tmp_path, capsys):
     graphs = [SimpleGraph.build(vs, es) for es in (edges, edges[1:])]
     k, less = (graph_state(g) for g in graphs)
     assert semantics.diagrams_equal(k, k) and not semantics.diagrams_equal(k, less)
-    # equal_up_to_scalar's zero test is absolute: it reads both as zero, so
-    # it is no diagram verdict, and the package no longer exports it
+    # equal_up_to_scalar is matrices_equal at unit scale, so its zero test is
+    # absolute: it reads both as zero, so it is no diagram verdict, and the
+    # package does not export it
     assert equal_up_to_scalar(evaluate(k), evaluate(less))
     assert not hasattr(zxr, "equal_up_to_scalar") and "equal_up_to_scalar" not in zxr.__all__
     files = []
@@ -592,8 +593,8 @@ def test_colour_change_and_fusion_results_hit_the_memo(monkeypatch, memo):
 # ``dense`` (conftest) contracts the whole diagram in one einsum over one label
 # per edge, read from the generator table alone: none of evaluate's network,
 # plan, memos or held-out scale. evaluate must agree with it within 1e-12
-# entrywise, and equal_up_to_scalar must give the same verdicts on both one's
-# matrices.
+# entrywise, and matrices_equal, with each diagram's network scale, must give
+# the same verdicts on both one's matrices.
 
 AGREE = 1e-12
 
@@ -603,14 +604,18 @@ def _assert_matches_reference(d, model_n=1):
     want = dense(d, model_n)
     assert got.shape == want.shape
     assert np.abs(got - want).max(initial=0.0) <= AGREE
-    return got, want
+    return got, want, semantics.network_scale(d)
 
 
 def _assert_same_verdicts(pairs):
-    """Each pair is ((got, want), (got, want)): both evaluators' matrices of
-    two diagrams."""
-    verdicts = [equal_up_to_scalar(a[0], b[0]) for a, b in pairs]
-    assert verdicts == [equal_up_to_scalar(a[1], b[1]) for a, b in pairs]
+    """Each pair is ((got, want, scale), (got, want, scale)): both
+    evaluators' matrices of two diagrams, and each one's network scale. A
+    zero scale is the network's exact zero (a closed cycle of an odd number
+    of H-boxes), which dense sums to float noise, so dense's matrix is read
+    at unit scale there."""
+    verdicts = [semantics.matrices_equal(a[0], a[2], b[0], b[2]) for a, b in pairs]
+    assert verdicts == [semantics.matrices_equal(a[1], a[2] or 1.0, b[1], b[2] or 1.0)
+                        for a, b in pairs]
     return verdicts
 
 
@@ -691,8 +696,8 @@ def _assert_evaluations_match_reference(run, at_least):
     """Both sides of every ``diagrams_equal`` call made while ``run()`` runs,
     at least ``at_least`` diagrams, evaluate in the call's model as the
     reference does, and the call's verdict, decided from the networks or
-    evaluated, is the reference's ``equal_up_to_scalar`` verdict; returns
-    those."""
+    evaluated, is ``matrices_equal``'s on the reference's matrices with
+    each side's network scale; returns those."""
     pairs = _recorded_pairs(run)
     assert 2 * len(pairs) >= at_least
     verdicts = _assert_same_verdicts([(_assert_matches_reference(f, n),
@@ -908,35 +913,21 @@ def test_every_verdict_decided_or_evaluated_is_the_dense_one(monkeypatch, rng):
         assert verdicts == {True, False} and decided, corpus
 
 
-# -- equality verdicts against their predecessor ------------------------------------
-# ``_reference_equal_up_to_scalar`` is equal_up_to_scalar as it stood before it
-# took |b| once, kept verbatim (TOL read from semantics).
-
-
-def _reference_equal_up_to_scalar(a: np.ndarray, b: np.ndarray) -> bool:
-    TOL = semantics.TOL
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    amax = float(np.abs(a).max()) if a.size else 0.0
-    bmax = float(np.abs(b).max()) if b.size else 0.0
-    if amax <= TOL and bmax <= TOL:
-        return True
-    if amax <= TOL or bmax <= TOL:
-        return False
-    pivot = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    lam = a[pivot] / b[pivot]
-    if abs(lam) <= TOL:
-        return False
-    return bool(np.abs(a - lam * b).max() <= TOL)
+# -- one rule at unit scale ----------------------------------------------------------
+# The reference is ``matrices_equal(a, 1.0, b, 1.0)``: equal_up_to_scalar must
+# give its verdict, or raise as it does, on every pair but two arrays of one
+# dtype and the same bytes, largest entry finite, which are equal with no fit.
 
 
 def _same_verdict(a, b):
     try:
-        want = _reference_equal_up_to_scalar(a, b)
+        want = semantics.matrices_equal(a, 1.0, b, 1.0)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
             equal_up_to_scalar(a, b)
         return None
+    if a.dtype == b.dtype and a.tobytes() == b.tobytes() and np.isfinite(a).all():
+        want = True
     assert equal_up_to_scalar(a, b) is want, (a, b)
     return want
 
@@ -1018,14 +1009,17 @@ def test_equal_up_to_scalar_matches_reference_on_evaluated_pairs(rng):
     assert verdicts[True] > 100 and verdicts[False] > 100
 
 
-# -- identical arrays ----------------------------------------------------------------
+# -- identical arrays and every magnitude ----------------------------------------------
 # Two arrays of one dtype and the same bytes, largest entry finite, are equal
-# with no fit; every other pair keeps the reference's verdict.
+# with no fit; every other pair keeps the reference's verdict, which compares
+# rays, so no nonzero verdict depends on the matrices' magnitude. M is
+# [[1, 2i], [0.5, -1]] and E01 the matrix unit at row 0, column 1.
+
+_M = np.array([[1, 2j], [0.5, -1]])
+_E01 = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 def test_identical_finite_arrays_are_equal_at_every_magnitude():
-    # the fitted lambda is one ulp off 1, and TOL is absolute: past 1e7 a fit
-    # would call some of these unequal to their own copies
     rng = np.random.default_rng(41)
     for e in range(13):
         for _ in range(100):
@@ -1034,7 +1028,7 @@ def test_identical_finite_arrays_are_equal_at_every_magnitude():
 
 
 def test_pairs_not_decided_by_their_bytes_keep_the_reference_verdict():
-    # identical arrays holding NaN or inf are fitted, as before
+    # identical arrays holding NaN or inf take the reference's verdict
     with np.errstate(invalid="ignore"):
         for bad in (np.nan, complex(np.nan, 1), np.inf, -np.inf, complex(1, np.inf),
                     complex(np.inf, np.nan)):
@@ -1051,3 +1045,20 @@ def test_pairs_not_decided_by_their_bytes_keep_the_reference_verdict():
     for z in (np.zeros((2, 2)), np.zeros((2, 2), dtype=complex)):
         assert _same_verdict(z, -z) is True
         assert _same_verdict(-z, z) is True
+
+
+def test_a_small_matrix_is_told_from_a_small_perturbation_of_it():
+    eye = np.eye(2, dtype=complex)
+    assert not equal_up_to_scalar(1e-5 * eye, 1e-5 * (eye + 1e-5 * _E01))
+
+
+def test_a_large_matrix_equals_itself_rounded_otherwise():
+    a, b = 1e8 * _M, 1e8 * _M * (1 + 2 ** -50)
+    assert a.tobytes() != b.tobytes()
+    assert equal_up_to_scalar(a, b) and equal_up_to_scalar(b, a)
+
+
+def test_a_perturbation_is_seen_at_every_magnitude():
+    for e in range(-6, 10):
+        c = 10.0 ** e
+        assert not equal_up_to_scalar(c * _M, c * (_M + 1e-6 * _E01)), c
