@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import (Callable, ItemsView, Iterable, Iterator, KeysView, Optional, Sequence,
-                    TypeVar)
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, ItemsView, Iterable, KeysView, Optional, Sequence, TypeVar
 
 from .phase import HALF_PI, MINUS_HALF_PI, Phase, PhaseLike, ZERO, reduced
 
@@ -906,102 +907,113 @@ def dagger(f: Diagram) -> Diagram:
 # -- isomorphism ---------------------------------------------------------------
 
 
-def iso_equal(a: Diagram, b: Diagram) -> bool:
-    """Label- and multiplicity-preserving isomorphism, boundaries index-wise.
+def _parts(d: Diagram) -> tuple:
+    """d's connected components, each (labels, neighbour maps) by node index:
+    a label is (kind, phase num, den, self-loops, place: i at input i, ~j at
+    output j, else 0); a map takes each other neighbour to its multiplicity."""
+    kind_of, phase_of, adj = d._kind, d._phase, d._adj
+    place = {v: i for i, v in enumerate(d.inputs)}
+    place.update((v, ~j) for j, v in enumerate(d.outputs))
+    parts, seen = [], set()
+    for s in kind_of:
+        if s not in seen:
+            part, at = [s], {s: 0}
+            for v in part:   # grows as it is read
+                for w in adj[v]:
+                    if w not in at:
+                        at[w] = len(part)
+                        part.append(w)
+            seen.update(part)
+            labels = [(kind_of[v], p.num, p.den, adj[v].get(v, 0), place.get(v, 0))
+                      for v, p in zip(part, [phase_of.get(v, ZERO) for v in part])]
+            parts.append((labels, [{at[w]: m for w, m in adj[v].items() if w != v}
+                                   for v in part]))
+    return tuple(parts)
 
-    A node starts as an integer label shared by both diagrams, one per
-    (kind, phase, self-loops, boundary index). First the connected
-    components, from one depth-first pass over both diagrams, are compared
-    as multisets of their sorted start labels: an isomorphism maps each
-    component onto one with the same labels, so a difference rejects before
-    any search.
 
-    Then colour refinement of both diagrams at once, individualising a node
-    of the smallest non-singleton cell against each candidate (McKay &
-    Piperno, Practical graph isomorphism, II); each round adds the sorted
-    (neighbour colour, multiplicity) list. Colour ids are shared by both
-    diagrams, so a colour count that differs rejects at once. A branch tries
-    one node of each twin class of b (one start label and one neighbour map,
-    so never adjacent): swapping two twins is an automorphism of b that fixes
-    the rest. When b's cell is one twin class, its one candidate fixes the
-    whole cell at once, a's nodes to b's twins in order, as some isomorphism
-    does if any does. Components with equal label multisets that refinement
-    cannot tell apart (the cube and the Wagner graph, all Z(0)) still
-    individualise, and interchangeable ones of several nodes can backtrack.
-    """
-    if (len(a.inputs), len(a.outputs), a.node_count(), a.edge_count()) != (
-            len(b.inputs), len(b.outputs), b.node_count(), b.edge_count()):
-        return False
-    n = a.node_count()
-    names, start, nbrs = [], [], []
-    labels: dict = {}
-    for d in (a, b):
-        at = {v: len(names) + i for i, v in enumerate(d.nodes())}
-        place = {v: i for i, v in enumerate(d.boundary())}
-        for v in d.nodes():
-            names.append(v)
-            label = (d._kind[v], d._phase.get(v), d.self_loops(v), place.get(v, -1))
-            start.append(labels.setdefault(label, len(labels)))
-            nbrs.append([(at[w], m) for w, m in d._adj[v].items() if w != v])
-    classes: dict = {}
-    twin = [classes.setdefault((start[v], frozenset(nbrs[v])), v) for v in range(n, 2 * n)]
+def _split(colour: list, c: int, nodes: Iterable[int], key: Callable, cells: dict) -> bool:
+    """Split cell c, nodes in key order: a run of one key takes its first
+    place from c as colour, and a run of several is a cell. Did c split?"""
+    keyed = sorted([(key(v), v) for v in nodes])
+    for _, run in groupby(keyed, itemgetter(0)):
+        vs = [v for _, v in run]
+        for v in vs:
+            colour[v] = c
+        if len(vs) > 1:
+            cells[c] = vs
+        c += len(vs)
+    return len(vs) < len(keyed)
 
-    seen = [False] * (2 * n)   # the components, a's nodes 0..n-1 and b's the rest
-    sides: tuple[list, list] = ([], [])
-    for s in range(2 * n):
-        if not seen[s]:
-            seen[s] = True
-            stack, part = [s], []
-            while stack:
-                v = stack.pop()
-                part.append(start[v])
-                for w, _ in nbrs[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            sides[s >= n].append(sorted(part))
-    if sorted(sides[0]) != sorted(sides[1]):
-        return False
 
-    # depth-first over individualisations, one open branch per level:
-    # (refined colours, the first fresh colour, the candidates left, each
-    # the (a node, b node) pairs it fixes)
-    branches: list[tuple[list, int, Iterator[list[tuple[int, int]]]]] = []
-    colour = start
+def _certificate(labels: list, nbrs: list) -> tuple:
+    """One component's certificate: its sorted labels, and its edges by place
+    in the least leaf of a search by colour refinement and individualisation
+    (McKay & Piperno, Practical graph isomorphism, II). A colour is a place
+    in key order (``_split``), so none depends on a node name: the labels,
+    then a node's sorted (neighbour colour, multiplicity) list, cells in
+    colour order, until none splits. The smallest cell of several nodes
+    (then the least colour) is taken whole if it is one twin class (nodes
+    whose neighbour maps, apart from each other, are equal), else it
+    branches once per class, its node first. A leaf equal to the least
+    gives an automorphism; a branch skips the orbit of the nodes it tried
+    under those that fix its path."""
+    n, best, autos, branches = len(labels), None, [], []
+    colour, cells, path = [0] * n, {}, ()
+    _split(colour, 0, range(n), labels.__getitem__, cells)
     while True:
-        cells = len(set(colour))
-        while True:   # refine until no cell splits; sizes None: the counts differ
-            ids: dict = {}
-            colour = [ids.setdefault((c, tuple(sorted((colour[w], m) for w, m in nb))), len(ids))
-                      for c, nb in zip(colour, nbrs)]
-            sizes = Counter(colour[:n])
-            if sizes != Counter(colour[n:]):
-                sizes = None
-            if sizes is None or len(ids) == cells:
-                break
-            cells = len(ids)
-        if sizes is not None and len(sizes) < n:
-            _, cell = min((k, c) for c, k in sizes.items() if k > 1)
-            vs = [v for v in range(n, 2 * n) if colour[v] == cell]
-            tried = {twin[v - n]: v for v in vs}
-            if len(tried) == 1:   # one twin class: the whole cell, in order
-                pairs = [list(zip([u for u in range(n) if colour[u] == cell], vs))]
-            else:
-                pairs = [[(colour.index(cell), v)] for v in tried.values()]
-            branches.append((colour, cells, iter(pairs)))
-        elif sizes is not None:   # all cells singletons: the mapping is fixed
-            image = dict(zip(colour[n:], names[n:]))
-            to_b = {v: image[c] for v, c in zip(names[:n], colour)}
-            if all(b.multiplicity(to_b[u], to_b[v]) == m for u, v, m in a.edges()):
-                return True
-        while branches:   # the next candidate of the deepest open branch
-            parent, fresh, candidates = branches[-1]
-            fixed = next(candidates, None)
-            if fixed is not None:
-                colour = parent[:]
-                for c, (u, v) in enumerate(fixed, fresh):
-                    colour[u] = colour[v] = c
+        split = True
+        while split:   # refine until no cell splits
+            split, was, cells = False, cells, {}
+            for c in sorted(was):
+                split |= _split(colour, c, was[c], lambda v: tuple(
+                    sorted([(colour[w], m) for w, m in nbrs[v].items()])), cells)
+        if cells:
+            c = min(cells, key=lambda c: (len(cells[c]), c))
+            vs = cells[c]
+            twins = [v for i, v in enumerate(vs) if not any(
+                {**nbrs[v], v: 0, t: 0} == {**nbrs[t], v: 0, t: 0} for t in vs[:i])]
+            if len(twins) == 1:
+                _split(colour, c, cells.pop(c), int, cells)
+                continue
+            branches.append((colour, cells, c, path, iter(twins), []))
+        else:
+            leaf = tuple(sorted([(c, colour[w], m) for v, c in enumerate(colour)
+                                 for w, m in nbrs[v].items() if c < colour[w]]))
+            if best is None or leaf < best:
+                best, at = leaf, sorted(range(n), key=colour.__getitem__)
+            elif leaf == best:   # u -> the least leaf's node at u's place
+                autos.append([at[c] for c in colour])
+        while branches:   # the deepest open branch's next candidate
+            parent, held, c, path, candidates, tried = branches[-1]
+            fixing = [g for g in autos if all(g[u] == u for u in path)]
+            orbit, grow = set(tried), list(tried)
+            for u in grow:   # grows as it is read
+                grow += (new := {g[u] for g in fixing} - orbit)
+                orbit |= new
+            v = next((v for v in candidates if v not in orbit), None)
+            if v is not None:
+                tried.append(v)
+                colour, cells, path = parent[:], dict(held), path + (v,)
+                _split(colour, c, cells.pop(c), v.__ne__, cells)
                 break
             branches.pop()
         else:
-            return False
+            return tuple(sorted(labels)), best
+
+
+def canonical(d: Diagram) -> tuple:
+    """d's components' certificates, sorted: equal exactly for diagrams
+    isomorphic as ``iso_equal`` asks, which keeps it through ``Diagram.memo``."""
+    return tuple(sorted(_certificate(*part) for part in d.memo(_parts)))
+
+
+def iso_equal(a: Diagram, b: Diagram) -> bool:
+    """Label- and multiplicity-preserving isomorphism, boundaries index-wise:
+    equal counts, equal multisets of the components' sorted labels (each
+    maps onto one with its labels), then equal certificates (``canonical``)."""
+    if (len(a.inputs), len(a.outputs), a.node_count(), a.edge_count()) != (
+            len(b.inputs), len(b.outputs), b.node_count(), b.edge_count()):
+        return False
+    return (sorted(sorted(x) for x, _ in a.memo(_parts))
+            == sorted(sorted(x) for x, _ in b.memo(_parts))
+            and a.memo(canonical) == b.memo(canonical))

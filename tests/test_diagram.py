@@ -10,13 +10,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import random_diagram, reference_cut
+from conftest import circuit, random_diagram, reference_cut, tangled
 from test_patch_check import whole_table_patch
 from zxr import diagram, rules
 from zxr.diagram import (BOUNDARY, HBOX, Diagram, DiagramError, X, Z,
-                         attach_wires, chain, compose, dagger, empty, euler_chain,
+                         attach_wires, canonical, chain, compose, dagger, empty, euler_chain,
                          generator, iso_equal, spider, tensor, wire)
-from zxr.graphstate import graph_state, path_graph
+from zxr.graphstate import SimpleGraph, all_graphs, graph_state, path_graph
 from zxr.phase import Phase
 from zxr.semantics import evaluate
 from zxr.textio import parse, serialize
@@ -206,9 +206,26 @@ def test_iso_equal_agrees_with_brute_force():
              (_beside(0, 3, 3), _beside(0, 6)), (_beside(1, 2, 3), _beside(1, 5)),
              (_cycles(2, 4), _cycles(4, 2)), (_beside(1, 3, 3), _beside(1, 3, 3))]
     pairs += [(a, _relabelled(a, rng)) for a, _ in pairs]
+    # bare boundary-to-boundary wires: two straight ones against two
+    # crossed, two capped and a copy built in another order
+    straight = _bare_wires(("in0", "out0"), ("in1", "out1"))
+    pairs += [(straight, _bare_wires(("in0", "out1"), ("in1", "out0"))),
+              (straight, _bare_wires(("in0", "in1"), ("out0", "out1"))),
+              (straight, _relabelled(straight, rng))]
     for a, b in pairs:
         for x, y in ((a, b), (b, a)):
             assert iso_equal(x, y) == _brute_iso(x, y), (x.edges(), y.edges())
+
+
+def _bare_wires(*edges):
+    """Inputs in0, in1 and outputs out0, out1 wired to each other by edges."""
+    d = Diagram()
+    for b in ("in0", "in1", "out0", "out1"):
+        d.add_node(BOUNDARY, name=b)
+    for u, v in edges:
+        d.add_edge(u, v)
+    d.inputs, d.outputs = ("in0", "in1"), ("out0", "out1")
+    return d.check()
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -250,6 +267,68 @@ def test_iso_search_decides_components_alike_in_labels(k):
         assert not iso_equal(a, b) and not iso_equal(b, a)
         assert iso_equal(a, _relabelled(a, random.Random(k)))
         assert iso_equal(b, _relabelled(b, random.Random(k)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_iso_decides_interchangeable_components_alike_in_labels(k):
+    # k cubes and the Wagner graph against k + 1 cubes (all Z(0)): every
+    # component has the same labels, so the component test passes them,
+    # and a pairwise search tried the cubes' pairings (17.6 s at k = 2)
+    cubes = _cube()
+    for _ in range(k - 1):
+        cubes = tensor(cubes, _cube())
+    a, b = tensor(cubes, _wagner()), tensor(cubes, _cube())
+    with _deadline(2):
+        assert not iso_equal(a, b) and not iso_equal(b, a)
+        assert iso_equal(b, _relabelled(b, random.Random(k)))
+
+
+def _plain(g):
+    """A simple graph drawn as Z(0) spiders and plain edges, no boundary."""
+    d = Diagram()
+    for v in g.vertices:
+        d.add_node(Z, 0, name=v)
+    for e in g.edges:
+        d.add_edge(*sorted(e))
+    return d.check()
+
+
+def test_certificates_count_the_graphs_up_to_isomorphism():
+    # OEIS A000088; CI counts the 156 classes on 6 vertices
+    counts = [len({canonical(_plain(g)) for g in all_graphs(tuple(f"v{i}" for i in range(n)))})
+              for n in range(1, 6)]
+    assert counts == [1, 2, 4, 11, 34]
+
+
+def test_relabelling_keeps_the_certificate():
+    rng = random.Random(52)
+    ds = [random_diagram(rng) for _ in range(200)]
+    ds += [tangled(d.copy(), rng) for d in ds]
+    ds += [circuit(rng, rng.randint(2, 5), rng.randint(10, 60)) for _ in range(40)]
+    ds += [graph_state(g) for n in range(1, 6)
+           for g in all_graphs(tuple(f"v{i}" for i in range(n)))]
+    for d in ds:
+        assert canonical(_relabelled(d, rng)) == canonical(d), d.edges()
+
+
+def _hub(prefix, legs, parts):
+    """A Z(0) hub with ``legs`` equal pendant chains of parts ((colour,
+    phase) each)."""
+    d = Diagram()
+    hub = d.add_node(Z, 0, name=f"{prefix}hub")
+    for i in range(legs):
+        chain(d, hub, None, parts, [f"{prefix}{i}.{j}" for j in range(len(parts))])
+    return d.check()
+
+
+def test_iso_decides_connected_symmetric_diagrams_at_once():
+    # a cell of 2,400 twins taken one node a level took 32 s; the orders of
+    # 8 equal pendant chains and the leaves of a 100-ring, tried without the
+    # automorphisms that equal leaves give, 3.2 s and 1.6 s
+    star, legs = _hub("s", 2400, [(X, 0)]), _hub("p", 8, [(X, 0), (Z, 1)])
+    with _deadline(2):
+        for d in (star, legs, _beside(0, 100)):
+            assert iso_equal(d, _relabelled(d, random.Random(8)))
 
 
 def test_iso_backtracks_past_a_failed_candidate():
@@ -333,11 +412,12 @@ def test_iso_fixes_a_whole_twin_class_in_one_step():
         assert not iso_equal(a, b) and not iso_equal(b, a)
 
 
-def test_iso_tries_one_twin_but_every_adjacent_node(monkeypatch):
-    """The candidates each branch is handed: isolated spiders and the
-    opposite corners of a C4 are twins, a triangle's corners are adjacent,
-    and two nodes whose neighbours differ only in multiplicity are not
-    twins."""
+def test_iso_tries_one_node_per_twin_class(monkeypatch):
+    """The candidates of the search's first branch, one per twin class: a
+    star's leaves, the opposite corners of a C4 and the corners of a clique
+    or of one wing of a bowtie are twins, and a cell of one twin class is
+    taken whole, with no branch; a C5's adjacent corners are not twins, nor
+    two nodes whose neighbours differ only in multiplicity."""
     tried = []
     monkeypatch.setattr(diagram, "iter", lambda xs: builtins.iter(
         tried.append(list(xs)) or tried[-1]), raising=False)
@@ -345,14 +425,20 @@ def test_iso_tries_one_twin_but_every_adjacent_node(monkeypatch):
     def first_branch(d):
         tried.clear()
         assert iso_equal(d, _relabelled(d, random.Random(1)))
-        return len(tried[0])
+        return len(tried[0]) if tried else 0
 
-    triangle = parse("node a z\nnode b z\nnode c z\nedge a b\nedge b c\nedge c a\n")
+    def plain(*edges):
+        return _plain(SimpleGraph.build(sorted(set("".join(edges))), edges))
+
     lopsided = parse("node p z\nnode q z\nnode w x\nnode y x\n"
                      "edge p w\nedge p y\nedge p y\nedge q w\nedge q w\nedge q y\n")
-    assert first_branch(_isolated("s", [0] * 5)) == 1
-    assert first_branch(_cycles(4)) == 1
-    assert first_branch(triangle) == 3
+    assert first_branch(plain("ca", "cb", "cd")) == 0   # a star
+    assert first_branch(plain("ab", "bc", "ca")) == 0   # a triangle
+    assert first_branch(plain(*map("".join, itertools.combinations("abcd", 2)))) == 0
+    assert first_branch(_cycles(4)) == 0   # Z and X corners: two cells, one class each
+    assert first_branch(_beside(0, 4)) == 2
+    assert first_branch(plain("ab", "ha", "hb", "cd", "hc", "hd")) == 2   # a bowtie
+    assert first_branch(_beside(0, 5)) == 5
     assert first_branch(lopsided) == 2
 
 
