@@ -500,7 +500,7 @@ class Diagram:
         outputs) takes the next outside wire of ports[i]; a bare wire of rhs
         joins its two outside ends. rhs's other nodes get fresh ids in rhs's
         creation order, bar those ``keep`` maps by name to nodes of self
-        outside the set: these stay, each taking rhs's kind and gaining its
+        outside the set: these stay, each taking rhs's kind but keeping its
         phase, and rhs's edges among them are taken to be there. A kept
         node's edges to the set go with it; each kept node ports names gives
         up its other edges as outside wires, bar self-loops and rhs's edges
@@ -548,11 +548,8 @@ class Diagram:
         made = [held[i] if i in held else self.add_node(k, phase)
                 for i, (_, k, phase) in enumerate(made_from)]
         for i, v in held.items():
-            _, kind, phase = made_from[i]
-            if kind != self._kind[v]:
-                self.set_kind(v, kind)
-            if phase not in (None, ZERO):
-                self.set_phase(v, self._phase[v] + phase)
+            if made_from[i][1] != self._kind[v]:
+                self.set_kind(v, made_from[i][1])
         for i, j, m in inner:
             self.add_edge(made[i], made[j], m)
         for b, w in zip(bound, partners):

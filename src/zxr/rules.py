@@ -51,14 +51,15 @@ They set ``Rule.euler``; ``apply`` refuses them unless ``euler_on=True``, and
 
 A rule whose two sides are open patterns is an equation row, read by
 ``_equation`` from the (lhs, rhs) pairs it keeps as ``Rule.pairs``. A row's
-kept nodes stay, taking rhs's kind, phase change and edges among them; one
-guard keeps a bare-wire rhs from closing an H self-loop; a row that removes,
-adds and changes no node (hopf, self-loop) calls no ``substitute``; and a
-!-box (copy, pi-commute, spider-fuse) repeats one pattern on every leg of a
-spider of any degree; spider-fuse's kept spider also gains the phase its
-other spider matched. Three rules are written by hand: spider-split (its
-anchor chooses the legs), h-colour (two !-boxes) and id-insert (its new
-node's colour follows u's kind).
+kept nodes stay, taking rhs's kind and edges among them, and the row alone
+sets a kept spider's phase: a signed sum of matched phases (spider-fuse's
+a: a's plus b's) plus rhs's less lhs's; one guard keeps a bare-wire rhs
+from closing an H self-loop; a row that removes, adds and recolours no node
+(hopf, self-loop, spider-fuse) calls no ``substitute``; and a !-box (copy,
+pi-commute, spider-fuse) repeats one pattern on every leg of a spider of
+any degree. Three rules are written by hand: spider-split (its anchor
+chooses the legs), h-colour (two !-boxes) and id-insert (its new node's
+colour follows u's kind).
 
 Every rule is one ``Rule`` in ``RULES``. ``apply`` first refuses an anchor
 that is not ``arity`` distinct node ids; ``check(d, anchor)`` is then the
@@ -344,27 +345,28 @@ def _fits(d: Diagram, anchor: Anchor, test: tuple) -> bool:
 def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Anchor]]],
               pairs: Sequence[tuple[Diagram, Diagram]], euler: bool = False,
               keep: Sequence[str] = (), free: Sequence[str] = (),
-              legs: Sequence[str] = (), box: bool = False, gain: Sequence[str] = ()) -> Rule:
+              legs: Sequence[str] = (), box: bool = False, sums: Optional[dict] = None) -> Rule:
     """The rule rewriting each open pattern lhs to its rhs, one row per pair,
     keyed by the kinds of its anchor's first and last nodes. lhs's H-boxes
     between spiders are H-edges, its other non-boundary nodes the anchor, in
     name order. A node named in keep or free that rhs holds too is kept: it
-    stays, with its id, takes rhs's kind, its phase changes by rhs's less
-    lhs's, and its edges to kept nodes (self-loops included) become rhs's.
-    A node matches its
-    kind, phase (any if in free) and degree (any if in legs: free legs, for
-    a kept node); the edges among the anchor are lhs's, but at least lhs's
-    between kept nodes one of which has free legs, and each H-edge's spiders
-    share just one H-box. A row whose rhs is a bare wire refuses a match
-    whose two outside wire ends are one H-box, which the wire would close
-    into an H self-loop. The check returns the match, the host nodes and
-    the row's glue, or None; the rewrite takes that match, so it matches
-    nothing again, shifts the kept nodes' edges and substitutes rhs for the
-    nodes not kept, rhs's i-th boundary taking a wire of the node lhs's i-th
-    boundary is on. A still row, which removes, adds and changes no node,
-    calls no substitute: decided here, once. With gain (u, w), kept node u
-    also gains the phase w matched: spider-fuse's sum, the one phase
-    expression a rule needs.
+    stays, with its id, takes rhs's kind, and its edges to kept nodes
+    (self-loops included) become rhs's. Its phase, if a spider, becomes the
+    signed sum of the matched phases sums names for it ("-" before a name
+    subtracts; by default its own, spider-fuse's a ("a", "b")) plus rhs's
+    less lhs's; one table holds a row's sums, all read from the host before
+    any is set. A node matches its kind, phase (any if in free) and degree
+    (any if in legs: free legs, for a kept node); the edges among the anchor
+    are lhs's, but at least lhs's between kept nodes one of which has free
+    legs, and each H-edge's spiders share just one H-box. A row whose rhs is
+    a bare wire refuses a match whose two outside wire ends are one H-box,
+    which the wire would close into an H self-loop. The check returns the
+    match, the host nodes and the row's glue, or None; the rewrite takes
+    that match, so it matches nothing again, shifts the kept nodes' edges
+    and substitutes rhs for the nodes not kept, rhs's i-th boundary taking
+    a wire of the node lhs's i-th boundary is on; substitute takes only a
+    kept node's kind and wiring. A still row, which removes, adds and
+    recolours no node, calls no substitute: decided here, once.
 
     With box, lhs's last output is a !-box (Kissinger, Merry & Soloviev,
     arXiv:1204.6695): the one leg there of its spider, of any degree, stands
@@ -401,12 +403,15 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
                       index[rhs.boundary_partner(rhs.outputs[-1])], gone)
             bound, glue = bound[:-1], boxed(rhs, 0, made)
             if gone:   # it stays until its legs are copied
-                glue.add_node(lhs.kind(hub), lhs.phase(hub), name=hub)
-        for v in set(kept).intersection(lhs.spiders()):   # the phase change
-            glue.set_phase(v, glue.phase(v) - lhs.phase(v))
+                glue.add_node(lhs.kind(hub), name=hub)
+        phases = []   # (i, j, minus, ((j, minus), ...), turn): spider i's sum, first term apart
+        for v in [v for v in kept if rhs.has_node(v) and _is_spider(lhs, v)]:
+            terms = tuple((at[w.lstrip("-")], w[0] == "-") for w in (sums or {}).get(v, (v,)))
+            turn = rhs.phase(v) - lhs.phase(v)
+            if terms != ((at[v], False),) or not turn.is_zero():   # else it keeps its phase
+                phases.append((at[v], *terms[0], terms[1:], None if turn.is_zero() else turn))
         still = (len(kept) == len(inner) == glue.node_count()
-                 and all(glue.kind(v) == lhs.kind(v) for v in kept)
-                 and all(glue.phase(v) == ZERO for v in glue.spiders()))
+                 and all(glue.kind(v) == lhs.kind(v) for v in kept))
         held, loose = set(kept), set(legs)   # loose: kept nodes with free legs
         edges = [(i, j, lhs.multiplicity(u, v),
                   {u, v} <= held and bool({u, v} & loose) or u == v == hub and gone)
@@ -426,7 +431,7 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
              tuple(at[v] for v in nodes + boxes if v not in kept),
              tuple(at[lhs.boundary_partner(b)] for b in bound),
              tuple((v, at[v]) for v in kept), tuple(e for e in shift if e[2]), repeat,
-             tuple(at[v] for v in gain))))
+             tuple(phases))))
     (arity,) = sizes   # every row's anchor has one length
 
     def match(d: Diagram, anchor: Anchor) -> Optional[tuple]:
@@ -446,10 +451,15 @@ def _equation(name: str, candidates: Optional[Callable[[Diagram], Iterable[Ancho
         return None
 
     def rewrite(d: Diagram, found: tuple) -> Diagram:   # found: match's result
-        host, (rhs, removed, ports, held, shift, repeat, gain) = found
-        if gain:   # read before any edit
-            u, w = host[gain[0]], host[gain[1]]
-            d.set_phase(u, d.phase(u) + d.phase(w))
+        host, (rhs, removed, ports, held, shift, repeat, phases) = found
+        turned = []   # each kept spider's sum, all read before any is set
+        for i, j, minus, rest, turn in phases:   # from the first term: no Phase for a zero turn
+            p = -d.phase(host[j]) if minus else d.phase(host[j])
+            for j, minus in rest:
+                p = p - d.phase(host[j]) if minus else p + d.phase(host[j])
+            turned.append((host[i], p if turn is None else p + turn))
+        for v, p in turned:
+            d.set_phase(v, p)
         for i, j, k in shift:   # kept nodes' edges among them become rhs's
             d.add_edge(host[i], host[j], k)      # a no-op unless k > 0
             d.remove_edge(host[i], host[j], -k)  # a no-op unless k < 0
@@ -552,7 +562,7 @@ def _rewrite_h_colour(d: Diagram, anchor: Anchor) -> Diagram:
 
 RULES: dict[str, Rule] = {r.name: r for r in (
     _equation("spider-fuse", _edges, [_state(c, ZERO, c) for c in SPIDERS],
-              free=("a", "b"), legs=("a",), box=True, gain=("a", "b")),
+              free=("a", "b"), legs=("a",), box=True, sums={"a": ("a", "b")}),
     Rule("spider-split", None, _spiders, _check_spider_split, _rewrite_spider_split),
     _equation("id-remove", _spiders, [(spider(c, 1, 1), _WIRE) for c in SPIDERS]),
     Rule("id-insert", 2, _adjacent, _check_id_insert, _rewrite_id_insert),

@@ -256,9 +256,9 @@ def test_criterion_10_rewrite_soundness_sweep():
 
 # the equation rows whose right side holds a spider, each with the keywords
 # RULES passes to _equation for it; the first right-side spider of copy and
-# pi-commute is their box's, spider-fuse's the one that gains a phase
+# pi-commute is their box's, spider-fuse's the one whose phase is a sum
 _ROW_KEYWORDS = {"spider-fuse": {"free": ("a", "b"), "legs": ("a",), "box": True,
-                                 "gain": ("a", "b")},
+                                 "sums": {"a": ("a", "b")}},
                  "copy": {"free": ("b",), "box": True},
                  "pi-commute": {"keep": ("b",), "box": True},
                  "self-loop": {"free": ("a",), "legs": ("a",)},
@@ -292,8 +292,8 @@ def test_criterion_10_catches_a_row_whose_right_side_is_turned(rule, monkeypatch
                 assert serialize(same.rewrite(d.copy(), same.check(d, anchor))) == serialize(
                     real.rewrite(d.copy(), found))
     broken = [_turned(rule, Phase(1, 4))]
-    if "gain" in _ROW_KEYWORDS[rule]:   # and, apart, the row without its phase gain
-        broken.append(_turned(rule, Phase(0), gain=()))
+    if "sums" in _ROW_KEYWORDS[rule]:   # and, apart, the row without its phase sum
+        broken.append(_turned(rule, Phase(0), sums={}))
     for row in broken:
         monkeypatch.setitem(rules.RULES, rule, row)
         assert any(not _sound(rule, d, anchor, (1,))

@@ -1071,16 +1071,17 @@ def test_substitute_edits_are_seen_by_checked():
 
 
 def test_substitute_keeps_the_nodes_keep_names():
-    """A kept node keeps its id and self-loop, gains rhs's phase, and, named
-    in ports, gives its other edges up as outside wires, one to each port."""
+    """A kept node keeps its id, self-loop and phase (its row sets that),
+    and, named in ports, gives its other edges up as outside wires, one to
+    each port."""
     d = parse("node k z 1/4\nnode w x\nin i\nout o\n"
               "edge i k\nedge k k\nedge k w\nedge w o\n")
     rhs = Diagram()
     chain(rhs, rhs.add_node(Z, "1/2", name="k"), None, [(X, "1/2")], ["x"])
     attach_wires(rhs, ["x"], ["k"])
     d.substitute([], rhs, ["k", "k"], {"k": "k"})
-    assert d.phase("k") == Phase(3, 4) and d.self_loops("k") == 1
-    assert iso_equal(d.checked(), parse("node k z 3/4\nnode x x 1/2\nnode w x\nin i\nout o\n"
+    assert d.phase("k") == Phase(1, 4) and d.self_loops("k") == 1
+    assert iso_equal(d.checked(), parse("node k z 1/4\nnode x x 1/2\nnode w x\nin i\nout o\n"
                                         "edge i x\nedge x k\nedge k k\nedge k w\nedge w o\n"))
 
 

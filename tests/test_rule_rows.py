@@ -1,12 +1,13 @@
 """hopf, self-loop, h-phase, h-state, pi-state, id-remove and h-cancel as
 equation rows of ``rules``, copy and pi-commute as rows with a !-box, and
-spider-fuse as a row with a !-box and a phase gain.
+spider-fuse as a row with a !-box and a phase sum.
 
 Each rule had a hand-written check and rewrite. They are kept here verbatim
 as the reference: on every ordered anchor of the rule's arity over the
 corpus below, the row gives the reference's verdict, and on every match the
 same result, node ids included, the same next fresh id, the same new nodes
-in creation order and the same patch.
+in creation order and the same patch. The last test builds, and does not
+register, a row whose kept spider's phase is a negative sum.
 """
 
 import itertools
@@ -16,12 +17,13 @@ from typing import Optional
 
 from conftest import circuit, random_diagram, tangled
 from zxr import lemmas, rules, shipped
+from zxr.axioms import PHASE_GRID
 from zxr.diagram import (BOUNDARY, HBOX, SPIDERS, Diagram, empty, iso_equal,
                          Z, other_colour, wire)
 from zxr.graphstate import all_graphs, graph_state
 from zxr.phase import PI, ZERO, Phase
 from zxr.rules import Anchor
-from zxr.semantics import diagrams_equal
+from zxr.semantics import compare, diagrams_equal
 from zxr.textio import parse, serialize
 
 _WIRE, _EMPTY = wire(), empty()
@@ -380,3 +382,28 @@ def test_only_three_rules_are_written_by_hand():
     equation row."""
     hand = {name for name, r in rules.RULES.items() if not r.pairs}
     assert hand == {"spider-split", "id-insert", "h-colour"}
+
+
+def test_a_negative_phase_sum_passes_pi_through_any_phase():
+    """pi-commute's pairs with b's phase free and b's sum -b: the any-phase
+    pi-commutation (Coecke & Duncan's K2), built here and not registered.
+    Its rewrite leaves b at minus the angle it matched; the registered
+    row, phase 0 only, is its alpha = 0 case, with the same result; and
+    model 2 scales pi to 2pi, so it holds there only where 2 alpha = -2
+    alpha mod 2pi, at multiples of pi/2, and not at pi/3 or 2pi/5."""
+    real = rules.RULES["pi-commute"]
+    turned = rules._equation("pi-commute-any", real.candidates, real.pairs, keep=("b",),
+                             free=("b",), box=True, sums={"b": ("-b",)})
+    fails = set()
+    for lhs, _ in real.pairs:
+        for alpha in PHASE_GRID:
+            d = rules.boxed(lhs, 2)
+            d.set_phase("b", alpha)
+            d = d.checked()
+            out = turned.rewrite(d.copy(), turned.check(d, ("a", "b"))).checked()
+            assert out.phase("b") == -alpha, alpha
+            assert bool(real.check(d, ("a", "b"))) == (alpha == ZERO), alpha
+            if alpha == ZERO:
+                assert serialize(out) == serialize(rules.apply("pi-commute", d, ("a", "b")))
+            fails.update((n, alpha) for n in (1, 2, 3) if not compare(d, out, n)[0])
+    assert fails == {(2, Phase(1, 3)), (2, Phase(2, 5))}, fails
